@@ -181,6 +181,24 @@ def _check_identity(family: GroupFamily, report: VerificationReport, name: str,
     report.record(name, family.is_identity(value), family.render(value), "e", detail)
 
 
+def _conjugate_commutators(fam: GroupFamily, hs: Sequence, hs_inv: Sequence, tp_cache: dict,
+                           powers: Sequence[int], report: VerificationReport,
+                           detail: str = "") -> None:
+    """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair.
+
+    hs_inv holds the inverses of hs, and tp_cache maps both p and -p to t^p
+    and t^-p, so inv(t^p) is read from it.  Per pair this makes the same five
+    products as commutator(conjugate(...)) but inverts only the conjugate.
+    """
+    for p in powers:
+        tp, tp_inv = tp_cache[p], tp_cache[-p]
+        for i, (hi, hi_inv) in enumerate(zip(hs, hs_inv)):
+            for j, hj in enumerate(hs):
+                conj = fam.mul(fam.mul(tp, hj), tp_inv)
+                c = fam.mul(fam.mul(hi, conj), fam.mul(hi_inv, fam.inv(conj)))
+                _check_identity(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", c, detail)
+
+
 def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationReport:
     """Check the finite-order commutation battery on generators.
 
@@ -199,15 +217,13 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationR
     report = VerificationReport(suite)
     powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
     tp_cache = {p: fam.power(w.t, p) for p in powers + [n]}
-    for p in powers:
-        tp = tp_cache[p]
-        for i, hi in enumerate(H.elements):
-            for j, hj in enumerate(H.elements):
-                c = commutator(fam, hi, conjugate(fam, tp, hj))
-                _check_identity(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", c)
+    hs_inv = [fam.inv(h) for h in H.elements]
+    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report)
     tn = tp_cache[n]
-    for i, hi in enumerate(H.elements):
-        _check_identity(fam, report, f"[h{i + 1}, t^{n}]", commutator(fam, hi, tn))
+    tn_inv = fam.inv(tn)
+    for i, (hi, hi_inv) in enumerate(zip(H.elements, hs_inv)):
+        c = fam.mul(fam.mul(hi, tn), fam.mul(hi_inv, tn_inv))
+        _check_identity(fam, report, f"[h{i + 1}, t^{n}]", c)
     return report
 
 
@@ -224,13 +240,11 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
         fam.check_element(h)
     P = w.mode.bound
     report = VerificationReport(suite, bounded=True)
-    for p in [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]:
-        tp = fam.power(w.t, p)
-        for i, hi in enumerate(H.elements):
-            for j, hj in enumerate(H.elements):
-                c = commutator(fam, hi, conjugate(fam, tp, hj))
-                _check_identity(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", c,
-                                detail=f"bounded check, |p| <= {P}")
+    powers = [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]
+    tp_cache = {p: fam.power(w.t, p) for p in powers}
+    hs_inv = [fam.inv(h) for h in H.elements]
+    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report,
+                           detail=f"bounded check, |p| <= {P}")
     return report
 
 

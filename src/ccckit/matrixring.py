@@ -4,14 +4,16 @@ block-swap witnesses.
 
 Determinants use fraction-free (Bareiss) elimination over Z; modular
 determinants reduce the integer determinant, since reduction mod m is a
-ring homomorphism.  Inverses go through the adjugate, which keeps all
-intermediate arithmetic exact.
+ring homomorphism.  Inverses run one fraction-free Gauss-Jordan pass over
+Z on the integer lift, which yields det(A) and adj(A) together, so all
+intermediate arithmetic stays exact and integral.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -70,11 +72,9 @@ def _check_compat(a: SquareMatrix, b: SquareMatrix) -> None:
 
 def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     _check_compat(a, b)
-    n = a.size
-    return matrix(
-        [[sum(a.entries[i][k] * b.entries[k][j] for k in range(n)) for j in range(n)]
-         for i in range(n)],
-        a.modulus)
+    cols = tuple(zip(*b.entries))
+    return matrix([[sum(map(operator.mul, row, col)) for col in cols] for row in a.entries],
+                  a.modulus)
 
 
 def transpose(a: SquareMatrix) -> SquareMatrix:
@@ -105,15 +105,54 @@ def det(a: SquareMatrix) -> int:
     return _reduce(value, a.modulus)
 
 
-def _minor(a: SquareMatrix, i: int, j: int) -> SquareMatrix:
-    rows = [[e for c, e in enumerate(row) if c != j]
-            for r, row in enumerate(a.entries) if r != i]
-    return SquareMatrix(tuple(tuple(rows_) for rows_ in rows), None)
+def _det_and_adjugate(entries) -> tuple[int, list[list[int]]]:
+    """det(A) and adj(A) of an integer matrix from one fraction-free
+    Gauss-Jordan elimination on [A | I] (Bareiss 1968).
+
+    Each step k eliminates column k from every other row and divides by the
+    previous pivot; the division is exact because every entry is a minor of
+    [A | I].  When the pass ends the left block is d*I and the right block
+    is d*A^-1, where d is the last pivot, det(A) up to the sign of the row
+    swaps; the right block times that sign is adj(A).  A singular A gives
+    (0, []).
+    """
+    n = len(entries)
+    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(entries)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, []
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            if f:
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            else:  # nothing to eliminate; common in the sparse matrices batteries use
+                m[i] = [pivot * x // prev for x in row]
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def mat_inv(a: SquareMatrix) -> SquareMatrix:
-    """Adjugate divided by the determinant; det must be a unit in the ring."""
-    d = det(a)
+    """Adjugate divided by the determinant; det must be a unit in the ring.
+
+    det and adjugate come from one O(n^3) fraction-free pass over the
+    integer lift.  No pivot is chosen mod m: over a composite modulus an
+    invertible matrix can have no unit in a column ([[2, 3], [3, 2]] mod 6).
+    """
+    d_int, adj = _det_and_adjugate(a.entries)
+    d = _reduce(d_int, a.modulus)
     if a.modulus is None:
         if d not in (1, -1):
             raise NotInvertibleError(f"determinant {d} is not a unit in Z")
@@ -122,9 +161,6 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
         if math.gcd(d, a.modulus) != 1:
             raise NotInvertibleError(f"determinant {d} is not a unit mod {a.modulus}")
         unit = pow(d, -1, a.modulus)
-    n = a.size
-    lifted = SquareMatrix(a.entries, None)
-    adj = [[(-1) ** (i + j) * det(_minor(lifted, j, i)) for j in range(n)] for i in range(n)]
     return matrix([[unit * e for e in row] for row in adj], a.modulus)
 
 

@@ -145,8 +145,8 @@ def matrix_battery(family: str, size: int, seed: int = 0, moduli=(None, 5), **_)
         t = w.t
         combined.record(f"{ring}: witness^2 = I",
                         ambient.is_identity(ambient.mul(t, t)), "t^2", "I")
-        combined.record(f"{ring}: det(witness) = 1", mat.det(t) == 1 % (modulus or 0) if modulus
-                        else mat.det(t) == 1, str(mat.det(t)), "1")
+        det_t = mat.det(t)
+        combined.record(f"{ring}: det(witness) = 1", det_t == 1, str(det_t), "1")
         if family == "Sp":
             tag = mat.FormTag("symplectic", ambient.size)
             combined.record(f"{ring}: witness preserves symplectic form",

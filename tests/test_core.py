@@ -1,11 +1,18 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ccckit import core
-from ccckit.core import (Finite, GeneratorSet, ProductFamily, Witness,
-                         WitnessModeError, ZMode, bounded_products,
-                         combine_product_witnesses, commutator, conjugate,
-                         verify_ccc, verify_czc)
+from ccckit.core import (Finite, GeneratorSet, GroupFamily, ProductFamily,
+                         VerificationReport, Witness, WitnessModeError, ZMode,
+                         bounded_products, combine_product_witnesses, commutator,
+                         conjugate, verify_ccc, verify_czc)
+from ccckit import braid as braidmod
+from ccckit import freegroup as fg
+from ccckit import iet as ietmod
+from ccckit import matrixring as mat
 from ccckit import plhomeo as pl
 from ccckit.perm import PERM, block_swap_witness, perm_from_cycles, render_cycles
 
@@ -114,3 +121,142 @@ def test_derived_witness_is_commutator():
     t = perm_from_cycles([[1, 2]])
     s = perm_from_cycles([[2, 3]])
     assert PERM.eq(core.derived_witness(PERM, t, s), commutator(PERM, t, s))
+
+
+# ---------------------------------------------------------------------------
+# Engine against a reference loop built from commutator and conjugate
+
+
+def reference_ccc(H, w, suite="ccc"):
+    fam = H.family
+    n = w.mode.n
+    report = VerificationReport(suite)
+    powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
+    tp_cache = {p: fam.power(w.t, p) for p in powers + [n]}
+    for p in powers:
+        for i, hi in enumerate(H.elements):
+            for j, hj in enumerate(H.elements):
+                c = commutator(fam, hi, conjugate(fam, tp_cache[p], hj))
+                report.record(f"[h{i + 1}, ^(t^{p}) h{j + 1}]", fam.is_identity(c),
+                              fam.render(c), "e")
+    for i, hi in enumerate(H.elements):
+        c = commutator(fam, hi, tp_cache[n])
+        report.record(f"[h{i + 1}, t^{n}]", fam.is_identity(c), fam.render(c), "e")
+    return report
+
+
+def reference_czc(H, w, suite="czc"):
+    fam = H.family
+    P = w.mode.bound
+    report = VerificationReport(suite, bounded=True)
+    for p in [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]:
+        tp = fam.power(w.t, p)
+        for i, hi in enumerate(H.elements):
+            for j, hj in enumerate(H.elements):
+                c = commutator(fam, hi, conjugate(fam, tp, hj))
+                report.record(f"[h{i + 1}, ^(t^{p}) h{j + 1}]", fam.is_identity(c),
+                              fam.render(c), "e", f"bounded check, |p| <= {P}")
+    return report
+
+
+class CountingFamily(GroupFamily):
+    """Wraps a family and counts its mul and inv calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.counts = Counter()
+
+    def check_element(self, a):
+        self.inner.check_element(a)
+
+    def identity(self):
+        return self.inner.identity()
+
+    def mul(self, a, b):
+        self.counts["mul"] += 1
+        return self.inner.mul(a, b)
+
+    def inv(self, a):
+        self.counts["inv"] += 1
+        return self.inner.inv(a)
+
+    def eq(self, a, b):
+        return self.inner.eq(a, b)
+
+    def render(self, a):
+        return self.inner.render(a)
+
+
+def _matrix_case(modulus):
+    fam, w = mat.classical_witness("SL", 2, modulus)
+    gens = (mat.elementary(2, 1, 2, 1, modulus), mat.elementary(2, 2, 1, 1, modulus),
+            mat.matrix([[2, 1], [1, 1]], modulus))
+    return fam, tuple(mat.corner_embed(g, fam.size) for g in gens), w
+
+
+def _braid_case(n):
+    return (braidmod.BraidFamily(2 * n),
+            tuple(braidmod.braid(2 * n, (i,)) for i in range(1, n)) + (braidmod.braid(2 * n, (-1,)),),
+            braidmod.block_pass_witness(n))
+
+
+def _aut_free_case():
+    n = 2
+    gens = (fg.extend_rank(fg.nielsen_aut(n, 1, 2), 2 * n),
+            fg.extend_rank(fg.permutation_aut(n, {1: 2, 2: 1}), 2 * n),
+            fg.extend_rank(fg.inversion_aut(n, 1), 2 * n))
+    return fg.FreeAutFamily(2 * n), gens, fg.aut_block_swap_witness(n)
+
+
+def _iet_case():
+    block = Fraction(3, 2)
+    return (ietmod.IET, (ietmod.rotation(block, block / 3), ietmod.rotation(block, block / 2)),
+            ietmod.block_exchange_witness(block))
+
+
+CCC_CASES = {
+    "perm": lambda: (PERM, (perm_from_cycles([[1, 2, 3]]), perm_from_cycles([[1, 2]])),
+                     block_swap_witness(3)),
+    "perm-failing": lambda: (PERM, (perm_from_cycles([[1, 2]]), perm_from_cycles([[2, 3]])),
+                             Witness(perm_from_cycles([[2, 3, 4]]), Finite(3))),
+    "matrix-Z": lambda: _matrix_case(None),
+    "matrix-Z/5": lambda: _matrix_case(5),
+    "aut-free": _aut_free_case,
+    "braid-2": lambda: _braid_case(2),
+    "braid-3": lambda: _braid_case(3),
+    "iet": _iet_case,
+}
+
+CZC_CASES = {
+    "pl": lambda: (pl.PL, (pl.bump("1/4", "1/2"), pl.bump("3/8", "1/2")),
+                   pl.displacement_witness("1/4", "1/2", bound=4)),
+    "pl-failing": lambda: (pl.PL, (pl.bump("1/4", "1/2"), pl.bump("3/8", "3/4")),
+                           Witness(pl.bump("1/8", "7/8"), ZMode(3))),
+}
+
+
+def _assert_engine_matches_reference(engine, reference, case):
+    fam, gens, w = case()
+    counted_ref = CountingFamily(fam)
+    expected = reference(GeneratorSet(counted_ref, gens), w).to_dict()
+    counted = CountingFamily(fam)
+    got = engine(GeneratorSet(counted, gens), w).to_dict()
+    assert got == expected
+    assert counted.counts["mul"] == counted_ref.counts["mul"]
+    assert counted.counts["inv"] < counted_ref.counts["inv"]
+    return expected
+
+
+@pytest.mark.parametrize("label", sorted(CCC_CASES))
+def test_verify_ccc_matches_reference_loop(label):
+    expected = _assert_engine_matches_reference(verify_ccc, reference_ccc, CCC_CASES[label])
+    assert expected["checks"]
+    assert (expected["counterexample"] is not None) == label.endswith("failing")
+
+
+@pytest.mark.parametrize("label", sorted(CZC_CASES))
+def test_verify_czc_matches_reference_loop(label):
+    expected = _assert_engine_matches_reference(verify_czc, reference_czc, CZC_CASES[label])
+    assert expected["checks"]
+    assert (expected["counterexample"] is not None) == label.endswith("failing")

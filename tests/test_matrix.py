@@ -1,7 +1,9 @@
 import itertools
+import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccckit import matrixring as m
 from ccckit import perm as p
@@ -23,6 +25,28 @@ def leibniz_det(a: m.SquareMatrix) -> int:
             prod *= a.entries[i][sigma[i]]
         total += prod
     return total % a.modulus if a.modulus is not None else total
+
+
+def adjugate_inv(a: m.SquareMatrix) -> m.SquareMatrix:
+    """Independent inverse oracle: the adjugate from n^2 cofactor
+    determinants, scaled by the inverse of the determinant."""
+    d = m.det(a)
+    if a.modulus is None:
+        if d not in (1, -1):
+            raise m.NotInvertibleError(f"determinant {d} is not a unit in Z")
+        unit = d  # 1/d = d for d = +-1
+    else:
+        if math.gcd(d, a.modulus) != 1:
+            raise m.NotInvertibleError(f"determinant {d} is not a unit mod {a.modulus}")
+        unit = pow(d, -1, a.modulus)
+    n = a.size
+
+    def minor(i, j):
+        return m.SquareMatrix(tuple(tuple(e for c, e in enumerate(row) if c != j)
+                                    for r, row in enumerate(a.entries) if r != i))
+
+    adj = [[(-1) ** (i + j) * m.det(minor(j, i)) for j in range(n)] for i in range(n)]
+    return m.matrix([[unit * e for e in row] for row in adj], a.modulus)
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -83,6 +107,70 @@ def test_not_invertible():
     # but det 2 is a unit mod 5
     assert m.mat_mul(m.matrix([[2, 0], [0, 1]], 5),
                      m.mat_inv(m.matrix([[2, 0], [0, 1]], 5))) == m.identity_matrix(2, 5)
+
+
+@st.composite
+def inverse_case(draw):
+    """Sizes 0-6 over Z, Z/5, Z/6 and Z/12: either a product of elementary
+    matrices, optionally times diag(-1, 1, ...), or a random matrix."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    modulus = draw(st.sampled_from([None, 5, 6, 12]))
+    if draw(st.booleans()):
+        a = m.identity_matrix(n, modulus)
+        if n >= 2:
+            for _ in range(draw(st.integers(min_value=0, max_value=10))):
+                i, j = draw(st.permutations(range(1, n + 1)))[:2]
+                r = draw(st.integers(min_value=-3, max_value=3))
+                a = m.mat_mul(a, m.elementary(n, i, j, r, modulus))
+        if n >= 1 and draw(st.booleans()):
+            flip = m.matrix([[-1 if i == j == 0 else int(i == j) for j in range(n)]
+                             for i in range(n)], modulus)
+            a = m.mat_mul(flip, a)
+        return a
+    return m.matrix([[draw(small_entries) for _ in range(n)] for _ in range(n)], modulus)
+
+
+def assert_inverse_matches_adjugate(a):
+    try:
+        expected = adjugate_inv(a)
+    except m.NotInvertibleError as exc:
+        with pytest.raises(m.NotInvertibleError, match=re.escape(str(exc))):
+            m.mat_inv(a)
+        return
+    inverse = m.mat_inv(a)
+    assert inverse == expected
+    assert m.mat_mul(a, inverse) == m.identity_matrix(a.size, a.modulus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inverse_case())
+def test_inverse_matches_adjugate(a):
+    assert_inverse_matches_adjugate(a)
+
+
+@pytest.mark.parametrize("a", [
+    m.matrix([[2, 3], [3, 2]], 6),  # det 1 mod 6, yet no unit in either column
+    m.matrix([[3, 4], [4, 3]], 12),
+    m.matrix([[1, 2], [2, 4]]),  # singular over Z
+    m.matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 5),  # singular over Z, so 0 mod 5
+    m.matrix([[0, 1], [1, 0]]),  # first pivot needs a row swap
+    m.matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 12),
+    m.identity_matrix(0),
+    m.identity_matrix(0, 6),
+    m.matrix([[-1]]),
+    m.matrix([[2]]),
+    m.matrix([[2]], 5),
+    m.matrix([[3]], 6),
+])
+def test_inverse_matches_adjugate_cases(a):
+    assert_inverse_matches_adjugate(a)
+
+
+def test_inverse_composite_modulus_without_unit_pivot():
+    a = m.matrix([[2, 3], [3, 2]], 6)
+    assert m.mat_inv(a) == a  # a^2 = [[13, 12], [12, 13]] = I mod 6
+    with pytest.raises(m.NotInvertibleError, match=r"determinant 0 is not a unit in Z"):
+        m.mat_inv(m.matrix([[1, 2], [2, 4]]))
 
 
 def test_form_matrices():
