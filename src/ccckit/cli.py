@@ -2,8 +2,8 @@
 
 ``ccckit run --family iet --seed 7 --format json`` runs one family battery
 and prints a deterministic report; ``ccckit list`` enumerates the families.
-Exit codes: 0 all checks pass, 1 verification failure, 2 unknown family,
-3 I/O failure.
+Exit codes: 0 all checks pass, 1 verification failure, 2 unknown family or
+invalid parameters, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from .core import CcckitError
 from .suites import FAMILIES, run_family
 
 EXIT_OK = 0
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     try:
         report = run_family(args.family, size=args.size, depth=args.depth,
                             bound=args.bound, samples=args.samples, seed=seed)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, CcckitError) as exc:
         print(f"cannot run family {args.family!r}: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_FAMILY
 

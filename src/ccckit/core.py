@@ -9,7 +9,7 @@ written once and reused everywhere.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 
@@ -154,11 +154,13 @@ class VerificationReport:
         if not ok and self.counterexample is None:
             self.counterexample = f"{name}: {lhs} != {rhs}"
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
+    def extend(self, other: "VerificationReport", prefix: str = "") -> None:
+        """Append other's checks with prefix added to each name and to the
+        counterexample.  Records are copied, not re-recorded."""
+        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
         self.bounded = self.bounded or other.bounded
-        if self.counterexample is None:
-            self.counterexample = other.counterexample
+        if self.counterexample is None and other.counterexample is not None:
+            self.counterexample = prefix + other.counterexample
 
     def to_dict(self) -> dict:
         return {
@@ -187,15 +189,16 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, hs_inv: Sequence, tp_
     """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair.
 
     hs_inv holds the inverses of hs, and tp_cache maps both p and -p to t^p
-    and t^-p, so inv(t^p) is read from it.  Per pair this makes the same five
-    products as commutator(conjugate(...)) but inverts only the conjugate.
+    and t^-p, so inv(t^p) is read from it.  Each conjugate ^(t^p) h_j and its
+    inverse are built once per (p, j); each pair then costs three products.
     """
     for p in powers:
         tp, tp_inv = tp_cache[p], tp_cache[-p]
+        conjs = [fam.mul(fam.mul(tp, hj), tp_inv) for hj in hs]
+        conjs_inv = [fam.inv(conj) for conj in conjs]
         for i, (hi, hi_inv) in enumerate(zip(hs, hs_inv)):
-            for j, hj in enumerate(hs):
-                conj = fam.mul(fam.mul(tp, hj), tp_inv)
-                c = fam.mul(fam.mul(hi, conj), fam.mul(hi_inv, fam.inv(conj)))
+            for j, (conj, conj_inv) in enumerate(zip(conjs, conjs_inv)):
+                c = fam.mul(fam.mul(hi, conj), fam.mul(hi_inv, conj_inv))
                 _check_identity(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", c, detail)
 
 

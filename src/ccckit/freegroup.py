@@ -137,10 +137,6 @@ def identity_aut(rank: int) -> FreeAutomorphism:
     return FreeAutomorphism(rank, gens, gens)
 
 
-def from_images(rank: int, images, inverse_images) -> FreeAutomorphism:
-    return FreeAutomorphism(rank, tuple(images), tuple(inverse_images))
-
-
 def nielsen_aut(rank: int, i: int, j: int) -> FreeAutomorphism:
     """x_i -> x_i x_j, other generators fixed (i != j)."""
     if i == j:

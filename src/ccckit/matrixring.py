@@ -293,7 +293,7 @@ def sp_perm_embed(sigma: permmod.FinPerm, n: int, modulus: int | None = None) ->
 # ---------------------------------------------------------------------------
 # Families and witnesses
 
-CLASSICAL_FAMILIES = ("GL", "SL", "O", "SO", "E", "Sp", "Onn")
+CLASSICAL_FAMILIES = ("GL", "SL", "E", "Sp", "Onn")
 
 
 class MatrixFamily(GroupFamily):
@@ -337,7 +337,7 @@ def classical_witness(family: str, n: int, modulus: int | None = None
                       ) -> tuple[MatrixFamily, Witness]:
     """Order-2 witness one stabilization step up from size n.
 
-    GL/SL/O/SO/E: n even required; witness is the permutation matrix of the
+    GL/SL/E: n even required; witness is the permutation matrix of the
     block swap (1, n+1)...(n, 2n) in size 2n.  Sp: H sits in size 2n (n
     pairs, n even required); witness is diag(M_swap, M_swap) in size 4n.
     Onn: H sits in O_(n,n) of size 2n; witness exchanges the first 2n basis

@@ -18,8 +18,7 @@ from . import matrixring as mat
 from . import perm as permmod
 from . import plhomeo as plmod
 from . import wreath as wreathmod
-from .core import (GeneratorSet, VerificationReport, Witness, ZMode,
-                   commutator, conjugate, verify_ccc, verify_czc)
+from .core import GeneratorSet, VerificationReport, verify_ccc
 
 
 def _report_dict(family: str, params: dict, report: VerificationReport, seed: int) -> dict:
@@ -139,9 +138,7 @@ def matrix_battery(family: str, size: int, seed: int = 0, moduli=(None, 5), **_)
             embedded = [mat.corner_embed(g, ambient.size) for g in gens]
         H = GeneratorSet(ambient, tuple(embedded))
         ring = f"Z/{modulus}" if modulus else "Z"
-        part = verify_ccc(H, w, suite=f"{family}-{ring}")
-        for c in part.checks:
-            combined.checks.append(c)
+        combined.extend(verify_ccc(H, w, suite=f"{family}-{ring}"))
         t = w.t
         combined.record(f"{ring}: witness^2 = I",
                         ambient.is_identity(ambient.mul(t, t)), "t^2", "I")
@@ -161,7 +158,6 @@ def matrix_battery(family: str, size: int, seed: int = 0, moduli=(None, 5), **_)
             for i, g in enumerate(embedded):
                 combined.record(f"{ring}: embedded generator {i + 1} preserves split form",
                                 mat.preserves_form(g, tag), "g^T J g", "J")
-        combined.counterexample = combined.counterexample or part.counterexample
     return _report_dict(family.lower(), {"size": size, "moduli": [m or 0 for m in moduli]},
                         combined, seed)
 
@@ -231,13 +227,10 @@ def iet_battery(size: int, seed: int = 0, **_) -> dict:
         H = GeneratorSet(fam, (ietmod.rotation(block, block / 3),
                                ietmod.rotation(block, block / 2)))
         w = ietmod.block_exchange_witness(block)
-        part = verify_ccc(H, w, suite=f"iet-{block}")
-        for c in part.checks:
-            report.checks.append(c)
+        report.extend(verify_ccc(H, w, suite=f"iet-{block}"))
         t2 = fam.mul(w.t, w.t)
         report.record(f"block {block}: witness^2 = id", fam.is_identity(t2),
                       fam.render(t2), "id")
-        report.counterexample = report.counterexample or part.counterexample
     return _report_dict("iet", {"size": size}, report, seed)
 
 
@@ -255,13 +248,10 @@ def pl_battery(size: int, bound: int = 8, seed: int = 0, **_) -> dict:
     for a, b in instances:
         H = GeneratorSet(plmod.PL, (plmod.bump(a, b),))
         w = plmod.displacement_witness(a, b, bound)
-        part = plmod.verify_displaced_supports(H, w.t, bound)
-        for c in part.checks:
-            report.checks.append(c)
+        report.extend(plmod.verify_displaced_supports(H, w.t, bound))
         esc = plmod.displacement_escalates(w.t, a, b, bound)
         report.record(f"[{a},{b}]: displacement escalation", all(esc),
                       " ".join("ok" if e else "fail" for e in esc), "all ok")
-        report.counterexample = report.counterexample or part.counterexample
     return _report_dict("pl", {"size": size, "bound": bound}, report, seed)
 
 
@@ -290,11 +280,8 @@ def wreath_tower_battery(depth: int = 2, samples: int = 50, seed: int = 0, **_) 
     for label, chain in (("iet", iet_chain()), ("perm", perm_chain())):
         f = wreathmod.build_f(tower, chain)
         H = GeneratorSet(chain.family, chain.generators)
-        part = wreathmod.check_hom(f, H, sample_size=samples, seed=seed)
-        for c in part.checks:
-            report.checks.append(c.__class__(f"{label}: {c.name}", c.status, c.lhs, c.rhs,
-                                             c.detail))
-        report.counterexample = report.counterexample or part.counterexample
+        report.extend(wreathmod.check_hom(f, H, sample_size=samples, seed=seed),
+                      prefix=f"{label}: ")
     return _report_dict("wreath-tower", {"depth": depth, "samples": samples}, report, seed)
 
 
@@ -312,11 +299,7 @@ def closure_battery(size: int = 2, seed: int = 0, **_) -> dict:
         ("iet", GeneratorSet(ietmod.IET, (ietmod.rotation(1, Fraction(1, 3)),))),
     ]
     for label, H in batteries:
-        part = wreathmod.closure_system_witness(H)
-        for c in part.checks:
-            report.checks.append(c.__class__(f"{label}: {c.name}", c.status, c.lhs, c.rhs,
-                                             c.detail))
-        report.counterexample = report.counterexample or part.counterexample
+        report.extend(wreathmod.closure_system_witness(H), prefix=f"{label}: ")
     return _report_dict("closure", {"size": size}, report, seed)
 
 

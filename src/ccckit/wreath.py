@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily,
-                   VerificationReport, commutator, conjugate)
+from .core import (CcckitError, FamilyMismatchError, Finite, GeneratorSet, GroupFamily,
+                   VerificationReport, Witness, commutator, conjugate, verify_ccc)
 
 
 class ChainInvariantError(CcckitError):
@@ -95,21 +95,6 @@ class ZModAction(ActionSpace):
 
     def point_key(self, x):
         return x % self.n
-
-
-class RegularZAction(ActionSpace):
-    """Z acting on itself by translation."""
-
-    top = INT_Z
-
-    def act(self, a, x):
-        return x + a
-
-    def point_eq(self, x, y):
-        return x == y
-
-    def point_key(self, x):
-        return x
 
 
 class CosetAction(ActionSpace):
@@ -298,23 +283,13 @@ class WitnessChain:
 
 
 def validate_chain(chain: WitnessChain) -> VerificationReport:
-    """Machine-check the per-level commutation invariants."""
-    fam = chain.family
+    """Machine-check the per-level commutation invariants: level i is the
+    commutation battery of the witness (t_i, n_i) on the generators of
+    Lambda_(i-1)."""
     report = VerificationReport("witness-chain")
     for i, (t, n) in enumerate(zip(chain.ts, chain.orders), start=1):
-        gens = chain.level_generators(i - 1)
-        for p in range(1, n):
-            tp = fam.power(t, p)
-            for a, g in enumerate(gens):
-                for b, g2 in enumerate(gens):
-                    c = commutator(fam, g, conjugate(fam, tp, g2))
-                    report.record(f"level {i}: [g{a + 1}, ^(t{i}^{p}) g{b + 1}]",
-                                  fam.is_identity(c), fam.render(c), "e")
-        tn = fam.power(t, n)
-        for a, g in enumerate(gens):
-            c = commutator(fam, g, tn)
-            report.record(f"level {i}: [g{a + 1}, t{i}^{n}]",
-                          fam.is_identity(c), fam.render(c), "e")
+        H = GeneratorSet(chain.family, chain.level_generators(i - 1))
+        report.extend(verify_ccc(H, Witness(t, Finite(n))), prefix=f"level {i}: ")
     return report
 
 

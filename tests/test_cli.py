@@ -89,3 +89,16 @@ def test_every_family_runs_clean(capsys):
     for family in FAMILIES:
         code, out, err = run(capsys, "run", "--family", family, "--format", "json")
         assert code == cli.EXIT_OK, (family, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "pl", "--bound", "0"),     # WitnessModeError
+    ("--family", "iet", "--size", "-1"),    # InvalidIetError
+    ("--family", "braid", "--size", "4"),   # equality letter cap
+])
+def test_invalid_parameters_exit_2_without_report(capsys, argv):
+    code, out, err = run(capsys, "run", *argv, "--format", "json")
+    assert code == cli.EXIT_UNKNOWN_FAMILY
+    assert out == ""
+    assert err.startswith("cannot run family ")
+    assert len(err.splitlines()) == 1

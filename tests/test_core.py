@@ -117,6 +117,24 @@ def test_combined_witness_bound_mismatch():
         combine_product_witnesses([(Ha, wa), (Ha, wb)])
 
 
+def test_extend_prefixes_names_and_counterexample():
+    report = VerificationReport("outer")
+    report.record("own", True, "e", "e")
+    part = VerificationReport("part", bounded=True)
+    part.record("a", True, "e", "e")
+    part.record("b", False, "x", "e", "why")
+    report.extend(part, prefix="lvl: ")
+    assert [c.name for c in report.checks] == ["own", "lvl: a", "lvl: b"]
+    assert report.checks[2].status == "fail" and report.checks[2].detail == "why"
+    assert report.counterexample == "lvl: b: x != e"
+    assert report.bounded
+    assert [c.name for c in part.checks] == ["a", "b"]
+    # the first counterexample wins; an unprefixed extend copies as is
+    report.extend(part)
+    assert report.checks[-1].name == "b"
+    assert report.counterexample == "lvl: b: x != e"
+
+
 def test_derived_witness_is_commutator():
     t = perm_from_cycles([[1, 2]])
     s = perm_from_cycles([[2, 3]])
@@ -243,7 +261,11 @@ def _assert_engine_matches_reference(engine, reference, case):
     counted = CountingFamily(fam)
     got = engine(GeneratorSet(counted, gens), w).to_dict()
     assert got == expected
-    assert counted.counts["mul"] == counted_ref.counts["mul"]
+    # the engine builds each conjugate ^(t^p) h_j once per (p, j), not once
+    # per pair: 2 products saved for every pair with i != j
+    n_powers = 2 * (w.mode.n - 1 if isinstance(w.mode, Finite) else w.mode.bound)
+    saved = 2 * n_powers * len(gens) * (len(gens) - 1)
+    assert counted.counts["mul"] == counted_ref.counts["mul"] - saved
     assert counted.counts["inv"] < counted_ref.counts["inv"]
     return expected
 

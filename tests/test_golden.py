@@ -1,10 +1,13 @@
 """Golden reports: the JSON report of a battery, byte for byte.
 
 Each digest is the sha256 of the bytes ``ccckit run --family F --size S
---seed 0 --format json`` writes, taken once from the code before the
-matrix kernels were rewritten (adjugate inverse, triple-loop product).  A
-kernel or engine change that alters any check, rendering or verdict shows
-up here.
+--seed 0 --format json`` writes.  The size-6 matrix digests were taken
+once from the code before the matrix kernels were rewritten (adjugate
+inverse, triple-loop product); the small-size digests of every family were
+taken from the code before the engine built each conjugate once per
+(power, generator) and before the batteries merged part reports through
+``VerificationReport.extend``.  A kernel or engine change that alters any
+check, rendering or verdict shows up here.
 """
 
 import hashlib
@@ -21,11 +24,48 @@ SIZE_6_DIGESTS = {
     "onn": "9e110ab3d9564a4eca0a9574e79a76b85d8345524d3f6cf097d26ebec7b2ca88",
 }
 
+# (family, size) -> digest; size None runs the family at its defaults.
+# Braid stops at 3: its size-4 commutators exceed the equality letter cap.
+SMALL_DIGESTS = {
+    ("aut-free", 2): "0255f078f416d5aa0a6f32696f71a41862bfd44c8cf6d5e00c83bfb71f0e475a",
+    ("aut-free", 4): "304c615a30ede902b30eb6c9072511f2d8f4420857d806b582aecedc022296bd",
+    ("braid", 2): "f4280480714b9c9ff58d0a148d7de7201eb62eb32ebabad822cb549c67d92552",
+    ("braid", 3): "93397647da9c98cef690f0b828d7231a733d0a00bc4f28dbe6d720a289ea35bb",
+    ("closure", 2): "a4a4c65a9245a39bbf5eb91f2f076d0ecece0deee2c63ba11c4cace70be7ecad",
+    ("e", 2): "1452d70be83d7bcfd625c9d711f50baa705cb6887228d92ac5c484ecd42ca6ec",
+    ("e", 4): "498e100f8f11a4807824bafabf8f51313c78efc1a8623150d9337b8c77ab0fa7",
+    ("gl", 2): "9f89d9e90f35f49aae18d4ee54c8d0be874efc5c41f00fd3f68c8d83779d0bc2",
+    ("gl", 4): "c9f7a82697a1f21ec654eff9254b23fe8ec59aec1b8c4644e0c85bf37ac052a3",
+    ("iet", 2): "6750c2a2bdc8fe2c5c058d410506d8587148d879eaf8cce4f5593f0a10f22a5e",
+    ("iet", 4): "8561aa25720ad36e630701367590f872b08abc0030ed77190dbbd9d33d55339f",
+    ("onn", 2): "aaca1a39e3eb1dba42fe73321b3d6a3b580fe1dbd327ca37403131a94ead610a",
+    ("onn", 4): "e49127f16b20cb3184bace560d2c5ad32645138ccf9939dd014e276a8cf6d32a",
+    ("perm", 2): "ff0869df0f4340c986f9a26232c5d8aab919b5b465dc923ce5920406fd172b3b",
+    ("perm", 4): "fb789bca91ef310a707bca9ec043e4107717b132a921b2e2bd870e192833aee0",
+    ("pl", 2): "2faa117d1462767bd7a2a6e1c474cf9970cacc050ec3a246f2c44ebb9ee857dc",
+    ("pl", 4): "694f43d167ca25828dce61ddeda040c30d1bcc657cd1f4e2742768353c87b33b",
+    ("sl", 2): "8b600d58ed114977894994ae8ed573c04d37f4866687bfafb5c2b16a5a49c7ce",
+    ("sl", 4): "24538b47daa8a28350c0bb5cb4411e9271c9fe2127310ad817c017bcb2c8b458",
+    ("sp", 2): "54e24be84a813e4352dc5eaaed99b05f7d845dfa2694fec8a983b900f5ff45ad",
+    ("sp", 4): "41137759b599b84293689dff553d002332749c9c54c2a970fe6b4d80b1aef9ce",
+    ("wreath-tower", None): "55b6faf0e0bad0f5ca0677f11e0b72fa1f1b43358f0d9a3b7d8bf1b33d55a701",
+}
+
+
+def _report_digest(tmp_path, family, size):
+    out = tmp_path / "report.json"
+    args = ["run", "--family", family, "--seed", "0", "--format", "json", "--out", str(out)]
+    if size is not None:
+        args += ["--size", str(size)]
+    assert cli.main(args) == cli.EXIT_OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("family", sorted(SIZE_6_DIGESTS))
 def test_matrix_family_size_6_report_is_golden(family, tmp_path):
-    out = tmp_path / "report.json"
-    code = cli.main(["run", "--family", family, "--size", "6", "--seed", "0",
-                     "--format", "json", "--out", str(out)])
-    assert code == cli.EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIZE_6_DIGESTS[family]
+    assert _report_digest(tmp_path, family, 6) == SIZE_6_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family,size", sorted(SMALL_DIGESTS, key=str))
+def test_small_report_is_golden(family, size, tmp_path):
+    assert _report_digest(tmp_path, family, size) == SMALL_DIGESTS[(family, size)]

@@ -87,6 +87,22 @@ def test_validate_chain_passes_for_shipped_chains():
         assert w.validate_chain(chain).passed
 
 
+def test_chain_failing_at_level_2():
+    # level 1 (t1 = block swap of 1..4 with 5..8) holds; t2 = (3 4) moves
+    # the support of h = (1 2 3), so level 2 fails
+    chain = w.WitnessChain(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),),
+                           (p.block_swap(4), p.perm_from_cycles([[3, 4]])), (2, 2))
+    report = w.validate_chain(chain)
+    assert not report.passed
+    failing = [c.name for c in report.checks if c.status == "fail"]
+    assert failing and all(name.startswith("level 2: ") for name in failing)
+    assert any(c.name.startswith("level 1: ") for c in report.checks)
+    assert report.counterexample.startswith("level 2: ")
+    with pytest.raises(w.ChainInvariantError) as excinfo:
+        w.build_f(w.TowerSpec((2,)), chain)
+    assert str(excinfo.value).startswith("chain invariants fail: level 2: ")
+
+
 def test_tower_hom_oracles():
     tower = w.TowerSpec((2,))
     chain = perm_chain()
