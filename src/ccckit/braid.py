@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import freegroup as fg
 from . import perm
-from .core import FamilyMismatchError, GroupFamily, Witness, Finite
+from .core import FamilyMismatchError, GroupFamily, Witness, Finite, trusted
 
 MAX_EQUALITY_LETTERS = 64
 
@@ -137,11 +137,11 @@ class BraidFamily(GroupFamily):
     def mul(self, a, b):
         self.check_element(a)
         self.check_element(b)
-        return braid(self.strands, a.letters + b.letters)
+        return trusted(BraidWord, self.strands, a.letters + b.letters)
 
     def inv(self, a):
         self.check_element(a)
-        return braid(self.strands, tuple(-x for x in reversed(a.letters)))
+        return trusted(BraidWord, self.strands, tuple(-x for x in reversed(a.letters)))
 
     def eq(self, a, b):
         self.check_element(a)

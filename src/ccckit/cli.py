@@ -70,7 +70,13 @@ def main(argv=None) -> int:
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("CCCKIT_SEED", "0"))
+        env_seed = os.environ.get("CCCKIT_SEED", "0")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"cannot run family {args.family!r}: CCCKIT_SEED={env_seed!r} is not an integer",
+                  file=sys.stderr)
+            return EXIT_UNKNOWN_FAMILY
 
     try:
         report = run_family(args.family, size=args.size, depth=args.depth,

@@ -25,6 +25,19 @@ class WitnessModeError(CcckitError):
     """Witness mode incompatible with the requested check."""
 
 
+def trusted(cls, *values):
+    """An instance of the frozen dataclass cls with the given field values,
+    built without running __post_init__.
+
+    Element types validate in __post_init__, at the public boundary.  Group
+    operations on valid elements keep the invariants by construction and
+    build their results through this helper instead.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    return obj
+
+
 class GroupFamily(abc.ABC):
     """Abstract group contract: identity, multiplication, inverse, equality.
 
@@ -54,15 +67,23 @@ class GroupFamily(abc.ABC):
         """Raise FamilyMismatchError if ``a`` does not belong here."""
 
     def power(self, a: Any, k: int) -> Any:
+        """a^k by binary powering: bitlen(k) + popcount(k) - 2 products for
+        k >= 1 (the result starts at the lowest set bit, and no square is
+        taken past the highest)."""
         self.check_element(a)
         if k < 0:
             return self.power(self.inv(a), -k)
-        result = self.identity()
-        base = a
+        if k == 0:
+            return self.identity()
+        while not k & 1:
+            a = self.mul(a, a)
+            k >>= 1
+        result = a
+        k >>= 1
         while k:
+            a = self.mul(a, a)
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, a)
             k >>= 1
         return result
 

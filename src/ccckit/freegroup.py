@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import FamilyMismatchError, GroupFamily, Witness, Finite
+from .core import FamilyMismatchError, GroupFamily, Witness, Finite, trusted
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -48,11 +48,11 @@ def word(rank: int, letters) -> FreeWord:
 def word_mul(u: FreeWord, v: FreeWord) -> FreeWord:
     if u.rank != v.rank:
         raise FamilyMismatchError(f"rank mismatch: {u.rank} vs {v.rank}")
-    return word(u.rank, u.letters + v.letters)
+    return trusted(FreeWord, u.rank, reduce_letters(u.letters + v.letters))
 
 
 def word_inv(u: FreeWord) -> FreeWord:
-    return FreeWord(u.rank, tuple(-x for x in reversed(u.letters)))
+    return trusted(FreeWord, u.rank, tuple(-x for x in reversed(u.letters)))
 
 
 def render_word(u: FreeWord) -> str:
@@ -110,7 +110,7 @@ def _substitute_images(images: tuple[FreeWord, ...], w: FreeWord) -> FreeWord:
     for x in w.letters:
         img = images[abs(x) - 1]
         out.extend(img.letters if x > 0 else word_inv(img).letters)
-    return word(w.rank, out)
+    return trusted(FreeWord, w.rank, reduce_letters(out))
 
 
 def substitute(phi: FreeAutomorphism, w: FreeWord) -> FreeWord:
@@ -125,11 +125,11 @@ def aut_compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphis
         raise FamilyMismatchError(f"rank mismatch: {phi.rank} vs {psi.rank}")
     images = tuple(substitute(phi, w) for w in psi.images)
     inverse_images = tuple(_substitute_images(psi.inverse_images, w) for w in phi.inverse_images)
-    return FreeAutomorphism(phi.rank, images, inverse_images)
+    return trusted(FreeAutomorphism, phi.rank, images, inverse_images)
 
 
 def aut_inverse(phi: FreeAutomorphism) -> FreeAutomorphism:
-    return FreeAutomorphism(phi.rank, phi.inverse_images, phi.images)
+    return trusted(FreeAutomorphism, phi.rank, phi.inverse_images, phi.images)
 
 
 def identity_aut(rank: int) -> FreeAutomorphism:

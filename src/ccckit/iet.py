@@ -1,11 +1,17 @@
 """Interval exchange transformations of [0, oo) with exact rational data.
 
 A map is a finite list of half-open intervals [a_(j-1), a_j) with rational
-translations, fixing the infinite tail [a_k, oo) pointwise.  Construction
-validates that the translated intervals partition [0, a_k) exactly, and the
-normal form merges adjacent intervals with equal translation and absorbs
-trailing identity intervals into the tail, so functional equality is normal
-form equality.
+translations, fixing the infinite tail [a_k, oo) pointwise.  The normal
+form merges adjacent intervals with equal translation and absorbs trailing
+identity intervals into the tail, so functional equality is normal form
+equality.
+
+The public constructors (``IetMap(...)``, ``make_iet``, ``from_json_obj``)
+validate: the raw breakpoints start at 0 and ascend strictly, the
+translated intervals partition [0, a_k) exactly, and an ``IetMap`` equals
+its normal form.  ``compose`` and ``inverse`` take valid maps to valid
+maps, so they build their results from the normal form without
+re-validation.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite
+from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite, trusted
 
 
 class InvalidIetError(CcckitError):
@@ -26,7 +32,19 @@ class IetMap:
     translations: tuple[Fraction, ...]  # one per finite interval
 
     def __post_init__(self):
-        _validate(self.breakpoints, self.translations)
+        bps, ts = self.breakpoints, self.translations
+        _check_intervals(bps, ts)
+        cursor = Fraction(0)
+        for lo, hi in sorted((a + t, b + t) for a, b, t in zip(bps, bps[1:], ts)):
+            if lo != cursor:
+                raise InvalidIetError(f"translated intervals do not partition "
+                                      f"[0, {bps[-1]}): gap/overlap at {lo}")
+            cursor = hi
+        if cursor != bps[-1]:
+            raise InvalidIetError(f"translated intervals cover up to {cursor}, expected {bps[-1]}")
+        if _normal_form(bps, ts) != (bps, ts):
+            raise InvalidIetError("not in normal form: equal adjacent translations "
+                                  "or a trailing identity interval")
 
     @property
     def bound(self) -> Fraction:
@@ -36,54 +54,38 @@ class IetMap:
         return render_iet(self)
 
 
-def _validate(breakpoints, translations) -> None:
+def _check_intervals(breakpoints, translations) -> None:
     if not breakpoints or breakpoints[0] != 0:
         raise InvalidIetError("breakpoints must start at 0")
     if len(translations) != len(breakpoints) - 1:
         raise InvalidIetError("need one translation per finite interval")
     if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
         raise InvalidIetError(f"breakpoints not strictly ascending: {breakpoints}")
-    bound = breakpoints[-1]
-    images = sorted(
-        (a + t, b + t) for a, b, t in zip(breakpoints, breakpoints[1:], translations))
-    cursor = Fraction(0)
-    for lo, hi in images:
-        if lo != cursor:
-            raise InvalidIetError(
-                f"translated intervals do not partition [0, {bound}): gap/overlap at {lo}")
-        cursor = hi
-    if cursor != bound:
-        raise InvalidIetError(f"translated intervals cover up to {cursor}, expected {bound}")
-    # trailing identity intervals must already be absorbed into the tail
-    if translations and translations[-1] == 0:
-        raise InvalidIetError("normal form absorbs trailing identity intervals into the tail")
-    for t, u in zip(translations, translations[1:]):
-        if t == u:
-            raise InvalidIetError("normal form merges adjacent intervals with equal translation")
+
+
+def _normal_form(breakpoints, translations) -> tuple[tuple, tuple]:
+    """Merge equal adjacent translations; absorb trailing identity intervals."""
+    bps = [breakpoints[0]]
+    ts: list[Fraction] = []
+    for b, t in zip(breakpoints[1:], translations):
+        if ts and ts[-1] == t:
+            bps[-1] = b
+        else:
+            bps.append(b)
+            ts.append(t)
+    while ts and ts[-1] == 0:
+        ts.pop()
+        bps.pop()
+    return tuple(bps), tuple(ts)
 
 
 def make_iet(breakpoints, translations) -> IetMap:
-    """Normalize raw interval data into an IetMap."""
+    """Normalize raw interval data into an IetMap; the raw breakpoints are
+    checked first, so normalising cannot hide malformed input."""
     bps = [Fraction(b) for b in breakpoints]
     ts = [Fraction(t) for t in translations]
-    if len(ts) != len(bps) - 1:
-        raise InvalidIetError("need one translation per finite interval")
-    # merge adjacent equal translations
-    merged_bps = [bps[0]]
-    merged_ts: list[Fraction] = []
-    for b, t in zip(bps[1:], ts):
-        if merged_ts and merged_ts[-1] == t:
-            merged_bps[-1] = b
-        else:
-            merged_bps.append(b)
-            merged_ts.append(t)
-    # absorb trailing identity intervals
-    while merged_ts and merged_ts[-1] == 0:
-        merged_ts.pop()
-        merged_bps.pop()
-    if not merged_ts:
-        return IetMap((Fraction(0),), ())
-    return IetMap(tuple(merged_bps), tuple(merged_ts))
+    _check_intervals(bps, ts)
+    return IetMap(*_normal_form(bps, ts))
 
 
 IDENTITY = IetMap((Fraction(0),), ())
@@ -93,10 +95,7 @@ def apply(f: IetMap, x) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"point must be >= 0, got {x}")
-    for a, b, t in zip(f.breakpoints, f.breakpoints[1:], f.translations):
-        if a <= x < b:
-            return x + t
-    return x
+    return x + _translation_at(f, x)
 
 
 def _translation_at(f: IetMap, x: Fraction) -> Fraction:
@@ -109,28 +108,17 @@ def _translation_at(f: IetMap, x: Fraction) -> Fraction:
 def inverse(f: IetMap) -> IetMap:
     pieces = sorted(
         (a + t, b + t, -t) for a, b, t in zip(f.breakpoints, f.breakpoints[1:], f.translations))
-    bps = [Fraction(0)]
-    ts = []
-    for lo, hi, t in pieces:
-        bps.append(hi)
-        ts.append(t)
-    return make_iet(bps, ts)
+    return trusted(IetMap, *_normal_form([Fraction(0)] + [hi for _, hi, _ in pieces],
+                                         [t for _, _, t in pieces]))
 
 
 def compose(f: IetMap, g: IetMap) -> IetMap:
     """Pointwise f o g, exact; breakpoints of g refined by g-preimages of
     f's breakpoints."""
     ginv = inverse(g)
-    cuts = set(g.breakpoints) | {apply(ginv, c) for c in f.breakpoints}
-    cuts.add(Fraction(0))
-    ordered = sorted(cuts)
-    bps = list(ordered)
+    ordered = sorted(set(g.breakpoints) | {apply(ginv, c) for c in f.breakpoints})
     ts = [_translation_at(g, x) + _translation_at(f, apply(g, x)) for x in ordered[:-1]]
-    # behaviour beyond the last cut must be the identity
-    tail = ordered[-1]
-    if _translation_at(g, tail) + _translation_at(f, apply(g, tail)) != 0:
-        raise InvalidIetError("composition does not fix a tail")  # unreachable for valid maps
-    return make_iet(bps, ts)
+    return trusted(IetMap, *_normal_form(ordered, ts))
 
 
 def block_exchange(n) -> IetMap:

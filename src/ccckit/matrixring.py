@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from . import perm as permmod
-from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite
+from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite, trusted
 
 
 class NotInvertibleError(CcckitError):
@@ -73,8 +73,8 @@ def _check_compat(a: SquareMatrix, b: SquareMatrix) -> None:
 def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     _check_compat(a, b)
     cols = tuple(zip(*b.entries))
-    return matrix([[sum(map(operator.mul, row, col)) for col in cols] for row in a.entries],
-                  a.modulus)
+    return trusted(SquareMatrix, tuple(tuple(_reduce(sum(map(operator.mul, row, col)), a.modulus)
+                                             for col in cols) for row in a.entries), a.modulus)
 
 
 def transpose(a: SquareMatrix) -> SquareMatrix:
@@ -161,7 +161,8 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
         if math.gcd(d, a.modulus) != 1:
             raise NotInvertibleError(f"determinant {d} is not a unit mod {a.modulus}")
         unit = pow(d, -1, a.modulus)
-    return matrix([[unit * e for e in row] for row in adj], a.modulus)
+    return trusted(SquareMatrix, tuple(tuple(_reduce(unit * e, a.modulus) for e in row)
+                                       for row in adj), a.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import FamilyMismatchError, GroupFamily, Witness, Finite
+from .core import FamilyMismatchError, GroupFamily, Witness, Finite, trusted
 
 
 @dataclass(frozen=True)
 class FinPerm:
     # sorted tuple of (point, image) pairs, fixed points omitted
     mapping: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        points = [p for p, _ in self.mapping]
+        if any(p < 1 or q < 1 for p, q in self.mapping):
+            raise ValueError("points must be positive integers")
+        if points != sorted(set(points)) or any(p == q for p, q in self.mapping):
+            raise ValueError(f"moved points must be listed once each, ascending: {self.mapping}")
+        if set(points) != {q for _, q in self.mapping}:
+            raise ValueError(f"not a bijection of its support: {dict(self.mapping)}")
 
     def __call__(self, x: int) -> int:
         for p, q in self.mapping:
@@ -33,12 +42,7 @@ class FinPerm:
 
 
 def perm_from_mapping(mapping: dict[int, int]) -> FinPerm:
-    items = {p: q for p, q in mapping.items() if p != q}
-    if any(p < 1 for p in items) or any(q < 1 for q in items.values()):
-        raise ValueError("points must be positive integers")
-    if set(items) != set(items.values()):
-        raise ValueError(f"not a bijection of its support: {items}")
-    return FinPerm(tuple(sorted(items.items())))
+    return FinPerm(tuple(sorted((p, q) for p, q in mapping.items() if p != q)))
 
 
 def perm_from_cycles(cycles: list[list[int]]) -> FinPerm:
@@ -58,12 +62,12 @@ IDENTITY = FinPerm(())
 
 def compose(a: FinPerm, b: FinPerm) -> FinPerm:
     """(a o b)(x) = a(b(x))."""
-    points = set(a.support) | set(b.support)
-    return perm_from_mapping({x: a(b(x)) for x in points})
+    images = ((x, a(b(x))) for x in set(a.support) | set(b.support))
+    return trusted(FinPerm, tuple(sorted((x, y) for x, y in images if x != y)))
 
 
 def inverse(a: FinPerm) -> FinPerm:
-    return FinPerm(tuple(sorted((q, p) for p, q in a.mapping)))
+    return trusted(FinPerm, tuple(sorted((q, p) for p, q in a.mapping)))
 
 
 def cycles(a: FinPerm) -> list[list[int]]:

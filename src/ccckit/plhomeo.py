@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily,
-                   Witness, ZMode, commutator, conjugate, verify_czc,
+                   Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
 
 
@@ -28,25 +28,26 @@ class PlMap:
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        v = self.vertices
-        if len(v) < 2 or v[0] != (0, 0) or v[-1] != (1, 1):
-            raise InvalidPlMapError("vertices must run from (0,0) to (1,1)")
-        for (x0, y0), (x1, y1) in zip(v, v[1:]):
-            if x0 >= x1 or y0 >= y1:
-                raise InvalidPlMapError(f"vertices not strictly increasing near ({x0},{y0})")
-        for (x0, y0), (x1, y1), (x2, y2) in zip(v, v[1:], v[2:]):
-            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-                raise InvalidPlMapError(f"collinear interior vertex ({x1},{y1})")
+        _check_vertices(self.vertices)
+        if _drop_collinear(self.vertices) != self.vertices:
+            raise InvalidPlMapError(f"collinear interior vertex in {render_pl(self)}")
 
     def __str__(self) -> str:
         return render_pl(self)
 
 
-def make_pl(vertices) -> PlMap:
-    """Normalize a vertex list: exact rationals, collinear vertices dropped."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+def _check_vertices(v) -> None:
+    if len(v) < 2 or v[0] != (0, 0) or v[-1] != (1, 1):
+        raise InvalidPlMapError("vertices must run from (0,0) to (1,1)")
+    for (x0, y0), (x1, y1) in zip(v, v[1:]):
+        if x0 >= x1 or y0 >= y1:
+            raise InvalidPlMapError(f"vertices not strictly increasing near ({x0},{y0})")
+
+
+def _drop_collinear(vertices) -> tuple:
+    """The normal form: interior vertices collinear with their neighbours dropped."""
     out: list[tuple[Fraction, Fraction]] = []
-    for p in pts:
+    for p in vertices:
         while len(out) >= 2:
             (x0, y0), (x1, y1) = out[-2], out[-1]
             if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
@@ -54,7 +55,15 @@ def make_pl(vertices) -> PlMap:
             else:
                 break
         out.append(p)
-    return PlMap(tuple(out))
+    return tuple(out)
+
+
+def make_pl(vertices) -> PlMap:
+    """Normalize a vertex list: exact rationals, raw vertices checked,
+    collinear vertices dropped."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    _check_vertices(pts)
+    return PlMap(_drop_collinear(pts))
 
 
 IDENTITY = make_pl([(0, 0), (1, 1)])
@@ -71,14 +80,14 @@ def apply(f: PlMap, x) -> Fraction:
 
 
 def inverse(f: PlMap) -> PlMap:
-    return PlMap(tuple((y, x) for x, y in f.vertices))
+    return trusted(PlMap, _drop_collinear([(y, x) for x, y in f.vertices]))
 
 
 def compose(f: PlMap, g: PlMap) -> PlMap:
     """Pointwise f o g; breakpoints are g's plus g-preimages of f's."""
     ginv = inverse(g)
     xs = sorted({x for x, _ in g.vertices} | {apply(ginv, x) for x, _ in f.vertices})
-    return make_pl([(x, apply(f, apply(g, x))) for x in xs])
+    return trusted(PlMap, _drop_collinear([(x, apply(f, apply(g, x))) for x in xs]))
 
 
 def support_closure(f: PlMap) -> tuple[Fraction, Fraction] | None:

@@ -102,3 +102,12 @@ def test_invalid_parameters_exit_2_without_report(capsys, argv):
     assert out == ""
     assert err.startswith("cannot run family ")
     assert len(err.splitlines()) == 1
+
+
+def test_invalid_seed_env_var_exit_2_without_report(capsys, monkeypatch):
+    monkeypatch.setenv("CCCKIT_SEED", "abc")
+    code, out, err = run(capsys, "run", "--family", "perm", "--format", "json")
+    assert code == cli.EXIT_UNKNOWN_FAMILY
+    assert out == ""
+    assert err.startswith("cannot run family ") and "CCCKIT_SEED" in err
+    assert len(err.splitlines()) == 1

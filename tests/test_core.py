@@ -53,6 +53,22 @@ def test_power():
     assert PERM.is_identity(PERM.power(c, 0))
 
 
+def test_power_product_count():
+    # binary powering from the lowest set bit, no square past the highest:
+    # bitlen(k) + popcount(k) - 2 products for k >= 1
+    a = perm_from_cycles([[1, 2, 3, 4, 5, 6, 7]])
+    expected = PERM.identity()
+    for k in range(0, 300):
+        products = k.bit_length() + bin(k).count("1") - 2 if k else 0
+        counted = CountingFamily(PERM)
+        assert PERM.eq(counted.power(a, k), expected)
+        assert counted.counts == Counter(mul=products)
+        counted = CountingFamily(PERM)
+        assert PERM.eq(counted.power(a, -k), PERM.inv(expected))
+        assert counted.counts == Counter(mul=products, inv=1 if k else 0)
+        expected = PERM.mul(expected, a)
+
+
 def test_verify_ccc_passes_on_disjoint_blocks():
     H = GeneratorSet(PERM, (perm_from_cycles([[1, 2]]), perm_from_cycles([[1, 2, 3]])))
     report = verify_ccc(H, block_swap_witness(3))
@@ -266,7 +282,15 @@ def _assert_engine_matches_reference(engine, reference, case):
     n_powers = 2 * (w.mode.n - 1 if isinstance(w.mode, Finite) else w.mode.bound)
     saved = 2 * n_powers * len(gens) * (len(gens) - 1)
     assert counted.counts["mul"] == counted_ref.counts["mul"] - saved
-    assert counted.counts["inv"] < counted_ref.counts["inv"]
+    # inversions: t^p for the negative powers (one each, inside power), each
+    # h_i once, each conjugate ^(t^p) h_j once per (p, j), and t^n once
+    h = len(gens)
+    if isinstance(w.mode, Finite):
+        n = w.mode.n
+        assert counted.counts["inv"] == (n - 1) + h + 2 * (n - 1) * h + 1
+    else:
+        P = w.mode.bound
+        assert counted.counts["inv"] == P + h + 2 * P * h
     return expected
 
 

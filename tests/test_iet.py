@@ -47,6 +47,22 @@ def test_invalid_partitions_rejected():
                    (Fraction(1), Fraction(1)))  # not normal form and not a partition
 
 
+@pytest.mark.parametrize("bps, ts", [
+    ([1, 2], [0]),        # does not start at 0; an identity interval hid it
+    ([0, 2, 1], [0, 0]),  # not ascending; both intervals are identity
+    ([1, 2], [1]),
+    ([0, 1, 1, 2], [1, 0, -1]),  # empty interval
+    ([], []),
+    ([0, 1], []),
+])
+def test_malformed_raw_intervals_rejected(bps, ts):
+    with pytest.raises(iet.InvalidIetError):
+        iet.make_iet(bps, ts)
+    obj = {"breakpoints": [str(b) for b in bps], "translations": [str(t) for t in ts]}
+    with pytest.raises(iet.InvalidIetError):
+        iet.from_json_obj(obj)
+
+
 def test_unnormalized_constructor_rejected():
     with pytest.raises(iet.InvalidIetError):
         iet.IetMap((Fraction(0), Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))

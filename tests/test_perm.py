@@ -35,6 +35,18 @@ def test_not_a_bijection():
         p.perm_from_cycles([[1, 2], [2, 3]])
 
 
+@pytest.mark.parametrize("mapping", [
+    ((1, 1),),            # fixed point stored
+    ((2, 1), (1, 2)),     # not ascending
+    ((1, 2),),            # not a bijection of its support
+    ((1, 2), (1, 2)),     # point listed twice
+    ((0, 1), (1, 0)),     # point 0
+])
+def test_direct_construction_validates(mapping):
+    with pytest.raises(ValueError):
+        p.FinPerm(mapping)
+
+
 @given(perm_st, perm_st)
 def test_inverse_and_composition(a, b):
     assert p.compose(a, p.inverse(a)) == p.IDENTITY

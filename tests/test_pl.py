@@ -25,6 +25,24 @@ def test_vertex_validation():
                     (Fraction(1, 4), Fraction(1, 2)), (1, 1)])
 
 
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+
+
+@pytest.mark.parametrize("vertices", [
+    [(0, 0), (HALF, HALF), (QUARTER, QUARTER), (1, 1)],  # x goes back; all collinear
+    [(0, 0), (2, 2), (1, 1)],  # leaves [0, 1]; all collinear
+    [(0, 0), (HALF, HALF), (HALF, HALF), (1, 1)],  # repeated vertex
+    [(0, 0), (HALF, HALF)],  # does not end at (1, 1)
+    [(QUARTER, QUARTER), (1, 1)],  # does not start at (0, 0)
+    [(0, 0), (HALF, QUARTER), (QUARTER, HALF), (1, 1)],
+])
+def test_malformed_raw_vertices_rejected(vertices):
+    with pytest.raises(pl.InvalidPlMapError):
+        pl.make_pl(vertices)
+    with pytest.raises(pl.InvalidPlMapError):
+        pl.from_json_obj({"vertices": [[str(x), str(y)] for x, y in vertices]})
+
+
 def test_make_pl_drops_collinear():
     f = pl.make_pl([(0, 0), (Fraction(1, 4), Fraction(1, 4)),
                     (Fraction(1, 2), Fraction(1, 2)), (1, 1)])
