@@ -198,6 +198,7 @@ class FreeAutFamily(GroupFamily):
     def __init__(self, rank: int):
         self.rank = rank
         self.name = f"aut-free-{rank}"
+        self._identity = identity_aut(rank)
 
     def check_element(self, a):
         if not isinstance(a, FreeAutomorphism):
@@ -206,7 +207,7 @@ class FreeAutFamily(GroupFamily):
             raise FamilyMismatchError(f"rank {a.rank} element in rank {self.rank} family")
 
     def identity(self):
-        return identity_aut(self.rank)
+        return self._identity
 
     def mul(self, a, b):
         self.check_element(a)

@@ -305,6 +305,7 @@ class MatrixFamily(GroupFamily):
         self.modulus = modulus
         suffix = f"Z/{modulus}" if modulus else "Z"
         self.name = name or f"mat-{size}({suffix})"
+        self._identity = identity_matrix(size, modulus)
 
     def check_element(self, a):
         if not isinstance(a, SquareMatrix):
@@ -314,7 +315,7 @@ class MatrixFamily(GroupFamily):
                 f"size {a.size} mod {a.modulus} matrix in {self.name}")
 
     def identity(self):
-        return identity_matrix(self.size, self.modulus)
+        return self._identity
 
     def mul(self, a, b):
         self.check_element(a)

@@ -61,9 +61,11 @@ IDENTITY = FinPerm(())
 
 
 def compose(a: FinPerm, b: FinPerm) -> FinPerm:
-    """(a o b)(x) = a(b(x))."""
-    images = ((x, a(b(x))) for x in set(a.support) | set(b.support))
-    return trusted(FinPerm, tuple(sorted((x, y) for x, y in images if x != y)))
+    """(a o b)(x) = a(b(x)), with images looked up in dicts: linear work
+    apart from the final sort."""
+    a_images = dict(a.mapping)
+    images = a_images | {x: a_images.get(y, y) for x, y in b.mapping}
+    return trusted(FinPerm, tuple(sorted((x, y) for x, y in images.items() if x != y)))
 
 
 def inverse(a: FinPerm) -> FinPerm:

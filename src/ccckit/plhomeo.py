@@ -84,10 +84,25 @@ def inverse(f: PlMap) -> PlMap:
 
 
 def compose(f: PlMap, g: PlMap) -> PlMap:
-    """Pointwise f o g; breakpoints are g's plus g-preimages of f's."""
-    ginv = inverse(g)
-    xs = sorted({x for x, _ in g.vertices} | {apply(ginv, x) for x, _ in f.vertices})
-    return trusted(PlMap, _drop_collinear([(x, apply(f, apply(g, x))) for x in xs]))
+    """Pointwise f o g in one sweep, with no inverse built: the breakpoints
+    are g's plus the g-preimages of f's, merged in the order of g's values,
+    and each new vertex is one linear interpolation on the current segment
+    of the other map."""
+    fv = f.vertices
+    out = [fv[0]]
+    j = 1  # fv[j - 1][0] <= y0 < fv[j][0] on g's segment from (x0, y0)
+    for (x0, y0), (x1, y1) in zip(g.vertices, g.vertices[1:]):
+        while fv[j][0] < y1:  # f's vertices strictly inside g's image segment
+            u, v = fv[j]
+            out.append((x0 + (x1 - x0) * (u - y0) / (y1 - y0), v))
+            j += 1
+        (u0, v0), (u1, v1) = fv[j - 1], fv[j]
+        if u1 == y1:
+            out.append((x1, v1))
+            j += 1
+        else:
+            out.append((x1, v0 + (v1 - v0) * (y1 - u0) / (u1 - u0)))
+    return trusted(PlMap, _drop_collinear(out))
 
 
 def support_closure(f: PlMap) -> tuple[Fraction, Fraction] | None:

@@ -167,6 +167,8 @@ def matrix_battery(family: str, size: int, seed: int = 0, moduli=(None, 5), **_)
 
 
 def braid_battery(size: int, seed: int = 0, **_) -> dict:
+    if size < 2:  # H = <sigma_1, ..., sigma_(n-1)> is empty: no commutation check
+        raise ValueError(f"need size >= 2, got {size}")
     n = size
     fam = braidmod.BraidFamily(2 * n)
     w = braidmod.block_pass_witness(n)
@@ -275,6 +277,8 @@ def perm_chain() -> wreathmod.WitnessChain:
 def wreath_tower_battery(depth: int = 2, samples: int = 50, seed: int = 0, **_) -> dict:
     if depth != 2:
         raise ValueError("only depth-2 towers are shipped")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     tower = wreathmod.TowerSpec((2,))
     report = VerificationReport("wreath-tower", bounded=True)
     for label, chain in (("iet", iet_chain()), ("perm", perm_chain())):

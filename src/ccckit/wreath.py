@@ -309,14 +309,21 @@ class TowerHom:
         self.tower = tower
         self.chain = chain
         self.family = chain.family
+        self._powers: dict[tuple[int, int], Any] = {}
+
+    def _power(self, level: int, k: int):
+        """t_level^k, computed once per (level, k)."""
+        key = (level, k)
+        if key not in self._powers:
+            self._powers[key] = self.family.power(self.chain.ts[level - 1], k)
+        return self._powers[key]
 
     def eval(self, u, level: int | None = None):
         if level is None:
             level = self.tower.depth
         fam = self.family
         if level == 1:
-            return fam.power(self.chain.ts[0], u)
-        t = self.chain.ts[level - 1]
+            return self._power(1, u)
         n = self.chain.orders[level - 1]
         level_fam = tower_family(self.tower, level)
         assert isinstance(level_fam, WreathFamily)
@@ -324,8 +331,11 @@ class TowerHom:
         result = fam.identity()
         for p in range(n):  # ascending p; factors commute by the chain invariants
             a_p = level_fam.value_at(u, p)
-            result = fam.mul(result, conjugate(fam, fam.power(t, p), self.eval(a_p, level - 1)))
-        return fam.mul(result, fam.power(t, u.top))
+            # ^(t^p) f(a_p) = t^p f(a_p) t^-p
+            conj = fam.mul(fam.mul(self._power(level, p), self.eval(a_p, level - 1)),
+                           self._power(level, -p))
+            result = fam.mul(result, conj)
+        return fam.mul(result, self._power(level, u.top))
 
     def __call__(self, u):
         return self.eval(u)

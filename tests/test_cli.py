@@ -111,3 +111,15 @@ def test_invalid_seed_env_var_exit_2_without_report(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("cannot run family ") and "CCCKIT_SEED" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "wreath-tower", "--samples", "0"),  # 0/0 checks
+    ("--family", "braid", "--size", "1"),            # H has no generators
+])
+def test_vacuous_runs_rejected_without_report(capsys, argv):
+    code, out, err = run(capsys, "run", *argv, "--format", "json")
+    assert code == cli.EXIT_UNKNOWN_FAMILY
+    assert out == ""
+    assert err.startswith("cannot run family ")
+    assert len(err.splitlines()) == 1

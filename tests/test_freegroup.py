@@ -98,3 +98,10 @@ def test_block_swap_aut():
     moved = fam.mul(fam.mul(t, phi), fam.inv(t))
     assert moved.images[2].letters == (3, 4)
     assert moved.images[0].letters == (1,)
+
+
+def test_aut_family_identity_built_once():
+    fam = fg.FreeAutFamily(3)
+    assert fam.identity() is fam.identity()
+    assert fam.identity() == fg.identity_aut(3)
+    assert fam.is_identity(fg.identity_aut(3))

@@ -280,3 +280,10 @@ def test_matrix_family_checks():
         fam.check_element(m.identity_matrix(3))
     with pytest.raises(Exception):
         fam.check_element(m.identity_matrix(2, 5))
+
+
+def test_family_identity_built_once():
+    fam = m.MatrixFamily(4, 5)
+    assert fam.identity() is fam.identity()
+    assert fam.identity() == m.identity_matrix(4, 5)
+    assert fam.is_identity(m.identity_matrix(4, 5))

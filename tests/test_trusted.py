@@ -7,7 +7,6 @@ x's fields, so it raises on any broken invariant, and it must equal x.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -19,11 +18,7 @@ from ccckit import matrixring as m
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 
-from util import random_iet, random_perm
-
-
-def revalidates(x) -> bool:
-    return replace(x) == x
+from util import random_iet, random_perm, revalidates
 
 
 seeds = st.integers(min_value=0, max_value=10_000)

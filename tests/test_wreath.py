@@ -120,6 +120,37 @@ def test_tower_hom_oracles():
     assert p.PERM.eq(f(u), expected)
 
 
+class PowerCountingPerm(p.PermFamily):
+    """The permutation family, recording each top-level power call."""
+
+    def __init__(self):
+        self.calls = []
+        self._depth = 0
+
+    def power(self, a, k):
+        if not self._depth:
+            self.calls.append((a, k))
+        self._depth += 1
+        try:
+            return super().power(a, k)
+        finally:
+            self._depth -= 1
+
+
+def test_tower_hom_computes_each_power_once():
+    tower = w.TowerSpec((2,))
+    plain = perm_chain()
+    fam = PowerCountingPerm()
+    f = w.build_f(tower, w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
+    fam.calls.clear()  # the chain validation in build_f powers t_i itself
+    H = GeneratorSet(fam, plain.generators)
+    report = w.check_hom(f, H, sample_size=20, seed=4)
+    assert fam.calls and len(fam.calls) == len(set(fam.calls))
+    expected = w.check_hom(w.build_f(tower, plain), GeneratorSet(p.PERM, plain.generators),
+                           sample_size=20, seed=4)
+    assert report.to_dict() == expected.to_dict()
+
+
 def test_tower_hom_rejects_mismatched_orders():
     tower = w.TowerSpec((3,))
     with pytest.raises(w.ChainInvariantError):

@@ -1,10 +1,17 @@
 """Shared helpers for the test suite: seeded random elements per family."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from ccckit import iet as ietmod
 from ccckit import perm as permmod
+
+
+def revalidates(x) -> bool:
+    """Re-run the public validation on x: ``replace(x)`` constructs a fresh
+    instance from x's fields, so it raises on any broken invariant."""
+    return replace(x) == x
 
 
 def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
