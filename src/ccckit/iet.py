@@ -6,13 +6,22 @@ form merges adjacent intervals with equal translation and absorbs trailing
 identity intervals into the tail, so functional equality is normal form
 equality.
 
+An ``IetMap`` stores one positive denominator ``den`` and integer
+numerators: a_j = cuts[j] / den and the translations shifts[j] / den, in
+lowest terms (``gcd(den, *cuts, *shifts) == 1``), so normal form plus
+lowest terms makes equality field equality.  ``compose``, ``inverse`` and
+the normal form do only ``int`` arithmetic; ``Fraction`` appears only at
+the boundary: ``make_iet``, ``from_json_obj``, ``apply``, the read-only
+``breakpoints``/``translations``/``bound`` properties, and rendering,
+which prints exactly what ``str(Fraction)`` prints.
+
 The public constructors (``IetMap(...)``, ``make_iet``, ``from_json_obj``)
 validate: the raw breakpoints start at 0 and ascend strictly, the
-translated intervals partition [0, a_k) exactly, and an ``IetMap`` equals
-its normal form.  ``compose`` and ``inverse`` take valid maps to valid
-maps, so they build their results from the normal form without
-re-validation.  ``compose`` is one sweep over the intervals of its right
-factor and builds no inverse.
+translated intervals partition [0, a_k) exactly, and an ``IetMap`` is in
+normal form and lowest terms.  ``compose`` and ``inverse`` take valid maps
+to valid maps, so they build their results without re-validation.
+``compose`` is one sweep over the intervals of its right factor and builds
+no inverse.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite, trusted
+from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
+                       over_common_den, rescaled)
 
 
 class InvalidIetError(CcckitError):
@@ -30,46 +41,61 @@ class InvalidIetError(CcckitError):
 
 @dataclass(frozen=True)
 class IetMap:
-    breakpoints: tuple[Fraction, ...]   # 0 = a_0 < a_1 < ... < a_k
-    translations: tuple[Fraction, ...]  # one per finite interval
+    den: int                  # positive common denominator
+    cuts: tuple[int, ...]     # numerators of 0 = a_0 < a_1 < ... < a_k
+    shifts: tuple[int, ...]   # numerators of the translations, one per finite interval
 
     def __post_init__(self):
-        bps, ts = self.breakpoints, self.translations
-        _check_intervals(bps, ts)
-        cursor = Fraction(0)
-        for lo, hi in sorted((a + t, b + t) for a, b, t in zip(bps, bps[1:], ts)):
+        den, cuts, shifts = self.den, self.cuts, self.shifts
+        if not is_int_data(den, cuts, shifts):
+            raise InvalidIetError("need a positive int denominator and int numerators")
+        _check_intervals(den, cuts, shifts)
+        cursor = 0
+        for lo, hi in sorted((a + t, b + t) for a, b, t in zip(cuts, cuts[1:], shifts)):
             if lo != cursor:
                 raise InvalidIetError(f"translated intervals do not partition "
-                                      f"[0, {bps[-1]}): gap/overlap at {lo}")
+                                      f"[0, {fmt(cuts[-1], den)}): gap/overlap at {fmt(lo, den)}")
             cursor = hi
-        if cursor != bps[-1]:
-            raise InvalidIetError(f"translated intervals cover up to {cursor}, expected {bps[-1]}")
-        if _normal_form(bps, ts) != (bps, ts):
+        if cursor != cuts[-1]:
+            raise InvalidIetError(f"translated intervals cover up to {fmt(cursor, den)}, "
+                                  f"expected {fmt(cuts[-1], den)}")
+        if _normal_form(cuts, shifts) != (cuts, shifts):
             raise InvalidIetError("not in normal form: equal adjacent translations "
                                   "or a trailing identity interval")
+        if not in_lowest_terms(den, cuts, shifts):
+            raise InvalidIetError(f"not in lowest terms: denominator {den}")
+
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.cuts)
+
+    @property
+    def translations(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.den) for t in self.shifts)
 
     @property
     def bound(self) -> Fraction:
-        return self.breakpoints[-1]
+        return Fraction(self.cuts[-1], self.den)
 
     def __str__(self) -> str:
         return render_iet(self)
 
 
-def _check_intervals(breakpoints, translations) -> None:
-    if not breakpoints or breakpoints[0] != 0:
+def _check_intervals(den, cuts, shifts) -> None:
+    if not cuts or cuts[0] != 0:
         raise InvalidIetError("breakpoints must start at 0")
-    if len(translations) != len(breakpoints) - 1:
+    if len(shifts) != len(cuts) - 1:
         raise InvalidIetError("need one translation per finite interval")
-    if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
-        raise InvalidIetError(f"breakpoints not strictly ascending: {breakpoints}")
+    if any(b >= c for b, c in zip(cuts, cuts[1:])):
+        raise InvalidIetError("breakpoints not strictly ascending: "
+                              + ", ".join(fmt(c, den) for c in cuts))
 
 
-def _normal_form(breakpoints, translations) -> tuple[tuple, tuple]:
+def _normal_form(cuts, shifts) -> tuple[tuple, tuple]:
     """Merge equal adjacent translations; absorb trailing identity intervals."""
-    bps = [breakpoints[0]]
-    ts: list[Fraction] = []
-    for b, t in zip(breakpoints[1:], translations):
+    bps = [cuts[0]]
+    ts: list[int] = []
+    for b, t in zip(cuts[1:], shifts):
         if ts and ts[-1] == t:
             bps[-1] = b
         else:
@@ -81,50 +107,53 @@ def _normal_form(breakpoints, translations) -> tuple[tuple, tuple]:
     return tuple(bps), tuple(ts)
 
 
+def _reduced(den: int, cuts, shifts) -> tuple:
+    """Normal form, then lowest terms: the fields of a valid IetMap."""
+    return lowest_terms(den, *_normal_form(cuts, shifts))
+
+
 def make_iet(breakpoints, translations) -> IetMap:
-    """Normalize raw interval data into an IetMap; the raw breakpoints are
-    checked first, so normalising cannot hide malformed input."""
-    bps = [Fraction(b) for b in breakpoints]
-    ts = [Fraction(t) for t in translations]
-    _check_intervals(bps, ts)
-    return IetMap(*_normal_form(bps, ts))
+    """Normalize raw rational interval data into an IetMap; the raw
+    breakpoints are checked first, so normalising cannot hide malformed
+    input."""
+    bps, ts = list(breakpoints), list(translations)
+    den, nums = over_common_den(bps + ts)
+    cuts, shifts = nums[:len(bps)], nums[len(bps):]
+    _check_intervals(den, cuts, shifts)
+    return IetMap(*_reduced(den, cuts, shifts))
 
 
-IDENTITY = IetMap((Fraction(0),), ())
+IDENTITY = IetMap(1, (0,), ())
 
 
 def apply(f: IetMap, x) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"point must be >= 0, got {x}")
-    return x + _translation_at(f, x)
-
-
-def _translation_at(f: IetMap, x: Fraction) -> Fraction:
-    for a, b, t in zip(f.breakpoints, f.breakpoints[1:], f.translations):
-        if a <= x < b:
-            return t
-    return Fraction(0)
+    j = bisect_right(f.cuts, x * f.den)  # x lies in interval j - 1, or in the tail
+    return x + Fraction(f.shifts[j - 1], f.den) if j < len(f.cuts) else x
 
 
 def inverse(f: IetMap) -> IetMap:
-    pieces = sorted(
-        (a + t, b + t, -t) for a, b, t in zip(f.breakpoints, f.breakpoints[1:], f.translations))
-    return trusted(IetMap, *_normal_form([Fraction(0)] + [hi for _, hi, _ in pieces],
-                                         [t for _, _, t in pieces]))
+    pieces = sorted((a + t, b + t, -t) for a, b, t in zip(f.cuts, f.cuts[1:], f.shifts))
+    return trusted(IetMap, *_reduced(f.den, [0] + [hi for _, hi, _ in pieces],
+                                     [t for _, _, t in pieces]))
 
 
 def compose(f: IetMap, g: IetMap) -> IetMap:
     """Pointwise f o g, exact, in one sweep over g's intervals in domain
     order (and [g.bound, f.bound) with translation 0 when f reaches
-    further).  Each interval [a, b) with translation s is cut at the
-    preimages c - s of f's breakpoints c inside its image, found from one
-    bisect; f.bound is one of them, since f's tail has translation 0."""
-    fb, ft = f.breakpoints, f.translations
-    pieces = list(zip(g.breakpoints, g.breakpoints[1:], g.translations))
-    if f.bound > g.bound:
-        pieces.append((g.bound, f.bound, Fraction(0)))
-    bps, ts = [Fraction(0)], []
+    further), with both maps rescaled to the lcm of their denominators.
+    Each interval [a, b) with translation s is cut at the preimages c - s of
+    f's breakpoints c inside its image, found from one bisect; f.bound is
+    one of them, since f's tail has translation 0."""
+    den, mf, mg = common_den(f.den, g.den)
+    fb, ft = rescaled(f.cuts, mf), rescaled(f.shifts, mf)
+    gb, gt = rescaled(g.cuts, mg), rescaled(g.shifts, mg)
+    pieces = list(zip(gb, gb[1:], gt))
+    if fb[-1] > gb[-1]:
+        pieces.append((gb[-1], fb[-1], 0))
+    bps, ts = [0], []
     for a, b, s in pieces:
         j = bisect_right(fb, a + s)  # a + s lies in f's interval j - 1
         while j < len(fb) and fb[j] < b + s:
@@ -133,7 +162,7 @@ def compose(f: IetMap, g: IetMap) -> IetMap:
             j += 1
         bps.append(b)
         ts.append(s + ft[j - 1] if j < len(fb) else s)
-    return trusted(IetMap, *_normal_form(bps, ts))
+    return trusted(IetMap, *_reduced(den, bps, ts))
 
 
 def block_exchange(n) -> IetMap:
@@ -162,21 +191,21 @@ def support_bound(f: IetMap) -> Fraction:
 
 
 def interval_lengths(f: IetMap) -> list[Fraction]:
-    return [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+    return [Fraction(b - a, f.den) for a, b in zip(f.cuts, f.cuts[1:])]
 
 
 def render_iet(f: IetMap) -> str:
-    if not f.translations:
+    if not f.shifts:
         return "id"
-    parts = [f"[{a},{b}) -> +{t}" if t >= 0 else f"[{a},{b}) -> {t}"
-             for a, b, t in zip(f.breakpoints, f.breakpoints[1:], f.translations)]
-    return "; ".join(parts)
+    den = f.den
+    return "; ".join(f"[{fmt(a, den)},{fmt(b, den)}) -> {'+' if t >= 0 else ''}{fmt(t, den)}"
+                     for a, b, t in zip(f.cuts, f.cuts[1:], f.shifts))
 
 
 def to_json_obj(f: IetMap) -> dict:
     return {
-        "breakpoints": [str(b) for b in f.breakpoints],
-        "translations": [str(t) for t in f.translations],
+        "breakpoints": [fmt(c, f.den) for c in f.cuts],
+        "translations": [fmt(t, f.den) for t in f.shifts],
     }
 
 

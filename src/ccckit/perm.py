@@ -74,19 +74,18 @@ def inverse(a: FinPerm) -> FinPerm:
 
 def cycles(a: FinPerm) -> list[list[int]]:
     """Cycle decomposition, each cycle rotated to start at its least point,
-    cycles sorted by least point."""
-    seen: set[int] = set()
+    cycles sorted by least point.  Linear: each point's image is popped
+    from one dict."""
+    images = dict(a.mapping)
     out: list[list[int]] = []
     for start in a.support:
-        if start in seen:
+        if start not in images:
             continue
         cyc = [start]
-        seen.add(start)
-        x = a(start)
+        x = images.pop(start)
         while x != start:
             cyc.append(x)
-            seen.add(x)
-            x = a(x)
+            x = images.pop(x)
         out.append(cyc)
     return out
 

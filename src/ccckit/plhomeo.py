@@ -3,16 +3,28 @@
 Compactly supported subgroups of these realize line homeomorphism groups in
 a bounded exact model; the displacement witness t with t(a) > b drives the
 disjoint-support argument checked by verify_displaced_supports.
+
+A ``PlMap`` stores one positive denominator ``den`` and integer vertex
+numerators: vertex i is (xs[i] / den, ys[i] / den), in lowest terms
+(``gcd(den, *xs, *ys) == 1``) and with no interior vertex collinear with
+its neighbours, so equality is field equality.  ``compose``, ``inverse``
+and ``_drop_collinear`` do only ``int`` arithmetic; ``Fraction`` appears
+only at the boundary: ``make_pl``, ``from_json_obj``, ``apply``, the
+read-only ``vertices`` property, and rendering, which prints exactly what
+``str(Fraction)`` prints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily,
                    Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
+from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
+                       over_common_den, over_one_den, ratio, rescaled)
 
 
 class InvalidPlMapError(CcckitError):
@@ -25,45 +37,60 @@ class NotCompactlySupportedError(CcckitError):
 
 @dataclass(frozen=True)
 class PlMap:
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+    den: int                # positive common denominator
+    xs: tuple[int, ...]     # vertex x numerators, 0 = xs[0] < ... < xs[-1] = den
+    ys: tuple[int, ...]     # vertex y numerators, 0 = ys[0] < ... < ys[-1] = den
 
     def __post_init__(self):
-        _check_vertices(self.vertices)
-        if _drop_collinear(self.vertices) != self.vertices:
+        den, xs, ys = self.den, self.xs, self.ys
+        if not is_int_data(den, xs, ys):
+            raise InvalidPlMapError("need a positive int denominator and int numerators")
+        _check_vertices(den, xs, ys)
+        if _drop_collinear(xs, ys) != (xs, ys):
             raise InvalidPlMapError(f"collinear interior vertex in {render_pl(self)}")
+        if not in_lowest_terms(den, xs, ys):
+            raise InvalidPlMapError(f"not in lowest terms: denominator {den}")
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(x, self.den), Fraction(y, self.den))
+                     for x, y in zip(self.xs, self.ys))
 
     def __str__(self) -> str:
         return render_pl(self)
 
 
-def _check_vertices(v) -> None:
-    if len(v) < 2 or v[0] != (0, 0) or v[-1] != (1, 1):
+def _check_vertices(den, xs, ys) -> None:
+    if (len(xs) < 2 or len(xs) != len(ys) or (xs[0], ys[0]) != (0, 0)
+            or (xs[-1], ys[-1]) != (den, den)):
         raise InvalidPlMapError("vertices must run from (0,0) to (1,1)")
-    for (x0, y0), (x1, y1) in zip(v, v[1:]):
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
         if x0 >= x1 or y0 >= y1:
-            raise InvalidPlMapError(f"vertices not strictly increasing near ({x0},{y0})")
+            raise InvalidPlMapError(f"vertices not strictly increasing near "
+                                    f"({fmt(x0, den)},{fmt(y0, den)})")
 
 
-def _drop_collinear(vertices) -> tuple:
-    """The normal form: interior vertices collinear with their neighbours dropped."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for p in vertices:
-        while len(out) >= 2:
-            (x0, y0), (x1, y1) = out[-2], out[-1]
-            if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
-                out.pop()
-            else:
-                break
-        out.append(p)
-    return tuple(out)
+def _drop_collinear(xs, ys) -> tuple[tuple, tuple]:
+    """The normal form: interior vertices collinear with their neighbours
+    dropped.  The test is homogeneous, so any common denominator works."""
+    ox: list[int] = []
+    oy: list[int] = []
+    for x, y in zip(xs, ys):
+        while len(ox) >= 2 and (oy[-1] - oy[-2]) * (x - ox[-1]) == (y - oy[-1]) * (ox[-1] - ox[-2]):
+            ox.pop()
+            oy.pop()
+        ox.append(x)
+        oy.append(y)
+    return tuple(ox), tuple(oy)
 
 
 def make_pl(vertices) -> PlMap:
-    """Normalize a vertex list: exact rationals, raw vertices checked,
-    collinear vertices dropped."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
-    _check_vertices(pts)
-    return PlMap(_drop_collinear(pts))
+    """Normalize a rational vertex list: raw vertices checked over their
+    common denominator, collinear vertices dropped, lowest terms."""
+    den, nums = over_common_den([c for x, y in vertices for c in (x, y)])
+    xs, ys = nums[0::2], nums[1::2]
+    _check_vertices(den, xs, ys)
+    return PlMap(*lowest_terms(den, *_drop_collinear(xs, ys)))
 
 
 IDENTITY = make_pl([(0, 0), (1, 1)])
@@ -73,45 +100,52 @@ def apply(f: PlMap, x) -> Fraction:
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise ValueError(f"point {x} outside [0, 1]")
-    for (x0, y0), (x1, y1) in zip(f.vertices, f.vertices[1:]):
-        if x0 <= x <= x1:
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    raise AssertionError("unreachable")
+    xs, ys = f.xs, f.ys
+    u = x * f.den
+    i = max(bisect_left(xs, u), 1)  # xs[i - 1] <= u <= xs[i]
+    return (ys[i - 1] + (ys[i] - ys[i - 1]) * (u - xs[i - 1]) / (xs[i] - xs[i - 1])) / f.den
 
 
 def inverse(f: PlMap) -> PlMap:
-    return trusted(PlMap, _drop_collinear([(y, x) for x, y in f.vertices]))
+    # collinearity is symmetric in x and y, so the mirror is in normal form
+    return trusted(PlMap, f.den, f.ys, f.xs)
 
 
 def compose(f: PlMap, g: PlMap) -> PlMap:
     """Pointwise f o g in one sweep, with no inverse built: the breakpoints
     are g's plus the g-preimages of f's, merged in the order of g's values,
     and each new vertex is one linear interpolation on the current segment
-    of the other map."""
-    fv = f.vertices
-    out = [fv[0]]
-    j = 1  # fv[j - 1][0] <= y0 < fv[j][0] on g's segment from (x0, y0)
-    for (x0, y0), (x1, y1) in zip(g.vertices, g.vertices[1:]):
-        while fv[j][0] < y1:  # f's vertices strictly inside g's image segment
-            u, v = fv[j]
-            out.append((x0 + (x1 - x0) * (u - y0) / (y1 - y0), v))
+    of the other map.  Both maps are rescaled to the lcm of their
+    denominators; an interpolated coordinate is a reduced (num, d) pair
+    over it, and the pairs are put over one final lcm."""
+    den, mf, mg = common_den(f.den, g.den)
+    fx, fy = rescaled(f.xs, mf), rescaled(f.ys, mf)
+    gx, gy = rescaled(g.xs, mg), rescaled(g.ys, mg)
+    xs, ys = [(0, 1)], [(0, 1)]
+    j = 1  # fx[j - 1] <= y0 < fx[j] on g's segment from (x0, y0)
+    for x0, y0, x1, y1 in zip(gx, gy, gx[1:], gy[1:]):
+        while fx[j] < y1:  # f's vertices strictly inside g's image segment
+            xs.append(ratio(x0 * (y1 - y0) + (x1 - x0) * (fx[j] - y0), y1 - y0))
+            ys.append((fy[j], 1))
             j += 1
-        (u0, v0), (u1, v1) = fv[j - 1], fv[j]
+        u0, v0, u1, v1 = fx[j - 1], fy[j - 1], fx[j], fy[j]
+        xs.append((x1, 1))
         if u1 == y1:
-            out.append((x1, v1))
+            ys.append((v1, 1))
             j += 1
         else:
-            out.append((x1, v0 + (v1 - v0) * (y1 - u0) / (u1 - u0)))
-    return trusted(PlMap, _drop_collinear(out))
+            ys.append(ratio(v0 * (u1 - u0) + (v1 - v0) * (y1 - u0), u1 - u0))
+    den, xs, ys = over_one_den(den, xs, ys)
+    return trusted(PlMap, *lowest_terms(den, *_drop_collinear(xs, ys)))
 
 
 def support_closure(f: PlMap) -> tuple[Fraction, Fraction] | None:
     """Closure of {x : f(x) != x}, or None for the identity."""
-    nonid = [(p, q) for p, q in zip(f.vertices, f.vertices[1:])
-             if not (p[0] == p[1] and q[0] == q[1])]
-    if not nonid:
+    moved = [i for i in range(len(f.xs) - 1)
+             if not (f.xs[i] == f.ys[i] and f.xs[i + 1] == f.ys[i + 1])]
+    if not moved:
         return None
-    return nonid[0][0][0], nonid[-1][1][0]
+    return Fraction(f.xs[moved[0]], f.den), Fraction(f.xs[moved[-1] + 1], f.den)
 
 
 def support_interval(H: GeneratorSet) -> tuple[Fraction, Fraction] | None:
@@ -187,11 +221,11 @@ def displacement_escalates(t: PlMap, a, b, P: int) -> list[bool]:
 
 
 def render_pl(f: PlMap) -> str:
-    return " ".join(f"({x},{y})" for x, y in f.vertices)
+    return " ".join(f"({fmt(x, f.den)},{fmt(y, f.den)})" for x, y in zip(f.xs, f.ys))
 
 
 def to_json_obj(f: PlMap) -> dict:
-    return {"vertices": [[str(x), str(y)] for x, y in f.vertices]}
+    return {"vertices": [[fmt(x, f.den), fmt(y, f.den)] for x, y in zip(f.xs, f.ys)]}
 
 
 def from_json_obj(obj: dict) -> PlMap:

@@ -1,0 +1,67 @@
+"""Exact rationals as integer numerators over one shared denominator.
+
+``IetMap`` and ``PlMap`` store one positive denominator and integer
+numerators, in lowest terms (the gcd of the denominator and all numerators
+is 1), so their kernels do only ``int`` arithmetic.  These helpers are the
+boundary between that representation and ``Fraction``, plus the rescale
+and reduce steps the kernels share.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def over_common_den(values) -> tuple[int, list[int]]:
+    """Rationals as (den, numerators), den the lcm of their denominators."""
+    qs = [Fraction(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return den, [q.numerator * (den // q.denominator) for q in qs]
+
+
+def common_den(den_a: int, den_b: int) -> tuple[int, int, int]:
+    """lcm(den_a, den_b) and the factors that rescale each side to it."""
+    den = lcm(den_a, den_b)
+    return den, den // den_a, den // den_b
+
+
+def rescaled(nums, factor: int):
+    return nums if factor == 1 else [x * factor for x in nums]
+
+
+def ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den (den > 0) as a reduced pair."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def over_one_den(den: int, xs, ys) -> tuple[int, list[int], list[int]]:
+    """Two sequences of reduced (num, d) pairs, each meaning num / (d * den),
+    put over the one denominator den * lcm(d): (den', x nums, y nums)."""
+    d_all = lcm(*(d for _, d in xs), *(d for _, d in ys))
+    return den * d_all, [n * (d_all // d) for n, d in xs], [n * (d_all // d) for n, d in ys]
+
+
+def lowest_terms(den: int, xs, ys) -> tuple[int, tuple, tuple]:
+    """(den, xs, ys) divided through by their gcd, as tuples."""
+    g = gcd(den, *xs, *ys) if den != 1 else 1
+    if g == 1:
+        return den, tuple(xs), tuple(ys)
+    return den // g, tuple([x // g for x in xs]), tuple([y // g for y in ys])
+
+
+def is_int_data(den, xs, ys) -> bool:
+    """A positive int denominator and int numerators (no bools, no Fractions)."""
+    return (type(den) is int and den > 0
+            and all(type(x) is int for x in xs) and all(type(y) is int for y in ys))
+
+
+def in_lowest_terms(den: int, xs, ys) -> bool:
+    return gcd(den, *xs, *ys) == 1
+
+
+def fmt(num: int, den: int) -> str:
+    """What ``str(Fraction(num, den))`` prints, for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"

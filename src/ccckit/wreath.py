@@ -11,6 +11,7 @@ sound because the factors commute whenever the chain invariants hold.
 from __future__ import annotations
 
 import abc
+import functools
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -309,7 +310,10 @@ class TowerHom:
         self.tower = tower
         self.chain = chain
         self.family = chain.family
+        self._level_families = {level: tower_family(tower, level)
+                                for level in range(2, tower.depth + 1)}
         self._powers: dict[tuple[int, int], Any] = {}
+        self._conjugates: dict[tuple[int, int, Any], Any] = {}
 
     def _power(self, level: int, k: int):
         """t_level^k, computed once per (level, k)."""
@@ -318,24 +322,29 @@ class TowerHom:
             self._powers[key] = self.family.power(self.chain.ts[level - 1], k)
         return self._powers[key]
 
+    def _conjugate(self, level: int, p: int, a_p):
+        """^(t_level^p) f(a_p) = t^p f(a_p) t^-p, computed once per
+        (level, p, a_p); equal tower elements have equal images."""
+        key = (level, p, a_p)
+        if key not in self._conjugates:
+            fam = self.family
+            self._conjugates[key] = fam.mul(
+                fam.mul(self._power(level, p), self.eval(a_p, level - 1)),
+                self._power(level, -p))
+        return self._conjugates[key]
+
     def eval(self, u, level: int | None = None):
         if level is None:
             level = self.tower.depth
-        fam = self.family
         if level == 1:
             return self._power(1, u)
-        n = self.chain.orders[level - 1]
-        level_fam = tower_family(self.tower, level)
-        assert isinstance(level_fam, WreathFamily)
+        level_fam = self._level_families[level]
         level_fam.check_element(u)
-        result = fam.identity()
-        for p in range(n):  # ascending p; factors commute by the chain invariants
-            a_p = level_fam.value_at(u, p)
-            # ^(t^p) f(a_p) = t^p f(a_p) t^-p
-            conj = fam.mul(fam.mul(self._power(level, p), self.eval(a_p, level - 1)),
-                           self._power(level, -p))
-            result = fam.mul(result, conj)
-        return fam.mul(result, self._power(level, u.top))
+        # ascending p; factors commute by the chain invariants
+        factors = [self._conjugate(level, p, level_fam.value_at(u, p))
+                   for p in range(self.chain.orders[level - 1])]
+        factors.append(self._power(level, u.top))
+        return functools.reduce(self.family.mul, factors)
 
     def __call__(self, u):
         return self.eval(u)

@@ -1,12 +1,15 @@
-"""The sweep compositions of IETs, PL maps and permutations against the
-point-by-point code they replaced.
+"""The sweep compositions of IETs, PL maps and permutations, and the
+integer inverses of IETs and PL maps, against the point-by-point
+``Fraction`` code they replaced.
 
-Each oracle below is the former ``compose``: it evaluates both maps at
-every candidate breakpoint or support point with the linear-scan
-``apply``/``_translation_at``/``FinPerm.__call__`` and sorts a set of
-points, so it shares no cutting or merging logic with the sweep.  Normal
-forms are unique, so the sweep must return exactly the oracle's value, and
-the value must survive re-validation.
+Each oracle below is the former ``compose`` or ``inverse``: it works on
+the ``Fraction`` values of the public ``breakpoints``/``translations``/
+``vertices`` properties, evaluates maps with its own linear scans, sorts a
+set of points and builds its result through the public ``make_iet``/
+``make_pl``, so it shares no rescaling, cutting, interpolation or merging
+logic with the integer kernels.  Normal forms in lowest terms are unique,
+so each kernel must return exactly the oracle's value, and the value must
+survive re-validation.
 """
 
 import random
@@ -22,23 +25,64 @@ from ccckit.core import trusted
 from util import revalidates
 
 
+def _translation_at(f: ietmod.IetMap, x: Fraction) -> Fraction:
+    bps = f.breakpoints
+    for a, b, t in zip(bps, bps[1:], f.translations):
+        if a <= x < b:
+            return t
+    return Fraction(0)
+
+
+def _iet_apply(f: ietmod.IetMap, x: Fraction) -> Fraction:
+    return x + _translation_at(f, x)
+
+
+def oracle_iet_inverse(f: ietmod.IetMap) -> ietmod.IetMap:
+    bps = f.breakpoints
+    pieces = sorted((a + t, b + t, -t) for a, b, t in zip(bps, bps[1:], f.translations))
+    return ietmod.make_iet([Fraction(0)] + [hi for _, hi, _ in pieces],
+                           [t for _, _, t in pieces])
+
+
 def oracle_iet_compose(f: ietmod.IetMap, g: ietmod.IetMap) -> ietmod.IetMap:
-    ginv = ietmod.inverse(g)
-    ordered = sorted(set(g.breakpoints) | {ietmod.apply(ginv, c) for c in f.breakpoints})
-    ts = [ietmod._translation_at(g, x) + ietmod._translation_at(f, ietmod.apply(g, x))
-          for x in ordered[:-1]]
-    return trusted(ietmod.IetMap, *ietmod._normal_form(ordered, ts))
+    ginv = oracle_iet_inverse(g)
+    ordered = sorted(set(g.breakpoints) | {_iet_apply(ginv, c) for c in f.breakpoints})
+    ts = [_translation_at(g, x) + _translation_at(f, _iet_apply(g, x)) for x in ordered[:-1]]
+    return ietmod.make_iet(ordered, ts)
+
+
+def _pl_apply(f: pl.PlMap, x: Fraction) -> Fraction:
+    v = f.vertices
+    for (x0, y0), (x1, y1) in zip(v, v[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise AssertionError(f"{x} outside [0, 1]")
+
+
+def oracle_pl_inverse(f: pl.PlMap) -> pl.PlMap:
+    return pl.make_pl([(y, x) for x, y in f.vertices])
 
 
 def oracle_pl_compose(f: pl.PlMap, g: pl.PlMap) -> pl.PlMap:
-    ginv = pl.inverse(g)
-    xs = sorted({x for x, _ in g.vertices} | {pl.apply(ginv, x) for x, _ in f.vertices})
-    return trusted(pl.PlMap, pl._drop_collinear([(x, pl.apply(f, pl.apply(g, x))) for x in xs]))
+    ginv = oracle_pl_inverse(g)
+    xs = sorted({x for x, _ in g.vertices} | {_pl_apply(ginv, x) for x, _ in f.vertices})
+    return pl.make_pl([(x, _pl_apply(f, _pl_apply(g, x))) for x in xs])
 
 
 def oracle_perm_compose(a: permmod.FinPerm, b: permmod.FinPerm) -> permmod.FinPerm:
     images = ((x, a(b(x))) for x in set(a.support) | set(b.support))
     return trusted(permmod.FinPerm, tuple(sorted((x, y) for x, y in images if x != y)))
+
+
+def is_integer_map(h) -> bool:
+    fields = [getattr(h, name) for name in h.__dataclass_fields__]
+    return (type(fields[0]) is int
+            and all(type(x) is int for nums in fields[1:] for x in nums))
+
+
+# Denominators of different primes, so that f and g usually differ and the
+# kernels must rescale both to their lcm.
+DENOMS = [1, 2, 3, 7, 12]
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +92,11 @@ def oracle_perm_compose(a: permmod.FinPerm, b: permmod.FinPerm) -> permmod.FinPe
 @st.composite
 def iet_map(draw):
     """An exchange of k pieces of [c, c + N), identity on [0, c) and beyond:
-    bounds and supports vary, and the exchange may fix a piece or be the
-    identity."""
-    denom = draw(st.sampled_from([1, 2, 3, 12]))
-    offset = Fraction(draw(st.integers(0, 2 * denom)), denom)
-    lengths = [Fraction(n, denom)
-               for n in draw(st.lists(st.integers(1, 3 * denom), min_size=0, max_size=5))]
+    bounds and supports vary, piece lengths have mixed denominators, and
+    the exchange may fix a piece or be the identity."""
+    offset = Fraction(draw(st.integers(0, 4)), draw(st.sampled_from(DENOMS)))
+    lengths = [Fraction(n, draw(st.sampled_from(DENOMS)))
+               for n in draw(st.lists(st.integers(1, 6), min_size=0, max_size=5))]
     order = draw(st.permutations(range(len(lengths))))
     starts, cursor = {}, offset
     for idx in order:
@@ -75,14 +118,21 @@ iet_maps = st.one_of(st.just(ietmod.IDENTITY), iet_map())
 def check_iet(f, g):
     h = ietmod.compose(f, g)
     assert h == oracle_iet_compose(f, g)
-    assert all(isinstance(x, Fraction) for x in h.breakpoints + h.translations)
-    assert revalidates(h)
+    assert is_integer_map(h) and revalidates(h)
 
 
 @settings(max_examples=400, deadline=None)
 @given(iet_maps, iet_maps)
 def test_iet_compose_matches_oracle(f, g):
     check_iet(f, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(iet_maps)
+def test_iet_inverse_matches_oracle(f):
+    h = ietmod.inverse(f)
+    assert h == oracle_iet_inverse(f)
+    assert is_integer_map(h) and revalidates(h)
 
 
 def test_iet_compose_cuts_at_the_bound_of_f():
@@ -103,20 +153,31 @@ def test_iet_compose_with_identity_and_disjoint_supports():
     assert ietmod.compose(f, g) == ietmod.compose(g, f)
 
 
+def test_iet_compose_across_denominators():
+    halves, thirds, sevenths = (ietmod.rotation(1, Fraction(1, d)) for d in (2, 3, 7))
+    for a, b in ((halves, thirds), (thirds, sevenths), (sevenths, halves),
+                 (halves, ietmod.inverse(halves)), (thirds, halves)):
+        check_iet(a, b)
+    # halves o halves is the identity: the result is reduced back to den 1
+    assert ietmod.compose(halves, halves) == ietmod.IDENTITY
+    assert ietmod.compose(halves, thirds).den == 6
+
+
 # ---------------------------------------------------------------------------
 # PL maps
 
 
 @st.composite
 def pl_map(draw):
-    """Vertices on a grid of one of several denominators, so that g's
-    preimages of f's vertices are often not grid points; the identity and
-    maps with a fixed prefix or suffix are included."""
-    denom = draw(st.sampled_from([4, 7, 12, 32]))
-    k = draw(st.integers(min_value=0, max_value=min(5, denom - 1)))
-    inner = st.sets(st.integers(1, denom - 1), min_size=k, max_size=k)
-    xs, ys = sorted(draw(inner)), sorted(draw(inner))
-    return pl.make_pl([(0, 0)] + [(Fraction(x, denom), Fraction(y, denom))
+    """Vertices with x and y on grids of independent denominators, so that
+    slopes are rarely dyadic and g's preimages of f's vertices are often
+    not grid points; the identity and maps with a fixed prefix or suffix
+    are included."""
+    dx, dy = draw(st.sampled_from([2, 3, 4, 7, 12, 32])), draw(st.sampled_from([2, 3, 4, 7, 12, 32]))
+    k = draw(st.integers(min_value=0, max_value=min(5, dx - 1, dy - 1)))
+    xs = sorted(draw(st.sets(st.integers(1, dx - 1), min_size=k, max_size=k)))
+    ys = sorted(draw(st.sets(st.integers(1, dy - 1), min_size=k, max_size=k)))
+    return pl.make_pl([(0, 0)] + [(Fraction(x, dx), Fraction(y, dy))
                                   for x, y in zip(xs, ys)] + [(1, 1)])
 
 
@@ -126,13 +187,21 @@ pl_maps = st.one_of(st.just(pl.IDENTITY), pl_map())
 def check_pl(f, g):
     h = pl.compose(f, g)
     assert h == oracle_pl_compose(f, g)
-    assert revalidates(h)
+    assert is_integer_map(h) and revalidates(h)
 
 
 @settings(max_examples=400, deadline=None)
 @given(pl_maps, pl_maps)
 def test_pl_compose_matches_oracle(f, g):
     check_pl(f, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pl_maps)
+def test_pl_inverse_matches_oracle(f):
+    h = pl.inverse(f)
+    assert h == oracle_pl_inverse(f)
+    assert is_integer_map(h) and revalidates(h)
 
 
 def test_pl_compose_shared_and_disjoint_supports():
@@ -143,6 +212,16 @@ def test_pl_compose_shared_and_disjoint_supports():
                  (b1, pl.IDENTITY), (pl.IDENTITY, t)):
         check_pl(f, g)
     assert pl.compose(b1, b2) == pl.compose(b2, b1)
+
+
+def test_pl_compose_across_denominators():
+    # slopes 2/3, 4/3, 3/7, ...: interpolated vertices get new denominators
+    f = pl.make_pl([(0, 0), (Fraction(1, 2), Fraction(1, 3)), (1, 1)])
+    g = pl.make_pl([(0, 0), (Fraction(1, 3), Fraction(4, 7)), (1, 1)])
+    t = pl.bump(Fraction(1, 7), Fraction(2, 3))
+    for a, b in ((f, g), (g, f), (f, t), (t, g), (g, pl.inverse(f))):
+        check_pl(a, b)
+    assert pl.compose(f, pl.inverse(f)) == pl.IDENTITY
 
 
 # ---------------------------------------------------------------------------

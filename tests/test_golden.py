@@ -6,8 +6,11 @@ once from the code before the matrix kernels were rewritten (adjugate
 inverse, triple-loop product); the small-size digests of every family were
 taken from the code before the engine built each conjugate once per
 (power, generator) and before the batteries merged part reports through
-``VerificationReport.extend``.  A kernel or engine change that alters any
-check, rendering or verdict shows up here.
+``VerificationReport.extend``; the rational-workload digests (``pl`` at
+bound 16 and ``wreath-tower`` at 200 samples, seeds 0 and 1) were taken
+from the code before IETs and PL maps were stored as integers over one
+denominator.  A kernel or engine change that alters any check, rendering
+or verdict shows up here.
 """
 
 import hashlib
@@ -51,10 +54,24 @@ SMALL_DIGESTS = {
     ("wreath-tower", None): "55b6faf0e0bad0f5ca0677f11e0b72fa1f1b43358f0d9a3b7d8bf1b33d55a701",
 }
 
+# (family, extra arguments, seed) -> digest: jobs of the rational workload
+# that the defaults above do not cover.
+RATIONAL_DIGESTS = {
+    ("pl", ("--size", "3", "--bound", "16"), 0):
+        "c107248ba7140dd40ff8ee63df2bb976d1eaeb85e030e2bbe7de023dbed6d7bc",
+    ("pl", ("--size", "3", "--bound", "16"), 1):
+        "d2851ed322a00c42ecf4a0789d0c5559b2fd251ee1f6a691d4e3d31133dc2aed",
+    ("wreath-tower", ("--samples", "200"), 0):
+        "3ac18e1532124ffef35ac1055aed32057fb3d997013fa141444cd525e2b51fda",
+    ("wreath-tower", ("--samples", "200"), 1):
+        "443925b51e1a39bca1856d4f68cbf66d819899cd0ef039cdb8d5c3f4b38f018b",
+}
 
-def _report_digest(tmp_path, family, size):
+
+def _report_digest(tmp_path, family, size, extra=(), seed=0):
     out = tmp_path / "report.json"
-    args = ["run", "--family", family, "--seed", "0", "--format", "json", "--out", str(out)]
+    args = ["run", "--family", family, "--seed", str(seed), "--format", "json",
+            "--out", str(out), *extra]
     if size is not None:
         args += ["--size", str(size)]
     assert cli.main(args) == cli.EXIT_OK
@@ -69,3 +86,9 @@ def test_matrix_family_size_6_report_is_golden(family, tmp_path):
 @pytest.mark.parametrize("family,size", sorted(SMALL_DIGESTS, key=str))
 def test_small_report_is_golden(family, size, tmp_path):
     assert _report_digest(tmp_path, family, size) == SMALL_DIGESTS[(family, size)]
+
+
+@pytest.mark.parametrize("family,extra,seed", sorted(RATIONAL_DIGESTS, key=str))
+def test_rational_report_is_golden(family, extra, seed, tmp_path):
+    assert (_report_digest(tmp_path, family, None, extra, seed)
+            == RATIONAL_DIGESTS[(family, extra, seed)])

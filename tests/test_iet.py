@@ -43,8 +43,9 @@ def test_invalid_partitions_rejected():
     with pytest.raises(iet.InvalidIetError):
         iet.make_iet([1, 2], [1])  # must start at 0
     with pytest.raises(iet.InvalidIetError):
-        iet.IetMap((Fraction(0), Fraction(1), Fraction(2)),
-                   (Fraction(1), Fraction(1)))  # not normal form and not a partition
+        iet.IetMap(1, (0, 1, 2), (1, 1))  # not normal form and not a partition
+    with pytest.raises(iet.InvalidIetError, match="lowest terms"):
+        iet.IetMap(2, (0, 2, 4), (2, -2))  # block_exchange(1) over denominator 2
 
 
 @pytest.mark.parametrize("bps, ts", [
@@ -64,8 +65,13 @@ def test_malformed_raw_intervals_rejected(bps, ts):
 
 
 def test_unnormalized_constructor_rejected():
-    with pytest.raises(iet.InvalidIetError):
-        iet.IetMap((Fraction(0), Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
+    with pytest.raises(iet.InvalidIetError, match="normal form"):
+        iet.IetMap(1, (0, 1, 2), (0, 0))
+    with pytest.raises(iet.InvalidIetError, match="lowest terms"):
+        iet.IetMap(3, (0, 3, 6), (3, -3))
+    with pytest.raises(iet.InvalidIetError, match="int"):
+        iet.IetMap(1, (Fraction(0), Fraction(1), Fraction(2)), (Fraction(1), Fraction(-1)))
+    assert iet.IetMap(2, (0, 1, 2), (1, -1)) == iet.block_exchange(Fraction(1, 2))
 
 
 seeds = st.integers(min_value=0, max_value=10_000)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccckit import perm as p
 
@@ -64,6 +64,39 @@ def test_parity_oracles():
     assert p.parity(p.block_swap(2)) == "even"
     assert p.parity(p.block_swap(3)) == "odd"
     assert p.parity(p.IDENTITY) == "even"
+
+
+def oracle_cycles(a: p.FinPerm) -> list[list[int]]:
+    """The former quadratic walk, following each cycle through
+    ``FinPerm.__call__``'s linear scan."""
+    seen: set[int] = set()
+    out: list[list[int]] = []
+    for start in a.support:
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        x = a(start)
+        while x != start:
+            cyc.append(x)
+            seen.add(x)
+            x = a(x)
+        out.append(cyc)
+    return out
+
+
+@st.composite
+def sparse_perm(draw):
+    points = draw(st.lists(st.integers(1, 60), unique=True, max_size=20))
+    return p.perm_from_mapping(dict(zip(points, draw(st.permutations(points)))))
+
+
+@settings(max_examples=300)
+@given(st.one_of(perm_st, sparse_perm()))
+@example(p.IDENTITY)
+@example(p.block_swap(256))
+def test_cycles_matches_oracle(a):
+    assert p.cycles(a) == oracle_cycles(a)
 
 
 def test_cycles_normal_form():

@@ -15,11 +15,16 @@ def test_apply_oracle():
 
 
 def test_vertex_validation():
+    with pytest.raises(pl.InvalidPlMapError, match="collinear"):
+        pl.PlMap(2, (0, 1, 2), (0, 1, 2))  # (1/2, 1/2) is a collinear interior vertex
     with pytest.raises(pl.InvalidPlMapError):
-        pl.PlMap(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)),
-                  (Fraction(1), Fraction(1))))  # collinear interior vertex
-    with pytest.raises(pl.InvalidPlMapError):
-        pl.PlMap(((Fraction(0), Fraction(0)),))
+        pl.PlMap(1, (0,), (0,))
+    with pytest.raises(pl.InvalidPlMapError, match="lowest terms"):
+        pl.PlMap(8, (0, 4, 8), (0, 6, 8))  # (1/2, 3/4) over denominator 8
+    with pytest.raises(pl.InvalidPlMapError, match="int"):
+        pl.PlMap(1, (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))
+    assert pl.PlMap(4, (0, 2, 4), (0, 3, 4)).vertices == (
+        (0, 0), (Fraction(1, 2), Fraction(3, 4)), (1, 1))
     with pytest.raises(pl.InvalidPlMapError):
         pl.make_pl([(0, 0), (Fraction(1, 2), Fraction(1, 4)),
                     (Fraction(1, 4), Fraction(1, 2)), (1, 1)])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -137,15 +138,32 @@ class PowerCountingPerm(p.PermFamily):
             self._depth -= 1
 
 
+class LowerEvalCountingHom(w.TowerHom):
+    """A TowerHom recording each evaluation below the top level.  Such an
+    evaluation happens only to build a conjugate ^(t^p) f(a_p), so an
+    element a evaluated at level L more often than there are positions p
+    one level up means some conjugate was computed twice."""
+
+    def __init__(self, tower, chain):
+        super().__init__(tower, chain)
+        self.lower = Counter()
+
+    def eval(self, u, level=None):
+        if level is not None and level < self.tower.depth:
+            self.lower[(level, u)] += 1
+        return super().eval(u, level)
+
+
 def test_tower_hom_computes_each_power_once():
     tower = w.TowerSpec((2,))
     plain = perm_chain()
     fam = PowerCountingPerm()
-    f = w.build_f(tower, w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
-    fam.calls.clear()  # the chain validation in build_f powers t_i itself
+    f = LowerEvalCountingHom(tower, w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
+    fam.calls.clear()  # the chain validation powers t_i itself
     H = GeneratorSet(fam, plain.generators)
     report = w.check_hom(f, H, sample_size=20, seed=4)
     assert fam.calls and len(fam.calls) == len(set(fam.calls))
+    assert f.lower and all(count <= plain.orders[level] for (level, _), count in f.lower.items())
     expected = w.check_hom(w.build_f(tower, plain), GeneratorSet(p.PERM, plain.generators),
                            sample_size=20, seed=4)
     assert report.to_dict() == expected.to_dict()
