@@ -1,9 +1,12 @@
 """Command line interface.
 
 ``ccckit run --family iet --seed 7 --format json`` runs one family battery
-and prints a deterministic report; ``ccckit list`` enumerates the families.
+and prints a deterministic report; ``ccckit list`` enumerates the families
+and the parameters each declares in ``suites.FAMILIES``, of which only the
+flags given are passed on.
 Exit codes: 0 all checks pass, 1 verification failure, 2 unknown family or
-invalid parameters, 3 I/O failure.
+invalid parameters (a flag the family does not take, or a value outside its
+domain), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_UNKNOWN_FAMILY = 2
 EXIT_IO_FAILURE = 3
 
+PARAMETERS = dict.fromkeys(name for battery in FAMILIES.values() for name in battery.params)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ccckit",
@@ -29,10 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one family battery")
     run_p.add_argument("--family", required=True)
-    run_p.add_argument("--size", type=int, default=2)
-    run_p.add_argument("--depth", type=int, default=2)
-    run_p.add_argument("--bound", type=int, default=8)
-    run_p.add_argument("--samples", type=int, default=50)
+    for name in PARAMETERS:
+        run_p.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS, help="see `ccckit list`")
     run_p.add_argument("--seed", type=int, default=None,
                        help="default: CCCKIT_SEED env var, else 0")
     run_p.add_argument("--format", choices=("json", "text"), default="text")
@@ -60,8 +63,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
-        for name, (_, description) in FAMILIES.items():
-            print(f"{name:13s} {description}")
+        for name, battery in FAMILIES.items():
+            params = "  ".join(f"--{p} {default} ({battery.domain(p)})"
+                               for p, (default, _, _) in battery.params.items())
+            print(f"{name:13s} {battery.description}\n{'':13s} {params}")
         return EXIT_OK
 
     if args.family not in FAMILIES:
@@ -79,8 +84,8 @@ def main(argv=None) -> int:
             return EXIT_UNKNOWN_FAMILY
 
     try:
-        report = run_family(args.family, size=args.size, depth=args.depth,
-                            bound=args.bound, samples=args.samples, seed=seed)
+        report = run_family(args.family, seed=seed,
+                            **{p: v for p, v in vars(args).items() if p in PARAMETERS})
     except (ValueError, KeyError, CcckitError) as exc:
         print(f"cannot run family {args.family!r}: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_FAMILY

@@ -213,6 +213,8 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, hs_inv: Sequence, tp_
     and t^-p, so inv(t^p) is read from it.  Each conjugate ^(t^p) h_j and its
     inverse are built once per (p, j); each pair then costs three products.
     """
+    if not hs:
+        raise ValueError("empty generator set: nothing to check")
     for p in powers:
         tp, tp_inv = tp_cache[p], tp_cache[-p]
         conjs = [fam.mul(fam.mul(tp, hj), tp_inv) for hj in hs]

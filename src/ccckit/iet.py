@@ -179,7 +179,10 @@ def block_exchange_witness(n) -> Witness:
 
 def rotation(length, amount) -> IetMap:
     """Rotation of [0, length) by amount (mod length), identity beyond."""
-    length, amount = Fraction(length), Fraction(amount) % Fraction(length)
+    length = Fraction(length)
+    if length <= 0:
+        raise ValueError(f"block length must be > 0, got {length}")
+    amount = Fraction(amount) % length
     if amount == 0:
         return IDENTITY
     return make_iet([0, length - amount, length], [amount, amount - length])

@@ -2,14 +2,17 @@
 
 Each battery assembles a concrete finitely generated subgroup, constructs
 the family's witness, runs the commutation engine plus any family-specific
-side checks (form preservation, parity, geometric supports), and returns a
-plain report dictionary ready for JSON serialization.  Everything is
-deterministic given the seed.
+side checks (form preservation, parity, geometric supports), and returns its
+report.  FAMILIES declares each battery's parameters once, for run_family
+and the CLI.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import braid as braidmod
 from . import freegroup as fg
@@ -21,36 +24,20 @@ from . import wreath as wreathmod
 from .core import GeneratorSet, VerificationReport, verify_ccc
 
 
-def _report_dict(family: str, params: dict, report: VerificationReport, seed: int) -> dict:
-    d = report.to_dict()
-    return {
-        "family": family,
-        "params": params,
-        "checks": d["checks"],
-        "bounded": d["bounded"],
-        "seed": seed,
-        # fixed at 0 so identical configs produce byte-identical reports
-        "elapsed_ms": 0,
-    }
-
-
 # ---------------------------------------------------------------------------
 # perm
 
 
-def perm_battery(size: int, seed: int = 0, **_) -> dict:
+def perm_battery(size: int, seed: int) -> VerificationReport:
     fam = permmod.PERM
-    gens: tuple = ()
-    if size >= 2:
-        gens = (permmod.perm_from_cycles([list(range(1, size + 1))]),
-                permmod.perm_from_cycles([[1, 2]]))
-    H = GeneratorSet(fam, gens)
-    w = permmod.block_swap_witness(size)
+    H = GeneratorSet(fam, (permmod.perm_from_cycles([list(range(1, size + 1))]),
+                           permmod.perm_from_cycles([[1, 2]])))
+    w = permmod.block_swap_witness(size + size % 2)  # even: stabilize odd sizes once
     report = verify_ccc(H, w, suite="perm")
     t = w.t
     report.record("witness^2 = id", fam.is_identity(fam.mul(t, t)), fam.render(fam.mul(t, t)), "e")
     report.record("witness parity even", permmod.parity(t) == "even", permmod.parity(t), "even")
-    return _report_dict("perm", {"size": size}, report, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +104,9 @@ def _matrix_generators(family: str, n: int, modulus):
     raise ValueError(f"unknown matrix family {family!r}")
 
 
-def matrix_battery(family: str, size: int, seed: int = 0, moduli=(None, 5), **_) -> dict:
+def matrix_battery(family: str, size: int, seed: int) -> VerificationReport:
     combined = VerificationReport(f"matrix-{family.lower()}")
-    for modulus in moduli:
+    for modulus in MATRIX_MODULI:
         n = size
         gens = _matrix_generators(family, n, modulus)
         if family != "Onn" and n % 2 != 0:
@@ -158,17 +145,14 @@ def matrix_battery(family: str, size: int, seed: int = 0, moduli=(None, 5), **_)
             for i, g in enumerate(embedded):
                 combined.record(f"{ring}: embedded generator {i + 1} preserves split form",
                                 mat.preserves_form(g, tag), "g^T J g", "J")
-    return _report_dict(family.lower(), {"size": size, "moduli": [m or 0 for m in moduli]},
-                        combined, seed)
+    return combined
 
 
 # ---------------------------------------------------------------------------
 # braid
 
 
-def braid_battery(size: int, seed: int = 0, **_) -> dict:
-    if size < 2:  # H = <sigma_1, ..., sigma_(n-1)> is empty: no commutation check
-        raise ValueError(f"need size >= 2, got {size}")
+def braid_battery(size: int, seed: int) -> VerificationReport:
     n = size
     fam = braidmod.BraidFamily(2 * n)
     w = braidmod.block_pass_witness(n)
@@ -192,14 +176,14 @@ def braid_battery(size: int, seed: int = 0, **_) -> dict:
             rhs = braidmod.braid(2 * n, (j, i))
             report.record(f"sigma_{i} sigma_{j} = sigma_{j} sigma_{i}",
                           braidmod.braids_equal(lhs, rhs), str(lhs), str(rhs))
-    return _report_dict("braid", {"size": size}, report, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # free group automorphisms
 
 
-def aut_free_battery(size: int, seed: int = 0, **_) -> dict:
+def aut_free_battery(size: int, seed: int) -> VerificationReport:
     n = size
     rank = 2 * n
     fam = fg.FreeAutFamily(rank)
@@ -209,20 +193,20 @@ def aut_free_battery(size: int, seed: int = 0, **_) -> dict:
         gens.append(fg.extend_rank(fg.nielsen_aut(n, 1, 2), rank))
         gens.append(fg.extend_rank(
             fg.permutation_aut(n, {i: i % n + 1 for i in range(1, n + 1)}), rank))
-    elif n == 1:
+    else:
         gens.append(fg.extend_rank(fg.inversion_aut(1, 1), rank))
     H = GeneratorSet(fam, tuple(gens))
     report = verify_ccc(H, w, suite="aut-free")
     t2 = fam.mul(w.t, w.t)
     report.record("witness^2 = id", fam.is_identity(t2), fam.render(t2), "identity assignment")
-    return _report_dict("aut-free", {"size": size}, report, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # interval exchanges
 
 
-def iet_battery(size: int, seed: int = 0, **_) -> dict:
+def iet_battery(size: int, seed: int) -> VerificationReport:
     report = VerificationReport("iet")
     fam = ietmod.IET
     for block in (Fraction(size), Fraction(size) / 2, Fraction(size) * 2):
@@ -233,20 +217,17 @@ def iet_battery(size: int, seed: int = 0, **_) -> dict:
         t2 = fam.mul(w.t, w.t)
         report.record(f"block {block}: witness^2 = id", fam.is_identity(t2),
                       fam.render(t2), "id")
-    return _report_dict("iet", {"size": size}, report, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # piecewise linear maps
 
 
-def pl_battery(size: int, bound: int = 8, seed: int = 0, **_) -> dict:
+def pl_battery(size: int, bound: int, seed: int) -> VerificationReport:
     report = VerificationReport("pl", bounded=True)
-    instances = [
-        (Fraction(1, 4), Fraction(1, 2)),
-        (Fraction(1, 8), Fraction(1, 4)),
-        (Fraction(3, 8), Fraction(1, 2)),
-    ][: max(1, min(3, size))]
+    instances = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 8), Fraction(1, 4)),
+                 (Fraction(3, 8), Fraction(1, 2))][:size]
     for a, b in instances:
         H = GeneratorSet(plmod.PL, (plmod.bump(a, b),))
         w = plmod.displacement_witness(a, b, bound)
@@ -254,7 +235,7 @@ def pl_battery(size: int, bound: int = 8, seed: int = 0, **_) -> dict:
         esc = plmod.displacement_escalates(w.t, a, b, bound)
         report.record(f"[{a},{b}]: displacement escalation", all(esc),
                       " ".join("ok" if e else "fail" for e in esc), "all ok")
-    return _report_dict("pl", {"size": size, "bound": bound}, report, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +255,7 @@ def perm_chain() -> wreathmod.WitnessChain:
     return wreathmod.WitnessChain(fam, H, (permmod.block_swap(4), permmod.block_swap(8)), (2, 2))
 
 
-def wreath_tower_battery(depth: int = 2, samples: int = 50, seed: int = 0, **_) -> dict:
-    if depth != 2:
-        raise ValueError("only depth-2 towers are shipped")
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
+def wreath_tower_battery(depth: int, samples: int, seed: int) -> VerificationReport:
     tower = wreathmod.TowerSpec((2,))
     report = VerificationReport("wreath-tower", bounded=True)
     for label, chain in (("iet", iet_chain()), ("perm", perm_chain())):
@@ -286,14 +263,14 @@ def wreath_tower_battery(depth: int = 2, samples: int = 50, seed: int = 0, **_) 
         H = GeneratorSet(chain.family, chain.generators)
         report.extend(wreathmod.check_hom(f, H, sample_size=samples, seed=seed),
                       prefix=f"{label}: ")
-    return _report_dict("wreath-tower", {"depth": depth, "samples": samples}, report, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # closure systems
 
 
-def closure_battery(size: int = 2, seed: int = 0, **_) -> dict:
+def closure_battery(size: int, seed: int) -> VerificationReport:
     report = VerificationReport("closure")
     batteries = [
         ("perm", GeneratorSet(permmod.PERM, (permmod.perm_from_cycles([[1, 2, 3]]),
@@ -304,44 +281,72 @@ def closure_battery(size: int = 2, seed: int = 0, **_) -> dict:
     ]
     for label, H in batteries:
         report.extend(wreathmod.closure_system_witness(H), prefix=f"{label}: ")
-    return _report_dict("closure", {"size": size}, report, seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-FAMILIES: dict[str, tuple] = {
-    "perm": (perm_battery,
-             "finite-support permutations; order-2 block-swap witness (finite mode, n = 2)"),
-    "gl": (lambda **kw: matrix_battery("GL", **kw),
-           "stable general linear group over Z and Z/5; block-swap permutation witness"),
-    "sl": (lambda **kw: matrix_battery("SL", **kw),
-           "stable special linear group over Z and Z/5; block-swap permutation witness"),
-    "e": (lambda **kw: matrix_battery("E", **kw),
-          "stable elementary matrix group over Z and Z/5; block-swap permutation witness"),
-    "sp": (lambda **kw: matrix_battery("Sp", **kw),
-           "stable symplectic group; paired block-swap witness preserving the symplectic form"),
-    "onn": (lambda **kw: matrix_battery("Onn", **kw),
-            "stable split orthogonal group; witness exchanging the first half of the basis"),
-    "braid": (braid_battery,
-              "stable braid group; block-pass witness validated through the free group action"),
-    "aut-free": (aut_free_battery,
-                 "stable automorphisms of free groups; generator block-swap witness"),
-    "iet": (iet_battery,
-            "interval exchanges of the half line; block-exchange witness (finite mode, n = 2)"),
-    "pl": (pl_battery,
-           "compactly supported piecewise linear maps; displacement witness, bounded Z-mode"),
-    "wreath-tower": (wreath_tower_battery,
-                     "iterated wreath tower homomorphism machinery; bounded seeded checks"),
-    "closure": (closure_battery,
-                "equation system [g_i, ^x g_j] = e, [g_i, x^2] = e solved in the index-2 wreath"),
+@dataclass(frozen=True)
+class Battery:
+    """A battery: its run function, its parameters besides seed, each mapped
+    to (default, low, high) with high None for no limit, and fixed params."""
+
+    run: Callable[..., VerificationReport]
+    params: dict[str, tuple[int, int, int | None]]
+    description: str
+    fixed: dict = field(default_factory=dict)
+
+    def domain(self, name: str) -> str:
+        _, low, high = self.params[name]
+        return f"= {low}" if low == high else f">= {low}" if high is None else f"in {low}..{high}"
+
+
+MATRIX_MODULI = (None, 5)  # Z and Z/5; reports write Z as 0
+SIZE, SIZE_2_UP = {"size": (2, 1, None)}, {"size": (2, 2, None)}  # H is empty below 2
+MODULI = {"moduli": [m or 0 for m in MATRIX_MODULI]}
+
+FAMILIES: dict[str, Battery] = {
+    "perm": Battery(perm_battery, SIZE_2_UP,
+                    "finite-support permutations; order-2 block-swap witness (finite mode, n = 2)"),
+    "gl": Battery(partial(matrix_battery, "GL"), SIZE, "stable general linear group over Z and "
+                  "Z/5; block-swap permutation witness", MODULI),
+    "sl": Battery(partial(matrix_battery, "SL"), SIZE_2_UP, "stable special linear group over Z "
+                  "and Z/5; block-swap permutation witness", MODULI),
+    "e": Battery(partial(matrix_battery, "E"), SIZE_2_UP, "stable elementary matrix group over Z "
+                 "and Z/5; block-swap permutation witness", MODULI),
+    "sp": Battery(partial(matrix_battery, "Sp"), SIZE, "stable symplectic group; paired "
+                  "block-swap witness preserving the symplectic form", MODULI),
+    "onn": Battery(partial(matrix_battery, "Onn"), SIZE, "stable split orthogonal group; "
+                   "witness exchanging the first half of the basis", MODULI),
+    "braid": Battery(braid_battery, SIZE_2_UP,
+                     "stable braid group; block-pass witness validated through the free group action"),
+    "aut-free": Battery(aut_free_battery, SIZE,
+                        "stable automorphisms of free groups; generator block-swap witness"),
+    "iet": Battery(iet_battery, SIZE,
+                   "interval exchanges of the half line; block-exchange witness (finite mode, n = 2)"),
+    "pl": Battery(pl_battery, {**SIZE, "bound": (8, 1, None)},
+                  "compactly supported piecewise linear maps; displacement witness, bounded Z-mode"),
+    "wreath-tower": Battery(wreath_tower_battery, {"depth": (2, 2, 2), "samples": (50, 1, None)},
+                            "iterated wreath tower homomorphism machinery; bounded seeded checks"),
+    "closure": Battery(closure_battery, {"size": (2, 2, 2)}, "equation system [g_i, ^x g_j] = e, "
+                       "[g_i, x^2] = e solved in the index-2 wreath"),
 }
 
 
-def run_family(family: str, size: int = 2, depth: int = 2, bound: int = 8,
-               samples: int = 50, seed: int = 0) -> dict:
-    if family not in FAMILIES:
-        raise KeyError(family)
-    builder = FAMILIES[family][0]
-    return builder(size=size, depth=depth, bound=bound, samples=samples, seed=seed)
+def run_family(family: str, seed: int = 0, **given) -> dict:
+    """Run one battery with defaults for the parameters not given.  An
+    undeclared parameter or a value outside its domain raises ValueError
+    before any group operation; an unknown family raises KeyError."""
+    battery = FAMILIES[family]
+    for name, value in given.items():
+        if name not in battery.params:
+            raise ValueError(f"no parameter {name!r} (takes {', '.join(battery.params)})")
+        _, low, high = battery.params[name]
+        if not isinstance(value, int) or value < low or (high is not None and value > high):
+            raise ValueError(f"need {name} {battery.domain(name)}, got {value!r}")
+    values = {name: given.get(name, default) for name, (default, _, _) in battery.params.items()}
+    report = battery.run(seed=seed, **values).to_dict()
+    return {"family": family, "params": {**values, **battery.fixed}, "checks": report["checks"],
+            "bounded": report["bounded"], "seed": seed, "elapsed_ms": 0}  # same run, same bytes

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from ccckit import cli
+from ccckit.suites import FAMILIES
 
 
 def run(capsys, *argv):
@@ -16,6 +18,16 @@ def test_list(capsys):
     assert code == cli.EXIT_OK
     for family in ("perm", "sp", "iet", "wreath-tower", "closure"):
         assert family in out
+
+
+def test_list_parameters_match_readme_table(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    _, out, _ = run(capsys, "list")
+    lines = out.splitlines()
+    assert len(lines) == 2 * len(FAMILIES)  # a description and a parameter line each
+    for head, params in zip(lines[::2], lines[1::2]):
+        family = head.split()[0]
+        assert f"| `{family}` | `{params.strip()}` |" in readme, family
 
 
 def test_run_text(capsys):
@@ -85,7 +97,6 @@ def test_determinism_same_seed(capsys):
 
 
 def test_every_family_runs_clean(capsys):
-    from ccckit.suites import FAMILIES
     for family in FAMILIES:
         code, out, err = run(capsys, "run", "--family", family, "--format", "json")
         assert code == cli.EXIT_OK, (family, err)
@@ -95,6 +106,15 @@ def test_every_family_runs_clean(capsys):
     ("--family", "pl", "--bound", "0"),     # WitnessModeError
     ("--family", "iet", "--size", "-1"),    # InvalidIetError
     ("--family", "braid", "--size", "4"),   # equality letter cap
+    ("--family", "iet", "--size", "0"),     # below the declared domain
+    ("--family", "sl", "--size", "1"),      # H would be empty
+    ("--family", "e", "--size", "1"),
+    ("--family", "pl", "--size", "0"),
+    ("--family", "perm", "--size", "1"),
+    ("--family", "closure", "--size", "7"),  # one shipped configuration
+    ("--family", "wreath-tower", "--size", "9"),  # a flag the family does not take
+    ("--family", "wreath-tower", "--depth", "3"),
+    ("--family", "iet", "--bound", "3"),
 ])
 def test_invalid_parameters_exit_2_without_report(capsys, argv):
     code, out, err = run(capsys, "run", *argv, "--format", "json")

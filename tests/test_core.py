@@ -91,6 +91,20 @@ def test_verify_ccc_rejects_zmode():
         verify_ccc(H, Witness(PERM.identity(), ZMode(4)))
 
 
+def test_verify_ccc_rejects_empty_generator_set():
+    # an empty battery is not a pass
+    with pytest.raises(ValueError, match="empty generator set"):
+        verify_ccc(GeneratorSet(PERM, ()), block_swap_witness(2))
+
+
+def test_verify_czc_rejects_empty_generator_set():
+    t = pl.displacement_witness("1/4", "1/2", bound=4)
+    with pytest.raises(ValueError, match="empty generator set"):
+        verify_czc(GeneratorSet(pl.PL, ()), t)
+    with pytest.raises(WitnessModeError):  # the mode is checked first
+        verify_czc(GeneratorSet(pl.PL, ()), Witness(t.t, Finite(2)))
+
+
 def test_verify_czc_is_labeled_bounded():
     t = pl.displacement_witness("1/4", "1/2", bound=4)
     H = GeneratorSet(pl.PL, (pl.bump("1/4", "1/2"),))

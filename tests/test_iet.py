@@ -26,6 +26,13 @@ def test_block_exchange_involution():
     assert iet.apply(t, 4) == 4
 
 
+@pytest.mark.parametrize("length", [0, -1, Fraction(-1, 2)])
+def test_nonpositive_length_rejected(length):
+    for make in (lambda: iet.rotation(length, Fraction(1, 3)), lambda: iet.block_exchange(length)):
+        with pytest.raises(ValueError, match="block length must be > 0"):
+            make()
+
+
 def test_normal_form_merges_and_absorbs():
     f = iet.make_iet([0, 1, 2, 3], [1, 1, -2])
     assert f.breakpoints == (0, 2, 3)
