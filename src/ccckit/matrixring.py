@@ -2,6 +2,17 @@
 groups' corner/symplectic embeddings, bilinear form checks, and order-2
 block-swap witnesses.
 
+Matrices are stored sparsely.  The stable groups are direct limits
+GL(R) = colim GL_n(R), so each element differs from the identity in a
+finite block, and most entries of the batteries' matrices are 0.  A
+`SquareMatrix(size, rows, modulus)` keeps in rows[i] the nonzero entries of
+row i as (column, value) pairs, columns strictly increasing, values reduced
+for the modulus.  That form is unique, so equal matrices have equal fields.
+Products, transposes, embeddings and supports work on these rows and touch
+only nonzeros.  The read-only `entries` property builds the dense rows for
+the code that reads every entry: determinants, the inverse's elimination
+pass and rendering.
+
 Determinants use fraction-free (Bareiss) elimination over Z; modular
 determinants reduce the integer determinant, since reduction mod m is a
 ring homomorphism.  Inverses run one fraction-free Gauss-Jordan pass over
@@ -13,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -33,35 +43,89 @@ def _reduce(v: int, modulus: int | None) -> int:
     return v % modulus if modulus is not None else v
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_modulus(modulus) -> None:
+    """Runs before any reduction, so a bad modulus never reaches `%`."""
+    if modulus is not None and not (_is_int(modulus) and modulus >= 2):
+        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+
+
+Row = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
-    entries: tuple[tuple[int, ...], ...]
+    """A size x size matrix; rows[i] holds row i's nonzero entries as
+    (column, value) pairs, columns strictly increasing in [0, size) and
+    values nonzero and reduced for the modulus."""
+
+    size: int
+    rows: tuple[Row, ...]
     modulus: int | None = None
 
     def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square")
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if any(e != _reduce(e, self.modulus) for row in self.entries for e in row):
-            raise ValueError("entries not reduced for the modulus")
+        _check_modulus(self.modulus)
+        n = self.size
+        if not (_is_int(n) and isinstance(self.rows, tuple) and len(self.rows) == n):
+            raise ValueError(f"a size {n!r} matrix needs a tuple of {n!r} rows")
+        for i, row in enumerate(self.rows):
+            if not isinstance(row, tuple):
+                raise ValueError(f"row {i} is not a tuple of (column, value) pairs")
+            last = -1
+            for pair in row:
+                if not (isinstance(pair, tuple) and len(pair) == 2):
+                    raise ValueError(f"row {i}: {pair!r} is not a (column, value) pair")
+                column, value = pair
+                if not (_is_int(column) and last < column < n):
+                    raise ValueError(f"row {i}: columns must increase strictly within "
+                                     f"[0, {n}), got {column!r} after {last}")
+                if not _is_int(value) or value == 0 or value != _reduce(value, self.modulus):
+                    raise ValueError(f"row {i}: entry {value!r} is not a nonzero integer "
+                                     f"reduced mod {self.modulus}")
+                last = column
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows."""
+        out = []
+        for row in self.rows:
+            dense = [0] * self.size
+            for column, value in row:
+                dense[column] = value
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __str__(self) -> str:
         return render_matrix(self)
 
 
+def _integer(e) -> int:
+    if not _is_int(e):  # int(1.5) would silently truncate
+        raise ValueError(f"matrix entries must be integers, got {e!r}")
+    return e
+
+
+def _sparse_rows(dense, modulus: int | None) -> tuple[Row, ...]:
+    """The nonzero (column, value) pairs of each dense row, values reduced."""
+    return tuple(tuple((c, v) for c, e in enumerate(row) if (v := _reduce(e, modulus)))
+                 for row in dense)
+
+
 def matrix(rows, modulus: int | None = None) -> SquareMatrix:
-    return SquareMatrix(tuple(tuple(_reduce(int(e), modulus) for e in row) for row in rows),
-                        modulus)
+    """The matrix with the given dense integer rows, reduced for the modulus."""
+    _check_modulus(modulus)
+    dense = [[_integer(e) for e in row] for row in rows]
+    n = len(dense)
+    if any(len(row) != n for row in dense):
+        raise ValueError("matrix must be square")
+    return SquareMatrix(n, _sparse_rows(dense, modulus), modulus)
 
 
 def identity_matrix(n: int, modulus: int | None = None) -> SquareMatrix:
-    return matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], modulus)
+    return SquareMatrix(n, tuple(((i, 1),) for i in range(n)), modulus)
 
 
 def _check_compat(a: SquareMatrix, b: SquareMatrix) -> None:
@@ -71,20 +135,40 @@ def _check_compat(a: SquareMatrix, b: SquareMatrix) -> None:
 
 
 def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """Row i of a*b is the sum of x * (row k of b) over the pairs (k, x) of
+    row i of a, accumulated by column; the work is one multiply-add per
+    pair of matching nonzeros."""
     _check_compat(a, b)
-    cols = tuple(zip(*b.entries))
-    return trusted(SquareMatrix, tuple(tuple(_reduce(sum(map(operator.mul, row, col)), a.modulus)
-                                             for col in cols) for row in a.entries), a.modulus)
+    modulus = a.modulus
+    b_rows = b.rows
+    out = []
+    for row in a.rows:
+        if len(row) == 1 and row[0][1] == 1:  # a unit-vector row picks one row of b
+            out.append(b_rows[row[0][0]])
+            continue
+        acc: dict[int, int] = {}
+        for k, x in row:
+            for j, y in b_rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        if modulus is None:
+            out.append(tuple(sorted(item for item in acc.items() if item[1])))
+        else:
+            out.append(tuple(sorted((j, r) for j, v in acc.items() if (r := v % modulus))))
+    return trusted(SquareMatrix, a.size, tuple(out), modulus)
 
 
 def transpose(a: SquareMatrix) -> SquareMatrix:
-    return matrix(list(zip(*a.entries)), a.modulus)
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(a.size)]
+    for i, row in enumerate(a.rows):  # rows in order, so each column comes out sorted
+        for j, value in row:
+            cols[j].append((i, value))
+    return trusted(SquareMatrix, a.size, tuple(map(tuple, cols)), a.modulus)
 
 
 def det(a: SquareMatrix) -> int:
     """Determinant; exact Bareiss elimination over Z, reduced for Z/m."""
     n = a.size
-    m = [[int(e) for e in row] for row in a.entries]
+    m = [list(row) for row in a.entries]
     sign_flip = 1
     prev = 1
     for k in range(n - 1):
@@ -161,8 +245,8 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
         if math.gcd(d, a.modulus) != 1:
             raise NotInvertibleError(f"determinant {d} is not a unit mod {a.modulus}")
         unit = pow(d, -1, a.modulus)
-    return trusted(SquareMatrix, tuple(tuple(_reduce(unit * e, a.modulus) for e in row)
-                                       for row in adj), a.modulus)
+    return trusted(SquareMatrix, a.size,
+                   _sparse_rows(([unit * e for e in row] for row in adj), a.modulus), a.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +266,16 @@ class FormTag:
 
 
 def form_matrix(tag: FormTag, modulus: int | None = None) -> SquareMatrix:
-    n = tag.size
-    if tag.kind == "symplectic":
-        half = n // 2
-        rows = [[0] * n for _ in range(n)]
-        for i in range(half):
-            rows[i][half + i] = 1
-            rows[half + i][i] = -1
-        return matrix(rows, modulus)
-    if tag.kind == "split-orthogonal":
+    _check_modulus(modulus)
+    n, half, minus_one = tag.size, tag.size // 2, _reduce(-1, modulus)
+    if tag.kind == "symplectic":  # [[0, I], [-I, 0]]
+        rows = [((half + i, 1),) for i in range(half)] + [((i, minus_one),) for i in range(half)]
+    elif tag.kind == "split-orthogonal":
         # I_(n/2) tensor diag(1, -1): alternating +1/-1 down the diagonal
-        return matrix([[(1 if i % 2 == 0 else -1) if i == j else 0 for j in range(n)]
-                       for i in range(n)], modulus)
-    return identity_matrix(n, modulus)
+        rows = [((i, minus_one if i % 2 else 1),) for i in range(n)]
+    else:
+        rows = [((i, 1),) for i in range(n)]
+    return SquareMatrix(n, tuple(rows), modulus)
 
 
 def preserves_form(a: SquareMatrix, tag: FormTag) -> bool:
@@ -215,80 +296,44 @@ def corner_embed(a: SquareMatrix, n: int) -> SquareMatrix:
     """Upper-left corner inclusion, 1s on the remaining diagonal."""
     if n < a.size:
         raise ValueError(f"target size {n} smaller than matrix size {a.size}")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(a.size):
-        for j in range(a.size):
-            rows[i][j] = a.entries[i][j]
-    for i in range(a.size, n):
-        rows[i][i] = 1
-    return matrix(rows, a.modulus)
-
-
-def sp_embed(a: SquareMatrix) -> SquareMatrix:
-    """The literal block stabilization Sp_2n -> Sp_2n+2: the new symplectic
-    coordinate pair receives the fixed entries +1 / -1 (so the image of the
-    identity differs from I at exactly those two slots).  Form preservation
-    is exact; the map is a homomorphism only after correcting by the image
-    of the identity, which sp_corner_embed does.
-    """
-    if a.size % 2 != 0:
-        raise ValueError("symplectic matrix must have even size")
-    if not preserves_form(a, FormTag("symplectic", a.size)):
-        raise ValueError("input does not preserve the symplectic form")
-    half = a.size // 2
-    n = a.size + 2
-    rows = [[0] * n for _ in range(n)]
-    for i in range(half):
-        for j in range(half):
-            rows[i][j] = a.entries[i][j]                      # M block
-            rows[i][half + 1 + j] = a.entries[i][half + j]    # N block
-            rows[half + 1 + i][j] = a.entries[half + i][j]    # R block
-            rows[half + 1 + i][half + 1 + j] = a.entries[half + i][half + j]  # S block
-    rows[half][n - 1] = 1
-    rows[n - 1][half] = _reduce(-1, a.modulus)
-    return matrix(rows, a.modulus)
+    return trusted(SquareMatrix, n, a.rows + tuple(((i, 1),) for i in range(a.size, n)),
+                   a.modulus)
 
 
 def sp_corner_embed(a: SquareMatrix) -> SquareMatrix:
-    """Homomorphic symplectic stabilization: identity on the new pair.
-    Equals sp_embed(a) * sp_embed(I)^-1."""
+    """Homomorphic symplectic stabilization Sp_2k -> Sp_2k+2: the new
+    coordinate pair, 0-based (k, 2k + 1), gets the identity, and the old
+    coordinates k..2k-1 move up by one."""
     if a.size % 2 != 0:
         raise ValueError("symplectic matrix must have even size")
     if not preserves_form(a, FormTag("symplectic", a.size)):
         raise ValueError("input does not preserve the symplectic form")
     half = a.size // 2
     n = a.size + 2
-    rows = [[0] * n for _ in range(n)]
-    for i in range(half):
-        for j in range(half):
-            rows[i][j] = a.entries[i][j]
-            rows[i][half + 1 + j] = a.entries[i][half + j]
-            rows[half + 1 + i][j] = a.entries[half + i][j]
-            rows[half + 1 + i][half + 1 + j] = a.entries[half + i][half + j]
-    rows[half][half] = 1
-    rows[n - 1][n - 1] = 1
-    return matrix(rows, a.modulus)
+
+    def shift(row: Row) -> Row:
+        return tuple((c + (c >= half), v) for c, v in row)
+
+    rows = (*map(shift, a.rows[:half]), ((half, 1),), *map(shift, a.rows[half:]),
+            ((n - 1, 1),))
+    return trusted(SquareMatrix, n, rows, a.modulus)
 
 
 def perm_to_matrix(sigma: permmod.FinPerm, n: int, modulus: int | None = None) -> SquareMatrix:
     """Permutation matrix: column i carries e_sigma(i)."""
     if any(p > n for p in sigma.support):
         raise ValueError(f"permutation support exceeds {n}")
-    rows = [[0] * n for _ in range(n)]
+    rows = [()] * n
     for i in range(1, n + 1):
-        rows[sigma(i) - 1][i - 1] = 1
-    return matrix(rows, modulus)
+        rows[sigma(i) - 1] = ((i - 1, 1),)
+    return SquareMatrix(n, tuple(rows), modulus)
 
 
 def sp_perm_embed(sigma: permmod.FinPerm, n: int, modulus: int | None = None) -> SquareMatrix:
     """sigma -> diag(M_sigma, M_sigma), a symplectic matrix of size 2n."""
     m = perm_to_matrix(sigma, n, modulus)
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = m.entries[i][j]
-            rows[n + i][n + j] = m.entries[i][j]
-    return matrix(rows, modulus)
+    lower = tuple(tuple((c + n, v) for c, v in row) for row in m.rows)
+    return trusted(SquareMatrix, 2 * n, m.rows + lower, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +420,11 @@ def elementary(n: int, i: int, j: int, r: int = 1, modulus: int | None = None) -
 def support_indices(a: SquareMatrix) -> set[int]:
     """Rows/columns (1-based) where the matrix differs from the identity."""
     out = set()
-    for i in range(a.size):
-        for j in range(a.size):
-            expected = 1 if i == j else 0
-            if a.entries[i][j] != _reduce(expected, a.modulus):
-                out.add(i + 1)
-                out.add(j + 1)
+    for i, row in enumerate(a.rows):
+        off_diagonal = [c + 1 for c, _ in row if c != i]
+        if off_diagonal or (i, 1) not in row:
+            out.add(i + 1)
+        out.update(off_diagonal)
     return out
 
 
@@ -402,4 +446,6 @@ def parse_matrix(text: str) -> SquareMatrix:
     m = _MOD_RE.match(text.strip())
     body, mod = m.group(1), m.group(2)
     rows = json.loads(body)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"matrix body must be an array of rows, got {body!r}")
     return matrix(rows, int(mod) if mod else None)

@@ -72,10 +72,11 @@ def _matrix_generators(family: str, n: int, modulus):
         u = mat.elementary(n, 1, 2, 1) if n >= 2 else mat.identity_matrix(1)
         ut_inv = mat.mat_inv(mat.transpose(u))
         diag_u = [[0] * (2 * n) for _ in range(2 * n)]
+        u_rows, ut_inv_rows = u.entries, ut_inv.entries
         for r in range(n):
             for c in range(n):
-                diag_u[r][c] = u.entries[r][c]
-                diag_u[n + r][n + c] = ut_inv.entries[r][c]
+                diag_u[r][c] = u_rows[r][c]
+                diag_u[n + r][n + c] = ut_inv_rows[r][c]
         return [j, mat.matrix(upper, modulus), mat.matrix(diag_u, modulus)]
     if family == "Onn":
         size = 2 * n

@@ -9,7 +9,8 @@ taken from the code before the engine built each conjugate once per
 ``VerificationReport.extend``; the rational-workload digests (``pl`` at
 bound 16 and ``wreath-tower`` at 200 samples, seeds 0 and 1) were taken
 from the code before IETs and PL maps were stored as integers over one
-denominator.  A kernel or engine change that alters any check, rendering
+denominator.  The size-8 matrix digests were taken from the code before
+matrices were stored as sparse rows.  A kernel or engine change that alters any check, rendering
 or verdict shows up here.
 """
 
@@ -25,6 +26,14 @@ SIZE_6_DIGESTS = {
     "e": "0582ddbf98f4a212f2eb9c5f0e1e1fb48cd27eba485898d086cda0fdc9e65970",
     "sp": "9762a073d795064fef3e9334bacee802d7db9411e461be56997f4bba3da3fe96",
     "onn": "9e110ab3d9564a4eca0a9574e79a76b85d8345524d3f6cf097d26ebec7b2ca88",
+}
+
+SIZE_8_DIGESTS = {
+    "gl": "13346090d499a96e3ce076794641231ec00363cb9bf2e2efb438fdfabae52ae5",
+    "sl": "c9d007d0322caaff10f5a665d24067910bbee3e9aa40d484dffc933e483c7c6a",
+    "e": "32f3ec77af927ee6153c55e6cd96d927eaed25d992d9dcd02a9d43dae6406c97",
+    "sp": "08eb4c9140f222efe53d03993f1a8bcf2857d75fe67504628d74a24324ccb70d",
+    "onn": "f3980ff88d6deb7bbb4ed7724d37c698fde7ac4b237f89803be81f9f7bfbec3e",
 }
 
 # (family, size) -> digest; size None runs the family at its defaults.
@@ -81,6 +90,11 @@ def _report_digest(tmp_path, family, size, extra=(), seed=0):
 @pytest.mark.parametrize("family", sorted(SIZE_6_DIGESTS))
 def test_matrix_family_size_6_report_is_golden(family, tmp_path):
     assert _report_digest(tmp_path, family, 6) == SIZE_6_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(SIZE_8_DIGESTS))
+def test_matrix_family_size_8_report_is_golden(family, tmp_path):
+    assert _report_digest(tmp_path, family, 8) == SIZE_8_DIGESTS[family]
 
 
 @pytest.mark.parametrize("family,size", sorted(SMALL_DIGESTS, key=str))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import re
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ccckit import matrixring as m
 from ccckit import perm as p
 from ccckit.core import GeneratorSet, verify_ccc
+
+from util import revalidates
 
 
 def leibniz_det(a: m.SquareMatrix) -> int:
@@ -42,14 +45,117 @@ def adjugate_inv(a: m.SquareMatrix) -> m.SquareMatrix:
     n = a.size
 
     def minor(i, j):
-        return m.SquareMatrix(tuple(tuple(e for c, e in enumerate(row) if c != j)
-                                    for r, row in enumerate(a.entries) if r != i))
+        return m.matrix([[e for c, e in enumerate(row) if c != j]
+                         for r, row in enumerate(a.entries) if r != i])
 
     adj = [[(-1) ** (i + j) * m.det(minor(j, i)) for j in range(n)] for i in range(n)]
     return m.matrix([[unit * e for e in row] for row in adj], a.modulus)
 
 
+def dense_mul(a: m.SquareMatrix, b: m.SquareMatrix) -> m.SquareMatrix:
+    """Independent product oracle: every entry a dot product of a dense row
+    of a with a dense column of b."""
+    cols = tuple(zip(*b.entries))
+    return m.matrix([[sum(map(operator.mul, row, col)) for col in cols] for row in a.entries],
+                    a.modulus)
+
+
 small_entries = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def mul_operand(draw, n, modulus):
+    """A random matrix with entries biased to 0, an identity or a
+    permutation matrix."""
+    kind = draw(st.sampled_from(["random", "identity", "permutation"]))
+    if kind == "identity":
+        return m.identity_matrix(n, modulus)
+    if kind == "permutation":
+        images = draw(st.permutations(range(1, n + 1)))
+        sigma = p.perm_from_mapping(dict(zip(range(1, n + 1), images)))
+        return m.perm_to_matrix(sigma, n, modulus)
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-20, 20), st.integers())
+    return m.matrix([[draw(entry) for _ in range(n)] for _ in range(n)], modulus)
+
+
+@st.composite
+def mul_case(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    modulus = draw(st.sampled_from([None, 2, 5, 6, 12]))
+    return draw(mul_operand(n, modulus)), draw(mul_operand(n, modulus))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mul_case())
+def test_sparse_mul_matches_dense_oracle(pair):
+    a, b = pair
+    product = m.mat_mul(a, b)
+    assert product == dense_mul(a, b)
+    assert revalidates(product)
+    for x in (a, b, product):
+        assert m.matrix(x.entries, x.modulus) == x
+    t = m.transpose(a)
+    assert t.entries == tuple(zip(*a.entries)) and revalidates(t)
+    assert m.support_indices(a) == {k + 1 for i, row in enumerate(a.entries)
+                                    for j, e in enumerate(row) if e != int(i == j)
+                                    for k in (i, j)}
+    corner = m.corner_embed(a, a.size + 2)
+    assert revalidates(corner)
+    assert corner.entries == tuple(row + (0, 0) for row in a.entries) + tuple(
+        tuple(int(j == i) for j in range(a.size + 2)) for i in (a.size, a.size + 1))
+
+
+def test_sparse_rows_are_the_nonzero_entries():
+    a = m.matrix([[0, 3, 0], [0, 0, 0], [7, 0, 5]], 5)
+    assert a.size == 3
+    assert a.rows == (((1, 3),), (), ((0, 2),))
+    assert a.entries == ((0, 3, 0), (0, 0, 0), (2, 0, 0))
+    assert m.SquareMatrix(3, (((1, 3),), (), ((0, 2),)), 5) == a
+    assert m.identity_matrix(2).rows == (((0, 1),), ((1, 1),))
+
+
+@pytest.mark.parametrize("size,rows,modulus", [
+    (2, (((1, 1), (0, 1)), ()), None),  # unsorted columns
+    (2, (((0, 1), (0, 2)), ()), None),  # duplicate column
+    (2, (((2, 1),), ()), None),  # column outside [0, size)
+    (2, (((-1, 1),), ()), None),  # column outside [0, size)
+    (2, (((0, 0),), ()), None),  # explicit 0
+    (2, (((0, 5),), ()), 5),  # 0 mod 5, stored unreduced
+    (2, (((0, 7),), ()), 5),  # not reduced
+    (2, (((0, -1),), ()), 5),  # not reduced
+    (2, (((0, 1),),), None),  # fewer rows than size
+    (1, (((0, 1),), ((0, 1),)), None),  # more rows than size
+    (2, (((0, 1.5),), ()), None),  # not an integer
+    (2, ([(0, 1)], ()), None),  # a row that is not a tuple
+    (2, (((0, 1), 2), ()), None),  # not a pair
+    (1, (((0, 1),),), 1),  # modulus below 2
+    (1, (((0, 1),),), 0),
+])
+def test_square_matrix_rejects_broken_rows(size, rows, modulus):
+    with pytest.raises(ValueError):
+        m.SquareMatrix(size, rows, modulus)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: m.matrix([[1]], 0),
+    lambda: m.matrix([[1]], 1),
+    lambda: m.matrix([[1]], -3),
+    lambda: m.parse_matrix("[[1]] mod 0"),
+    lambda: m.parse_matrix("[[1]] mod 1"),
+    lambda: m.identity_matrix(2, 0),
+    lambda: m.elementary(2, 1, 2, 1, 0),
+    lambda: m.perm_to_matrix(p.perm_from_cycles([[1, 2]]), 2, 0),
+    lambda: m.matrix([[1.5]]),
+    lambda: m.parse_matrix("[[1.5]]"),
+    lambda: m.matrix([[1, 0], [0, "1"]]),
+    lambda: m.parse_matrix("[[true]]"),
+    lambda: m.parse_matrix("5"),
+    lambda: m.parse_matrix("[1, 2]"),
+    lambda: m.matrix([[1, 2]]),
+])
+def test_malformed_matrix_input_raises_value_error(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 @st.composite
@@ -199,17 +305,43 @@ def test_corner_embed_is_homomorphism():
     assert m.corner_embed(m.identity_matrix(2), 4) == m.identity_matrix(4)
 
 
+def sp_embed(a: m.SquareMatrix) -> m.SquareMatrix:
+    """The literal block stabilization Sp_2n -> Sp_2n+2: the new symplectic
+    coordinate pair receives the fixed entries +1 / -1 (so the image of the
+    identity differs from I at exactly those two slots).  Form preservation
+    is exact; the map is a homomorphism only after correcting by the image
+    of the identity, which m.sp_corner_embed does.
+    """
+    if a.size % 2 != 0:
+        raise ValueError("symplectic matrix must have even size")
+    if not m.preserves_form(a, m.FormTag("symplectic", a.size)):
+        raise ValueError("input does not preserve the symplectic form")
+    half = a.size // 2
+    n = a.size + 2
+    e = a.entries
+    rows = [[0] * n for _ in range(n)]
+    for i in range(half):
+        for j in range(half):
+            rows[i][j] = e[i][j]                                # M block
+            rows[i][half + 1 + j] = e[i][half + j]              # N block
+            rows[half + 1 + i][j] = e[half + i][j]              # R block
+            rows[half + 1 + i][half + 1 + j] = e[half + i][half + j]  # S block
+    rows[half][n - 1] = 1
+    rows[n - 1][half] = -1
+    return m.matrix(rows, a.modulus)
+
+
 def test_sp_embed_twisted_law():
     """The literal symplectic stabilization preserves the form but is a
     homomorphism only after correcting by the image of the identity."""
     a = m.elementary(2, 1, 2, 3)
     b = m.matrix([[0, -1], [1, 0]])
-    ea, eb = m.sp_embed(a), m.sp_embed(b)
+    ea, eb = sp_embed(a), sp_embed(b)
     assert m.preserves_form(ea, m.FormTag("symplectic", 4))
-    assert m.sp_embed(m.identity_matrix(2)) != m.identity_matrix(4)
-    assert m.sp_embed(m.mat_mul(a, b)) != m.mat_mul(ea, eb)
-    corrector = m.mat_inv(m.sp_embed(m.identity_matrix(2)))
-    assert m.sp_embed(m.mat_mul(a, b)) == m.mat_mul(m.mat_mul(ea, eb), corrector)
+    assert sp_embed(m.identity_matrix(2)) != m.identity_matrix(4)
+    assert sp_embed(m.mat_mul(a, b)) != m.mat_mul(ea, eb)
+    corrector = m.mat_inv(sp_embed(m.identity_matrix(2)))
+    assert sp_embed(m.mat_mul(a, b)) == m.mat_mul(m.mat_mul(ea, eb), corrector)
 
 
 def test_sp_corner_embed_is_homomorphism():
@@ -219,13 +351,23 @@ def test_sp_corner_embed_is_homomorphism():
         m.sp_corner_embed(a), m.sp_corner_embed(b))
     assert m.sp_corner_embed(m.identity_matrix(2)) == m.identity_matrix(4)
     assert m.preserves_form(m.sp_corner_embed(a), m.FormTag("symplectic", 4))
-    assert m.sp_corner_embed(a) == m.mat_mul(m.sp_embed(a),
-                                             m.mat_inv(m.sp_embed(m.identity_matrix(2))))
+    assert m.sp_corner_embed(a) == m.mat_mul(sp_embed(a),
+                                             m.mat_inv(sp_embed(m.identity_matrix(2))))
+
+
+@pytest.mark.parametrize("modulus", [None, 5, 6])
+def test_sp_corner_embed_matches_corrected_sp_embed(modulus):
+    j = m.form_matrix(m.FormTag("symplectic", 4), modulus)
+    t = m.sp_perm_embed(p.block_swap(1), 2, modulus)
+    for g in (j, t, m.mat_mul(j, t)):
+        corner = m.sp_corner_embed(g)
+        assert revalidates(corner)
+        assert corner == m.mat_mul(sp_embed(g), m.mat_inv(sp_embed(m.identity_matrix(4, modulus))))
 
 
 def test_sp_embed_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        m.sp_embed(m.matrix([[2, 0], [0, 1]]))
+        sp_embed(m.matrix([[2, 0], [0, 1]]))
 
 
 def test_sp_perm_embed_is_symplectic():
@@ -264,6 +406,7 @@ def test_witness_battery_sl2():
 def test_support_indices():
     assert m.support_indices(m.elementary(4, 1, 3, 2)) == {1, 3}
     assert m.support_indices(m.identity_matrix(3)) == set()
+    assert m.support_indices(m.matrix([[1, 0, 0], [0, 2, 0], [0, 0, 0]])) == {2, 3}
 
 
 def test_render_parse_roundtrip():
