@@ -222,7 +222,9 @@ def _det_and_adjugate(entries) -> tuple[int, list[list[int]]]:
             f = row[k]
             if f:
                 m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
-            else:  # nothing to eliminate; common in the sparse matrices batteries use
+            # else nothing to eliminate, common in the sparse matrices batteries
+            # use: the row only rescales, and pivot == prev leaves it unchanged
+            elif pivot != prev:
                 m[i] = [pivot * x // prev for x in row]
         prev = pivot
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
@@ -410,6 +412,8 @@ def classical_witness(family: str, n: int, modulus: int | None = None
 
 def elementary(n: int, i: int, j: int, r: int = 1, modulus: int | None = None) -> SquareMatrix:
     """E_ij(r) = I + r * e_ij, i != j."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"elementary matrix indices must lie in 1..{n}, got ({i}, {j})")
     if i == j:
         raise ValueError("elementary matrix needs i != j")
     rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]

@@ -75,6 +75,12 @@ class ActionSpace(abc.ABC):
         """Deterministic sort key; must agree on action-equal points only
         when they are equal points."""
 
+    def canonical(self, x: Any) -> Any:
+        """The stored form of the point x; raises FamilyMismatchError if x
+        is no point."""
+        self.top.check_element(x)
+        return x
+
     def render_point(self, x: Any) -> str:
         return str(x)
 
@@ -96,6 +102,11 @@ class ZModAction(ActionSpace):
 
     def point_key(self, x):
         return x % self.n
+
+    def canonical(self, x):
+        """x reduced mod n, as ``act`` returns points, so that equal
+        elements are equal values."""
+        return super().canonical(x) % self.n
 
 
 class CosetAction(ActionSpace):
@@ -130,7 +141,11 @@ class WreathElement:
 
 
 class WreathFamily(GroupFamily):
-    """Gamma wr_X A with finitely supported base maps."""
+    """Gamma wr_X A with finitely supported base maps.
+
+    ``element`` is the public constructor and validates the points, base
+    entries and top it is given; ``mul``/``inv`` build their results from
+    valid elements, so ``check_element`` only checks the type."""
 
     def __init__(self, base_family: GroupFamily, action: ActionSpace):
         self.base_family = base_family
@@ -140,9 +155,6 @@ class WreathFamily(GroupFamily):
     def check_element(self, a):
         if not isinstance(a, WreathElement):
             raise FamilyMismatchError(f"not a WreathElement: {a!r}")
-        self.action.top.check_element(a.top)
-        for _, g in a.base:
-            self.base_family.check_element(g)
 
     def normalize(self, pairs: Sequence[tuple[Any, Any]], top: Any) -> WreathElement:
         merged: list[tuple[Any, Any]] = []
@@ -158,7 +170,15 @@ class WreathFamily(GroupFamily):
         return WreathElement(tuple(cleaned), top)
 
     def element(self, pairs, top=None) -> WreathElement:
-        return self.normalize(tuple(pairs), top if top is not None else self.action.top.identity())
+        action = self.action
+        if top is None:
+            top = action.top.identity()
+        action.top.check_element(top)
+        checked = []
+        for x, g in pairs:
+            self.base_family.check_element(g)
+            checked.append((action.canonical(x), g))
+        return self.normalize(checked, top)
 
     def value_at(self, u: WreathElement, x) -> Any:
         for y, g in u.base:
@@ -216,7 +236,9 @@ class TowerSpec:
         return len(self.branching) + 1
 
 
+@functools.cache
 def tower_family(tower: TowerSpec, level: int) -> GroupFamily:
+    """The level-th tower group, built once per (tower, level)."""
     if not 1 <= level <= tower.depth:
         raise ValueError(f"level {level} outside 1..{tower.depth}")
     fam: GroupFamily = INT_Z
@@ -225,17 +247,23 @@ def tower_family(tower: TowerSpec, level: int) -> GroupFamily:
     return fam
 
 
-def tower_generators(tower: TowerSpec, level: int) -> list:
+@functools.cache
+def tower_generators(tower: TowerSpec, level: int) -> tuple:
     """Canonical generators: the shift at each level, lower generators
-    embedded at coordinate 0."""
+    embedded at coordinate 0.  Built once per (tower, level)."""
     if level == 1:
-        return [1]
+        return (1,)
     fam = tower_family(tower, level)
     assert isinstance(fam, WreathFamily)
     lower = tower_generators(tower, level - 1)
-    gens = [fam.element([(0, g)]) for g in lower]
-    gens.append(fam.element([], top=1))
-    return gens
+    return tuple(fam.element([(0, g)]) for g in lower) + (fam.element([], top=1),)
+
+
+@functools.cache
+def _tower_letters(tower: TowerSpec) -> tuple:
+    """(g, g^-1) for each top-level generator g, each inverted once."""
+    fam = tower_family(tower, tower.depth)
+    return _letters(fam, tower_generators(tower, tower.depth))
 
 
 def membership_B(tower: TowerSpec, n1: int, u, level: int | None = None) -> bool:
@@ -298,7 +326,15 @@ class TowerHom:
     """Evaluator for the inductively defined homomorphism from the tower
     into the target family: the bottom level sends m to t_1^m, and each
     higher level conjugates the lower images through ascending powers of the
-    next witness before appending the shift image."""
+    next witness before appending the shift image.
+
+    Three per-instance caches hold what the chain fixes: t_level^k per
+    (level, k), the conjugate ^(t_level^p) f(a_p) per (level, p, a_p), and
+    f(u) per (level, u).  f is a function of the tower element, and a tower
+    element is one value: ``element`` reduces points mod the branching
+    order, ``normalize`` sorts the base and drops identity entries, so equal
+    elements are ``==`` and hash alike.  Each cache therefore returns the
+    value the definition gives."""
 
     def __init__(self, tower: TowerSpec, chain: WitnessChain):
         if tower.branching != tuple(chain.orders[1:]):
@@ -310,10 +346,9 @@ class TowerHom:
         self.tower = tower
         self.chain = chain
         self.family = chain.family
-        self._level_families = {level: tower_family(tower, level)
-                                for level in range(2, tower.depth + 1)}
         self._powers: dict[tuple[int, int], Any] = {}
         self._conjugates: dict[tuple[int, int, Any], Any] = {}
+        self._images: dict[tuple[int, Any], Any] = {}
 
     def _power(self, level: int, k: int):
         """t_level^k, computed once per (level, k)."""
@@ -334,17 +369,22 @@ class TowerHom:
         return self._conjugates[key]
 
     def eval(self, u, level: int | None = None):
+        """f(u) for u in the level-th tower group, computed once per
+        (level, u)."""
         if level is None:
             level = self.tower.depth
         if level == 1:
             return self._power(1, u)
-        level_fam = self._level_families[level]
+        level_fam = tower_family(self.tower, level)
         level_fam.check_element(u)
-        # ascending p; factors commute by the chain invariants
-        factors = [self._conjugate(level, p, level_fam.value_at(u, p))
-                   for p in range(self.chain.orders[level - 1])]
-        factors.append(self._power(level, u.top))
-        return functools.reduce(self.family.mul, factors)
+        key = (level, u)
+        if key not in self._images:
+            # ascending p; factors commute by the chain invariants
+            factors = [self._conjugate(level, p, level_fam.value_at(u, p))
+                       for p in range(self.chain.orders[level - 1])]
+            factors.append(self._power(level, u.top))
+            self._images[key] = functools.reduce(self.family.mul, factors)
+        return self._images[key]
 
     def __call__(self, u):
         return self.eval(u)
@@ -361,12 +401,18 @@ def build_f(tower: TowerSpec, chain: WitnessChain) -> TowerHom:
 # Sampling and the homomorphism property checks
 
 
-def _random_word(fam: GroupFamily, gens: Sequence, rng: random.Random, max_len: int = 8):
+def _letters(fam: GroupFamily, gens: Sequence) -> tuple:
+    return tuple((g, fam.inv(g)) for g in gens)
+
+
+def _random_word(fam: GroupFamily, letters: Sequence, rng: random.Random, max_len: int = 8):
+    """A product of at most max_len letters, each a generator or, with
+    probability 1/2, its inverse; ``letters`` holds the (g, g^-1) pairs."""
     u = fam.identity()
     for _ in range(rng.randint(0, max_len)):
-        g = rng.choice(gens)
+        g, g_inv = rng.choice(letters)
         if rng.random() < 0.5:
-            g = fam.inv(g)
+            g = g_inv
         u = fam.mul(u, g)
     return u
 
@@ -374,8 +420,8 @@ def _random_word(fam: GroupFamily, gens: Sequence, rng: random.Random, max_len: 
 def sample_tower_elements(tower: TowerSpec, count: int, rng: random.Random,
                           max_len: int = 8) -> list:
     fam = tower_family(tower, tower.depth)
-    gens = tower_generators(tower, tower.depth)
-    return [_random_word(fam, gens, rng, max_len) for _ in range(count)]
+    letters = _tower_letters(tower)
+    return [_random_word(fam, letters, rng, max_len) for _ in range(count)]
 
 
 def _sample_B_element(tower: TowerSpec, n1: int, rng: random.Random, level: int):
@@ -406,7 +452,13 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
               seed: int = 0) -> VerificationReport:
     """Seeded checks of (a) the homomorphism law, (b) commutation of H with
     images of non-members of the distinguished subgroup, and (c) commutation
-    of H with images of members."""
+    of H with images of members.
+
+    Verdicts (b) and (c) depend on the sample only through its image, so
+    each is decided once per distinct f(a), resp. f(b), in a dict local to
+    the call keyed by the image; this needs images to hash, with ``==``
+    implying group equality, as the shipped families' normal forms do.
+    Every sample still gets its own record."""
     rng = random.Random(seed)
     fam = f.family
     tower = f.tower
@@ -420,6 +472,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
                       fam.render(lhs), fam.render(rhs))
 
+    verdicts_i: dict[Any, bool] = {}
     found = 0
     attempts = 0
     while found < sample_size and attempts < 100 * sample_size:
@@ -428,9 +481,11 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         if f.in_B(a):
             continue
         fa = f(a)
-        ok = all(
-            fam.is_identity(commutator(fam, h, conjugate(fam, fa, h2)))
-            for h in H.elements for h2 in H.elements)
+        if fa not in verdicts_i:
+            verdicts_i[fa] = all(
+                fam.is_identity(commutator(fam, h, conjugate(fam, fa, h2)))
+                for h in H.elements for h2 in H.elements)
+        ok = verdicts_i[fa]
         report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{found}]", ok,
                       "all generator commutators", "e",
                       detail=f"a = {a_fam.render(a)}")
@@ -439,10 +494,13 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         report.record("(i) enough non-member samples", False,
                       str(found), str(sample_size))
 
+    verdicts_ii: dict[Any, bool] = {}
     for k in range(sample_size):
         b = _sample_B_element(tower, f.chain.orders[0], rng, tower.depth)
         fb = f(b)
-        ok = all(fam.is_identity(commutator(fam, h, fb)) for h in H.elements)
+        if fb not in verdicts_ii:
+            verdicts_ii[fb] = all(fam.is_identity(commutator(fam, h, fb)) for h in H.elements)
+        ok = verdicts_ii[fb]
         report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", ok,
                       "all generator commutators", "e",
                       detail=f"b = {a_fam.render(b)}")
@@ -507,12 +565,12 @@ def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,
     fam = ext.H.family
     report = VerificationReport("kernel-base")
     kernel: list[WreathElement] = []
+    letters = _letters(fam, ext.H.elements or (fam.identity(),))
     for _ in range(sample_size):
         pairs = []
         for rep in ext.transversal:
             if rng.random() < 0.8:
-                pairs.append((rep, _random_word(fam, list(ext.H.elements) or [fam.identity()],
-                                                rng, max_len=3)))
+                pairs.append((rep, _random_word(fam, letters, rng, max_len=3)))
         u = ext.wreath.element(pairs)
         if fam.is_identity(ext(u)):
             kernel.append(u)

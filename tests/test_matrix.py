@@ -158,6 +158,14 @@ def test_malformed_matrix_input_raises_value_error(build):
         build()
 
 
+@pytest.mark.parametrize("i, j", [(0, 2), (1, 0), (4, 1)])
+def test_elementary_rejects_indices_outside_range(i, j):
+    # index 0 used to wrap to the last row or column; 4 raised IndexError
+    with pytest.raises(ValueError):
+        m.elementary(3, i, j)
+    assert m.elementary(3, 3, 1).entries == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
+
+
 @st.composite
 def int_matrix(draw, n_max=4):
     n = draw(st.integers(min_value=1, max_value=n_max))

@@ -1,13 +1,15 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccckit import iet as ietmod
 from ccckit import perm as p
 from ccckit import wreath as w
-from ccckit.core import GeneratorSet, commutator
+from ccckit.core import FamilyMismatchError, GeneratorSet, commutator
 from ccckit.suites import iet_chain, perm_chain
 
 
@@ -44,6 +46,32 @@ def test_identity_values_unstored():
     fam = lamp()
     u = fam.element([(0, 0), (1, 3)])
     assert u.base == ((1, 3),)
+
+
+def test_points_stored_reduced():
+    fam = lamp()
+    u = fam.element([(2, 4)])
+    assert u.base == ((0, 4),)
+    assert fam.render(u) == "{0: 4 | 0}"
+    assert u == fam.element([(0, 4)]) and hash(u) == hash(fam.element([(0, 4)]))
+    assert fam.element([(-1, 3), (5, 1)], top=7).base == ((1, 4),)
+
+
+@pytest.mark.parametrize("pairs, top", [
+    ([(0, "x")], 0),       # base entry outside Z
+    ([(0, 1.5)], 0),
+    ([(0.5, 1)], 0),       # point outside Z/2
+    ([(0, 1)], "1"),       # top outside Z
+])
+def test_element_validates_its_input(pairs, top):
+    with pytest.raises(FamilyMismatchError):
+        lamp().element(pairs, top=top)
+
+
+def test_nested_element_validates_base_entries():
+    fam = w.tower_family(w.TowerSpec((2, 3)), 3)
+    with pytest.raises(FamilyMismatchError):
+        fam.element([(0, 1)])  # a level-3 entry must be a level-2 element
 
 
 def test_tower_family_and_generators():
@@ -166,6 +194,120 @@ def test_tower_hom_computes_each_power_once():
     assert f.lower and all(count <= plain.orders[level] for (level, _), count in f.lower.items())
     expected = w.check_hom(w.build_f(tower, plain), GeneratorSet(p.PERM, plain.generators),
                            sample_size=20, seed=4)
+    assert report.to_dict() == expected.to_dict()
+
+
+@functools.cache
+def _hom(chain_name):
+    """One TowerHom per shipped chain, shared by all examples so that its
+    caches fill up across them."""
+    chain = {"iet": iet_chain, "perm": perm_chain}[chain_name]()
+    return w.build_f(w.TowerSpec(tuple(chain.orders[1:])), chain)
+
+
+def image_by_definition(chain, u):
+    """f(u) at level 2 straight from the definition: the product over p of
+    t2^p t1^(u_p) t2^-p, in ascending p, times t2^top."""
+    fam = chain.family
+    t1, t2 = chain.ts
+    fam2 = w.tower_family(w.TowerSpec(tuple(chain.orders[1:])), 2)
+    out = fam.identity()
+    for q in range(chain.orders[1]):
+        inner = fam.power(t1, fam2.value_at(u, q))
+        out = fam.mul(out, fam.mul(fam.mul(fam.power(t2, q), inner), fam.power(t2, -q)))
+    return fam.mul(out, fam.power(t2, u.top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["iet", "perm"]),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4)), max_size=4),
+       st.integers(-3, 3))
+def test_memoized_image_matches_definition(chain_name, pairs, top):
+    f = _hom(chain_name)
+    fam2 = w.tower_family(f.tower, 2)
+    u = fam2.element(pairs, top=top)
+    expected = image_by_definition(f.chain, u)
+    for _ in range(2):  # the second call is a memo hit
+        assert f.family.eq(f(u), expected)
+    # the same element built another way hits the same entry
+    again = fam2.element([(x + 2, g) for x, g in reversed(pairs)], top=top)
+    assert again == u and f.family.eq(f(again), expected)
+
+
+class MulCountingPerm(p.PermFamily):
+    """The permutation family, counting products."""
+
+    def __init__(self):
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+class ImageRecordingHom(w.TowerHom):
+    """A TowerHom recording, for each evaluation at any level, the products
+    it made, and each top-level image it returned."""
+
+    def __init__(self, tower, chain):
+        super().__init__(tower, chain)
+        self.products = {}
+        self.images = []
+
+    def eval(self, u, level=None):
+        before = self.family.muls
+        image = super().eval(u, level)
+        self.products.setdefault((level or self.tower.depth, u), []).append(
+            self.family.muls - before)
+        return image
+
+    def __call__(self, u):
+        image = super().__call__(u)
+        self.images.append(image)
+        return image
+
+
+def _recording_hom():
+    plain = perm_chain()
+    chain = w.WitnessChain(MulCountingPerm(), plain.generators, plain.ts, plain.orders)
+    return ImageRecordingHom(w.TowerSpec((2,)), chain), plain
+
+
+def test_each_tower_element_reaches_the_product_once():
+    f, plain = _recording_hom()
+    w.check_hom(f, GeneratorSet(f.family, plain.generators), sample_size=30, seed=2)
+    assert any(level == 2 and len(counts) > 1  # the sample repeats elements
+               for (level, _), counts in f.products.items())
+    for (level, _), counts in f.products.items():
+        # above level 1 the first evaluation multiplies its
+        # orders[level - 1] + 1 factors; level 1 reads the power cache
+        assert level == 1 or counts[0] >= plain.orders[level - 1]
+        assert all(c == 0 for c in counts[1:])
+
+
+def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
+    calls = []
+
+    def counting_commutator(family, a, b):
+        calls.append((a, b))
+        return commutator(family, a, b)
+
+    monkeypatch.setattr(w, "commutator", counting_commutator)
+    f, plain = _recording_hom()
+    H = GeneratorSet(f.family, plain.generators)
+    samples = 40
+    report = w.check_hom(f, H, sample_size=samples, seed=7)
+    assert report.passed
+    # three images per law sample, then one per (i) and one per (ii) sample
+    assert len(f.images) == 5 * samples
+    images_i = f.images[3 * samples:4 * samples]
+    images_ii = f.images[4 * samples:]
+    distinct_i, distinct_ii = len(set(images_i)), len(set(images_ii))
+    assert distinct_i < samples and distinct_ii < samples
+    assert len(calls) == len(H) ** 2 * distinct_i + len(H) * distinct_ii
+    assert len(report.checks) == 3 * samples
+    expected = w.check_hom(w.build_f(f.tower, plain), GeneratorSet(p.PERM, plain.generators),
+                           sample_size=samples, seed=7)
     assert report.to_dict() == expected.to_dict()
 
 
