@@ -65,9 +65,14 @@ def _generator_aut(strands: int, i: int) -> fg.FreeAutomorphism:
     return fg.FreeAutomorphism(rank, tuple(images), tuple(inverse_images))
 
 
+@lru_cache(maxsize=None)
+def _identity_aut(strands: int) -> fg.FreeAutomorphism:
+    return fg.identity_aut(strands)
+
+
 def artin_action(w: BraidWord) -> fg.FreeAutomorphism:
     """The induced automorphism of the free group of rank = strand count."""
-    result = fg.identity_aut(w.strands)
+    result = _identity_aut(w.strands)
     for x in w.letters:
         g = _generator_aut(w.strands, abs(x))
         if x < 0:

@@ -25,6 +25,11 @@ class WitnessModeError(CcckitError):
     """Witness mode incompatible with the requested check."""
 
 
+def is_int(x: Any) -> bool:
+    """x is an int and not a bool (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def trusted(cls, *values):
     """An instance of the frozen dataclass cls with the given field values,
     built without running __post_init__.
@@ -114,8 +119,8 @@ class Finite:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise WitnessModeError(f"finite witness order must be >= 2, got {self.n}")
+        if not (is_int(self.n) and self.n >= 2):
+            raise WitnessModeError(f"finite witness order must be an int >= 2, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,8 @@ class ZMode:
     bound: int = 8
 
     def __post_init__(self):
-        if self.bound < 1:
-            raise WitnessModeError(f"Z-mode bound must be >= 1, got {self.bound}")
+        if not (is_int(self.bound) and self.bound >= 1):
+            raise WitnessModeError(f"Z-mode bound must be an int >= 1, got {self.bound!r}")
 
 
 @dataclass(frozen=True)

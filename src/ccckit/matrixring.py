@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from . import perm as permmod
-from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite, trusted
+from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite, is_int, trusted
 
 
 class NotInvertibleError(CcckitError):
@@ -43,13 +43,9 @@ def _reduce(v: int, modulus: int | None) -> int:
     return v % modulus if modulus is not None else v
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_modulus(modulus) -> None:
     """Runs before any reduction, so a bad modulus never reaches `%`."""
-    if modulus is not None and not (_is_int(modulus) and modulus >= 2):
+    if modulus is not None and not (is_int(modulus) and modulus >= 2):
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
 
 
@@ -69,7 +65,7 @@ class SquareMatrix:
     def __post_init__(self):
         _check_modulus(self.modulus)
         n = self.size
-        if not (_is_int(n) and isinstance(self.rows, tuple) and len(self.rows) == n):
+        if not (is_int(n) and isinstance(self.rows, tuple) and len(self.rows) == n):
             raise ValueError(f"a size {n!r} matrix needs a tuple of {n!r} rows")
         for i, row in enumerate(self.rows):
             if not isinstance(row, tuple):
@@ -79,10 +75,10 @@ class SquareMatrix:
                 if not (isinstance(pair, tuple) and len(pair) == 2):
                     raise ValueError(f"row {i}: {pair!r} is not a (column, value) pair")
                 column, value = pair
-                if not (_is_int(column) and last < column < n):
+                if not (is_int(column) and last < column < n):
                     raise ValueError(f"row {i}: columns must increase strictly within "
                                      f"[0, {n}), got {column!r} after {last}")
-                if not _is_int(value) or value == 0 or value != _reduce(value, self.modulus):
+                if not is_int(value) or value == 0 or value != _reduce(value, self.modulus):
                     raise ValueError(f"row {i}: entry {value!r} is not a nonzero integer "
                                      f"reduced mod {self.modulus}")
                 last = column
@@ -103,7 +99,7 @@ class SquareMatrix:
 
 
 def _integer(e) -> int:
-    if not _is_int(e):  # int(1.5) would silently truncate
+    if not is_int(e):  # int(1.5) would silently truncate
         raise ValueError(f"matrix entries must be integers, got {e!r}")
     return e
 

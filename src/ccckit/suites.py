@@ -21,7 +21,7 @@ from . import matrixring as mat
 from . import perm as permmod
 from . import plhomeo as plmod
 from . import wreath as wreathmod
-from .core import GeneratorSet, VerificationReport, verify_ccc
+from .core import GeneratorSet, VerificationReport, is_int, verify_ccc
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def wreath_tower_battery(depth: int, samples: int, seed: int) -> VerificationRep
     tower = wreathmod.TowerSpec((2,))
     report = VerificationReport("wreath-tower", bounded=True)
     for label, chain in (("iet", iet_chain()), ("perm", perm_chain())):
-        f = wreathmod.build_f(tower, chain)
+        f = wreathmod.TowerHom(tower, chain)
         H = GeneratorSet(chain.family, chain.generators)
         report.extend(wreathmod.check_hom(f, H, sample_size=samples, seed=seed),
                       prefix=f"{label}: ")
@@ -345,7 +345,7 @@ def run_family(family: str, seed: int = 0, **given) -> dict:
         if name not in battery.params:
             raise ValueError(f"no parameter {name!r} (takes {', '.join(battery.params)})")
         _, low, high = battery.params[name]
-        if not isinstance(value, int) or value < low or (high is not None and value > high):
+        if not is_int(value) or value < low or (high is not None and value > high):
             raise ValueError(f"need {name} {battery.domain(name)}, got {value!r}")
     values = {name: given.get(name, default) for name, (default, _, _) in battery.params.items()}
     report = battery.run(seed=seed, **values).to_dict()

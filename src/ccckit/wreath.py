@@ -6,6 +6,9 @@ map from the tower into the target family.
 Conventions: (f, a)(g, b) = (x -> f(x) * g(a^-1 x), ab); the evaluation
 product over base coordinates is taken in ascending point order, which is
 sound because the factors commute whenever the chain invariants hold.
+Points are stored as canonical ints (residues mod n for Z/n, transversal
+indices for a coset space), so a base is a tuple of (point, entry) pairs
+sorted by point, and equal elements are equal values.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from . import core
 from .core import (CcckitError, FamilyMismatchError, Finite, GeneratorSet, GroupFamily,
-                   VerificationReport, Witness, commutator, conjugate, verify_ccc)
+                   VerificationReport, Witness, commutator, conjugate, is_int)
 
 
 class ChainInvariantError(CcckitError):
@@ -34,7 +38,7 @@ class IntAdditiveFamily(GroupFamily):
     name = "Z"
 
     def check_element(self, a):
-        if not isinstance(a, int):
+        if not is_int(a):
             raise FamilyMismatchError(f"not an integer: {a!r}")
 
     def identity(self):
@@ -60,74 +64,70 @@ INT_Z = IntAdditiveFamily()
 
 
 class ActionSpace(abc.ABC):
-    """An A-set: the acting family plus the action on points."""
+    """An A-set: the acting family plus the action on points.  Each point
+    has one stored form, a canonical int, so points compare with ``==`` and
+    sort as ints."""
 
     top: GroupFamily
 
     @abc.abstractmethod
-    def act(self, a: Any, x: Any) -> Any: ...
+    def act(self, a: Any, x: int) -> int: ...
 
     @abc.abstractmethod
-    def point_eq(self, x: Any, y: Any) -> bool: ...
-
-    @abc.abstractmethod
-    def point_key(self, x: Any) -> Any:
-        """Deterministic sort key; must agree on action-equal points only
-        when they are equal points."""
-
-    def canonical(self, x: Any) -> Any:
+    def canonical(self, x: Any) -> int:
         """The stored form of the point x; raises FamilyMismatchError if x
         is no point."""
-        self.top.check_element(x)
-        return x
 
-    def render_point(self, x: Any) -> str:
+    def render_point(self, x: int) -> str:
         return str(x)
 
 
 class ZModAction(ActionSpace):
-    """Z acting on Z/n by left translation."""
+    """Z acting on Z/n by left translation; points are residues 0..n-1."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
+        if not (is_int(n) and n >= 1):
+            raise ValueError(f"need an int n >= 1, got {n!r}")
         self.n = n
         self.top = INT_Z
 
     def act(self, a, x):
         return (x + a) % self.n
 
-    def point_eq(self, x, y):
-        return x % self.n == y % self.n
-
-    def point_key(self, x):
-        return x % self.n
-
     def canonical(self, x):
-        """x reduced mod n, as ``act`` returns points, so that equal
-        elements are equal values."""
-        return super().canonical(x) % self.n
+        """x reduced mod n, as ``act`` returns points."""
+        self.top.check_element(x)
+        return x % self.n
 
 
 class CosetAction(ActionSpace):
-    """A acting on A/B by left translation; points are stored
-    representatives, compared through the membership predicate for B."""
+    """A acting on A/B by left translation.  Point i is the coset of
+    transversal[i]; ``canonical`` finds it for any representative through
+    the membership predicate for B."""
 
-    def __init__(self, a_family: GroupFamily, in_B: Callable[[Any], bool]):
+    def __init__(self, a_family: GroupFamily, in_B: Callable[[Any], bool],
+                 transversal: Sequence):
         self.top = a_family
         self.in_B = in_B
+        self.transversal = tuple(transversal)
+        for i, rep in enumerate(self.transversal):
+            if self.canonical(rep) != i:
+                raise ValueError("transversal contains repeated cosets")
 
     def act(self, a, x):
-        return self.top.mul(a, x)
+        return self.canonical(self.top.mul(a, self.transversal[x]))
 
-    def point_eq(self, x, y):
-        return self.in_B(self.top.mul(self.top.inv(x), y))
-
-    def point_key(self, x):
-        return self.top.render(x)
+    def canonical(self, x):
+        """The index of the transversal element in the coset xB."""
+        top = self.top
+        top.check_element(x)
+        for i, rep in enumerate(self.transversal):
+            if self.in_B(top.mul(top.inv(rep), x)):
+                return i
+        raise FamilyMismatchError(f"the transversal misses the coset of {top.render(x)}")
 
     def render_point(self, x):
-        return self.top.render(x) + "B"
+        return self.top.render(self.transversal[x]) + "B"
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ class CosetAction(ActionSpace):
 
 @dataclass(frozen=True)
 class WreathElement:
-    base: tuple[tuple[Any, Any], ...]  # (point, base-group element), sorted
+    base: tuple[tuple[int, Any], ...]  # (canonical point, base-group element), sorted
     top: Any
 
 
@@ -156,18 +156,16 @@ class WreathFamily(GroupFamily):
         if not isinstance(a, WreathElement):
             raise FamilyMismatchError(f"not a WreathElement: {a!r}")
 
-    def normalize(self, pairs: Sequence[tuple[Any, Any]], top: Any) -> WreathElement:
-        merged: list[tuple[Any, Any]] = []
+    def normalize(self, pairs: Sequence[tuple[int, Any]], top: Any) -> WreathElement:
+        """The element with base entries ``pairs`` at canonical points:
+        entries at one point multiplied in pair order, identity entries
+        dropped, points ascending."""
+        base = self.base_family
+        merged: dict[int, Any] = {}
         for x, g in pairs:
-            for i, (y, h) in enumerate(merged):
-                if self.action.point_eq(x, y):
-                    merged[i] = (y, self.base_family.mul(h, g))
-                    break
-            else:
-                merged.append((x, g))
-        cleaned = [(x, g) for x, g in merged if not self.base_family.is_identity(g)]
-        cleaned.sort(key=lambda item: self.action.point_key(item[0]))
-        return WreathElement(tuple(cleaned), top)
+            merged[x] = base.mul(merged[x], g) if x in merged else g
+        return WreathElement(
+            tuple(sorted((x, g) for x, g in merged.items() if not base.is_identity(g))), top)
 
     def element(self, pairs, top=None) -> WreathElement:
         action = self.action
@@ -181,8 +179,9 @@ class WreathFamily(GroupFamily):
         return self.normalize(checked, top)
 
     def value_at(self, u: WreathElement, x) -> Any:
+        x = self.action.canonical(x)
         for y, g in u.base:
-            if self.action.point_eq(x, y):
+            if y == x:
                 return g
         return self.base_family.identity()
 
@@ -204,14 +203,10 @@ class WreathFamily(GroupFamily):
     def eq(self, u, v):
         self.check_element(u)
         self.check_element(v)
-        if not self.action.top.eq(u.top, v.top):
+        if not self.action.top.eq(u.top, v.top) or len(u.base) != len(v.base):
             return False
-        if len(u.base) != len(v.base):
-            return False
-        for x, g in u.base:
-            if not self.base_family.eq(g, self.value_at(v, x)):
-                return False
-        return True
+        base_eq = self.base_family.eq
+        return all(x == y and base_eq(g, h) for (x, g), (y, h) in zip(u.base, v.base))
 
     def render(self, u):
         body = ", ".join(
@@ -228,8 +223,8 @@ class TowerSpec:
     branching: tuple[int, ...]  # (n_2, ..., n_k)
 
     def __post_init__(self):
-        if any(n < 2 for n in self.branching):
-            raise ValueError(f"all branching orders must be >= 2: {self.branching}")
+        if not all(is_int(n) and n >= 2 for n in self.branching):
+            raise ValueError(f"all branching orders must be ints >= 2: {self.branching}")
 
     @property
     def depth(self) -> int:
@@ -318,7 +313,7 @@ def validate_chain(chain: WitnessChain) -> VerificationReport:
     report = VerificationReport("witness-chain")
     for i, (t, n) in enumerate(zip(chain.ts, chain.orders), start=1):
         H = GeneratorSet(chain.family, chain.level_generators(i - 1))
-        report.extend(verify_ccc(H, Witness(t, Finite(n))), prefix=f"level {i}: ")
+        report.extend(core.verify_ccc(H, Witness(t, Finite(n))), prefix=f"level {i}: ")
     return report
 
 
@@ -331,8 +326,8 @@ class TowerHom:
     Three per-instance caches hold what the chain fixes: t_level^k per
     (level, k), the conjugate ^(t_level^p) f(a_p) per (level, p, a_p), and
     f(u) per (level, u).  f is a function of the tower element, and a tower
-    element is one value: ``element`` reduces points mod the branching
-    order, ``normalize`` sorts the base and drops identity entries, so equal
+    element is one value: ``element`` stores canonical points,
+    ``normalize`` sorts the base and drops identity entries, so equal
     elements are ``==`` and hash alike.  Each cache therefore returns the
     value the definition gives."""
 
@@ -391,10 +386,6 @@ class TowerHom:
 
     def in_B(self, u, level: int | None = None) -> bool:
         return membership_B(self.tower, self.chain.orders[0], u, level)
-
-
-def build_f(tower: TowerSpec, chain: WitnessChain) -> TowerHom:
-    return TowerHom(tower, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -513,31 +504,27 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
 
 class ExtendedHom:
     """Evaluator for the extension of f to the wreath product of H over the
-    coset space: base entries are conjugated through f at their
-    representative, in ascending coset order, then multiplied by the image
-    of the top element.  Commutation of f(B) with H makes the value
-    independent of the chosen representatives."""
+    coset space A/B, whose point i is the coset of transversal[i]: the
+    entry at point i is conjugated by f(transversal[i]), in ascending point
+    order, and the product is multiplied by the image of the top element.
+    Commutation of f(B) with H makes the value independent of the chosen
+    transversal."""
 
     def __init__(self, H: GeneratorSet, f: Callable, a_family: GroupFamily,
                  in_B: Callable[[Any], bool], transversal: Sequence):
         self.H = H
         self.f = f
         self.a_family = a_family
-        self.in_B = in_B
-        self.action = CosetAction(a_family, in_B)
+        self.action = CosetAction(a_family, in_B, transversal)
         self.wreath = WreathFamily(H.family, self.action)
-        self.transversal = tuple(transversal)
-        for i, x in enumerate(self.transversal):
-            for y in self.transversal[:i]:
-                if self.action.point_eq(x, y):
-                    raise ValueError("transversal contains repeated cosets")
+        self.transversal = self.action.transversal
 
     def eval(self, u: WreathElement):
         fam = self.H.family
         self.wreath.check_element(u)
         result = fam.identity()
-        for rep, h in u.base:
-            result = fam.mul(result, conjugate(fam, self.f(rep), h))
+        for i, h in u.base:
+            result = fam.mul(result, conjugate(fam, self.f(self.transversal[i]), h))
         return fam.mul(result, self.f(u.top))
 
     def __call__(self, u):
@@ -548,12 +535,6 @@ class ExtendedHom:
         if rep is None:
             rep = self.a_family.identity()
         return self.wreath.element([(rep, h)])
-
-
-def extend_to_wreath_hom(H: GeneratorSet, f: Callable, a_family: GroupFamily,
-                         in_B: Callable[[Any], bool],
-                         transversal: Sequence) -> ExtendedHom:
-    return ExtendedHom(H, f, a_family, in_B, transversal)
 
 
 def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,

@@ -69,7 +69,7 @@ def test_acceptance_4_depth2_tower_machinery():
     ok = True
     tower = w.TowerSpec((2,))
     for chain in (iet_chain(), perm_chain()):
-        f = w.build_f(tower, chain)
+        f = w.TowerHom(tower, chain)
         H = GeneratorSet(chain.family, chain.generators)
         report = w.check_hom(f, H, sample_size=50, seed=4)
         ok = ok and report.passed
@@ -77,15 +77,14 @@ def test_acceptance_4_depth2_tower_machinery():
         fam = w.tower_family(tower, 2)
         transversal = [fam.element([], top=0), fam.element([(0, 1)]),
                        fam.element([], top=1), fam.element([(1, 1)], top=1)]
-        ext = w.extend_to_wreath_hom(H, f, fam, f.in_B, transversal)
+        ext = w.ExtendedHom(H, f, fam, f.in_B, transversal)
         # exact inclusion of the 1B factor: h at the identity coset maps to h
         for h in chain.generators:
             ok = ok and chain.family.eq(ext(ext.factor_element(h)), h)
 
     # engineered kernel instance: constant homomorphism, abelian H
     H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),))
-    ext = w.extend_to_wreath_hom(H, lambda a: p.IDENTITY, w.INT_Z,
-                                 lambda a: a % 2 == 0, (0, 1))
+    ext = w.ExtendedHom(H, lambda a: p.IDENTITY, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
     g = H.elements[0]
     u = ext.wreath.element([(0, g), (1, p.inverse(g))])
     v = ext.wreath.element([(0, p.inverse(g)), (1, g)])

@@ -1,6 +1,7 @@
 import pytest
 
 from ccckit import braid as b
+from ccckit import freegroup as fg
 from ccckit import perm as p
 from ccckit.core import Finite, GeneratorSet, verify_ccc
 
@@ -94,3 +95,19 @@ def test_witness_battery():
 def test_parse_braid():
     assert b.parse_braid(3, "1 -2 1") == b.braid(3, (1, -2, 1))
     assert b.parse_braid(3, "e") == b.braid(3, ())
+
+
+def test_warm_artin_action_validates_no_automorphism(monkeypatch):
+    word = b.braid(4, (1, -2, 3, 1))
+    expected = b.artin_action(word)  # builds the identity and generator automorphisms
+    validated = []
+    validate = fg.FreeAutomorphism.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(fg.FreeAutomorphism, "__post_init__", counting)
+    assert b.artin_action(b.braid(4, (1, -2, 3, 1))) == expected
+    assert b.artin_action(b.braid(4, ())) == fg.identity_aut(4)
+    assert len(validated) == 1  # the oracle fg.identity_aut(4) itself

@@ -121,6 +121,13 @@ def test_mode_validation():
         ZMode(0)
 
 
+@pytest.mark.parametrize("mode, value", [(Finite, 2.5), (Finite, 2.0), (ZMode, 1.5),
+                                         (ZMode, True)])
+def test_mode_rejects_non_int_orders(mode, value):
+    with pytest.raises(WitnessModeError):
+        mode(value)
+
+
 def test_bounded_products_sym3():
     gens = [perm_from_cycles([[1, 2]]), perm_from_cycles([[1, 2, 3]])]
     elements = bounded_products(PERM, gens, 3)

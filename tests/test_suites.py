@@ -81,6 +81,13 @@ def test_perm_odd_sizes_pass_with_stabilized_witness(size):
     assert any(c["name"] == "witness parity even" for c in report["checks"])
 
 
+@pytest.mark.parametrize("family, name", [("gl", "size"), ("pl", "bound"),
+                                          ("wreath-tower", "samples")])
+def test_run_family_rejects_bool_values(family, name):
+    with pytest.raises(ValueError):
+        run_family(family, **{name: True})
+
+
 def test_run_family_unknown_family_is_key_error():
     with pytest.raises(KeyError):
         run_family("nope")

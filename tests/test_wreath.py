@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ccckit import iet as ietmod
 from ccckit import perm as p
 from ccckit import wreath as w
-from ccckit.core import FamilyMismatchError, GeneratorSet, commutator
+from ccckit.core import FamilyMismatchError, GeneratorSet, commutator, conjugate
 from ccckit.suites import iet_chain, perm_chain
 
 
@@ -62,6 +62,9 @@ def test_points_stored_reduced():
     ([(0, 1.5)], 0),
     ([(0.5, 1)], 0),       # point outside Z/2
     ([(0, 1)], "1"),       # top outside Z
+    ([(0, True)], 0),      # a bool is no integer
+    ([(True, 1)], 0),
+    ([(0, 1)], True),
 ])
 def test_element_validates_its_input(pairs, top):
     with pytest.raises(FamilyMismatchError):
@@ -84,6 +87,18 @@ def test_tower_family_and_generators():
     assert len(gens3) == 3
     with pytest.raises(ValueError):
         w.TowerSpec((1,))
+
+
+@pytest.mark.parametrize("branching", [(2.0,), (2, 2.5)])
+def test_tower_spec_rejects_non_int_orders(branching):
+    with pytest.raises(ValueError):
+        w.TowerSpec(branching)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_zmod_action_rejects_non_int_orders(n):
+    with pytest.raises(ValueError):
+        w.ZModAction(n)
 
 
 def test_membership_B_level1():
@@ -128,14 +143,14 @@ def test_chain_failing_at_level_2():
     assert any(c.name.startswith("level 1: ") for c in report.checks)
     assert report.counterexample.startswith("level 2: ")
     with pytest.raises(w.ChainInvariantError) as excinfo:
-        w.build_f(w.TowerSpec((2,)), chain)
+        w.TowerHom(w.TowerSpec((2,)), chain)
     assert str(excinfo.value).startswith("chain invariants fail: level 2: ")
 
 
 def test_tower_hom_oracles():
     tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.build_f(tower, chain)
+    f = w.TowerHom(tower, chain)
     fam = w.tower_family(tower, 2)
     t1, t2 = chain.ts
     # the shift goes to t2, the coordinate-0 copy of m goes to t1^m
@@ -192,7 +207,7 @@ def test_tower_hom_computes_each_power_once():
     report = w.check_hom(f, H, sample_size=20, seed=4)
     assert fam.calls and len(fam.calls) == len(set(fam.calls))
     assert f.lower and all(count <= plain.orders[level] for (level, _), count in f.lower.items())
-    expected = w.check_hom(w.build_f(tower, plain), GeneratorSet(p.PERM, plain.generators),
+    expected = w.check_hom(w.TowerHom(tower, plain), GeneratorSet(p.PERM, plain.generators),
                            sample_size=20, seed=4)
     assert report.to_dict() == expected.to_dict()
 
@@ -202,7 +217,7 @@ def _hom(chain_name):
     """One TowerHom per shipped chain, shared by all examples so that its
     caches fill up across them."""
     chain = {"iet": iet_chain, "perm": perm_chain}[chain_name]()
-    return w.build_f(w.TowerSpec(tuple(chain.orders[1:])), chain)
+    return w.TowerHom(w.TowerSpec(tuple(chain.orders[1:])), chain)
 
 
 def image_by_definition(chain, u):
@@ -306,7 +321,7 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     assert distinct_i < samples and distinct_ii < samples
     assert len(calls) == len(H) ** 2 * distinct_i + len(H) * distinct_ii
     assert len(report.checks) == 3 * samples
-    expected = w.check_hom(w.build_f(f.tower, plain), GeneratorSet(p.PERM, plain.generators),
+    expected = w.check_hom(w.TowerHom(f.tower, plain), GeneratorSet(p.PERM, plain.generators),
                            sample_size=samples, seed=7)
     assert report.to_dict() == expected.to_dict()
 
@@ -314,7 +329,7 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
 def test_tower_hom_rejects_mismatched_orders():
     tower = w.TowerSpec((3,))
     with pytest.raises(w.ChainInvariantError):
-        w.build_f(tower, perm_chain())
+        w.TowerHom(tower, perm_chain())
 
 
 def test_tower_hom_rejects_broken_chain():
@@ -322,13 +337,13 @@ def test_tower_hom_rejects_broken_chain():
     chain = w.WitnessChain(p.PERM, (p.perm_from_cycles([[1, 2]]),),
                            (p.perm_from_cycles([[2, 3]]), p.block_swap(4)), (2, 2))
     with pytest.raises(w.ChainInvariantError):
-        w.build_f(tower, chain)
+        w.TowerHom(tower, chain)
 
 
 def test_check_hom_passes():
     tower = w.TowerSpec((2,))
     chain = iet_chain()
-    f = w.build_f(tower, chain)
+    f = w.TowerHom(tower, chain)
     H = GeneratorSet(chain.family, chain.generators)
     report = w.check_hom(f, H, sample_size=15, seed=3)
     assert report.passed, report.counterexample
@@ -338,7 +353,7 @@ def test_check_hom_passes():
 def test_check_hom_is_deterministic():
     tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.build_f(tower, chain)
+    f = w.TowerHom(tower, chain)
     H = GeneratorSet(chain.family, chain.generators)
     r1 = w.check_hom(f, H, sample_size=10, seed=11).to_dict()
     r2 = w.check_hom(f, H, sample_size=10, seed=11).to_dict()
@@ -354,10 +369,10 @@ def _tower_transversal(tower, f):
 def test_extended_hom_factor_inclusion():
     tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.build_f(tower, chain)
+    f = w.TowerHom(tower, chain)
     fam = w.tower_family(tower, 2)
     H = GeneratorSet(chain.family, chain.generators)
-    ext = w.extend_to_wreath_hom(H, f, fam, f.in_B, _tower_transversal(tower, f))
+    ext = w.ExtendedHom(H, f, fam, f.in_B, _tower_transversal(tower, f))
     for h in chain.generators:
         assert p.PERM.eq(ext(ext.factor_element(h)), h)
 
@@ -365,28 +380,56 @@ def test_extended_hom_factor_inclusion():
 def test_extended_hom_representative_independent():
     tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.build_f(tower, chain)
+    f = w.TowerHom(tower, chain)
     fam = w.tower_family(tower, 2)
     H = GeneratorSet(chain.family, chain.generators)
-    ext = w.extend_to_wreath_hom(H, f, fam, f.in_B, _tower_transversal(tower, f))
-    h = chain.generators[0]
-    rep = fam.element([(0, 1)], top=1)
+    ext = w.ExtendedHom(H, f, fam, f.in_B, _tower_transversal(tower, f))
+    rep = fam.element([(0, 1)], top=1)  # not itself a transversal element
     b = fam.element([(0, 2), (1, 5)], top=4)  # an element of B
     assert f.in_B(b)
     shifted = fam.mul(rep, b)
-    assert p.PERM.eq(ext(ext.factor_element(h, rep)),
-                     ext(ext.factor_element(h, shifted)))
+    stored = ext.transversal[ext.action.canonical(rep)]
+    assert stored != rep and ext.action.canonical(shifted) == ext.action.canonical(rep)
+    for h in chain.generators:
+        assert ext.factor_element(h, rep) == ext.factor_element(h, shifted)
+        expected = conjugate(p.PERM, f(rep), h)
+        assert p.PERM.eq(conjugate(p.PERM, f(shifted), h), expected)
+        assert p.PERM.eq(conjugate(p.PERM, f(stored), h), expected)
+        assert p.PERM.eq(ext(ext.factor_element(h, rep)), expected)
+
+
+@pytest.mark.parametrize("chain_factory", [iet_chain, perm_chain])
+def test_extended_hom_is_multiplicative(chain_factory):
+    tower = w.TowerSpec((2,))
+    chain = chain_factory()
+    f = w.TowerHom(tower, chain)
+    fam = w.tower_family(tower, 2)
+    ext = w.ExtendedHom(GeneratorSet(chain.family, chain.generators), f, fam, f.in_B,
+                        _tower_transversal(tower, f))
+    letters = w._letters(fam, w.tower_generators(tower, 2))
+    rng = random.Random(1)
+
+    def sample():
+        pairs = [(rng.choice(ext.transversal), rng.choice(chain.generators))
+                 for _ in range(rng.randint(0, 3))]
+        return ext.wreath.element(pairs, top=w._random_word(fam, letters, rng, max_len=4))
+
+    G = chain.family
+    for _ in range(20):
+        u, v = sample(), sample()
+        assert G.eq(ext(ext.wreath.mul(u, v)), G.mul(ext(u), ext(v)))
+        assert G.eq(ext(ext.wreath.inv(u)), G.inv(ext(u)))
 
 
 def test_extended_hom_rejects_repeated_cosets():
     tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.build_f(tower, chain)
+    f = w.TowerHom(tower, chain)
     fam = w.tower_family(tower, 2)
     H = GeneratorSet(chain.family, chain.generators)
     bad = [fam.element([], top=0), fam.element([], top=2)]  # same coset mod B
     with pytest.raises(ValueError):
-        w.extend_to_wreath_hom(H, f, fam, f.in_B, bad)
+        w.ExtendedHom(H, f, fam, f.in_B, bad)
 
 
 def test_kernel_base_commutes_engineered_instance():
@@ -394,7 +437,7 @@ def test_kernel_base_commutes_engineered_instance():
     kernel elements are plentiful and all commute."""
     H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),))
     f = lambda a: p.IDENTITY
-    ext = w.extend_to_wreath_hom(H, f, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
+    ext = w.ExtendedHom(H, f, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
     g = H.elements[0]
     u = ext.wreath.element([(0, g), (1, p.inverse(g))])
     v = ext.wreath.element([(0, p.compose(g, g)), (1, p.inverse(p.compose(g, g)))])
@@ -416,10 +459,21 @@ def test_closure_system_witness():
 
 
 def test_coset_action_points():
-    act = w.CosetAction(w.INT_Z, lambda a: a % 3 == 0)
-    assert act.point_eq(1, 4)
-    assert not act.point_eq(1, 2)
-    assert act.render_point(2) == "2B"
+    act = w.CosetAction(w.INT_Z, lambda a: a % 3 == 0, (0, 1, 5))
+    # point i is the coset of transversal[i], whatever representative names it
+    assert [act.canonical(x) for x in (0, 3, 1, 4, -2, 2, 5)] == [0, 0, 1, 1, 1, 2, 2]
+    assert act.act(2, 1) == 0 and act.act(-1, 0) == 2
+    assert act.render_point(2) == "5B"
+    with pytest.raises(FamilyMismatchError):
+        act.canonical("1")
+    short = w.CosetAction(w.INT_Z, lambda a: a % 3 == 0, (0, 1))
+    with pytest.raises(FamilyMismatchError):
+        short.canonical(2)  # a coset the transversal misses
+    lamps = w.WreathFamily(w.INT_Z, short)
+    with pytest.raises(FamilyMismatchError):
+        lamps.mul(lamps.element([], top=1), lamps.element([(1, 7)]))  # 1 + 1 = 2
+    with pytest.raises(ValueError):
+        w.CosetAction(w.INT_Z, lambda a: a % 3 == 0, (0, 1, 3))
 
 
 def test_sample_B_elements_are_members():
@@ -428,3 +482,98 @@ def test_sample_B_elements_are_members():
     for _ in range(20):
         b = w._sample_B_element(tower, 2, rng, 2)
         assert w.membership_B(tower, 2, b)
+
+
+# ---------------------------------------------------------------------------
+# The point_eq-scan normal form, kept as an oracle for the keyed one
+
+
+class ScanWreath(w.WreathFamily):
+    """A wreath product over Z/n as it was before points were canonical:
+    ``element`` keeps the points it is given, ``normalize`` merges entries
+    by a quadratic scan with a point equality predicate and sorts by point
+    mod n, and ``value_at``/``eq`` look points up through that predicate."""
+
+    def point_eq(self, x, y):
+        return x % self.action.n == y % self.action.n
+
+    def normalize(self, pairs, top):
+        merged = []
+        for x, g in pairs:
+            for i, (y, h) in enumerate(merged):
+                if self.point_eq(x, y):
+                    merged[i] = (y, self.base_family.mul(h, g))
+                    break
+            else:
+                merged.append((x, g))
+        cleaned = [(x, g) for x, g in merged if not self.base_family.is_identity(g)]
+        cleaned.sort(key=lambda item: item[0] % self.action.n)
+        return w.WreathElement(tuple(cleaned), top)
+
+    def element(self, pairs, top=0):
+        return self.normalize(list(pairs), top)
+
+    def value_at(self, u, x):
+        for y, g in u.base:
+            if self.point_eq(x, y):
+                return g
+        return self.base_family.identity()
+
+    def eq(self, u, v):
+        if u.top != v.top or len(u.base) != len(v.base):
+            return False
+        return all(self.base_family.eq(g, self.value_at(v, x)) for x, g in u.base)
+
+
+def _raw_tower_element(level):
+    """Level-1 ints, or (pairs, top) with points in -4..7, so that points
+    repeat and go unreduced mod every branching order, and with zero and
+    empty entries, which are identities."""
+    if level == 1:
+        return st.integers(-3, 3)
+    pairs = st.lists(st.tuples(st.integers(-4, 7), _raw_tower_element(level - 1)), max_size=4)
+    return st.tuples(pairs, st.integers(-3, 3))
+
+
+def _build(fams, raw):
+    """The element ``raw`` describes, built with fams[k] at level k + 1."""
+    if len(fams) == 1:
+        return raw
+    pairs, top = raw
+    return fams[-1].element([(x, _build(fams[:-1], g)) for x, g in pairs], top=top)
+
+
+def _reduced(branching, u):
+    """u with every point reduced mod its order and every base sorted."""
+    if not branching:
+        return u
+    n = branching[-1]
+    return w.WreathElement(
+        tuple(sorted((x % n, _reduced(branching[:-1], g)) for x, g in u.base)), u.top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_keyed_normal_form_matches_scan_oracle(data):
+    branching = data.draw(st.sampled_from([(2,), (3,), (2, 3), (3, 2)]))
+    tower = w.TowerSpec(branching)
+    fams = [w.tower_family(tower, level) for level in range(1, tower.depth + 1)]
+    oracles = [w.INT_Z]
+    for n in branching:
+        oracles.append(ScanWreath(oracles[-1], w.ZModAction(n)))
+    raw = _raw_tower_element(tower.depth)
+    ru, rv = data.draw(raw), data.draw(raw)
+    fam, oracle = fams[-1], oracles[-1]
+    u, v = _build(fams, ru), _build(fams, rv)
+    ou, ov = _build(oracles, ru), _build(oracles, rv)
+    assert u == _reduced(branching, ou) and v == _reduced(branching, ov)
+    assert fam.mul(u, v) == _reduced(branching, oracle.mul(ou, ov))
+    assert fam.inv(u) == _reduced(branching, oracle.inv(ou))
+    assert fam.eq(u, v) == oracle.eq(ou, ov) == (u == v)
+    back = fam.mul(fam.mul(u, v), fam.inv(v))
+    assert fam.eq(back, u) and oracle.eq(back, ou)
+    shift = fam.element([], top=1)
+    moved = fam.mul(fam.mul(shift, u), fam.inv(shift))  # the same entries, at moved points
+    assert fam.eq(u, moved) == oracle.eq(u, moved)
+    for x in range(-4, 8):
+        assert fam.value_at(u, x) == _reduced(branching[:-1], oracle.value_at(ou, x))
