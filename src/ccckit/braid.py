@@ -1,9 +1,15 @@
-"""Braid words with exact equality via the faithful action on a free group.
+"""Braid words with exact equality via Dynnikov coordinates.
 
 A braid on n strands is a word in the Artin generators sigma_1..sigma_(n-1),
-stored as signed indices.  Equality is decided by comparing the induced free
-group automorphisms, which is sound and complete; the trade-off is word
-blowup, so equality inputs are capped at MAX_EQUALITY_LETTERS letters.
+stored as signed indices.  Equality is decided by the action of the braid
+group on the Dynnikov coordinates of an integral lamination (Dynnikov, Russ.
+Math. Surveys 57, 2002; Dehornoy-Dynnikov-Rolfsen-Wiest, *Ordering Braids*,
+ch. XII): each letter updates at most two coordinate pairs with a few
+max/min operations, the bit length of the coordinates grows at most
+linearly with word length, and only the trivial braid fixes the starting
+coordinates, so equality is exact at any length.  The induced automorphism of a free group
+(``artin_action``) is kept as a slow, independent oracle; its images grow
+exponentially with word length.
 """
 
 from __future__ import annotations
@@ -13,9 +19,7 @@ from functools import lru_cache
 
 from . import freegroup as fg
 from . import perm
-from .core import FamilyMismatchError, GroupFamily, Witness, Finite, trusted
-
-MAX_EQUALITY_LETTERS = 64
+from .core import FamilyMismatchError, GroupFamily, Witness, Finite, is_int, trusted
 
 
 @dataclass(frozen=True)
@@ -24,9 +28,13 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError("need at least one strand")
+        if not (is_int(self.strands) and self.strands >= 1):
+            raise ValueError(f"need an int number of strands >= 1, got {self.strands!r}")
+        if not isinstance(self.letters, tuple):
+            raise ValueError(f"letters must be a tuple, got {self.letters!r}")
         for x in self.letters:
+            if not is_int(x):
+                raise ValueError(f"generator index must be an int, got {x!r}")
             if x == 0 or abs(x) > self.strands - 1:
                 raise ValueError(f"generator index {x} out of range for {self.strands} strands")
 
@@ -52,6 +60,10 @@ def stabilize(w: BraidWord, strands: int) -> BraidWord:
     return BraidWord(strands, w.letters)
 
 
+# The slow oracle: the faithful Artin action on the free group of rank n.
+# Its images grow exponentially with word length; tests compare
+# braids_equal against it on short words.
+
 @lru_cache(maxsize=None)
 def _generator_aut(strands: int, i: int) -> fg.FreeAutomorphism:
     # sigma_i: x_i -> x_i x_(i+1) x_i^-1, x_(i+1) -> x_i
@@ -71,7 +83,8 @@ def _identity_aut(strands: int) -> fg.FreeAutomorphism:
 
 
 def artin_action(w: BraidWord) -> fg.FreeAutomorphism:
-    """The induced automorphism of the free group of rank = strand count."""
+    """The induced automorphism of the free group of rank = strand count
+    (the equality oracle; not used by braids_equal)."""
     result = _identity_aut(w.strands)
     for x in w.letters:
         g = _generator_aut(w.strands, abs(x))
@@ -81,16 +94,50 @@ def artin_action(w: BraidWord) -> fg.FreeAutomorphism:
     return result
 
 
+def _dynnikov(strands: int, letters) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Dynnikov coordinates (a; b) of the image of the standard
+    lamination under a validated letter sequence, with the n strands taken
+    inside B_(n+1).
+
+    With m = n + 1 punctures there are m - 2 = n - 1 pairs (a_k, b_k),
+    starting from (0, ..., 0; -1, ..., -1).  The extra puncture keeps the
+    full twist, which generates the center of B_n, from fixing the start.
+    Two words are equal in B_n iff their coordinates agree.  Letter +-1
+    acts on pair 1 and letter +-i (1 < i < n) on pairs (p, q) = i - 1 and
+    (P, Q) = i, with the update rules of Dehornoy-Dynnikov-Rolfsen-Wiest,
+    ch. XII, and Hall-Yurttas, Topology Appl. 156 (2009); q+ = max(q, 0)
+    and q- = min(q, 0).
+    """
+    a = [0] * (strands - 1)
+    b = [-1] * (strands - 1)
+    for x in letters:
+        i = abs(x)
+        if i == 1:
+            p, q = a[0], b[0]
+            if x > 0:
+                a[0], b[0] = q - max(max(q, 0) - p, 0), max(q, 0) - p
+            else:
+                a[0], b[0] = -q + max(p + max(q, 0), 0), p + max(q, 0)
+            continue
+        p, q, P, Q = a[i - 2], b[i - 2], a[i - 1], b[i - 1]
+        qp, qm, Qp, Qm = max(q, 0), min(q, 0), max(Q, 0), min(Q, 0)
+        if x > 0:
+            c = p - P + Qp - qm
+            a[i - 2], b[i - 2] = p + qp + max(Qp - c, 0), Q - max(c, 0)
+            a[i - 1], b[i - 1] = P + Qm + min(qm + c, 0), q + max(c, 0)
+        else:
+            d = p - P - Qp + qm
+            a[i - 2], b[i - 2] = p - qp - max(Qp + d, 0), Q + min(d, 0)
+            a[i - 1], b[i - 1] = P - Qm - min(qm - d, 0), q - min(d, 0)
+    return tuple(a), tuple(b)
+
+
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
-    """Exact equality in the braid group (sound and complete by faithfulness
-    of the Artin action).  Pads the shorter word by stabilization."""
+    """Exact equality in the braid group, by Dynnikov coordinates: a few
+    integer operations per letter.  The word on fewer strands is read on the
+    larger strand count, as stabilization would."""
     strands = max(u.strands, v.strands)
-    u, v = stabilize(u, strands), stabilize(v, strands)
-    for w in (u, v):
-        if len(w.letters) > MAX_EQUALITY_LETTERS:
-            raise ValueError(
-                f"equality input has {len(w.letters)} letters, cap is {MAX_EQUALITY_LETTERS}")
-    return artin_action(u).images == artin_action(v).images
+    return _dynnikov(strands, u.letters) == _dynnikov(strands, v.letters)
 
 
 def underlying_permutation(w: BraidWord) -> perm.FinPerm:
@@ -123,7 +170,7 @@ def block_pass_witness(n: int) -> Witness:
 
 
 class BraidFamily(GroupFamily):
-    """B_n as words in Artin generators, equality via the Artin action."""
+    """B_n as words in Artin generators, equality via Dynnikov coordinates."""
 
     def __init__(self, strands: int):
         self.strands = strands

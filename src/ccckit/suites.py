@@ -322,7 +322,7 @@ FAMILIES: dict[str, Battery] = {
     "onn": Battery(partial(matrix_battery, "Onn"), SIZE, "stable split orthogonal group; "
                    "witness exchanging the first half of the basis", MODULI),
     "braid": Battery(braid_battery, SIZE_2_UP,
-                     "stable braid group; block-pass witness validated through the free group action"),
+                     "stable braid group, equality by Dynnikov coordinates; block-pass witness"),
     "aut-free": Battery(aut_free_battery, SIZE,
                         "stable automorphisms of free groups; generator block-swap witness"),
     "iet": Battery(iet_battery, SIZE,

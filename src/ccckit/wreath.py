@@ -265,8 +265,8 @@ def membership_B(tower: TowerSpec, n1: int, u, level: int | None = None) -> bool
     """The distinguished subgroup: multiples of n1 at the bottom, and at
     level i+1 the elements with coordinate-0 entry in the lower subgroup and
     top a multiple of the branching order."""
-    if n1 < 2:
-        raise ValueError(f"base order must be >= 2, got {n1}")
+    if not (is_int(n1) and n1 >= 2):
+        raise ValueError(f"base order must be an int >= 2, got {n1!r}")
     if level is None:
         level = tower.depth
     if level == 1:
@@ -298,8 +298,8 @@ class WitnessChain:
     def __post_init__(self):
         if len(self.ts) != len(self.orders) or not self.ts:
             raise ValueError("need one order per witness element")
-        if any(n < 2 for n in self.orders):
-            raise ValueError(f"all orders must be >= 2: {self.orders}")
+        if not all(is_int(n) and n >= 2 for n in self.orders):
+            raise ValueError(f"all orders must be ints >= 2: {self.orders}")
 
     def level_generators(self, i: int) -> tuple:
         """Generators of Lambda_i."""

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccckit import braid as b
 from ccckit import freegroup as fg
@@ -35,10 +38,92 @@ def test_stabilization_padding():
     assert b.braids_equal(b.braid(2, (1,)), b.braid(4, (1,)))
 
 
-def test_equality_cap():
-    long = b.braid(2, (1,) * (b.MAX_EQUALITY_LETTERS + 1))
-    with pytest.raises(ValueError):
-        b.braids_equal(long, b.braid(2, ()))
+def _half_twist(n):
+    """Garside's Delta = (sigma_1..sigma_(n-1)) (sigma_1..sigma_(n-2)) ... sigma_1."""
+    return tuple(i for k in range(n - 1, 0, -1) for i in range(1, k + 1))
+
+
+def _inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def _relators(n):
+    """sigma_i sigma_(i+1) sigma_i (sigma_(i+1) sigma_i sigma_(i+1))^-1, the
+    far commutators [sigma_i, sigma_j] and sigma_i sigma_i^-1."""
+    rels = [(i, i + 1, i, -(i + 1), -i, -(i + 1)) for i in range(1, n - 1)]
+    rels += [(i, j, -i, -j) for i in range(1, n) for j in range(i + 2, n)]
+    rels += [(i, -i) for i in range(1, n)]
+    return rels
+
+
+def _artin_equal(u, v):
+    strands = max(u.strands, v.strands)
+    return (b.artin_action(b.stabilize(u, strands)).images
+            == b.artin_action(b.stabilize(v, strands)).images)
+
+
+@st.composite
+def _word_pairs(draw):
+    """Two words on 2-6 strands and whether they are equal by construction:
+    independent words, or a word and the same word with a conjugated
+    relator w r w^-1 spliced in; at most ~12 letters before the splice."""
+    n = draw(st.integers(2, 6))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    u = tuple(draw(st.lists(letter, max_size=6)))
+    if draw(st.booleans()):
+        return n, u, tuple(draw(st.lists(letter, max_size=6))), False
+    w = tuple(draw(st.lists(letter, max_size=3)))
+    r = draw(st.sampled_from(_relators(n)))
+    cut = draw(st.integers(0, len(u)))
+    return n, u, u[:cut] + w + r + _inverse(w) + u[cut:], True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_pairs())
+def test_dynnikov_equality_matches_artin_oracle(pair):
+    n, u, v, spliced = pair
+    U, V = b.braid(n, u), b.braid(n, v)
+    verdict = b.braids_equal(U, V)
+    assert verdict == _artin_equal(U, V)
+    assert verdict or not spliced
+
+
+def test_full_twist_powers_are_nontrivial():
+    for n in range(2, 7):
+        for power in (2, 4):
+            twist = b.braid(n, _half_twist(n) * power)
+            assert not b.braids_equal(twist, b.braid(n, ())), (n, power)
+            assert not _artin_equal(twist, b.braid(n, ()))
+
+
+def test_full_twist_is_central_and_half_twist_conjugates():
+    for n in range(2, 7):
+        delta = _half_twist(n)
+        for i in range(1, n):
+            assert b.braids_equal(b.braid(n, delta * 2 + (i,)), b.braid(n, (i,) + delta * 2))
+            # Delta sigma_i Delta^-1 = sigma_(n-i)
+            assert b.braids_equal(b.braid(n, delta + (i,) + _inverse(delta)), b.braid(n, (n - i,)))
+
+
+def test_long_words_are_decided():
+    # Delta^16 on 6 strands is central: 241-letter words on both sides
+    twist = _half_twist(6) * 16
+    assert b.braids_equal(b.braid(6, twist + (1,)), b.braid(6, (1,) + twist))
+    assert not b.braids_equal(b.braid(6, twist + (1,)), b.braid(6, twist))
+    rng = random.Random(1)
+    w = tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(150))
+    assert b.braids_equal(b.braid(5, w + _inverse(w)), b.braid(5, ()))
+    assert not b.braids_equal(b.braid(2, (1,) * 201), b.braid(2, (1,) * 199))
+    assert b.braids_equal(b.braid(2, (1,) * 250 + (-1,) * 250), b.braid(2, ()))
+
+
+def test_dynnikov_start_and_identity():
+    assert b._dynnikov(4, ()) == ((0, 0, 0), (-1, -1, -1))
+    assert b._dynnikov(1, ()) == ((), ())
+    for n in range(2, 6):
+        for i in range(1, n):
+            assert b._dynnikov(n, (i, -i)) == b._dynnikov(n, ())
+            assert b._dynnikov(n, (-i, i)) == b._dynnikov(n, ())
 
 
 def test_letter_range_validation():
@@ -46,6 +131,19 @@ def test_letter_range_validation():
         b.braid(3, (3,))
     with pytest.raises(ValueError):
         b.braid(3, (0,))
+
+
+@pytest.mark.parametrize("strands,letters", [
+    (3, (1.5,)),     # a non-int letter
+    (3, (True,)),    # a bool letter
+    (2.0, (1,)),     # a float strand count
+    (True, ()),      # a bool strand count
+    (0, ()),
+    (3, [1]),        # letters not a tuple
+])
+def test_braid_word_rejects_non_int_data(strands, letters):
+    with pytest.raises(ValueError):
+        b.BraidWord(strands, letters)
 
 
 def test_underlying_permutation():

@@ -102,10 +102,15 @@ def test_every_family_runs_clean(capsys):
         assert code == cli.EXIT_OK, (family, err)
 
 
+def test_braid_past_the_old_letter_cap_runs_clean(capsys):
+    code, out, err = run(capsys, "run", "--family", "braid", "--size", "4", "--format", "json")
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["params"] == {"size": 4}
+
+
 @pytest.mark.parametrize("argv", [
     ("--family", "pl", "--bound", "0"),     # WitnessModeError
     ("--family", "iet", "--size", "-1"),    # InvalidIetError
-    ("--family", "braid", "--size", "4"),   # equality letter cap
     ("--family", "iet", "--size", "0"),     # below the declared domain
     ("--family", "sl", "--size", "1"),      # H would be empty
     ("--family", "e", "--size", "1"),

@@ -50,11 +50,11 @@ def test_run_signature_is_declared_parameters_plus_seed(family):
 def test_run_family_rejects_exactly_invalid_parameters(data):
     family = data.draw(st.sampled_from(sorted(FAMILIES)))
     battery = FAMILIES[family]
-    # mostly the family's own names, sometimes any flag's; values stop at 3
-    # because braid 4 exceeds the equality letter cap
+    # mostly the family's own names, sometimes any flag's; values stop at 4
+    # so that each run stays a few milliseconds
     own = st.sampled_from(list(battery.params))
     names = st.one_of(own, own, st.sampled_from(list(cli.PARAMETERS)))
-    given_params = data.draw(st.dictionaries(names, st.integers(-1, 3), max_size=2))
+    given_params = data.draw(st.dictionaries(names, st.integers(-1, 4), max_size=2))
     calls = []
 
     def spy(**kwargs):

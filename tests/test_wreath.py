@@ -109,6 +109,19 @@ def test_membership_B_level1():
     assert not w.membership_B(tower, 3, 4, level=1)
 
 
+@pytest.mark.parametrize("n1", [2.5, 2.0, True, 1])
+def test_membership_B_rejects_bad_base_orders(n1):
+    with pytest.raises(ValueError):
+        w.membership_B(w.TowerSpec(()), n1, 5)
+
+
+@pytest.mark.parametrize("orders", [(2.0,), (2.5,), (True,), (1,)])
+def test_witness_chain_rejects_bad_orders(orders):
+    with pytest.raises(ValueError):
+        w.WitnessChain(p.PERM, (p.perm_from_cycles([[1, 2]]),),
+                       (p.perm_from_cycles([[3, 4]]),), orders)
+
+
 def test_membership_B_level2():
     tower = w.TowerSpec((2,))
     fam = w.tower_family(tower, 2)
