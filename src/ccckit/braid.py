@@ -14,18 +14,17 @@ exponentially with word length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import freegroup as fg
 from . import perm
-from .core import FamilyMismatchError, GroupFamily, Witness, Finite, is_int, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strands: int
-    letters: tuple[int, ...]
+class BraidWord(Record):
+    def __init__(self, strands: int, letters: tuple[int, ...]):
+        self.__dict__.update(strands=strands, letters=letters)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (is_int(self.strands) and self.strands >= 1):

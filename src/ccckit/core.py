@@ -9,8 +9,7 @@ written once and reused everywhere.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 
 class CcckitError(Exception):
@@ -25,13 +24,56 @@ class WitnessModeError(CcckitError):
     """Witness mode incompatible with the requested check."""
 
 
-def is_int(x: Any) -> bool:
+def is_int(x: object) -> bool:
     """x is an int and not a bool (bool subclasses int)."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+class Record:
+    """Base of the immutable value types: elements, witnesses, check records.
+
+    A subclass declares its fields once, as the parameters of its
+    ``__init__``, which stores them in that order in the instance
+    ``__dict__`` and then calls ``self.__post_init__()``.  ``_fields`` is
+    read off that signature.  ``__post_init__`` is the one place a type
+    validates its fields.
+
+    Two records are equal when they have the same class and equal fields; a
+    record hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)`` and refuses assignment and deletion.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __post_init__(self):
+        """Raise if the fields break the type's invariants; this default
+        accepts any fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def trusted(cls, *values):
-    """An instance of the frozen dataclass cls with the given field values,
+    """An instance of the record type cls with the given field values,
     built without running __post_init__.
 
     Element types validate in __post_init__, at the public boundary.  Group
@@ -39,8 +81,14 @@ def trusted(cls, *values):
     build their results through this helper instead.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    obj.__dict__.update(zip(cls._fields, values, strict=True))
     return obj
+
+
+def replace(record, **changes):
+    """A copy of record with the given fields changed, built through its
+    public constructor, so __post_init__ validates it again."""
+    return type(record)(**{**record.__dict__, **changes})
 
 
 class GroupFamily(abc.ABC):
@@ -54,24 +102,24 @@ class GroupFamily(abc.ABC):
     name: str = "group"
 
     @abc.abstractmethod
-    def identity(self) -> Any: ...
+    def identity(self) -> object: ...
 
     @abc.abstractmethod
-    def mul(self, a: Any, b: Any) -> Any: ...
+    def mul(self, a: object, b: object) -> object: ...
 
     @abc.abstractmethod
-    def inv(self, a: Any) -> Any: ...
+    def inv(self, a: object) -> object: ...
 
     @abc.abstractmethod
-    def eq(self, a: Any, b: Any) -> bool: ...
+    def eq(self, a: object, b: object) -> bool: ...
 
     @abc.abstractmethod
-    def render(self, a: Any) -> str: ...
+    def render(self, a: object) -> str: ...
 
-    def check_element(self, a: Any) -> None:
+    def check_element(self, a: object) -> None:
         """Raise FamilyMismatchError if ``a`` does not belong here."""
 
-    def power(self, a: Any, k: int) -> Any:
+    def power(self, a: object, k: int) -> object:
         """a^k by binary powering: bitlen(k) + popcount(k) - 2 products for
         k >= 1 (the result starts at the lowest set bit, and no square is
         taken past the highest)."""
@@ -92,18 +140,18 @@ class GroupFamily(abc.ABC):
             k >>= 1
         return result
 
-    def is_identity(self, a: Any) -> bool:
+    def is_identity(self, a: object) -> bool:
         return self.eq(a, self.identity())
 
 
-def commutator(family: GroupFamily, a: Any, b: Any) -> Any:
+def commutator(family: GroupFamily, a: object, b: object) -> object:
     """[a, b] = a b a^-1 b^-1 (fixed convention)."""
     family.check_element(a)
     family.check_element(b)
     return family.mul(family.mul(a, b), family.mul(family.inv(a), family.inv(b)))
 
 
-def conjugate(family: GroupFamily, t: Any, h: Any) -> Any:
+def conjugate(family: GroupFamily, t: object, h: object) -> object:
     """^t h = t h t^-1."""
     family.check_element(t)
     family.check_element(h)
@@ -114,37 +162,39 @@ def conjugate(family: GroupFamily, t: Any, h: Any) -> Any:
 # Witnesses and generator sets
 
 
-@dataclass(frozen=True)
-class Finite:
-    n: int
+class Finite(Record):
+    def __init__(self, n: int):
+        self.__dict__.update(n=n)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (is_int(self.n) and self.n >= 2):
             raise WitnessModeError(f"finite witness order must be an int >= 2, got {self.n!r}")
 
 
-@dataclass(frozen=True)
-class ZMode:
-    bound: int = 8
+class ZMode(Record):
+    def __init__(self, bound: int = 8):
+        self.__dict__.update(bound=bound)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (is_int(self.bound) and self.bound >= 1):
             raise WitnessModeError(f"Z-mode bound must be an int >= 1, got {self.bound!r}")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A pair (t, mode): the conjugating element together with either its
     finite commutation order n >= 2 or a bounded stand-in for n = infinity."""
 
-    t: Any
-    mode: Finite | ZMode
+    def __init__(self, t: object, mode: Finite | ZMode):
+        self.__dict__.update(t=t, mode=mode)
+        self.__post_init__()
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    family: GroupFamily
-    elements: tuple = ()
+class GeneratorSet(Record):
+    def __init__(self, family: GroupFamily, elements: tuple = ()):
+        self.__dict__.update(family=family, elements=elements)
+        self.__post_init__()
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -154,22 +204,22 @@ class GeneratorSet:
 # Reports
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str  # "pass" | "fail"
-    lhs: str
-    rhs: str
-    detail: str = ""
+class CheckRecord(Record):
+    def __init__(self, name: str, status: str, lhs: str, rhs: str, detail: str = ""):
+        # status is "pass" or "fail"
+        self.__dict__.update(name=name, status=status, lhs=lhs, rhs=rhs, detail=detail)
+        self.__post_init__()
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[CheckRecord] = field(default_factory=list)
-    bounded: bool = False
-    elapsed_ms: int = 0
-    counterexample: str | None = None
+    """The checks of one suite in order, whether they are bounded, and the
+    first failure."""
+
+    def __init__(self, suite: str, bounded: bool = False):
+        self.suite = suite
+        self.checks: list[CheckRecord] = []
+        self.bounded = bounded
+        self.counterexample: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -183,7 +233,8 @@ class VerificationReport:
     def extend(self, other: "VerificationReport", prefix: str = "") -> None:
         """Append other's checks with prefix added to each name and to the
         counterexample.  Records are copied, not re-recorded."""
-        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
+        self.checks.extend(CheckRecord(prefix + c.name, c.status, c.lhs, c.rhs, c.detail)
+                           for c in other.checks)
         self.bounded = self.bounded or other.bounded
         if self.counterexample is None and other.counterexample is not None:
             self.counterexample = prefix + other.counterexample
@@ -205,7 +256,7 @@ class VerificationReport:
 
 
 def _check_identity(family: GroupFamily, report: VerificationReport, name: str,
-                    value: Any, detail: str = "") -> None:
+                    value: object, detail: str = "") -> None:
     report.record(name, family.is_identity(value), family.render(value), "e", detail)
 
 
@@ -279,7 +330,7 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     return report
 
 
-def derived_witness(family: GroupFamily, t: Any, s: Any) -> Any:
+def derived_witness(family: GroupFamily, t: object, s: object) -> object:
     """c = [t, s]; when s displaces K = <H, t>, conjugation by c^p agrees with
     conjugation by t^p on K, which downstream tests exercise."""
     return commutator(family, t, s)

@@ -9,9 +9,8 @@ general invertibility test is needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import FamilyMismatchError, GroupFamily, Witness, Finite, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -25,17 +24,22 @@ def reduce_letters(letters) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class FreeWord:
-    rank: int
-    letters: tuple[int, ...]
+class FreeWord(Record):
+    def __init__(self, rank: int, letters: tuple[int, ...]):
+        self.__dict__.update(rank=rank, letters=letters)
+        self.__post_init__()
 
     def __post_init__(self):
-        for x in self.letters:
-            if x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x} out of range for rank {self.rank}")
-        if self.letters != reduce_letters(self.letters):
-            raise ValueError(f"word not freely reduced: {self.letters}")
+        rank, letters = self.rank, self.letters
+        if not (is_int(rank) and rank >= 0):
+            raise ValueError(f"need an int rank >= 0, got {rank!r}")
+        if not isinstance(letters, tuple):
+            raise ValueError(f"letters must be a tuple, got {letters!r}")
+        for x in letters:
+            if not is_int(x) or x == 0 or abs(x) > rank:
+                raise ValueError(f"letter {x!r} is not an int in +-1..{rank}")
+        if letters != reduce_letters(letters):
+            raise ValueError(f"word not freely reduced: {letters}")
 
     def __str__(self) -> str:
         return render_word(self)
@@ -87,15 +91,22 @@ def parse_word(rank: int, text: str) -> FreeWord:
 # Automorphisms
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
-    rank: int
-    images: tuple[FreeWord, ...]
-    inverse_images: tuple[FreeWord, ...]
+class FreeAutomorphism(Record):
+    def __init__(self, rank: int, images: tuple[FreeWord, ...],
+                 inverse_images: tuple[FreeWord, ...]):
+        self.__dict__.update(rank=rank, images=images, inverse_images=inverse_images)
+        self.__post_init__()
 
     def __post_init__(self):
-        if len(self.images) != self.rank or len(self.inverse_images) != self.rank:
-            raise ValueError("need one image per generator")
+        rank = self.rank
+        if not (is_int(rank) and rank >= 0):
+            raise ValueError(f"need an int rank >= 0, got {rank!r}")
+        for images in (self.images, self.inverse_images):
+            if not isinstance(images, tuple) or len(images) != rank:
+                raise ValueError(f"need a tuple of one image per generator, got {images!r}")
+            for w in images:
+                if not (isinstance(w, FreeWord) and w.rank == rank):
+                    raise ValueError(f"image {w!r} is not a rank {rank} FreeWord")
         for comp in (
             [_substitute_images(self.images, w) for w in self.inverse_images],
             [_substitute_images(self.inverse_images, w) for w in self.images],

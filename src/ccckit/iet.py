@@ -27,23 +27,24 @@ no inverse.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite, trusted
-from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
-                       over_common_den, rescaled)
+from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, Witness, Finite, trusted
+from .rational import (common_den, fmt, in_lowest_terms, is_int_data, json_list, json_number,
+                       lowest_terms, over_common_den, rescaled)
 
 
 class InvalidIetError(CcckitError):
     pass
 
 
-@dataclass(frozen=True)
-class IetMap:
-    den: int                  # positive common denominator
-    cuts: tuple[int, ...]     # numerators of 0 = a_0 < a_1 < ... < a_k
-    shifts: tuple[int, ...]   # numerators of the translations, one per finite interval
+class IetMap(Record):
+    def __init__(self, den: int, cuts: tuple[int, ...], shifts: tuple[int, ...]):
+        # den: the positive common denominator; cuts: numerators of
+        # 0 = a_0 < a_1 < ... < a_k; shifts: numerators of the translations,
+        # one per finite interval
+        self.__dict__.update(den=den, cuts=cuts, shifts=shifts)
+        self.__post_init__()
 
     def __post_init__(self):
         den, cuts, shifts = self.den, self.cuts, self.shifts
@@ -213,8 +214,10 @@ def to_json_obj(f: IetMap) -> dict:
 
 
 def from_json_obj(obj: dict) -> IetMap:
-    return make_iet([Fraction(b) for b in obj["breakpoints"]],
-                    [Fraction(t) for t in obj["translations"]])
+    """The inverse of to_json_obj; raises ValueError on any other shape, and
+    on a number that is not an int or a str(Fraction) string."""
+    return make_iet([json_number(b) for b in json_list(obj, "breakpoints")],
+                    [json_number(t) for t in json_list(obj, "translations")])
 
 
 class IetFamily(GroupFamily):

@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 
 from . import perm as permmod
-from .core import CcckitError, FamilyMismatchError, GroupFamily, Witness, Finite, is_int, trusted
+from .core import (CcckitError, FamilyMismatchError, GroupFamily, Record, Witness, Finite,
+                   is_int, trusted)
 
 
 class NotInvertibleError(CcckitError):
@@ -52,15 +52,14 @@ def _check_modulus(modulus) -> None:
 Row = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
+class SquareMatrix(Record):
     """A size x size matrix; rows[i] holds row i's nonzero entries as
     (column, value) pairs, columns strictly increasing in [0, size) and
     values nonzero and reduced for the modulus."""
 
-    size: int
-    rows: tuple[Row, ...]
-    modulus: int | None = None
+    def __init__(self, size: int, rows: tuple[Row, ...], modulus: int | None = None):
+        self.__dict__.update(size=size, rows=rows, modulus=modulus)
+        self.__post_init__()
 
     def __post_init__(self):
         _check_modulus(self.modulus)
@@ -251,10 +250,11 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
 # Forms
 
 
-@dataclass(frozen=True)
-class FormTag:
-    kind: str  # "symplectic" | "split-orthogonal" | "none"
-    size: int
+class FormTag(Record):
+    def __init__(self, kind: str, size: int):
+        # kind is "symplectic", "split-orthogonal" or "none"
+        self.__dict__.update(kind=kind, size=size)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("symplectic", "split-orthogonal", "none"):

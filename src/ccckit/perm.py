@@ -8,15 +8,15 @@ identical support maps.  Composition is right-to-left function application:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import FamilyMismatchError, GroupFamily, Witness, Finite, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, trusted
 
 
-@dataclass(frozen=True)
-class FinPerm:
-    # sorted tuple of (point, image) pairs, fixed points omitted
-    mapping: tuple[tuple[int, int], ...]
+class FinPerm(Record):
+    def __init__(self, mapping: tuple[tuple[int, int], ...]):
+        # sorted tuple of (point, image) pairs, fixed points omitted
+        self.__dict__.update(mapping=mapping)
+        self.__post_init__()
 
     def __post_init__(self):
         points = [p for p, _ in self.mapping]

@@ -17,14 +17,13 @@ read-only ``vertices`` property, and rendering, which prints exactly what
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily,
+from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily, Record,
                    Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
-from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
-                       over_common_den, over_one_den, ratio, rescaled)
+from .rational import (common_den, fmt, in_lowest_terms, is_int_data, json_list, json_number,
+                       lowest_terms, over_common_den, over_one_den, ratio, rescaled)
 
 
 class InvalidPlMapError(CcckitError):
@@ -35,11 +34,12 @@ class NotCompactlySupportedError(CcckitError):
     pass
 
 
-@dataclass(frozen=True)
-class PlMap:
-    den: int                # positive common denominator
-    xs: tuple[int, ...]     # vertex x numerators, 0 = xs[0] < ... < xs[-1] = den
-    ys: tuple[int, ...]     # vertex y numerators, 0 = ys[0] < ... < ys[-1] = den
+class PlMap(Record):
+    def __init__(self, den: int, xs: tuple[int, ...], ys: tuple[int, ...]):
+        # den: the positive common denominator; xs and ys: the vertex
+        # numerators, 0 = xs[0] < ... < xs[-1] = den and likewise for ys
+        self.__dict__.update(den=den, xs=xs, ys=ys)
+        self.__post_init__()
 
     def __post_init__(self):
         den, xs, ys = self.den, self.xs, self.ys
@@ -229,7 +229,12 @@ def to_json_obj(f: PlMap) -> dict:
 
 
 def from_json_obj(obj: dict) -> PlMap:
-    return make_pl([(Fraction(x), Fraction(y)) for x, y in obj["vertices"]])
+    """The inverse of to_json_obj; raises ValueError on any other shape, and
+    on a number that is not an int or a str(Fraction) string."""
+    vertices = json_list(obj, "vertices")
+    if not all(isinstance(v, list) and len(v) == 2 for v in vertices):
+        raise ValueError(f"each vertex must be an [x, y] list, got {vertices!r}")
+    return make_pl([(json_number(x), json_number(y)) for x, y in vertices])
 
 
 class PlFamily(GroupFamily):

@@ -9,10 +9,10 @@ and the CLI.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from types import MappingProxyType
 
 from . import braid as braidmod
 from . import freegroup as fg
@@ -21,7 +21,7 @@ from . import matrixring as mat
 from . import perm as permmod
 from . import plhomeo as plmod
 from . import wreath as wreathmod
-from .core import GeneratorSet, VerificationReport, is_int, verify_ccc
+from .core import GeneratorSet, Record, VerificationReport, is_int, verify_ccc
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +289,15 @@ def closure_battery(size: int, seed: int) -> VerificationReport:
 # registry
 
 
-@dataclass(frozen=True)
-class Battery:
+class Battery(Record):
     """A battery: its run function, its parameters besides seed, each mapped
     to (default, low, high) with high None for no limit, and fixed params."""
 
-    run: Callable[..., VerificationReport]
-    params: dict[str, tuple[int, int, int | None]]
-    description: str
-    fixed: dict = field(default_factory=dict)
+    def __init__(self, run: Callable[..., VerificationReport],
+                 params: dict[str, tuple[int, int, int | None]], description: str,
+                 fixed: Mapping = MappingProxyType({})):
+        self.__dict__.update(run=run, params=params, description=description, fixed=fixed)
+        self.__post_init__()
 
     def domain(self, name: str) -> str:
         _, low, high = self.params[name]

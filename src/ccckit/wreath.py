@@ -16,11 +16,10 @@ from __future__ import annotations
 import abc
 import functools
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import core
-from .core import (CcckitError, FamilyMismatchError, Finite, GeneratorSet, GroupFamily,
+from .core import (CcckitError, FamilyMismatchError, Finite, GeneratorSet, GroupFamily, Record,
                    VerificationReport, Witness, commutator, conjugate, is_int)
 
 
@@ -71,10 +70,10 @@ class ActionSpace(abc.ABC):
     top: GroupFamily
 
     @abc.abstractmethod
-    def act(self, a: Any, x: int) -> int: ...
+    def act(self, a: object, x: int) -> int: ...
 
     @abc.abstractmethod
-    def canonical(self, x: Any) -> int:
+    def canonical(self, x: object) -> int:
         """The stored form of the point x; raises FamilyMismatchError if x
         is no point."""
 
@@ -105,7 +104,7 @@ class CosetAction(ActionSpace):
     transversal[i]; ``canonical`` finds it for any representative through
     the membership predicate for B."""
 
-    def __init__(self, a_family: GroupFamily, in_B: Callable[[Any], bool],
+    def __init__(self, a_family: GroupFamily, in_B: Callable[[object], bool],
                  transversal: Sequence):
         self.top = a_family
         self.in_B = in_B
@@ -134,10 +133,11 @@ class CosetAction(ActionSpace):
 # Wreath elements
 
 
-@dataclass(frozen=True)
-class WreathElement:
-    base: tuple[tuple[int, Any], ...]  # (canonical point, base-group element), sorted
-    top: Any
+class WreathElement(Record):
+    def __init__(self, base: tuple[tuple[int, object], ...], top: object):
+        # base: (canonical point, base-group element) pairs, sorted by point
+        self.__dict__.update(base=base, top=top)
+        self.__post_init__()
 
 
 class WreathFamily(GroupFamily):
@@ -156,12 +156,12 @@ class WreathFamily(GroupFamily):
         if not isinstance(a, WreathElement):
             raise FamilyMismatchError(f"not a WreathElement: {a!r}")
 
-    def normalize(self, pairs: Sequence[tuple[int, Any]], top: Any) -> WreathElement:
+    def normalize(self, pairs: Sequence[tuple[int, object]], top: object) -> WreathElement:
         """The element with base entries ``pairs`` at canonical points:
         entries at one point multiplied in pair order, identity entries
         dropped, points ascending."""
         base = self.base_family
-        merged: dict[int, Any] = {}
+        merged: dict[int, object] = {}
         for x, g in pairs:
             merged[x] = base.mul(merged[x], g) if x in merged else g
         return WreathElement(
@@ -178,7 +178,7 @@ class WreathFamily(GroupFamily):
             checked.append((action.canonical(x), g))
         return self.normalize(checked, top)
 
-    def value_at(self, u: WreathElement, x) -> Any:
+    def value_at(self, u: WreathElement, x) -> object:
         x = self.action.canonical(x)
         for y, g in u.base:
             if y == x:
@@ -218,9 +218,11 @@ class WreathFamily(GroupFamily):
 # The tower A_1 = Z, A_(i+1) = A_i wr_(Z/n_(i+1)) Z
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    branching: tuple[int, ...]  # (n_2, ..., n_k)
+class TowerSpec(Record):
+    def __init__(self, branching: tuple[int, ...]):
+        # branching is (n_2, ..., n_k)
+        self.__dict__.update(branching=branching)
+        self.__post_init__()
 
     def __post_init__(self):
         if not all(is_int(n) and n >= 2 for n in self.branching):
@@ -285,15 +287,15 @@ def membership_B(tower: TowerSpec, n1: int, u, level: int | None = None) -> bool
 # Witness chains and the homomorphism into the target family
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(Record):
     """t_1..t_k with orders n_1..n_k over a target family, plus the nested
     generator data: Lambda_0 = H, Lambda_i = <Lambda_(i-1), t_i>."""
 
-    family: GroupFamily
-    generators: tuple          # generators of H
-    ts: tuple                  # t_1, ..., t_k
-    orders: tuple[int, ...]    # n_1, ..., n_k
+    def __init__(self, family: GroupFamily, generators: tuple, ts: tuple,
+                 orders: tuple[int, ...]):
+        # generators of H; ts = (t_1, ..., t_k); orders = (n_1, ..., n_k)
+        self.__dict__.update(family=family, generators=generators, ts=ts, orders=orders)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.ts) != len(self.orders) or not self.ts:
@@ -341,9 +343,9 @@ class TowerHom:
         self.tower = tower
         self.chain = chain
         self.family = chain.family
-        self._powers: dict[tuple[int, int], Any] = {}
-        self._conjugates: dict[tuple[int, int, Any], Any] = {}
-        self._images: dict[tuple[int, Any], Any] = {}
+        self._powers: dict[tuple[int, int], object] = {}
+        self._conjugates: dict[tuple[int, int, object], object] = {}
+        self._images: dict[tuple[int, object], object] = {}
 
     def _power(self, level: int, k: int):
         """t_level^k, computed once per (level, k)."""
@@ -463,7 +465,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
                       fam.render(lhs), fam.render(rhs))
 
-    verdicts_i: dict[Any, bool] = {}
+    verdicts_i: dict[object, bool] = {}
     found = 0
     attempts = 0
     while found < sample_size and attempts < 100 * sample_size:
@@ -485,7 +487,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         report.record("(i) enough non-member samples", False,
                       str(found), str(sample_size))
 
-    verdicts_ii: dict[Any, bool] = {}
+    verdicts_ii: dict[object, bool] = {}
     for k in range(sample_size):
         b = _sample_B_element(tower, f.chain.orders[0], rng, tower.depth)
         fb = f(b)
@@ -511,7 +513,7 @@ class ExtendedHom:
     transversal."""
 
     def __init__(self, H: GeneratorSet, f: Callable, a_family: GroupFamily,
-                 in_B: Callable[[Any], bool], transversal: Sequence):
+                 in_B: Callable[[object], bool], transversal: Sequence):
         self.H = H
         self.f = f
         self.a_family = a_family

@@ -75,7 +75,7 @@ def oracle_perm_compose(a: permmod.FinPerm, b: permmod.FinPerm) -> permmod.FinPe
 
 
 def is_integer_map(h) -> bool:
-    fields = [getattr(h, name) for name in h.__dataclass_fields__]
+    fields = [getattr(h, name) for name in h._fields]
     return (type(fields[0]) is int
             and all(type(x) is int for nums in fields[1:] for x in nums))
 

@@ -105,3 +105,54 @@ def test_aut_family_identity_built_once():
     assert fam.identity() is fam.identity()
     assert fam.identity() == fg.identity_aut(3)
     assert fam.is_identity(fg.identity_aut(3))
+
+
+@pytest.mark.parametrize("rank, letters", [
+    (2.5, (1,)),      # non-integer rank
+    (True, (1,)),     # bool rank
+    (-1, ()),         # negative rank
+    (2, (1.0,)),      # float letter
+    (2, (True,)),     # bool letter
+    (2, [1]),         # letters not a tuple
+])
+def test_word_rejects_non_int_data(rank, letters):
+    with pytest.raises(ValueError, match="int|tuple"):
+        fg.FreeWord(rank, letters)
+
+
+def test_list_letters_are_not_reported_as_unreduced():
+    with pytest.raises(ValueError, match="letters must be a tuple"):
+        fg.FreeWord(2, [1])
+
+
+def test_aut_rejects_images_of_another_rank():
+    """Once acted as the identity while FreeAutFamily(1).eq called it unequal
+    to the identity, a misclassified verdict."""
+    x1 = fg.FreeWord(5, (1,))
+    with pytest.raises(ValueError, match="rank 1 FreeWord"):
+        fg.FreeAutomorphism(1, (x1,), (x1,))
+
+
+def test_aut_rejects_image_letters_outside_its_rank():
+    """Once raised IndexError from the substitution check."""
+    x2 = fg.word(2, (2,))
+    with pytest.raises(ValueError, match="rank 1 FreeWord"):
+        fg.FreeAutomorphism(1, (x2,), (x2,))
+
+
+def test_aut_rejects_list_images_and_non_words():
+    x1, x2 = fg.word(2, (1,)), fg.word(2, (2,))
+    with pytest.raises(ValueError, match="tuple"):
+        fg.FreeAutomorphism(2, [x1, x2], (x1, x2))  # would build an unhashable element
+    with pytest.raises(ValueError, match="FreeWord"):
+        fg.FreeAutomorphism(2, (x1, (2,)), (x1, x2))
+    with pytest.raises(ValueError, match="int rank"):
+        fg.FreeAutomorphism(2.0, (x1, x2), (x1, x2))
+
+
+def test_bad_aut_raises_before_any_substitution(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fg, "_substitute_images", lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        fg.FreeAutomorphism(1, (fg.FreeWord(5, (1,)),), (fg.FreeWord(5, (1,)),))
+    assert calls == []

@@ -131,6 +131,35 @@ def test_json_roundtrip(seed):
     assert iet.from_json_obj(iet.to_json_obj(f)) == f
 
 
+@pytest.mark.parametrize("obj", [
+    [1],                                                      # not an object
+    "breakpoints",
+    None,
+    {},                                                       # missing keys
+    {"breakpoints": ["0", "1", "2"]},
+    {"breakpoints": "0 1 2", "translations": ["1", "-1"]},    # not a list
+    {"breakpoints": [0, True, 2], "translations": [1, -1]},   # bool
+    {"breakpoints": [0, 1, 2], "translations": [True, -1]},
+    {"breakpoints": [0, 0.1, 2], "translations": [1.9, -0.1]},  # float
+    {"breakpoints": [0, 1.0, 2], "translations": [1, -1]},
+    {"breakpoints": ["0", "0.5", "1"], "translations": ["1/2", "-1/2"]},  # not str(Fraction)
+    {"breakpoints": ["0", "2/4", "1"], "translations": ["1/2", "-1/2"]},
+    {"breakpoints": ["0", "1/0", "1"], "translations": ["1/2", "-1/2"]},
+    {"breakpoints": ["0", "x", "1"], "translations": ["1/2", "-1/2"]},
+    {"breakpoints": ["0", None, "1"], "translations": ["1/2", "-1/2"]},
+])
+def test_from_json_obj_rejects_malformed_json(obj):
+    with pytest.raises(ValueError):
+        iet.from_json_obj(obj)
+
+
+def test_from_json_obj_accepts_ints_and_fraction_strings():
+    f = iet.make_iet([0, Fraction(1, 2), 1], [Fraction(1, 2), Fraction(-1, 2)])
+    assert iet.from_json_obj({"breakpoints": [0, "1/2", 1],
+                              "translations": ["1/2", "-1/2"]}) == f
+    assert iet.from_json_obj(iet.to_json_obj(f)) == f
+
+
 def test_apply_rejects_negative():
     with pytest.raises(ValueError):
         iet.apply(iet.IDENTITY, -1)

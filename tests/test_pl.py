@@ -144,6 +144,29 @@ def test_json_roundtrip():
     assert pl.from_json_obj(pl.to_json_obj(f)) == f
 
 
+@pytest.mark.parametrize("obj", [
+    [[0, 0], [1, 1]],                                  # not an object
+    {},                                                # missing key
+    {"vertex": [[0, 0], [1, 1]]},
+    {"vertices": "(0,0) (1,1)"},                       # not a list
+    {"vertices": [[0, 0, 0], [1, 1, 1]]},              # not pairs
+    {"vertices": [(0, 0), (1, 1)]},                    # tuples are not JSON arrays
+    {"vertices": [[0, 0], [True, True]]},              # bool
+    {"vertices": [[0, 0], [0.5, 0.25], [1, 1]]},       # float
+    {"vertices": [[0, 0], [1.0, 1.0]]},
+    {"vertices": [["0", "0"], ["0.5", "1/4"], ["1", "1"]]},  # not str(Fraction)
+    {"vertices": [["0", "0"], [" 1/2", "1/4"], ["1", "1"]]},
+])
+def test_from_json_obj_rejects_malformed_json(obj):
+    with pytest.raises(ValueError):
+        pl.from_json_obj(obj)
+
+
+def test_from_json_obj_accepts_ints_and_fraction_strings():
+    f = pl.make_pl([(0, 0), (HALF, QUARTER), (1, 1)])
+    assert pl.from_json_obj({"vertices": [[0, 0], ["1/2", "1/4"], [1, "1"]]}) == f
+
+
 def test_bump_validation():
     with pytest.raises(ValueError):
         pl.bump(Fraction(1, 2), Fraction(1, 4))

@@ -2,13 +2,13 @@
 declared once, in ``suites.FAMILIES``, and ``run_family`` enforces them."""
 
 import inspect
-from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit import cli
+from ccckit.core import replace
 from ccckit.suites import FAMILIES, run_family
 
 # The domains, written out apart from the registry: family -> parameter ->

@@ -2,8 +2,9 @@
 
 Group operations build their results with ``core.trusted``, which skips
 ``__post_init__``.  Each property here re-runs the public validation on
-such results: ``dataclasses.replace(x)`` constructs a fresh instance from
-x's fields, so it raises on any broken invariant, and it must equal x.
+such results: ``core.replace(x)`` constructs a fresh instance from x's
+fields through the public constructor, so it raises on any broken
+invariant, and it must equal x.
 """
 
 import random

@@ -1,16 +1,17 @@
 """Shared helpers for the test suite: seeded random elements per family."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from ccckit import iet as ietmod
 from ccckit import perm as permmod
+from ccckit.core import replace
 
 
 def revalidates(x) -> bool:
     """Re-run the public validation on x: ``replace(x)`` constructs a fresh
-    instance from x's fields, so it raises on any broken invariant."""
+    instance from x's fields through the public constructor, so it raises
+    on any broken invariant."""
     return replace(x) == x
 
 
