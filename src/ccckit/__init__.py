@@ -6,7 +6,7 @@ from .core import (CcckitError, CheckRecord, FamilyMismatchError, Finite,
                    GeneratorSet, GroupFamily, ProductFamily,
                    VerificationReport, Witness, WitnessModeError, ZMode,
                    bounded_products, combine_product_witnesses, commutator,
-                   conjugate, derived_witness, verify_ccc, verify_czc)
+                   conjugate, verify_ccc, verify_czc)
 from .suites import FAMILIES, run_family
 
 __version__ = "0.1.0"
@@ -15,6 +15,6 @@ __all__ = [
     "CcckitError", "CheckRecord", "FamilyMismatchError", "Finite",
     "GeneratorSet", "GroupFamily", "ProductFamily", "VerificationReport",
     "Witness", "WitnessModeError", "ZMode", "bounded_products",
-    "combine_product_witnesses", "commutator", "conjugate", "derived_witness",
-    "verify_ccc", "verify_czc", "FAMILIES", "run_family", "__version__",
+    "combine_product_witnesses", "commutator", "conjugate", "verify_ccc",
+    "verify_czc", "FAMILIES", "run_family", "__version__",
 ]

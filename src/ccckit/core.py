@@ -330,12 +330,6 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     return report
 
 
-def derived_witness(family: GroupFamily, t: object, s: object) -> object:
-    """c = [t, s]; when s displaces K = <H, t>, conjugation by c^p agrees with
-    conjugation by t^p on K, which downstream tests exercise."""
-    return commutator(family, t, s)
-
-
 def bounded_products(family: GroupFamily, gens: Sequence, max_len: int) -> list:
     """All products of the generators and their inverses of word length at
     most max_len, deduplicated by family equality.  Brute-force oracle

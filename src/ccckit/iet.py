@@ -189,15 +189,6 @@ def rotation(length, amount) -> IetMap:
     return make_iet([0, length - amount, length], [amount, amount - length])
 
 
-def support_bound(f: IetMap) -> Fraction:
-    """Least N with f = id on [N, oo); read off the normal form."""
-    return f.bound
-
-
-def interval_lengths(f: IetMap) -> list[Fraction]:
-    return [Fraction(b - a, f.den) for a, b in zip(f.cuts, f.cuts[1:])]
-
-
 def render_iet(f: IetMap) -> str:
     if not f.shifts:
         return "id"

@@ -259,6 +259,8 @@ class FormTag(Record):
     def __post_init__(self):
         if self.kind not in ("symplectic", "split-orthogonal", "none"):
             raise ValueError(f"unknown form kind {self.kind!r}")
+        if not (is_int(self.size) and self.size >= 0):
+            raise ValueError(f"form size must be an int >= 0, got {self.size!r}")
         if self.kind in ("symplectic", "split-orthogonal") and self.size % 2 != 0:
             raise ValueError(f"{self.kind} form needs even size, got {self.size}")
 

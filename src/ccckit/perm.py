@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
 
 
 class FinPerm(Record):
@@ -20,7 +20,7 @@ class FinPerm(Record):
 
     def __post_init__(self):
         points = [p for p, _ in self.mapping]
-        if any(p < 1 or q < 1 for p, q in self.mapping):
+        if any(not (is_int(p) and is_int(q)) or p < 1 or q < 1 for p, q in self.mapping):
             raise ValueError("points must be positive integers")
         if points != sorted(set(points)) or any(p == q for p, q in self.mapping):
             raise ValueError(f"moved points must be listed once each, ascending: {self.mapping}")

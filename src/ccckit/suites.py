@@ -257,10 +257,9 @@ def perm_chain() -> wreathmod.WitnessChain:
 
 
 def wreath_tower_battery(depth: int, samples: int, seed: int) -> VerificationReport:
-    tower = wreathmod.TowerSpec((2,))
     report = VerificationReport("wreath-tower", bounded=True)
     for label, chain in (("iet", iet_chain()), ("perm", perm_chain())):
-        f = wreathmod.TowerHom(tower, chain)
+        f = wreathmod.TowerHom(chain)
         H = GeneratorSet(chain.family, chain.generators)
         report.extend(wreathmod.check_hom(f, H, sample_size=samples, seed=seed),
                       prefix=f"{label}: ")

@@ -1,7 +1,11 @@
-"""Permutational wreath products with finitely supported base maps, the
-iterated tower of acting groups, its distinguished subgroup, and the
-homomorphism machinery that turns a chain of commutation witnesses into a
-map from the tower into the target family.
+"""Permutational wreath products with finitely supported base maps, and
+the homomorphism machinery that turns a chain of commutation witnesses
+into a map from the iterated tower into the target family.
+
+The chain's orders (n_1, ..., n_k) fix the tower: ``Tower(orders)`` builds
+A_1 = Z and A_(i+1) = A_i wr_(Z/n_(i+1)) Z once, with their generators,
+the membership test for the distinguished subgroup B and the seeded
+samplers.  ``TowerHom(chain)`` builds its own ``Tower`` from the chain.
 
 Conventions: (f, a)(g, b) = (x -> f(x) * g(a^-1 x), ab); the evaluation
 product over base coordinates is taken in ascending point order, which is
@@ -218,69 +222,97 @@ class WreathFamily(GroupFamily):
 # The tower A_1 = Z, A_(i+1) = A_i wr_(Z/n_(i+1)) Z
 
 
-class TowerSpec(Record):
-    def __init__(self, branching: tuple[int, ...]):
-        # branching is (n_2, ..., n_k)
-        self.__dict__.update(branching=branching)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not all(is_int(n) and n >= 2 for n in self.branching):
-            raise ValueError(f"all branching orders must be ints >= 2: {self.branching}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.branching) + 1
+def _letters(fam: GroupFamily, gens: Sequence) -> tuple:
+    return tuple((g, fam.inv(g)) for g in gens)
 
 
-@functools.cache
-def tower_family(tower: TowerSpec, level: int) -> GroupFamily:
-    """The level-th tower group, built once per (tower, level)."""
-    if not 1 <= level <= tower.depth:
-        raise ValueError(f"level {level} outside 1..{tower.depth}")
-    fam: GroupFamily = INT_Z
-    for n in tower.branching[: level - 1]:
-        fam = WreathFamily(fam, ZModAction(n))
-    return fam
+def _random_word(fam: GroupFamily, letters: Sequence, rng: random.Random, max_len: int = 8):
+    """A product of at most max_len letters, each a generator or, with
+    probability 1/2, its inverse; ``letters`` holds the (g, g^-1) pairs."""
+    u = fam.identity()
+    for _ in range(rng.randint(0, max_len)):
+        g, g_inv = rng.choice(letters)
+        if rng.random() < 0.5:
+            g = g_inv
+        u = fam.mul(u, g)
+    return u
 
 
-@functools.cache
-def tower_generators(tower: TowerSpec, level: int) -> tuple:
-    """Canonical generators: the shift at each level, lower generators
-    embedded at coordinate 0.  Built once per (tower, level)."""
-    if level == 1:
-        return (1,)
-    fam = tower_family(tower, level)
-    assert isinstance(fam, WreathFamily)
-    lower = tower_generators(tower, level - 1)
-    return tuple(fam.element([(0, g)]) for g in lower) + (fam.element([], top=1),)
+class Tower:
+    """The tower fixed by the orders (n_1, ..., n_k) of a witness chain:
+    A_1 = Z and A_(i+1) = A_i wr_(Z/n_(i+1)) Z, with its distinguished
+    subgroup B.  Levels are numbered 1..k; ``families[i]`` and
+    ``generators[i]`` belong to level i + 1, each built once.  The
+    canonical generators are the shift at each level and the lower
+    generators embedded at coordinate 0."""
 
+    def __init__(self, orders: tuple[int, ...]):
+        if not (isinstance(orders, tuple) and orders
+                and all(is_int(n) and n >= 2 for n in orders)):
+            raise ValueError(f"orders must be a non-empty tuple of ints >= 2, got {orders!r}")
+        self.orders = orders
+        self.depth = len(orders)
+        fam: GroupFamily = INT_Z
+        gens: tuple = (1,)
+        families, generators = [fam], [gens]
+        for n in orders[1:]:
+            fam = WreathFamily(fam, ZModAction(n))
+            gens = tuple(fam.element([(0, g)]) for g in gens) + (fam.element([], top=1),)
+            families.append(fam)
+            generators.append(gens)
+        self.families = tuple(families)
+        self.generators = tuple(generators)
+        self.family = fam
+        self.letters = _letters(fam, gens)  # (g, g^-1) per top-level generator
 
-@functools.cache
-def _tower_letters(tower: TowerSpec) -> tuple:
-    """(g, g^-1) for each top-level generator g, each inverted once."""
-    fam = tower_family(tower, tower.depth)
-    return _letters(fam, tower_generators(tower, tower.depth))
+    def _level(self, level: int | None) -> int:
+        if level is None:
+            return self.depth
+        if not (is_int(level) and 1 <= level <= self.depth):
+            raise ValueError(f"level {level!r} outside 1..{self.depth}")
+        return level
 
+    def in_B(self, u, level: int | None = None) -> bool:
+        """u lies in B: multiples of n_1 at the bottom, and at level i + 1
+        the elements with coordinate-0 entry in the lower subgroup and top
+        a multiple of n_(i+1)."""
+        level = self._level(level)
+        if level == 1:
+            INT_Z.check_element(u)
+            return u % self.orders[0] == 0
+        fam = self.families[level - 1]
+        fam.check_element(u)
+        if u.top % self.orders[level - 1] != 0:
+            return False
+        return self.in_B(fam.value_at(u, 0), level - 1)
 
-def membership_B(tower: TowerSpec, n1: int, u, level: int | None = None) -> bool:
-    """The distinguished subgroup: multiples of n1 at the bottom, and at
-    level i+1 the elements with coordinate-0 entry in the lower subgroup and
-    top a multiple of the branching order."""
-    if not (is_int(n1) and n1 >= 2):
-        raise ValueError(f"base order must be an int >= 2, got {n1!r}")
-    if level is None:
-        level = tower.depth
-    if level == 1:
-        INT_Z.check_element(u)
-        return u % n1 == 0
-    fam = tower_family(tower, level)
-    assert isinstance(fam, WreathFamily)
-    fam.check_element(u)
-    n = tower.branching[level - 2]
-    if u.top % n != 0:
-        return False
-    return membership_B(tower, n1, fam.value_at(u, 0), level - 1)
+    def sample(self, rng: random.Random):
+        """A random word of length at most 8 in the top-level generators."""
+        return _random_word(self.family, self.letters, rng)
+
+    def sample_B(self, rng: random.Random, level: int):
+        """A random element of B at the given level: a B element at
+        coordinate 0, an arbitrary one at each other point with
+        probability 0.7, and a top that is a multiple of the order."""
+        level = self._level(level)
+        n = self.orders[level - 1]
+        if level == 1:
+            return n * rng.randint(-3, 3)
+        pairs = [(0, self.sample_B(rng, level - 1))]
+        for p in range(1, n):
+            if rng.random() < 0.7:
+                pairs.append((p, self.sample_level(rng, level - 1)))
+        return self.families[level - 1].element(pairs, top=n * rng.randint(-2, 2))
+
+    def sample_level(self, rng: random.Random, level: int):
+        """A random element of the level-th group, an entry at each point
+        with probability 0.7."""
+        level = self._level(level)
+        if level == 1:
+            return rng.randint(-4, 4)
+        pairs = [(p, self.sample_level(rng, level - 1))
+                 for p in range(self.orders[level - 1]) if rng.random() < 0.7]
+        return self.families[level - 1].element(pairs, top=rng.randint(-3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +355,8 @@ class TowerHom:
     """Evaluator for the inductively defined homomorphism from the tower
     into the target family: the bottom level sends m to t_1^m, and each
     higher level conjugates the lower images through ascending powers of the
-    next witness before appending the shift image.
+    next witness before appending the shift image.  ``tower`` is the
+    ``Tower`` of the chain's orders, built after the chain validates.
 
     Three per-instance caches hold what the chain fixes: t_level^k per
     (level, k), the conjugate ^(t_level^p) f(a_p) per (level, p, a_p), and
@@ -333,14 +366,11 @@ class TowerHom:
     elements are ``==`` and hash alike.  Each cache therefore returns the
     value the definition gives."""
 
-    def __init__(self, tower: TowerSpec, chain: WitnessChain):
-        if tower.branching != tuple(chain.orders[1:]):
-            raise ChainInvariantError(
-                f"chain orders {chain.orders} do not match tower branching {tower.branching}")
+    def __init__(self, chain: WitnessChain):
         check = validate_chain(chain)
         if not check.passed:
             raise ChainInvariantError(f"chain invariants fail: {check.counterexample}")
-        self.tower = tower
+        self.tower = Tower(tuple(chain.orders))
         self.chain = chain
         self.family = chain.family
         self._powers: dict[tuple[int, int], object] = {}
@@ -372,7 +402,7 @@ class TowerHom:
             level = self.tower.depth
         if level == 1:
             return self._power(1, u)
-        level_fam = tower_family(self.tower, level)
+        level_fam = self.tower.families[level - 1]
         level_fam.check_element(u)
         key = (level, u)
         if key not in self._images:
@@ -386,59 +416,9 @@ class TowerHom:
     def __call__(self, u):
         return self.eval(u)
 
-    def in_B(self, u, level: int | None = None) -> bool:
-        return membership_B(self.tower, self.chain.orders[0], u, level)
-
 
 # ---------------------------------------------------------------------------
-# Sampling and the homomorphism property checks
-
-
-def _letters(fam: GroupFamily, gens: Sequence) -> tuple:
-    return tuple((g, fam.inv(g)) for g in gens)
-
-
-def _random_word(fam: GroupFamily, letters: Sequence, rng: random.Random, max_len: int = 8):
-    """A product of at most max_len letters, each a generator or, with
-    probability 1/2, its inverse; ``letters`` holds the (g, g^-1) pairs."""
-    u = fam.identity()
-    for _ in range(rng.randint(0, max_len)):
-        g, g_inv = rng.choice(letters)
-        if rng.random() < 0.5:
-            g = g_inv
-        u = fam.mul(u, g)
-    return u
-
-
-def sample_tower_elements(tower: TowerSpec, count: int, rng: random.Random,
-                          max_len: int = 8) -> list:
-    fam = tower_family(tower, tower.depth)
-    letters = _tower_letters(tower)
-    return [_random_word(fam, letters, rng, max_len) for _ in range(count)]
-
-
-def _sample_B_element(tower: TowerSpec, n1: int, rng: random.Random, level: int):
-    if level == 1:
-        return n1 * rng.randint(-3, 3)
-    fam = tower_family(tower, level)
-    assert isinstance(fam, WreathFamily)
-    n = tower.branching[level - 2]
-    pairs = [(0, _sample_B_element(tower, n1, rng, level - 1))]
-    for p in range(1, n):
-        if rng.random() < 0.7:
-            pairs.append((p, _sample_level_element(tower, n1, rng, level - 1)))
-    return fam.element(pairs, top=n * rng.randint(-2, 2))
-
-
-def _sample_level_element(tower: TowerSpec, n1: int, rng: random.Random, level: int):
-    if level == 1:
-        return rng.randint(-4, 4)
-    fam = tower_family(tower, level)
-    assert isinstance(fam, WreathFamily)
-    n = tower.branching[level - 2]
-    pairs = [(p, _sample_level_element(tower, n1, rng, level - 1))
-             for p in range(n) if rng.random() < 0.7]
-    return fam.element(pairs, top=rng.randint(-3, 3))
+# The homomorphism property checks
 
 
 def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
@@ -455,11 +435,11 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
     rng = random.Random(seed)
     fam = f.family
     tower = f.tower
-    a_fam = tower_family(tower, tower.depth)
+    a_fam = tower.family
     report = VerificationReport("tower-hom", bounded=True)
 
     for k in range(sample_size):
-        u, v = sample_tower_elements(tower, 2, rng)
+        u, v = tower.sample(rng), tower.sample(rng)
         lhs = f(a_fam.mul(u, v))
         rhs = fam.mul(f(u), f(v))
         report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
@@ -470,8 +450,8 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
     attempts = 0
     while found < sample_size and attempts < 100 * sample_size:
         attempts += 1
-        (a,) = sample_tower_elements(tower, 1, rng)
-        if f.in_B(a):
+        a = tower.sample(rng)
+        if tower.in_B(a):
             continue
         fa = f(a)
         if fa not in verdicts_i:
@@ -489,7 +469,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
 
     verdicts_ii: dict[object, bool] = {}
     for k in range(sample_size):
-        b = _sample_B_element(tower, f.chain.orders[0], rng, tower.depth)
+        b = tower.sample_B(rng, tower.depth)
         fb = f(b)
         if fb not in verdicts_ii:
             verdicts_ii[fb] = all(fam.is_identity(commutator(fam, h, fb)) for h in H.elements)

@@ -67,17 +67,16 @@ def test_acceptance_3_braid_relations_and_witnesses():
 
 def test_acceptance_4_depth2_tower_machinery():
     ok = True
-    tower = w.TowerSpec((2,))
     for chain in (iet_chain(), perm_chain()):
-        f = w.TowerHom(tower, chain)
+        f = w.TowerHom(chain)
         H = GeneratorSet(chain.family, chain.generators)
         report = w.check_hom(f, H, sample_size=50, seed=4)
         ok = ok and report.passed
 
-        fam = w.tower_family(tower, 2)
+        fam = f.tower.family
         transversal = [fam.element([], top=0), fam.element([(0, 1)]),
                        fam.element([], top=1), fam.element([(1, 1)], top=1)]
-        ext = w.ExtendedHom(H, f, fam, f.in_B, transversal)
+        ext = w.ExtendedHom(H, f, fam, f.tower.in_B, transversal)
         # exact inclusion of the 1B factor: h at the identity coset maps to h
         for h in chain.generators:
             ok = ok and chain.family.eq(ext(ext.factor_element(h)), h)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ccckit import core
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, ProductFamily,
                          VerificationReport, Witness, WitnessModeError, ZMode,
                          bounded_products, combine_product_witnesses, commutator,
@@ -170,12 +169,6 @@ def test_extend_prefixes_names_and_counterexample():
     report.extend(part)
     assert report.checks[-1].name == "b"
     assert report.counterexample == "lvl: b: x != e"
-
-
-def test_derived_witness_is_commutator():
-    t = perm_from_cycles([[1, 2]])
-    s = perm_from_cycles([[2, 3]])
-    assert PERM.eq(core.derived_witness(PERM, t, s), commutator(PERM, t, s))
 
 
 # ---------------------------------------------------------------------------

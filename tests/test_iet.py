@@ -115,8 +115,9 @@ def test_bijection_on_rationals(seed):
 
 def test_support_bound_and_lengths():
     f = iet.block_exchange(Fraction(3, 2))
-    assert iet.support_bound(f) == 3
-    assert iet.interval_lengths(f) == [Fraction(3, 2), Fraction(3, 2)]
+    assert f.bound == 3
+    cuts = f.breakpoints
+    assert [b - a for a, b in zip(cuts, cuts[1:])] == [Fraction(3, 2), Fraction(3, 2)]
 
 
 def test_render():

@@ -294,6 +294,10 @@ def test_form_matrices():
         (1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
     with pytest.raises(ValueError):
         m.FormTag("symplectic", 3)
+    for kind, size in (("none", 2.5), ("symplectic", 4.0), ("none", -2),
+                       ("split-orthogonal", True), ("none", "2")):
+        with pytest.raises(ValueError):
+            m.FormTag(kind, size)
 
 
 def test_preserves_form():

@@ -41,6 +41,8 @@ def test_not_a_bijection():
     ((1, 2),),            # not a bijection of its support
     ((1, 2), (1, 2)),     # point listed twice
     ((0, 1), (1, 0)),     # point 0
+    ((1.5, 2.5), (2.5, 1.5)),  # non-int points
+    ((True, 2), (2, True)),    # a bool is no point
 ])
 def test_direct_construction_validates(mapping):
     with pytest.raises(ValueError):

@@ -72,27 +72,44 @@ def test_element_validates_its_input(pairs, top):
 
 
 def test_nested_element_validates_base_entries():
-    fam = w.tower_family(w.TowerSpec((2, 3)), 3)
+    fam = w.Tower((2, 2, 3)).family
     with pytest.raises(FamilyMismatchError):
         fam.element([(0, 1)])  # a level-3 entry must be a level-2 element
 
 
 def test_tower_family_and_generators():
-    tower = w.TowerSpec((2, 3))
+    tower = w.Tower((2, 2, 3))
     assert tower.depth == 3
-    assert w.tower_family(tower, 1) is w.INT_Z
-    gens2 = w.tower_generators(tower, 2)
+    assert tower.families[0] is w.INT_Z and tower.family is tower.families[2]
+    gens2 = tower.generators[1]
     assert len(gens2) == 2
-    gens3 = w.tower_generators(tower, 3)
+    gens3 = tower.generators[2]
     assert len(gens3) == 3
-    with pytest.raises(ValueError):
-        w.TowerSpec((1,))
+    assert gens3[-1] == tower.family.element([], top=1)  # the shift
+    assert gens3[1] == tower.family.element([(0, gens2[1])])  # embedded at coordinate 0
+    assert tower.letters == tuple((g, tower.family.inv(g)) for g in gens3)
+    for bad in ((2, 1), (), [2, 2]):
+        with pytest.raises(ValueError):
+            w.Tower(bad)
 
 
 @pytest.mark.parametrize("branching", [(2.0,), (2, 2.5)])
 def test_tower_spec_rejects_non_int_orders(branching):
+    """The branching orders n_2, ..., n_k above Z specify the tower too."""
     with pytest.raises(ValueError):
-        w.TowerSpec(branching)
+        w.Tower((2,) + branching)
+
+
+def test_tower_rejects_levels_outside_its_depth():
+    tower = w.Tower((2, 2))
+    rng = random.Random(0)
+    for level in (0, 3, -1, True):
+        with pytest.raises(ValueError):
+            tower.in_B(0, level)
+        with pytest.raises(ValueError):
+            tower.sample_level(rng, level)
+        with pytest.raises(ValueError):
+            tower.sample_B(rng, level)
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, True])
@@ -102,17 +119,17 @@ def test_zmod_action_rejects_non_int_orders(n):
 
 
 def test_membership_B_level1():
-    tower = w.TowerSpec(())
-    assert w.membership_B(tower, 2, 4, level=1)
-    assert w.membership_B(tower, 2, 0, level=1)
-    assert not w.membership_B(tower, 2, 3, level=1)
-    assert not w.membership_B(tower, 3, 4, level=1)
+    assert w.Tower((2,)).in_B(4, level=1)
+    assert w.Tower((2,)).in_B(0, level=1)
+    assert not w.Tower((2,)).in_B(3, level=1)
+    assert not w.Tower((3,)).in_B(4, level=1)
+    assert w.Tower((3,)).in_B(-6)
 
 
 @pytest.mark.parametrize("n1", [2.5, 2.0, True, 1])
 def test_membership_B_rejects_bad_base_orders(n1):
     with pytest.raises(ValueError):
-        w.membership_B(w.TowerSpec(()), n1, 5)
+        w.Tower((n1,))
 
 
 @pytest.mark.parametrize("orders", [(2.0,), (2.5,), (True,), (1,)])
@@ -123,13 +140,13 @@ def test_witness_chain_rejects_bad_orders(orders):
 
 
 def test_membership_B_level2():
-    tower = w.TowerSpec((2,))
-    fam = w.tower_family(tower, 2)
+    tower = w.Tower((2, 2))
+    fam = tower.family
     good = fam.element([(0, 4), (1, 7)], top=2)  # coord 0 even, top even
-    assert w.membership_B(tower, 2, good)
-    assert not w.membership_B(tower, 2, fam.element([(0, 3)], top=2))  # coord 0 odd
-    assert not w.membership_B(tower, 2, fam.element([(0, 4)], top=1))  # top odd
-    assert w.membership_B(tower, 2, fam.element([(1, 9)], top=0))  # coord 0 absent = 0
+    assert tower.in_B(good)
+    assert not tower.in_B(fam.element([(0, 3)], top=2))  # coord 0 odd
+    assert not tower.in_B(fam.element([(0, 4)], top=1))  # top odd
+    assert tower.in_B(fam.element([(1, 9)], top=0))  # coord 0 absent = 0
 
 
 def test_validate_chain_detects_bad_witness():
@@ -156,15 +173,14 @@ def test_chain_failing_at_level_2():
     assert any(c.name.startswith("level 1: ") for c in report.checks)
     assert report.counterexample.startswith("level 2: ")
     with pytest.raises(w.ChainInvariantError) as excinfo:
-        w.TowerHom(w.TowerSpec((2,)), chain)
+        w.TowerHom(chain)
     assert str(excinfo.value).startswith("chain invariants fail: level 2: ")
 
 
 def test_tower_hom_oracles():
-    tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.TowerHom(tower, chain)
-    fam = w.tower_family(tower, 2)
+    f = w.TowerHom(chain)
+    fam = f.tower.family
     t1, t2 = chain.ts
     # the shift goes to t2, the coordinate-0 copy of m goes to t1^m
     assert p.PERM.eq(f(fam.element([], top=1)), t2)
@@ -200,8 +216,8 @@ class LowerEvalCountingHom(w.TowerHom):
     element a evaluated at level L more often than there are positions p
     one level up means some conjugate was computed twice."""
 
-    def __init__(self, tower, chain):
-        super().__init__(tower, chain)
+    def __init__(self, chain):
+        super().__init__(chain)
         self.lower = Counter()
 
     def eval(self, u, level=None):
@@ -211,16 +227,15 @@ class LowerEvalCountingHom(w.TowerHom):
 
 
 def test_tower_hom_computes_each_power_once():
-    tower = w.TowerSpec((2,))
     plain = perm_chain()
     fam = PowerCountingPerm()
-    f = LowerEvalCountingHom(tower, w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
+    f = LowerEvalCountingHom(w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
     fam.calls.clear()  # the chain validation powers t_i itself
     H = GeneratorSet(fam, plain.generators)
     report = w.check_hom(f, H, sample_size=20, seed=4)
     assert fam.calls and len(fam.calls) == len(set(fam.calls))
     assert f.lower and all(count <= plain.orders[level] for (level, _), count in f.lower.items())
-    expected = w.check_hom(w.TowerHom(tower, plain), GeneratorSet(p.PERM, plain.generators),
+    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators),
                            sample_size=20, seed=4)
     assert report.to_dict() == expected.to_dict()
 
@@ -230,7 +245,7 @@ def _hom(chain_name):
     """One TowerHom per shipped chain, shared by all examples so that its
     caches fill up across them."""
     chain = {"iet": iet_chain, "perm": perm_chain}[chain_name]()
-    return w.TowerHom(w.TowerSpec(tuple(chain.orders[1:])), chain)
+    return w.TowerHom(chain)
 
 
 def image_by_definition(chain, u):
@@ -238,7 +253,7 @@ def image_by_definition(chain, u):
     t2^p t1^(u_p) t2^-p, in ascending p, times t2^top."""
     fam = chain.family
     t1, t2 = chain.ts
-    fam2 = w.tower_family(w.TowerSpec(tuple(chain.orders[1:])), 2)
+    fam2 = w.Tower(chain.orders).families[1]
     out = fam.identity()
     for q in range(chain.orders[1]):
         inner = fam.power(t1, fam2.value_at(u, q))
@@ -252,7 +267,7 @@ def image_by_definition(chain, u):
        st.integers(-3, 3))
 def test_memoized_image_matches_definition(chain_name, pairs, top):
     f = _hom(chain_name)
-    fam2 = w.tower_family(f.tower, 2)
+    fam2 = f.tower.families[1]
     u = fam2.element(pairs, top=top)
     expected = image_by_definition(f.chain, u)
     for _ in range(2):  # the second call is a memo hit
@@ -277,8 +292,8 @@ class ImageRecordingHom(w.TowerHom):
     """A TowerHom recording, for each evaluation at any level, the products
     it made, and each top-level image it returned."""
 
-    def __init__(self, tower, chain):
-        super().__init__(tower, chain)
+    def __init__(self, chain):
+        super().__init__(chain)
         self.products = {}
         self.images = []
 
@@ -298,7 +313,7 @@ class ImageRecordingHom(w.TowerHom):
 def _recording_hom():
     plain = perm_chain()
     chain = w.WitnessChain(MulCountingPerm(), plain.generators, plain.ts, plain.orders)
-    return ImageRecordingHom(w.TowerSpec((2,)), chain), plain
+    return ImageRecordingHom(chain), plain
 
 
 def test_each_tower_element_reaches_the_product_once():
@@ -334,29 +349,35 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     assert distinct_i < samples and distinct_ii < samples
     assert len(calls) == len(H) ** 2 * distinct_i + len(H) * distinct_ii
     assert len(report.checks) == 3 * samples
-    expected = w.check_hom(w.TowerHom(f.tower, plain), GeneratorSet(p.PERM, plain.generators),
+    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators),
                            sample_size=samples, seed=7)
     assert report.to_dict() == expected.to_dict()
 
 
-def test_tower_hom_rejects_mismatched_orders():
-    tower = w.TowerSpec((3,))
-    with pytest.raises(w.ChainInvariantError):
-        w.TowerHom(tower, perm_chain())
+def test_tower_hom_builds_the_tower_of_the_chain_orders():
+    for chain in (iet_chain(), perm_chain(),
+                  w.WitnessChain(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),),
+                                 (p.block_swap(4), p.block_swap(8), p.block_swap(16)),
+                                 (2, 2, 2))):
+        tower = w.TowerHom(chain).tower
+        assert tower.orders == chain.orders and tower.depth == len(chain.orders)
+        assert tower.families[0] is w.INT_Z
+        for i in range(1, tower.depth):
+            fam = tower.families[i]
+            assert fam.base_family is tower.families[i - 1]
+            assert fam.action.n == chain.orders[i]
 
 
 def test_tower_hom_rejects_broken_chain():
-    tower = w.TowerSpec((2,))
     chain = w.WitnessChain(p.PERM, (p.perm_from_cycles([[1, 2]]),),
                            (p.perm_from_cycles([[2, 3]]), p.block_swap(4)), (2, 2))
     with pytest.raises(w.ChainInvariantError):
-        w.TowerHom(tower, chain)
+        w.TowerHom(chain)
 
 
 def test_check_hom_passes():
-    tower = w.TowerSpec((2,))
     chain = iet_chain()
-    f = w.TowerHom(tower, chain)
+    f = w.TowerHom(chain)
     H = GeneratorSet(chain.family, chain.generators)
     report = w.check_hom(f, H, sample_size=15, seed=3)
     assert report.passed, report.counterexample
@@ -364,42 +385,38 @@ def test_check_hom_passes():
 
 
 def test_check_hom_is_deterministic():
-    tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.TowerHom(tower, chain)
+    f = w.TowerHom(chain)
     H = GeneratorSet(chain.family, chain.generators)
     r1 = w.check_hom(f, H, sample_size=10, seed=11).to_dict()
     r2 = w.check_hom(f, H, sample_size=10, seed=11).to_dict()
     assert r1 == r2
 
 
-def _tower_transversal(tower, f):
-    fam = w.tower_family(tower, tower.depth)
+def _tower_transversal(tower):
+    fam = tower.family
     return [fam.element([], top=0), fam.element([(0, 1)]),
             fam.element([], top=1), fam.element([(1, 1)], top=1)]
 
 
 def test_extended_hom_factor_inclusion():
-    tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.TowerHom(tower, chain)
-    fam = w.tower_family(tower, 2)
+    f = w.TowerHom(chain)
     H = GeneratorSet(chain.family, chain.generators)
-    ext = w.ExtendedHom(H, f, fam, f.in_B, _tower_transversal(tower, f))
+    ext = w.ExtendedHom(H, f, f.tower.family, f.tower.in_B, _tower_transversal(f.tower))
     for h in chain.generators:
         assert p.PERM.eq(ext(ext.factor_element(h)), h)
 
 
 def test_extended_hom_representative_independent():
-    tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.TowerHom(tower, chain)
-    fam = w.tower_family(tower, 2)
+    f = w.TowerHom(chain)
+    fam = f.tower.family
     H = GeneratorSet(chain.family, chain.generators)
-    ext = w.ExtendedHom(H, f, fam, f.in_B, _tower_transversal(tower, f))
+    ext = w.ExtendedHom(H, f, fam, f.tower.in_B, _tower_transversal(f.tower))
     rep = fam.element([(0, 1)], top=1)  # not itself a transversal element
     b = fam.element([(0, 2), (1, 5)], top=4)  # an element of B
-    assert f.in_B(b)
+    assert f.tower.in_B(b)
     shifted = fam.mul(rep, b)
     stored = ext.transversal[ext.action.canonical(rep)]
     assert stored != rep and ext.action.canonical(shifted) == ext.action.canonical(rep)
@@ -413,13 +430,12 @@ def test_extended_hom_representative_independent():
 
 @pytest.mark.parametrize("chain_factory", [iet_chain, perm_chain])
 def test_extended_hom_is_multiplicative(chain_factory):
-    tower = w.TowerSpec((2,))
     chain = chain_factory()
-    f = w.TowerHom(tower, chain)
-    fam = w.tower_family(tower, 2)
-    ext = w.ExtendedHom(GeneratorSet(chain.family, chain.generators), f, fam, f.in_B,
-                        _tower_transversal(tower, f))
-    letters = w._letters(fam, w.tower_generators(tower, 2))
+    f = w.TowerHom(chain)
+    fam = f.tower.family
+    ext = w.ExtendedHom(GeneratorSet(chain.family, chain.generators), f, fam, f.tower.in_B,
+                        _tower_transversal(f.tower))
+    letters = f.tower.letters
     rng = random.Random(1)
 
     def sample():
@@ -435,14 +451,13 @@ def test_extended_hom_is_multiplicative(chain_factory):
 
 
 def test_extended_hom_rejects_repeated_cosets():
-    tower = w.TowerSpec((2,))
     chain = perm_chain()
-    f = w.TowerHom(tower, chain)
-    fam = w.tower_family(tower, 2)
+    f = w.TowerHom(chain)
+    fam = f.tower.family
     H = GeneratorSet(chain.family, chain.generators)
     bad = [fam.element([], top=0), fam.element([], top=2)]  # same coset mod B
     with pytest.raises(ValueError):
-        w.ExtendedHom(H, f, fam, f.in_B, bad)
+        w.ExtendedHom(H, f, fam, f.tower.in_B, bad)
 
 
 def test_kernel_base_commutes_engineered_instance():
@@ -490,11 +505,12 @@ def test_coset_action_points():
 
 
 def test_sample_B_elements_are_members():
-    tower = w.TowerSpec((2,))
     rng = random.Random(9)
-    for _ in range(20):
-        b = w._sample_B_element(tower, 2, rng, 2)
-        assert w.membership_B(tower, 2, b)
+    for orders in ((2, 2), (2, 2, 2), (2, 3, 2)):
+        tower = w.Tower(orders)
+        for level in range(1, tower.depth + 1):
+            for _ in range(20):
+                assert tower.in_B(tower.sample_B(rng, level), level)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +585,8 @@ def _reduced(branching, u):
 @given(st.data())
 def test_keyed_normal_form_matches_scan_oracle(data):
     branching = data.draw(st.sampled_from([(2,), (3,), (2, 3), (3, 2)]))
-    tower = w.TowerSpec(branching)
-    fams = [w.tower_family(tower, level) for level in range(1, tower.depth + 1)]
+    tower = w.Tower((2,) + branching)
+    fams = list(tower.families)
     oracles = [w.INT_Z]
     for n in branching:
         oracles.append(ScanWreath(oracles[-1], w.ZModAction(n)))
