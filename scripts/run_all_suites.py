@@ -5,10 +5,10 @@ Usage: python scripts/run_all_suites.py [--seed N] [--json-dir DIR]
 """
 
 import argparse
-import json
 import os
 import sys
 
+from ccckit.cli import render_json
 from ccckit.suites import FAMILIES, run_family
 
 
@@ -16,7 +16,8 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json-dir", default=None,
-                        help="also dump each report as DIR/<family>.json")
+                        help="also write each report as DIR/<family>.json, the bytes "
+                             "of `ccckit run --family <family> --format json`")
     args = parser.parse_args()
 
     failures = 0
@@ -30,8 +31,7 @@ def main() -> int:
         if args.json_dir:
             os.makedirs(args.json_dir, exist_ok=True)
             with open(os.path.join(args.json_dir, f"{family}.json"), "w") as fh:
-                json.dump(report, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(render_json(report))
     return 1 if failures else 0
 
 

@@ -12,9 +12,11 @@ domain), 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .core import CcckitError
 from .suites import FAMILIES, run_family
@@ -27,7 +29,12 @@ EXIT_IO_FAILURE = 3
 PARAMETERS = dict.fromkeys(name for battery in FAMILIES.values() for name in battery.params)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call, which is main's first
+    call and not the import, and shared after it.  parse_args keeps no
+    state between calls: each returns a fresh namespace, and the family
+    flags default to SUPPRESS."""
     parser = argparse.ArgumentParser(prog="ccckit",
                                      description="exact commutation witness batteries")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -43,6 +50,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available families")
     return parser
+
+
+# One check record as json.dumps(report, sort_keys=True, indent=2) lays it
+# out inside the report: keys sorted, record at depth 2 of the indent.
+_CHECK_JSON = ('    {\n      "detail": %s,\n      "lhs": %s,\n      "name": %s,\n'
+               '      "rhs": %s,\n      "status": %s\n    }')
+
+
+def render_json(report: dict) -> str:
+    """json.dumps(report, sort_keys=True, indent=2) + "\\n", for a report
+    of run_family's shape.
+
+    json's indenting encoder runs in Python, one call per token.  The check
+    records are nearly all of a report and have five fixed str fields, so
+    each is written from _CHECK_JSON with the C string encoder that
+    json.dumps applies to a str; json.dumps writes only the head around
+    them."""
+    head = json.dumps({**report, "checks": []}, sort_keys=True, indent=2)
+    if not report["checks"]:
+        return head + "\n"
+    body = ",\n".join(
+        _CHECK_JSON % (encode_basestring_ascii(c["detail"]), encode_basestring_ascii(c["lhs"]),
+                       encode_basestring_ascii(c["name"]), encode_basestring_ascii(c["rhs"]),
+                       encode_basestring_ascii(c["status"]))
+        for c in report["checks"])
+    # a raw newline and two spaces open a top-level key; strings escape
+    # their newlines, so this matches the one "checks" key and nothing else
+    return head.replace('\n  "checks": []', '\n  "checks": [\n' + body + "\n  ]", 1) + "\n"
 
 
 def render_text(report: dict) -> str:
@@ -91,7 +126,7 @@ def main(argv=None) -> int:
         return EXIT_UNKNOWN_FAMILY
 
     if args.format == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        payload = render_json(report)
     else:
         payload = render_text(report)
 

@@ -94,9 +94,9 @@ def replace(record, **changes):
 class GroupFamily(abc.ABC):
     """Abstract group contract: identity, multiplication, inverse, equality.
 
-    Elements are immutable plain values; the family object holds the
-    operations.  Equality must be decided on normal forms, never on
-    renderings.
+    Elements are immutable plain values that hash, and values that are
+    ``==`` render alike; the family object holds the operations.  Group
+    equality must be decided on normal forms, never on renderings.
     """
 
     name: str = "group"
@@ -255,19 +255,27 @@ class VerificationReport:
 # Verification engine
 
 
-def _check_identity(family: GroupFamily, report: VerificationReport, name: str,
+def _check_identity(family: GroupFamily, report: VerificationReport, rendered: dict, name: str,
                     value: object, detail: str = "") -> None:
-    report.record(name, family.is_identity(value), family.render(value), "e", detail)
+    """Record value = e.  rendered maps each value this engine call has
+    already rendered to its text, so a value that recurs (the identity, on
+    a passing battery) is rendered once; equal values render alike, as
+    GroupFamily requires."""
+    text = rendered.get(value)
+    if text is None:
+        text = rendered[value] = family.render(value)
+    report.record(name, family.is_identity(value), text, "e", detail)
 
 
 def _conjugate_commutators(fam: GroupFamily, hs: Sequence, hs_inv: Sequence, tp_cache: dict,
-                           powers: Sequence[int], report: VerificationReport,
+                           powers: Sequence[int], report: VerificationReport, rendered: dict,
                            detail: str = "") -> None:
     """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair.
 
     hs_inv holds the inverses of hs, and tp_cache maps both p and -p to t^p
     and t^-p, so inv(t^p) is read from it.  Each conjugate ^(t^p) h_j and its
     inverse are built once per (p, j); each pair then costs three products.
+    rendered is the call's render memo (see _check_identity).
     """
     if not hs:
         raise ValueError("empty generator set: nothing to check")
@@ -278,7 +286,8 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, hs_inv: Sequence, tp_
         for i, (hi, hi_inv) in enumerate(zip(hs, hs_inv)):
             for j, (conj, conj_inv) in enumerate(zip(conjs, conjs_inv)):
                 c = fam.mul(fam.mul(hi, conj), fam.mul(hi_inv, conj_inv))
-                _check_identity(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", c, detail)
+                _check_identity(fam, report, rendered, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", c,
+                                detail)
 
 
 def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationReport:
@@ -300,12 +309,13 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationR
     powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
     tp_cache = {p: fam.power(w.t, p) for p in powers + [n]}
     hs_inv = [fam.inv(h) for h in H.elements]
-    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report)
+    rendered: dict = {}
+    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report, rendered)
     tn = tp_cache[n]
     tn_inv = fam.inv(tn)
     for i, (hi, hi_inv) in enumerate(zip(H.elements, hs_inv)):
         c = fam.mul(fam.mul(hi, tn), fam.mul(hi_inv, tn_inv))
-        _check_identity(fam, report, f"[h{i + 1}, t^{n}]", c)
+        _check_identity(fam, report, rendered, f"[h{i + 1}, t^{n}]", c)
     return report
 
 
@@ -325,7 +335,7 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     powers = [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]
     tp_cache = {p: fam.power(w.t, p) for p in powers}
     hs_inv = [fam.inv(h) for h in H.elements]
-    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report,
+    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report, {},
                            detail=f"bounded check, |p| <= {P}")
     return report
 

@@ -330,6 +330,10 @@ class WitnessChain(Record):
         self.__post_init__()
 
     def __post_init__(self):
+        # tuples, so that the chain hashes as its fields, as every record does
+        for field in ("generators", "ts", "orders"):
+            if not isinstance(self.__dict__[field], tuple):
+                raise ValueError(f"{field} must be a tuple, got {self.__dict__[field]!r}")
         if len(self.ts) != len(self.orders) or not self.ts:
             raise ValueError("need one order per witness element")
         if not all(is_int(n) and n >= 2 for n in self.orders):
@@ -337,7 +341,7 @@ class WitnessChain(Record):
 
     def level_generators(self, i: int) -> tuple:
         """Generators of Lambda_i."""
-        return tuple(self.generators) + tuple(self.ts[:i])
+        return self.generators + self.ts[:i]
 
 
 def validate_chain(chain: WitnessChain) -> VerificationReport:
@@ -370,7 +374,7 @@ class TowerHom:
         check = validate_chain(chain)
         if not check.passed:
             raise ChainInvariantError(f"chain invariants fail: {check.counterexample}")
-        self.tower = Tower(tuple(chain.orders))
+        self.tower = Tower(chain.orders)
         self.chain = chain
         self.family = chain.family
         self._powers: dict[tuple[int, int], object] = {}
@@ -442,8 +446,9 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         u, v = tower.sample(rng), tower.sample(rng)
         lhs = f(a_fam.mul(u, v))
         rhs = fam.mul(f(u), f(v))
+        lhs_text = fam.render(lhs)
         report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
-                      fam.render(lhs), fam.render(rhs))
+                      lhs_text, lhs_text if rhs == lhs else fam.render(rhs))
 
     verdicts_i: dict[object, bool] = {}
     found = 0

@@ -1,10 +1,15 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccckit import cli
-from ccckit.suites import FAMILIES
+from ccckit.suites import FAMILIES, run_family
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -97,9 +102,62 @@ def test_determinism_same_seed(capsys):
 
 
 def test_every_family_runs_clean(capsys):
-    for family in FAMILIES:
-        code, out, err = run(capsys, "run", "--family", family, "--format", "json")
-        assert code == cli.EXIT_OK, (family, err)
+    """Every battery passes, and its JSON report is json.dumps's bytes."""
+    for seed in (0, 1):
+        for family in FAMILIES:
+            code, out, err = run(capsys, "run", "--family", family, "--format", "json",
+                                 "--seed", str(seed))
+            assert code == cli.EXIT_OK, (family, err)
+            assert out == json.dumps(run_family(family, seed=seed), sort_keys=True,
+                                     indent=2) + "\n", (family, seed)
+
+
+# Any str, lone surrogates included, with the characters json escapes drawn often.
+TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                         st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff'
+                                         '\u00e9\U0001f600')))
+CHECK = st.fixed_dictionaries({key: TEXT for key in ("name", "status", "lhs", "rhs", "detail")})
+REPORT = st.fixed_dictionaries({
+    "family": TEXT,
+    "params": st.dictionaries(TEXT, st.one_of(st.integers(), st.lists(st.integers(), max_size=3))),
+    "checks": st.lists(CHECK, max_size=4),
+    "bounded": st.booleans(),
+    "seed": st.integers(),
+    "elapsed_ms": st.just(0),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT)
+@example({"family": "closure", "params": {"moduli": [0, 5], "size": 2}, "checks": [],
+          "bounded": False, "seed": 0, "elapsed_ms": 0})
+@example({"family": "x", "params": {"checks": []},
+          "checks": [dict.fromkeys(("name", "status", "lhs", "rhs", "detail"), '\n  "checks": []')],
+          "bounded": True, "seed": -1, "elapsed_ms": 0})
+def test_render_json_is_json_dumps(report):
+    assert cli.render_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_flags_do_not_leak_between_calls(capsys, monkeypatch):
+    """main parses every call with one parser; each call sees only its own flags."""
+    monkeypatch.delenv("CCCKIT_SEED", raising=False)
+    _, out, _ = run(capsys, "run", "--family", "pl", "--bound", "16", "--seed", "5",
+                    "--format", "json")
+    first = json.loads(out)
+    _, out, _ = run(capsys, "run", "--family", "pl", "--format", "json")
+    second = json.loads(out)
+    assert (first["params"]["bound"], first["seed"]) == (16, 5)
+    assert (second["params"]["bound"], second["seed"]) == (8, 0)
+
+
+def test_parser_is_built_on_first_main_call_only():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from ccckit import cli; "
+            "built = [cli.build_parser.cache_info().currsize]; "
+            "[cli.main(['run', '--family', 'perm', '--out', '/dev/null']) for _ in range(2)]; "
+            "print(*built, cli.build_parser.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_braid_past_the_old_letter_cap_runs_clean(capsys):

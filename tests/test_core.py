@@ -208,12 +208,14 @@ def reference_czc(H, w, suite="czc"):
 
 
 class CountingFamily(GroupFamily):
-    """Wraps a family and counts its mul and inv calls."""
+    """Wraps a family, counts its mul and inv calls and lists the values it
+    renders."""
 
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
         self.counts = Counter()
+        self.rendered = []
 
     def check_element(self, a):
         self.inner.check_element(a)
@@ -233,6 +235,7 @@ class CountingFamily(GroupFamily):
         return self.inner.eq(a, b)
 
     def render(self, a):
+        self.rendered.append(a)
         return self.inner.render(a)
 
 
@@ -305,6 +308,8 @@ def _assert_engine_matches_reference(engine, reference, case):
     else:
         P = w.mode.bound
         assert counted.counts["inv"] == P + h + 2 * P * h
+    # the reference renders every check's value; the engine each distinct value once
+    assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
     return expected
 
 
@@ -313,6 +318,17 @@ def test_verify_ccc_matches_reference_loop(label):
     expected = _assert_engine_matches_reference(verify_ccc, reference_ccc, CCC_CASES[label])
     assert expected["checks"]
     assert (expected["counterexample"] is not None) == label.endswith("failing")
+
+
+@pytest.mark.parametrize("label", ["matrix-Z", "matrix-Z/5"])
+def test_passing_matrix_battery_renders_the_identity_once(label):
+    fam, gens, w = CCC_CASES[label]()
+    counted = CountingFamily(fam)
+    report = verify_ccc(GeneratorSet(counted, gens), w)
+    assert report.passed
+    assert len(report.checks) == 2 * (w.mode.n - 1) * len(gens) ** 2 + len(gens)
+    assert counted.rendered == [fam.identity()]
+    assert report.to_dict() == reference_ccc(GeneratorSet(fam, gens), w).to_dict()
 
 
 @pytest.mark.parametrize("label", sorted(CZC_CASES))

@@ -139,6 +139,16 @@ def test_witness_chain_rejects_bad_orders(orders):
                        (p.perm_from_cycles([[3, 4]]),), orders)
 
 
+@pytest.mark.parametrize("field", ["generators", "ts", "orders"])
+def test_witness_chain_rejects_non_tuple_fields(field):
+    fields = {"generators": (p.perm_from_cycles([[1, 2]]),), "ts": (p.block_swap(4),),
+              "orders": (2,)}
+    chain = w.WitnessChain(p.PERM, **fields)
+    assert hash(chain) == hash(w.WitnessChain(p.PERM, **fields))
+    with pytest.raises(ValueError, match=field):
+        w.WitnessChain(p.PERM, **{**fields, field: list(fields[field])})
+
+
 def test_membership_B_level2():
     tower = w.Tower((2, 2))
     fam = tower.family
