@@ -9,7 +9,8 @@ written once and reused everywhere.
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
+import functools
+from collections.abc import Iterable, Sequence
 
 
 class CcckitError(Exception):
@@ -118,6 +119,15 @@ class GroupFamily(abc.ABC):
 
     def check_element(self, a: object) -> None:
         """Raise FamilyMismatchError if ``a`` does not belong here."""
+
+    def product(self, elements: Iterable) -> object:
+        """a_1 a_2 ... a_k, and the identity for no elements: the left fold
+        of ``mul`` from ``identity()``, which starts at a_1 = e a_1 and so
+        makes k - 1 products."""
+        elements = iter(elements)
+        for first in elements:
+            return functools.reduce(self.mul, elements, first)
+        return self.identity()
 
     def power(self, a: object, k: int) -> object:
         """a^k by binary powering: bitlen(k) + popcount(k) - 2 products for
@@ -255,16 +265,38 @@ class VerificationReport:
 # Verification engine
 
 
-def _check_identity(family: GroupFamily, report: VerificationReport, rendered: dict, name: str,
-                    value: object, detail: str = "") -> None:
-    """Record value = e.  rendered maps each value this engine call has
-    already rendered to its text, so a value that recurs (the identity, on
-    a passing battery) is rendered once; equal values render alike, as
-    GroupFamily requires."""
+def render_once(family: GroupFamily, rendered: dict, value: object) -> str:
+    """family.render(value), through the memo rendered, which maps each
+    value already rendered to its text.  A memo lives for one call of its
+    owner, so a value that recurs there (the identity, on a passing
+    battery) is rendered once; values hash, and equal values render alike,
+    as GroupFamily requires."""
     text = rendered.get(value)
     if text is None:
         text = rendered[value] = family.render(value)
-    report.record(name, family.is_identity(value), text, "e", detail)
+    return text
+
+
+def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
+    """{p: t^p} for 1 <= p <= top and -bottom <= p <= -1, each power one
+    product from its neighbour: t^p = t^(p-1) t and t^-p = t^-(p-1) t^-1.
+    That is (top - 1) + (bottom - 1) products and one inversion, where
+    binary powering costs bitlen(p) + popcount(p) - 2 products per power."""
+    table = {1: t}
+    for p in range(2, top + 1):
+        table[p] = family.mul(table[p - 1], t)
+    t_inv = table[-1] = family.inv(t)
+    for p in range(2, bottom + 1):
+        table[-p] = family.mul(table[1 - p], t_inv)
+    return table
+
+
+def _check_identity(family: GroupFamily, report: VerificationReport, rendered: dict, name: str,
+                    value: object, detail: str = "") -> None:
+    """Record value = e; rendered is the call's render memo (see
+    render_once)."""
+    report.record(name, family.is_identity(value), render_once(family, rendered, value), "e",
+                  detail)
 
 
 def _conjugate_commutators(fam: GroupFamily, hs: Sequence, hs_inv: Sequence, tp_cache: dict,
@@ -307,7 +339,7 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationR
     n = w.mode.n
     report = VerificationReport(suite)
     powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
-    tp_cache = {p: fam.power(w.t, p) for p in powers + [n]}
+    tp_cache = power_table(fam, w.t, n, n - 1)
     hs_inv = [fam.inv(h) for h in H.elements]
     rendered: dict = {}
     _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report, rendered)
@@ -333,7 +365,7 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     P = w.mode.bound
     report = VerificationReport(suite, bounded=True)
     powers = [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]
-    tp_cache = {p: fam.power(w.t, p) for p in powers}
+    tp_cache = power_table(fam, w.t, P, P)
     hs_inv = [fam.inv(h) for h in H.elements]
     _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report, {},
                            detail=f"bounded check, |p| <= {P}")

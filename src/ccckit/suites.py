@@ -243,17 +243,20 @@ def pl_battery(size: int, bound: int, seed: int) -> VerificationReport:
 # wreath tower machinery
 
 
-def iet_chain() -> wreathmod.WitnessChain:
-    fam = ietmod.IET
+def iet_chain(depth: int = 2) -> wreathmod.WitnessChain:
+    """H = <rotation of [0, 1) by 1/3> and t_i = block_exchange(2^(i-1)),
+    all of order 2, for i = 1..depth."""
     H = (ietmod.rotation(1, Fraction(1, 3)),)
-    return wreathmod.WitnessChain(fam, H, (ietmod.block_exchange(1), ietmod.block_exchange(2)),
-                                  (2, 2))
+    ts = tuple(ietmod.block_exchange(2 ** i) for i in range(depth))
+    return wreathmod.WitnessChain(ietmod.IET, H, ts, (2,) * depth)
 
 
-def perm_chain() -> wreathmod.WitnessChain:
-    fam = permmod.PERM
+def perm_chain(depth: int = 2) -> wreathmod.WitnessChain:
+    """H = <(1 2 3)> and t_i = block_swap(4 * 2^(i-1)), all of order 2, for
+    i = 1..depth."""
     H = (permmod.perm_from_cycles([[1, 2, 3]]),)
-    return wreathmod.WitnessChain(fam, H, (permmod.block_swap(4), permmod.block_swap(8)), (2, 2))
+    ts = tuple(permmod.block_swap(4 * 2 ** i) for i in range(depth))
+    return wreathmod.WitnessChain(permmod.PERM, H, ts, (2,) * depth)
 
 
 def wreath_tower_battery(depth: int, samples: int, seed: int) -> VerificationReport:

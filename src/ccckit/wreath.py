@@ -18,7 +18,6 @@ sorted by point, and equal elements are equal values.
 from __future__ import annotations
 
 import abc
-import functools
 import random
 from collections.abc import Callable, Sequence
 
@@ -48,8 +47,9 @@ class IntAdditiveFamily(GroupFamily):
         return 0
 
     def mul(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
+        if a.__class__ is not int or b.__class__ is not int:
+            self.check_element(a)
+            self.check_element(b)
         return a + b
 
     def inv(self, a):
@@ -58,6 +58,9 @@ class IntAdditiveFamily(GroupFamily):
 
     def eq(self, a, b):
         return a == b
+
+    def is_identity(self, a):
+        return a == 0
 
     def render(self, a):
         return str(a)
@@ -138,18 +141,36 @@ class CosetAction(ActionSpace):
 
 
 class WreathElement(Record):
+    """The base map and top element of a wreath product element.  The
+    record checks the shape it can see alone: base is a tuple of (point,
+    entry) pairs whose points are ints in strictly ascending order.  That
+    the points are canonical for an action and no entry is an identity is
+    the family's to know; ``WreathFamily.element`` normalises to it."""
+
     def __init__(self, base: tuple[tuple[int, object], ...], top: object):
-        # base: (canonical point, base-group element) pairs, sorted by point
         self.__dict__.update(base=base, top=top)
         self.__post_init__()
+
+    def __post_init__(self):
+        base = self.base
+        if not isinstance(base, tuple):
+            raise ValueError(f"base must be a tuple of (point, entry) pairs, got {base!r}")
+        last = None
+        for pair in base:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and is_int(pair[0])):
+                raise ValueError(f"base pair must be an (int point, entry) tuple, got {pair!r}")
+            if last is not None and pair[0] <= last:
+                raise ValueError(f"base points must ascend strictly, got {base!r}")
+            last = pair[0]
 
 
 class WreathFamily(GroupFamily):
     """Gamma wr_X A with finitely supported base maps.
 
     ``element`` is the public constructor and validates the points, base
-    entries and top it is given; ``mul``/``inv`` build their results from
-    valid elements, so ``check_element`` only checks the type."""
+    entries and top it is given; ``product``/``mul``/``inv`` build their
+    results from valid elements, so ``check_element`` only checks the
+    type."""
 
     def __init__(self, base_family: GroupFamily, action: ActionSpace):
         self.base_family = base_family
@@ -168,7 +189,8 @@ class WreathFamily(GroupFamily):
         merged: dict[int, object] = {}
         for x, g in pairs:
             merged[x] = base.mul(merged[x], g) if x in merged else g
-        return WreathElement(
+        return core.trusted(
+            WreathElement,
             tuple(sorted((x, g) for x, g in merged.items() if not base.is_identity(g))), top)
 
     def element(self, pairs, top=None) -> WreathElement:
@@ -190,13 +212,30 @@ class WreathFamily(GroupFamily):
         return self.base_family.identity()
 
     def identity(self):
-        return WreathElement((), self.action.top.identity())
+        return core.trusted(WreathElement, (), self.action.top.identity())
+
+    def is_identity(self, u):
+        self.check_element(u)
+        return not u.base and self.action.top.is_identity(u.top)
+
+    def product(self, word):
+        """u_1 ... u_k in one pass: each letter's base points are moved by
+        the top a_1 ... a_(i-1) of the letters before it, and the collected
+        entries are merged by one ``normalize``."""
+        act, top_mul = self.action.act, self.action.top.mul
+        word = iter(word)
+        for u in word:
+            self.check_element(u)
+            pairs, top = list(u.base), u.top
+            for v in word:
+                self.check_element(v)
+                pairs += [(act(top, x), g) for x, g in v.base]
+                top = top_mul(top, v.top)
+            return self.normalize(pairs, top)
+        return self.identity()
 
     def mul(self, u, v):
-        self.check_element(u)
-        self.check_element(v)
-        pairs = list(u.base) + [(self.action.act(u.top, x), g) for x, g in v.base]
-        return self.normalize(pairs, self.action.top.mul(u.top, v.top))
+        return self.product((u, v))
 
     def inv(self, u):
         self.check_element(u)
@@ -229,13 +268,11 @@ def _letters(fam: GroupFamily, gens: Sequence) -> tuple:
 def _random_word(fam: GroupFamily, letters: Sequence, rng: random.Random, max_len: int = 8):
     """A product of at most max_len letters, each a generator or, with
     probability 1/2, its inverse; ``letters`` holds the (g, g^-1) pairs."""
-    u = fam.identity()
+    word = []
     for _ in range(rng.randint(0, max_len)):
         g, g_inv = rng.choice(letters)
-        if rng.random() < 0.5:
-            g = g_inv
-        u = fam.mul(u, g)
-    return u
+        word.append(g_inv if rng.random() < 0.5 else g)
+    return fam.product(word)
 
 
 class Tower:
@@ -414,7 +451,7 @@ class TowerHom:
             factors = [self._conjugate(level, p, level_fam.value_at(u, p))
                        for p in range(self.chain.orders[level - 1])]
             factors.append(self._power(level, u.top))
-            self._images[key] = functools.reduce(self.family.mul, factors)
+            self._images[key] = self.family.product(factors)
         return self._images[key]
 
     def __call__(self, u):
@@ -432,23 +469,32 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
     of H with images of members.
 
     Verdicts (b) and (c) depend on the sample only through its image, so
-    each is decided once per distinct f(a), resp. f(b), in a dict local to
-    the call keyed by the image; this needs images to hash, with ``==``
-    implying group equality, as the shipped families' normal forms do.
-    Every sample still gets its own record."""
+    each is decided once per distinct f(a), resp. f(b).  In the same way
+    the product f(u)f(v) is taken once per distinct pair (f(u), f(v)), and
+    each distinct image and sample is rendered once.  These memos are dicts
+    local to the call keyed by the values, so they need images to hash,
+    with ``==`` implying group equality, and equal values to render alike,
+    as the shipped families' normal forms do.  f(uv) is always evaluated on
+    the tower product uv, never read off f(u)f(v), and every sample still
+    gets its own record."""
     rng = random.Random(seed)
     fam = f.family
     tower = f.tower
     a_fam = tower.family
     report = VerificationReport("tower-hom", bounded=True)
+    texts: dict = {}  # target value -> its rendering
+    sample_texts: dict = {}  # tower sample -> its rendering
+    products: dict = {}  # (f(u), f(v)) -> f(u)f(v)
 
     for k in range(sample_size):
         u, v = tower.sample(rng), tower.sample(rng)
         lhs = f(a_fam.mul(u, v))
-        rhs = fam.mul(f(u), f(v))
-        lhs_text = fam.render(lhs)
+        images = (f(u), f(v))
+        rhs = products.get(images)
+        if rhs is None:
+            rhs = products[images] = fam.mul(*images)
         report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
-                      lhs_text, lhs_text if rhs == lhs else fam.render(rhs))
+                      core.render_once(fam, texts, lhs), core.render_once(fam, texts, rhs))
 
     verdicts_i: dict[object, bool] = {}
     found = 0
@@ -466,7 +512,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         ok = verdicts_i[fa]
         report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{found}]", ok,
                       "all generator commutators", "e",
-                      detail=f"a = {a_fam.render(a)}")
+                      detail=f"a = {core.render_once(a_fam, sample_texts, a)}")
         found += 1
     if found < sample_size:
         report.record("(i) enough non-member samples", False,
@@ -481,7 +527,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         ok = verdicts_ii[fb]
         report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", ok,
                       "all generator commutators", "e",
-                      detail=f"b = {a_fam.render(b)}")
+                      detail=f"b = {core.render_once(a_fam, sample_texts, b)}")
     return report
 
 

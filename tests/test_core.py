@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, ProductFamily,
                          VerificationReport, Witness, WitnessModeError, ZMode,
                          bounded_products, combine_product_witnesses, commutator,
-                         conjugate, verify_ccc, verify_czc)
+                         conjugate, power_table, verify_ccc, verify_czc)
 from ccckit import braid as braidmod
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
@@ -52,13 +52,18 @@ def test_power():
     assert PERM.is_identity(PERM.power(c, 0))
 
 
+def binary_power_products(k):
+    """Products binary powering takes for t^k, k >= 0: from the lowest set
+    bit, with no square past the highest, bitlen(k) + popcount(k) - 2 for
+    k >= 1."""
+    return k.bit_length() + bin(k).count("1") - 2 if k else 0
+
+
 def test_power_product_count():
-    # binary powering from the lowest set bit, no square past the highest:
-    # bitlen(k) + popcount(k) - 2 products for k >= 1
     a = perm_from_cycles([[1, 2, 3, 4, 5, 6, 7]])
     expected = PERM.identity()
     for k in range(0, 300):
-        products = k.bit_length() + bin(k).count("1") - 2 if k else 0
+        products = binary_power_products(k)
         counted = CountingFamily(PERM)
         assert PERM.eq(counted.power(a, k), expected)
         assert counted.counts == Counter(mul=products)
@@ -66,6 +71,29 @@ def test_power_product_count():
         assert PERM.eq(counted.power(a, -k), PERM.inv(expected))
         assert counted.counts == Counter(mul=products, inv=1 if k else 0)
         expected = PERM.mul(expected, a)
+
+
+def test_default_product_is_the_left_fold():
+    gens = [perm_from_cycles([[1, 2, 3]]), perm_from_cycles([[1, 2]]), perm_from_cycles([[3, 4]])]
+    for k in range(5):
+        word = [gens[i % 3] for i in range(k)]
+        expected = PERM.identity()
+        for g in word:
+            expected = PERM.mul(expected, g)
+        counted = CountingFamily(PERM)
+        assert counted.product(iter(word)) == expected
+        assert counted.counts == Counter(mul=max(k - 1, 0))
+
+
+def test_power_table_builds_each_power_from_its_neighbour():
+    t = perm_from_cycles([[1, 2, 3, 4, 5, 6, 7]])
+    for top, bottom in ((1, 1), (2, 1), (5, 4), (16, 16)):
+        counted = CountingFamily(PERM)
+        table = power_table(counted, t, top, bottom)
+        assert sorted(table) == list(range(-bottom, 0)) + list(range(1, top + 1))
+        for p, tp in table.items():
+            assert tp == PERM.power(t, p)
+        assert counted.counts == Counter(mul=(top - 1) + (bottom - 1), inv=1)
 
 
 def test_verify_ccc_passes_on_disjoint_blocks():
@@ -298,16 +326,26 @@ def _assert_engine_matches_reference(engine, reference, case):
     # per pair: 2 products saved for every pair with i != j
     n_powers = 2 * (w.mode.n - 1 if isinstance(w.mode, Finite) else w.mode.bound)
     saved = 2 * n_powers * len(gens) * (len(gens) - 1)
-    assert counted.counts["mul"] == counted_ref.counts["mul"] - saved
-    # inversions: t^p for the negative powers (one each, inside power), each
-    # h_i once, each conjugate ^(t^p) h_j once per (p, j), and t^n once
+    # the reference takes each power t^p by binary powering; the engine's
+    # power table takes (top - 1) + (bottom - 1) products for the powers
+    # t^1..t^top and t^-1..t^-bottom, and one inversion
+    if isinstance(w.mode, Finite):
+        top, bottom = w.mode.n, w.mode.n - 1
+    else:
+        top = bottom = w.mode.bound
+    binary = sum(binary_power_products(p) for p in range(1, top + 1))
+    binary += sum(binary_power_products(p) for p in range(1, bottom + 1))
+    table = (top - 1) + (bottom - 1)
+    assert counted.counts["mul"] == counted_ref.counts["mul"] - saved - binary + table
+    # inversions: t once, for the table, each h_i once, each conjugate
+    # ^(t^p) h_j once per (p, j), and t^n once
     h = len(gens)
     if isinstance(w.mode, Finite):
         n = w.mode.n
-        assert counted.counts["inv"] == (n - 1) + h + 2 * (n - 1) * h + 1
+        assert counted.counts["inv"] == 1 + h + 2 * (n - 1) * h + 1
     else:
         P = w.mode.bound
-        assert counted.counts["inv"] == P + h + 2 * P * h
+        assert counted.counts["inv"] == 1 + h + 2 * P * h
     # the reference renders every check's value; the engine each distinct value once
     assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
     return expected

@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ccckit import iet as ietmod
 from ccckit import perm as p
 from ccckit import wreath as w
-from ccckit.core import FamilyMismatchError, GeneratorSet, commutator, conjugate
+from ccckit import core
+from ccckit.core import (FamilyMismatchError, GeneratorSet, VerificationReport, commutator,
+                         conjugate, trusted)
 from ccckit.suites import iet_chain, perm_chain
+
+from util import revalidates
 
 
 def lamp() -> w.WreathFamily:
@@ -71,10 +75,57 @@ def test_element_validates_its_input(pairs, top):
         lamp().element(pairs, top=top)
 
 
+@pytest.mark.parametrize("base", [
+    [(0, 1)],            # a list, which does not hash
+    ((1, 1), (0, 2)),    # points out of order
+    ((0, 1), (0, 2)),    # a repeated point
+    ((True, 1),),        # a bool is no point
+    ((0.0, 1),),
+    (("0", 1),),
+    ([0, 1],),           # a pair must be a tuple
+    ((0, 1, 2),),
+    ((0,),),
+])
+def test_wreath_element_checks_its_shape(base):
+    with pytest.raises(ValueError):
+        w.WreathElement(base, 0)
+
+
+def test_wreath_element_leaves_the_normal_form_to_its_family():
+    fam = lamp()
+    u = w.WreathElement(((0, 2), (1, 1)), 0)
+    assert u == fam.element([(1, 1), (0, 2)]) and hash(u) == hash(fam.element([(1, 1), (0, 2)]))
+    assert fam.eq(u, fam.element([(0, 2), (1, 1)]))
+    # an identity entry has the right shape; only the family knows it is one
+    zero = w.WreathElement(((0, 0),), 0)
+    assert fam.render(zero) == "{0: 0 | 0}" and not fam.is_identity(zero)
+    assert fam.element([(0, 0)]) == fam.identity() and fam.is_identity(fam.element([(0, 0)]))
+
+
 def test_nested_element_validates_base_entries():
     fam = w.Tower((2, 2, 3)).family
     with pytest.raises(FamilyMismatchError):
         fam.element([(0, 1)])  # a level-3 entry must be a level-2 element
+
+
+@pytest.mark.parametrize("a, b", [(True, 1), (1, True), (1.5, 1), (1, 1.5), (True, False)])
+def test_int_mul_rejects_non_integers(a, b):
+    with pytest.raises(FamilyMismatchError):
+        w.INT_Z.mul(a, b)
+
+
+def test_int_family_accepts_int_subclasses_other_than_bool():
+    class Int(int):
+        pass
+
+    assert w.INT_Z.mul(Int(2), 3) == w.INT_Z.mul(3, Int(2)) == 5
+    assert w.INT_Z.is_identity(0) and not w.INT_Z.is_identity(Int(1))
+
+
+def test_empty_product_is_the_identity():
+    for fam in (w.INT_Z, lamp(), w.Tower((2, 2, 3)).family):
+        assert fam.product(()) == fam.identity()
+        assert fam.product(iter([])) == fam.identity()
 
 
 def test_tower_family_and_generators():
@@ -531,7 +582,12 @@ class ScanWreath(w.WreathFamily):
     """A wreath product over Z/n as it was before points were canonical:
     ``element`` keeps the points it is given, ``normalize`` merges entries
     by a quadratic scan with a point equality predicate and sorts by point
-    mod n, and ``value_at``/``eq`` look points up through that predicate."""
+    mod n, and ``value_at``/``eq`` look points up through that predicate.
+
+    Raw points may be negative or repeat mod n, so a base sorted by point
+    mod n need not ascend as ints; ``WreathElement`` refuses such a base,
+    and ``normalize`` builds its results with ``core.trusted``, which
+    skips that check."""
 
     def point_eq(self, x, y):
         return x % self.action.n == y % self.action.n
@@ -547,7 +603,7 @@ class ScanWreath(w.WreathFamily):
                 merged.append((x, g))
         cleaned = [(x, g) for x, g in merged if not self.base_family.is_identity(g)]
         cleaned.sort(key=lambda item: item[0] % self.action.n)
-        return w.WreathElement(tuple(cleaned), top)
+        return trusted(w.WreathElement, tuple(cleaned), top)
 
     def element(self, pairs, top=0):
         return self.normalize(list(pairs), top)
@@ -616,3 +672,198 @@ def test_keyed_normal_form_matches_scan_oracle(data):
     assert fam.eq(u, moved) == oracle.eq(u, moved)
     for x in range(-4, 8):
         assert fam.value_at(u, x) == _reduced(branching[:-1], oracle.value_at(ou, x))
+
+
+# ---------------------------------------------------------------------------
+# The pairwise product, kept as an oracle for the one-merge product
+
+
+def oracle_mul(fam, u, v):
+    """u v as WreathFamily.mul took it before ``product``: v's points moved
+    by u's top, appended to u's base and merged pairwise, with the entries
+    of nested levels multiplied by this oracle too and the result built
+    through the validating constructor."""
+    if not isinstance(fam, w.WreathFamily):
+        return fam.mul(u, v)
+    base = fam.base_family
+    pairs = list(u.base) + [(fam.action.act(u.top, x), g) for x, g in v.base]
+    merged = {}
+    for x, g in pairs:
+        merged[x] = oracle_mul(base, merged[x], g) if x in merged else g
+    return w.WreathElement(
+        tuple(sorted((x, g) for x, g in merged.items() if not base.eq(g, base.identity()))),
+        fam.action.top.mul(u.top, v.top))
+
+
+def _revalidates_at_every_level(fam, u):
+    if not isinstance(fam, w.WreathFamily):
+        return True
+    return revalidates(u) and all(_revalidates_at_every_level(fam.base_family, g)
+                                  for _, g in u.base)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_matches_pairwise_oracle(data):
+    orders = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]))
+    tower = w.Tower(orders)
+    fams = list(tower.families)
+    fam = fams[-1]
+    raws = data.draw(st.lists(_raw_tower_element(tower.depth), max_size=8))
+    word = [_build(fams, raw) for raw in raws]
+    expected = functools.reduce(functools.partial(oracle_mul, fam), word, fam.identity())
+    got = fam.product(word)
+    assert got == expected and _revalidates_at_every_level(fam, got)
+    if len(word) >= 2:
+        assert fam.mul(word[0], word[1]) == oracle_mul(fam, word[0], word[1])
+
+
+# ---------------------------------------------------------------------------
+# check_hom against a reference loop without memos
+
+
+def reference_check_hom(f, H, sample_size=50, seed=0):
+    """check_hom with no memos: per sample one target product f(u)f(v),
+    every verdict decided afresh and every value rendered afresh."""
+    rng = random.Random(seed)
+    fam = f.family
+    tower = f.tower
+    a_fam = tower.family
+    report = VerificationReport("tower-hom", bounded=True)
+    for k in range(sample_size):
+        u, v = tower.sample(rng), tower.sample(rng)
+        lhs = f(a_fam.mul(u, v))
+        rhs = fam.mul(f(u), f(v))
+        report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs), fam.render(lhs),
+                      fam.render(rhs))
+    found = attempts = 0
+    while found < sample_size and attempts < 100 * sample_size:
+        attempts += 1
+        a = tower.sample(rng)
+        if tower.in_B(a):
+            continue
+        fa = f(a)
+        ok = all(fam.is_identity(commutator(fam, h, conjugate(fam, fa, h2)))
+                 for h in H.elements for h2 in H.elements)
+        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{found}]", ok,
+                      "all generator commutators", "e", detail=f"a = {a_fam.render(a)}")
+        found += 1
+    if found < sample_size:
+        report.record("(i) enough non-member samples", False, str(found), str(sample_size))
+    for k in range(sample_size):
+        b = tower.sample_B(rng, tower.depth)
+        fb = f(b)
+        ok = all(fam.is_identity(commutator(fam, h, fb)) for h in H.elements)
+        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", ok,
+                      "all generator commutators", "e", detail=f"b = {a_fam.render(b)}")
+    return report
+
+
+CHAINS = {"iet": iet_chain, "perm": perm_chain}
+
+
+def test_chains_of_depth_2_are_the_shipped_chains():
+    from ccckit.iet import block_exchange
+    assert iet_chain(2).ts == (block_exchange(1), block_exchange(2))
+    assert perm_chain(2).ts == (p.block_swap(4), p.block_swap(8))
+    assert perm_chain(4).ts[-1] == p.block_swap(32) and perm_chain(4).orders == (2,) * 4
+    for name in CHAINS:
+        assert CHAINS[name]() == CHAINS[name](2)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_check_hom_matches_reference_loop(name, depth):
+    chain = CHAINS[name](depth)
+    f = w.TowerHom(chain)
+    H = GeneratorSet(chain.family, chain.generators)
+    for seed in range(4):
+        for samples in (1, 50):
+            report = w.check_hom(f, H, sample_size=samples, seed=seed)
+            assert report.to_dict() == reference_check_hom(f, H, samples, seed).to_dict()
+            assert report.passed and len(report.checks) == 3 * samples
+
+
+class RecordingPerm(p.PermFamily):
+    """The permutation family, listing the values it renders and the
+    operands of each product made while ``quiet`` is 0."""
+
+    def __init__(self):
+        self.quiet = 0
+        self.products = []
+        self.rendered = []
+
+    def mul(self, a, b):
+        if not self.quiet:
+            self.products.append((a, b))
+        return super().mul(a, b)
+
+    def render(self, a):
+        self.rendered.append(a)
+        return super().render(a)
+
+
+class QuietHom(w.TowerHom):
+    """A TowerHom whose evaluations leave no products on the record, and
+    which lists the top-level images it returns."""
+
+    def __init__(self, chain):
+        super().__init__(chain)
+        self.images = []
+
+    def eval(self, u, level=None):
+        self.family.quiet += 1
+        try:
+            return super().eval(u, level)
+        finally:
+            self.family.quiet -= 1
+
+    def __call__(self, u):
+        image = super().__call__(u)
+        self.images.append(image)
+        return image
+
+
+def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
+    def quietly(fn):
+        def wrapped(family, *args):
+            family.quiet += 1
+            try:
+                return fn(family, *args)
+            finally:
+                family.quiet -= 1
+        return wrapped
+
+    monkeypatch.setattr(w, "commutator", quietly(commutator))
+    monkeypatch.setattr(w, "conjugate", quietly(conjugate))
+    plain = perm_chain()
+    fam = RecordingPerm()
+    f = QuietHom(w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
+    fam.products.clear()  # the chain validation's own
+    fam.rendered.clear()
+    sample_renders = []
+    a_render = f.tower.family.render
+
+    def counting_render(u):
+        sample_renders.append(u)
+        return a_render(u)
+
+    monkeypatch.setattr(f.tower.family, "render", counting_render)
+    samples = 60
+    report = w.check_hom(f, GeneratorSet(fam, plain.generators), sample_size=samples, seed=5)
+    assert report.passed
+    # f(uv), f(u), f(v) per law sample, in that order
+    law = f.images[:3 * samples]
+    pairs = list(zip(law[1::3], law[2::3]))
+    assert len(set(pairs)) < samples  # the sample repeats pairs
+    assert fam.products == list(dict.fromkeys(pairs))
+    # one rendering per distinct image and per distinct sample
+    law_texts = {text for c in report.checks[:samples] for text in (c.lhs, c.rhs)}
+    assert len(fam.rendered) == len(set(fam.rendered)) == len(law_texts)
+    assert len(set(law[0::3])) < samples
+    details = [c.detail for c in report.checks[samples:]]
+    assert len(sample_renders) == len(set(sample_renders)) == len(set(details)) < len(details)
+    monkeypatch.undo()
+    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators),
+                           sample_size=samples, seed=5)
+    assert report.to_dict() == expected.to_dict()
