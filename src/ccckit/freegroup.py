@@ -4,6 +4,11 @@ Words are stored as tuples of nonzero signed generator indices (+i for
 x_i, -i for its inverse), always freely reduced.  Automorphisms carry
 explicit inverses and are built only from an invertible repertoire, so no
 general invertibility test is needed.
+
+Automorphisms compose by substitution, whose cost follows the letters that
+change: the image of a one-letter word is the image object itself (or its
+inverse word), and longer images are freely reduced on one stack as their
+letters stream in.  Images are immutable, so composites share them.
 """
 
 from __future__ import annotations
@@ -117,11 +122,30 @@ class FreeAutomorphism(Record):
 
 
 def _substitute_images(images: tuple[FreeWord, ...], w: FreeWord) -> FreeWord:
-    out: list[int] = []
-    for x in w.letters:
-        img = images[abs(x) - 1]
-        out.extend(img.letters if x > 0 else word_inv(img).letters)
-    return trusted(FreeWord, w.rank, reduce_letters(out))
+    """w with every x_k replaced by images[k-1] and every x_k^-1 by its inverse.
+
+    A one-letter w returns images[k-1] itself, or its inverse word, with no
+    new letters to reduce.  Longer words are freely reduced on one stack as
+    the image letters stream in, so no unreduced list is built."""
+    letters = w.letters
+    if len(letters) == 1:
+        x = letters[0]
+        return images[x - 1] if x > 0 else word_inv(images[-x - 1])
+    stack: list[int] = []
+    for x in letters:
+        if x > 0:
+            for y in images[x - 1].letters:
+                if stack and stack[-1] == -y:
+                    stack.pop()
+                else:
+                    stack.append(y)
+        else:
+            for y in reversed(images[-x - 1].letters):
+                if stack and stack[-1] == y:
+                    stack.pop()
+                else:
+                    stack.append(-y)
+    return trusted(FreeWord, w.rank, tuple(stack))
 
 
 def substitute(phi: FreeAutomorphism, w: FreeWord) -> FreeWord:
@@ -131,10 +155,15 @@ def substitute(phi: FreeAutomorphism, w: FreeWord) -> FreeWord:
 
 
 def aut_compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
-    """(phi o psi)(x_i) = phi(psi(x_i))."""
+    """(phi o psi)(x_i) = phi(psi(x_i)), with inverse psi^-1 o phi^-1.
+
+    Each one-letter image of psi (all of them for a permutation or the
+    identity) picks phi's image object as it is, and longer images are
+    reduced as their letters stream in, so the cost follows the letters
+    that change."""
     if phi.rank != psi.rank:
         raise FamilyMismatchError(f"rank mismatch: {phi.rank} vs {psi.rank}")
-    images = tuple(substitute(phi, w) for w in psi.images)
+    images = tuple(_substitute_images(phi.images, w) for w in psi.images)
     inverse_images = tuple(_substitute_images(psi.inverse_images, w) for w in phi.inverse_images)
     return trusted(FreeAutomorphism, phi.rank, images, inverse_images)
 
@@ -148,8 +177,15 @@ def identity_aut(rank: int) -> FreeAutomorphism:
     return FreeAutomorphism(rank, gens, gens)
 
 
+def _check_index(name: str, value, rank: int) -> None:
+    if not (is_int(value) and 1 <= value <= rank):
+        raise ValueError(f"{name} must be an int in 1..{rank}, got {value!r}")
+
+
 def nielsen_aut(rank: int, i: int, j: int) -> FreeAutomorphism:
     """x_i -> x_i x_j, other generators fixed (i != j)."""
+    _check_index("i", i, rank)
+    _check_index("j", j, rank)
     if i == j:
         raise ValueError("Nielsen move needs distinct indices")
     images = [word(rank, (k,)) for k in range(1, rank + 1)]
@@ -161,6 +197,7 @@ def nielsen_aut(rank: int, i: int, j: int) -> FreeAutomorphism:
 
 def inversion_aut(rank: int, i: int) -> FreeAutomorphism:
     """x_i -> x_i^-1, an involution."""
+    _check_index("i", i, rank)
     images = [word(rank, (k,)) for k in range(1, rank + 1)]
     images[i - 1] = word(rank, (-i,))
     images = tuple(images)
@@ -169,6 +206,9 @@ def inversion_aut(rank: int, i: int) -> FreeAutomorphism:
 
 def permutation_aut(rank: int, perm: dict[int, int]) -> FreeAutomorphism:
     """x_i -> x_perm(i); perm given as a mapping, unmentioned indices fixed."""
+    for k, v in perm.items():
+        _check_index("perm key", k, rank)
+        _check_index("perm value", v, rank)
     full = {i: perm.get(i, i) for i in range(1, rank + 1)}
     if sorted(full.values()) != list(range(1, rank + 1)):
         raise ValueError(f"not a permutation of 1..{rank}: {perm}")
@@ -193,8 +233,8 @@ def extend_rank(phi: FreeAutomorphism, rank: int) -> FreeAutomorphism:
 def block_swap_aut(n: int) -> FreeAutomorphism:
     """The involution of F_2n with x_i <-> x_(i+n); conjugation by it moves
     anything supported on the first block to the second block."""
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"block size must be an int >= 1, got {n!r}")
     return permutation_aut(2 * n, {i: i + n for i in range(1, n + 1)}
                            | {i + n: i for i in range(1, n + 1)})
 

@@ -10,6 +10,11 @@ set of points and builds its result through the public ``make_iet``/
 logic with the integer kernels.  Normal forms in lowest terms are unique,
 so each kernel must return exactly the oracle's value, and the value must
 survive re-validation.
+
+Free-group substitution is checked the same way against the former
+``_substitute_images``, which concatenates the images, builds an inverse
+word per negative letter and freely reduces the whole list at the end;
+reduced words are unique, so the streaming substitution must match it.
 """
 
 import random
@@ -17,6 +22,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
@@ -72,6 +78,21 @@ def oracle_pl_compose(f: pl.PlMap, g: pl.PlMap) -> pl.PlMap:
 def oracle_perm_compose(a: permmod.FinPerm, b: permmod.FinPerm) -> permmod.FinPerm:
     images = ((x, a(b(x))) for x in set(a.support) | set(b.support))
     return trusted(permmod.FinPerm, tuple(sorted((x, y) for x, y in images if x != y)))
+
+
+def oracle_substitute_images(images, w: fg.FreeWord) -> fg.FreeWord:
+    out: list[int] = []
+    for x in w.letters:
+        img = images[abs(x) - 1]
+        out.extend(img.letters if x > 0 else fg.word_inv(img).letters)
+    return trusted(fg.FreeWord, w.rank, fg.reduce_letters(out))
+
+
+def oracle_aut_compose(phi: fg.FreeAutomorphism, psi: fg.FreeAutomorphism) -> fg.FreeAutomorphism:
+    images = tuple(oracle_substitute_images(phi.images, w) for w in psi.images)
+    inverse_images = tuple(oracle_substitute_images(psi.inverse_images, w)
+                           for w in phi.inverse_images)
+    return trusted(fg.FreeAutomorphism, phi.rank, images, inverse_images)
 
 
 def is_integer_map(h) -> bool:
@@ -252,3 +273,81 @@ def test_perm_compose_on_seeded_large_supports():
         a, b = (permmod.perm_from_mapping(dict(zip(pts, rng.sample(pts, len(pts)))))
                 for pts in (rng.sample(range(1, 400), 120), rng.sample(range(1, 400), 120)))
         assert permmod.compose(a, b) == oracle_perm_compose(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Free-group automorphisms
+
+
+@st.composite
+def free_aut(draw, rank: int):
+    """A product of up to 6 Nielsen moves, inverse Nielsen moves, inversions
+    and permutations of F_rank, multiplied by the oracle."""
+    kinds = ["inversion", "permutation"] + (["nielsen", "nielsen^-1"] if rank >= 2 else [])
+    phi = fg.identity_aut(rank)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind.startswith("nielsen"):
+            i, j = draw(st.lists(st.integers(1, rank), min_size=2, max_size=2, unique=True))
+            move = fg.nielsen_aut(rank, i, j)
+            if kind == "nielsen^-1":
+                move = fg.aut_inverse(move)
+        elif kind == "inversion":
+            move = fg.inversion_aut(rank, draw(st.integers(1, rank)))
+        else:
+            images = draw(st.permutations(range(1, rank + 1)))
+            move = fg.permutation_aut(rank, dict(zip(range(1, rank + 1), images)))
+        phi = oracle_aut_compose(phi, move)
+    return phi
+
+
+@st.composite
+def free_auts_and_word(draw):
+    """Two automorphisms of F_rank, rank 1..8, and a word of up to 20 letters."""
+    rank = draw(st.integers(1, 8))
+    letters = draw(st.lists(st.sampled_from([s * k for k in range(1, rank + 1) for s in (1, -1)]),
+                            max_size=20))
+    return draw(free_aut(rank)), draw(free_aut(rank)), fg.word(rank, letters)
+
+
+def aut_revalidates(phi: fg.FreeAutomorphism) -> bool:
+    return revalidates(phi) and all(revalidates(w) for w in phi.images + phi.inverse_images)
+
+
+@settings(max_examples=400, deadline=None)
+@given(free_auts_and_word())
+def test_substitute_matches_oracle(case):
+    phi, psi, w = case
+    for chi in (phi, psi, fg.aut_inverse(phi)):
+        v = fg.substitute(chi, w)
+        assert v == oracle_substitute_images(chi.images, w)
+        assert revalidates(v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(free_auts_and_word())
+def test_aut_compose_matches_oracle(case):
+    phi, psi, _ = case
+    for a, b in ((phi, psi), (psi, phi), (phi, phi)):
+        c = fg.aut_compose(a, b)
+        assert c == oracle_aut_compose(a, b)
+        assert aut_revalidates(c)
+    assert fg.aut_compose(phi, fg.aut_inverse(phi)) == fg.identity_aut(phi.rank)
+    assert fg.aut_compose(fg.aut_inverse(phi), phi) == fg.identity_aut(phi.rank)
+
+
+def test_aut_compose_on_the_aut_free_battery_generators():
+    """Rank 64, as the aut-free battery at size 32: block swaps, a cyclic
+    permutation and identity-extended Nielsen moves and inversions."""
+    n, rank = 32, 64
+    swap = fg.block_swap_aut(n)
+    moves = [fg.extend_rank(m, rank) for m in (
+        fg.nielsen_aut(n, 1, 2), fg.inversion_aut(n, 3),
+        fg.permutation_aut(n, {i: i % n + 1 for i in range(1, n + 1)}))]
+    elements = [swap] + moves
+    for a in elements:
+        for b in elements:
+            c = fg.aut_compose(a, b)
+            assert c == oracle_aut_compose(a, b) and aut_revalidates(c)
+            conj = fg.aut_compose(fg.aut_compose(swap, c), swap)
+            assert conj == oracle_aut_compose(oracle_aut_compose(swap, c), swap)

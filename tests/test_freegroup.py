@@ -107,6 +107,46 @@ def test_aut_family_identity_built_once():
     assert fam.is_identity(fg.identity_aut(3))
 
 
+def test_compose_with_one_letter_images_builds_no_word(monkeypatch):
+    """Composing with a permutation or the identity reuses phi's image
+    objects and reduces nothing."""
+    phi = fg.aut_compose(fg.nielsen_aut(3, 1, 2), fg.inversion_aut(3, 2))
+    cycle = fg.permutation_aut(3, {1: 2, 2: 3, 3: 1})
+    ident = fg.identity_aut(3)
+    calls = []
+    reduce_letters = fg.reduce_letters
+    monkeypatch.setattr(fg, "reduce_letters",
+                        lambda letters: calls.append(letters) or reduce_letters(letters))
+    for psi, forward, backward in ((cycle, (2, 3, 1), (3, 1, 2)), (ident, (1, 2, 3), (1, 2, 3))):
+        # (phi o psi)(x_i) = phi(x_psi(i)); (psi o phi)^-1(x_i) = phi^-1(x_psi^-1(i))
+        after = fg.aut_compose(phi, psi)
+        assert all(w is phi.images[k - 1] for w, k in zip(after.images, forward))
+        before = fg.aut_compose(psi, phi)
+        assert all(w is phi.inverse_images[k - 1]
+                   for w, k in zip(before.inverse_images, backward))
+    assert calls == []
+
+
+@pytest.mark.parametrize("build, args, match", [
+    (fg.permutation_aut, (3, {4: 5, 5: 4}), "perm key"),       # once the identity
+    (fg.permutation_aut, (3, {1: 4, 4: 1}), "perm value"),
+    (fg.permutation_aut, (3, {1.0: 2, 2: 1}), "perm key"),
+    (fg.permutation_aut, (3, {1: 2, 2: True}), "perm value"),
+    (fg.block_swap_aut, (2.5,), "block size"),                 # once a TypeError
+    (fg.block_swap_aut, (0,), "block size"),
+    (fg.block_swap_aut, (True,), "block size"),
+    (fg.nielsen_aut, (2, 1, 1.0), "j must be an int"),          # once "distinct indices"
+    (fg.nielsen_aut, (2, 0, 1), "i must be an int"),
+    (fg.nielsen_aut, (2, 1, 3), "j must be an int"),
+    (fg.inversion_aut, (2, 0), "i must be an int"),             # once read images[-1]
+    (fg.inversion_aut, (2, 3), "i must be an int"),
+    (fg.inversion_aut, (2, True), "i must be an int"),
+])
+def test_constructors_reject_bad_indices(build, args, match):
+    with pytest.raises(ValueError, match=match):
+        build(*args)
+
+
 @pytest.mark.parametrize("rank, letters", [
     (2.5, (1,)),      # non-integer rank
     (True, (1,)),     # bool rank
