@@ -3,9 +3,8 @@ group families (permutations, matrices, braids, free group automorphisms,
 interval exchanges, piecewise linear maps, wreath towers)."""
 
 from .core import (CcckitError, CheckRecord, FamilyMismatchError, Finite,
-                   GeneratorSet, GroupFamily, ProductFamily,
-                   VerificationReport, Witness, WitnessModeError, ZMode,
-                   bounded_products, combine_product_witnesses, commutator,
+                   GeneratorSet, GroupFamily, VerificationReport, Witness,
+                   WitnessModeError, ZMode, bounded_products, commutator,
                    conjugate, verify_ccc, verify_czc)
 from .suites import FAMILIES, run_family
 
@@ -13,8 +12,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CcckitError", "CheckRecord", "FamilyMismatchError", "Finite",
-    "GeneratorSet", "GroupFamily", "ProductFamily", "VerificationReport",
-    "Witness", "WitnessModeError", "ZMode", "bounded_products",
-    "combine_product_witnesses", "commutator", "conjugate", "verify_ccc",
-    "verify_czc", "FAMILIES", "run_family", "__version__",
+    "GeneratorSet", "GroupFamily", "VerificationReport", "Witness",
+    "WitnessModeError", "ZMode", "bounded_products", "commutator",
+    "conjugate", "verify_ccc", "verify_czc", "FAMILIES", "run_family",
+    "__version__",
 ]

@@ -45,13 +45,6 @@ def braid(strands: int, letters) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def parse_braid(strands: int, text: str) -> BraidWord:
-    text = text.strip()
-    if text in ("", "e"):
-        return braid(strands, ())
-    return braid(strands, [int(tok) for tok in text.split()])
-
-
 def stabilize(w: BraidWord, strands: int) -> BraidWord:
     """Add strands on the right; the word is unchanged."""
     if strands < w.strands:
@@ -156,8 +149,8 @@ def block_pass_word(n: int) -> BraidWord:
     conjugation by it carries sigma_j to sigma_(j+n) for j < n, and its
     square commutes with sigma_1..sigma_(n-1).
     """
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"block size must be an int >= 1, got {n!r}")
     letters: list[int] = []
     for row in range(n, 0, -1):
         letters.extend(range(row, row + n))

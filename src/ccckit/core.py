@@ -133,6 +133,8 @@ class GroupFamily(abc.ABC):
         """a^k by binary powering: bitlen(k) + popcount(k) - 2 products for
         k >= 1 (the result starts at the lowest set bit, and no square is
         taken past the highest)."""
+        if not is_int(k):
+            raise ValueError(f"exponent must be an int, got {k!r}")
         self.check_element(a)
         if k < 0:
             return self.power(self.inv(a), -k)
@@ -389,64 +391,3 @@ def bounded_products(family: GroupFamily, gens: Sequence, max_len: int) -> list:
                     new_frontier.append(v)
         frontier = new_frontier
     return seen
-
-
-# ---------------------------------------------------------------------------
-# Direct products
-
-
-class ProductFamily(GroupFamily):
-    """Finite direct product; elements are tuples, operations componentwise."""
-
-    def __init__(self, factors: Sequence[GroupFamily]):
-        if not factors:
-            raise ValueError("product of zero families")
-        self.factors = tuple(factors)
-        self.name = "x".join(f.name for f in self.factors)
-
-    def check_element(self, a):
-        if not isinstance(a, tuple) or len(a) != len(self.factors):
-            raise FamilyMismatchError(f"expected {len(self.factors)}-tuple, got {a!r}")
-        for fam, x in zip(self.factors, a):
-            fam.check_element(x)
-
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
-    def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def inv(self, a):
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
-
-    def eq(self, a, b):
-        return all(f.eq(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def render(self, a):
-        return "(" + ", ".join(f.render(x) for f, x in zip(self.factors, a)) + ")"
-
-
-def combine_product_witnesses(
-    pairs: Sequence[tuple[GeneratorSet, Witness]],
-) -> tuple[GeneratorSet, Witness]:
-    """Tuple together per-factor Z-mode witnesses: t = (t_i) works for the
-    product of the subgroups.  All bounds must agree."""
-    if not pairs:
-        raise ValueError("need at least one (generators, witness) pair")
-    bounds = set()
-    for _, w in pairs:
-        if not isinstance(w.mode, ZMode):
-            raise WitnessModeError("product combination requires Z-mode witnesses")
-        bounds.add(w.mode.bound)
-    if len(bounds) != 1:
-        raise WitnessModeError(f"mismatched Z-mode bounds: {sorted(bounds)}")
-    families = [H.family for H, _ in pairs]
-    product = ProductFamily(families)
-    gens = []
-    for idx, (H, _) in enumerate(pairs):
-        for h in H.elements:
-            tup = [f.identity() for f in families]
-            tup[idx] = h
-            gens.append(tuple(tup))
-    t = tuple(w.t for _, w in pairs)
-    return GeneratorSet(product, tuple(gens)), Witness(t, ZMode(bounds.pop()))

@@ -13,7 +13,7 @@ letters stream in.  Images are immutable, so composites share them.
 
 from __future__ import annotations
 
-import re
+from collections.abc import Mapping
 
 from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
 
@@ -69,27 +69,6 @@ def render_word(u: FreeWord) -> str:
     if not u.letters:
         return "1"
     return " ".join((f"x{x}" if x > 0 else f"X{-x}") for x in u.letters)
-
-
-_LETTER_RE = re.compile(r"^([xX])(\d+)$|^(-?\d+)$")
-
-
-def parse_word(rank: int, text: str) -> FreeWord:
-    """Accepts "x1 X2" or signed-integer form "1 -2"."""
-    text = text.strip()
-    if text in ("", "1", "e"):
-        return word(rank, ())
-    letters = []
-    for tok in text.split():
-        m = _LETTER_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad word token {tok!r}")
-        if m.group(3) is not None:
-            letters.append(int(m.group(3)))
-        else:
-            i = int(m.group(2))
-            letters.append(i if m.group(1) == "x" else -i)
-    return word(rank, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +151,13 @@ def aut_inverse(phi: FreeAutomorphism) -> FreeAutomorphism:
     return trusted(FreeAutomorphism, phi.rank, phi.inverse_images, phi.images)
 
 
+def _check_rank(rank) -> None:
+    if not (is_int(rank) and rank >= 0):
+        raise ValueError(f"need an int rank >= 0, got {rank!r}")
+
+
 def identity_aut(rank: int) -> FreeAutomorphism:
+    _check_rank(rank)
     gens = tuple(word(rank, (i,)) for i in range(1, rank + 1))
     return FreeAutomorphism(rank, gens, gens)
 
@@ -184,6 +169,7 @@ def _check_index(name: str, value, rank: int) -> None:
 
 def nielsen_aut(rank: int, i: int, j: int) -> FreeAutomorphism:
     """x_i -> x_i x_j, other generators fixed (i != j)."""
+    _check_rank(rank)
     _check_index("i", i, rank)
     _check_index("j", j, rank)
     if i == j:
@@ -197,6 +183,7 @@ def nielsen_aut(rank: int, i: int, j: int) -> FreeAutomorphism:
 
 def inversion_aut(rank: int, i: int) -> FreeAutomorphism:
     """x_i -> x_i^-1, an involution."""
+    _check_rank(rank)
     _check_index("i", i, rank)
     images = [word(rank, (k,)) for k in range(1, rank + 1)]
     images[i - 1] = word(rank, (-i,))
@@ -206,6 +193,9 @@ def inversion_aut(rank: int, i: int) -> FreeAutomorphism:
 
 def permutation_aut(rank: int, perm: dict[int, int]) -> FreeAutomorphism:
     """x_i -> x_perm(i); perm given as a mapping, unmentioned indices fixed."""
+    _check_rank(rank)
+    if not isinstance(perm, Mapping):
+        raise ValueError(f"perm must be a mapping of indices, got {perm!r}")
     for k, v in perm.items():
         _check_index("perm key", k, rank)
         _check_index("perm value", v, rank)

@@ -11,14 +11,14 @@ numerators: a_j = cuts[j] / den and the translations shifts[j] / den, in
 lowest terms (``gcd(den, *cuts, *shifts) == 1``), so normal form plus
 lowest terms makes equality field equality.  ``compose``, ``inverse`` and
 the normal form do only ``int`` arithmetic; ``Fraction`` appears only at
-the boundary: ``make_iet``, ``from_json_obj``, ``apply``, the read-only
+the boundary: ``make_iet``, ``apply``, the read-only
 ``breakpoints``/``translations``/``bound`` properties, and rendering,
 which prints exactly what ``str(Fraction)`` prints.
 
-The public constructors (``IetMap(...)``, ``make_iet``, ``from_json_obj``)
-validate: the raw breakpoints start at 0 and ascend strictly, the
-translated intervals partition [0, a_k) exactly, and an ``IetMap`` is in
-normal form and lowest terms.  ``compose`` and ``inverse`` take valid maps
+The public constructors (``IetMap(...)`` and ``make_iet``) validate: the
+raw breakpoints start at 0 and ascend strictly, the translated intervals
+partition [0, a_k) exactly, and an ``IetMap`` is in normal form and lowest
+terms.  ``compose`` and ``inverse`` take valid maps
 to valid maps, so they build their results without re-validation.
 ``compose`` is one sweep over the intervals of its right factor and builds
 no inverse.
@@ -30,8 +30,8 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, Witness, Finite, trusted
-from .rational import (common_den, fmt, in_lowest_terms, is_int_data, json_list, json_number,
-                       lowest_terms, over_common_den, rescaled)
+from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
+                       over_common_den, rescaled)
 
 
 class InvalidIetError(CcckitError):
@@ -195,20 +195,6 @@ def render_iet(f: IetMap) -> str:
     den = f.den
     return "; ".join(f"[{fmt(a, den)},{fmt(b, den)}) -> {'+' if t >= 0 else ''}{fmt(t, den)}"
                      for a, b, t in zip(f.cuts, f.cuts[1:], f.shifts))
-
-
-def to_json_obj(f: IetMap) -> dict:
-    return {
-        "breakpoints": [fmt(c, f.den) for c in f.cuts],
-        "translations": [fmt(t, f.den) for t in f.shifts],
-    }
-
-
-def from_json_obj(obj: dict) -> IetMap:
-    """The inverse of to_json_obj; raises ValueError on any other shape, and
-    on a number that is not an int or a str(Fraction) string."""
-    return make_iet([json_number(b) for b in json_list(obj, "breakpoints")],
-                    [json_number(t) for t in json_list(obj, "translations")])
 
 
 class IetFamily(GroupFamily):

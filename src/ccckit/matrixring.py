@@ -8,23 +8,20 @@ finite block, and most entries of the batteries' matrices are 0.  A
 `SquareMatrix(size, rows, modulus)` keeps in rows[i] the nonzero entries of
 row i as (column, value) pairs, columns strictly increasing, values reduced
 for the modulus.  That form is unique, so equal matrices have equal fields.
-Products, transposes, embeddings and supports work on these rows and touch
-only nonzeros.  The read-only `entries` property builds the dense rows for
-the code that reads every entry: determinants, the inverse's elimination
-pass and rendering.
+Products, transposes and embeddings work on these rows and touch only
+nonzeros.  The read-only `entries` property builds the dense rows for the
+code that reads every entry: the elimination pass and rendering.
 
-Determinants use fraction-free (Bareiss) elimination over Z; modular
+Determinants and inverses share one fraction-free (Bareiss) Gauss-Jordan
+pass over Z on the integer lift, which yields det(A) and adj(A) together,
+so all intermediate arithmetic stays exact and integral.  Modular
 determinants reduce the integer determinant, since reduction mod m is a
-ring homomorphism.  Inverses run one fraction-free Gauss-Jordan pass over
-Z on the integer lift, which yields det(A) and adj(A) together, so all
-intermediate arithmetic stays exact and integral.
+ring homomorphism.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 
 from . import perm as permmod
 from .core import (CcckitError, FamilyMismatchError, GroupFamily, Record, Witness, Finite,
@@ -161,27 +158,9 @@ def transpose(a: SquareMatrix) -> SquareMatrix:
 
 
 def det(a: SquareMatrix) -> int:
-    """Determinant; exact Bareiss elimination over Z, reduced for Z/m."""
-    n = a.size
-    m = [list(row) for row in a.entries]
-    sign_flip = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign_flip = -sign_flip
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    value = sign_flip * (m[n - 1][n - 1] if n else 1)
-    return _reduce(value, a.modulus)
+    """Determinant: the integer determinant from the elimination mat_inv
+    runs, reduced for Z/m."""
+    return _reduce(_det_and_adjugate(a.entries)[0], a.modulus)
 
 
 def _det_and_adjugate(entries) -> tuple[int, list[list[int]]]:
@@ -252,16 +231,16 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
 
 class FormTag(Record):
     def __init__(self, kind: str, size: int):
-        # kind is "symplectic", "split-orthogonal" or "none"
+        # kind is "symplectic" or "split-orthogonal"
         self.__dict__.update(kind=kind, size=size)
         self.__post_init__()
 
     def __post_init__(self):
-        if self.kind not in ("symplectic", "split-orthogonal", "none"):
+        if self.kind not in ("symplectic", "split-orthogonal"):
             raise ValueError(f"unknown form kind {self.kind!r}")
         if not (is_int(self.size) and self.size >= 0):
             raise ValueError(f"form size must be an int >= 0, got {self.size!r}")
-        if self.kind in ("symplectic", "split-orthogonal") and self.size % 2 != 0:
+        if self.size % 2 != 0:
             raise ValueError(f"{self.kind} form needs even size, got {self.size}")
 
 
@@ -270,11 +249,8 @@ def form_matrix(tag: FormTag, modulus: int | None = None) -> SquareMatrix:
     n, half, minus_one = tag.size, tag.size // 2, _reduce(-1, modulus)
     if tag.kind == "symplectic":  # [[0, I], [-I, 0]]
         rows = [((half + i, 1),) for i in range(half)] + [((i, minus_one),) for i in range(half)]
-    elif tag.kind == "split-orthogonal":
-        # I_(n/2) tensor diag(1, -1): alternating +1/-1 down the diagonal
+    else:  # split-orthogonal: I_(n/2) tensor diag(1, -1), +1/-1 down the diagonal
         rows = [((i, minus_one if i % 2 else 1),) for i in range(n)]
-    else:
-        rows = [((i, 1),) for i in range(n)]
     return SquareMatrix(n, tuple(rows), modulus)
 
 
@@ -282,8 +258,6 @@ def preserves_form(a: SquareMatrix, tag: FormTag) -> bool:
     """Exact check of M^T J M = J."""
     if a.size != tag.size:
         raise FamilyMismatchError(f"matrix size {a.size} vs form size {tag.size}")
-    if tag.kind == "none":
-        return True
     j = form_matrix(tag, a.modulus)
     return mat_mul(mat_mul(transpose(a), j), a) == j
 
@@ -419,17 +393,6 @@ def elementary(n: int, i: int, j: int, r: int = 1, modulus: int | None = None) -
     return matrix(rows, modulus)
 
 
-def support_indices(a: SquareMatrix) -> set[int]:
-    """Rows/columns (1-based) where the matrix differs from the identity."""
-    out = set()
-    for i, row in enumerate(a.rows):
-        off_diagonal = [c + 1 for c, _ in row if c != i]
-        if off_diagonal or (i, 1) not in row:
-            out.add(i + 1)
-        out.update(off_diagonal)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Text formats
 
@@ -437,17 +400,3 @@ def support_indices(a: SquareMatrix) -> set[int]:
 def render_matrix(a: SquareMatrix) -> str:
     body = "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in a.entries) + "]"
     return body + (f" mod {a.modulus}" if a.modulus is not None else "")
-
-
-_MOD_RE = re.compile(r"^(.*?)\s*(?:mod\s+(\d+))?$", re.DOTALL)
-
-
-def parse_matrix(text: str) -> SquareMatrix:
-    """Accepts the render format (bracketed rows, optional "mod m") and bare
-    JSON array-of-rows."""
-    m = _MOD_RE.match(text.strip())
-    body, mod = m.group(1), m.group(2)
-    rows = json.loads(body)
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-        raise ValueError(f"matrix body must be an array of rows, got {body!r}")
-    return matrix(rows, int(mod) if mod else None)

@@ -7,8 +7,6 @@ identical support maps.  Composition is right-to-left function application:
 
 from __future__ import annotations
 
-import re
-
 from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
 
 
@@ -102,8 +100,8 @@ def sign(a: FinPerm) -> int:
 
 def block_swap(n: int) -> FinPerm:
     """The involution (1, n+1)(2, n+2)...(n, 2n)."""
-    if n < 1:
-        raise ValueError(f"block size must be >= 1, got {n}")
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"block size must be an int >= 1, got {n!r}")
     mapping = {}
     for i in range(1, n + 1):
         mapping[i] = i + n
@@ -120,19 +118,6 @@ def render_cycles(a: FinPerm) -> str:
     if not cs:
         return "()"
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cs)
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_cycles(text: str) -> FinPerm:
-    text = text.strip()
-    if text in ("()", "", "id"):
-        return IDENTITY
-    body = _CYCLE_RE.findall(text)
-    if not body or _CYCLE_RE.sub("", text).strip():
-        raise ValueError(f"bad cycle notation: {text!r}")
-    return perm_from_cycles([[int(x) for x in re.split(r"[,\s]+", c.strip())] for c in body])
 
 
 class PermFamily(GroupFamily):

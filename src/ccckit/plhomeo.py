@@ -9,9 +9,9 @@ numerators: vertex i is (xs[i] / den, ys[i] / den), in lowest terms
 (``gcd(den, *xs, *ys) == 1``) and with no interior vertex collinear with
 its neighbours, so equality is field equality.  ``compose``, ``inverse``
 and ``_drop_collinear`` do only ``int`` arithmetic; ``Fraction`` appears
-only at the boundary: ``make_pl``, ``from_json_obj``, ``apply``, the
-read-only ``vertices`` property, and rendering, which prints exactly what
-``str(Fraction)`` prints.
+only at the boundary: ``make_pl``, ``apply``, the read-only ``vertices``
+property, and rendering, which prints exactly what ``str(Fraction)``
+prints.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from fractions import Fraction
 from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily, Record,
                    Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
-from .rational import (common_den, fmt, in_lowest_terms, is_int_data, json_list, json_number,
-                       lowest_terms, over_common_den, over_one_den, ratio, rescaled)
+from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
+                       over_common_den, over_one_den, ratio, rescaled)
 
 
 class InvalidPlMapError(CcckitError):
@@ -224,19 +224,6 @@ def render_pl(f: PlMap) -> str:
     return " ".join(f"({fmt(x, f.den)},{fmt(y, f.den)})" for x, y in zip(f.xs, f.ys))
 
 
-def to_json_obj(f: PlMap) -> dict:
-    return {"vertices": [[fmt(x, f.den), fmt(y, f.den)] for x, y in zip(f.xs, f.ys)]}
-
-
-def from_json_obj(obj: dict) -> PlMap:
-    """The inverse of to_json_obj; raises ValueError on any other shape, and
-    on a number that is not an int or a str(Fraction) string."""
-    vertices = json_list(obj, "vertices")
-    if not all(isinstance(v, list) and len(v) == 2 for v in vertices):
-        raise ValueError(f"each vertex must be an [x, y] list, got {vertices!r}")
-    return make_pl([(json_number(x), json_number(y)) for x, y in vertices])
-
-
 class PlFamily(GroupFamily):
     name = "pl"
 
@@ -268,14 +255,11 @@ class PlFamily(GroupFamily):
 PL = PlFamily()
 
 
-def bump(a, b, peak_shift=None) -> PlMap:
-    """A map supported exactly on [a, b]: pushes the midpoint up, identity
-    outside."""
+def bump(a, b) -> PlMap:
+    """A map supported exactly on [a, b]: sends the midpoint m to
+    (m + b) / 2, identity outside."""
     a, b = Fraction(a), Fraction(b)
     if not 0 < a < b < 1:
         raise ValueError(f"need 0 < a < b < 1, got {a}, {b}")
     mid = (a + b) / 2
-    peak = Fraction(peak_shift) if peak_shift is not None else (mid + b) / 2
-    if not mid < peak < b:
-        raise ValueError(f"peak {peak} must lie in ({mid}, {b})")
-    return make_pl([(0, 0), (a, a), (mid, peak), (b, b), (1, 1)])
+    return make_pl([(0, 0), (a, a), (mid, (mid + b) / 2), (b, b), (1, 1)])

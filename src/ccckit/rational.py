@@ -4,7 +4,7 @@
 numerators, in lowest terms (the gcd of the denominator and all numerators
 is 1), so their kernels do only ``int`` arithmetic.  These helpers are the
 boundary between that representation and ``Fraction``, plus the rescale
-and reduce steps the kernels share, and the readers of the JSON form.
+and reduce steps the kernels share.
 """
 
 from __future__ import annotations
@@ -65,25 +65,3 @@ def fmt(num: int, den: int) -> str:
     """What ``str(Fraction(num, den))`` prints, for den > 0."""
     g = gcd(num, den)
     return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
-def json_list(obj, key: str) -> list:
-    """obj[key] of a decoded JSON object whose key holds an array."""
-    if not (isinstance(obj, dict) and isinstance(obj.get(key), list)):
-        raise ValueError(f"need a JSON object with a list {key!r}, got {obj!r}")
-    return obj[key]
-
-
-def json_number(value) -> Fraction:
-    """A decoded JSON int, or a string that ``str(Fraction)`` prints, such as
-    "3" or "-2/7"; a bool, a float or any other string raises ValueError."""
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            q = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            q = None
-        if q is not None and str(q) == value:
-            return q
-    raise ValueError(f"need an int or a fraction string such as '-2/7', got {value!r}")

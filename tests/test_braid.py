@@ -190,11 +190,6 @@ def test_witness_battery():
         assert report.passed, report.counterexample
 
 
-def test_parse_braid():
-    assert b.parse_braid(3, "1 -2 1") == b.braid(3, (1, -2, 1))
-    assert b.parse_braid(3, "e") == b.braid(3, ())
-
-
 def test_warm_artin_action_validates_no_automorphism(monkeypatch):
     word = b.braid(4, (1, -2, 3, 1))
     expected = b.artin_action(word)  # builds the identity and generator automorphisms

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ccckit.core import (Finite, GeneratorSet, GroupFamily, ProductFamily,
-                         VerificationReport, Witness, WitnessModeError, ZMode,
-                         bounded_products, combine_product_witnesses, commutator,
-                         conjugate, power_table, verify_ccc, verify_czc)
+from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
+                         WitnessModeError, ZMode, bounded_products, commutator, conjugate,
+                         power_table, verify_ccc, verify_czc)
+import ccckit
 from ccckit import braid as braidmod
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import matrixring as mat
+from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 from ccckit.perm import PERM, block_swap_witness, perm_from_cycles, render_cycles
 
@@ -50,6 +51,28 @@ def test_power():
     assert PERM.eq(PERM.power(c, -1), PERM.inv(c))
     assert PERM.eq(PERM.power(c, 7), c)
     assert PERM.is_identity(PERM.power(c, 0))
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None])
+def test_power_rejects_non_int_exponents(k):
+    with pytest.raises(ValueError, match="exponent must be an int"):
+        PERM.power(perm_from_cycles([[1, 2, 3]]), k)
+
+
+@pytest.mark.parametrize("build", [permmod.block_swap, braidmod.block_pass_word])
+@pytest.mark.parametrize("n", [True, 2.0, 2.5, "2", 0])
+def test_witness_builders_reject_non_int_block_sizes(build, n):
+    with pytest.raises(ValueError, match="block size must be an int"):
+        build(n)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(ccckit.__all__)) == len(ccckit.__all__)
+    for name in ccckit.__all__:
+        assert hasattr(ccckit, name), name
+    namespace = {}
+    exec("from ccckit import *", namespace)
+    assert set(ccckit.__all__) <= namespace.keys()
 
 
 def binary_power_products(k):
@@ -159,26 +182,6 @@ def test_bounded_products_sym3():
     gens = [perm_from_cycles([[1, 2]]), perm_from_cycles([[1, 2, 3]])]
     elements = bounded_products(PERM, gens, 3)
     assert len(elements) == 6  # all of Sym(3)
-
-
-def test_product_family_and_combined_witness():
-    Ha = GeneratorSet(pl.PL, (pl.bump("1/4", "1/2"),))
-    wa = pl.displacement_witness("1/4", "1/2", bound=4)
-    Hb = GeneratorSet(pl.PL, (pl.bump("1/8", "1/4"),))
-    wb = pl.displacement_witness("1/8", "1/4", bound=4)
-    H, w = combine_product_witnesses([(Ha, wa), (Hb, wb)])
-    assert isinstance(H.family, ProductFamily)
-    assert len(H.elements) == 2
-    report = verify_czc(H, w)
-    assert report.passed and report.bounded
-
-
-def test_combined_witness_bound_mismatch():
-    Ha = GeneratorSet(pl.PL, (pl.bump("1/4", "1/2"),))
-    wa = pl.displacement_witness("1/4", "1/2", bound=4)
-    wb = pl.displacement_witness("1/8", "1/4", bound=5)
-    with pytest.raises(WitnessModeError):
-        combine_product_witnesses([(Ha, wa), (Ha, wb)])
 
 
 def test_extend_prefixes_names_and_counterexample():

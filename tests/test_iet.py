@@ -66,9 +66,6 @@ def test_invalid_partitions_rejected():
 def test_malformed_raw_intervals_rejected(bps, ts):
     with pytest.raises(iet.InvalidIetError):
         iet.make_iet(bps, ts)
-    obj = {"breakpoints": [str(b) for b in bps], "translations": [str(t) for t in ts]}
-    with pytest.raises(iet.InvalidIetError):
-        iet.from_json_obj(obj)
 
 
 def test_unnormalized_constructor_rejected():
@@ -123,42 +120,6 @@ def test_support_bound_and_lengths():
 def test_render():
     assert iet.render_iet(iet.IDENTITY) == "id"
     assert iet.render_iet(iet.block_exchange(1)) == "[0,1) -> +1; [1,2) -> -1"
-
-
-@settings(max_examples=40)
-@given(seeds)
-def test_json_roundtrip(seed):
-    f = random_iet(random.Random(seed))
-    assert iet.from_json_obj(iet.to_json_obj(f)) == f
-
-
-@pytest.mark.parametrize("obj", [
-    [1],                                                      # not an object
-    "breakpoints",
-    None,
-    {},                                                       # missing keys
-    {"breakpoints": ["0", "1", "2"]},
-    {"breakpoints": "0 1 2", "translations": ["1", "-1"]},    # not a list
-    {"breakpoints": [0, True, 2], "translations": [1, -1]},   # bool
-    {"breakpoints": [0, 1, 2], "translations": [True, -1]},
-    {"breakpoints": [0, 0.1, 2], "translations": [1.9, -0.1]},  # float
-    {"breakpoints": [0, 1.0, 2], "translations": [1, -1]},
-    {"breakpoints": ["0", "0.5", "1"], "translations": ["1/2", "-1/2"]},  # not str(Fraction)
-    {"breakpoints": ["0", "2/4", "1"], "translations": ["1/2", "-1/2"]},
-    {"breakpoints": ["0", "1/0", "1"], "translations": ["1/2", "-1/2"]},
-    {"breakpoints": ["0", "x", "1"], "translations": ["1/2", "-1/2"]},
-    {"breakpoints": ["0", None, "1"], "translations": ["1/2", "-1/2"]},
-])
-def test_from_json_obj_rejects_malformed_json(obj):
-    with pytest.raises(ValueError):
-        iet.from_json_obj(obj)
-
-
-def test_from_json_obj_accepts_ints_and_fraction_strings():
-    f = iet.make_iet([0, Fraction(1, 2), 1], [Fraction(1, 2), Fraction(-1, 2)])
-    assert iet.from_json_obj({"breakpoints": [0, "1/2", 1],
-                              "translations": ["1/2", "-1/2"]}) == f
-    assert iet.from_json_obj(iet.to_json_obj(f)) == f
 
 
 def test_apply_rejects_negative():

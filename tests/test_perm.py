@@ -114,18 +114,5 @@ def test_block_swap_is_involution():
         assert t(1) == n + 1 and t(n + 1) == 1
 
 
-@given(perm_st)
-def test_parse_render_roundtrip(a):
-    assert p.parse_cycles(p.render_cycles(a)) == a
-
-
-def test_parse_cycles_forms():
-    assert p.parse_cycles("(1 2)(3 4)") == p.perm_from_cycles([[1, 2], [3, 4]])
-    assert p.parse_cycles("(1, 2, 3)") == p.perm_from_cycles([[1, 2, 3]])
-    assert p.parse_cycles("()") == p.IDENTITY
-    with pytest.raises(ValueError):
-        p.parse_cycles("(1 2")
-
-
 def test_random_perm_helper_deterministic():
     assert random_perm(random.Random(3)) == random_perm(random.Random(3))

@@ -44,8 +44,6 @@ HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 def test_malformed_raw_vertices_rejected(vertices):
     with pytest.raises(pl.InvalidPlMapError):
         pl.make_pl(vertices)
-    with pytest.raises(pl.InvalidPlMapError):
-        pl.from_json_obj({"vertices": [[str(x), str(y)] for x, y in vertices]})
 
 
 def test_make_pl_drops_collinear():
@@ -137,34 +135,6 @@ def test_czc_battery():
     w = pl.displacement_witness(a, b, bound=8)
     report = verify_czc(H, w)
     assert report.passed and report.bounded
-
-
-def test_json_roundtrip():
-    f = pl.bump(Fraction(1, 4), Fraction(1, 2))
-    assert pl.from_json_obj(pl.to_json_obj(f)) == f
-
-
-@pytest.mark.parametrize("obj", [
-    [[0, 0], [1, 1]],                                  # not an object
-    {},                                                # missing key
-    {"vertex": [[0, 0], [1, 1]]},
-    {"vertices": "(0,0) (1,1)"},                       # not a list
-    {"vertices": [[0, 0, 0], [1, 1, 1]]},              # not pairs
-    {"vertices": [(0, 0), (1, 1)]},                    # tuples are not JSON arrays
-    {"vertices": [[0, 0], [True, True]]},              # bool
-    {"vertices": [[0, 0], [0.5, 0.25], [1, 1]]},       # float
-    {"vertices": [[0, 0], [1.0, 1.0]]},
-    {"vertices": [["0", "0"], ["0.5", "1/4"], ["1", "1"]]},  # not str(Fraction)
-    {"vertices": [["0", "0"], [" 1/2", "1/4"], ["1", "1"]]},
-])
-def test_from_json_obj_rejects_malformed_json(obj):
-    with pytest.raises(ValueError):
-        pl.from_json_obj(obj)
-
-
-def test_from_json_obj_accepts_ints_and_fraction_strings():
-    f = pl.make_pl([(0, 0), (HALF, QUARTER), (1, 1)])
-    assert pl.from_json_obj({"vertices": [[0, 0], ["1/2", "1/4"], [1, "1"]]}) == f
 
 
 def test_bump_validation():
