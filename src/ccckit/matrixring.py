@@ -10,13 +10,15 @@ row i as (column, value) pairs, columns strictly increasing, values reduced
 for the modulus.  That form is unique, so equal matrices have equal fields.
 Products, transposes and embeddings work on these rows and touch only
 nonzeros.  The read-only `entries` property builds the dense rows for the
-code that reads every entry: the elimination pass and rendering.
+code that reads every entry, such as rendering.
 
 Determinants and inverses share one fraction-free (Bareiss) Gauss-Jordan
-pass over Z on the integer lift, which yields det(A) and adj(A) together,
-so all intermediate arithmetic stays exact and integral.  Modular
-determinants reduce the integer determinant, since reduction mod m is a
-ring homomorphism.
+pass over Z on the integer lift of the active block: the indices S where
+the matrix differs from the identity, since A = A_S (+) I gives det(A) =
+det(A_S) and A^-1 = A_S^-1 (+) I.  The pass yields det(A_S) and adj(A_S)
+together, so all intermediate arithmetic stays exact and integral.
+Modular determinants reduce the integer determinant, since reduction mod m
+is a ring homomorphism.
 """
 
 from __future__ import annotations
@@ -100,12 +102,6 @@ def _integer(e) -> int:
     return e
 
 
-def _sparse_rows(dense, modulus: int | None) -> tuple[Row, ...]:
-    """The nonzero (column, value) pairs of each dense row, values reduced."""
-    return tuple(tuple((c, v) for c, e in enumerate(row) if (v := _reduce(e, modulus)))
-                 for row in dense)
-
-
 def matrix(rows, modulus: int | None = None) -> SquareMatrix:
     """The matrix with the given dense integer rows, reduced for the modulus."""
     _check_modulus(modulus)
@@ -113,7 +109,9 @@ def matrix(rows, modulus: int | None = None) -> SquareMatrix:
     n = len(dense)
     if any(len(row) != n for row in dense):
         raise ValueError("matrix must be square")
-    return SquareMatrix(n, _sparse_rows(dense, modulus), modulus)
+    return SquareMatrix(n, tuple(tuple((c, v) for c, e in enumerate(row)
+                                       if (v := _reduce(e, modulus))) for row in dense),
+                        modulus)
 
 
 def identity_matrix(n: int, modulus: int | None = None) -> SquareMatrix:
@@ -157,10 +155,35 @@ def transpose(a: SquareMatrix) -> SquareMatrix:
     return trusted(SquareMatrix, a.size, tuple(map(tuple, cols)), a.modulus)
 
 
+def _active_block(a: SquareMatrix) -> tuple[list[int], list[list[int]]]:
+    """The active block of a: the sorted indices S where a differs from the
+    identity, and the dense |S| x |S| block a[S, S].
+
+    S holds every row i other than e_i, with that row's columns.  Outside S,
+    row i and column i are both e_i, so a = a[S, S] (+) I up to the order of
+    the basis: det(a) = det(a[S, S]) and a^-1 = a[S, S]^-1 (+) I.
+    """
+    active = set()
+    for i, row in enumerate(a.rows):
+        if row != ((i, 1),):
+            active.add(i)
+            for c, _ in row:
+                active.add(c)
+    indices = sorted(active)
+    position = dict(zip(indices, range(len(indices))))
+    block = []
+    for i in indices:
+        dense = [0] * len(indices)
+        for c, v in a.rows[i]:
+            dense[position[c]] = v
+        block.append(dense)
+    return indices, block
+
+
 def det(a: SquareMatrix) -> int:
-    """Determinant: the integer determinant from the elimination mat_inv
-    runs, reduced for Z/m."""
-    return _reduce(_det_and_adjugate(a.entries)[0], a.modulus)
+    """Determinant: the integer determinant of the active block from the
+    elimination mat_inv runs, reduced for Z/m."""
+    return _reduce(_det_and_adjugate(_active_block(a)[1])[0], a.modulus)
 
 
 def _det_and_adjugate(entries) -> tuple[int, list[list[int]]]:
@@ -207,11 +230,13 @@ def _det_and_adjugate(entries) -> tuple[int, list[list[int]]]:
 def mat_inv(a: SquareMatrix) -> SquareMatrix:
     """Adjugate divided by the determinant; det must be a unit in the ring.
 
-    det and adjugate come from one O(n^3) fraction-free pass over the
-    integer lift.  No pivot is chosen mod m: over a composite modulus an
-    invertible matrix can have no unit in a column ([[2, 3], [3, 2]] mod 6).
+    det and adjugate come from one O(k^3) fraction-free pass over the
+    integer lift of the k x k active block; the rows outside it stay unit
+    rows.  No pivot is chosen mod m: over a composite modulus an invertible
+    matrix can have no unit in a column ([[2, 3], [3, 2]] mod 6).
     """
-    d_int, adj = _det_and_adjugate(a.entries)
+    indices, block = _active_block(a)
+    d_int, adj = _det_and_adjugate(block)
     d = _reduce(d_int, a.modulus)
     if a.modulus is None:
         if d not in (1, -1):
@@ -221,8 +246,11 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
         if math.gcd(d, a.modulus) != 1:
             raise NotInvertibleError(f"determinant {d} is not a unit mod {a.modulus}")
         unit = pow(d, -1, a.modulus)
-    return trusted(SquareMatrix, a.size,
-                   _sparse_rows(([unit * e for e in row] for row in adj), a.modulus), a.modulus)
+    rows = list(a.rows)  # the unit rows outside the block
+    for i, row in zip(indices, adj):
+        rows[i] = tuple((c, v) for c, e in zip(indices, row)
+                        if (v := _reduce(unit * e, a.modulus)))
+    return trusted(SquareMatrix, a.size, tuple(rows), a.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +296,8 @@ def preserves_form(a: SquareMatrix, tag: FormTag) -> bool:
 
 def corner_embed(a: SquareMatrix, n: int) -> SquareMatrix:
     """Upper-left corner inclusion, 1s on the remaining diagonal."""
+    if not is_int(n):
+        raise ValueError(f"target size must be an int, got {n!r}")
     if n < a.size:
         raise ValueError(f"target size {n} smaller than matrix size {a.size}")
     return trusted(SquareMatrix, n, a.rows + tuple(((i, 1),) for i in range(a.size, n)),
@@ -366,6 +396,8 @@ def classical_witness(family: str, n: int, modulus: int | None = None
     """
     if family not in CLASSICAL_FAMILIES:
         raise ValueError(f"unknown classical family {family!r}")
+    if not is_int(n):
+        raise ValueError(f"block size n must be an int, got {n!r}")
     if family == "Onn":
         ambient = MatrixFamily(4 * n, modulus, name=f"Onn-{n}-stab")
         t = perm_to_matrix(permmod.block_swap(2 * n), 4 * n, modulus)
@@ -384,13 +416,18 @@ def classical_witness(family: str, n: int, modulus: int | None = None
 
 def elementary(n: int, i: int, j: int, r: int = 1, modulus: int | None = None) -> SquareMatrix:
     """E_ij(r) = I + r * e_ij, i != j."""
+    for name, value in (("n", n), ("i", i), ("j", j), ("r", r)):
+        if not is_int(value):
+            raise ValueError(f"elementary matrix {name} must be an int, got {value!r}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"elementary matrix indices must lie in 1..{n}, got ({i}, {j})")
     if i == j:
         raise ValueError("elementary matrix needs i != j")
-    rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    rows[i - 1][j - 1] = r
-    return matrix(rows, modulus)
+    _check_modulus(modulus)
+    rows = [((k, 1),) for k in range(n)]
+    if v := _reduce(r, modulus):
+        rows[i - 1] = tuple(sorted(((i - 1, 1), (j - 1, v))))
+    return SquareMatrix(n, tuple(rows), modulus)
 
 
 # ---------------------------------------------------------------------------

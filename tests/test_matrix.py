@@ -16,6 +16,7 @@ from util import revalidates
 def leibniz_det(a: m.SquareMatrix) -> int:
     """Independent determinant oracle: sum over permutations."""
     n = a.size
+    entries = a.entries
     total = 0
     for sigma in itertools.permutations(range(n)):
         sign = 1
@@ -25,7 +26,7 @@ def leibniz_det(a: m.SquareMatrix) -> int:
                     sign = -sign
         prod = sign
         for i in range(n):
-            prod *= a.entries[i][sigma[i]]
+            prod *= entries[i][sigma[i]]
         total += prod
     return total % a.modulus if a.modulus is not None else total
 
@@ -149,6 +150,13 @@ def test_square_matrix_rejects_broken_rows(size, rows, modulus):
     lambda: m.matrix([[1, 0], [0]]),
     lambda: m.identity_matrix(2, 2.0),
     lambda: m.matrix([[1, 2]]),
+    lambda: m.elementary(2, 1.0, 2),
+    lambda: m.elementary(2.0, 1, 2),
+    lambda: m.elementary(2, 1, True),
+    lambda: m.elementary(2, 1, 2, 1.0),
+    lambda: m.classical_witness("SL", 2.0),
+    lambda: m.classical_witness("Onn", True),
+    lambda: m.corner_embed(m.identity_matrix(2), 3.0),
 ])
 def test_malformed_matrix_input_raises_value_error(build):
     with pytest.raises(ValueError):
@@ -163,6 +171,19 @@ def test_elementary_rejects_indices_outside_range(i, j):
     assert m.elementary(3, 3, 1).entries == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
 
 
+def test_elementary_matches_dense_build():
+    for n, modulus in itertools.product(range(2, 5), (None, 5, 6)):
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            for r in range(-3, 4):
+                dense = [[int(a == b) for b in range(n)] for a in range(n)]
+                dense[i - 1][j - 1] = r
+                e = m.elementary(n, i, j, r, modulus)
+                assert e == m.matrix(dense, modulus)
+                assert revalidates(e)
+    assert m.elementary(2, 1, 2, 5, 5) == m.identity_matrix(2, 5)
+    assert m.elementary(3, 2, 1, 6, 6) == m.identity_matrix(3, 6)
+
+
 @st.composite
 def int_matrix(draw, n_max=4):
     n = draw(st.integers(min_value=1, max_value=n_max))
@@ -170,7 +191,31 @@ def int_matrix(draw, n_max=4):
     return m.matrix(rows)
 
 
-@given(int_matrix())
+@st.composite
+def scattered_block(draw):
+    """A random k x k block, k <= 4, invertible or singular, placed at
+    random indices, mostly not contiguous, of an identity of size <= 7, over
+    Z, Z/5, Z/6 or Z/12."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    modulus = draw(st.sampled_from([None, 5, 6, 12]))
+    indices = sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(n, 4)))) if n else []
+    if draw(st.booleans()):  # a product of elementary matrices, so often invertible
+        block = m.identity_matrix(len(indices))
+        for _ in range(draw(st.integers(0, 6)) if len(indices) >= 2 else 0):
+            i, j = draw(st.permutations(range(1, len(indices) + 1)))[:2]
+            block = m.mat_mul(block, m.elementary(len(indices), i, j,
+                                                  draw(st.integers(-3, 3))))
+        block = block.entries
+    else:
+        block = [[draw(small_entries) for _ in indices] for _ in indices]
+    dense = [[int(i == j) for j in range(n)] for i in range(n)]
+    for row, i in zip(block, indices):
+        for e, j in zip(row, indices):
+            dense[i][j] = e
+    return m.matrix(dense, modulus)
+
+
+@given(st.one_of(int_matrix(), scattered_block()))
 def test_det_matches_leibniz(a):
     assert m.det(a) == leibniz_det(a)
 
@@ -222,11 +267,15 @@ def test_not_invertible():
 
 @st.composite
 def inverse_case(draw):
-    """Sizes 0-6 over Z, Z/5, Z/6 and Z/12: either a product of elementary
-    matrices, optionally times diag(-1, 1, ...), or a random matrix."""
+    """Sizes 0-7 over Z, Z/5, Z/6 and Z/12: a product of elementary
+    matrices, optionally times diag(-1, 1, ...), a random matrix, or a
+    random block at scattered indices of an identity."""
+    kind = draw(st.sampled_from(["elementary", "random", "scattered"]))
+    if kind == "scattered":
+        return draw(scattered_block())
     n = draw(st.integers(min_value=0, max_value=6))
     modulus = draw(st.sampled_from([None, 5, 6, 12]))
-    if draw(st.booleans()):
+    if kind == "elementary":
         a = m.identity_matrix(n, modulus)
         if n >= 2:
             for _ in range(draw(st.integers(min_value=0, max_value=10))):
@@ -275,6 +324,36 @@ def test_inverse_matches_adjugate(a):
 ])
 def test_inverse_matches_adjugate_cases(a):
     assert_inverse_matches_adjugate(a)
+
+
+def test_inversion_eliminates_only_the_active_block(monkeypatch):
+    shapes = []
+    eliminate = m._det_and_adjugate
+
+    def recording(entries):
+        shapes.append([len(row) for row in entries])
+        return eliminate(entries)
+
+    monkeypatch.setattr(m, "_det_and_adjugate", recording)
+    a = m.corner_embed(m.elementary(2, 1, 2), 64)
+    swap = m.perm_to_matrix(p.block_swap(32), 64)  # an involution
+    for x, k in ((a, 2), (m.mat_mul(m.mat_mul(swap, a), swap), 2),
+                 (m.identity_matrix(64), 0)):
+        shapes.clear()
+        m.mat_inv(x)
+        assert shapes == [[k] * k]
+
+
+@pytest.mark.parametrize("g", [
+    m.elementary(2, 1, 2, 3),
+    m.matrix([[0, -1], [1, 0]]),
+    m.matrix([[2, 3], [3, 2]], 6),
+    m.matrix([[2, 1], [1, 1]], 5),
+    m.mat_mul(m.elementary(3, 3, 1, -2, 12), m.elementary(3, 1, 2, 5, 12)),
+])
+def test_inverse_and_det_commute_with_stabilization(g):
+    assert m.mat_inv(m.corner_embed(g, 64)) == m.corner_embed(m.mat_inv(g), 64)
+    assert m.det(m.corner_embed(g, 64)) == m.det(g)
 
 
 def test_inverse_composite_modulus_without_unit_pivot():
