@@ -5,7 +5,7 @@ interval exchanges, piecewise linear maps, wreath towers)."""
 from .core import (CcckitError, CheckRecord, FamilyMismatchError, Finite,
                    GeneratorSet, GroupFamily, VerificationReport, Witness,
                    WitnessModeError, ZMode, bounded_products, commutator,
-                   conjugate, verify_ccc, verify_czc)
+                   commutes, conjugate, verify_ccc, verify_czc)
 from .suites import FAMILIES, run_family
 
 __version__ = "0.1.0"
@@ -14,6 +14,6 @@ __all__ = [
     "CcckitError", "CheckRecord", "FamilyMismatchError", "Finite",
     "GeneratorSet", "GroupFamily", "VerificationReport", "Witness",
     "WitnessModeError", "ZMode", "bounded_products", "commutator",
-    "conjugate", "verify_ccc", "verify_czc", "FAMILIES", "run_family",
+    "commutes", "conjugate", "verify_ccc", "verify_czc", "FAMILIES", "run_family",
     "__version__",
 ]

@@ -97,7 +97,10 @@ class GroupFamily(abc.ABC):
 
     Elements are immutable plain values that hash, and values that are
     ``==`` render alike; the family object holds the operations.  Group
-    equality must be decided on normal forms, never on renderings.
+    equality must be decided on normal forms, never on renderings.  The
+    engine relies on equal values rendering alike: it decides [a, b] = e as
+    ab = ba and records a pass with the rendering of ``identity()``, the
+    text that every value equal to e must have.
     """
 
     name: str = "group"
@@ -161,6 +164,12 @@ def commutator(family: GroupFamily, a: object, b: object) -> object:
     family.check_element(a)
     family.check_element(b)
     return family.mul(family.mul(a, b), family.mul(family.inv(a), family.inv(b)))
+
+
+def commutes(family: GroupFamily, a: object, b: object) -> bool:
+    """[a, b] = e, decided as a b = b a: two products and one equality, and
+    no inversion."""
+    return family.eq(family.mul(a, b), family.mul(b, a))
 
 
 def conjugate(family: GroupFamily, t: object, h: object) -> object:
@@ -293,35 +302,35 @@ def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
     return table
 
 
-def _check_identity(family: GroupFamily, report: VerificationReport, rendered: dict, name: str,
-                    value: object, detail: str = "") -> None:
-    """Record value = e; rendered is the call's render memo (see
-    render_once)."""
-    report.record(name, family.is_identity(value), render_once(family, rendered, value), "e",
-                  detail)
+def record_commutation(family: GroupFamily, report: VerificationReport, rendered: dict,
+                       name: str, a: object, b: object, detail: str = "") -> None:
+    """Record [a, b] = e, decided by commutes.  A passing record shows the
+    identity and a failing one the commutator [a, b], each rendered through
+    the call's render memo (see render_once)."""
+    ok = commutes(family, a, b)
+    value = family.identity() if ok else commutator(family, a, b)
+    report.record(name, ok, render_once(family, rendered, value), "e", detail)
 
 
-def _conjugate_commutators(fam: GroupFamily, hs: Sequence, hs_inv: Sequence, tp_cache: dict,
+def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
                            powers: Sequence[int], report: VerificationReport, rendered: dict,
                            detail: str = "") -> None:
     """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair.
 
-    hs_inv holds the inverses of hs, and tp_cache maps both p and -p to t^p
-    and t^-p, so inv(t^p) is read from it.  Each conjugate ^(t^p) h_j and its
-    inverse are built once per (p, j); each pair then costs three products.
-    rendered is the call's render memo (see _check_identity).
+    tp_cache maps both p and -p to t^p and t^-p, so inv(t^p) is read from
+    it.  Each conjugate ^(t^p) h_j is built once per (p, j); each pair then
+    costs two products (see record_commutation).  rendered is the call's
+    render memo.
     """
     if not hs:
         raise ValueError("empty generator set: nothing to check")
     for p in powers:
         tp, tp_inv = tp_cache[p], tp_cache[-p]
         conjs = [fam.mul(fam.mul(tp, hj), tp_inv) for hj in hs]
-        conjs_inv = [fam.inv(conj) for conj in conjs]
-        for i, (hi, hi_inv) in enumerate(zip(hs, hs_inv)):
-            for j, (conj, conj_inv) in enumerate(zip(conjs, conjs_inv)):
-                c = fam.mul(fam.mul(hi, conj), fam.mul(hi_inv, conj_inv))
-                _check_identity(fam, report, rendered, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", c,
-                                detail)
+        for i, hi in enumerate(hs):
+            for j, conj in enumerate(conjs):
+                record_commutation(fam, report, rendered, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi,
+                                   conj, detail)
 
 
 def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationReport:
@@ -342,14 +351,10 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationR
     report = VerificationReport(suite)
     powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
     tp_cache = power_table(fam, w.t, n, n - 1)
-    hs_inv = [fam.inv(h) for h in H.elements]
     rendered: dict = {}
-    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report, rendered)
-    tn = tp_cache[n]
-    tn_inv = fam.inv(tn)
-    for i, (hi, hi_inv) in enumerate(zip(H.elements, hs_inv)):
-        c = fam.mul(fam.mul(hi, tn), fam.mul(hi_inv, tn_inv))
-        _check_identity(fam, report, rendered, f"[h{i + 1}, t^{n}]", c)
+    _conjugate_commutators(fam, H.elements, tp_cache, powers, report, rendered)
+    for i, hi in enumerate(H.elements):
+        record_commutation(fam, report, rendered, f"[h{i + 1}, t^{n}]", hi, tp_cache[n])
     return report
 
 
@@ -368,8 +373,7 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     report = VerificationReport(suite, bounded=True)
     powers = [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]
     tp_cache = power_table(fam, w.t, P, P)
-    hs_inv = [fam.inv(h) for h in H.elements]
-    _conjugate_commutators(fam, H.elements, hs_inv, tp_cache, powers, report, {},
+    _conjugate_commutators(fam, H.elements, tp_cache, powers, report, {},
                            detail=f"bounded check, |p| <= {P}")
     return report
 

@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 
 from . import core
 from .core import (CcckitError, FamilyMismatchError, Finite, GeneratorSet, GroupFamily, Record,
-                   VerificationReport, Witness, commutator, conjugate, is_int)
+                   VerificationReport, Witness, commutes, conjugate, is_int)
 
 
 class ChainInvariantError(CcckitError):
@@ -506,9 +506,8 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
             continue
         fa = f(a)
         if fa not in verdicts_i:
-            verdicts_i[fa] = all(
-                fam.is_identity(commutator(fam, h, conjugate(fam, fa, h2)))
-                for h in H.elements for h2 in H.elements)
+            verdicts_i[fa] = all(commutes(fam, h, conjugate(fam, fa, h2))
+                                 for h in H.elements for h2 in H.elements)
         ok = verdicts_i[fa]
         report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{found}]", ok,
                       "all generator commutators", "e",
@@ -523,7 +522,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         b = tower.sample_B(rng, tower.depth)
         fb = f(b)
         if fb not in verdicts_ii:
-            verdicts_ii[fb] = all(fam.is_identity(commutator(fam, h, fb)) for h in H.elements)
+            verdicts_ii[fb] = all(commutes(fam, h, fb) for h in H.elements)
         ok = verdicts_ii[fb]
         report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", ok,
                       "all generator commutators", "e",
@@ -588,11 +587,11 @@ def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,
         u = ext.wreath.element(pairs)
         if fam.is_identity(ext(u)):
             kernel.append(u)
+    rendered: dict = {}
     for i, g in enumerate(kernel):
         for j, h in enumerate(kernel[:i]):
-            c = commutator(ext.wreath, g, h)
-            report.record(f"kernel pair ({j}, {i}) commutes",
-                          ext.wreath.is_identity(c), ext.wreath.render(c), "e")
+            core.record_commutation(ext.wreath, report, rendered,
+                                    f"kernel pair ({j}, {i}) commutes", g, h)
     report.record("kernel samples found", True, str(len(kernel)), ">= 0",
                   detail="vacuous: no kernel pairs sampled" if len(kernel) < 2 else
                   f"{len(kernel)} base-only kernel elements")
@@ -613,10 +612,10 @@ def closure_system_witness(H: GeneratorSet) -> VerificationReport:
     x2 = w.mul(x, x)
     embedded = [w.element([(0, g)]) for g in H.elements]
     report = VerificationReport("closure-system")
+    rendered: dict = {}
     for i, gi in enumerate(embedded):
         for j, gj in enumerate(embedded):
-            c = commutator(w, gi, conjugate(w, x, gj))
-            report.record(f"[g{i + 1}, ^x g{j + 1}]", w.is_identity(c), w.render(c), "e")
-        c2 = commutator(w, gi, x2)
-        report.record(f"[g{i + 1}, x^2]", w.is_identity(c2), w.render(c2), "e")
+            core.record_commutation(w, report, rendered, f"[g{i + 1}, ^x g{j + 1}]", gi,
+                                    conjugate(w, x, gj))
+        core.record_commutation(w, report, rendered, f"[g{i + 1}, x^2]", gi, x2)
     return report

@@ -7,6 +7,7 @@ from ccckit import braid as b
 from ccckit import freegroup as fg
 from ccckit import perm as p
 from ccckit.core import Finite, GeneratorSet, verify_ccc
+from ccckit.suites import run_family
 
 
 def test_braid_relation_small():
@@ -204,3 +205,13 @@ def test_warm_artin_action_validates_no_automorphism(monkeypatch):
     assert b.artin_action(b.braid(4, (1, -2, 3, 1))) == expected
     assert b.artin_action(b.braid(4, ())) == fg.identity_aut(4)
     assert len(validated) == 1  # the oracle fg.identity_aut(4) itself
+
+
+def test_passing_commutation_records_show_the_identity():
+    # the engine decides [a, b] = e as ab = ba and renders the identity on a
+    # pass, where the unreduced commutator word would render differently
+    for size in range(2, 9):
+        checks = run_family("braid", size=size)["checks"]
+        commutation = [c for c in checks if c["name"].startswith("[")]
+        assert len(commutation) == 2 * (size - 1) ** 2 + size - 1
+        assert all(c["status"] == "pass" and c["lhs"] == "e" for c in commutation)

@@ -2,11 +2,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
-                         WitnessModeError, ZMode, bounded_products, commutator, conjugate,
-                         power_table, verify_ccc, verify_czc)
+                         WitnessModeError, ZMode, bounded_products, commutator, commutes,
+                         conjugate, power_table, record_commutation, verify_ccc, verify_czc)
 import ccckit
 from ccckit import braid as braidmod
 from ccckit import freegroup as fg
@@ -14,6 +14,8 @@ from ccckit import iet as ietmod
 from ccckit import matrixring as mat
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
+from ccckit import suites
+from ccckit import wreath as wreathmod
 from ccckit.perm import PERM, block_swap_witness, perm_from_cycles, render_cycles
 
 def _perm_of(images):
@@ -206,6 +208,11 @@ def test_extend_prefixes_names_and_counterexample():
 # Engine against a reference loop built from commutator and conjugate
 
 
+def reference_lhs(fam, c):
+    """A record's lhs: the identity's rendering when c = e, else c's."""
+    return fam.render(fam.identity() if fam.is_identity(c) else c)
+
+
 def reference_ccc(H, w, suite="ccc"):
     fam = H.family
     n = w.mode.n
@@ -217,10 +224,10 @@ def reference_ccc(H, w, suite="ccc"):
             for j, hj in enumerate(H.elements):
                 c = commutator(fam, hi, conjugate(fam, tp_cache[p], hj))
                 report.record(f"[h{i + 1}, ^(t^{p}) h{j + 1}]", fam.is_identity(c),
-                              fam.render(c), "e")
+                              reference_lhs(fam, c), "e")
     for i, hi in enumerate(H.elements):
         c = commutator(fam, hi, tp_cache[n])
-        report.record(f"[h{i + 1}, t^{n}]", fam.is_identity(c), fam.render(c), "e")
+        report.record(f"[h{i + 1}, t^{n}]", fam.is_identity(c), reference_lhs(fam, c), "e")
     return report
 
 
@@ -234,7 +241,7 @@ def reference_czc(H, w, suite="czc"):
             for j, hj in enumerate(H.elements):
                 c = commutator(fam, hi, conjugate(fam, tp, hj))
                 report.record(f"[h{i + 1}, ^(t^{p}) h{j + 1}]", fam.is_identity(c),
-                              fam.render(c), "e", f"bounded check, |p| <= {P}")
+                              reference_lhs(fam, c), "e", f"bounded check, |p| <= {P}")
     return report
 
 
@@ -325,30 +332,25 @@ def _assert_engine_matches_reference(engine, reference, case):
     counted = CountingFamily(fam)
     got = engine(GeneratorSet(counted, gens), w).to_dict()
     assert got == expected
-    # the engine builds each conjugate ^(t^p) h_j once per (p, j), not once
-    # per pair: 2 products saved for every pair with i != j
-    n_powers = 2 * (w.mode.n - 1 if isinstance(w.mode, Finite) else w.mode.bound)
-    saved = 2 * n_powers * len(gens) * (len(gens) - 1)
-    # the reference takes each power t^p by binary powering; the engine's
-    # power table takes (top - 1) + (bottom - 1) products for the powers
-    # t^1..t^top and t^-1..t^-bottom, and one inversion
-    if isinstance(w.mode, Finite):
-        top, bottom = w.mode.n, w.mode.n - 1
-    else:
-        top = bottom = w.mode.bound
-    binary = sum(binary_power_products(p) for p in range(1, top + 1))
-    binary += sum(binary_power_products(p) for p in range(1, bottom + 1))
-    table = (top - 1) + (bottom - 1)
-    assert counted.counts["mul"] == counted_ref.counts["mul"] - saved - binary + table
-    # inversions: t once, for the table, each h_i once, each conjugate
-    # ^(t^p) h_j once per (p, j), and t^n once
+    # the power table takes (top - 1) + (bottom - 1) products for the powers
+    # t^1..t^top and t^-1..t^-bottom, and one inversion; the engine builds
+    # each conjugate ^(t^p) h_j once per (p, j), with two products
     h = len(gens)
     if isinstance(w.mode, Finite):
-        n = w.mode.n
-        assert counted.counts["inv"] == 1 + h + 2 * (n - 1) * h + 1
+        top, bottom = w.mode.n, w.mode.n - 1
+        n_powers = 2 * (w.mode.n - 1)
+        records = n_powers * h * h + h  # and [h_i, t^n] for each i
     else:
-        P = w.mode.bound
-        assert counted.counts["inv"] == 1 + h + 2 * P * h
+        top = bottom = w.mode.bound
+        n_powers = 2 * w.mode.bound
+        records = n_powers * h * h
+    table = (top - 1) + (bottom - 1)
+    # each record decides ab = ba with two products; a failing one then
+    # builds the commutator [a, b] = (ab)(a^-1 b^-1), three products and
+    # two inversions
+    failing = sum(c["status"] == "fail" for c in got["checks"])
+    assert counted.counts["mul"] == table + 2 * n_powers * h + 2 * records + 3 * failing
+    assert counted.counts["inv"] == 1 + 2 * failing
     # the reference renders every check's value; the engine each distinct value once
     assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
     return expected
@@ -377,3 +379,65 @@ def test_verify_czc_matches_reference_loop(label):
     expected = _assert_engine_matches_reference(verify_czc, reference_czc, CZC_CASES[label])
     assert expected["checks"]
     assert (expected["counterexample"] is not None) == label.endswith("failing")
+
+
+# ---------------------------------------------------------------------------
+# commutes against the commutator it replaces
+
+
+def _engine_inputs(family):
+    """(group family, generators + witness elements) for each engine call
+    that the family's battery makes at its default parameters."""
+    inputs = []
+
+    def capture(run, inputs_of):
+        def wrapped(*args, **kwargs):
+            inputs.append(inputs_of(*args))
+            return run(*args, **kwargs)
+        return wrapped
+
+    def battery_inputs(H, w):
+        return H.family, H.elements + (w.t,)
+
+    def closure_inputs(H):
+        wr = wreathmod.WreathFamily(H.family, wreathmod.ZModAction(2))
+        return wr, tuple(wr.element([(0, g)]) for g in H.elements) + (wr.element([], top=1),)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "verify_ccc", capture(suites.verify_ccc, battery_inputs))
+        mp.setattr(pl, "verify_czc", capture(pl.verify_czc, battery_inputs))
+        mp.setattr(wreathmod, "check_hom", capture(
+            wreathmod.check_hom, lambda f, H: (f.family, H.elements + f.chain.ts)))
+        mp.setattr(wreathmod, "closure_system_witness",
+                   capture(wreathmod.closure_system_witness, closure_inputs))
+        suites.run_family(family)
+    return inputs
+
+
+@pytest.mark.parametrize("family", sorted(suites.FAMILIES))
+def test_commutes_agrees_with_the_commutator(family):
+    """On random products a, b of a battery's generators and witness,
+    commutes(a, b) is [a, b] = e, and the engine's record shows the
+    identity on a pass and the commutator on a fail."""
+    inputs = _engine_inputs(family)
+    assert inputs
+    for fam, letters in inputs:
+        verdicts = set()
+        alphabet = letters + tuple(fam.inv(x) for x in letters)
+        words = st.lists(st.sampled_from(alphabet), max_size=4)
+
+        @settings(max_examples=40, deadline=None)
+        @given(words, words)
+        def check(u, v):
+            a, b = fam.product(u), fam.product(v)
+            c = commutator(fam, a, b)
+            ok = commutes(fam, a, b)
+            assert ok == fam.is_identity(c)
+            report = VerificationReport("oracle")
+            record_commutation(fam, report, {}, "[a, b]", a, b)
+            assert report.checks[0].status == ("pass" if ok else "fail")
+            assert report.checks[0].lhs == fam.render(fam.identity() if ok else c)
+            verdicts.add(ok)
+
+        check()
+        assert verdicts == {True, False}

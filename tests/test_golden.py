@@ -10,10 +10,11 @@ taken from the code before the engine built each conjugate once per
 bound 16 and ``wreath-tower`` at 200 samples, seeds 0 and 1) were taken
 from the code before IETs and PL maps were stored as integers over one
 denominator.  The size-8 matrix digests were taken from the code before
-matrices were stored as sparse rows.  The braid digests at sizes 4 and 5
-were taken from the code that decided braid equality by the Artin action
-on a free group, with its equality letter cap lifted.  A kernel or engine
-change that alters any check, rendering or verdict shows up here.
+matrices were stored as sparse rows.  The braid digests were re-pinned when
+the engine began deciding commutation as ab = ba: a passing commutation
+record now shows the identity "e" as its lhs where it showed the unreduced
+commutator word, and nothing else in the braid reports changed.  A kernel
+or engine change that alters any check, rendering or verdict shows up here.
 """
 
 import hashlib
@@ -42,10 +43,10 @@ SIZE_8_DIGESTS = {
 SMALL_DIGESTS = {
     ("aut-free", 2): "0255f078f416d5aa0a6f32696f71a41862bfd44c8cf6d5e00c83bfb71f0e475a",
     ("aut-free", 4): "304c615a30ede902b30eb6c9072511f2d8f4420857d806b582aecedc022296bd",
-    ("braid", 2): "f4280480714b9c9ff58d0a148d7de7201eb62eb32ebabad822cb549c67d92552",
-    ("braid", 3): "93397647da9c98cef690f0b828d7231a733d0a00bc4f28dbe6d720a289ea35bb",
-    ("braid", 4): "ef8b85bb8a9569b040217ea8f736a1e6c9cec1f621d32a9008508ceab6ff415d",
-    ("braid", 5): "a3f5f78e79c9de6bb35587d250d8eb5a26c3761c3ff1a8e2fc952f8a0ef5691a",
+    ("braid", 2): "86c4edf0df47961016725b38d1c3d91429ed69a82c7d54eb34c428eaf189d152",
+    ("braid", 3): "a947762431aff5cbc3b706feb628ff2157ffe7dfb8d00e96c42752a2bcd14db3",
+    ("braid", 4): "2598c4ff0942aeba750e4e4eedfebdbf5bf7592b7d720378ef0845230c85296d",
+    ("braid", 5): "2f6182646d879f32144f28a70e47669e59495fc49de8ee7317811d702c6fe959",
     ("closure", 2): "a4a4c65a9245a39bbf5eb91f2f076d0ecece0deee2c63ba11c4cace70be7ecad",
     ("e", 2): "1452d70be83d7bcfd625c9d711f50baa705cb6887228d92ac5c484ecd42ca6ec",
     ("e", 4): "498e100f8f11a4807824bafabf8f51313c78efc1a8623150d9337b8c77ab0fa7",

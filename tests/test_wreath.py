@@ -11,7 +11,7 @@ from ccckit import perm as p
 from ccckit import wreath as w
 from ccckit import core
 from ccckit.core import (FamilyMismatchError, GeneratorSet, VerificationReport, commutator,
-                         conjugate, trusted)
+                         commutes, conjugate, trusted)
 from ccckit.suites import iet_chain, perm_chain
 
 from util import revalidates
@@ -392,11 +392,11 @@ def test_each_tower_element_reaches_the_product_once():
 def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     calls = []
 
-    def counting_commutator(family, a, b):
+    def counting_commutes(family, a, b):
         calls.append((a, b))
-        return commutator(family, a, b)
+        return commutes(family, a, b)
 
-    monkeypatch.setattr(w, "commutator", counting_commutator)
+    monkeypatch.setattr(w, "commutes", counting_commutes)
     f, plain = _recording_hom()
     H = GeneratorSet(f.family, plain.generators)
     samples = 40
@@ -834,7 +834,7 @@ def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
                 family.quiet -= 1
         return wrapped
 
-    monkeypatch.setattr(w, "commutator", quietly(commutator))
+    monkeypatch.setattr(w, "commutes", quietly(commutes))
     monkeypatch.setattr(w, "conjugate", quietly(conjugate))
     plain = perm_chain()
     fam = RecordingPerm()
