@@ -13,8 +13,13 @@ denominator.  The size-8 matrix digests were taken from the code before
 matrices were stored as sparse rows.  The braid digests were re-pinned when
 the engine began deciding commutation as ab = ba: a passing commutation
 record now shows the identity "e" as its lhs where it showed the unreduced
-commutator word, and nothing else in the braid reports changed.  A kernel
-or engine change that alters any check, rendering or verdict shows up here.
+commutator word, and nothing else in the braid reports changed.  The
+odd-size matrix digests (``gl``, ``sp`` and ``onn`` at size 1, every matrix
+family at sizes 3 and 5) were taken from the code before the stabilization
+of an odd block moved from the matrix battery into
+``matrixring.classical_witness``; they guard the stabilization path.  A
+kernel or engine change that alters any check, rendering or verdict shows
+up here.
 """
 
 import hashlib
@@ -67,6 +72,24 @@ SMALL_DIGESTS = {
     ("wreath-tower", None): "55b6faf0e0bad0f5ca0677f11e0b72fa1f1b43358f0d9a3b7d8bf1b33d55a701",
 }
 
+# (family, size) -> digest at the odd sizes, where the witness needs one
+# stabilization step.
+ODD_MATRIX_DIGESTS = {
+    ("gl", 1): "5b799c78796d98174bc29fa1e924739d0d870d1cf3a2fdb27876e06fd3c1fc25",
+    ("sp", 1): "079a4b1a889faef230974d02ba5ede7832b6202ed609e4fd48eb1479a042a37e",
+    ("onn", 1): "5b0761f02d13ba8369f87464cf549b6d187e39cf7c63e63bd842accfdf076077",
+    ("gl", 3): "fcac447b3ed59df673335de200740cd0dd8880f42bfeccf434eaafbf2dfec023",
+    ("sl", 3): "b4a471eee75f8468bec41756b51f1229a728bf48ca7df2ede2be7853662d4e61",
+    ("e", 3): "f11469d387600a60ef8c7f9d3cac9008786b53fb647f484cd97929238d1d97e3",
+    ("sp", 3): "8425edf807c9fb4cd55962ba334765a4cbfcab84cd944e1a6af02946c0528480",
+    ("onn", 3): "b7fc67dbdd939cf83326cd371ac8b56cc2c0b00e8243c6ab7579cd058834c7ba",
+    ("gl", 5): "9773f2b147f4a3dd2f4210e3a50ab78e7bfecc3e7e24cdc26cd0e1c119a77ee0",
+    ("sl", 5): "5ae8cae89d300b0c162e99944143f8f8f9deffe2e7c7594762dcc959ee308c44",
+    ("e", 5): "b0c6a822f61e45c1d8afb427c0b37587549816ac3330e9498f6f001b7c730960",
+    ("sp", 5): "91b5e45b30e2832073b136e4d346103bcbc3d15a40310545fca5ba73ebf839fb",
+    ("onn", 5): "b9cd8f697d62a920e37358f06ed386d509aeb4473a53c3b0fd002957ae05ee92",
+}
+
 # (family, extra arguments, seed) -> digest: jobs of the rational workload
 # that the defaults above do not cover.
 RATIONAL_DIGESTS = {
@@ -104,6 +127,11 @@ def test_matrix_family_size_8_report_is_golden(family, tmp_path):
 @pytest.mark.parametrize("family,size", sorted(SMALL_DIGESTS, key=str))
 def test_small_report_is_golden(family, size, tmp_path):
     assert _report_digest(tmp_path, family, size) == SMALL_DIGESTS[(family, size)]
+
+
+@pytest.mark.parametrize("family,size", sorted(ODD_MATRIX_DIGESTS, key=str))
+def test_odd_matrix_report_is_golden(family, size, tmp_path):
+    assert _report_digest(tmp_path, family, size) == ODD_MATRIX_DIGESTS[(family, size)]
 
 
 @pytest.mark.parametrize("family,extra,seed", sorted(RATIONAL_DIGESTS, key=str))
