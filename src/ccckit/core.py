@@ -304,11 +304,14 @@ def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
 
 def record_commutation(family: GroupFamily, report: VerificationReport, rendered: dict,
                        name: str, a: object, b: object, detail: str = "") -> None:
-    """Record [a, b] = e, decided by commutes.  A passing record shows the
-    identity and a failing one the commutator [a, b], each rendered through
-    the call's render memo (see render_once)."""
-    ok = commutes(family, a, b)
-    value = family.identity() if ok else commutator(family, a, b)
+    """Record [a, b] = e, decided as in commutes.  A passing record shows
+    the identity and a failing one the commutator [a, b] = (a b)(b a)^-1,
+    built from the two products already formed with one more product and
+    one inversion; each is rendered through the call's render memo (see
+    render_once)."""
+    ab, ba = family.mul(a, b), family.mul(b, a)
+    ok = family.eq(ab, ba)
+    value = family.identity() if ok else family.mul(ab, family.inv(ba))
     report.record(name, ok, render_once(family, rendered, value), "e", detail)
 
 

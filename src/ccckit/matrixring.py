@@ -34,10 +34,6 @@ class NotInvertibleError(CcckitError):
     pass
 
 
-class StabilizationError(CcckitError):
-    """Raised when an odd block size would put the witness outside Alt."""
-
-
 def _reduce(v: int, modulus: int | None) -> int:
     return v % modulus if modulus is not None else v
 
@@ -304,22 +300,29 @@ def corner_embed(a: SquareMatrix, n: int) -> SquareMatrix:
                    a.modulus)
 
 
-def sp_corner_embed(a: SquareMatrix) -> SquareMatrix:
-    """Homomorphic symplectic stabilization Sp_2k -> Sp_2k+2: the new
-    coordinate pair, 0-based (k, 2k + 1), gets the identity, and the old
-    coordinates k..2k-1 move up by one."""
+def sp_corner_embed(a: SquareMatrix, n: int) -> SquareMatrix:
+    """Homomorphic symplectic stabilization Sp_2k -> Sp_n: coordinates
+    0..k-1 stay in place, coordinates k..2k-1 move up to start at n/2, and
+    the new coordinate pairs (i, n/2 + i), 0-based for k <= i < n/2, get
+    the identity."""
+    if not (is_int(n) and n % 2 == 0):
+        raise ValueError(f"symplectic target size must be an even int, got {n!r}")
+    if n < a.size:
+        raise ValueError(f"target size {n} smaller than matrix size {a.size}")
     if a.size % 2 != 0:
         raise ValueError("symplectic matrix must have even size")
     if not preserves_form(a, FormTag("symplectic", a.size)):
         raise ValueError("input does not preserve the symplectic form")
-    half = a.size // 2
-    n = a.size + 2
+    half, shift = a.size // 2, (n - a.size) // 2
 
-    def shift(row: Row) -> Row:
-        return tuple((c + (c >= half), v) for c, v in row)
+    def moved(rows) -> tuple[Row, ...]:
+        return tuple(tuple((c + shift * (c >= half), v) for c, v in row) for row in rows)
 
-    rows = (*map(shift, a.rows[:half]), ((half, 1),), *map(shift, a.rows[half:]),
-            ((n - 1, 1),))
+    def unit_rows(start: int) -> tuple[Row, ...]:
+        return tuple(((i, 1),) for i in range(start, start + shift))
+
+    rows = (*moved(a.rows[:half]), *unit_rows(half), *moved(a.rows[half:]),
+            *unit_rows(n // 2 + half))
     return trusted(SquareMatrix, n, rows, a.modulus)
 
 
@@ -386,13 +389,17 @@ class MatrixFamily(GroupFamily):
 
 def classical_witness(family: str, n: int, modulus: int | None = None
                       ) -> tuple[MatrixFamily, Witness]:
-    """Order-2 witness one stabilization step up from size n.
+    """Order-2 witness for a subgroup H of the family's group at block size
+    n, and the ambient group it lives in.
 
-    GL/SL/E: n even required; witness is the permutation matrix of the
-    block swap (1, n+1)...(n, 2n) in size 2n.  Sp: H sits in size 2n (n
-    pairs, n even required); witness is diag(M_swap, M_swap) in size 4n.
-    Onn: H sits in O_(n,n) of size 2n; witness exchanges the first 2n basis
-    vectors with the last 2n inside size 4n; no parity restriction.
+    The block swap of an odd block is an odd permutation, so for GL/SL/E/Sp
+    an odd n is stabilized once, to n + 1, which keeps the witness in Alt;
+    write m for the resulting even block size.  GL/SL/E: H sits in size n;
+    the witness is the permutation matrix of the block swap (1, m+1)...(m,
+    2m) in size 2m.  Sp: H sits in Sp_2n; the witness is diag(M_swap,
+    M_swap) in size 4m.  Onn: H sits in O_(n,n) of size 2n; the witness
+    exchanges the first 2n basis vectors with the last 2n inside size 4n,
+    an even permutation for every n.
     """
     if family not in CLASSICAL_FAMILIES:
         raise ValueError(f"unknown classical family {family!r}")
@@ -402,9 +409,7 @@ def classical_witness(family: str, n: int, modulus: int | None = None
         ambient = MatrixFamily(4 * n, modulus, name=f"Onn-{n}-stab")
         t = perm_to_matrix(permmod.block_swap(2 * n), 4 * n, modulus)
         return ambient, Witness(t, Finite(2))
-    if n % 2 != 0:
-        raise StabilizationError(
-            f"witness needs an even block to stay in Alt; stabilize {family}_{n} to size {n + 1}")
+    n += n % 2
     if family == "Sp":
         ambient = MatrixFamily(4 * n, modulus, name=f"Sp-{n}-stab")
         t = sp_perm_embed(permmod.block_swap(n), 2 * n, modulus)

@@ -46,12 +46,10 @@ def perm_battery(size: int, seed: int) -> VerificationReport:
 
 def _matrix_generators(family: str, n: int, modulus):
     if family == "GL":
-        gens = [mat.elementary(n, 1, 2, 1, modulus)] if n >= 2 else []
-        if n >= 2:
-            gens.append(mat.perm_to_matrix(permmod.perm_from_cycles([[1, 2]]), n, modulus))
-        gens.append(mat.matrix([[(-1 if i == j == 0 else (1 if i == j else 0))
-                                 for j in range(n)] for i in range(n)], modulus))
-        return gens
+        swap = permmod.perm_from_cycles([[1, 2]])
+        gens = ([mat.elementary(n, 1, 2, 1, modulus), mat.perm_to_matrix(swap, n, modulus)]
+                if n >= 2 else [])
+        return gens + [mat.corner_embed(mat.matrix([[-1]], modulus), n)]  # diag(-1, 1, ...)
     if family in ("SL", "E"):
         gens = []
         for i in range(1, n):
@@ -59,71 +57,43 @@ def _matrix_generators(family: str, n: int, modulus):
             gens.append(mat.elementary(n, i + 1, i, 1, modulus))
         return gens
     if family == "Sp":
-        # generators of a subgroup of Sp_2n: the form matrix itself,
-        # an upper unipotent with symmetric block, and diag(U, (U^T)^-1)
-        j = mat.form_matrix(mat.FormTag("symplectic", 2 * n), modulus)
-        sym = [[1 if (r == c == 0) else 0 for c in range(n)] for r in range(n)]
-        upper = [[0] * (2 * n) for _ in range(2 * n)]
-        for r in range(n):
-            upper[r][r] = 1
-            upper[n + r][n + r] = 1
-            for c in range(n):
-                upper[r][n + c] = sym[r][c]
-        u = mat.elementary(n, 1, 2, 1) if n >= 2 else mat.identity_matrix(1)
-        ut_inv = mat.mat_inv(mat.transpose(u))
-        diag_u = [[0] * (2 * n) for _ in range(2 * n)]
-        u_rows, ut_inv_rows = u.entries, ut_inv.entries
-        for r in range(n):
-            for c in range(n):
-                diag_u[r][c] = u_rows[r][c]
-                diag_u[n + r][n + c] = ut_inv_rows[r][c]
-        return [j, mat.matrix(upper, modulus), mat.matrix(diag_u, modulus)]
+        # generators of a subgroup of Sp_2n: the form matrix J, the upper
+        # unipotent I + e_(1,n+1) with symmetric block, and diag(U, (U^T)^-1)
+        # for U = E_12(1)
+        diag_u = (mat.mat_mul(mat.elementary(2 * n, 1, 2, 1, modulus),
+                              mat.elementary(2 * n, n + 2, n + 1, -1, modulus))
+                  if n >= 2 else mat.identity_matrix(2, modulus))
+        return [mat.form_matrix(mat.FormTag("symplectic", 2 * n), modulus),
+                mat.elementary(2 * n, 1, n + 1, 1, modulus), diag_u]
     if family == "Onn":
-        size = 2 * n
-        gens = []
-        flip = [[(-1 if i == j == 1 else (1 if i == j else 0)) for j in range(size)]
-                for i in range(size)]
-        gens.append(mat.matrix(flip, modulus))
+        gens = [mat.corner_embed(mat.matrix([[1, 0], [0, -1]], modulus), 2 * n)]
         if n >= 2:
             pair_swap = permmod.perm_from_cycles([[1, 3], [2, 4]])
-            gens.append(mat.perm_to_matrix(pair_swap, size, modulus))
-        if modulus is not None:
-            # a hyperbolic element in the first (+, -) pair: [[a, b], [b, a]]
-            # with a^2 - b^2 = 1 and b != 0, when one exists
-            for a in range(modulus):
-                for b in range(1, modulus):
-                    if (a * a - b * b) % modulus == 1 % modulus:
-                        rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-                        rows[0][0] = rows[1][1] = a
-                        rows[0][1] = rows[1][0] = b
-                        gens.append(mat.matrix(rows, modulus))
-                        break
-                else:
-                    continue
-                break
+            gens.append(mat.perm_to_matrix(pair_swap, 2 * n, modulus))
+        # a hyperbolic element in the first (+, -) pair: [[a, b], [b, a]]
+        # with a^2 - b^2 = 1 and b != 0, when one exists; none over Z
+        hyperbolic = modulus and next(((a, b) for a in range(modulus) for b in range(1, modulus)
+                                       if (a * a - b * b) % modulus == 1), None)
+        if hyperbolic:
+            a, b = hyperbolic
+            gens.append(mat.corner_embed(mat.matrix([[a, b], [b, a]], modulus), 2 * n))
         return gens
     raise ValueError(f"unknown matrix family {family!r}")
 
 
+# family -> (form kind, witness label, generator label) of the form checks
+FORM_CHECKS = {
+    "Sp": ("symplectic", "witness preserves symplectic form", "symplectic"),
+    "Onn": ("split-orthogonal", "witness preserves split form", "preserves split form"),
+}
+
+
 def matrix_battery(family: str, size: int, seed: int) -> VerificationReport:
     combined = VerificationReport(f"matrix-{family.lower()}")
+    embed = mat.sp_corner_embed if family == "Sp" else mat.corner_embed
     for modulus in MATRIX_MODULI:
-        n = size
-        gens = _matrix_generators(family, n, modulus)
-        if family != "Onn" and n % 2 != 0:
-            # one stabilization step keeps the witness inside Alt
-            n = n + 1
-            if family == "Sp":
-                gens = [mat.sp_corner_embed(g) for g in gens]
-            else:
-                gens = [mat.corner_embed(g, n) for g in gens]
-        ambient, w = mat.classical_witness(family, n, modulus)
-        if family == "Sp":
-            embedded = gens
-            for _ in range(n):
-                embedded = [mat.sp_corner_embed(g) for g in embedded]
-        else:
-            embedded = [mat.corner_embed(g, ambient.size) for g in gens]
+        ambient, w = mat.classical_witness(family, size, modulus)
+        embedded = [embed(g, ambient.size) for g in _matrix_generators(family, size, modulus)]
         H = GeneratorSet(ambient, tuple(embedded))
         ring = f"Z/{modulus}" if modulus else "Z"
         combined.extend(verify_ccc(H, w, suite=f"{family}-{ring}"))
@@ -132,19 +102,13 @@ def matrix_battery(family: str, size: int, seed: int) -> VerificationReport:
                         ambient.is_identity(ambient.mul(t, t)), "t^2", "I")
         det_t = mat.det(t)
         combined.record(f"{ring}: det(witness) = 1", det_t == 1, str(det_t), "1")
-        if family == "Sp":
-            tag = mat.FormTag("symplectic", ambient.size)
-            combined.record(f"{ring}: witness preserves symplectic form",
-                            mat.preserves_form(t, tag), "t^T J t", "J")
+        if family in FORM_CHECKS:
+            kind, witness_label, generator_label = FORM_CHECKS[family]
+            tag = mat.FormTag(kind, ambient.size)
+            combined.record(f"{ring}: {witness_label}", mat.preserves_form(t, tag),
+                            "t^T J t", "J")
             for i, g in enumerate(embedded):
-                combined.record(f"{ring}: embedded generator {i + 1} symplectic",
-                                mat.preserves_form(g, tag), "g^T J g", "J")
-        if family == "Onn":
-            tag = mat.FormTag("split-orthogonal", ambient.size)
-            combined.record(f"{ring}: witness preserves split form",
-                            mat.preserves_form(t, tag), "t^T J t", "J")
-            for i, g in enumerate(embedded):
-                combined.record(f"{ring}: embedded generator {i + 1} preserves split form",
+                combined.record(f"{ring}: embedded generator {i + 1} {generator_label}",
                                 mat.preserves_form(g, tag), "g^T J g", "J")
     return combined
 

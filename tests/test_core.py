@@ -314,6 +314,11 @@ CCC_CASES = {
     "aut-free": _aut_free_case,
     "braid-2": lambda: _braid_case(2),
     "braid-3": lambda: _braid_case(3),
+    # sigma_2 crosses the block boundary, so its conjugates fail to commute:
+    # the failing records show the braid word (ab)(ba)^-1 letter for letter
+    "braid-failing": lambda: (braidmod.BraidFamily(4),
+                              (braidmod.braid(4, (1,)), braidmod.braid(4, (2,))),
+                              braidmod.block_pass_witness(2)),
     "iet": _iet_case,
 }
 
@@ -346,11 +351,11 @@ def _assert_engine_matches_reference(engine, reference, case):
         records = n_powers * h * h
     table = (top - 1) + (bottom - 1)
     # each record decides ab = ba with two products; a failing one then
-    # builds the commutator [a, b] = (ab)(a^-1 b^-1), three products and
-    # two inversions
+    # builds the commutator [a, b] = (ab)(ba)^-1, one product and one
+    # inversion
     failing = sum(c["status"] == "fail" for c in got["checks"])
-    assert counted.counts["mul"] == table + 2 * n_powers * h + 2 * records + 3 * failing
-    assert counted.counts["inv"] == 1 + 2 * failing
+    assert counted.counts["mul"] == table + 2 * n_powers * h + 2 * records + 1 * failing
+    assert counted.counts["inv"] == 1 + 1 * failing
     # the reference renders every check's value; the engine each distinct value once
     assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
     return expected
@@ -418,7 +423,10 @@ def _engine_inputs(family):
 def test_commutes_agrees_with_the_commutator(family):
     """On random products a, b of a battery's generators and witness,
     commutes(a, b) is [a, b] = e, and the engine's record shows the
-    identity on a pass and the commutator on a fail."""
+    identity on a pass and the commutator on a fail.  The examples are
+    derandomized: with random draws, 40 of them in the 8-element group of
+    the perm battery all commuted in about 3 runs in 100, and the check that
+    both verdicts occur failed."""
     inputs = _engine_inputs(family)
     assert inputs
     for fam, letters in inputs:
@@ -426,7 +434,7 @@ def test_commutes_agrees_with_the_commutator(family):
         alphabet = letters + tuple(fam.inv(x) for x in letters)
         words = st.lists(st.sampled_from(alphabet), max_size=4)
 
-        @settings(max_examples=40, deadline=None)
+        @settings(max_examples=40, deadline=None, derandomize=True)
         @given(words, words)
         def check(u, v):
             a, b = fam.product(u), fam.product(v)

@@ -435,12 +435,12 @@ def test_sp_embed_twisted_law():
 def test_sp_corner_embed_is_homomorphism():
     a = m.elementary(2, 1, 2, 3)
     b = m.matrix([[0, -1], [1, 0]])
-    assert m.sp_corner_embed(m.mat_mul(a, b)) == m.mat_mul(
-        m.sp_corner_embed(a), m.sp_corner_embed(b))
-    assert m.sp_corner_embed(m.identity_matrix(2)) == m.identity_matrix(4)
-    assert m.preserves_form(m.sp_corner_embed(a), m.FormTag("symplectic", 4))
-    assert m.sp_corner_embed(a) == m.mat_mul(sp_embed(a),
-                                             m.mat_inv(sp_embed(m.identity_matrix(2))))
+    assert m.sp_corner_embed(m.mat_mul(a, b), 4) == m.mat_mul(
+        m.sp_corner_embed(a, 4), m.sp_corner_embed(b, 4))
+    assert m.sp_corner_embed(m.identity_matrix(2), 4) == m.identity_matrix(4)
+    assert m.preserves_form(m.sp_corner_embed(a, 4), m.FormTag("symplectic", 4))
+    assert m.sp_corner_embed(a, 4) == m.mat_mul(sp_embed(a),
+                                                m.mat_inv(sp_embed(m.identity_matrix(2))))
 
 
 @pytest.mark.parametrize("modulus", [None, 5, 6])
@@ -448,9 +448,51 @@ def test_sp_corner_embed_matches_corrected_sp_embed(modulus):
     j = m.form_matrix(m.FormTag("symplectic", 4), modulus)
     t = m.sp_perm_embed(p.block_swap(1), 2, modulus)
     for g in (j, t, m.mat_mul(j, t)):
-        corner = m.sp_corner_embed(g)
+        corner = m.sp_corner_embed(g, 6)
         assert revalidates(corner)
         assert corner == m.mat_mul(sp_embed(g), m.mat_inv(sp_embed(m.identity_matrix(4, modulus))))
+
+
+def _sp4_samples(modulus):
+    """Symplectic matrices of size 4: J, a paired swap, I + e_13, and a
+    product of the three."""
+    j = m.form_matrix(m.FormTag("symplectic", 4), modulus)
+    t = m.sp_perm_embed(p.block_swap(1), 2, modulus)
+    u = m.elementary(4, 1, 3, 2, modulus)
+    return j, t, u, m.mat_mul(m.mat_mul(j, u), t)
+
+
+@pytest.mark.parametrize("modulus", [None, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sp_corner_embed_to_a_target_is_k_single_steps(modulus, k):
+    for g in _sp4_samples(modulus):
+        stepped = g
+        for _ in range(k):
+            stepped = m.sp_corner_embed(stepped, stepped.size + 2)
+        embedded = m.sp_corner_embed(g, g.size + 2 * k)
+        assert embedded == stepped
+        assert revalidates(embedded)
+
+
+@pytest.mark.parametrize("modulus", [None, 5])
+def test_sp_corner_embed_multi_step_is_homomorphism(modulus):
+    samples = _sp4_samples(modulus)
+    for a, b in itertools.product(samples, repeat=2):
+        assert m.sp_corner_embed(m.mat_mul(a, b), 10) == m.mat_mul(
+            m.sp_corner_embed(a, 10), m.sp_corner_embed(b, 10))
+        assert m.preserves_form(m.sp_corner_embed(a, 10), m.FormTag("symplectic", 10))
+    assert m.sp_corner_embed(m.identity_matrix(4, modulus), 10) == m.identity_matrix(10, modulus)
+
+
+@pytest.mark.parametrize("a,n", [
+    (m.identity_matrix(4), 7),  # odd
+    (m.identity_matrix(4), 2),  # smaller
+    (m.identity_matrix(4), 6.0),  # not an int
+    (m.identity_matrix(0), False),  # a bool, although 0 would be a valid target
+])
+def test_sp_corner_embed_rejects_bad_target(a, n):
+    with pytest.raises(ValueError):
+        m.sp_corner_embed(a, n)
 
 
 def test_sp_embed_rejects_non_symplectic():
@@ -476,11 +518,15 @@ def test_classical_witness_shapes():
     assert m.preserves_form(w.t, m.FormTag("split-orthogonal", 12))
 
 
-def test_classical_witness_odd_needs_stabilization():
-    with pytest.raises(m.StabilizationError):
-        m.classical_witness("SL", 3)
-    # Onn has no parity restriction
-    m.classical_witness("Onn", 1)
+@pytest.mark.parametrize("family,n,size", [
+    ("SL", 3, 8), ("Sp", 3, 16), ("GL", 1, 4), ("Onn", 1, 4),  # odd GL/SL/E/Sp: n + 1
+    ("SL", 4, 8), ("Sp", 2, 8), ("E", 2, 4), ("Onn", 2, 8),  # even n unchanged
+])
+def test_classical_witness_stabilizes_odd_blocks(family, n, size):
+    fam, w = m.classical_witness(family, n)
+    assert fam.size == w.t.size == size
+    assert fam.is_identity(fam.mul(w.t, w.t))
+    assert m.det(w.t) == 1
 
 
 def test_witness_battery_sl2():
