@@ -17,7 +17,12 @@ commutator word, and nothing else in the braid reports changed.  The
 odd-size matrix digests (``gl``, ``sp`` and ``onn`` at size 1, every matrix
 family at sizes 3 and 5) were taken from the code before the stabilization
 of an odd block moved from the matrix battery into
-``matrixring.classical_witness``; they guard the stabilization path.  A
+``matrixring.classical_witness``; they guard the stabilization path.  The
+stable-family digests (``perm`` at the odd size 3, ``aut-free`` at size 1,
+where H is the inversion of x1, ``iet`` at sizes 1 and 3, whose block
+lengths 1/2 and 3/2 print as fractions, and ``braid`` at size 6) were
+taken from the code before the perm, matrix, braid, aut-free and iet
+batteries became one ``suites.stable_battery``.  A
 kernel or engine change that alters any check, rendering or verdict shows
 up here.
 """
@@ -90,6 +95,16 @@ ODD_MATRIX_DIGESTS = {
     ("onn", 5): "b9cd8f697d62a920e37358f06ed386d509aeb4473a53c3b0fd002957ae05ee92",
 }
 
+# (family, size) -> digest for branches of the stable batteries that the
+# tables above miss.
+STABLE_DIGESTS = {
+    ("perm", 3): "7eb32e8ea1fd3d8aba4242a5ddcc7764e32a1df9877573a47377a81eb4e01d16",
+    ("aut-free", 1): "e56a08bff5956fdda46463dc0164d916b8997eadef1c8de85d8e506f4379a36d",
+    ("iet", 1): "ac3c2aee6f36192aa4aca9c93e45e06ab6ba1c74399be8bae95ea1ff681eeba5",
+    ("iet", 3): "a849003d31e6a2f6b340923e721097046214559766926e3fea2aaca20745cc8f",
+    ("braid", 6): "f3312942ed04c30e16be1ce061b7ba57e6677423bf561d27c42d2e4bc9cf07a7",
+}
+
 # (family, extra arguments, seed) -> digest: jobs of the rational workload
 # that the defaults above do not cover.
 RATIONAL_DIGESTS = {
@@ -132,6 +147,11 @@ def test_small_report_is_golden(family, size, tmp_path):
 @pytest.mark.parametrize("family,size", sorted(ODD_MATRIX_DIGESTS, key=str))
 def test_odd_matrix_report_is_golden(family, size, tmp_path):
     assert _report_digest(tmp_path, family, size) == ODD_MATRIX_DIGESTS[(family, size)]
+
+
+@pytest.mark.parametrize("family,size", sorted(STABLE_DIGESTS, key=str))
+def test_stable_report_is_golden(family, size, tmp_path):
+    assert _report_digest(tmp_path, family, size) == STABLE_DIGESTS[(family, size)]
 
 
 @pytest.mark.parametrize("family,extra,seed", sorted(RATIONAL_DIGESTS, key=str))
