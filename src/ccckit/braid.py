@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import freegroup as fg
 from . import perm
-from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, is_int, trusted
 
 
 class BraidWord(Record):
@@ -47,8 +47,8 @@ def braid(strands: int, letters) -> BraidWord:
 
 def stabilize(w: BraidWord, strands: int) -> BraidWord:
     """Add strands on the right; the word is unchanged."""
-    if strands < w.strands:
-        raise ValueError("cannot remove strands")
+    if not (is_int(strands) and strands >= w.strands):
+        raise ValueError(f"need an int number of strands >= {w.strands}, got {strands!r}")
     return BraidWord(strands, w.letters)
 
 
@@ -155,10 +155,6 @@ def block_pass_word(n: int) -> BraidWord:
     for row in range(n, 0, -1):
         letters.extend(range(row, row + n))
     return braid(2 * n, letters)
-
-
-def block_pass_witness(n: int) -> Witness:
-    return Witness(block_pass_word(n), Finite(2))
 
 
 class BraidFamily(GroupFamily):

@@ -210,8 +210,8 @@ def permutation_aut(rank: int, perm: dict[int, int]) -> FreeAutomorphism:
 
 def extend_rank(phi: FreeAutomorphism, rank: int) -> FreeAutomorphism:
     """Extend by the identity on the new generators (stable extension)."""
-    if rank < phi.rank:
-        raise ValueError("cannot shrink rank")
+    if not (is_int(rank) and rank >= phi.rank):
+        raise ValueError(f"need an int rank >= {phi.rank}, got {rank!r}")
     lift = lambda w: word(rank, w.letters)
     images = tuple(lift(w) for w in phi.images) + tuple(
         word(rank, (i,)) for i in range(phi.rank + 1, rank + 1))

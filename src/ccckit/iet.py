@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
-from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, Witness, Finite, trusted
+from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, trusted
 from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
                        over_common_den, rescaled)
 
@@ -172,10 +172,6 @@ def block_exchange(n) -> IetMap:
     if n <= 0:
         raise ValueError(f"block length must be > 0, got {n}")
     return make_iet([0, n, 2 * n], [n, -n])
-
-
-def block_exchange_witness(n) -> Witness:
-    return Witness(block_exchange(n), Finite(2))
 
 
 def rotation(length, amount) -> IetMap:

@@ -328,8 +328,8 @@ def sp_corner_embed(a: SquareMatrix, n: int) -> SquareMatrix:
 
 def perm_to_matrix(sigma: permmod.FinPerm, n: int, modulus: int | None = None) -> SquareMatrix:
     """Permutation matrix: column i carries e_sigma(i)."""
-    if any(p > n for p in sigma.support):
-        raise ValueError(f"permutation support exceeds {n}")
+    if not (is_int(n) and all(p <= n for p in sigma.support)):
+        raise ValueError(f"need an int size covering the support of {sigma}, got {n!r}")
     rows = [()] * n
     for i in range(1, n + 1):
         rows[sigma(i) - 1] = ((i - 1, 1),)

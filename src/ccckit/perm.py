@@ -7,7 +7,7 @@ identical support maps.  Composition is right-to-left function application:
 
 from __future__ import annotations
 
-from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, is_int, trusted
 
 
 class FinPerm(Record):
@@ -107,10 +107,6 @@ def block_swap(n: int) -> FinPerm:
         mapping[i] = i + n
         mapping[i + n] = i
     return perm_from_mapping(mapping)
-
-
-def block_swap_witness(n: int) -> Witness:
-    return Witness(block_swap(n), Finite(2))
 
 
 def render_cycles(a: FinPerm) -> str:

@@ -3,8 +3,10 @@
 Each battery assembles a concrete finitely generated subgroup, constructs
 the family's witness, runs the commutation engine plus any family-specific
 side checks (form preservation, parity, geometric supports), and returns its
-report.  FAMILIES declares each battery's parameters once, for run_family
-and the CLI.  Everything is deterministic given the seed.
+report.  The nine stable families share one battery, stable_battery, and
+differ only in their Stable record.  FAMILIES declares each battery's
+parameters once, for run_family and the CLI.  Everything is deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -21,168 +23,173 @@ from . import matrixring as mat
 from . import perm as permmod
 from . import plhomeo as plmod
 from . import wreath as wreathmod
-from .core import GeneratorSet, Record, VerificationReport, is_int, verify_ccc
+from .core import (Finite, GeneratorSet, Record, VerificationReport, Witness, is_int,
+                   verify_ccc)
 
 
 # ---------------------------------------------------------------------------
-# perm
+# stable families
 
 
-def perm_battery(size: int, seed: int) -> VerificationReport:
-    fam = permmod.PERM
-    H = GeneratorSet(fam, (permmod.perm_from_cycles([list(range(1, size + 1))]),
-                           permmod.perm_from_cycles([[1, 2]])))
-    w = permmod.block_swap_witness(size + size % 2)  # even: stabilize odd sizes once
-    report = verify_ccc(H, w, suite="perm")
-    t = w.t
-    report.record("witness^2 = id", fam.is_identity(fam.mul(t, t)), fam.render(fam.mul(t, t)), "e")
-    report.record("witness parity even", permmod.parity(t) == "even", permmod.parity(t), "even")
+ENGINE = "engine"  # the place of the engine's records in Stable.checks
+
+
+class Stable(Record):
+    """A stable group G = colim G_m, checked on H at level n against an
+    order-2 witness t that moves block 1 to block 2.  level(n, ring) gives
+    the ambient level and t in it; generators(n, ring) gives H at level n;
+    embed(g, ambient) stabilizes a generator into the ambient level.  The
+    battery makes one pass per ring (the matrix moduli, None for Z; the iet
+    block scales) and records checks in order: each entry is called as
+    check(report, n, label(n, ring), H, t), and ENGINE places the engine's
+    records."""
+
+    def __init__(self, name: str, level: Callable, generators: Callable, embed: Callable,
+                 checks: tuple, rings: tuple = (None,), label: Callable = lambda n, ring: ""):
+        self.__dict__.update(name=name, level=level, generators=generators, embed=embed,
+                             checks=checks, rings=rings, label=label)
+        self.__post_init__()
+
+
+def stable_battery(stable: Stable, size: int, seed: int) -> VerificationReport:
+    report = VerificationReport(stable.name)
+    for ring in stable.rings:
+        ambient, t = stable.level(size, ring)
+        H = GeneratorSet(ambient, tuple(stable.embed(g, ambient)
+                                        for g in stable.generators(size, ring)))
+        for check in stable.checks:
+            if check == ENGINE:
+                report.extend(verify_ccc(H, Witness(t, Finite(2)), suite=stable.name))
+            else:
+                check(report, size, stable.label(size, ring), H, t)
     return report
 
 
-# ---------------------------------------------------------------------------
-# matrix families
+def _square(rhs: str, report, n, label, H, t):
+    fam, t2 = H.family, H.family.mul(t, t)
+    report.record(f"{label}witness^2 = id", fam.is_identity(t2), fam.render(t2), rhs)
 
 
-def _matrix_generators(family: str, n: int, modulus):
-    if family == "GL":
-        swap = permmod.perm_from_cycles([[1, 2]])
-        gens = ([mat.elementary(n, 1, 2, 1, modulus), mat.perm_to_matrix(swap, n, modulus)]
-                if n >= 2 else [])
-        return gens + [mat.corner_embed(mat.matrix([[-1]], modulus), n)]  # diag(-1, 1, ...)
-    if family in ("SL", "E"):
-        gens = []
-        for i in range(1, n):
-            gens.append(mat.elementary(n, i, i + 1, 1, modulus))
-            gens.append(mat.elementary(n, i + 1, i, 1, modulus))
-        return gens
-    if family == "Sp":
-        # generators of a subgroup of Sp_2n: the form matrix J, the upper
-        # unipotent I + e_(1,n+1) with symmetric block, and diag(U, (U^T)^-1)
-        # for U = E_12(1)
-        diag_u = (mat.mat_mul(mat.elementary(2 * n, 1, 2, 1, modulus),
-                              mat.elementary(2 * n, n + 2, n + 1, -1, modulus))
-                  if n >= 2 else mat.identity_matrix(2, modulus))
-        return [mat.form_matrix(mat.FormTag("symplectic", 2 * n), modulus),
-                mat.elementary(2 * n, 1, n + 1, 1, modulus), diag_u]
-    if family == "Onn":
-        gens = [mat.corner_embed(mat.matrix([[1, 0], [0, -1]], modulus), 2 * n)]
-        if n >= 2:
-            pair_swap = permmod.perm_from_cycles([[1, 3], [2, 4]])
-            gens.append(mat.perm_to_matrix(pair_swap, 2 * n, modulus))
-        # a hyperbolic element in the first (+, -) pair: [[a, b], [b, a]]
-        # with a^2 - b^2 = 1 and b != 0, when one exists; none over Z
-        hyperbolic = modulus and next(((a, b) for a in range(modulus) for b in range(1, modulus)
-                                       if (a * a - b * b) % modulus == 1), None)
-        if hyperbolic:
-            a, b = hyperbolic
-            gens.append(mat.corner_embed(mat.matrix([[a, b], [b, a]], modulus), 2 * n))
-        return gens
-    raise ValueError(f"unknown matrix family {family!r}")
+def _parity(report, n, label, H, t):
+    report.record("witness parity even", permmod.parity(t) == "even", permmod.parity(t), "even")
 
 
-# family -> (form kind, witness label, generator label) of the form checks
-FORM_CHECKS = {
-    "Sp": ("symplectic", "witness preserves symplectic form", "symplectic"),
-    "Onn": ("split-orthogonal", "witness preserves split form", "preserves split form"),
-}
+def _gl_generators(n: int, ring):
+    gens = ([mat.elementary(n, 1, 2, 1, ring), mat.perm_to_matrix(permmod.block_swap(1), n, ring)]
+            if n >= 2 else [])
+    return gens + [mat.corner_embed(mat.matrix([[-1]], ring), n)]  # diag(-1, 1, ...)
 
 
-def matrix_battery(family: str, size: int, seed: int) -> VerificationReport:
-    combined = VerificationReport(f"matrix-{family.lower()}")
-    embed = mat.sp_corner_embed if family == "Sp" else mat.corner_embed
-    for modulus in MATRIX_MODULI:
-        ambient, w = mat.classical_witness(family, size, modulus)
-        embedded = [embed(g, ambient.size) for g in _matrix_generators(family, size, modulus)]
-        H = GeneratorSet(ambient, tuple(embedded))
-        ring = f"Z/{modulus}" if modulus else "Z"
-        combined.extend(verify_ccc(H, w, suite=f"{family}-{ring}"))
-        t = w.t
-        combined.record(f"{ring}: witness^2 = I",
-                        ambient.is_identity(ambient.mul(t, t)), "t^2", "I")
-        det_t = mat.det(t)
-        combined.record(f"{ring}: det(witness) = 1", det_t == 1, str(det_t), "1")
-        if family in FORM_CHECKS:
-            kind, witness_label, generator_label = FORM_CHECKS[family]
-            tag = mat.FormTag(kind, ambient.size)
-            combined.record(f"{ring}: {witness_label}", mat.preserves_form(t, tag),
-                            "t^T J t", "J")
-            for i, g in enumerate(embedded):
-                combined.record(f"{ring}: embedded generator {i + 1} {generator_label}",
-                                mat.preserves_form(g, tag), "g^T J g", "J")
-    return combined
+def _sl_generators(n: int, ring):
+    return [mat.elementary(n, a, b, 1, ring)
+            for i in range(1, n) for a, b in ((i, i + 1), (i + 1, i))]
 
 
-# ---------------------------------------------------------------------------
-# braid
+def _sp_generators(n: int, ring):
+    # a subgroup of Sp_2n: the form matrix J, the upper unipotent
+    # I + e_(1,n+1) with symmetric block, and diag(U, (U^T)^-1) for U = E_12(1)
+    diag_u = (mat.mat_mul(mat.elementary(2 * n, 1, 2, 1, ring),
+                          mat.elementary(2 * n, n + 2, n + 1, -1, ring))
+              if n >= 2 else mat.identity_matrix(2, ring))
+    return [mat.form_matrix(mat.FormTag("symplectic", 2 * n), ring),
+            mat.elementary(2 * n, 1, n + 1, 1, ring), diag_u]
 
 
-def braid_battery(size: int, seed: int) -> VerificationReport:
-    n = size
-    fam = braidmod.BraidFamily(2 * n)
-    w = braidmod.block_pass_witness(n)
-    t = w.t
-    report = VerificationReport("braid")
+def _onn_generators(n: int, ring):
+    gens = [mat.corner_embed(mat.matrix([[1, 0], [0, -1]], ring), 2 * n)]
+    if n >= 2:
+        pair_swap = permmod.perm_from_cycles([[1, 3], [2, 4]])
+        gens.append(mat.perm_to_matrix(pair_swap, 2 * n, ring))
+    # a hyperbolic element in the first (+, -) pair: [[a, b], [b, a]]
+    # with a^2 - b^2 = 1 and b != 0, when one exists; none over Z
+    hyperbolic = ring and next(((a, b) for a in range(ring) for b in range(1, ring)
+                                if (a * a - b * b) % ring == 1), None)
+    if hyperbolic:
+        a, b = hyperbolic
+        gens.append(mat.corner_embed(mat.matrix([[a, b], [b, a]], ring), 2 * n))
+    return gens
+
+
+def _matrix_checks(form, report, n, label, H, t):
+    """t^2 = I and det t = 1; with form = (kind, witness label, generator
+    label), also that t and each embedded generator preserve the form."""
+    ambient = H.family
+    report.record(f"{label}witness^2 = I", ambient.is_identity(ambient.mul(t, t)), "t^2", "I")
+    det_t = mat.det(t)
+    report.record(f"{label}det(witness) = 1", det_t == 1, str(det_t), "1")
+    if form:
+        kind, witness_label, generator_label = form
+        tag = mat.FormTag(kind, ambient.size)
+        report.record(f"{label}{witness_label}", mat.preserves_form(t, tag), "t^T J t", "J")
+        for i, g in enumerate(H.elements):
+            report.record(f"{label}embedded generator {i + 1} {generator_label}",
+                          mat.preserves_form(g, tag), "g^T J g", "J")
+
+
+def _matrix_stable(kind: str, generators: Callable, form: tuple | None = None) -> Stable:
+    def level(n, ring):
+        ambient, w = mat.classical_witness(kind, n, ring)
+        return ambient, w.t
+    embed = mat.sp_corner_embed if kind == "Sp" else mat.corner_embed
+    return Stable(f"matrix-{kind.lower()}", level, generators,
+                  lambda g, ambient: embed(g, ambient.size),
+                  (ENGINE, partial(_matrix_checks, form)), rings=MATRIX_MODULI,
+                  label=lambda n, ring: f"Z/{ring}: " if ring else "Z: ")
+
+
+def _braid_permutation(report, n, label, H, t):
     sigma = permmod.render_cycles(braidmod.underlying_permutation(t))
     expected = permmod.render_cycles(permmod.block_swap(n))
     report.record("underlying permutation = block swap", sigma == expected, sigma, expected)
-    gens = tuple(braidmod.braid(2 * n, (i,)) for i in range(1, n))
-    H = GeneratorSet(fam, gens)
-    report.extend(verify_ccc(H, w, suite="braid"))
-    # braid relations at this strand count
-    for i in range(1, 2 * n - 1):
-        lhs = braidmod.braid(2 * n, (i, i + 1, i))
-        rhs = braidmod.braid(2 * n, (i + 1, i, i + 1))
-        report.record(f"sigma_{i} sigma_{i + 1} sigma_{i} = sigma_{i + 1} sigma_{i} sigma_{i + 1}",
-                      braidmod.braids_equal(lhs, rhs), str(lhs), str(rhs))
-    for i in range(1, 2 * n):
-        for j in range(i + 2, 2 * n):
-            lhs = braidmod.braid(2 * n, (i, j))
-            rhs = braidmod.braid(2 * n, (j, i))
-            report.record(f"sigma_{i} sigma_{j} = sigma_{j} sigma_{i}",
-                          braidmod.braids_equal(lhs, rhs), str(lhs), str(rhs))
-    return report
 
 
-# ---------------------------------------------------------------------------
-# free group automorphisms
+def _braid_relations(report, n, label, H, t):
+    m = H.family.strands
+    for u, v in ([((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, m - 1)]
+                 + [((i, j), (j, i)) for i in range(1, m) for j in range(i + 2, m)]):
+        lhs, rhs = braidmod.braid(m, u), braidmod.braid(m, v)
+        name = " = ".join(" ".join(f"sigma_{x}" for x in w) for w in (u, v))
+        report.record(name, braidmod.braids_equal(lhs, rhs), str(lhs), str(rhs))
 
 
-def aut_free_battery(size: int, seed: int) -> VerificationReport:
-    n = size
-    rank = 2 * n
-    fam = fg.FreeAutFamily(rank)
-    w = fg.aut_block_swap_witness(n)
-    gens = []
-    if n >= 2:
-        gens.append(fg.extend_rank(fg.nielsen_aut(n, 1, 2), rank))
-        gens.append(fg.extend_rank(
-            fg.permutation_aut(n, {i: i % n + 1 for i in range(1, n + 1)}), rank))
-    else:
-        gens.append(fg.extend_rank(fg.inversion_aut(1, 1), rank))
-    H = GeneratorSet(fam, tuple(gens))
-    report = verify_ccc(H, w, suite="aut-free")
-    t2 = fam.mul(w.t, w.t)
-    report.record("witness^2 = id", fam.is_identity(t2), fam.render(t2), "identity assignment")
-    return report
+def _aut_free_generators(n: int, ring):
+    if n == 1:
+        return (fg.inversion_aut(1, 1),)
+    return fg.nielsen_aut(n, 1, 2), fg.permutation_aut(n, {i: i % n + 1 for i in range(1, n + 1)})
 
 
-# ---------------------------------------------------------------------------
-# interval exchanges
+def _rotations(n: int, scale):
+    block = n * scale
+    return (ietmod.rotation(block, block / 3), ietmod.rotation(block, block / 2))
 
 
-def iet_battery(size: int, seed: int) -> VerificationReport:
-    report = VerificationReport("iet")
-    fam = ietmod.IET
-    for block in (Fraction(size), Fraction(size) / 2, Fraction(size) * 2):
-        H = GeneratorSet(fam, (ietmod.rotation(block, block / 3),
-                               ietmod.rotation(block, block / 2)))
-        w = ietmod.block_exchange_witness(block)
-        report.extend(verify_ccc(H, w, suite=f"iet-{block}"))
-        t2 = fam.mul(w.t, w.t)
-        report.record(f"block {block}: witness^2 = id", fam.is_identity(t2),
-                      fam.render(t2), "id")
-    return report
+MATRIX_MODULI = (None, 5)  # Z and Z/5; reports write Z as 0
+
+STABLE: dict[str, Stable] = {
+    "perm": Stable("perm", lambda n, ring: (permmod.PERM, permmod.block_swap(n + n % 2)),
+                   lambda n, ring: (permmod.perm_from_cycles([list(range(1, n + 1))]),
+                                    permmod.perm_from_cycles([[1, 2]])),
+                   lambda g, ambient: g, (ENGINE, partial(_square, "e"), _parity)),
+    "gl": _matrix_stable("GL", _gl_generators),
+    "sl": _matrix_stable("SL", _sl_generators),
+    "e": _matrix_stable("E", _sl_generators),
+    "sp": _matrix_stable("Sp", _sp_generators, (
+        "symplectic", "witness preserves symplectic form", "symplectic")),
+    "onn": _matrix_stable("Onn", _onn_generators, (
+        "split-orthogonal", "witness preserves split form", "preserves split form")),
+    "braid": Stable("braid", lambda n, ring: (braidmod.BraidFamily(2 * n),
+                                              braidmod.block_pass_word(n)),
+                    lambda n, ring: tuple(braidmod.braid(n, (i,)) for i in range(1, n)),
+                    lambda g, ambient: braidmod.stabilize(g, ambient.strands),
+                    (_braid_permutation, ENGINE, _braid_relations)),
+    "aut-free": Stable("aut-free", lambda n, ring: (fg.FreeAutFamily(2 * n), fg.block_swap_aut(n)),
+                       _aut_free_generators, lambda g, ambient: fg.extend_rank(g, ambient.rank),
+                       (ENGINE, partial(_square, "identity assignment"))),
+    "iet": Stable("iet", lambda n, scale: (ietmod.IET, ietmod.block_exchange(n * scale)),
+                  _rotations, lambda g, ambient: g, (ENGINE, partial(_square, "id")),
+                  rings=(Fraction(1), Fraction(1, 2), Fraction(2)),
+                  label=lambda n, scale: f"block {n * scale}: "),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +277,32 @@ class Battery(Record):
         return f"= {low}" if low == high else f">= {low}" if high is None else f"in {low}..{high}"
 
 
-MATRIX_MODULI = (None, 5)  # Z and Z/5; reports write Z as 0
 SIZE, SIZE_2_UP = {"size": (2, 1, None)}, {"size": (2, 2, None)}  # H is empty below 2
 MODULI = {"moduli": [m or 0 for m in MATRIX_MODULI]}
 
+
+def _stable(family: str) -> Callable[..., VerificationReport]:
+    return partial(stable_battery, STABLE[family])
+
+
 FAMILIES: dict[str, Battery] = {
-    "perm": Battery(perm_battery, SIZE_2_UP,
+    "perm": Battery(_stable("perm"), SIZE_2_UP,
                     "finite-support permutations; order-2 block-swap witness (finite mode, n = 2)"),
-    "gl": Battery(partial(matrix_battery, "GL"), SIZE, "stable general linear group over Z and "
+    "gl": Battery(_stable("gl"), SIZE, "stable general linear group over Z and "
                   "Z/5; block-swap permutation witness", MODULI),
-    "sl": Battery(partial(matrix_battery, "SL"), SIZE_2_UP, "stable special linear group over Z "
+    "sl": Battery(_stable("sl"), SIZE_2_UP, "stable special linear group over Z "
                   "and Z/5; block-swap permutation witness", MODULI),
-    "e": Battery(partial(matrix_battery, "E"), SIZE_2_UP, "stable elementary matrix group over Z "
+    "e": Battery(_stable("e"), SIZE_2_UP, "stable elementary matrix group over Z "
                  "and Z/5; block-swap permutation witness", MODULI),
-    "sp": Battery(partial(matrix_battery, "Sp"), SIZE, "stable symplectic group; paired "
+    "sp": Battery(_stable("sp"), SIZE, "stable symplectic group; paired "
                   "block-swap witness preserving the symplectic form", MODULI),
-    "onn": Battery(partial(matrix_battery, "Onn"), SIZE, "stable split orthogonal group; "
+    "onn": Battery(_stable("onn"), SIZE, "stable split orthogonal group; "
                    "witness exchanging the first half of the basis", MODULI),
-    "braid": Battery(braid_battery, SIZE_2_UP,
+    "braid": Battery(_stable("braid"), SIZE_2_UP,
                      "stable braid group, equality by Dynnikov coordinates; block-pass witness"),
-    "aut-free": Battery(aut_free_battery, SIZE,
+    "aut-free": Battery(_stable("aut-free"), SIZE,
                         "stable automorphisms of free groups; generator block-swap witness"),
-    "iet": Battery(iet_battery, SIZE,
+    "iet": Battery(_stable("iet"), SIZE,
                    "interval exchanges of the half line; block-exchange witness (finite mode, n = 2)"),
     "pl": Battery(pl_battery, {**SIZE, "bound": (8, 1, None)},
                   "compactly supported piecewise linear maps; displacement witness, bounded Z-mode"),

@@ -13,7 +13,8 @@ from ccckit import matrixring as mat
 from ccckit import perm as p
 from ccckit import plhomeo as pl
 from ccckit import wreath as w
-from ccckit.core import GeneratorSet, bounded_products, commutator, verify_ccc
+from ccckit.core import (Finite, GeneratorSet, Witness, bounded_products, commutator,
+                         verify_ccc)
 from ccckit.suites import FAMILIES, iet_chain, perm_chain, run_family
 
 from util import random_iet
@@ -61,7 +62,7 @@ def test_acceptance_3_braid_relations_and_witnesses():
     for n in (2, 3):
         fam = braidmod.BraidFamily(2 * n)
         H = GeneratorSet(fam, tuple(braidmod.braid(2 * n, (i,)) for i in range(1, n)))
-        ok = ok and verify_ccc(H, braidmod.block_pass_witness(n)).passed
+        ok = ok and verify_ccc(H, Witness(braidmod.block_pass_word(n), Finite(2))).passed
     _verdict(3, "braid relations n <= 6 and block-pass witness batteries n = 2, 3", ok)
 
 

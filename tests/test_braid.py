@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ccckit import braid as b
 from ccckit import freegroup as fg
 from ccckit import perm as p
-from ccckit.core import Finite, GeneratorSet, verify_ccc
+from ccckit.core import Finite, GeneratorSet, Witness, verify_ccc
 from ccckit.suites import run_family
 
 
@@ -185,7 +185,7 @@ def test_witness_battery():
     for n in (2, 3):
         fam = b.BraidFamily(2 * n)
         gens = tuple(b.braid(2 * n, (i,)) for i in range(1, n))
-        w = b.block_pass_witness(n)
+        w = Witness(b.block_pass_word(n), Finite(2))
         assert isinstance(w.mode, Finite) and w.mode.n == 2
         report = verify_ccc(GeneratorSet(fam, gens), w)
         assert report.passed, report.counterexample

@@ -16,7 +16,7 @@ from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit import wreath as wreathmod
-from ccckit.perm import PERM, block_swap_witness, perm_from_cycles, render_cycles
+from ccckit.perm import PERM, block_swap, perm_from_cycles, render_cycles
 
 def _perm_of(images):
     from ccckit.perm import perm_from_mapping
@@ -123,7 +123,7 @@ def test_power_table_builds_each_power_from_its_neighbour():
 
 def test_verify_ccc_passes_on_disjoint_blocks():
     H = GeneratorSet(PERM, (perm_from_cycles([[1, 2]]), perm_from_cycles([[1, 2, 3]])))
-    report = verify_ccc(H, block_swap_witness(3))
+    report = verify_ccc(H, Witness(block_swap(3), Finite(2)))
     assert report.passed
     assert not report.bounded
     assert report.counterexample is None
@@ -146,7 +146,7 @@ def test_verify_ccc_rejects_zmode():
 def test_verify_ccc_rejects_empty_generator_set():
     # an empty battery is not a pass
     with pytest.raises(ValueError, match="empty generator set"):
-        verify_ccc(GeneratorSet(PERM, ()), block_swap_witness(2))
+        verify_ccc(GeneratorSet(PERM, ()), Witness(block_swap(2), Finite(2)))
 
 
 def test_verify_czc_rejects_empty_generator_set():
@@ -287,7 +287,7 @@ def _matrix_case(modulus):
 def _braid_case(n):
     return (braidmod.BraidFamily(2 * n),
             tuple(braidmod.braid(2 * n, (i,)) for i in range(1, n)) + (braidmod.braid(2 * n, (-1,)),),
-            braidmod.block_pass_witness(n))
+            Witness(braidmod.block_pass_word(n), Finite(2)))
 
 
 def _aut_free_case():
@@ -301,12 +301,12 @@ def _aut_free_case():
 def _iet_case():
     block = Fraction(3, 2)
     return (ietmod.IET, (ietmod.rotation(block, block / 3), ietmod.rotation(block, block / 2)),
-            ietmod.block_exchange_witness(block))
+            Witness(ietmod.block_exchange(block), Finite(2)))
 
 
 CCC_CASES = {
     "perm": lambda: (PERM, (perm_from_cycles([[1, 2, 3]]), perm_from_cycles([[1, 2]])),
-                     block_swap_witness(3)),
+                     Witness(block_swap(3), Finite(2))),
     "perm-failing": lambda: (PERM, (perm_from_cycles([[1, 2]]), perm_from_cycles([[2, 3]])),
                              Witness(perm_from_cycles([[2, 3, 4]]), Finite(3))),
     "matrix-Z": lambda: _matrix_case(None),
@@ -318,7 +318,7 @@ CCC_CASES = {
     # the failing records show the braid word (ab)(ba)^-1 letter for letter
     "braid-failing": lambda: (braidmod.BraidFamily(4),
                               (braidmod.braid(4, (1,)), braidmod.braid(4, (2,))),
-                              braidmod.block_pass_witness(2)),
+                              Witness(braidmod.block_pass_word(2), Finite(2))),
     "iet": _iet_case,
 }
 

@@ -58,10 +58,15 @@ RECORDS = [
      ("family", "generators", "ts", "orders"),
      f"WitnessChain(family={PERM!r}, generators=(FinPerm(mapping=()),), "
      "ts=(FinPerm(mapping=((1, 2), (2, 1))),), orders=(2,))"),
-    (suites.FAMILIES["braid"], ("run", "params", "description", "fixed"),
-     f"Battery(run={suites.braid_battery!r}, params={{'size': (2, 2, None)}}, "
-     "description='stable braid group, equality by Dynnikov coordinates; block-pass witness', "
-     "fixed=mappingproxy({}))"),
+    (suites.Stable("s", len, len, len, (suites.ENGINE,), (None,), len),
+     ("name", "level", "generators", "embed", "checks", "rings", "label"),
+     "Stable(name='s', level=<built-in function len>, generators=<built-in function len>, "
+     "embed=<built-in function len>, checks=('engine',), rings=(None,), "
+     "label=<built-in function len>)"),
+    (suites.FAMILIES["pl"], ("run", "params", "description", "fixed"),
+     f"Battery(run={suites.pl_battery!r}, params={{'size': (2, 1, None), 'bound': (8, 1, None)}}, "
+     "description='compactly supported piecewise linear maps; displacement witness, bounded "
+     "Z-mode', fixed=mappingproxy({}))"),
 ]
 IDS = [type(x).__name__ for x, _, _ in RECORDS]
 
@@ -81,7 +86,7 @@ def test_every_record_type_is_covered():
                 declared.add(sub)
             todo.append(sub)
     assert covered == declared
-    assert len(covered) == 16  # and VerificationReport, a plain mutable class
+    assert len(covered) == 17  # and VerificationReport, a plain mutable class
 
 
 @pytest.mark.parametrize("x, fields, text", RECORDS, ids=IDS)
@@ -176,11 +181,11 @@ def test_keyword_construction_and_defaults():
 
 
 def test_battery_fixed_defaults_to_an_immutable_empty_mapping():
-    battery = suites.Battery(suites.perm_battery, {"size": (2, 2, None)}, "perm")
+    battery = suites.Battery(suites.pl_battery, {"size": (2, 2, None)}, "perm")
     assert dict(battery.fixed) == {}
     with pytest.raises(TypeError):
         battery.fixed["moduli"] = [0]
-    assert dict(suites.Battery(suites.perm_battery, {}, "perm").fixed) == {}
+    assert dict(suites.Battery(suites.pl_battery, {}, "perm").fixed) == {}
 
 
 def test_import_loads_no_dataclasses_or_typing():
