@@ -4,8 +4,8 @@ interval exchanges, piecewise linear maps, wreath towers)."""
 
 from .core import (CcckitError, CheckRecord, FamilyMismatchError, Finite,
                    GeneratorSet, GroupFamily, VerificationReport, Witness,
-                   WitnessModeError, ZMode, bounded_products, commutator,
-                   commutes, conjugate, verify_ccc, verify_czc)
+                   WitnessModeError, ZMode, commutator, commutes, conjugate,
+                   verify_ccc, verify_czc)
 from .suites import FAMILIES, run_family
 
 __version__ = "0.1.0"
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CcckitError", "CheckRecord", "FamilyMismatchError", "Finite",
     "GeneratorSet", "GroupFamily", "VerificationReport", "Witness",
-    "WitnessModeError", "ZMode", "bounded_products", "commutator",
+    "WitnessModeError", "ZMode", "commutator",
     "commutes", "conjugate", "verify_ccc", "verify_czc", "FAMILIES", "run_family",
     "__version__",
 ]

@@ -93,14 +93,16 @@ def replace(record, **changes):
 
 
 class GroupFamily(abc.ABC):
-    """Abstract group contract: identity, multiplication, inverse, equality.
+    """Abstract group contract: identity, multiplication, inverse, equality,
+    and optionally supports.
 
     Elements are immutable plain values that hash, and values that are
     ``==`` render alike; the family object holds the operations.  Group
     equality must be decided on normal forms, never on renderings.  The
-    engine relies on equal values rendering alike: it decides [a, b] = e as
-    ab = ba and records a pass with the rendering of ``identity()``, the
-    text that every value equal to e must have.
+    engine relies on equal values rendering alike: it records a pass with
+    the rendering of ``identity()``, the text that every value equal to e
+    must have.  It certifies [a, b] = e when ``support`` shows a and b
+    disjoint, and otherwise decides it as ab = ba.
     """
 
     name: str = "group"
@@ -122,6 +124,17 @@ class GroupFamily(abc.ABC):
 
     def check_element(self, a: object) -> None:
         """Raise FamilyMismatchError if ``a`` does not belong here."""
+
+    def support(self, a: object) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+        """Where a moves anything, or None for unknown, this default.
+
+        A support is (den, intervals): sorted, disjoint, half-open integer
+        intervals [lo/den, hi/den), den >= 1, of one ordered coordinate line
+        that the family fixes, such that a is the identity off their union
+        and maps that union onto itself.  Elements with disjoint supports
+        commute, so _disjoint(support(a), support(b)) certifies [a, b] = e.
+        An override raises FamilyMismatchError as check_element does."""
+        return None
 
     def product(self, elements: Iterable) -> object:
         """a_1 a_2 ... a_k, and the identity for no elements: the left fold
@@ -166,9 +179,44 @@ def commutator(family: GroupFamily, a: object, b: object) -> object:
     return family.mul(family.mul(a, b), family.mul(family.inv(a), family.inv(b)))
 
 
+def runs(indices: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The set of ascending distinct ints indices as the fewest half-open
+    intervals [lo, hi): each run of consecutive ints is one interval."""
+    out: list[list[int]] = []
+    for i in indices:
+        if out and out[-1][1] == i:
+            out[-1][1] = i + 1
+        else:
+            out.append([i, i + 1])
+    return tuple(map(tuple, out))
+
+
+def _disjoint(sa, sb) -> bool:
+    """Whether the supports sa and sb (see GroupFamily.support) are known
+    to be disjoint; None is unknown and never disjoint.  One merge walk
+    over both interval lists, comparing lo/den and hi/den across the two
+    denominators by cross-multiplying, with no Fraction."""
+    if sa is None or sb is None:
+        return False
+    da, xs = sa
+    db, ys = sb
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        if xs[i][1] * db <= ys[j][0] * da:  # xs[i] ends before ys[j] starts
+            i += 1
+        elif ys[j][1] * da <= xs[i][0] * db:
+            j += 1
+        else:
+            return False
+    return True
+
+
 def commutes(family: GroupFamily, a: object, b: object) -> bool:
-    """[a, b] = e, decided as a b = b a: two products and one equality, and
-    no inversion."""
+    """[a, b] = e: True at once when a and b have disjoint supports (see
+    GroupFamily.support), else decided as a b = b a, with two products and
+    one equality, and no inversion."""
+    if _disjoint(family.support(a), family.support(b)):
+        return True
     return family.eq(family.mul(a, b), family.mul(b, a))
 
 
@@ -302,38 +350,59 @@ def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
     return table
 
 
+_PASS = object()  # the key of the identity's text in a render memo
+
+
 def record_commutation(family: GroupFamily, report: VerificationReport, rendered: dict,
-                       name: str, a: object, b: object, detail: str = "") -> None:
-    """Record [a, b] = e, decided as in commutes.  A passing record shows
-    the identity and a failing one the commutator [a, b] = (a b)(b a)^-1,
+                       name: str, a: object, b: object, detail: str = "",
+                       supports: tuple | None = None) -> None:
+    """Record [a, b] = e, decided as in commutes.
+
+    supports is (support(a), support(b)); they are looked up here when the
+    caller passes None.  When they are disjoint, the pass is certified with
+    no product and no eq.  Otherwise the record decides ab = ba.  A passing
+    record shows the identity's text, rendered once per render memo and
+    kept there under _PASS, so a record reads it without hashing the
+    identity.  A failing record shows the commutator [a, b] = (a b)(b a)^-1,
     built from the two products already formed with one more product and
-    one inversion; each is rendered through the call's render memo (see
-    render_once)."""
-    ab, ba = family.mul(a, b), family.mul(b, a)
-    ok = family.eq(ab, ba)
-    value = family.identity() if ok else family.mul(ab, family.inv(ba))
-    report.record(name, ok, render_once(family, rendered, value), "e", detail)
+    one inversion, and rendered through the memo (see render_once)."""
+    sa, sb = supports or (family.support(a), family.support(b))
+    if not _disjoint(sa, sb):
+        ab, ba = family.mul(a, b), family.mul(b, a)
+        if not family.eq(ab, ba):
+            value = family.mul(ab, family.inv(ba))
+            report.record(name, False, render_once(family, rendered, value), "e", detail)
+            return
+    text = rendered.get(_PASS)
+    if text is None:
+        text = rendered[_PASS] = render_once(family, rendered, family.identity())
+    report.record(name, True, text, "e", detail)
 
 
 def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
                            powers: Sequence[int], report: VerificationReport, rendered: dict,
-                           detail: str = "") -> None:
-    """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair.
+                           detail: str = "") -> list:
+    """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair,
+    and return the supports of the h_i.
 
     tp_cache maps both p and -p to t^p and t^-p, so inv(t^p) is read from
-    it.  Each conjugate ^(t^p) h_j is built once per (p, j); each pair then
-    costs two products (see record_commutation).  rendered is the call's
-    render memo.
+    it.  Each h_i's support is found once per call, and each conjugate
+    ^(t^p) h_j is built, and its support found, once per (p, j); each pair
+    is then certified by disjoint supports or costs two products (see
+    record_commutation).  rendered is the call's render memo.
     """
     if not hs:
         raise ValueError("empty generator set: nothing to check")
+    h_supports = [fam.support(h) for h in hs]
     for p in powers:
         tp, tp_inv = tp_cache[p], tp_cache[-p]
         conjs = [fam.mul(fam.mul(tp, hj), tp_inv) for hj in hs]
-        for i, hi in enumerate(hs):
-            for j, conj in enumerate(conjs):
+        conj_supports = [fam.support(c) for c in conjs]
+        for i, (hi, si) in enumerate(zip(hs, h_supports)):
+            for j, (conj, sc) in enumerate(zip(conjs, conj_supports)):
                 record_commutation(fam, report, rendered, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi,
-                                   conj, detail)
+                                   conj, detail, supports=(si, sc))
+    return h_supports
 
 
 def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationReport:
@@ -355,9 +424,11 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationR
     powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
     tp_cache = power_table(fam, w.t, n, n - 1)
     rendered: dict = {}
-    _conjugate_commutators(fam, H.elements, tp_cache, powers, report, rendered)
-    for i, hi in enumerate(H.elements):
-        record_commutation(fam, report, rendered, f"[h{i + 1}, t^{n}]", hi, tp_cache[n])
+    h_supports = _conjugate_commutators(fam, H.elements, tp_cache, powers, report, rendered)
+    tn_support = fam.support(tp_cache[n])
+    for i, (hi, si) in enumerate(zip(H.elements, h_supports)):
+        record_commutation(fam, report, rendered, f"[h{i + 1}, t^{n}]", hi, tp_cache[n],
+                           supports=(si, tn_support))
     return report
 
 
@@ -379,22 +450,3 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     _conjugate_commutators(fam, H.elements, tp_cache, powers, report, {},
                            detail=f"bounded check, |p| <= {P}")
     return report
-
-
-def bounded_products(family: GroupFamily, gens: Sequence, max_len: int) -> list:
-    """All products of the generators and their inverses of word length at
-    most max_len, deduplicated by family equality.  Brute-force oracle
-    material; keep the inputs small."""
-    alphabet = list(gens) + [family.inv(g) for g in gens]
-    seen = [family.identity()]
-    frontier = [family.identity()]
-    for _ in range(max_len):
-        new_frontier = []
-        for u in frontier:
-            for g in alphabet:
-                v = family.mul(u, g)
-                if not any(family.eq(v, w) for w in seen):
-                    seen.append(v)
-                    new_frontier.append(v)
-        frontier = new_frontier
-    return seen

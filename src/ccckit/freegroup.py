@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .core import FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, trusted
+from .core import (FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, runs,
+                   trusted)
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -263,6 +264,18 @@ class FreeAutFamily(GroupFamily):
         self.check_element(a)
         self.check_element(b)
         return a.images == b.images
+
+    def support(self, a):
+        """The moved letters and every letter in their images, letter x_i as
+        [i, i + 1).  a fixes every other letter and maps the free factor on
+        these letters onto itself."""
+        self.check_element(a)
+        letters = set()
+        for i, w in enumerate(a.images, start=1):
+            if w.letters != (i,):
+                letters.add(i)
+                letters.update(map(abs, w.letters))
+        return 1, runs(sorted(letters))
 
     def render(self, a):
         return "; ".join(f"x{i} -> {render_word(w)}" for i, w in enumerate(a.images, start=1))

@@ -217,6 +217,11 @@ class IetFamily(GroupFamily):
         self.check_element(b)
         return a == b
 
+    def support(self, a):
+        """The intervals with a nonzero translation, over a's own den."""
+        self.check_element(a)
+        return a.den, tuple((lo, hi) for lo, hi, t in zip(a.cuts, a.cuts[1:], a.shifts) if t)
+
     def render(self, a):
         return render_iet(a)
 

@@ -27,7 +27,7 @@ import math
 
 from . import perm as permmod
 from .core import (CcckitError, FamilyMismatchError, GroupFamily, Record, Witness, Finite,
-                   is_int, trusted)
+                   is_int, runs, trusted)
 
 
 class NotInvertibleError(CcckitError):
@@ -151,21 +151,25 @@ def transpose(a: SquareMatrix) -> SquareMatrix:
     return trusted(SquareMatrix, a.size, tuple(map(tuple, cols)), a.modulus)
 
 
-def _active_block(a: SquareMatrix) -> tuple[list[int], list[list[int]]]:
-    """The active block of a: the sorted indices S where a differs from the
-    identity, and the dense |S| x |S| block a[S, S].
-
-    S holds every row i other than e_i, with that row's columns.  Outside S,
-    row i and column i are both e_i, so a = a[S, S] (+) I up to the order of
-    the basis: det(a) = det(a[S, S]) and a^-1 = a[S, S]^-1 (+) I.
-    """
+def _active_indices(a: SquareMatrix) -> list[int]:
+    """The sorted indices S where a differs from the identity: every row i
+    other than e_i, with that row's columns.  Outside S, row i and column i
+    are both e_i, so a = a[S, S] (+) I up to the order of the basis."""
     active = set()
     for i, row in enumerate(a.rows):
         if row != ((i, 1),):
             active.add(i)
             for c, _ in row:
                 active.add(c)
-    indices = sorted(active)
+    return sorted(active)
+
+
+def _active_block(a: SquareMatrix) -> tuple[list[int], list[list[int]]]:
+    """The active block of a: the indices S of _active_indices and the
+    dense |S| x |S| block a[S, S].  det(a) = det(a[S, S]) and
+    a^-1 = a[S, S]^-1 (+) I.
+    """
+    indices = _active_indices(a)
     position = dict(zip(indices, range(len(indices))))
     block = []
     for i in indices:
@@ -382,6 +386,12 @@ class MatrixFamily(GroupFamily):
         self.check_element(a)
         self.check_element(b)
         return a == b
+
+    def support(self, a):
+        """The active indices of a (see _active_indices), index i as
+        [i, i + 1)."""
+        self.check_element(a)
+        return 1, runs(_active_indices(a))
 
     def render(self, a):
         return render_matrix(a)

@@ -7,7 +7,7 @@ identical support maps.  Composition is right-to-left function application:
 
 from __future__ import annotations
 
-from .core import FamilyMismatchError, GroupFamily, Record, is_int, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, is_int, runs, trusted
 
 
 class FinPerm(Record):
@@ -94,10 +94,6 @@ def parity(a: FinPerm) -> str:
     return "even" if transpositions % 2 == 0 else "odd"
 
 
-def sign(a: FinPerm) -> int:
-    return 1 if parity(a) == "even" else -1
-
-
 def block_swap(n: int) -> FinPerm:
     """The involution (1, n+1)(2, n+2)...(n, 2n)."""
     if not (is_int(n) and n >= 1):
@@ -139,6 +135,11 @@ class PermFamily(GroupFamily):
         self.check_element(a)
         self.check_element(b)
         return a.mapping == b.mapping
+
+    def support(self, a):
+        """The moved points, point p as [p, p + 1)."""
+        self.check_element(a)
+        return 1, runs(p for p, _ in a.mapping)
 
     def render(self, a):
         return render_cycles(a)

@@ -13,11 +13,10 @@ from ccckit import matrixring as mat
 from ccckit import perm as p
 from ccckit import plhomeo as pl
 from ccckit import wreath as w
-from ccckit.core import (Finite, GeneratorSet, Witness, bounded_products, commutator,
-                         verify_ccc)
+from ccckit.core import Finite, GeneratorSet, Witness, commutator, verify_ccc
 from ccckit.suites import FAMILIES, iet_chain, perm_chain, run_family
 
-from util import random_iet
+from util import bounded_products, random_iet
 
 
 def _verdict(k: int, label: str, ok: bool) -> None:

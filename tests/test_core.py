@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
-                         WitnessModeError, ZMode, bounded_products, commutator, commutes,
+                         WitnessModeError, ZMode, commutator, commutes,
                          conjugate, power_table, record_commutation, verify_ccc, verify_czc)
 import ccckit
 from ccckit import braid as braidmod
@@ -17,6 +17,8 @@ from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit import wreath as wreathmod
 from ccckit.perm import PERM, block_swap, perm_from_cycles, render_cycles
+
+from util import bounded_products, supports_overlap
 
 def _perm_of(images):
     from ccckit.perm import perm_from_mapping
@@ -246,8 +248,8 @@ def reference_czc(H, w, suite="czc"):
 
 
 class CountingFamily(GroupFamily):
-    """Wraps a family, counts its mul and inv calls and lists the values it
-    renders."""
+    """Wraps a family, forwards its supports, counts its mul and inv calls
+    and lists the values it renders."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -272,9 +274,31 @@ class CountingFamily(GroupFamily):
     def eq(self, a, b):
         return self.inner.eq(a, b)
 
+    def support(self, a):
+        return self.inner.support(a)
+
     def render(self, a):
         self.rendered.append(a)
         return self.inner.render(a)
+
+
+def engine_pairs(fam, gens, w):
+    """The (name, a, b) of every commutation record the engine makes, in
+    report order."""
+    if isinstance(w.mode, Finite):
+        n = w.mode.n
+        powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
+    else:
+        powers = [q for q in range(1, w.mode.bound + 1)] + [-q for q in range(1, w.mode.bound + 1)]
+    pairs = []
+    for p in powers:
+        for i, hi in enumerate(gens):
+            for j, hj in enumerate(gens):
+                pairs.append((f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi,
+                              conjugate(fam, fam.power(w.t, p), hj)))
+    if isinstance(w.mode, Finite):
+        pairs += [(f"[h{i + 1}, t^{n}]", hi, fam.power(w.t, n)) for i, hi in enumerate(gens)]
+    return pairs
 
 
 def _matrix_case(modulus):
@@ -350,11 +374,16 @@ def _assert_engine_matches_reference(engine, reference, case):
         n_powers = 2 * w.mode.bound
         records = n_powers * h * h
     table = (top - 1) + (bottom - 1)
-    # each record decides ab = ba with two products; a failing one then
-    # builds the commutator [a, b] = (ab)(ba)^-1, one product and one
+    # a record whose supports are disjoint is certified with no product;
+    # every other one decides ab = ba with two products, and a failing one
+    # then builds the commutator [a, b] = (ab)(ba)^-1, one product and one
     # inversion
+    pairs = engine_pairs(fam, gens, w)
+    assert len(pairs) == records
+    certified = sum(not supports_overlap(fam.support(a), fam.support(b)) for _, a, b in pairs)
     failing = sum(c["status"] == "fail" for c in got["checks"])
-    assert counted.counts["mul"] == table + 2 * n_powers * h + 2 * records + 1 * failing
+    assert counted.counts["mul"] == (table + 2 * n_powers * h + 2 * (records - certified)
+                                     + 1 * failing)
     assert counted.counts["inv"] == 1 + 1 * failing
     # the reference renders every check's value; the engine each distinct value once
     assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
@@ -377,6 +406,22 @@ def test_passing_matrix_battery_renders_the_identity_once(label):
     assert len(report.checks) == 2 * (w.mode.n - 1) * len(gens) ** 2 + len(gens)
     assert counted.rendered == [fam.identity()]
     assert report.to_dict() == reference_ccc(GeneratorSet(fam, gens), w).to_dict()
+
+
+@pytest.mark.parametrize("label", ["perm", "matrix-Z", "matrix-Z/5"])
+def test_passing_battery_certifies_every_record(label):
+    """On a passing perm or matrix battery the witness moves each h_j off
+    block 1, and t^2 = e moves nothing, so every record, each
+    [h_i, ^(t^p) h_j] among them, is certified by disjoint supports: the
+    engine's only products are the power table's and the conjugates'."""
+    fam, gens, w = CCC_CASES[label]()
+    counted = CountingFamily(fam)
+    report = verify_ccc(GeneratorSet(counted, gens), w)
+    assert report.passed
+    assert not any(supports_overlap(fam.support(a), fam.support(b))
+                   for _, a, b in engine_pairs(fam, gens, w))
+    n = w.mode.n
+    assert counted.counts == Counter(mul=(n - 1) + (n - 2) + 2 * 2 * (n - 1) * len(gens), inv=1)
 
 
 @pytest.mark.parametrize("label", sorted(CZC_CASES))

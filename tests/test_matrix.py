@@ -10,7 +10,7 @@ from ccckit import matrixring as m
 from ccckit import perm as p
 from ccckit.core import GeneratorSet, verify_ccc
 
-from util import revalidates
+from util import revalidates, sign
 
 
 def leibniz_det(a: m.SquareMatrix) -> int:
@@ -238,7 +238,7 @@ def test_det_oracles():
 def test_perm_matrix_det_is_sign():
     for cycles in ([[1, 2]], [[1, 2, 3]], [[1, 2], [3, 4]], [[1, 4, 2, 3]]):
         sigma = p.perm_from_cycles(cycles)
-        assert m.det(m.perm_to_matrix(sigma, 4)) == p.sign(sigma)
+        assert m.det(m.perm_to_matrix(sigma, 4)) == sign(sigma)
 
 
 def test_perm_matrix_is_a_homomorphism():

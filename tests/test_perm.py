@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ccckit import perm as p
 
-from util import random_perm
+from util import random_perm, sign
 
 
 def _perm_of(images):
@@ -57,7 +57,7 @@ def test_inverse_and_composition(a, b):
 
 @given(perm_st, perm_st)
 def test_sign_is_multiplicative(a, b):
-    assert p.sign(p.compose(a, b)) == p.sign(a) * p.sign(b)
+    assert sign(p.compose(a, b)) == sign(a) * sign(b)
 
 
 def test_parity_oracles():

@@ -1,0 +1,179 @@
+"""Soundness of GroupFamily.support, the basis of the engine's commutation
+certificates, with the product verdict ab = ba as the slow oracle.
+
+The elements are Hypothesis products of each stable battery's generators
+and witness, for the families that give supports: perm, the matrix
+families over Z and Z/5, aut-free and iet.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ccckit import cli
+from ccckit import freegroup as fg
+from ccckit import iet as ietmod
+from ccckit import matrixring as mat
+from ccckit import perm as permmod
+from ccckit import suites
+from ccckit.core import GroupFamily, _disjoint, conjugate, runs
+
+from util import supports_overlap
+
+SUPPORT_FAMILIES = ("perm", "gl", "sl", "e", "sp", "onn", "aut-free", "iet")
+
+
+def _cases():
+    for family in SUPPORT_FAMILIES:
+        stable = suites.STABLE[family]
+        for size in (2, 3):
+            for ring in stable.rings:
+                yield pytest.param(family, size, ring, id=f"{family}-{size}-{ring}")
+
+
+def _battery(family, size, ring):
+    """(ambient family, the witness t, the generators and t with their
+    inverses) of one pass of the family's stable battery."""
+    stable = suites.STABLE[family]
+    ambient, t = stable.level(size, ring)
+    letters = tuple(stable.embed(g, ambient) for g in stable.generators(size, ring)) + (t,)
+    return ambient, t, letters + tuple(ambient.inv(x) for x in letters)
+
+
+def _inside(support):
+    den, intervals = support
+    return lambda x: any(Fraction(lo, den) <= x < Fraction(hi, den) for lo, hi in intervals)
+
+
+def assert_identity_off_support(fam, a):
+    """a is the identity off fam.support(a) and maps the support into
+    itself, checked on the element's own data."""
+    support = fam.support(a)
+    den, intervals = support
+    assert den >= 1
+    assert all(lo < hi for lo, hi in intervals)
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
+    inside = _inside(support)
+    if isinstance(a, permmod.FinPerm):
+        for x in range(1, max(a.support, default=0) + 3):
+            assert inside(a(x)) if inside(x) else a(x) == x
+    elif isinstance(a, mat.SquareMatrix):
+        dense = a.entries
+        for i in range(a.size):
+            if not inside(i):
+                unit = tuple(int(k == i) for k in range(a.size))
+                assert dense[i] == unit
+                assert tuple(row[i] for row in dense) == unit
+    elif isinstance(a, fg.FreeAutomorphism):
+        for i, w in enumerate(a.images, start=1):
+            if inside(i):
+                assert all(inside(abs(x)) for x in w.letters)
+            else:
+                assert w.letters == (i,)
+    else:
+        assert isinstance(a, ietmod.IetMap)
+        for k in range(4 * a.cuts[-1] + 8):
+            x = Fraction(k, 4 * a.den)
+            assert inside(ietmod.apply(a, x)) if inside(x) else ietmod.apply(a, x) == x
+
+
+@pytest.mark.parametrize("family, size, ring", _cases())
+def test_element_is_the_identity_off_its_support(family, size, ring):
+    fam, _, alphabet = _battery(family, size, ring)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(alphabet), max_size=5))
+    def check(u):
+        assert_identity_off_support(fam, fam.product(u))
+
+    check()
+
+
+@pytest.mark.parametrize("family, size, ring", _cases())
+def test_disjoint_supports_commute(family, size, ring):
+    """_disjoint(support(a), support(b)) implies ab = ba.  b is a product
+    or its conjugate by the witness, so that disjoint pairs occur; the
+    examples are derandomized, and some of them must be disjoint."""
+    fam, t, alphabet = _battery(family, size, ring)
+    words = st.lists(st.sampled_from(alphabet), max_size=4)
+    disjoint = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(words, words, st.booleans())
+    def check(u, v, moved):
+        a, b = fam.product(u), fam.product(v)
+        if moved:
+            b = conjugate(fam, t, b)
+        if _disjoint(fam.support(a), fam.support(b)):
+            disjoint.append((a, b))
+            assert fam.eq(fam.mul(a, b), fam.mul(b, a))
+
+    check()
+    assert disjoint
+
+
+supports = st.tuples(
+    st.integers(1, 6),
+    st.lists(st.integers(0, 40), unique=True, max_size=8).map(
+        lambda cuts: tuple(zip(sorted(cuts)[::2], sorted(cuts)[1::2]))))
+
+
+@given(supports, supports)
+def test_disjoint_agrees_with_fractions(sa, sb):
+    assert _disjoint(sa, sb) == (not supports_overlap(sa, sb)) == _disjoint(sb, sa)
+    assert not _disjoint(None, sb) and not _disjoint(sa, None)
+
+
+@given(st.sets(st.integers(-20, 20)))
+def test_runs_cover_exactly_the_indices(indices):
+    intervals = runs(sorted(indices))
+    assert {i for lo, hi in intervals for i in range(lo, hi)} == indices
+    # maximal: consecutive runs do not touch
+    assert all(hi < lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Reports do not depend on supports
+
+
+def _runs(family):
+    """(size, seed) of each run_family call: sizes from the lowest to 6, pl
+    at sizes 1-4, and wreath-tower and closure at their defaults with seeds
+    0, 1 and 7."""
+    if family in ("wreath-tower", "closure"):
+        return [(None, seed) for seed in (0, 1, 7)]
+    low = suites.FAMILIES[family].params["size"][1]
+    return [(size, 0) for size in range(low, 5 if family == "pl" else 7)]
+
+
+def _family_classes():
+    out, todo = [GroupFamily], [GroupFamily]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            out.append(sub)
+            todo.append(sub)
+    return out
+
+
+def _report_bytes(family):
+    return [cli.render_json(suites.run_family(family, seed=seed,
+                                              **({} if size is None else {"size": size})))
+            for size, seed in _runs(family)]
+
+
+@pytest.mark.parametrize("family", sorted(suites.FAMILIES))
+def test_reports_do_not_depend_on_supports(family, monkeypatch):
+    """With every family's support unknown, every pass is decided as
+    ab = ba; the report bytes are those of the run with certificates."""
+    certified = _report_bytes(family)
+    consulted = []
+
+    def unknown(self, a):
+        consulted.append(a)
+        return None
+
+    for cls in _family_classes():
+        monkeypatch.setattr(cls, "support", unknown)
+    assert _report_bytes(family) == certified
+    assert consulted

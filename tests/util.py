@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random elements per family."""
+"""Shared helpers for the test suite: seeded random elements per family,
+and brute-force oracles that only tests call."""
 
 import random
 from fractions import Fraction
@@ -13,6 +14,41 @@ def revalidates(x) -> bool:
     instance from x's fields through the public constructor, so it raises
     on any broken invariant."""
     return replace(x) == x
+
+
+def sign(a: permmod.FinPerm) -> int:
+    """The sign of a permutation, +1 for even and -1 for odd."""
+    return 1 if permmod.parity(a) == "even" else -1
+
+
+def bounded_products(family, gens, max_len: int) -> list:
+    """All products of the generators and their inverses of word length at
+    most max_len, deduplicated by family equality.  Brute-force oracle
+    material; keep the inputs small."""
+    alphabet = list(gens) + [family.inv(g) for g in gens]
+    seen = [family.identity()]
+    frontier = [family.identity()]
+    for _ in range(max_len):
+        new_frontier = []
+        for u in frontier:
+            for g in alphabet:
+                v = family.mul(u, g)
+                if not any(family.eq(v, w) for w in seen):
+                    seen.append(v)
+                    new_frontier.append(v)
+        frontier = new_frontier
+    return seen
+
+
+def supports_overlap(sa, sb) -> bool:
+    """Whether two supports (see GroupFamily.support) may meet: True when
+    either is None, else whether two of their intervals share a point,
+    compared as Fractions pair by pair.  The oracle for core._disjoint."""
+    if sa is None or sb is None:
+        return True
+    (da, xs), (db, ys) = sa, sb
+    return any(max(Fraction(a, da), Fraction(c, db)) < min(Fraction(b, da), Fraction(d, db))
+               for a, b in xs for c, d in ys)
 
 
 def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
