@@ -1,4 +1,4 @@
-"""Golden reports: the JSON report of a battery, byte for byte.
+"""Golden reports: the JSON or text report of a battery, byte for byte.
 
 Each digest is the sha256 of the bytes ``ccckit run --family F --size S
 --seed 0 --format json`` writes.  The size-6 matrix digests were taken
@@ -22,7 +22,11 @@ stable-family digests (``perm`` at the odd size 3, ``aut-free`` at size 1,
 where H is the inversion of x1, ``iet`` at sizes 1 and 3, whose block
 lengths 1/2 and 3/2 print as fractions, and ``braid`` at size 6) were
 taken from the code before the perm, matrix, braid, aut-free and iet
-batteries became one ``suites.stable_battery``.  A
+batteries became one ``suites.stable_battery``.  The text digests, of
+the bytes ``--format text`` writes for ``perm``, ``sl`` and ``braid`` at
+size 3 and ``pl`` and ``wreath-tower`` at their defaults, were taken from
+the code before check records became the report's own dicts and the
+render memo moved onto ``VerificationReport``.  A
 kernel or engine change that alters any check, rendering or verdict shows
 up here.
 """
@@ -118,10 +122,19 @@ RATIONAL_DIGESTS = {
         "443925b51e1a39bca1856d4f68cbf66d819899cd0ef039cdb8d5c3f4b38f018b",
 }
 
+# (family, size) -> digest of the text report.
+TEXT_DIGESTS = {
+    ("perm", 3): "16fd82bda543254e33fe3a055b4e216b996559598ad033a640239866512a4055",
+    ("sl", 3): "659e7b0a32198e927a2962396a0cf57b4686dc4cc6dafd7b25e81f19c66684f2",
+    ("braid", 3): "60164e98a2445136a5a0e801cebea96e1e3eba5b14ec55e6a7121a5368f85bee",
+    ("pl", None): "79891769d503873bd8c87b3c69db93e099e54c212b5abf82faba48dd4f02a23f",
+    ("wreath-tower", None): "801c1350ec59f4c33d52ec7b9568728c3c7a644b7219b7a7f2b44571ad8ab278",
+}
 
-def _report_digest(tmp_path, family, size, extra=(), seed=0):
-    out = tmp_path / "report.json"
-    args = ["run", "--family", family, "--seed", str(seed), "--format", "json",
+
+def _report_digest(tmp_path, family, size, extra=(), seed=0, fmt="json"):
+    out = tmp_path / "report.out"
+    args = ["run", "--family", family, "--seed", str(seed), "--format", fmt,
             "--out", str(out), *extra]
     if size is not None:
         args += ["--size", str(size)]
@@ -158,3 +171,8 @@ def test_stable_report_is_golden(family, size, tmp_path):
 def test_rational_report_is_golden(family, extra, seed, tmp_path):
     assert (_report_digest(tmp_path, family, None, extra, seed)
             == RATIONAL_DIGESTS[(family, extra, seed)])
+
+
+@pytest.mark.parametrize("family,size", sorted(TEXT_DIGESTS, key=str))
+def test_text_report_is_golden(family, size, tmp_path):
+    assert _report_digest(tmp_path, family, size, fmt="text") == TEXT_DIGESTS[(family, size)]
