@@ -2,7 +2,7 @@
 group families (permutations, matrices, braids, free group automorphisms,
 interval exchanges, piecewise linear maps, wreath towers)."""
 
-from .core import (CcckitError, CheckRecord, FamilyMismatchError, Finite,
+from .core import (CcckitError, FamilyMismatchError, Finite,
                    GeneratorSet, GroupFamily, VerificationReport, Witness,
                    WitnessModeError, ZMode, commutator, commutes, conjugate,
                    verify_ccc, verify_czc)
@@ -11,7 +11,7 @@ from .suites import FAMILIES, run_family
 __version__ = "0.1.0"
 
 __all__ = [
-    "CcckitError", "CheckRecord", "FamilyMismatchError", "Finite",
+    "CcckitError", "FamilyMismatchError", "Finite",
     "GeneratorSet", "GroupFamily", "VerificationReport", "Witness",
     "WitnessModeError", "ZMode", "commutator",
     "commutes", "conjugate", "verify_ccc", "verify_czc", "FAMILIES", "run_family",

@@ -31,7 +31,7 @@ def is_int(x: object) -> bool:
 
 
 class Record:
-    """Base of the immutable value types: elements, witnesses, check records.
+    """Base of the immutable value types, such as elements and witnesses.
 
     A subclass declares its fields once, as the parameters of its
     ``__init__``, which stores them in that order in the instance
@@ -273,67 +273,56 @@ class GeneratorSet(Record):
 # Reports
 
 
-class CheckRecord(Record):
-    def __init__(self, name: str, status: str, lhs: str, rhs: str, detail: str = ""):
-        # status is "pass" or "fail"
-        self.__dict__.update(name=name, status=status, lhs=lhs, rhs=rhs, detail=detail)
-        self.__post_init__()
-
-
 class VerificationReport:
-    """The checks of one suite in order, whether they are bounded, and the
-    first failure."""
+    """The checks of one suite in order, whether they are bounded, the
+    first failure, and the texts of the values its checks show.
+
+    A check is the dict the report writers read: its name, its status
+    ("pass" or "fail"), lhs, rhs and detail, each a str."""
 
     def __init__(self, suite: str, bounded: bool = False):
         self.suite = suite
-        self.checks: list[CheckRecord] = []
+        self.checks: list[dict] = []
         self.bounded = bounded
         self.counterexample: str | None = None
+        self._texts: dict = {}  # (family, value) -> family.render(value)
 
     @property
     def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
+        return all(c["status"] == "pass" for c in self.checks)
 
     def record(self, name: str, ok: bool, lhs: str, rhs: str, detail: str = "") -> None:
-        self.checks.append(CheckRecord(name, "pass" if ok else "fail", lhs, rhs, detail))
+        self.checks.append({"name": name, "status": "pass" if ok else "fail",
+                            "lhs": lhs, "rhs": rhs, "detail": detail})
         if not ok and self.counterexample is None:
             self.counterexample = f"{name}: {lhs} != {rhs}"
 
     def extend(self, other: "VerificationReport", prefix: str = "") -> None:
-        """Append other's checks with prefix added to each name and to the
-        counterexample.  Records are copied, not re-recorded."""
-        self.checks.extend(CheckRecord(prefix + c.name, c.status, c.lhs, c.rhs, c.detail)
-                           for c in other.checks)
+        """Append copies of other's checks with prefix added to each name
+        and to the counterexample; other's checks stay as they are."""
+        self.checks.extend({**c, "name": prefix + c["name"]} for c in other.checks)
         self.bounded = self.bounded or other.bounded
         if self.counterexample is None and other.counterexample is not None:
             self.counterexample = prefix + other.counterexample
 
+    def text(self, family: GroupFamily, value: object = None) -> str:
+        """family.render(value), rendered once per report and (family,
+        value): values hash, and equal values render alike, as GroupFamily
+        requires.  With no value it is the identity's text, kept under
+        (family, None), so reading it hashes no element."""
+        key = (family, value)
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = family.render(family.identity() if value is None else value)
+        return text
+
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [
-                {"name": c.name, "status": c.status, "lhs": c.lhs, "rhs": c.rhs, "detail": c.detail}
-                for c in self.checks
-            ],
-            "bounded": self.bounded,
-            "counterexample": self.counterexample,
-        }
+        return {"suite": self.suite, "checks": self.checks, "bounded": self.bounded,
+                "counterexample": self.counterexample}
 
 
 # ---------------------------------------------------------------------------
 # Verification engine
-
-
-def render_once(family: GroupFamily, rendered: dict, value: object) -> str:
-    """family.render(value), through the memo rendered, which maps each
-    value already rendered to its text.  A memo lives for one call of its
-    owner, so a value that recurs there (the identity, on a passing
-    battery) is rendered once; values hash, and equal values render alike,
-    as GroupFamily requires."""
-    text = rendered.get(value)
-    if text is None:
-        text = rendered[value] = family.render(value)
-    return text
 
 
 def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
@@ -350,37 +339,30 @@ def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
     return table
 
 
-_PASS = object()  # the key of the identity's text in a render memo
-
-
-def record_commutation(family: GroupFamily, report: VerificationReport, rendered: dict,
-                       name: str, a: object, b: object, detail: str = "",
+def record_commutation(family: GroupFamily, report: VerificationReport, name: str,
+                       a: object, b: object, detail: str = "",
                        supports: tuple | None = None) -> None:
     """Record [a, b] = e, decided as in commutes.
 
     supports is (support(a), support(b)); they are looked up here when the
     caller passes None.  When they are disjoint, the pass is certified with
     no product and no eq.  Otherwise the record decides ab = ba.  A passing
-    record shows the identity's text, rendered once per render memo and
-    kept there under _PASS, so a record reads it without hashing the
-    identity.  A failing record shows the commutator [a, b] = (a b)(b a)^-1,
+    record shows the identity's text, report.text(family), which hashes no
+    element.  A failing record shows the commutator [a, b] = (a b)(b a)^-1,
     built from the two products already formed with one more product and
-    one inversion, and rendered through the memo (see render_once)."""
+    one inversion, and rendered through report.text."""
     sa, sb = supports or (family.support(a), family.support(b))
     if not _disjoint(sa, sb):
         ab, ba = family.mul(a, b), family.mul(b, a)
         if not family.eq(ab, ba):
             value = family.mul(ab, family.inv(ba))
-            report.record(name, False, render_once(family, rendered, value), "e", detail)
+            report.record(name, False, report.text(family, value), "e", detail)
             return
-    text = rendered.get(_PASS)
-    if text is None:
-        text = rendered[_PASS] = render_once(family, rendered, family.identity())
-    report.record(name, True, text, "e", detail)
+    report.record(name, True, report.text(family), "e", detail)
 
 
 def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
-                           powers: Sequence[int], report: VerificationReport, rendered: dict,
+                           powers: Sequence[int], report: VerificationReport,
                            detail: str = "") -> list:
     """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair,
     and return the supports of the h_i.
@@ -389,7 +371,7 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
     it.  Each h_i's support is found once per call, and each conjugate
     ^(t^p) h_j is built, and its support found, once per (p, j); each pair
     is then certified by disjoint supports or costs two products (see
-    record_commutation).  rendered is the call's render memo.
+    record_commutation).
     """
     if not hs:
         raise ValueError("empty generator set: nothing to check")
@@ -400,8 +382,8 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
         conj_supports = [fam.support(c) for c in conjs]
         for i, (hi, si) in enumerate(zip(hs, h_supports)):
             for j, (conj, sc) in enumerate(zip(conjs, conj_supports)):
-                record_commutation(fam, report, rendered, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi,
-                                   conj, detail, supports=(si, sc))
+                record_commutation(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi, conj,
+                                   detail, supports=(si, sc))
     return h_supports
 
 
@@ -423,11 +405,10 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationR
     report = VerificationReport(suite)
     powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
     tp_cache = power_table(fam, w.t, n, n - 1)
-    rendered: dict = {}
-    h_supports = _conjugate_commutators(fam, H.elements, tp_cache, powers, report, rendered)
+    h_supports = _conjugate_commutators(fam, H.elements, tp_cache, powers, report)
     tn_support = fam.support(tp_cache[n])
     for i, (hi, si) in enumerate(zip(H.elements, h_supports)):
-        record_commutation(fam, report, rendered, f"[h{i + 1}, t^{n}]", hi, tp_cache[n],
+        record_commutation(fam, report, f"[h{i + 1}, t^{n}]", hi, tp_cache[n],
                            supports=(si, tn_support))
     return report
 
@@ -447,6 +428,6 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     report = VerificationReport(suite, bounded=True)
     powers = [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]
     tp_cache = power_table(fam, w.t, P, P)
-    _conjugate_commutators(fam, H.elements, tp_cache, powers, report, {},
+    _conjugate_commutators(fam, H.elements, tp_cache, powers, report,
                            detail=f"bounded check, |p| <= {P}")
     return report

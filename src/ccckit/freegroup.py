@@ -37,8 +37,7 @@ class FreeWord(Record):
 
     def __post_init__(self):
         rank, letters = self.rank, self.letters
-        if not (is_int(rank) and rank >= 0):
-            raise ValueError(f"need an int rank >= 0, got {rank!r}")
+        _check_rank(rank)
         if not isinstance(letters, tuple):
             raise ValueError(f"letters must be a tuple, got {letters!r}")
         for x in letters:
@@ -84,8 +83,7 @@ class FreeAutomorphism(Record):
 
     def __post_init__(self):
         rank = self.rank
-        if not (is_int(rank) and rank >= 0):
-            raise ValueError(f"need an int rank >= 0, got {rank!r}")
+        _check_rank(rank)
         for images in (self.images, self.inverse_images):
             if not isinstance(images, tuple) or len(images) != rank:
                 raise ValueError(f"need a tuple of one image per generator, got {images!r}")

@@ -470,11 +470,11 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
 
     Verdicts (b) and (c) depend on the sample only through its image, so
     each is decided once per distinct f(a), resp. f(b).  In the same way
-    the product f(u)f(v) is taken once per distinct pair (f(u), f(v)), and
-    each distinct image and sample is rendered once.  These memos are dicts
-    local to the call keyed by the values, so they need images to hash,
-    with ``==`` implying group equality, and equal values to render alike,
-    as the shipped families' normal forms do.  f(uv) is always evaluated on
+    the product f(u)f(v) is taken once per distinct pair (f(u), f(v)).
+    These memos are dicts local to the call keyed by the values, so they
+    need images to hash, with ``==`` implying group equality, as the
+    shipped families' normal forms do.  Each distinct image and sample is
+    rendered once, through report.text.  f(uv) is always evaluated on
     the tower product uv, never read off f(u)f(v), and every sample still
     gets its own record."""
     rng = random.Random(seed)
@@ -482,8 +482,6 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
     tower = f.tower
     a_fam = tower.family
     report = VerificationReport("tower-hom", bounded=True)
-    texts: dict = {}  # target value -> its rendering
-    sample_texts: dict = {}  # tower sample -> its rendering
     products: dict = {}  # (f(u), f(v)) -> f(u)f(v)
 
     for k in range(sample_size):
@@ -494,7 +492,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         if rhs is None:
             rhs = products[images] = fam.mul(*images)
         report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
-                      core.render_once(fam, texts, lhs), core.render_once(fam, texts, rhs))
+                      report.text(fam, lhs), report.text(fam, rhs))
 
     verdicts_i: dict[object, bool] = {}
     found = 0
@@ -511,7 +509,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         ok = verdicts_i[fa]
         report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{found}]", ok,
                       "all generator commutators", "e",
-                      detail=f"a = {core.render_once(a_fam, sample_texts, a)}")
+                      detail=f"a = {report.text(a_fam, a)}")
         found += 1
     if found < sample_size:
         report.record("(i) enough non-member samples", False,
@@ -526,7 +524,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
         ok = verdicts_ii[fb]
         report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", ok,
                       "all generator commutators", "e",
-                      detail=f"b = {core.render_once(a_fam, sample_texts, b)}")
+                      detail=f"b = {report.text(a_fam, b)}")
     return report
 
 
@@ -587,11 +585,9 @@ def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,
         u = ext.wreath.element(pairs)
         if fam.is_identity(ext(u)):
             kernel.append(u)
-    rendered: dict = {}
     for i, g in enumerate(kernel):
         for j, h in enumerate(kernel[:i]):
-            core.record_commutation(ext.wreath, report, rendered,
-                                    f"kernel pair ({j}, {i}) commutes", g, h)
+            core.record_commutation(ext.wreath, report, f"kernel pair ({j}, {i}) commutes", g, h)
     report.record("kernel samples found", True, str(len(kernel)), ">= 0",
                   detail="vacuous: no kernel pairs sampled" if len(kernel) < 2 else
                   f"{len(kernel)} base-only kernel elements")
@@ -612,10 +608,9 @@ def closure_system_witness(H: GeneratorSet) -> VerificationReport:
     x2 = w.mul(x, x)
     embedded = [w.element([(0, g)]) for g in H.elements]
     report = VerificationReport("closure-system")
-    rendered: dict = {}
     for i, gi in enumerate(embedded):
         for j, gj in enumerate(embedded):
-            core.record_commutation(w, report, rendered, f"[g{i + 1}, ^x g{j + 1}]", gi,
+            core.record_commutation(w, report, f"[g{i + 1}, ^x g{j + 1}]", gi,
                                     conjugate(w, x, gj))
-        core.record_commutation(w, report, rendered, f"[g{i + 1}, x^2]", gi, x2)
+        core.record_commutation(w, report, f"[g{i + 1}, x^2]", gi, x2)
     return report

@@ -136,8 +136,8 @@ def test_acceptance_7_pl_dual_verification():
         witness = pl.displacement_witness(a, b, bound=6)
         report = pl.verify_displaced_supports(H, witness.t, 6)
         ok = ok and report.passed
-        agree = [c for c in report.checks if "agree" in c.name]
-        ok = ok and agree and agree[0].status == "pass"
+        agree = [c for c in report.checks if "agree" in c["name"]]
+        ok = ok and agree and agree[0]["status"] == "pass"
         ok = ok and all(pl.displacement_escalates(witness.t, a, b, 6))
     _verdict(7, "10 PL instances: algebraic/geometric agreement and escalation", ok)
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, 
                          conjugate, power_table, record_commutation, verify_ccc, verify_czc)
 import ccckit
 from ccckit import braid as braidmod
+from ccckit import cli
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import matrixring as mat
@@ -165,7 +167,7 @@ def test_verify_czc_is_labeled_bounded():
     report = verify_czc(H, t)
     assert report.passed
     assert report.bounded
-    assert all("bounded" in c.detail for c in report.checks)
+    assert all("bounded" in c["detail"] for c in report.checks)
 
 
 def test_mode_validation():
@@ -195,15 +197,84 @@ def test_extend_prefixes_names_and_counterexample():
     part.record("a", True, "e", "e")
     part.record("b", False, "x", "e", "why")
     report.extend(part, prefix="lvl: ")
-    assert [c.name for c in report.checks] == ["own", "lvl: a", "lvl: b"]
-    assert report.checks[2].status == "fail" and report.checks[2].detail == "why"
+    assert [c["name"] for c in report.checks] == ["own", "lvl: a", "lvl: b"]
+    assert report.checks[2]["status"] == "fail" and report.checks[2]["detail"] == "why"
     assert report.counterexample == "lvl: b: x != e"
     assert report.bounded
-    assert [c.name for c in part.checks] == ["a", "b"]
+    assert [c["name"] for c in part.checks] == ["a", "b"]
     # the first counterexample wins; an unprefixed extend copies as is
     report.extend(part)
-    assert report.checks[-1].name == "b"
+    assert report.checks[-1]["name"] == "b"
     assert report.counterexample == "lvl: b: x != e"
+    # the checks are mutable dicts: extend copies them, with or without a prefix
+    for c in report.checks:
+        c["name"] = c["lhs"] = "changed"
+    assert part.checks == [
+        {"name": "a", "status": "pass", "lhs": "e", "rhs": "e", "detail": ""},
+        {"name": "b", "status": "fail", "lhs": "x", "rhs": "e", "detail": "why"},
+    ]
+
+
+def test_report_checks_have_the_keys_the_json_writer_lays_out():
+    written = set(re.findall(r'"(\w+)": %s', cli._CHECK_JSON))
+    assert len(written) == 5
+    for label in ("perm", "perm-failing"):
+        fam, gens, w = CCC_CASES[label]()
+        report = verify_ccc(GeneratorSet(fam, gens), w)
+        assert report.to_dict()["checks"] is report.checks
+        assert all(set(c) == written for c in report.checks)
+
+
+class HashCounted(int):
+    """An int that counts how often an instance is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        HashCounted.hashes += 1
+        return int.__hash__(self)
+
+
+class ShownZ4(GroupFamily):
+    """Z/4 with the identity a HashCounted 0; a value renders as prefix +
+    its residue, and the family lists the values it renders."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+        self.rendered = []
+
+    def identity(self):
+        return HashCounted(0)
+
+    def mul(self, a, b):
+        return (a + b) % 4
+
+    def inv(self, a):
+        return -a % 4
+
+    def eq(self, a, b):
+        return a == b
+
+    def render(self, a):
+        self.rendered.append(a)
+        return f"{self.prefix}{a}"
+
+
+def test_report_text_renders_each_family_and_value_once():
+    x, y = ShownZ4("x"), ShownZ4("y")
+    report = VerificationReport("texts")
+    assert ([report.text(x, 1), report.text(y, 1), report.text(x, 1), report.text(y, 2),
+             report.text(y, 1)] == ["x1", "y1", "x1", "y2", "y1"])
+    assert x.rendered == [1] and y.rendered == [1, 2]
+    # the memo is the report's: a new report renders afresh
+    assert VerificationReport("other").text(x, 1) == "x1" and x.rendered == [1, 1]
+    HashCounted.hashes = 0
+    for a, b in [(1, 2), (3, 3), (0, 1)]:
+        record_commutation(x, report, "[a, b]", a, b)
+        record_commutation(y, report, "[a, b]", a, b)
+    assert [c["lhs"] for c in report.checks] == ["x0", "y0"] * 3
+    assert x.rendered == [1, 1, 0] and y.rendered == [1, 2, 0]
+    assert HashCounted.hashes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +558,9 @@ def test_commutes_agrees_with_the_commutator(family):
             ok = commutes(fam, a, b)
             assert ok == fam.is_identity(c)
             report = VerificationReport("oracle")
-            record_commutation(fam, report, {}, "[a, b]", a, b)
-            assert report.checks[0].status == ("pass" if ok else "fail")
-            assert report.checks[0].lhs == fam.render(fam.identity() if ok else c)
+            record_commutation(fam, report, "[a, b]", a, b)
+            assert report.checks[0]["status"] == ("pass" if ok else "fail")
+            assert report.checks[0]["lhs"] == fam.render(fam.identity() if ok else c)
             verdicts.add(ok)
 
         check()

@@ -108,8 +108,8 @@ def test_verify_displaced_supports_agreement():
     w = pl.displacement_witness(a, b, bound=5)
     report = pl.verify_displaced_supports(H, w.t, 5)
     assert report.passed and report.bounded
-    agree = [c for c in report.checks if "agree" in c.name]
-    assert len(agree) == 1 and agree[0].status == "pass"
+    agree = [c for c in report.checks if "agree" in c["name"]]
+    assert len(agree) == 1 and agree[0]["status"] == "pass"
 
 
 def test_verify_displaced_supports_detects_bad_witness():
@@ -119,8 +119,8 @@ def test_verify_displaced_supports_detects_bad_witness():
     report = pl.verify_displaced_supports(H, weak, 4)
     assert not report.passed
     # the two methods still agree on the verdict
-    agree = [c for c in report.checks if "agree" in c.name]
-    assert agree[0].status == "pass"
+    agree = [c for c in report.checks if "agree" in c["name"]]
+    assert agree[0]["status"] == "pass"
 
 
 def test_displacement_escalates():

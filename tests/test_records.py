@@ -1,4 +1,4 @@
-"""The record contract shared by every element, witness and report type,
+"""The record contract shared by every element, witness and battery type,
 and the cost of importing the command line interface.
 
 ``core.Record`` replaces generated dataclass code: each type declares its
@@ -6,7 +6,8 @@ fields once, in its ``__init__`` signature.  These tests pin what the
 dataclass version gave: equality by class and fields, the hash of the
 field tuple, the ``Name(field=value, ...)`` repr, frozen fields, keyword
 construction with defaults, and ``replace`` through the validating
-constructor.
+constructor.  A report's checks are plain dicts, not records (see
+test_core).
 """
 
 import os
@@ -23,7 +24,7 @@ from ccckit import matrixring as mat
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit import wreath as w
-from ccckit.core import (CheckRecord, Finite, GeneratorSet, Record, Witness, ZMode,
+from ccckit.core import (Finite, GeneratorSet, Record, Witness, ZMode,
                          WitnessModeError, replace, trusted)
 from ccckit.perm import IDENTITY, PERM, FinPerm, block_swap
 
@@ -37,8 +38,6 @@ RECORDS = [
      "Witness(t=FinPerm(mapping=((1, 2), (2, 1))), mode=Finite(n=2))"),
     (GeneratorSet(PERM, (IDENTITY,)), ("family", "elements"),
      f"GeneratorSet(family={PERM!r}, elements=(FinPerm(mapping=()),))"),
-    (CheckRecord("a", "pass", "x", "e"), ("name", "status", "lhs", "rhs", "detail"),
-     "CheckRecord(name='a', status='pass', lhs='x', rhs='e', detail='')"),
     (fg.word(2, (1, -2)), ("rank", "letters"), "FreeWord(rank=2, letters=(1, -2))"),
     (fg.identity_aut(1), ("rank", "images", "inverse_images"),
      "FreeAutomorphism(rank=1, images=(FreeWord(rank=1, letters=(1,)),), "
@@ -86,7 +85,7 @@ def test_every_record_type_is_covered():
                 declared.add(sub)
             todo.append(sub)
     assert covered == declared
-    assert len(covered) == 17  # and VerificationReport, a plain mutable class
+    assert len(covered) == 16  # and VerificationReport, a plain mutable class
 
 
 @pytest.mark.parametrize("x, fields, text", RECORDS, ids=IDS)
@@ -173,8 +172,6 @@ def test_replace_changes_fields_and_validates_them():
 
 def test_keyword_construction_and_defaults():
     assert ZMode() == ZMode(8) == ZMode(bound=8)
-    assert CheckRecord("a", "pass", "x", "e", detail="x").detail == "x"
-    assert CheckRecord(name="a", status="fail", lhs="x", rhs="e").detail == ""
     assert GeneratorSet(PERM).elements == ()
     assert mat.SquareMatrix(size=1, rows=(((0, 1),),)).modulus is None
     assert FinPerm(mapping=()) == IDENTITY

@@ -96,7 +96,7 @@ def test_a_broken_witness_fails_the_engine(family):
     its broken witness is block_exchange(L/3), which moves a third of the
     block L onto the rest of it."""
     stable = STABLE[family]
-    assert all(c.status == "pass" for c in stable_battery(stable, 3, 0).checks)
+    assert all(c["status"] == "pass" for c in stable_battery(stable, 3, 0).checks)
 
     def broken(n, ring):
         ambient, _ = stable.level(n, ring)
@@ -106,8 +106,8 @@ def test_a_broken_witness_fails_the_engine(family):
 
     for ring in stable.rings:
         report = stable_battery(replace(stable, level=broken, rings=(ring,)), 3, 0)
-        engine = [c for c in report.checks if c.name.startswith("[")]
-        assert engine and any(c.status == "fail" for c in engine), ring
+        engine = [c for c in report.checks if c["name"].startswith("[")]
+        assert engine and any(c["status"] == "fail" for c in engine), ring
 
 
 PHI = fg.nielsen_aut(2, 1, 2)

@@ -229,9 +229,9 @@ def test_chain_failing_at_level_2():
                            (p.block_swap(4), p.perm_from_cycles([[3, 4]])), (2, 2))
     report = w.validate_chain(chain)
     assert not report.passed
-    failing = [c.name for c in report.checks if c.status == "fail"]
+    failing = [c["name"] for c in report.checks if c["status"] == "fail"]
     assert failing and all(name.startswith("level 2: ") for name in failing)
-    assert any(c.name.startswith("level 1: ") for c in report.checks)
+    assert any(c["name"].startswith("level 1: ") for c in report.checks)
     assert report.counterexample.startswith("level 2: ")
     with pytest.raises(w.ChainInvariantError) as excinfo:
         w.TowerHom(chain)
@@ -534,7 +534,7 @@ def test_kernel_base_commutes_engineered_instance():
     assert ext.wreath.is_identity(commutator(ext.wreath, u, v))
     report = w.kernel_base_commutes(ext, sample_size=40, seed=5)
     assert report.passed
-    found = int(report.checks[-1].lhs)
+    found = int(report.checks[-1]["lhs"])
     assert found >= 2
 
 
@@ -858,10 +858,10 @@ def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
     assert len(set(pairs)) < samples  # the sample repeats pairs
     assert fam.products == list(dict.fromkeys(pairs))
     # one rendering per distinct image and per distinct sample
-    law_texts = {text for c in report.checks[:samples] for text in (c.lhs, c.rhs)}
+    law_texts = {text for c in report.checks[:samples] for text in (c["lhs"], c["rhs"])}
     assert len(fam.rendered) == len(set(fam.rendered)) == len(law_texts)
     assert len(set(law[0::3])) < samples
-    details = [c.detail for c in report.checks[samples:]]
+    details = [c["detail"] for c in report.checks[samples:]]
     assert len(sample_renders) == len(set(sample_renders)) == len(set(details)) < len(details)
     monkeypatch.undo()
     expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators),
