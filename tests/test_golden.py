@@ -26,7 +26,12 @@ batteries became one ``suites.stable_battery``.  The text digests, of
 the bytes ``--format text`` writes for ``perm``, ``sl`` and ``braid`` at
 size 3 and ``pl`` and ``wreath-tower`` at their defaults, were taken from
 the code before check records became the report's own dicts and the
-render memo moved onto ``VerificationReport``.  A
+render memo moved onto ``VerificationReport``.  The ``wreath-tower``
+digests at 200 samples with seed 7 and at 1 sample with seed 0 (JSON),
+and at 200 samples with seed 0 (text), were taken from the code before
+the battery drew its tower samples once and handed the same draw to the
+iet and perm chains; they pin a third seed, the smallest sample and the
+rendered sample details.  A
 kernel or engine change that alters any check, rendering or verdict shows
 up here.
 """
@@ -131,6 +136,14 @@ TEXT_DIGESTS = {
     ("wreath-tower", None): "801c1350ec59f4c33d52ec7b9568728c3c7a644b7219b7a7f2b44571ad8ab278",
 }
 
+# (samples, seed, format) -> digest of the wreath-tower report: runs that the
+# tables above miss.
+WREATH_TOWER_DIGESTS = {
+    (200, 7, "json"): "3079a7e8eb63fe81e7fed375bd1e45ccea96f9fd69d218e9b554b278e19bbe59",
+    (1, 0, "json"): "4f2873bd9173092bb5d5dbd478698c37edf0f9a47b0b900adeb09dbdee05e920",
+    (200, 0, "text"): "78d898033efb7e0f99e7ceedd4c7e3505ab6a9ec2359e39b8304b94341b58f9e",
+}
+
 
 def _report_digest(tmp_path, family, size, extra=(), seed=0, fmt="json"):
     out = tmp_path / "report.out"
@@ -176,3 +189,9 @@ def test_rational_report_is_golden(family, extra, seed, tmp_path):
 @pytest.mark.parametrize("family,size", sorted(TEXT_DIGESTS, key=str))
 def test_text_report_is_golden(family, size, tmp_path):
     assert _report_digest(tmp_path, family, size, fmt="text") == TEXT_DIGESTS[(family, size)]
+
+
+@pytest.mark.parametrize("samples,seed,fmt", sorted(WREATH_TOWER_DIGESTS))
+def test_wreath_tower_report_is_golden(samples, seed, fmt, tmp_path):
+    assert (_report_digest(tmp_path, "wreath-tower", None, ("--samples", str(samples)), seed,
+                           fmt) == WREATH_TOWER_DIGESTS[(samples, seed, fmt)])
