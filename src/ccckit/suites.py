@@ -231,12 +231,14 @@ def perm_chain(depth: int = 2) -> wreathmod.WitnessChain:
 
 
 def wreath_tower_battery(depth: int, samples: int, seed: int) -> VerificationReport:
+    """Both chains have orders (2,) * depth, so one draw from their tower
+    serves both."""
     report = VerificationReport("wreath-tower", bounded=True)
-    for label, chain in (("iet", iet_chain()), ("perm", perm_chain())):
+    drawn = wreathmod.Tower((2,) * depth).samples(samples, seed)
+    for label, chain in (("iet", iet_chain(depth)), ("perm", perm_chain(depth))):
         f = wreathmod.TowerHom(chain)
         H = GeneratorSet(chain.family, chain.generators)
-        report.extend(wreathmod.check_hom(f, H, sample_size=samples, seed=seed),
-                      prefix=f"{label}: ")
+        report.extend(wreathmod.check_hom(f, H, drawn), prefix=f"{label}: ")
     return report
 
 

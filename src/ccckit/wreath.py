@@ -6,6 +6,8 @@ The chain's orders (n_1, ..., n_k) fix the tower: ``Tower(orders)`` builds
 A_1 = Z and A_(i+1) = A_i wr_(Z/n_(i+1)) Z once, with their generators,
 the membership test for the distinguished subgroup B and the seeded
 samplers.  ``TowerHom(chain)`` builds its own ``Tower`` from the chain.
+``Tower.samples`` makes the seeded draw that ``check_hom`` checks; it
+reads the tower alone, so one draw serves every chain of the same orders.
 
 Conventions: (f, a)(g, b) = (x -> f(x) * g(a^-1 x), ab); the evaluation
 product over base coordinates is taken in ascending point order, which is
@@ -351,6 +353,41 @@ class Tower:
                  for p in range(self.orders[level - 1]) if rng.random() < 0.7]
         return self.families[level - 1].element(pairs, top=rng.randint(-3, 3))
 
+    def samples(self, sample_size: int, seed: int) -> TowerSamples:
+        """The seeded draw that ``check_hom`` checks, from one
+        ``random.Random(seed)``: sample_size law pairs (u, v) with their
+        product uv, then words until sample_size non-members of B are found
+        or 100 * sample_size words were tried, then sample_size members of
+        B.  The draw reads the tower alone, never a homomorphism, so it
+        depends only on the orders, sample_size and seed, and one draw
+        serves every chain of these orders."""
+        if not (is_int(sample_size) and sample_size >= 1):
+            raise ValueError(f"sample_size must be an int >= 1, got {sample_size!r}")
+        rng = random.Random(seed)
+        law = []
+        for _ in range(sample_size):
+            u, v = self.sample(rng), self.sample(rng)
+            law.append((u, v, self.family.mul(u, v)))
+        outside = []
+        for _ in range(100 * sample_size):
+            if len(outside) == sample_size:
+                break
+            a = self.sample(rng)
+            if not self.in_B(a):
+                outside.append(a)
+        members = tuple(self.sample_B(rng, self.depth) for _ in range(sample_size))
+        return TowerSamples(self.orders, tuple(law), tuple(outside), members)
+
+
+class TowerSamples(Record):
+    """One draw of ``Tower.samples`` from the tower of ``orders``: the law
+    triples (u, v, uv), the non-members of B found, fewer than the sample
+    size when the attempts ran out, and the members of B, one per sample."""
+
+    def __init__(self, orders: tuple[int, ...], law: tuple, outside: tuple, members: tuple):
+        self.__dict__.update(orders=orders, law=law, outside=outside, members=members)
+        self.__post_init__()
+
 
 # ---------------------------------------------------------------------------
 # Witness chains and the homomorphism into the target family
@@ -462,11 +499,14 @@ class TowerHom:
 # The homomorphism property checks
 
 
-def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
-              seed: int = 0) -> VerificationReport:
-    """Seeded checks of (a) the homomorphism law, (b) commutation of H with
-    images of non-members of the distinguished subgroup, and (c) commutation
-    of H with images of members.
+def check_hom(f: TowerHom, H: GeneratorSet, samples: TowerSamples) -> VerificationReport:
+    """Checks on one seeded draw of ``Tower.samples`` of (a) the
+    homomorphism law, (b) commutation of H with images of non-members of
+    the distinguished subgroup, and (c) commutation of H with images of
+    members.  The draw holds tower elements only, and f is applied here, so
+    one draw serves every chain whose orders are the tower's: a battery
+    that checks several such chains draws once.  ``samples`` must come
+    from a tower of f's orders, and H must have a generator.
 
     Verdicts (b) and (c) depend on the sample only through its image, so
     each is decided once per distinct f(a), resp. f(b).  In the same way
@@ -477,16 +517,20 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
     rendered once, through report.text.  f(uv) is always evaluated on
     the tower product uv, never read off f(u)f(v), and every sample still
     gets its own record."""
-    rng = random.Random(seed)
+    if not H.elements:
+        raise ValueError("empty generator set: nothing to check")
+    if not isinstance(samples, TowerSamples):
+        raise ValueError(f"samples must be a TowerSamples, got {type(samples).__name__}")
+    if samples.orders != f.tower.orders:
+        raise ValueError(f"samples come from the tower of orders {samples.orders}, "
+                         f"f maps the tower of orders {f.tower.orders}")
     fam = f.family
-    tower = f.tower
-    a_fam = tower.family
+    a_fam = f.tower.family
     report = VerificationReport("tower-hom", bounded=True)
     products: dict = {}  # (f(u), f(v)) -> f(u)f(v)
 
-    for k in range(sample_size):
-        u, v = tower.sample(rng), tower.sample(rng)
-        lhs = f(a_fam.mul(u, v))
+    for k, (u, v, uv) in enumerate(samples.law):
+        lhs = f(uv)
         images = (f(u), f(v))
         rhs = products.get(images)
         if rhs is None:
@@ -495,34 +539,24 @@ def check_hom(f: TowerHom, H: GeneratorSet, sample_size: int = 50,
                       report.text(fam, lhs), report.text(fam, rhs))
 
     verdicts_i: dict[object, bool] = {}
-    found = 0
-    attempts = 0
-    while found < sample_size and attempts < 100 * sample_size:
-        attempts += 1
-        a = tower.sample(rng)
-        if tower.in_B(a):
-            continue
+    for k, a in enumerate(samples.outside):
         fa = f(a)
         if fa not in verdicts_i:
             verdicts_i[fa] = all(commutes(fam, h, conjugate(fam, fa, h2))
                                  for h in H.elements for h2 in H.elements)
-        ok = verdicts_i[fa]
-        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{found}]", ok,
+        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{k}]", verdicts_i[fa],
                       "all generator commutators", "e",
                       detail=f"a = {report.text(a_fam, a)}")
-        found += 1
-    if found < sample_size:
+    if len(samples.outside) < len(samples.law):
         report.record("(i) enough non-member samples", False,
-                      str(found), str(sample_size))
+                      str(len(samples.outside)), str(len(samples.law)))
 
     verdicts_ii: dict[object, bool] = {}
-    for k in range(sample_size):
-        b = tower.sample_B(rng, tower.depth)
+    for k, b in enumerate(samples.members):
         fb = f(b)
         if fb not in verdicts_ii:
             verdicts_ii[fb] = all(commutes(fam, h, fb) for h in H.elements)
-        ok = verdicts_ii[fb]
-        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", ok,
+        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", verdicts_ii[fb],
                       "all generator commutators", "e",
                       detail=f"b = {report.text(a_fam, b)}")
     return report

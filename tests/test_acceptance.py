@@ -70,7 +70,7 @@ def test_acceptance_4_depth2_tower_machinery():
     for chain in (iet_chain(), perm_chain()):
         f = w.TowerHom(chain)
         H = GeneratorSet(chain.family, chain.generators)
-        report = w.check_hom(f, H, sample_size=50, seed=4)
+        report = w.check_hom(f, H, f.tower.samples(50, 4))
         ok = ok and report.passed
 
         fam = f.tower.family

@@ -528,7 +528,7 @@ def _engine_inputs(family):
         mp.setattr(suites, "verify_ccc", capture(suites.verify_ccc, battery_inputs))
         mp.setattr(pl, "verify_czc", capture(pl.verify_czc, battery_inputs))
         mp.setattr(wreathmod, "check_hom", capture(
-            wreathmod.check_hom, lambda f, H: (f.family, H.elements + f.chain.ts)))
+            wreathmod.check_hom, lambda f, H, samples: (f.family, H.elements + f.chain.ts)))
         mp.setattr(wreathmod, "closure_system_witness",
                    capture(wreathmod.closure_system_witness, closure_inputs))
         suites.run_family(family)

@@ -53,6 +53,8 @@ RECORDS = [
     (mat.FormTag("symplectic", 2), ("kind", "size"), "FormTag(kind='symplectic', size=2)"),
     (w.Tower((2, 2)).generators[1][0], ("base", "top"),
      "WreathElement(base=((0, 1),), top=0)"),
+    (w.Tower((2,)).samples(1, 0), ("orders", "law", "outside", "members"),
+     "TowerSamples(orders=(2,), law=((0, 1, 1),), outside=(1,), members=(2,))"),
     (w.WitnessChain(PERM, (IDENTITY,), (block_swap(1),), (2,)),
      ("family", "generators", "ts", "orders"),
      f"WitnessChain(family={PERM!r}, generators=(FinPerm(mapping=()),), "
@@ -85,7 +87,7 @@ def test_every_record_type_is_covered():
                 declared.add(sub)
             todo.append(sub)
     assert covered == declared
-    assert len(covered) == 16  # and VerificationReport, a plain mutable class
+    assert len(covered) == 17  # and VerificationReport, a plain mutable class
 
 
 @pytest.mark.parametrize("x, fields, text", RECORDS, ids=IDS)

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccckit import cli, suites
 from ccckit import iet as ietmod
 from ccckit import perm as p
 from ccckit import wreath as w
@@ -293,11 +295,11 @@ def test_tower_hom_computes_each_power_once():
     f = LowerEvalCountingHom(w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
     fam.calls.clear()  # the chain validation powers t_i itself
     H = GeneratorSet(fam, plain.generators)
-    report = w.check_hom(f, H, sample_size=20, seed=4)
+    drawn = f.tower.samples(20, 4)
+    report = w.check_hom(f, H, drawn)
     assert fam.calls and len(fam.calls) == len(set(fam.calls))
     assert f.lower and all(count <= plain.orders[level] for (level, _), count in f.lower.items())
-    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators),
-                           sample_size=20, seed=4)
+    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
     assert report.to_dict() == expected.to_dict()
 
 
@@ -379,7 +381,7 @@ def _recording_hom():
 
 def test_each_tower_element_reaches_the_product_once():
     f, plain = _recording_hom()
-    w.check_hom(f, GeneratorSet(f.family, plain.generators), sample_size=30, seed=2)
+    w.check_hom(f, GeneratorSet(f.family, plain.generators), f.tower.samples(30, 2))
     assert any(level == 2 and len(counts) > 1  # the sample repeats elements
                for (level, _), counts in f.products.items())
     for (level, _), counts in f.products.items():
@@ -400,7 +402,8 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     f, plain = _recording_hom()
     H = GeneratorSet(f.family, plain.generators)
     samples = 40
-    report = w.check_hom(f, H, sample_size=samples, seed=7)
+    drawn = f.tower.samples(samples, 7)
+    report = w.check_hom(f, H, drawn)
     assert report.passed
     # three images per law sample, then one per (i) and one per (ii) sample
     assert len(f.images) == 5 * samples
@@ -410,8 +413,7 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     assert distinct_i < samples and distinct_ii < samples
     assert len(calls) == len(H) ** 2 * distinct_i + len(H) * distinct_ii
     assert len(report.checks) == 3 * samples
-    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators),
-                           sample_size=samples, seed=7)
+    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
     assert report.to_dict() == expected.to_dict()
 
 
@@ -440,7 +442,7 @@ def test_check_hom_passes():
     chain = iet_chain()
     f = w.TowerHom(chain)
     H = GeneratorSet(chain.family, chain.generators)
-    report = w.check_hom(f, H, sample_size=15, seed=3)
+    report = w.check_hom(f, H, f.tower.samples(15, 3))
     assert report.passed, report.counterexample
     assert report.bounded
 
@@ -449,8 +451,8 @@ def test_check_hom_is_deterministic():
     chain = perm_chain()
     f = w.TowerHom(chain)
     H = GeneratorSet(chain.family, chain.generators)
-    r1 = w.check_hom(f, H, sample_size=10, seed=11).to_dict()
-    r2 = w.check_hom(f, H, sample_size=10, seed=11).to_dict()
+    r1 = w.check_hom(f, H, f.tower.samples(10, 11)).to_dict()
+    r2 = w.check_hom(f, H, f.tower.samples(10, 11)).to_dict()
     assert r1 == r2
 
 
@@ -774,14 +776,91 @@ def test_chains_of_depth_2_are_the_shipped_chains():
 @pytest.mark.parametrize("depth", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_check_hom_matches_reference_loop(name, depth):
-    chain = CHAINS[name](depth)
-    f = w.TowerHom(chain)
-    H = GeneratorSet(chain.family, chain.generators)
+    """One draw from the tower of the named chain serves both chains: each
+    chain's report on it is the report of the reference loop, which draws
+    on its own."""
+    homs = [w.TowerHom(CHAINS[chain](depth)) for chain in sorted(CHAINS)]
+    tower = homs[sorted(CHAINS).index(name)].tower
     for seed in range(4):
         for samples in (1, 50):
-            report = w.check_hom(f, H, sample_size=samples, seed=seed)
-            assert report.to_dict() == reference_check_hom(f, H, samples, seed).to_dict()
-            assert report.passed and len(report.checks) == 3 * samples
+            drawn = tower.samples(samples, seed)
+            for f in homs:
+                H = GeneratorSet(f.family, f.chain.generators)
+                report = w.check_hom(f, H, drawn)
+                assert report.to_dict() == reference_check_hom(f, H, samples, seed).to_dict()
+                assert report.passed and len(report.checks) == 3 * samples
+
+
+def _counting_samples(monkeypatch):
+    """Patch Tower.sample to count its calls; returns the counter."""
+    calls = Counter()
+    sample = w.Tower.sample
+
+    def counting(self, rng):
+        calls["sample"] += 1
+        return sample(self, rng)
+
+    monkeypatch.setattr(w.Tower, "sample", counting)
+    return calls
+
+
+@pytest.mark.parametrize("samples", [1, 50])
+def test_wreath_tower_battery_draws_once(monkeypatch, samples):
+    """The battery checks two chains on one draw, so it samples the tower as
+    often as one chain's reference loop does."""
+    calls = _counting_samples(monkeypatch)
+    suites.run_family("wreath-tower", samples=samples)
+    battery = calls.pop("sample")
+    chain = perm_chain()
+    reference_check_hom(w.TowerHom(chain), GeneratorSet(chain.family, chain.generators),
+                        samples, 0)
+    assert battery == calls["sample"] >= 3 * samples
+
+
+def test_missing_non_members_fail_each_chain(monkeypatch, tmp_path):
+    """With every word in B the draw finds no non-member, and each chain's
+    report carries the failing shortfall record; the CLI writes the report
+    and exits 1."""
+    monkeypatch.setattr(w.Tower, "in_B", lambda self, u, level=None: True)
+    samples = 4
+    drawn = w.Tower((2, 2)).samples(samples, 0)
+    assert drawn.outside == () and len(drawn.law) == len(drawn.members) == samples
+    shortfall = {"name": "(i) enough non-member samples", "status": "fail",
+                 "lhs": "0", "rhs": str(samples), "detail": ""}
+    for chain in CHAINS.values():
+        f = w.TowerHom(chain())
+        report = w.check_hom(f, GeneratorSet(f.family, f.chain.generators), drawn)
+        assert not report.passed and shortfall in report.checks
+        assert len(report.checks) == 2 * samples + 1
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--family", "wreath-tower", "--samples", str(samples),
+                     "--format", "json", "--out", str(out)]) == cli.EXIT_VERIFICATION_FAILURE
+    checks = json.loads(out.read_text())["checks"]
+    for label in CHAINS:
+        assert {**shortfall, "name": f"{label}: {shortfall['name']}"} in checks
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "3", None])
+def test_samples_rejects_a_bad_sample_size(bad):
+    with pytest.raises(ValueError, match="sample_size"):
+        w.Tower((2, 2)).samples(bad, 0)
+
+
+def test_check_hom_rejects_an_empty_generator_set():
+    f = w.TowerHom(perm_chain())
+    with pytest.raises(ValueError, match="empty generator set: nothing to check"):
+        w.check_hom(f, GeneratorSet(p.PERM, ()), f.tower.samples(3, 0))
+
+
+def test_check_hom_rejects_samples_of_another_tower():
+    chain = perm_chain()
+    f = w.TowerHom(chain)
+    H = GeneratorSet(chain.family, chain.generators)
+    for orders in ((2, 2, 2), (2, 3)):
+        with pytest.raises(ValueError, match="orders"):
+            w.check_hom(f, H, w.Tower(orders).samples(2, 0))
+    with pytest.raises(ValueError, match="TowerSamples"):
+        w.check_hom(f, H, 50)
 
 
 class RecordingPerm(p.PermFamily):
@@ -850,7 +929,8 @@ def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
 
     monkeypatch.setattr(f.tower.family, "render", counting_render)
     samples = 60
-    report = w.check_hom(f, GeneratorSet(fam, plain.generators), sample_size=samples, seed=5)
+    drawn = f.tower.samples(samples, 5)
+    report = w.check_hom(f, GeneratorSet(fam, plain.generators), drawn)
     assert report.passed
     # f(uv), f(u), f(v) per law sample, in that order
     law = f.images[:3 * samples]
@@ -864,6 +944,5 @@ def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
     details = [c["detail"] for c in report.checks[samples:]]
     assert len(sample_renders) == len(set(sample_renders)) == len(set(details)) < len(details)
     monkeypatch.undo()
-    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators),
-                           sample_size=samples, seed=5)
+    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
     assert report.to_dict() == expected.to_dict()
