@@ -9,7 +9,8 @@ max/min operations, the bit length of the coordinates grows at most
 linearly with word length, and only the trivial braid fixes the starting
 coordinates, so equality is exact at any length.  The induced automorphism of a free group
 (``artin_action``) is kept as a slow, independent oracle; its images grow
-exponentially with word length.
+exponentially with word length.  A word's support is the strands its
+letters cross, read off the word (``BraidFamily.support``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 from . import freegroup as fg
 from . import perm
-from .core import FamilyMismatchError, GroupFamily, Record, is_int, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, is_int, runs, trusted
 
 
 class BraidWord(Record):
@@ -43,6 +44,12 @@ class BraidWord(Record):
 
 def braid(strands: int, letters) -> BraidWord:
     return BraidWord(strands, tuple(letters))
+
+
+def shift(w: BraidWord, k: int) -> BraidWord:
+    """The word with each letter sigma_i moved to sigma_(i+k), on the same
+    strands; ValueError when a letter leaves them."""
+    return braid(w.strands, (x + k if x > 0 else x - k for x in w.letters))
 
 
 def stabilize(w: BraidWord, strands: int) -> BraidWord:
@@ -147,7 +154,9 @@ def block_pass_word(n: int) -> BraidWord:
     Built row by row: strand n passes over n+1..2n, then strand n-1, and so
     on.  Its underlying permutation is the block swap (1, n+1)...(n, 2n),
     conjugation by it carries sigma_j to sigma_(j+n) for j < n, and its
-    square commutes with sigma_1..sigma_(n-1).
+    square commutes with both blocks, every sigma_j with j != n.  So p = -1
+    shifts by n as well: t^-1 sigma_j t = t (t^-2 sigma_j t^2) t^-1 =
+    sigma_(j+n).  The braid battery claims both (suites.Stable.shift).
     """
     if not (is_int(n) and n >= 1):
         raise ValueError(f"block size must be an int >= 1, got {n!r}")
@@ -190,3 +199,11 @@ class BraidFamily(GroupFamily):
 
     def render(self, a):
         return str(a)
+
+    def support(self, a):
+        """The strands a's letters act on, sigma_i on strands i and i + 1,
+        each strand k as [k, k + 1) with den 1.  Words with disjoint
+        supports use letters i, j with |i - j| >= 2, which commute.  Sound
+        for any word, not tight: a word equal to e may have a support."""
+        self.check_element(a)
+        return 1, runs(sorted({k for x in a.letters for k in (abs(x), abs(x) + 1)}))

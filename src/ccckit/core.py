@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 class CcckitError(Exception):
@@ -133,6 +133,9 @@ class GroupFamily(abc.ABC):
         that the family fixes, such that a is the identity off their union
         and maps that union onto itself.  Elements with disjoint supports
         commute, so _disjoint(support(a), support(b)) certifies [a, b] = e.
+        A support must be sound, not tight, and equal elements may have
+        different ones, so verify_ccc may certify a conjugate's records by
+        the support of an element it is claimed, and checked, to equal.
         An override raises FamilyMismatchError as check_element does."""
         return None
 
@@ -361,17 +364,35 @@ def record_commutation(family: GroupFamily, report: VerificationReport, name: st
     report.record(name, True, report.text(family), "e", detail)
 
 
+def _conjugate_support(fam: GroupFamily, conj: object, h: object, h_support, p: int,
+                       shift: Callable | None):
+    """The support that stands for conj = ^(t^p) h in its pair records.
+
+    shift(h, p), when given, is the element conj is claimed to equal.  When
+    h's support and the claimed element's are both known, one eq checks the
+    claim, and if it holds the claimed element's support is returned.
+    Otherwise, or with no shift, it is conj's own support."""
+    if shift is not None and h_support is not None:
+        claimed = shift(h, p)
+        claimed_support = fam.support(claimed)
+        if claimed_support is not None and fam.eq(conj, claimed):
+            return claimed_support
+    return fam.support(conj)
+
+
 def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
                            powers: Sequence[int], report: VerificationReport,
-                           detail: str = "") -> list:
+                           detail: str = "", shift: Callable | None = None) -> list:
     """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair,
     and return the supports of the h_i.
 
     tp_cache maps both p and -p to t^p and t^-p, so inv(t^p) is read from
     it.  Each h_i's support is found once per call, and each conjugate
-    ^(t^p) h_j is built, and its support found, once per (p, j); each pair
-    is then certified by disjoint supports or costs two products (see
-    record_commutation).
+    ^(t^p) h_j is built, and its support found, once per (p, j): through
+    the claim shift(h_j, p) when it is given and holds (see
+    _conjugate_support).  Each pair is then certified by disjoint supports
+    or costs two products (see record_commutation), always on the real
+    conjugate, so a failing record renders the real commutator.
     """
     if not hs:
         raise ValueError("empty generator set: nothing to check")
@@ -379,7 +400,8 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
     for p in powers:
         tp, tp_inv = tp_cache[p], tp_cache[-p]
         conjs = [fam.mul(fam.mul(tp, hj), tp_inv) for hj in hs]
-        conj_supports = [fam.support(c) for c in conjs]
+        conj_supports = [_conjugate_support(fam, c, hj, sj, p, shift)
+                         for c, hj, sj in zip(conjs, hs, h_supports)]
         for i, (hi, si) in enumerate(zip(hs, h_supports)):
             for j, (conj, sc) in enumerate(zip(conjs, conj_supports)):
                 record_commutation(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi, conj,
@@ -387,13 +409,20 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
     return h_supports
 
 
-def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationReport:
+def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
+               shift: Callable | None = None) -> VerificationReport:
     """Check the finite-order commutation battery on generators.
 
     For t of order mode n:  [h_i, ^(t^p) h_j] = e for 1 <= p < n (and the
     redundant negative powers -p, asserted as a consistency check), and
     [h_i, t^n] = e.  Passing on generators is equivalent to the
     subgroup-level statement.
+
+    shift(h_j, p), when given, is the element that ^(t^p) h_j is claimed to
+    equal, for a witness that displaces H: a claim that holds lends its
+    support to the conjugate's records, so they can be certified, and a
+    claim that fails changes nothing.  Verdicts and report bytes never
+    depend on it.
     """
     if not isinstance(w.mode, Finite):
         raise WitnessModeError("verify_ccc requires a Finite(n) witness")
@@ -405,7 +434,8 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc") -> VerificationR
     report = VerificationReport(suite)
     powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
     tp_cache = power_table(fam, w.t, n, n - 1)
-    h_supports = _conjugate_commutators(fam, H.elements, tp_cache, powers, report)
+    h_supports = _conjugate_commutators(fam, H.elements, tp_cache, powers, report,
+                                        shift=shift)
     tn_support = fam.support(tp_cache[n])
     for i, (hi, si) in enumerate(zip(H.elements, h_supports)):
         record_commutation(fam, report, f"[h{i + 1}, t^{n}]", hi, tp_cache[n],

@@ -42,12 +42,16 @@ class Stable(Record):
     battery makes one pass per ring (the matrix moduli, None for Z; the iet
     block scales) and records checks in order: each entry is called as
     check(report, n, label(n, ring), H, t), and ENGINE places the engine's
-    records."""
+    records.  shift(g, p), when given, is the element that ^(t^p) g is
+    claimed to equal for an embedded generator g: the engine checks the
+    claim once per (p, g) and certifies that conjugate's records by the
+    claimed element's support (verify_ccc), which the report never shows."""
 
     def __init__(self, name: str, level: Callable, generators: Callable, embed: Callable,
-                 checks: tuple, rings: tuple = (None,), label: Callable = lambda n, ring: ""):
+                 checks: tuple, rings: tuple = (None,), label: Callable = lambda n, ring: "",
+                 shift: Callable | None = None):
         self.__dict__.update(name=name, level=level, generators=generators, embed=embed,
-                             checks=checks, rings=rings, label=label)
+                             checks=checks, rings=rings, label=label, shift=shift)
         self.__post_init__()
 
 
@@ -59,7 +63,8 @@ def stable_battery(stable: Stable, size: int, seed: int) -> VerificationReport:
                                         for g in stable.generators(size, ring)))
         for check in stable.checks:
             if check == ENGINE:
-                report.extend(verify_ccc(H, Witness(t, Finite(2)), suite=stable.name))
+                report.extend(verify_ccc(H, Witness(t, Finite(2)), suite=stable.name,
+                                         shift=stable.shift))
             else:
                 check(report, size, stable.label(size, ring), H, t)
     return report
@@ -181,7 +186,9 @@ STABLE: dict[str, Stable] = {
                                               braidmod.block_pass_word(n)),
                     lambda n, ring: tuple(braidmod.braid(n, (i,)) for i in range(1, n)),
                     lambda g, ambient: braidmod.stabilize(g, ambient.strands),
-                    (_braid_permutation, ENGINE, _braid_relations)),
+                    (_braid_permutation, ENGINE, _braid_relations),
+                    # the block pass t carries sigma_j to sigma_(j+n), and so does t^-1
+                    shift=lambda g, p: braidmod.shift(g, g.strands // 2)),
     "aut-free": Stable("aut-free", lambda n, ring: (fg.FreeAutFamily(2 * n), fg.block_swap_aut(n)),
                        _aut_free_generators, lambda g, ambient: fg.extend_rank(g, ambient.rank),
                        (ENGINE, partial(_square, "identity assignment"))),

@@ -603,9 +603,11 @@ class ExtendedHom:
 
 def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,
                          seed: int = 0) -> VerificationReport:
-    """Search seeded base-only elements mapping to the identity and check
-    that every found pair commutes in the wreath product.  Zero hits is a
-    vacuous (and labeled) pass."""
+    """Search sample_size seeded base-only elements, an int >= 1, for those
+    mapping to the identity and check that every found pair commutes in the
+    wreath product.  Zero hits is a vacuous (and labeled) pass."""
+    if not (is_int(sample_size) and sample_size >= 1):
+        raise ValueError(f"sample_size must be an int >= 1, got {sample_size!r}")
     rng = random.Random(seed)
     fam = ext.H.family
     report = VerificationReport("kernel-base")

@@ -181,6 +181,27 @@ def test_block_pass_square_commutes_with_first_block():
             assert fam.is_identity(c)
 
 
+def test_block_pass_square_commutes_with_both_blocks():
+    # so t^-1 sigma_j t = t sigma_j t^-1 = sigma_(j+n), the braid battery's claim
+    for n in (2, 3, 4):
+        fam = b.BraidFamily(2 * n)
+        t = b.block_pass_word(n)
+        t2 = fam.mul(t, t)
+        for j in range(1, 2 * n):
+            s = b.braid(2 * n, (j,))
+            assert fam.eq(fam.mul(s, t2), fam.mul(t2, s)) == (j != n)
+        for j in range(1, n):
+            s = b.braid(2 * n, (j,))
+            assert fam.eq(fam.mul(fam.mul(fam.inv(t), s), t), b.shift(s, n))
+
+
+def test_shift_moves_every_letter():
+    assert b.shift(b.braid(6, (1, -2, 2)), 3) == b.braid(6, (4, -5, 5))
+    assert b.shift(b.braid(6, ()), 3) == b.braid(6, ())
+    with pytest.raises(ValueError, match="out of range"):
+        b.shift(b.braid(6, (3,)), 3)
+
+
 def test_witness_battery():
     for n in (2, 3):
         fam = b.BraidFamily(2 * n)

@@ -20,7 +20,7 @@ from ccckit import suites
 from ccckit import wreath as wreathmod
 from ccckit.perm import PERM, block_swap, perm_from_cycles, render_cycles
 
-from util import bounded_products, supports_overlap
+from util import bounded_products, supports_overlap, wrong_braid_shift
 
 def _perm_of(images):
     from ccckit.perm import perm_from_mapping
@@ -319,8 +319,8 @@ def reference_czc(H, w, suite="czc"):
 
 
 class CountingFamily(GroupFamily):
-    """Wraps a family, forwards its supports, counts its mul and inv calls
-    and lists the values it renders."""
+    """Wraps a family, forwards its supports, counts its mul, inv and eq
+    calls and lists the values it renders."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -343,6 +343,7 @@ class CountingFamily(GroupFamily):
         return self.inner.inv(a)
 
     def eq(self, a, b):
+        self.counts["eq"] += 1
         return self.inner.eq(a, b)
 
     def support(self, a):
@@ -353,23 +354,36 @@ class CountingFamily(GroupFamily):
         return self.inner.render(a)
 
 
-def engine_pairs(fam, gens, w):
-    """The (name, a, b) of every commutation record the engine makes, in
-    report order."""
+def engine_pairs(fam, gens, w, shift=None):
+    """The (name, a, b, sb) of every commutation record the engine makes, in
+    report order, and the number of claims the engine checks.  sb is the
+    support the engine reads for b: for a conjugate ^(t^p) h_j with a claim
+    shift(h_j, p) that it checks (h_j's and the claim's supports known)
+    and that holds, the claim's support, else b's own."""
     if isinstance(w.mode, Finite):
         n = w.mode.n
         powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
     else:
         powers = [q for q in range(1, w.mode.bound + 1)] + [-q for q in range(1, w.mode.bound + 1)]
-    pairs = []
+    pairs, checked = [], 0
     for p in powers:
-        for i, hi in enumerate(gens):
-            for j, hj in enumerate(gens):
-                pairs.append((f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi,
-                              conjugate(fam, fam.power(w.t, p), hj)))
+        conjs = []
+        for hj in gens:
+            b = conjugate(fam, fam.power(w.t, p), hj)
+            sb = fam.support(b)
+            if shift is not None and fam.support(hj) is not None:
+                claimed = shift(hj, p)
+                if fam.support(claimed) is not None:
+                    checked += 1
+                    if fam.eq(b, claimed):
+                        sb = fam.support(claimed)
+            conjs.append((b, sb))
+        pairs += [(f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi, b, sb)
+                  for i, hi in enumerate(gens) for j, (b, sb) in enumerate(conjs)]
     if isinstance(w.mode, Finite):
-        pairs += [(f"[h{i + 1}, t^{n}]", hi, fam.power(w.t, n)) for i, hi in enumerate(gens)]
-    return pairs
+        tn = fam.power(w.t, n)
+        pairs += [(f"[h{i + 1}, t^{n}]", hi, tn, fam.support(tn)) for i, hi in enumerate(gens)]
+    return pairs, checked
 
 
 def _matrix_case(modulus):
@@ -409,6 +423,7 @@ CCC_CASES = {
     "aut-free": _aut_free_case,
     "braid-2": lambda: _braid_case(2),
     "braid-3": lambda: _braid_case(3),
+    "braid-3-wrong-claim": lambda: _braid_case(3),
     # sigma_2 crosses the block boundary, so its conjugates fail to commute:
     # the failing records show the braid word (ab)(ba)^-1 letter for letter
     "braid-failing": lambda: (braidmod.BraidFamily(4),
@@ -416,6 +431,11 @@ CCC_CASES = {
                               Witness(braidmod.block_pass_word(2), Finite(2))),
     "iet": _iet_case,
 }
+
+# the claims (Stable.shift) a case passes to verify_ccc: the braid record's
+# own, and a wrong one, whose checks all fail and only lose certificates
+CLAIMS = {"braid-2": suites.STABLE["braid"].shift, "braid-3": suites.STABLE["braid"].shift,
+          "braid-3-wrong-claim": wrong_braid_shift}
 
 CZC_CASES = {
     "pl": lambda: (pl.PL, (pl.bump("1/4", "1/2"), pl.bump("3/8", "1/2")),
@@ -425,12 +445,15 @@ CZC_CASES = {
 }
 
 
-def _assert_engine_matches_reference(engine, reference, case):
+def _assert_engine_matches_reference(engine, reference, case, shift=None):
+    """engine, given shift as its claims when it is not None, writes the
+    reference's report with an exact count of its operations."""
     fam, gens, w = case()
     counted_ref = CountingFamily(fam)
     expected = reference(GeneratorSet(counted_ref, gens), w).to_dict()
     counted = CountingFamily(fam)
-    got = engine(GeneratorSet(counted, gens), w).to_dict()
+    claims = {} if shift is None else {"shift": shift}
+    got = engine(GeneratorSet(counted, gens), w, **claims).to_dict()
     assert got == expected
     # the power table takes (top - 1) + (bottom - 1) products for the powers
     # t^1..t^top and t^-1..t^-bottom, and one inversion; the engine builds
@@ -445,17 +468,20 @@ def _assert_engine_matches_reference(engine, reference, case):
         n_powers = 2 * w.mode.bound
         records = n_powers * h * h
     table = (top - 1) + (bottom - 1)
-    # a record whose supports are disjoint is certified with no product;
-    # every other one decides ab = ba with two products, and a failing one
-    # then builds the commutator [a, b] = (ab)(ba)^-1, one product and one
-    # inversion
-    pairs = engine_pairs(fam, gens, w)
+    # a record whose supports are disjoint is certified with no product and
+    # no eq; every other one decides ab = ba with two products and one eq,
+    # and a failing one then builds the commutator [a, b] = (ab)(ba)^-1, one
+    # product and one inversion.  Each checked claim costs one eq, and one
+    # that holds lends its support to the conjugate's records
+    pairs, checked = engine_pairs(fam, gens, w, shift)
     assert len(pairs) == records
-    certified = sum(not supports_overlap(fam.support(a), fam.support(b)) for _, a, b in pairs)
+    certified = sum(not supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
     failing = sum(c["status"] == "fail" for c in got["checks"])
     assert counted.counts["mul"] == (table + 2 * n_powers * h + 2 * (records - certified)
                                      + 1 * failing)
     assert counted.counts["inv"] == 1 + 1 * failing
+    assert counted.counts["eq"] == (records - certified) + checked
+    assert checked == (0 if shift is None else n_powers * h)
     # the reference renders every check's value; the engine each distinct value once
     assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
     return expected
@@ -463,7 +489,8 @@ def _assert_engine_matches_reference(engine, reference, case):
 
 @pytest.mark.parametrize("label", sorted(CCC_CASES))
 def test_verify_ccc_matches_reference_loop(label):
-    expected = _assert_engine_matches_reference(verify_ccc, reference_ccc, CCC_CASES[label])
+    expected = _assert_engine_matches_reference(verify_ccc, reference_ccc, CCC_CASES[label],
+                                                CLAIMS.get(label))
     assert expected["checks"]
     assert (expected["counterexample"] is not None) == label.endswith("failing")
 
@@ -489,10 +516,24 @@ def test_passing_battery_certifies_every_record(label):
     counted = CountingFamily(fam)
     report = verify_ccc(GeneratorSet(counted, gens), w)
     assert report.passed
-    assert not any(supports_overlap(fam.support(a), fam.support(b))
-                   for _, a, b in engine_pairs(fam, gens, w))
+    pairs, _ = engine_pairs(fam, gens, w)
+    assert not any(supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
     n = w.mode.n
     assert counted.counts == Counter(mul=(n - 1) + (n - 2) + 2 * 2 * (n - 1) * len(gens), inv=1)
+
+
+@pytest.mark.parametrize("label", ["braid-2", "braid-3"])
+def test_braid_claims_certify_every_conjugate_record(label):
+    """The block pass t carries sigma_j to sigma_(j+n), and so does t^-1.
+    With those claims every [h_i, ^(t^p) h_j] record is certified, after
+    one eq per (p, j) checks the claim; only the [h_i, t^2] records are
+    decided, with two products and one eq each."""
+    fam, gens, w = CCC_CASES[label]()
+    counted = CountingFamily(fam)
+    report = verify_ccc(GeneratorSet(counted, gens), w, shift=CLAIMS[label])
+    assert report.passed
+    h = len(gens)
+    assert counted.counts == Counter(mul=1 + 2 * 2 * h + 2 * h, inv=1, eq=2 * h + h)
 
 
 @pytest.mark.parametrize("label", sorted(CZC_CASES))

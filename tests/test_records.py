@@ -59,11 +59,11 @@ RECORDS = [
      ("family", "generators", "ts", "orders"),
      f"WitnessChain(family={PERM!r}, generators=(FinPerm(mapping=()),), "
      "ts=(FinPerm(mapping=((1, 2), (2, 1))),), orders=(2,))"),
-    (suites.Stable("s", len, len, len, (suites.ENGINE,), (None,), len),
-     ("name", "level", "generators", "embed", "checks", "rings", "label"),
+    (suites.Stable("s", len, len, len, (suites.ENGINE,), (None,), len, len),
+     ("name", "level", "generators", "embed", "checks", "rings", "label", "shift"),
      "Stable(name='s', level=<built-in function len>, generators=<built-in function len>, "
      "embed=<built-in function len>, checks=('engine',), rings=(None,), "
-     "label=<built-in function len>)"),
+     "label=<built-in function len>, shift=<built-in function len>)"),
     (suites.FAMILIES["pl"], ("run", "params", "description", "fixed"),
      f"Battery(run={suites.pl_battery!r}, params={{'size': (2, 1, None), 'bound': (8, 1, None)}}, "
      "description='compactly supported piecewise linear maps; displacement witness, bounded "

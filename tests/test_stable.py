@@ -5,20 +5,26 @@ Each record's stabilization map ``embed`` must be a homomorphism from the
 level of H into the ambient level, transitive and unital, and its witness
 must lie in the ambient level.  A broken witness must fail the engine's
 part of the battery, and the stabilization maps reject a target size that
-is not an int.
+is not an int.  A record's claimed conjugates (``Stable.shift``) must equal
+the real ones, and a wrong claim must change no report byte.
 """
 
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
 from ccckit import braid as braidmod
+from ccckit import cli
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import matrixring as mat
 from ccckit import perm as permmod
-from ccckit.core import replace
-from ccckit.suites import ENGINE, FAMILIES, STABLE, stable_battery
+from ccckit.core import conjugate, replace
+from ccckit.suites import ENGINE, FAMILIES, STABLE, run_family, stable_battery
+
+from util import wrong_braid_shift
 
 # the group of a generator at level n, where the record's generators live
 LEVEL_FAMILY = {
@@ -108,6 +114,69 @@ def test_a_broken_witness_fails_the_engine(family):
         report = stable_battery(replace(stable, level=broken, rings=(ring,)), 3, 0)
         engine = [c for c in report.checks if c["name"].startswith("[")]
         assert engine and any(c["status"] == "fail" for c in engine), ring
+
+
+# (family, ring, n) for every record that claims its conjugates, sizes up to 8
+CLAIMED = [(family, ring, n) for family, stable in STABLE.items() if stable.shift
+           for ring in stable.rings for n in range(FAMILIES[family].params["size"][1], 9)]
+
+
+@pytest.mark.parametrize("case", CLAIMED, ids=_ids)
+def test_claimed_conjugates_equal_the_real_ones(case):
+    """shift(h, p) is ^(t^p) h in the ambient group, by its eq (for braid,
+    braids_equal), for every embedded generator h and p = 1, -1."""
+    family, ring, n = case
+    stable = STABLE[family]
+    ambient, t = stable.level(n, ring)
+    for g in stable.generators(n, ring):
+        h = stable.embed(g, ambient)
+        for p in (1, -1):
+            assert ambient.eq(stable.shift(h, p), conjugate(ambient, ambient.power(t, p), h))
+
+
+def _counted_braid_ops(monkeypatch) -> Counter:
+    """Count BraidFamily.mul and BraidFamily.eq calls in the returned Counter."""
+    counts = Counter()
+    for op in ("mul", "eq"):
+        def counted(self, a, b, op=op, inner=getattr(braidmod.BraidFamily, op)):
+            counts[op] += 1
+            return inner(self, a, b)
+        monkeypatch.setattr(braidmod.BraidFamily, op, counted)
+    return counts
+
+
+def _braid_run(monkeypatch, counts: Counter, n: int, shift) -> tuple[str, Counter]:
+    """The JSON bytes of the braid battery at size n run with shift as its
+    claims, and the BraidFamily ops it made, counted by counts."""
+    stable = replace(STABLE["braid"], shift=shift)
+    monkeypatch.setitem(FAMILIES, "braid", replace(FAMILIES["braid"],
+                                                   run=partial(stable_battery, stable)))
+    counts.clear()
+    return cli.render_json(run_family("braid", size=n)), Counter(counts)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_wrong_braid_claim_changes_no_byte_and_only_loses_certificates(n, monkeypatch):
+    """Claims shifted by n - 1 instead of n all fail their one eq each, so
+    the battery writes the bytes it writes with no claims and with the
+    right ones, and makes more products and eqs than with the right ones."""
+    counts = _counted_braid_ops(monkeypatch)
+    claimed, right = _braid_run(monkeypatch, counts, n, STABLE["braid"].shift)
+    wrong_bytes, wrong = _braid_run(monkeypatch, counts, n, wrong_braid_shift)
+    unclaimed, none = _braid_run(monkeypatch, counts, n, None)
+    assert claimed == wrong_bytes == unclaimed
+    assert wrong == none + Counter(eq=2 * (n - 1))  # one failing check per (p, j)
+    assert right["mul"] < wrong["mul"] and right["eq"] < wrong["eq"]
+
+
+def test_claims_are_not_checked_without_supports(monkeypatch):
+    """With every braid support unknown no claim could certify a record, so
+    the engine checks none: the claims cost no op and change no byte."""
+    monkeypatch.setattr(braidmod.BraidFamily, "support", lambda self, a: None)
+    counts = _counted_braid_ops(monkeypatch)
+    for n in (2, 3, 5):
+        assert (_braid_run(monkeypatch, counts, n, STABLE["braid"].shift)
+                == _braid_run(monkeypatch, counts, n, None))
 
 
 PHI = fg.nielsen_aut(2, 1, 2)

@@ -1,9 +1,10 @@
 """Soundness of GroupFamily.support, the basis of the engine's commutation
 certificates, with the product verdict ab = ba as the slow oracle.
 
-The elements are Hypothesis products of each stable battery's generators
-and witness, for the families that give supports: perm, the matrix
-families over Z and Z/5, aut-free and iet.
+The elements are Hypothesis products of each stable battery's generators,
+their claimed conjugates (Stable.shift) and the witness, for the families
+that give supports: perm, the matrix families over Z and Z/5, braid,
+aut-free and iet.
 """
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccckit import braid as braidmod
 from ccckit import cli
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
@@ -21,7 +23,7 @@ from ccckit.core import GroupFamily, _disjoint, conjugate, runs
 
 from util import supports_overlap
 
-SUPPORT_FAMILIES = ("perm", "gl", "sl", "e", "sp", "onn", "aut-free", "iet")
+SUPPORT_FAMILIES = ("perm", "gl", "sl", "e", "sp", "onn", "braid", "aut-free", "iet")
 
 
 def _cases():
@@ -33,11 +35,14 @@ def _cases():
 
 
 def _battery(family, size, ring):
-    """(ambient family, the witness t, the generators and t with their
+    """(ambient family, the witness t, the generators, their claimed
+    conjugates ^t g when the record gives a shift, and t, with their
     inverses) of one pass of the family's stable battery."""
     stable = suites.STABLE[family]
     ambient, t = stable.level(size, ring)
-    letters = tuple(stable.embed(g, ambient) for g in stable.generators(size, ring)) + (t,)
+    gens = tuple(stable.embed(g, ambient) for g in stable.generators(size, ring))
+    claims = tuple(stable.shift(g, 1) for g in gens) if stable.shift else ()
+    letters = gens + claims + (t,)
     return ambient, t, letters + tuple(ambient.inv(x) for x in letters)
 
 
@@ -65,6 +70,9 @@ def assert_identity_off_support(fam, a):
                 unit = tuple(int(k == i) for k in range(a.size))
                 assert dense[i] == unit
                 assert tuple(row[i] for row in dense) == unit
+    elif isinstance(a, braidmod.BraidWord):
+        # sigma_i crosses strands i and i + 1
+        assert all(inside(abs(x)) and inside(abs(x) + 1) for x in a.letters)
     elif isinstance(a, fg.FreeAutomorphism):
         for i, w in enumerate(a.images, start=1):
             if inside(i):
@@ -111,6 +119,29 @@ def test_disjoint_supports_commute(family, size, ring):
 
     check()
     assert disjoint
+
+
+def test_braid_words_on_disjoint_strands_commute():
+    """In B_6, words whose supports are disjoint commute, by braids_equal.
+    The battery draws above meet disjoint braid pairs mostly through the
+    identity, since the witness and its conjugates cross every strand, so
+    these words use the Artin letters alone, and some disjoint pairs must
+    be two nontrivial braids."""
+    fam = braidmod.BraidFamily(6)
+    letters = [x for i in range(1, 6) for x in (i, -i)]
+    words = st.lists(st.sampled_from(letters), min_size=1, max_size=4).map(
+        lambda xs: braidmod.braid(6, xs))
+    disjoint = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(words, words)
+    def check(a, b):
+        if _disjoint(fam.support(a), fam.support(b)):
+            disjoint.append((a, b))
+            assert braidmod.braids_equal(fam.mul(a, b), fam.mul(b, a))
+
+    check()
+    assert any(not fam.is_identity(a) and not fam.is_identity(b) for a, b in disjoint)
 
 
 supports = st.tuples(

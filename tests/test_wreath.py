@@ -540,6 +540,16 @@ def test_kernel_base_commutes_engineered_instance():
     assert found >= 2
 
 
+@pytest.mark.parametrize("sample_size", [0, -3, 2.5, "4", True])
+def test_kernel_base_commutes_rejects_a_sample_size_below_one(sample_size):
+    """No samples would give a vacuous pass, "kernel samples found" 0
+    against ">= 0"; Tower.samples refuses the same sizes."""
+    H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),))
+    ext = w.ExtendedHom(H, lambda a: p.IDENTITY, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
+    with pytest.raises(ValueError, match="sample_size must be an int >= 1"):
+        w.kernel_base_commutes(ext, sample_size=sample_size)
+
+
 def test_closure_system_witness():
     H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),
                               p.perm_from_cycles([[1, 2]])))

@@ -4,6 +4,7 @@ and brute-force oracles that only tests call."""
 import random
 from fractions import Fraction
 
+from ccckit import braid as braidmod
 from ccckit import iet as ietmod
 from ccckit import perm as permmod
 from ccckit.core import replace
@@ -49,6 +50,13 @@ def supports_overlap(sa, sb) -> bool:
     (da, xs), (db, ys) = sa, sb
     return any(max(Fraction(a, da), Fraction(c, db)) < min(Fraction(b, da), Fraction(d, db))
                for a, b in xs for c, d in ys)
+
+
+def wrong_braid_shift(g, p):
+    """A wrong claimed conjugate for the braid battery: sigma_j to
+    sigma_(j+n-1) in B_2n, where the block pass conjugates sigma_j to
+    sigma_(j+n).  The negative control for Stable.shift."""
+    return braidmod.shift(g, g.strands // 2 - 1)
 
 
 def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
