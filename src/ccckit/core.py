@@ -99,10 +99,9 @@ class GroupFamily(abc.ABC):
     Elements are immutable plain values that hash, and values that are
     ``==`` render alike; the family object holds the operations.  Group
     equality must be decided on normal forms, never on renderings.  The
-    engine relies on equal values rendering alike: it records a pass with
-    the rendering of ``identity()``, the text that every value equal to e
-    must have.  It certifies [a, b] = e when ``support`` shows a and b
-    disjoint, and otherwise decides it as ab = ba.
+    engine certifies [a, b] = e when ``support`` shows a and b disjoint,
+    and otherwise decides it as ab = ba; it renders only the commutator of
+    a failing record.
     """
 
     name: str = "group"
@@ -308,15 +307,14 @@ class VerificationReport:
         if self.counterexample is None and other.counterexample is not None:
             self.counterexample = prefix + other.counterexample
 
-    def text(self, family: GroupFamily, value: object = None) -> str:
+    def text(self, family: GroupFamily, value: object) -> str:
         """family.render(value), rendered once per report and (family,
         value): values hash, and equal values render alike, as GroupFamily
-        requires.  With no value it is the identity's text, kept under
-        (family, None), so reading it hashes no element."""
+        requires."""
         key = (family, value)
         text = self._texts.get(key)
         if text is None:
-            text = self._texts[key] = family.render(family.identity() if value is None else value)
+            text = self._texts[key] = family.render(value)
         return text
 
     def to_dict(self) -> dict:
@@ -350,18 +348,16 @@ def record_commutation(family: GroupFamily, report: VerificationReport, name: st
     supports is (support(a), support(b)); they are looked up here when the
     caller passes None.  When they are disjoint, the pass is certified with
     no product and no eq.  Otherwise the record decides ab = ba.  A passing
-    record shows the identity's text, report.text(family), which hashes no
-    element.  A failing record shows the commutator [a, b] = (a b)(b a)^-1,
-    built from the two products already formed with one more product and
-    one inversion, and rendered through report.text."""
+    record writes "e", its value by its status, and renders nothing.  A
+    failing record shows the commutator [a, b] = (a b)(b a)^-1, built from
+    the two products already formed with one more product and one
+    inversion, and rendered through report.text."""
     sa, sb = supports or (family.support(a), family.support(b))
-    if not _disjoint(sa, sb):
-        ab, ba = family.mul(a, b), family.mul(b, a)
-        if not family.eq(ab, ba):
-            value = family.mul(ab, family.inv(ba))
-            report.record(name, False, report.text(family, value), "e", detail)
-            return
-    report.record(name, True, report.text(family), "e", detail)
+    if _disjoint(sa, sb) or family.eq(ab := family.mul(a, b), ba := family.mul(b, a)):
+        report.record(name, True, "e", "e", detail)
+    else:
+        value = family.mul(ab, family.inv(ba))
+        report.record(name, False, report.text(family, value), "e", detail)
 
 
 def _conjugate_support(fam: GroupFamily, conj: object, h: object, h_support, p: int,

@@ -313,7 +313,7 @@ FAMILIES: dict[str, Battery] = {
                         "stable automorphisms of free groups; generator block-swap witness"),
     "iet": Battery(_stable("iet"), SIZE,
                    "interval exchanges of the half line; block-exchange witness (finite mode, n = 2)"),
-    "pl": Battery(pl_battery, {**SIZE, "bound": (8, 1, None)},
+    "pl": Battery(pl_battery, {"size": (2, 1, 3), "bound": (8, 1, None)},
                   "compactly supported piecewise linear maps; displacement witness, bounded Z-mode"),
     "wreath-tower": Battery(wreath_tower_battery, {"depth": (2, 2, 2), "samples": (50, 1, None)},
                             "iterated wreath tower homomorphism machinery; bounded seeded checks"),
@@ -323,10 +323,12 @@ FAMILIES: dict[str, Battery] = {
 
 
 def run_family(family: str, seed: int = 0, **given) -> dict:
-    """Run one battery with defaults for the parameters not given.  An
-    undeclared parameter or a value outside its domain raises ValueError
-    before any group operation; an unknown family raises KeyError."""
+    """Run one battery with defaults for the parameters not given.  A non-int
+    seed, an undeclared parameter or a value outside its domain raises
+    ValueError before any group operation; an unknown family, KeyError."""
     battery = FAMILIES[family]
+    if not is_int(seed):
+        raise ValueError(f"need an int seed, got {seed!r}")
     for name, value in given.items():
         if name not in battery.params:
             raise ValueError(f"no parameter {name!r} (takes {', '.join(battery.params)})")

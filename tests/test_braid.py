@@ -229,8 +229,8 @@ def test_warm_artin_action_validates_no_automorphism(monkeypatch):
 
 
 def test_passing_commutation_records_show_the_identity():
-    # the engine decides [a, b] = e as ab = ba and renders the identity on a
-    # pass, where the unreduced commutator word would render differently
+    # the engine decides [a, b] = e as ab = ba and writes "e" on a pass,
+    # where the unreduced commutator word would render differently
     for size in range(2, 9):
         checks = run_family("braid", size=size)["checks"]
         commutation = [c for c in checks if c["name"].startswith("[")]

@@ -199,6 +199,7 @@ def test_invalid_seed_env_var_exit_2_without_report(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("--family", "wreath-tower", "--samples", "0"),  # 0/0 checks
     ("--family", "braid", "--size", "1"),            # H has no generators
+    ("--family", "pl", "--size", "4"),               # only three pl instances
 ])
 def test_vacuous_runs_rejected_without_report(capsys, argv):
     code, out, err = run(capsys, "run", *argv, "--format", "json")

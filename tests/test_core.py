@@ -272,8 +272,9 @@ def test_report_text_renders_each_family_and_value_once():
     for a, b in [(1, 2), (3, 3), (0, 1)]:
         record_commutation(x, report, "[a, b]", a, b)
         record_commutation(y, report, "[a, b]", a, b)
-    assert [c["lhs"] for c in report.checks] == ["x0", "y0"] * 3
-    assert x.rendered == [1, 1, 0] and y.rendered == [1, 2, 0]
+    # a pass writes "e" and renders nothing
+    assert [c["lhs"] for c in report.checks] == ["e", "e"] * 3
+    assert x.rendered == [1, 1] and y.rendered == [1, 2]
     assert HashCounted.hashes == 0
 
 
@@ -282,8 +283,8 @@ def test_report_text_renders_each_family_and_value_once():
 
 
 def reference_lhs(fam, c):
-    """A record's lhs: the identity's rendering when c = e, else c's."""
-    return fam.render(fam.identity() if fam.is_identity(c) else c)
+    """A record's lhs: "e" when c = e, else c's rendering."""
+    return "e" if fam.is_identity(c) else fam.render(c)
 
 
 def reference_ccc(H, w, suite="ccc"):
@@ -482,7 +483,8 @@ def _assert_engine_matches_reference(engine, reference, case, shift=None):
     assert counted.counts["inv"] == 1 + 1 * failing
     assert counted.counts["eq"] == (records - certified) + checked
     assert checked == (0 if shift is None else n_powers * h)
-    # the reference renders every check's value; the engine each distinct value once
+    # the reference renders every failing check's value; the engine each
+    # distinct one once, and no passing check's
     assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
     return expected
 
@@ -496,13 +498,14 @@ def test_verify_ccc_matches_reference_loop(label):
 
 
 @pytest.mark.parametrize("label", ["matrix-Z", "matrix-Z/5"])
-def test_passing_matrix_battery_renders_the_identity_once(label):
+def test_passing_matrix_battery_renders_nothing(label):
     fam, gens, w = CCC_CASES[label]()
     counted = CountingFamily(fam)
     report = verify_ccc(GeneratorSet(counted, gens), w)
     assert report.passed
     assert len(report.checks) == 2 * (w.mode.n - 1) * len(gens) ** 2 + len(gens)
-    assert counted.rendered == [fam.identity()]
+    assert counted.rendered == []
+    assert {c["lhs"] for c in report.checks} == {"e"}
     assert report.to_dict() == reference_ccc(GeneratorSet(fam, gens), w).to_dict()
 
 
@@ -579,8 +582,8 @@ def _engine_inputs(family):
 @pytest.mark.parametrize("family", sorted(suites.FAMILIES))
 def test_commutes_agrees_with_the_commutator(family):
     """On random products a, b of a battery's generators and witness,
-    commutes(a, b) is [a, b] = e, and the engine's record shows the
-    identity on a pass and the commutator on a fail.  The examples are
+    commutes(a, b) is [a, b] = e, and the engine's record writes "e" on a
+    pass and the commutator on a fail.  The examples are
     derandomized: with random draws, 40 of them in the 8-element group of
     the perm battery all commuted in about 3 runs in 100, and the check that
     both verdicts occur failed."""
@@ -601,7 +604,7 @@ def test_commutes_agrees_with_the_commutator(family):
             report = VerificationReport("oracle")
             record_commutation(fam, report, "[a, b]", a, b)
             assert report.checks[0]["status"] == ("pass" if ok else "fail")
-            assert report.checks[0]["lhs"] == fam.render(fam.identity() if ok else c)
+            assert report.checks[0]["lhs"] == ("e" if ok else fam.render(c))
             verdicts.add(ok)
 
         check()

@@ -65,7 +65,7 @@ RECORDS = [
      "embed=<built-in function len>, checks=('engine',), rings=(None,), "
      "label=<built-in function len>, shift=<built-in function len>)"),
     (suites.FAMILIES["pl"], ("run", "params", "description", "fixed"),
-     f"Battery(run={suites.pl_battery!r}, params={{'size': (2, 1, None), 'bound': (8, 1, None)}}, "
+     f"Battery(run={suites.pl_battery!r}, params={{'size': (2, 1, 3), 'bound': (8, 1, None)}}, "
      "description='compactly supported piecewise linear maps; displacement witness, bounded "
      "Z-mode', fixed=mappingproxy({}))"),
 ]

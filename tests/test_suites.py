@@ -17,7 +17,7 @@ from ccckit.suites import FAMILIES, run_family
 DOMAINS = {
     **{f: {"size": (1, None)} for f in ("gl", "sp", "onn", "aut-free", "iet")},
     **{f: {"size": (2, None)} for f in ("perm", "sl", "e", "braid")},
-    "pl": {"size": (1, None), "bound": (1, None)},
+    "pl": {"size": (1, 3), "bound": (1, None)},
     "wreath-tower": {"depth": (2, 2), "samples": (1, None)},
     "closure": {"size": (2, 2)},
 }
@@ -86,6 +86,18 @@ def test_perm_odd_sizes_pass_with_stabilized_witness(size):
 def test_run_family_rejects_bool_values(family, name):
     with pytest.raises(ValueError):
         run_family(family, **{name: True})
+
+
+@pytest.mark.parametrize("family", ["perm", "wreath-tower"])
+@pytest.mark.parametrize("seed", [None, 1.5, True, "7"])
+def test_run_family_rejects_a_seed_that_is_not_an_int(family, seed):
+    """None would seed wreath-tower's draw from the OS, and the report would
+    still say "seed": null; the other values would be copied into it."""
+    battery = FAMILIES[family]
+    with mock.patch.dict(FAMILIES, {family: replace(battery, run=mock.Mock())}):
+        with pytest.raises(ValueError, match="seed"):
+            run_family(family, seed=seed)
+        FAMILIES[family].run.assert_not_called()
 
 
 def test_run_family_unknown_family_is_key_error():
