@@ -41,15 +41,26 @@ wreath-tower makes no commutation record, so their pins were not re-taken.
 ``RESTORED_DIGESTS`` holds the pins as they were before, and
 ``test_restored_pass_lhs_gives_back_the_old_bytes`` gets them back by
 writing the identity for each pass again.  The ``pl`` size-4 pin was
-dropped then, because pl's size domain became 1..3.  A kernel or engine
-change that alters any check, rendering or verdict shows up here.
+dropped then, because pl's size domain became 1..3.
+
+``NEIGHBOUR_DIGESTS`` and ``IN_PROCESS_DIGESTS`` were taken from the code
+before the engine built each conjugate ^(t^p) h_j from its neighbour
+^(t^(p-1)) h_j and ``TowerHom`` multiplied each distinct tuple of factors
+once: ``pl`` at size 3 and bound 64, the failing Z-mode pl battery of
+``tests/test_core.py`` at bound 12, whose failing records render
+commutators built from those conjugates, and ``check_hom`` at depth 3 on
+both shipped chains, which the CLI does not reach.  Their passing records
+wrote "e" already, so they are not in ``PINS``.  A kernel or engine change
+that alters any check, rendering or verdict shows up here.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from ccckit import cli, core
+from ccckit import cli, core, suites, wreath
+from ccckit import plhomeo as pl
 
 SIZE_6_DIGESTS = {
     "gl": "5b63daef5ee5fb907d50d89d3c7124d30672e88857f985e1c1261cab35895a8e",
@@ -152,6 +163,40 @@ WREATH_TOWER_DIGESTS = {
     (200, 0, "text"): "78d898033efb7e0f99e7ceedd4c7e3505ab6a9ec2359e39b8304b94341b58f9e",
 }
 
+
+# (family, extra arguments, seed) -> digest of the JSON report.
+NEIGHBOUR_DIGESTS = {
+    ("pl", ("--size", "3", "--bound", "64"), 0):
+        "692895dc3f66301d7797ae1db5b93d3e5474105d21a6b3a93083e5c6a745b641",
+}
+
+
+def _pl_failing_czc():
+    """The failing Z-mode pl battery: the witness bump on [1/8, 7/8] moves
+    h2's support onto h1's for some p."""
+    H = core.GeneratorSet(pl.PL, (pl.bump("1/4", "1/2"), pl.bump("3/8", "3/4")))
+    return core.verify_czc(H, core.Witness(pl.bump("1/8", "7/8"), core.ZMode(12)))
+
+
+def _tower_hom_depth_3(chain):
+    """check_hom of chain(3) on 200 samples with seed 0."""
+    c = chain(3)
+    drawn = wreath.Tower(c.orders).samples(200, 0)
+    return wreath.check_hom(wreath.TowerHom(c), core.GeneratorSet(c.family, c.generators), drawn)
+
+
+# name -> (report builder, sha256 of json.dumps(report.to_dict(), sort_keys=True,
+# indent=2)) for reports the CLI does not write.
+IN_PROCESS_DIGESTS = {
+    "pl-failing czc bound 12": (
+        _pl_failing_czc, "bb201214f6e23ee2a0759b4dad16b2a5ff382db1d93802dcb2bf342ab1a7c361"),
+    "iet tower-hom depth 3": (
+        lambda: _tower_hom_depth_3(suites.iet_chain),
+        "1dc540285aa9120cd606044c639b04b781e2810ad0a38efa092934a2bdc09297"),
+    "perm tower-hom depth 3": (
+        lambda: _tower_hom_depth_3(suites.perm_chain),
+        "0c4500f8373423e1e63e72dc282cee07d7899ee50eac2967e9b81832290232cd"),
+}
 
 # Every pin above as (family, size, extra arguments, seed, format) -> digest.
 PINS = {
@@ -324,6 +369,24 @@ def test_text_report_is_golden(family, size, tmp_path):
 def test_wreath_tower_report_is_golden(samples, seed, fmt, tmp_path):
     assert (_report_digest(tmp_path, "wreath-tower", None, ("--samples", str(samples)), seed,
                            fmt) == WREATH_TOWER_DIGESTS[(samples, seed, fmt)])
+
+
+@pytest.mark.parametrize("family,extra,seed", sorted(NEIGHBOUR_DIGESTS, key=str))
+def test_neighbour_report_is_golden(family, extra, seed, tmp_path):
+    assert (_report_digest(tmp_path, family, None, extra, seed)
+            == NEIGHBOUR_DIGESTS[(family, extra, seed)])
+
+
+@pytest.mark.parametrize("name", sorted(IN_PROCESS_DIGESTS))
+def test_in_process_report_is_golden(name):
+    build, digest = IN_PROCESS_DIGESTS[name]
+    report = build()
+    if name.startswith("pl-failing"):
+        assert not report.passed
+    else:
+        assert report.passed and len(report.checks) == 3 * 200
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _restore_pass_lhs(monkeypatch):
