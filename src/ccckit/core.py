@@ -330,7 +330,11 @@ def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
     """{p: t^p} for 1 <= p <= top and -bottom <= p <= -1, each power one
     product from its neighbour: t^p = t^(p-1) t and t^-p = t^-(p-1) t^-1.
     That is (top - 1) + (bottom - 1) products and one inversion, where
-    binary powering costs bitlen(p) + popcount(p) - 2 products per power."""
+    binary powering costs bitlen(p) + popcount(p) - 2 products per power.
+    top and bottom must be ints >= 1."""
+    for bound in (top, bottom):
+        if not (is_int(bound) and bound >= 1):
+            raise ValueError(f"power table bounds must be ints >= 1, got {bound!r}")
     table = {1: t}
     for p in range(2, top + 1):
         table[p] = family.mul(table[p - 1], t)
@@ -376,16 +380,31 @@ def _conjugate_support(fam: GroupFamily, conj: object, h: object, h_support, p: 
     return fam.support(conj)
 
 
-def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
-                           powers: Sequence[int], report: VerificationReport,
-                           detail: str = "", shift: Callable | None = None) -> list:
-    """Record [h_i, ^(t^p) h_j] = e for every p in powers and every pair,
-    and return the supports of the h_i.
+def _neighbour_conjugates(fam: GroupFamily, hs: Sequence, t: object, t_inv: object,
+                          top: int):
+    """Yield (p, [^(t^p) h for h in hs]) for p = 1..top, then p = -1..-top,
+    each conjugate built from its neighbour with two products against t
+    or t^-1: ^(t^p) h = t ^(t^(p-1)) h t^-1 and ^(t^-p) h =
+    t^-1 ^(t^-(p-1)) h t, from ^(t^0) h = h.  t^p h t^-p costs two
+    products as well, but against t^p, which can grow with p: the pl
+    battery's witness has 3 vertices and its p-th power p + 2."""
+    for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
+        conjs = list(hs)
+        for q in range(1, top + 1):
+            conjs = [fam.mul(fam.mul(s, c), s_inv) for c in conjs]
+            yield sign * q, conjs
 
-    tp_cache maps both p and -p to t^p and t^-p, so inv(t^p) is read from
-    it.  Each h_i's support is found once per call, and each conjugate
-    ^(t^p) h_j is built, and its support found, once per (p, j): through
-    the claim shift(h_j, p) when it is given and holds (see
+
+def _conjugate_commutators(fam: GroupFamily, hs: Sequence, t: object, t_inv: object,
+                           top: int, report: VerificationReport,
+                           detail: str = "", shift: Callable | None = None) -> list:
+    """Record [h_i, ^(t^p) h_j] = e for p = 1..top, then p = -1..-top, and
+    every pair, and return the supports of the h_i.
+
+    t_inv is t^-1.  Each h_i's support is found once per call, and each
+    conjugate ^(t^p) h_j is built from its neighbour ^(t^(p-1)) h_j (see
+    _neighbour_conjugates), and its support found, once per (p, j):
+    through the claim shift(h_j, p) when it is given and holds (see
     _conjugate_support).  Each pair is then certified by disjoint supports
     or costs two products (see record_commutation), always on the real
     conjugate, so a failing record renders the real commutator.
@@ -393,9 +412,7 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, tp_cache: dict,
     if not hs:
         raise ValueError("empty generator set: nothing to check")
     h_supports = [fam.support(h) for h in hs]
-    for p in powers:
-        tp, tp_inv = tp_cache[p], tp_cache[-p]
-        conjs = [fam.mul(fam.mul(tp, hj), tp_inv) for hj in hs]
+    for p, conjs in _neighbour_conjugates(fam, hs, t, t_inv, top):
         conj_supports = [_conjugate_support(fam, c, hj, sj, p, shift)
                          for c, hj, sj in zip(conjs, hs, h_supports)]
         for i, (hi, si) in enumerate(zip(hs, h_supports)):
@@ -419,6 +436,10 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
     support to the conjugate's records, so they can be certified, and a
     claim that fails changes nothing.  Verdicts and report bytes never
     depend on it.
+
+    Of the powers of t it builds t^2..t^n and t^-1, n - 1 products and one
+    inversion; each conjugate is built from its neighbour (see
+    _neighbour_conjugates).
     """
     if not isinstance(w.mode, Finite):
         raise WitnessModeError("verify_ccc requires a Finite(n) witness")
@@ -428,13 +449,13 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
         fam.check_element(h)
     n = w.mode.n
     report = VerificationReport(suite)
-    powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
-    tp_cache = power_table(fam, w.t, n, n - 1)
-    h_supports = _conjugate_commutators(fam, H.elements, tp_cache, powers, report,
+    table = power_table(fam, w.t, n, 1)
+    h_supports = _conjugate_commutators(fam, H.elements, w.t, table[-1], n - 1, report,
                                         shift=shift)
-    tn_support = fam.support(tp_cache[n])
+    tn = table[n]
+    tn_support = fam.support(tn)
     for i, (hi, si) in enumerate(zip(H.elements, h_supports)):
-        record_commutation(fam, report, f"[h{i + 1}, t^{n}]", hi, tp_cache[n],
+        record_commutation(fam, report, f"[h{i + 1}, t^{n}]", hi, tn,
                            supports=(si, tn_support))
     return report
 
@@ -443,6 +464,9 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     """Bounded check of the n = infinity battery: [h_i, ^(t^p) h_j] = e for
     1 <= |p| <= P.  This is a bounded check of a universally quantified
     condition, and the report says so.
+
+    Of the powers of t it builds t^-1 alone; each conjugate is built from
+    its neighbour (see _neighbour_conjugates).
     """
     if not isinstance(w.mode, ZMode):
         raise WitnessModeError("verify_czc requires a ZMode witness")
@@ -452,8 +476,6 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
         fam.check_element(h)
     P = w.mode.bound
     report = VerificationReport(suite, bounded=True)
-    powers = [q for q in range(1, P + 1)] + [-q for q in range(1, P + 1)]
-    tp_cache = power_table(fam, w.t, P, P)
-    _conjugate_commutators(fam, H.elements, tp_cache, powers, report,
+    _conjugate_commutators(fam, H.elements, w.t, fam.inv(w.t), P, report,
                            detail=f"bounded check, |p| <= {P}")
     return report

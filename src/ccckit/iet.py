@@ -13,7 +13,9 @@ lowest terms makes equality field equality.  ``compose``, ``inverse`` and
 the normal form do only ``int`` arithmetic; ``Fraction`` appears only at
 the boundary: ``make_iet``, ``apply``, the read-only
 ``breakpoints``/``translations``/``bound`` properties, and rendering,
-which prints exactly what ``str(Fraction)`` prints.
+which prints exactly what ``str(Fraction)`` prints.  A caller's numbers
+become ``Fraction`` through ``rational.exact``, so a binary float is
+refused, not taken at its power-of-two value.
 
 The public constructors (``IetMap(...)`` and ``make_iet``) validate: the
 raw breakpoints start at 0 and ascend strictly, the translated intervals
@@ -30,7 +32,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, trusted
-from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
+from .rational import (common_den, exact, fmt, in_lowest_terms, is_int_data, lowest_terms,
                        over_common_den, rescaled)
 
 
@@ -128,7 +130,7 @@ IDENTITY = IetMap(1, (0,), ())
 
 
 def apply(f: IetMap, x) -> Fraction:
-    x = Fraction(x)
+    x = exact(x)
     if x < 0:
         raise ValueError(f"point must be >= 0, got {x}")
     j = bisect_right(f.cuts, x * f.den)  # x lies in interval j - 1, or in the tail
@@ -168,7 +170,7 @@ def compose(f: IetMap, g: IetMap) -> IetMap:
 
 def block_exchange(n) -> IetMap:
     """Exchange [0, n) with [n, 2n); an involution."""
-    n = Fraction(n)
+    n = exact(n)
     if n <= 0:
         raise ValueError(f"block length must be > 0, got {n}")
     return make_iet([0, n, 2 * n], [n, -n])
@@ -176,10 +178,10 @@ def block_exchange(n) -> IetMap:
 
 def rotation(length, amount) -> IetMap:
     """Rotation of [0, length) by amount (mod length), identity beyond."""
-    length = Fraction(length)
+    length = exact(length)
     if length <= 0:
         raise ValueError(f"block length must be > 0, got {length}")
-    amount = Fraction(amount) % length
+    amount = exact(amount) % length
     if amount == 0:
         return IDENTITY
     return make_iet([0, length - amount, length], [amount, amount - length])

@@ -11,7 +11,9 @@ its neighbours, so equality is field equality.  ``compose``, ``inverse``
 and ``_drop_collinear`` do only ``int`` arithmetic; ``Fraction`` appears
 only at the boundary: ``make_pl``, ``apply``, the read-only ``vertices``
 property, and rendering, which prints exactly what ``str(Fraction)``
-prints.
+prints.  A caller's numbers become ``Fraction`` through
+``rational.exact``, so a binary float is refused, not taken at its
+power-of-two value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily, Record,
                    Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
-from .rational import (common_den, fmt, in_lowest_terms, is_int_data, lowest_terms,
+from .rational import (common_den, exact, fmt, in_lowest_terms, is_int_data, lowest_terms,
                        over_common_den, over_one_den, ratio, rescaled)
 
 
@@ -97,7 +99,7 @@ IDENTITY = make_pl([(0, 0), (1, 1)])
 
 
 def apply(f: PlMap, x) -> Fraction:
-    x = Fraction(x)
+    x = exact(x)
     if not 0 <= x <= 1:
         raise ValueError(f"point {x} outside [0, 1]")
     xs, ys = f.xs, f.ys
@@ -172,7 +174,7 @@ def support_interval(H: GeneratorSet) -> tuple[Fraction, Fraction] | None:
 def displacement_witness(a, b, bound: int = 8) -> Witness:
     """An increasing PL bijection t with t(a) > b, as a bounded Z-mode
     witness.  Vertices are dyadic whenever a and b are."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact(a), exact(b)
     if not 0 < a <= b < 1:
         raise ValueError(f"need 0 < a <= b < 1, got a={a}, b={b}")
     peak = (1 + b) / 2  # strictly between b and 1
@@ -209,7 +211,7 @@ def verify_displaced_supports(H: GeneratorSet, t: PlMap, P: int) -> Verification
 
 def displacement_escalates(t: PlMap, a, b, P: int) -> list[bool]:
     """Exact check of t^p(a) > t^(p-1)(b) for 1 <= p <= P."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact(a), exact(b)
     out = []
     ta, tb = a, b
     prev_b = b
@@ -258,7 +260,7 @@ PL = PlFamily()
 def bump(a, b) -> PlMap:
     """A map supported exactly on [a, b]: sends the midpoint m to
     (m + b) / 2, identity outside."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact(a), exact(b)
     if not 0 < a < b < 1:
         raise ValueError(f"need 0 < a < b < 1, got {a}, {b}")
     mid = (a + b) / 2

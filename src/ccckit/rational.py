@@ -4,7 +4,8 @@
 numerators, in lowest terms (the gcd of the denominator and all numerators
 is 1), so their kernels do only ``int`` arithmetic.  These helpers are the
 boundary between that representation and ``Fraction``, plus the rescale
-and reduce steps the kernels share.
+and reduce steps the kernels share.  ``exact`` is the one way a caller's
+number becomes a ``Fraction``, and it refuses binary floats.
 """
 
 from __future__ import annotations
@@ -13,9 +14,20 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def exact(x) -> Fraction:
+    """x as a Fraction, for an int, a Fraction or a str such as "1/3" or
+    "0.1".  A float or bool raises ValueError: a binary float is not the
+    decimal it prints (0.1 is 3602879701896397 / 2^55), so it would build a
+    map over a power-of-two denominator the caller never meant."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"need an exact rational (int, Fraction or str), got {x!r}")
+    return Fraction(x)
+
+
 def over_common_den(values) -> tuple[int, list[int]]:
-    """Rationals as (den, numerators), den the lcm of their denominators."""
-    qs = [Fraction(v) for v in values]
+    """Rationals as (den, numerators), den the lcm of their denominators;
+    each value goes through ``exact``."""
+    qs = [exact(v) for v in values]
     den = lcm(*(q.denominator for q in qs))
     return den, [q.numerator * (den // q.denominator) for q in qs]
 

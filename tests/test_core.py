@@ -1,3 +1,4 @@
+import operator
 import re
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
-                         WitnessModeError, ZMode, commutator, commutes,
+                         WitnessModeError, ZMode, _neighbour_conjugates, commutator, commutes,
                          conjugate, power_table, record_commutation, verify_ccc, verify_czc)
 import ccckit
 from ccckit import braid as braidmod
@@ -123,6 +124,58 @@ def test_power_table_builds_each_power_from_its_neighbour():
         for p, tp in table.items():
             assert tp == PERM.power(t, p)
         assert counted.counts == Counter(mul=(top - 1) + (bottom - 1), inv=1)
+
+
+@pytest.mark.parametrize("top,bottom", [(0, 0), (1, 0), (0, 1), (-1, 1), (2.0, 1), (True, 1),
+                                        (1, "1"), (1, None)])
+def test_power_table_rejects_bounds_that_are_not_ints_from_1(top, bottom):
+    counted = CountingFamily(PERM)
+    with pytest.raises(ValueError, match="power table bounds must be ints >= 1"):
+        power_table(counted, perm_from_cycles([[1, 2, 3]]), top, bottom)
+    assert not counted.counts
+
+
+def _word(fam, letters):
+    """A strategy for products of up to 4 of the given letters."""
+    return st.lists(st.sampled_from(letters), max_size=4).map(fam.product)
+
+
+_MAT_Z3 = mat.MatrixFamily(3, 3)
+_BRAID_4 = braidmod.BraidFamily(4)
+
+# family -> (group family, strategy for its elements)
+NEIGHBOUR_CASES = {
+    "perm": (PERM, perm_st),
+    "pl": (pl.PL, _word(pl.PL, [pl.bump(Fraction(a, 16), Fraction(b, 16))
+                                for a, b in ((1, 5), (2, 9), (4, 12), (7, 15), (3, 4))]
+                        + [pl.inverse(pl.bump(Fraction(3, 16), Fraction(13, 16)))])),
+    "matrix-Z/3": (_MAT_Z3, _word(_MAT_Z3, [mat.elementary(3, i, j, r, 3)
+                                           for i in range(1, 4) for j in range(1, 4)
+                                           for r in (1, 2) if i != j])),
+    "iet": (ietmod.IET, _word(ietmod.IET, [ietmod.rotation(Fraction(3, 2), Fraction(1, 2)),
+                                          ietmod.rotation(2, Fraction(1, 3)),
+                                          ietmod.block_exchange(Fraction(3, 4)),
+                                          ietmod.block_exchange(1)])),
+    "braid": (_BRAID_4, _word(_BRAID_4, [braidmod.braid(4, (x,)) for x in (1, 2, 3, -1, -2, -3)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEIGHBOUR_CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_neighbour_conjugates_match_conjugation_by_the_power(name, data):
+    """^(t^p) h built from its neighbour ^(t^(p-1)) h is t^p h t^-p for
+    1 <= |p| <= 8: equal normal forms, and for braids equal in B_4."""
+    fam, elements = NEIGHBOUR_CASES[name]
+    t = data.draw(elements, label="t")
+    hs = data.draw(st.lists(elements, min_size=1, max_size=2), label="hs")
+    equal = braidmod.braids_equal if name == "braid" else operator.eq
+    powers = []
+    for p, conjs in _neighbour_conjugates(fam, hs, t, fam.inv(t), 8):
+        powers.append(p)
+        for h, c in zip(hs, conjs, strict=True):
+            assert equal(c, conjugate(fam, fam.power(t, p), h))
+    assert powers == list(range(1, 9)) + list(range(-1, -9, -1))
 
 
 def test_verify_ccc_passes_on_disjoint_blocks():
@@ -456,19 +509,19 @@ def _assert_engine_matches_reference(engine, reference, case, shift=None):
     claims = {} if shift is None else {"shift": shift}
     got = engine(GeneratorSet(counted, gens), w, **claims).to_dict()
     assert got == expected
-    # the power table takes (top - 1) + (bottom - 1) products for the powers
-    # t^1..t^top and t^-1..t^-bottom, and one inversion; the engine builds
-    # each conjugate ^(t^p) h_j once per (p, j), with two products
+    # the engine inverts t once and builds each conjugate ^(t^p) h_j once
+    # per (p, j) from its neighbour, with two products against t or t^-1;
+    # the finite battery also builds t^2..t^n, n - 1 products, and the
+    # Z-mode battery no power of t at all
     h = len(gens)
     if isinstance(w.mode, Finite):
-        top, bottom = w.mode.n, w.mode.n - 1
+        table = w.mode.n - 1
         n_powers = 2 * (w.mode.n - 1)
         records = n_powers * h * h + h  # and [h_i, t^n] for each i
     else:
-        top = bottom = w.mode.bound
+        table = 0
         n_powers = 2 * w.mode.bound
         records = n_powers * h * h
-    table = (top - 1) + (bottom - 1)
     # a record whose supports are disjoint is certified with no product and
     # no eq; every other one decides ab = ba with two products and one eq,
     # and a failing one then builds the commutator [a, b] = (ab)(ba)^-1, one
@@ -514,7 +567,7 @@ def test_passing_battery_certifies_every_record(label):
     """On a passing perm or matrix battery the witness moves each h_j off
     block 1, and t^2 = e moves nothing, so every record, each
     [h_i, ^(t^p) h_j] among them, is certified by disjoint supports: the
-    engine's only products are the power table's and the conjugates'."""
+    engine's only products are those of t^2..t^n and the conjugates'."""
     fam, gens, w = CCC_CASES[label]()
     counted = CountingFamily(fam)
     report = verify_ccc(GeneratorSet(counted, gens), w)
@@ -522,7 +575,7 @@ def test_passing_battery_certifies_every_record(label):
     pairs, _ = engine_pairs(fam, gens, w)
     assert not any(supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
     n = w.mode.n
-    assert counted.counts == Counter(mul=(n - 1) + (n - 2) + 2 * 2 * (n - 1) * len(gens), inv=1)
+    assert counted.counts == Counter(mul=(n - 1) + 2 * 2 * (n - 1) * len(gens), inv=1)
 
 
 @pytest.mark.parametrize("label", ["braid-2", "braid-3"])

@@ -340,32 +340,31 @@ def test_memoized_image_matches_definition(chain_name, pairs, top):
     assert again == u and f.family.eq(f(again), expected)
 
 
-class MulCountingPerm(p.PermFamily):
-    """The permutation family, counting products."""
+class ProductRecordingPerm(p.PermFamily):
+    """The permutation family, listing the factors of each ``product``
+    call; of the tower code only ``TowerHom.eval`` takes one."""
 
     def __init__(self):
-        self.muls = 0
+        self.factor_tuples = []
 
-    def mul(self, a, b):
-        self.muls += 1
-        return super().mul(a, b)
+    def product(self, elements):
+        elements = tuple(elements)
+        self.factor_tuples.append(elements)
+        return super().product(elements)
 
 
 class ImageRecordingHom(w.TowerHom):
-    """A TowerHom recording, for each evaluation at any level, the products
-    it made, and each top-level image it returned."""
+    """A TowerHom recording each (level, element) it evaluates, at any
+    level, and each top-level image it returns."""
 
     def __init__(self, chain):
         super().__init__(chain)
-        self.products = {}
+        self.evaluated = []
         self.images = []
 
     def eval(self, u, level=None):
-        before = self.family.muls
-        image = super().eval(u, level)
-        self.products.setdefault((level or self.tower.depth, u), []).append(
-            self.family.muls - before)
-        return image
+        self.evaluated.append((level or self.tower.depth, u))
+        return super().eval(u, level)
 
     def __call__(self, u):
         image = super().__call__(u)
@@ -375,20 +374,69 @@ class ImageRecordingHom(w.TowerHom):
 
 def _recording_hom():
     plain = perm_chain()
-    chain = w.WitnessChain(MulCountingPerm(), plain.generators, plain.ts, plain.orders)
+    chain = w.WitnessChain(ProductRecordingPerm(), plain.generators, plain.ts, plain.orders)
     return ImageRecordingHom(chain), plain
 
 
-def test_each_tower_element_reaches_the_product_once():
+def factors_by_definition(chain, u):
+    """The factors of f(u) at level 2, straight from the definition:
+    t2^p t1^(u_p) t2^-p for ascending p, then t2^top."""
+    fam = chain.family
+    t1, t2 = chain.ts
+    fam2 = w.Tower(chain.orders).families[1]
+    return tuple([fam.mul(fam.mul(fam.power(t2, q), fam.power(t1, fam2.value_at(u, q))),
+                          fam.power(t2, -q)) for q in range(chain.orders[1])]
+                 + [fam.power(t2, u.top)])
+
+
+def test_each_factor_tuple_reaches_the_product_once():
+    """Distinct tower elements often have the same factors, and each
+    distinct tuple of factor values is multiplied once."""
     f, plain = _recording_hom()
-    w.check_hom(f, GeneratorSet(f.family, plain.generators), f.tower.samples(30, 2))
-    assert any(level == 2 and len(counts) > 1  # the sample repeats elements
-               for (level, _), counts in f.products.items())
-    for (level, _), counts in f.products.items():
-        # above level 1 the first evaluation multiplies its
-        # orders[level - 1] + 1 factors; level 1 reads the power cache
-        assert level == 1 or counts[0] >= plain.orders[level - 1]
-        assert all(c == 0 for c in counts[1:])
+    drawn = f.tower.samples(30, 2)
+    report = w.check_hom(f, GeneratorSet(f.family, plain.generators), drawn)
+    multiplied = f.family.factor_tuples
+    assert multiplied and len(set(multiplied)) == len(multiplied)
+    # level 1 reads the power cache; every level-2 element has its factors
+    # multiplied, and they are fewer than the elements: the sample shares them
+    top = {u for level, u in f.evaluated if level == 2}
+    assert set(multiplied) == {factors_by_definition(plain, u) for u in top}
+    assert len(multiplied) < len(top)
+    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
+    assert report.to_dict() == expected.to_dict()
+
+
+def image_by_recursion(chain, tower, u, level):
+    """f(u) for u in the level-th tower group, from the definition with no
+    memo: t_1^u at level 1, and above it the product over ascending p of
+    t^p f(u_p) t^-p, times t^top, for t the level's witness."""
+    fam = chain.family
+    if level == 1:
+        return fam.power(chain.ts[0], u)
+    t = chain.ts[level - 1]
+    level_fam = tower.families[level - 1]
+    out = fam.identity()
+    for q in range(chain.orders[level - 1]):
+        inner = image_by_recursion(chain, tower, level_fam.value_at(u, q), level - 1)
+        out = fam.mul(out, conjugate(fam, fam.power(t, q), inner))
+    return fam.mul(out, fam.power(t, u.top))
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("chain", [iet_chain, perm_chain], ids=["iet", "perm"])
+def test_memoized_images_match_the_unmemoized_definition(chain, depth):
+    """Every sample of a seeded draw, and each lower-level element it
+    reaches, has the image the definition gives; the one TowerHom's memos
+    fill up and are read across the samples."""
+    c = chain(depth)
+    f = ImageRecordingHom(c)
+    drawn = f.tower.samples(25, depth)
+    elements = [x for triple in drawn.law for x in triple] + list(drawn.outside + drawn.members)
+    for u in elements:
+        assert c.family.eq(f(u), image_by_recursion(c, f.tower, u, depth))
+    assert len(set(f.images)) < len(set(elements))  # images repeat
+    for level, u in set(f.evaluated):
+        assert c.family.eq(f.eval(u, level), image_by_recursion(c, f.tower, u, level))
 
 
 def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
