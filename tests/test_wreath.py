@@ -311,17 +311,31 @@ def _hom(chain_name):
     return w.TowerHom(chain)
 
 
-def image_by_definition(chain, u):
-    """f(u) at level 2 straight from the definition: the product over p of
-    t2^p t1^(u_p) t2^-p, in ascending p, times t2^top."""
+def factors_by_definition(chain, tower, u, level):
+    """The factors of f(u) for u in the level-th tower group, level >= 2,
+    from the definition with no memo: t^p f(u_p) t^-p for ascending p, then
+    t^top, for t the level's witness."""
     fam = chain.family
-    t1, t2 = chain.ts
-    fam2 = w.Tower(chain.orders).families[1]
+    t = chain.ts[level - 1]
+    level_fam = tower.families[level - 1]
+    factors = []
+    for q in range(chain.orders[level - 1]):
+        inner = image_by_definition(chain, tower, level_fam.value_at(u, q), level - 1)
+        factors.append(fam.mul(fam.mul(fam.power(t, q), inner), fam.power(t, -q)))
+    return tuple(factors) + (fam.power(t, u.top),)
+
+
+def image_by_definition(chain, tower, u, level):
+    """f(u) for u in the level-th tower group, with no memo: t_1^u at level
+    1, and above it the product of its factors in order, multiplied out
+    from the identity."""
+    fam = chain.family
+    if level == 1:
+        return fam.power(chain.ts[0], u)
     out = fam.identity()
-    for q in range(chain.orders[1]):
-        inner = fam.power(t1, fam2.value_at(u, q))
-        out = fam.mul(out, fam.mul(fam.mul(fam.power(t2, q), inner), fam.power(t2, -q)))
-    return fam.mul(out, fam.power(t2, u.top))
+    for factor in factors_by_definition(chain, tower, u, level):
+        out = fam.mul(out, factor)
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,7 +346,7 @@ def test_memoized_image_matches_definition(chain_name, pairs, top):
     f = _hom(chain_name)
     fam2 = f.tower.families[1]
     u = fam2.element(pairs, top=top)
-    expected = image_by_definition(f.chain, u)
+    expected = image_by_definition(f.chain, f.tower, u, 2)
     for _ in range(2):  # the second call is a memo hit
         assert f.family.eq(f(u), expected)
     # the same element built another way hits the same entry
@@ -378,17 +392,6 @@ def _recording_hom():
     return ImageRecordingHom(chain), plain
 
 
-def factors_by_definition(chain, u):
-    """The factors of f(u) at level 2, straight from the definition:
-    t2^p t1^(u_p) t2^-p for ascending p, then t2^top."""
-    fam = chain.family
-    t1, t2 = chain.ts
-    fam2 = w.Tower(chain.orders).families[1]
-    return tuple([fam.mul(fam.mul(fam.power(t2, q), fam.power(t1, fam2.value_at(u, q))),
-                          fam.power(t2, -q)) for q in range(chain.orders[1])]
-                 + [fam.power(t2, u.top)])
-
-
 def test_each_factor_tuple_reaches_the_product_once():
     """Distinct tower elements often have the same factors, and each
     distinct tuple of factor values is multiplied once."""
@@ -400,26 +403,10 @@ def test_each_factor_tuple_reaches_the_product_once():
     # level 1 reads the power cache; every level-2 element has its factors
     # multiplied, and they are fewer than the elements: the sample shares them
     top = {u for level, u in f.evaluated if level == 2}
-    assert set(multiplied) == {factors_by_definition(plain, u) for u in top}
+    assert set(multiplied) == {factors_by_definition(plain, f.tower, u, 2) for u in top}
     assert len(multiplied) < len(top)
     expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
     assert report.to_dict() == expected.to_dict()
-
-
-def image_by_recursion(chain, tower, u, level):
-    """f(u) for u in the level-th tower group, from the definition with no
-    memo: t_1^u at level 1, and above it the product over ascending p of
-    t^p f(u_p) t^-p, times t^top, for t the level's witness."""
-    fam = chain.family
-    if level == 1:
-        return fam.power(chain.ts[0], u)
-    t = chain.ts[level - 1]
-    level_fam = tower.families[level - 1]
-    out = fam.identity()
-    for q in range(chain.orders[level - 1]):
-        inner = image_by_recursion(chain, tower, level_fam.value_at(u, q), level - 1)
-        out = fam.mul(out, conjugate(fam, fam.power(t, q), inner))
-    return fam.mul(out, fam.power(t, u.top))
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -433,10 +420,10 @@ def test_memoized_images_match_the_unmemoized_definition(chain, depth):
     drawn = f.tower.samples(25, depth)
     elements = [x for triple in drawn.law for x in triple] + list(drawn.outside + drawn.members)
     for u in elements:
-        assert c.family.eq(f(u), image_by_recursion(c, f.tower, u, depth))
+        assert c.family.eq(f(u), image_by_definition(c, f.tower, u, depth))
     assert len(set(f.images)) < len(set(elements))  # images repeat
     for level, u in set(f.evaluated):
-        assert c.family.eq(f.eval(u, level), image_by_recursion(c, f.tower, u, level))
+        assert c.family.eq(f.eval(u, level), image_by_definition(c, f.tower, u, level))
 
 
 def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
