@@ -42,8 +42,15 @@ class Record:
     Two records are equal when they have the same class and equal fields; a
     record hashes as the tuple of its fields, prints as
     ``Name(field=value, ...)`` and refuses assignment and deletion.
+
+    The fields never change, so the hash is computed once per object, on
+    its first call, and kept in the ``_hash`` slot, outside ``__dict__``:
+    ``==``, ``repr``, ``replace``, ``trusted``, copies and pickles see the
+    fields alone.  A record with an unhashable field raises TypeError on
+    every call and keeps nothing.
     """
 
+    __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
@@ -60,7 +67,17 @@ class Record:
         return self.__dict__ == other.__dict__
 
     def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(self.__dict__.values()))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        # the fields alone: copy and pickle would restore the _hash slot
+        # through __setattr__, which refuses it
+        return self.__dict__
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
@@ -326,21 +343,17 @@ class VerificationReport:
 # Verification engine
 
 
-def power_table(family: GroupFamily, t: object, top: int, bottom: int) -> dict:
-    """{p: t^p} for 1 <= p <= top and -bottom <= p <= -1, each power one
-    product from its neighbour: t^p = t^(p-1) t and t^-p = t^-(p-1) t^-1.
-    That is (top - 1) + (bottom - 1) products and one inversion, where
-    binary powering costs bitlen(p) + popcount(p) - 2 products per power.
-    top and bottom must be ints >= 1."""
-    for bound in (top, bottom):
-        if not (is_int(bound) and bound >= 1):
-            raise ValueError(f"power table bounds must be ints >= 1, got {bound!r}")
+def power_table(family: GroupFamily, t: object, top: int) -> dict:
+    """{p: t^p} for 1 <= p <= top and p = -1, each positive power one
+    product from its neighbour, t^p = t^(p-1) t: top - 1 products and one
+    inversion, where binary powering costs bitlen(p) + popcount(p) - 2
+    products per power.  top must be an int >= 1."""
+    if not (is_int(top) and top >= 1):
+        raise ValueError(f"power table bound must be an int >= 1, got {top!r}")
     table = {1: t}
     for p in range(2, top + 1):
         table[p] = family.mul(table[p - 1], t)
-    t_inv = table[-1] = family.inv(t)
-    for p in range(2, bottom + 1):
-        table[-p] = family.mul(table[1 - p], t_inv)
+    table[-1] = family.inv(t)
     return table
 
 
@@ -449,7 +462,7 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
         fam.check_element(h)
     n = w.mode.n
     report = VerificationReport(suite)
-    table = power_table(fam, w.t, n, 1)
+    table = power_table(fam, w.t, n)
     h_supports = _conjugate_commutators(fam, H.elements, w.t, table[-1], n - 1, report,
                                         shift=shift)
     tn = table[n]

@@ -2,18 +2,20 @@
 
 Compactly supported subgroups of these realize line homeomorphism groups in
 a bounded exact model; the displacement witness t with t(a) > b drives the
-disjoint-support argument checked by verify_displaced_supports.
+disjoint-support argument checked by verify_displaced_supports, which also
+checks that the displacement escalates, from the same orbit walk.
 
 A ``PlMap`` stores one positive denominator ``den`` and integer vertex
 numerators: vertex i is (xs[i] / den, ys[i] / den), in lowest terms
 (``gcd(den, *xs, *ys) == 1``) and with no interior vertex collinear with
 its neighbours, so equality is field equality.  ``compose``, ``inverse``
-and ``_drop_collinear`` do only ``int`` arithmetic; ``Fraction`` appears
-only at the boundary: ``make_pl``, ``apply``, the read-only ``vertices``
-property, and rendering, which prints exactly what ``str(Fraction)``
-prints.  A caller's numbers become ``Fraction`` through
-``rational.exact``, so a binary float is refused, not taken at its
-power-of-two value.
+and ``_drop_collinear`` do only ``int`` arithmetic, and so does ``apply``
+on the numerator and denominator of its point, returning one ``Fraction``
+built at the end.  Otherwise ``Fraction`` appears only at the boundary:
+``make_pl``, the read-only ``vertices`` property, and rendering, which
+prints exactly what ``str(Fraction)`` prints.  A caller's numbers become
+``Fraction`` through ``rational.exact``, so a binary float is refused,
+not taken at its power-of-two value.
 """
 
 from __future__ import annotations
@@ -99,13 +101,21 @@ IDENTITY = make_pl([(0, 0), (1, 1)])
 
 
 def apply(f: PlMap, x) -> Fraction:
+    """f(x) for x in [0, 1] given as in rational.exact.  With x = n/d, the
+    point x * den = n * den / d lies on the segment that starts at the last
+    vertex numerator below ceil(n * den / d), and the interpolation is put
+    over d * den * (segment width): int arithmetic throughout, and the
+    result is the one Fraction built."""
     x = exact(x)
-    if not 0 <= x <= 1:
+    n, d = x.numerator, x.denominator
+    if not 0 <= n <= d:
         raise ValueError(f"point {x} outside [0, 1]")
-    xs, ys = f.xs, f.ys
-    u = x * f.den
-    i = max(bisect_left(xs, u), 1)  # xs[i - 1] <= u <= xs[i]
-    return (ys[i - 1] + (ys[i] - ys[i - 1]) * (u - xs[i - 1]) / (xs[i] - xs[i - 1])) / f.den
+    xs, ys, den = f.xs, f.ys, f.den
+    u = n * den  # x * den = u / d
+    i = max(bisect_left(xs, -(-u // d)), 1)  # xs[i - 1] <= u / d <= xs[i]
+    x0, y0 = xs[i - 1], ys[i - 1]
+    width = xs[i] - x0
+    return Fraction(y0 * width * d + (ys[i] - y0) * (u - x0 * d), width * d * den)
 
 
 def inverse(f: PlMap) -> PlMap:
@@ -183,19 +193,27 @@ def displacement_witness(a, b, bound: int = 8) -> Witness:
 
 def verify_displaced_supports(H: GeneratorSet, t: PlMap, P: int) -> VerificationReport:
     """Run the algebraic bounded-commutation battery AND the geometric
-    disjoint-support battery, and record whether they agree."""
-    fam = H.family
+    disjoint-support battery, and record whether they agree.
+
+    The geometric battery walks the t-orbits of the support ends lo and hi
+    once, to t^P(lo) and t^P(hi), and the same walk decides the
+    displacement escalation t^p(lo) > t^(p-1)(hi) for 1 <= p <= P, recorded
+    last as "[lo,hi]: displacement escalation".  A trivial H has no
+    support, and neither walk nor escalation record."""
     report = VerificationReport("pl-displaced-supports", bounded=True)
     algebraic = verify_czc(H, Witness(t, ZMode(P)), suite="pl-algebraic")
     report.extend(algebraic)
 
     supp = support_interval(H)
     geometric_ok = True
+    escalates = []
     if supp is not None:
         lo, hi = supp
         x, y = lo, hi
         for p in range(1, P + 1):
-            x, y = apply(t, x), apply(t, y)  # t^p image of the support interval
+            x = apply(t, x)
+            escalates.append(x > y)  # t^p(lo) > t^(p-1)(hi)
+            y = apply(t, y)  # [x, y] is now the t^p image of the support interval
             disjoint = x > hi or y < lo
             geometric_ok = geometric_ok and disjoint
             report.record(
@@ -206,20 +224,10 @@ def verify_displaced_supports(H: GeneratorSet, t: PlMap, P: int) -> Verification
                   algebraic.passed == geometric_ok,
                   "algebraic " + ("pass" if algebraic.passed else "fail"),
                   "geometric " + ("pass" if geometric_ok else "fail"))
+    if supp is not None:
+        report.record(f"[{lo},{hi}]: displacement escalation", all(escalates),
+                      " ".join("ok" if e else "fail" for e in escalates), "all ok")
     return report
-
-
-def displacement_escalates(t: PlMap, a, b, P: int) -> list[bool]:
-    """Exact check of t^p(a) > t^(p-1)(b) for 1 <= p <= P."""
-    a, b = exact(a), exact(b)
-    out = []
-    ta, tb = a, b
-    prev_b = b
-    for _ in range(P):
-        ta = apply(t, ta)
-        out.append(ta > prev_b)
-        prev_b = apply(t, prev_b)
-    return out
 
 
 def render_pl(f: PlMap) -> str:

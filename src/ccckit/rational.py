@@ -18,7 +18,10 @@ def exact(x) -> Fraction:
     """x as a Fraction, for an int, a Fraction or a str such as "1/3" or
     "0.1".  A float or bool raises ValueError: a binary float is not the
     decimal it prints (0.1 is 3602879701896397 / 2^55), so it would build a
-    map over a power-of-two denominator the caller never meant."""
+    map over a power-of-two denominator the caller never meant.  A
+    Fraction comes back as it is, with no copy."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (float, bool)):
         raise ValueError(f"need an exact rational (int, Fraction or str), got {x!r}")
     return Fraction(x)

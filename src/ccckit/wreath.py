@@ -448,7 +448,8 @@ class TowerHom:
     elements with 8 distinct factor tuples), and the last cache
     multiplies each distinct tuple once; it needs the target's elements
     to hash, with ``==`` implying group equality, as ``check_hom``'s
-    memos do."""
+    memos do.  Each memo is read with one ``dict.get``, which no element
+    value can answer with None, and filled only on a miss."""
 
     def __init__(self, chain: WitnessChain):
         check = validate_chain(chain)
@@ -465,20 +466,22 @@ class TowerHom:
     def _power(self, level: int, k: int):
         """t_level^k, computed once per (level, k)."""
         key = (level, k)
-        if key not in self._powers:
-            self._powers[key] = self.family.power(self.chain.ts[level - 1], k)
-        return self._powers[key]
+        power = self._powers.get(key)
+        if power is None:
+            power = self._powers[key] = self.family.power(self.chain.ts[level - 1], k)
+        return power
 
     def _conjugate(self, level: int, p: int, a_p):
         """^(t_level^p) f(a_p) = t^p f(a_p) t^-p, computed once per
         (level, p, a_p); equal tower elements have equal images."""
         key = (level, p, a_p)
-        if key not in self._conjugates:
+        conj = self._conjugates.get(key)
+        if conj is None:
             fam = self.family
-            self._conjugates[key] = fam.mul(
+            conj = self._conjugates[key] = fam.mul(
                 fam.mul(self._power(level, p), self.eval(a_p, level - 1)),
                 self._power(level, -p))
-        return self._conjugates[key]
+        return conj
 
     def eval(self, u, level: int | None = None):
         """f(u) for u in the level-th tower group, computed once per
@@ -491,7 +494,8 @@ class TowerHom:
         level_fam = self.tower.families[level - 1]
         level_fam.check_element(u)
         key = (level, u)
-        if key not in self._images:
+        image = self._images.get(key)
+        if image is None:
             # ascending p; factors commute by the chain invariants
             factors = tuple(self._conjugate(level, p, level_fam.value_at(u, p))
                             for p in range(self.chain.orders[level - 1]))
@@ -500,7 +504,7 @@ class TowerHom:
             if image is None:
                 image = self._products[factors] = self.family.product(factors)
             self._images[key] = image
-        return self._images[key]
+        return image
 
     def __call__(self, u):
         return self.eval(u)

@@ -16,7 +16,7 @@ from ccckit import wreath as w
 from ccckit.core import Finite, GeneratorSet, Witness, commutator, verify_ccc
 from ccckit.suites import FAMILIES, iet_chain, perm_chain, run_family
 
-from util import bounded_products, random_iet
+from util import bounded_products, displacement_escalates, random_iet
 
 
 def _verdict(k: int, label: str, ok: bool) -> None:
@@ -138,7 +138,10 @@ def test_acceptance_7_pl_dual_verification():
         ok = ok and report.passed
         agree = [c for c in report.checks if "agree" in c["name"]]
         ok = ok and agree and agree[0]["status"] == "pass"
-        ok = ok and all(pl.displacement_escalates(witness.t, a, b, 6))
+        ok = ok and all(displacement_escalates(witness.t, a, b, 6))
+        ok = ok and report.checks[-1] == {
+            "name": f"[{a},{b}]: displacement escalation", "status": "pass",
+            "lhs": " ".join(["ok"] * 6), "rhs": "all ok", "detail": ""}
     _verdict(7, "10 PL instances: algebraic/geometric agreement and escalation", ok)
 
 

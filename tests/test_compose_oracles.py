@@ -11,15 +11,21 @@ logic with the integer kernels.  Normal forms in lowest terms are unique,
 so each kernel must return exactly the oracle's value, and the value must
 survive re-validation.
 
+The integer ``plhomeo.apply`` is checked the same way against
+``_pl_apply``, the linear scan over the ``Fraction`` vertices that the
+former ``apply`` computed.
+
 Free-group substitution is checked the same way against the former
 ``_substitute_images``, which concatenates the images, builds an inverse
 word per negative letter and freely reduces the whole list at the end;
 reduced words are unique, so the streaming substitution must match it.
 """
 
+import functools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit import freegroup as fg
@@ -233,6 +239,49 @@ def test_pl_compose_shared_and_disjoint_supports():
                  (b1, pl.IDENTITY), (pl.IDENTITY, t)):
         check_pl(f, g)
     assert pl.compose(b1, b2) == pl.compose(b2, b1)
+
+
+pl_composites = st.lists(pl_map(), min_size=2, max_size=4).map(
+    lambda fs: functools.reduce(pl.compose, fs))
+points = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
+
+
+def check_pl_apply(f, extra=()):
+    """The integer apply against the Fraction scan at every vertex, both
+    ends, every vertex value taken as a point, and the extra points."""
+    v = f.vertices
+    for x in [x for x, _ in v] + [y for _, y in v] + [Fraction(0), Fraction(1)] + list(extra):
+        y = pl.apply(f, x)
+        assert type(y) is Fraction and y == _pl_apply(f, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(pl_maps, pl_composites), st.lists(points, max_size=6))
+def test_pl_apply_matches_oracle(f, extra):
+    check_pl_apply(f, extra)
+
+
+def test_pl_apply_matches_oracle_over_large_denominators():
+    t = pl.displacement_witness("1/3", "5/7").t
+    f = functools.reduce(pl.compose, [t, pl.bump("1/11", "6/13"), pl.inverse(t),
+                                      pl.bump("2/9", "17/19")])
+    tp = functools.reduce(pl.compose, [t] * 12)
+    for g in (f, tp, pl.compose(f, tp)):
+        assert g.den > 10 ** 6
+        check_pl_apply(g, [Fraction(k, 997) for k in range(0, 998, 37)])
+
+
+def test_pl_apply_takes_ints_and_strs_and_refuses_floats():
+    f = pl.make_pl([(0, 0), (Fraction(1, 3), Fraction(4, 7)), (1, 1)])
+    assert pl.apply(f, 0) == 0 and pl.apply(f, 1) == 1
+    for text in ("1/3", "0.25", "5/6"):
+        assert pl.apply(f, text) == _pl_apply(f, Fraction(text))
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="exact rational"):
+            pl.apply(f, bad)
+    for outside in (-1, 2, "-1/5", "6/5"):
+        with pytest.raises(ValueError, match="outside"):
+            pl.apply(f, outside)
 
 
 def test_pl_compose_across_denominators():

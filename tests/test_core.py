@@ -21,7 +21,7 @@ from ccckit import suites
 from ccckit import wreath as wreathmod
 from ccckit.perm import PERM, block_swap, perm_from_cycles, render_cycles
 
-from util import bounded_products, supports_overlap, wrong_braid_shift
+from util import bounded_products, products_of, supports_overlap, wrong_braid_shift
 
 def _perm_of(images):
     from ccckit.perm import perm_from_mapping
@@ -117,27 +117,21 @@ def test_default_product_is_the_left_fold():
 
 def test_power_table_builds_each_power_from_its_neighbour():
     t = perm_from_cycles([[1, 2, 3, 4, 5, 6, 7]])
-    for top, bottom in ((1, 1), (2, 1), (5, 4), (16, 16)):
+    for top in (1, 2, 5, 16):
         counted = CountingFamily(PERM)
-        table = power_table(counted, t, top, bottom)
-        assert sorted(table) == list(range(-bottom, 0)) + list(range(1, top + 1))
+        table = power_table(counted, t, top)
+        assert sorted(table) == [-1] + list(range(1, top + 1))
         for p, tp in table.items():
             assert tp == PERM.power(t, p)
-        assert counted.counts == Counter(mul=(top - 1) + (bottom - 1), inv=1)
+        assert counted.counts == Counter(mul=top - 1, inv=1)
 
 
-@pytest.mark.parametrize("top,bottom", [(0, 0), (1, 0), (0, 1), (-1, 1), (2.0, 1), (True, 1),
-                                        (1, "1"), (1, None)])
-def test_power_table_rejects_bounds_that_are_not_ints_from_1(top, bottom):
+@pytest.mark.parametrize("top", [0, -1, 2.0, True, "1", None])
+def test_power_table_rejects_bounds_that_are_not_ints_from_1(top):
     counted = CountingFamily(PERM)
-    with pytest.raises(ValueError, match="power table bounds must be ints >= 1"):
-        power_table(counted, perm_from_cycles([[1, 2, 3]]), top, bottom)
+    with pytest.raises(ValueError, match="power table bound must be an int >= 1"):
+        power_table(counted, perm_from_cycles([[1, 2, 3]]), top)
     assert not counted.counts
-
-
-def _word(fam, letters):
-    """A strategy for products of up to 4 of the given letters."""
-    return st.lists(st.sampled_from(letters), max_size=4).map(fam.product)
 
 
 _MAT_Z3 = mat.MatrixFamily(3, 3)
@@ -146,17 +140,18 @@ _BRAID_4 = braidmod.BraidFamily(4)
 # family -> (group family, strategy for its elements)
 NEIGHBOUR_CASES = {
     "perm": (PERM, perm_st),
-    "pl": (pl.PL, _word(pl.PL, [pl.bump(Fraction(a, 16), Fraction(b, 16))
-                                for a, b in ((1, 5), (2, 9), (4, 12), (7, 15), (3, 4))]
-                        + [pl.inverse(pl.bump(Fraction(3, 16), Fraction(13, 16)))])),
-    "matrix-Z/3": (_MAT_Z3, _word(_MAT_Z3, [mat.elementary(3, i, j, r, 3)
-                                           for i in range(1, 4) for j in range(1, 4)
-                                           for r in (1, 2) if i != j])),
-    "iet": (ietmod.IET, _word(ietmod.IET, [ietmod.rotation(Fraction(3, 2), Fraction(1, 2)),
-                                          ietmod.rotation(2, Fraction(1, 3)),
-                                          ietmod.block_exchange(Fraction(3, 4)),
-                                          ietmod.block_exchange(1)])),
-    "braid": (_BRAID_4, _word(_BRAID_4, [braidmod.braid(4, (x,)) for x in (1, 2, 3, -1, -2, -3)])),
+    "pl": (pl.PL, products_of(pl.PL, [pl.bump(Fraction(a, 16), Fraction(b, 16))
+                                      for a, b in ((1, 5), (2, 9), (4, 12), (7, 15), (3, 4))]
+                              + [pl.inverse(pl.bump(Fraction(3, 16), Fraction(13, 16)))])),
+    "matrix-Z/3": (_MAT_Z3, products_of(_MAT_Z3, [mat.elementary(3, i, j, r, 3)
+                                                 for i in range(1, 4) for j in range(1, 4)
+                                                 for r in (1, 2) if i != j])),
+    "iet": (ietmod.IET, products_of(ietmod.IET, [ietmod.rotation(Fraction(3, 2), Fraction(1, 2)),
+                                                ietmod.rotation(2, Fraction(1, 3)),
+                                                ietmod.block_exchange(Fraction(3, 4)),
+                                                ietmod.block_exchange(1)])),
+    "braid": (_BRAID_4, products_of(_BRAID_4, [braidmod.braid(4, (x,))
+                                               for x in (1, 2, 3, -1, -2, -3)])),
 }
 
 

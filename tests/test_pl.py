@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccckit import plhomeo as pl
+from ccckit import suites
 from ccckit.core import GeneratorSet, Witness, ZMode, verify_czc
+
+from util import displacement_escalates
 
 
 def test_apply_oracle():
@@ -123,10 +126,86 @@ def test_verify_displaced_supports_detects_bad_witness():
     assert agree[0]["status"] == "pass"
 
 
+def escalation_record(t, a, b, P) -> dict:
+    """The escalation record of verify_displaced_supports, as the pl
+    battery wrote it from the oracle's separate orbit walks."""
+    esc = displacement_escalates(t, a, b, P)
+    return {"name": f"[{a},{b}]: displacement escalation",
+            "status": "pass" if all(esc) else "fail",
+            "lhs": " ".join("ok" if e else "fail" for e in esc), "rhs": "all ok", "detail": ""}
+
+
 def test_displacement_escalates():
     a, b = Fraction(1, 8), Fraction(1, 4)
     w = pl.displacement_witness(a, b, bound=7)
-    assert pl.displacement_escalates(w.t, a, b, 7) == [True] * 7
+    assert displacement_escalates(w.t, a, b, 7) == [True] * 7
+    report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)), w.t, 7)
+    assert report.checks[-1] == escalation_record(w.t, a, b, 7)
+    assert report.checks[-1]["status"] == "pass"
+
+
+def test_escalation_record_fails_for_a_witness_that_does_not_displace():
+    # t(a) <= b, so t^p(a) <= t^(p-1)(b) for every p
+    a, b = Fraction(1, 4), Fraction(3, 4)
+    for peak in (Fraction(1, 2), b):
+        weak = pl.make_pl([(0, 0), (a, peak), (1, 1)])
+        report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)), weak, 5)
+        assert report.checks[-1] == escalation_record(weak, a, b, 5)
+        assert report.checks[-1]["lhs"] == " ".join(["fail"] * 5)
+
+
+@st.composite
+def displaced_instances(draw):
+    """An interval [a, b] on the 1/32 grid, a map t with up to 3 interior
+    vertices on the 1/16 grid, which may or may not push a past b, and a
+    bound P."""
+    a, b = sorted(draw(st.sets(st.integers(1, 31), min_size=2, max_size=2)))
+    k = draw(st.integers(0, 3))
+    xs = sorted(draw(st.sets(st.integers(1, 15), min_size=k, max_size=k)))
+    ys = sorted(draw(st.sets(st.integers(1, 15), min_size=k, max_size=k)))
+    t = pl.make_pl([(0, 0)] + [(Fraction(x, 16), Fraction(y, 16)) for x, y in zip(xs, ys)]
+                   + [(1, 1)])
+    return Fraction(a, 32), Fraction(b, 32), t, draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(displaced_instances())
+def test_escalation_record_matches_the_separate_orbit_walks(instance):
+    a, b, t, P = instance
+    report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)), t, P)
+    assert report.checks[-1] == escalation_record(t, a, b, P)
+    assert len(report.checks) == 2 * P + P + 2  # algebraic, geometric, agreement, escalation
+
+
+def test_trivial_generators_have_no_walk_and_no_escalation_record(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pl, "apply", lambda *args: calls.append(args))
+    report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.IDENTITY,)),
+                                          pl.displacement_witness("1/4", "1/2").t, 4)
+    assert not calls
+    assert report.checks[-1]["name"] == "algebraic and geometric verdicts agree"
+    assert report.passed
+
+
+@pytest.mark.parametrize("bound", [8, 16, 64])
+def test_pl_battery_walks_each_orbit_once(bound, monkeypatch):
+    """Each of the 3 instances walks the t-orbits of its two support ends
+    once, to p = bound, for its geometric and escalation records alike:
+    6 * bound apply calls in all."""
+    calls = []
+    apply = pl.apply
+
+    def counting(f, x):
+        calls.append(x)
+        return apply(f, x)
+
+    monkeypatch.setattr(pl, "apply", counting)
+    report = suites.pl_battery(3, bound, 0)
+    assert len(calls) == 6 * bound
+    assert report.passed
+    assert [c["name"] for c in report.checks if "escalation" in c["name"]] == [
+        "[1/4,1/2]: displacement escalation", "[1/8,1/4]: displacement escalation",
+        "[3/8,1/2]: displacement escalation"]
 
 
 def test_czc_battery():

@@ -9,6 +9,8 @@ import pytest
 from ccckit import iet, rational
 from ccckit import plhomeo as pl
 
+from util import displacement_escalates
+
 NOT_EXACT = [0.5, 0.1, 1.0, float("nan"), True, False]
 
 
@@ -39,8 +41,8 @@ BOUNDARIES = {
     "pl.bump": (pl.bump, ("1/10", "1/2")),
     "pl.apply": (lambda x: pl.apply(pl.bump("1/4", "1/2"), x), ("3/8",)),
     "pl.displacement_witness": (pl.displacement_witness, ("1/4", "1/2")),
-    "pl.displacement_escalates": (
-        lambda a, b: pl.displacement_escalates(pl.displacement_witness("1/4", "1/2").t, a, b, 3),
+    "util.displacement_escalates": (
+        lambda a, b: displacement_escalates(pl.displacement_witness("1/4", "1/2").t, a, b, 3),
         ("1/4", "1/2")),
     "pl.make_pl": (lambda x: pl.make_pl([(0, 0), (x, "1/2"), (1, 1)]), ("1/4",)),
     "iet.apply": (lambda x: iet.apply(iet.block_exchange(1), x), ("1/2",)),

@@ -1,13 +1,18 @@
 """Shared helpers for the test suite: seeded random elements per family,
-and brute-force oracles that only tests call."""
+a Hypothesis strategy for products of letters, and brute-force oracles
+that only tests call."""
 
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from ccckit import braid as braidmod
 from ccckit import iet as ietmod
 from ccckit import perm as permmod
+from ccckit import plhomeo as pl
 from ccckit.core import replace
+from ccckit.rational import exact
 
 
 def revalidates(x) -> bool:
@@ -41,6 +46,12 @@ def bounded_products(family, gens, max_len: int) -> list:
     return seen
 
 
+def products_of(family, letters, max_size: int = 4):
+    """A Hypothesis strategy for products of up to max_size of the given
+    letters, in the family."""
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(family.product)
+
+
 def supports_overlap(sa, sb) -> bool:
     """Whether two supports (see GroupFamily.support) may meet: True when
     either is None, else whether two of their intervals share a point,
@@ -50,6 +61,21 @@ def supports_overlap(sa, sb) -> bool:
     (da, xs), (db, ys) = sa, sb
     return any(max(Fraction(a, da), Fraction(c, db)) < min(Fraction(b, da), Fraction(d, db))
                for a, b in xs for c, d in ys)
+
+
+def displacement_escalates(t: pl.PlMap, a, b, P: int) -> list[bool]:
+    """Exact check of t^p(a) > t^(p-1)(b) for 1 <= p <= P, with a and b
+    taken through rational.exact and their t-orbits walked here.  The
+    oracle for the escalation record of pl.verify_displaced_supports."""
+    a, b = exact(a), exact(b)
+    out = []
+    ta = a
+    prev_b = b
+    for _ in range(P):
+        ta = pl.apply(t, ta)
+        out.append(ta > prev_b)
+        prev_b = pl.apply(t, prev_b)
+    return out
 
 
 def wrong_braid_shift(g, p):
