@@ -1,9 +1,10 @@
 """Family-agnostic group algebra and the commutation verification engine.
 
 Every concrete family (permutations, matrices, braids, IETs, PL maps,
-wreath products) plugs into the same abstract contract; the engine only
-ever calls identity/mul/inv/eq/render, so the verification batteries are
-written once and reused everywhere.
+wreath products) plugs into the same abstract contract, so the
+verification batteries are written once and reused everywhere.  The
+engine calls check_element, support, mul, inv, eq and power, and render
+only for the value of a failing record.
 """
 
 from __future__ import annotations
@@ -343,20 +344,6 @@ class VerificationReport:
 # Verification engine
 
 
-def power_table(family: GroupFamily, t: object, top: int) -> dict:
-    """{p: t^p} for 1 <= p <= top and p = -1, each positive power one
-    product from its neighbour, t^p = t^(p-1) t: top - 1 products and one
-    inversion, where binary powering costs bitlen(p) + popcount(p) - 2
-    products per power.  top must be an int >= 1."""
-    if not (is_int(top) and top >= 1):
-        raise ValueError(f"power table bound must be an int >= 1, got {top!r}")
-    table = {1: t}
-    for p in range(2, top + 1):
-        table[p] = family.mul(table[p - 1], t)
-    table[-1] = family.inv(t)
-    return table
-
-
 def record_commutation(family: GroupFamily, report: VerificationReport, name: str,
                        a: object, b: object, detail: str = "",
                        supports: tuple | None = None) -> None:
@@ -450,9 +437,9 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
     claim that fails changes nothing.  Verdicts and report bytes never
     depend on it.
 
-    Of the powers of t it builds t^2..t^n and t^-1, n - 1 products and one
-    inversion; each conjugate is built from its neighbour (see
-    _neighbour_conjugates).
+    Of the powers of t it builds t^-1, one inversion, and t^n by
+    GroupFamily.power, bitlen(n) + popcount(n) - 2 products; each conjugate
+    is built from its neighbour (see _neighbour_conjugates).
     """
     if not isinstance(w.mode, Finite):
         raise WitnessModeError("verify_ccc requires a Finite(n) witness")
@@ -462,10 +449,9 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
         fam.check_element(h)
     n = w.mode.n
     report = VerificationReport(suite)
-    table = power_table(fam, w.t, n)
-    h_supports = _conjugate_commutators(fam, H.elements, w.t, table[-1], n - 1, report,
+    h_supports = _conjugate_commutators(fam, H.elements, w.t, fam.inv(w.t), n - 1, report,
                                         shift=shift)
-    tn = table[n]
+    tn = fam.power(w.t, n)
     tn_support = fam.support(tn)
     for i, (hi, si) in enumerate(zip(H.elements, h_supports)):
         record_commutation(fam, report, f"[h{i + 1}, t^{n}]", hi, tn,

@@ -191,9 +191,10 @@ def displacement_witness(a, b, bound: int = 8) -> Witness:
     return Witness(make_pl([(0, 0), (a, peak), (1, 1)]), ZMode(bound))
 
 
-def verify_displaced_supports(H: GeneratorSet, t: PlMap, P: int) -> VerificationReport:
+def verify_displaced_supports(H: GeneratorSet, w: Witness) -> VerificationReport:
     """Run the algebraic bounded-commutation battery AND the geometric
-    disjoint-support battery, and record whether they agree.
+    disjoint-support battery for the Z-mode witness w = (t, ZMode(P)), as
+    displacement_witness builds it, and record whether they agree.
 
     The geometric battery walks the t-orbits of the support ends lo and hi
     once, to t^P(lo) and t^P(hi), and the same walk decides the
@@ -201,8 +202,9 @@ def verify_displaced_supports(H: GeneratorSet, t: PlMap, P: int) -> Verification
     last as "[lo,hi]: displacement escalation".  A trivial H has no
     support, and neither walk nor escalation record."""
     report = VerificationReport("pl-displaced-supports", bounded=True)
-    algebraic = verify_czc(H, Witness(t, ZMode(P)), suite="pl-algebraic")
+    algebraic = verify_czc(H, w, suite="pl-algebraic")
     report.extend(algebraic)
+    t, P = w.t, w.mode.bound
 
     supp = support_interval(H)
     geometric_ok = True

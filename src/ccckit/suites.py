@@ -209,8 +209,7 @@ def pl_battery(size: int, bound: int, seed: int) -> VerificationReport:
                  (Fraction(3, 8), Fraction(1, 2))][:size]
     for a, b in instances:
         H = GeneratorSet(plmod.PL, (plmod.bump(a, b),))
-        w = plmod.displacement_witness(a, b, bound)
-        report.extend(plmod.verify_displaced_supports(H, w.t, bound))
+        report.extend(plmod.verify_displaced_supports(H, plmod.displacement_witness(a, b, bound)))
     return report
 
 
@@ -235,14 +234,14 @@ def perm_chain(depth: int = 2) -> wreathmod.WitnessChain:
 
 
 def wreath_tower_battery(depth: int, samples: int, seed: int) -> VerificationReport:
-    """Both chains have orders (2,) * depth, so one draw from their tower
-    serves both."""
+    """Both chains have orders (2,) * depth, so one draw from the first
+    one's tower serves both."""
     report = VerificationReport("wreath-tower", bounded=True)
-    drawn = wreathmod.Tower((2,) * depth).samples(samples, seed)
-    for label, chain in (("iet", iet_chain(depth)), ("perm", perm_chain(depth))):
-        f = wreathmod.TowerHom(chain)
-        H = GeneratorSet(chain.family, chain.generators)
-        report.extend(wreathmod.check_hom(f, H, drawn), prefix=f"{label}: ")
+    homs = [(label, wreathmod.TowerHom(chain))
+            for label, chain in (("iet", iet_chain(depth)), ("perm", perm_chain(depth)))]
+    drawn = homs[0][1].tower.samples(samples, seed)
+    for label, f in homs:
+        report.extend(wreathmod.check_hom(f, drawn), prefix=f"{label}: ")
     return report
 
 

@@ -514,14 +514,15 @@ class TowerHom:
 # The homomorphism property checks
 
 
-def check_hom(f: TowerHom, H: GeneratorSet, samples: TowerSamples) -> VerificationReport:
+def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
     """Checks on one seeded draw of ``Tower.samples`` of (a) the
     homomorphism law, (b) commutation of H with images of non-members of
     the distinguished subgroup, and (c) commutation of H with images of
-    members.  The draw holds tower elements only, and f is applied here, so
-    one draw serves every chain whose orders are the tower's: a battery
-    that checks several such chains draws once.  ``samples`` must come
-    from a tower of f's orders, and H must have a generator.
+    members, where H is generated by f's chain's generators, the subgroup
+    the chain's invariants are about.  The draw holds tower elements only,
+    and f is applied here, so one draw serves every chain whose orders are
+    the tower's: a battery that checks several such chains draws once.
+    ``samples`` must come from a tower of f's orders.
 
     Verdicts (b) and (c) depend on the sample only through its image, so
     each is decided once per distinct f(a), resp. f(b).  In the same way
@@ -532,14 +533,13 @@ def check_hom(f: TowerHom, H: GeneratorSet, samples: TowerSamples) -> Verificati
     rendered once, through report.text.  f(uv) is always evaluated on
     the tower product uv, never read off f(u)f(v), and every sample still
     gets its own record."""
-    if not H.elements:
-        raise ValueError("empty generator set: nothing to check")
     if not isinstance(samples, TowerSamples):
         raise ValueError(f"samples must be a TowerSamples, got {type(samples).__name__}")
     if samples.orders != f.tower.orders:
         raise ValueError(f"samples come from the tower of orders {samples.orders}, "
                          f"f maps the tower of orders {f.tower.orders}")
     fam = f.family
+    hs = f.chain.generators
     a_fam = f.tower.family
     report = VerificationReport("tower-hom", bounded=True)
     products: dict = {}  # (f(u), f(v)) -> f(u)f(v)
@@ -558,7 +558,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, samples: TowerSamples) -> Verificati
         fa = f(a)
         if fa not in verdicts_i:
             verdicts_i[fa] = all(commutes(fam, h, conjugate(fam, fa, h2))
-                                 for h in H.elements for h2 in H.elements)
+                                 for h in hs for h2 in hs)
         report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{k}]", verdicts_i[fa],
                       "all generator commutators", "e",
                       detail=f"a = {report.text(a_fam, a)}")
@@ -570,7 +570,7 @@ def check_hom(f: TowerHom, H: GeneratorSet, samples: TowerSamples) -> Verificati
     for k, b in enumerate(samples.members):
         fb = f(b)
         if fb not in verdicts_ii:
-            verdicts_ii[fb] = all(commutes(fam, h, fb) for h in H.elements)
+            verdicts_ii[fb] = all(commutes(fam, h, fb) for h in hs)
         report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", verdicts_ii[fb],
                       "all generator commutators", "e",
                       detail=f"b = {report.text(a_fam, b)}")
@@ -619,12 +619,15 @@ class ExtendedHom:
 def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,
                          seed: int = 0) -> VerificationReport:
     """Search sample_size seeded base-only elements, an int >= 1, for those
-    mapping to the identity and check that every found pair commutes in the
-    wreath product.  Zero hits is a vacuous (and labeled) pass."""
+    mapping to the identity and check that every pair of the distinct
+    non-identity ones found, kept in draw order, commutes in the wreath
+    product.  Fewer than two such elements leave no pair to check, and the
+    "kernel samples found" record fails: the identity commutes with
+    everything, so a pair with it shows nothing."""
     if not (is_int(sample_size) and sample_size >= 1):
         raise ValueError(f"sample_size must be an int >= 1, got {sample_size!r}")
     rng = random.Random(seed)
-    fam = ext.H.family
+    fam, wr = ext.H.family, ext.wreath
     report = VerificationReport("kernel-base")
     kernel: list[WreathElement] = []
     letters = _letters(fam, ext.H.elements or (fam.identity(),))
@@ -633,15 +636,15 @@ def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,
         for rep in ext.transversal:
             if rng.random() < 0.8:
                 pairs.append((rep, _random_word(fam, letters, rng, max_len=3)))
-        u = ext.wreath.element(pairs)
-        if fam.is_identity(ext(u)):
+        u = wr.element(pairs)
+        if (fam.is_identity(ext(u)) and not wr.is_identity(u)
+                and not any(wr.eq(u, k) for k in kernel)):
             kernel.append(u)
     for i, g in enumerate(kernel):
         for j, h in enumerate(kernel[:i]):
-            core.record_commutation(ext.wreath, report, f"kernel pair ({j}, {i}) commutes", g, h)
-    report.record("kernel samples found", True, str(len(kernel)), ">= 0",
-                  detail="vacuous: no kernel pairs sampled" if len(kernel) < 2 else
-                  f"{len(kernel)} base-only kernel elements")
+            core.record_commutation(wr, report, f"kernel pair ({j}, {i}) commutes", g, h)
+    report.record("kernel samples found", len(kernel) >= 2, str(len(kernel)), ">= 2",
+                  detail="distinct non-identity base-only kernel elements")
     return report
 
 

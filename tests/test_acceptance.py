@@ -70,7 +70,7 @@ def test_acceptance_4_depth2_tower_machinery():
     for chain in (iet_chain(), perm_chain()):
         f = w.TowerHom(chain)
         H = GeneratorSet(chain.family, chain.generators)
-        report = w.check_hom(f, H, f.tower.samples(50, 4))
+        report = w.check_hom(f, f.tower.samples(50, 4))
         ok = ok and report.passed
 
         fam = f.tower.family
@@ -134,7 +134,7 @@ def test_acceptance_7_pl_dual_verification():
     for a, b in instances:
         H = GeneratorSet(pl.PL, (pl.bump(a, b),))
         witness = pl.displacement_witness(a, b, bound=6)
-        report = pl.verify_displaced_supports(H, witness.t, 6)
+        report = pl.verify_displaced_supports(H, witness)
         ok = ok and report.passed
         agree = [c for c in report.checks if "agree" in c["name"]]
         ok = ok and agree and agree[0]["status"] == "pass"

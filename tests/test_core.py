@@ -2,13 +2,14 @@ import operator
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
                          WitnessModeError, ZMode, _neighbour_conjugates, commutator, commutes,
-                         conjugate, power_table, record_commutation, verify_ccc, verify_czc)
+                         conjugate, record_commutation, verify_ccc, verify_czc)
 import ccckit
 from ccckit import braid as braidmod
 from ccckit import cli
@@ -113,25 +114,6 @@ def test_default_product_is_the_left_fold():
         counted = CountingFamily(PERM)
         assert counted.product(iter(word)) == expected
         assert counted.counts == Counter(mul=max(k - 1, 0))
-
-
-def test_power_table_builds_each_power_from_its_neighbour():
-    t = perm_from_cycles([[1, 2, 3, 4, 5, 6, 7]])
-    for top in (1, 2, 5, 16):
-        counted = CountingFamily(PERM)
-        table = power_table(counted, t, top)
-        assert sorted(table) == [-1] + list(range(1, top + 1))
-        for p, tp in table.items():
-            assert tp == PERM.power(t, p)
-        assert counted.counts == Counter(mul=top - 1, inv=1)
-
-
-@pytest.mark.parametrize("top", [0, -1, 2.0, True, "1", None])
-def test_power_table_rejects_bounds_that_are_not_ints_from_1(top):
-    counted = CountingFamily(PERM)
-    with pytest.raises(ValueError, match="power table bound must be an int >= 1"):
-        power_table(counted, perm_from_cycles([[1, 2, 3]]), top)
-    assert not counted.counts
 
 
 _MAT_Z3 = mat.MatrixFamily(3, 3)
@@ -462,6 +444,15 @@ def _iet_case():
             Witness(ietmod.block_exchange(block), Finite(2)))
 
 
+def _block_cycle_case(n, order):
+    """H = <(1 2 3), (1 2)> on block 1 and the witness t of order n that
+    moves block k of 3 points to block k + 1 mod n, claimed at order
+    ``order``."""
+    t = perm_from_cycles([[i + 3 * k for k in range(n)] for i in (1, 2, 3)])
+    return (PERM, (perm_from_cycles([[1, 2, 3]]), perm_from_cycles([[1, 2]])),
+            Witness(t, Finite(order)))
+
+
 CCC_CASES = {
     "perm": lambda: (PERM, (perm_from_cycles([[1, 2, 3]]), perm_from_cycles([[1, 2]])),
                      Witness(block_swap(3), Finite(2))),
@@ -479,6 +470,10 @@ CCC_CASES = {
                               (braidmod.braid(4, (1,)), braidmod.braid(4, (2,))),
                               Witness(braidmod.block_pass_word(2), Finite(2))),
     "iet": _iet_case,
+    # order n = 2..8 passes, and the same t fails at order n + 1, where
+    # ^(t^n) h_j is h_j again and [h_1, h_2] != e
+    **{f"block-cycle-{n}{tail}": partial(_block_cycle_case, n, n + bool(tail))
+       for n in range(2, 9) for tail in ("", "-failing")},
 }
 
 # the claims (Stable.shift) a case passes to verify_ccc: the braid record's
@@ -506,11 +501,11 @@ def _assert_engine_matches_reference(engine, reference, case, shift=None):
     assert got == expected
     # the engine inverts t once and builds each conjugate ^(t^p) h_j once
     # per (p, j) from its neighbour, with two products against t or t^-1;
-    # the finite battery also builds t^2..t^n, n - 1 products, and the
+    # the finite battery also builds t^n by binary powering, and the
     # Z-mode battery no power of t at all
     h = len(gens)
     if isinstance(w.mode, Finite):
-        table = w.mode.n - 1
+        table = binary_power_products(w.mode.n)
         n_powers = 2 * (w.mode.n - 1)
         records = n_powers * h * h + h  # and [h_i, t^n] for each i
     else:
@@ -557,12 +552,14 @@ def test_passing_matrix_battery_renders_nothing(label):
     assert report.to_dict() == reference_ccc(GeneratorSet(fam, gens), w).to_dict()
 
 
-@pytest.mark.parametrize("label", ["perm", "matrix-Z", "matrix-Z/5"])
+@pytest.mark.parametrize("label", ["perm", "matrix-Z", "matrix-Z/5"]
+                         + [f"block-cycle-{n}" for n in range(2, 9)])
 def test_passing_battery_certifies_every_record(label):
     """On a passing perm or matrix battery the witness moves each h_j off
-    block 1, and t^2 = e moves nothing, so every record, each
+    block 1, and t^n = e moves nothing, so every record, each
     [h_i, ^(t^p) h_j] among them, is certified by disjoint supports: the
-    engine's only products are those of t^2..t^n and the conjugates'."""
+    engine's only products are the conjugates' and those binary powering
+    makes for t^n."""
     fam, gens, w = CCC_CASES[label]()
     counted = CountingFamily(fam)
     report = verify_ccc(GeneratorSet(counted, gens), w)
@@ -570,7 +567,8 @@ def test_passing_battery_certifies_every_record(label):
     pairs, _ = engine_pairs(fam, gens, w)
     assert not any(supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
     n = w.mode.n
-    assert counted.counts == Counter(mul=(n - 1) + 2 * 2 * (n - 1) * len(gens), inv=1)
+    assert counted.counts == Counter(mul=binary_power_products(n) + 2 * 2 * (n - 1) * len(gens),
+                                     inv=1)
 
 
 @pytest.mark.parametrize("label", ["braid-2", "braid-3"])
@@ -620,7 +618,7 @@ def _engine_inputs(family):
         mp.setattr(suites, "verify_ccc", capture(suites.verify_ccc, battery_inputs))
         mp.setattr(pl, "verify_czc", capture(pl.verify_czc, battery_inputs))
         mp.setattr(wreathmod, "check_hom", capture(
-            wreathmod.check_hom, lambda f, H, samples: (f.family, H.elements + f.chain.ts)))
+            wreathmod.check_hom, lambda f, samples: (f.family, f.chain.generators + f.chain.ts)))
         mp.setattr(wreathmod, "closure_system_witness",
                    capture(wreathmod.closure_system_witness, closure_inputs))
         suites.run_family(family)

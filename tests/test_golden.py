@@ -180,9 +180,8 @@ def _pl_failing_czc():
 
 def _tower_hom_depth_3(chain):
     """check_hom of chain(3) on 200 samples with seed 0."""
-    c = chain(3)
-    drawn = wreath.Tower(c.orders).samples(200, 0)
-    return wreath.check_hom(wreath.TowerHom(c), core.GeneratorSet(c.family, c.generators), drawn)
+    f = wreath.TowerHom(chain(3))
+    return wreath.check_hom(f, f.tower.samples(200, 0))
 
 
 # name -> (report builder, sha256 of json.dumps(report.to_dict(), sort_keys=True,

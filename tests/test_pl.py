@@ -109,7 +109,7 @@ def test_verify_displaced_supports_agreement():
     a, b = Fraction(1, 4), Fraction(1, 2)
     H = GeneratorSet(pl.PL, (pl.bump(a, b),))
     w = pl.displacement_witness(a, b, bound=5)
-    report = pl.verify_displaced_supports(H, w.t, 5)
+    report = pl.verify_displaced_supports(H, w)
     assert report.passed and report.bounded
     agree = [c for c in report.checks if "agree" in c["name"]]
     assert len(agree) == 1 and agree[0]["status"] == "pass"
@@ -119,7 +119,7 @@ def test_verify_displaced_supports_detects_bad_witness():
     a, b = Fraction(1, 4), Fraction(3, 4)
     H = GeneratorSet(pl.PL, (pl.bump(a, b),))
     weak = pl.make_pl([(0, 0), (a, Fraction(1, 2)), (1, 1)])  # t(a) < b
-    report = pl.verify_displaced_supports(H, weak, 4)
+    report = pl.verify_displaced_supports(H, Witness(weak, ZMode(4)))
     assert not report.passed
     # the two methods still agree on the verdict
     agree = [c for c in report.checks if "agree" in c["name"]]
@@ -139,7 +139,7 @@ def test_displacement_escalates():
     a, b = Fraction(1, 8), Fraction(1, 4)
     w = pl.displacement_witness(a, b, bound=7)
     assert displacement_escalates(w.t, a, b, 7) == [True] * 7
-    report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)), w.t, 7)
+    report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)), w)
     assert report.checks[-1] == escalation_record(w.t, a, b, 7)
     assert report.checks[-1]["status"] == "pass"
 
@@ -149,7 +149,8 @@ def test_escalation_record_fails_for_a_witness_that_does_not_displace():
     a, b = Fraction(1, 4), Fraction(3, 4)
     for peak in (Fraction(1, 2), b):
         weak = pl.make_pl([(0, 0), (a, peak), (1, 1)])
-        report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)), weak, 5)
+        report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)),
+                                              Witness(weak, ZMode(5)))
         assert report.checks[-1] == escalation_record(weak, a, b, 5)
         assert report.checks[-1]["lhs"] == " ".join(["fail"] * 5)
 
@@ -172,7 +173,8 @@ def displaced_instances(draw):
 @given(displaced_instances())
 def test_escalation_record_matches_the_separate_orbit_walks(instance):
     a, b, t, P = instance
-    report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)), t, P)
+    report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.bump(a, b),)),
+                                          Witness(t, ZMode(P)))
     assert report.checks[-1] == escalation_record(t, a, b, P)
     assert len(report.checks) == 2 * P + P + 2  # algebraic, geometric, agreement, escalation
 
@@ -181,7 +183,7 @@ def test_trivial_generators_have_no_walk_and_no_escalation_record(monkeypatch):
     calls = []
     monkeypatch.setattr(pl, "apply", lambda *args: calls.append(args))
     report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.IDENTITY,)),
-                                          pl.displacement_witness("1/4", "1/2").t, 4)
+                                          pl.displacement_witness("1/4", "1/2", bound=4))
     assert not calls
     assert report.checks[-1]["name"] == "algebraic and geometric verdicts agree"
     assert report.passed

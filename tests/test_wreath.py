@@ -294,12 +294,11 @@ def test_tower_hom_computes_each_power_once():
     fam = PowerCountingPerm()
     f = LowerEvalCountingHom(w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
     fam.calls.clear()  # the chain validation powers t_i itself
-    H = GeneratorSet(fam, plain.generators)
     drawn = f.tower.samples(20, 4)
-    report = w.check_hom(f, H, drawn)
+    report = w.check_hom(f, drawn)
     assert fam.calls and len(fam.calls) == len(set(fam.calls))
     assert f.lower and all(count <= plain.orders[level] for (level, _), count in f.lower.items())
-    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
+    expected = w.check_hom(w.TowerHom(plain), drawn)
     assert report.to_dict() == expected.to_dict()
 
 
@@ -397,7 +396,7 @@ def test_each_factor_tuple_reaches_the_product_once():
     distinct tuple of factor values is multiplied once."""
     f, plain = _recording_hom()
     drawn = f.tower.samples(30, 2)
-    report = w.check_hom(f, GeneratorSet(f.family, plain.generators), drawn)
+    report = w.check_hom(f, drawn)
     multiplied = f.family.factor_tuples
     assert multiplied and len(set(multiplied)) == len(multiplied)
     # level 1 reads the power cache; every level-2 element has its factors
@@ -405,7 +404,7 @@ def test_each_factor_tuple_reaches_the_product_once():
     top = {u for level, u in f.evaluated if level == 2}
     assert set(multiplied) == {factors_by_definition(plain, f.tower, u, 2) for u in top}
     assert len(multiplied) < len(top)
-    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
+    expected = w.check_hom(w.TowerHom(plain), drawn)
     assert report.to_dict() == expected.to_dict()
 
 
@@ -435,10 +434,9 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
 
     monkeypatch.setattr(w, "commutes", counting_commutes)
     f, plain = _recording_hom()
-    H = GeneratorSet(f.family, plain.generators)
     samples = 40
     drawn = f.tower.samples(samples, 7)
-    report = w.check_hom(f, H, drawn)
+    report = w.check_hom(f, drawn)
     assert report.passed
     # three images per law sample, then one per (i) and one per (ii) sample
     assert len(f.images) == 5 * samples
@@ -446,9 +444,10 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     images_ii = f.images[4 * samples:]
     distinct_i, distinct_ii = len(set(images_i)), len(set(images_ii))
     assert distinct_i < samples and distinct_ii < samples
-    assert len(calls) == len(H) ** 2 * distinct_i + len(H) * distinct_ii
+    h = len(plain.generators)
+    assert len(calls) == h ** 2 * distinct_i + h * distinct_ii
     assert len(report.checks) == 3 * samples
-    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
+    expected = w.check_hom(w.TowerHom(plain), drawn)
     assert report.to_dict() == expected.to_dict()
 
 
@@ -476,8 +475,7 @@ def test_tower_hom_rejects_broken_chain():
 def test_check_hom_passes():
     chain = iet_chain()
     f = w.TowerHom(chain)
-    H = GeneratorSet(chain.family, chain.generators)
-    report = w.check_hom(f, H, f.tower.samples(15, 3))
+    report = w.check_hom(f, f.tower.samples(15, 3))
     assert report.passed, report.counterexample
     assert report.bounded
 
@@ -485,9 +483,8 @@ def test_check_hom_passes():
 def test_check_hom_is_deterministic():
     chain = perm_chain()
     f = w.TowerHom(chain)
-    H = GeneratorSet(chain.family, chain.generators)
-    r1 = w.check_hom(f, H, f.tower.samples(10, 11)).to_dict()
-    r2 = w.check_hom(f, H, f.tower.samples(10, 11)).to_dict()
+    r1 = w.check_hom(f, f.tower.samples(10, 11)).to_dict()
+    r2 = w.check_hom(f, f.tower.samples(10, 11)).to_dict()
     assert r1 == r2
 
 
@@ -571,14 +568,33 @@ def test_kernel_base_commutes_engineered_instance():
     assert ext.wreath.is_identity(commutator(ext.wreath, u, v))
     report = w.kernel_base_commutes(ext, sample_size=40, seed=5)
     assert report.passed
-    found = int(report.checks[-1]["lhs"])
-    assert found >= 2
+    # 7 kernel hits, all non-identity, of which 2 are distinct
+    assert [c["name"] for c in report.checks] == ["kernel pair (0, 1) commutes",
+                                                 "kernel samples found"]
+    assert report.checks[-1]["lhs"] == "2"
+
+
+@pytest.mark.parametrize("chain_factory", [iet_chain, perm_chain])
+def test_kernel_base_commutes_keeps_distinct_non_identity_elements(chain_factory):
+    """On the shipped chains' extensions the seeded search meets only the
+    identity in the kernel, so no pair is checked and the record fails
+    instead of comparing e with e."""
+    chain = chain_factory()
+    f = w.TowerHom(chain)
+    ext = w.ExtendedHom(GeneratorSet(chain.family, chain.generators), f, f.tower.family,
+                        f.tower.in_B, _tower_transversal(f.tower))
+    for seed in range(5):
+        report = w.kernel_base_commutes(ext, sample_size=50, seed=seed)
+        assert not report.passed
+        assert report.checks == [{"name": "kernel samples found", "status": "fail", "lhs": "0",
+                                  "rhs": ">= 2",
+                                  "detail": "distinct non-identity base-only kernel elements"}]
 
 
 @pytest.mark.parametrize("sample_size", [0, -3, 2.5, "4", True])
 def test_kernel_base_commutes_rejects_a_sample_size_below_one(sample_size):
-    """No samples would give a vacuous pass, "kernel samples found" 0
-    against ">= 0"; Tower.samples refuses the same sizes."""
+    """No samples would find no kernel element; Tower.samples refuses the
+    same sizes."""
     H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),))
     ext = w.ExtendedHom(H, lambda a: p.IDENTITY, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
     with pytest.raises(ValueError, match="sample_size must be an int >= 1"):
@@ -769,11 +785,12 @@ def test_product_matches_pairwise_oracle(data):
 # check_hom against a reference loop without memos
 
 
-def reference_check_hom(f, H, sample_size=50, seed=0):
+def reference_check_hom(f, sample_size=50, seed=0):
     """check_hom with no memos: per sample one target product f(u)f(v),
     every verdict decided afresh and every value rendered afresh."""
     rng = random.Random(seed)
     fam = f.family
+    hs = f.chain.generators
     tower = f.tower
     a_fam = tower.family
     report = VerificationReport("tower-hom", bounded=True)
@@ -791,7 +808,7 @@ def reference_check_hom(f, H, sample_size=50, seed=0):
             continue
         fa = f(a)
         ok = all(fam.is_identity(commutator(fam, h, conjugate(fam, fa, h2)))
-                 for h in H.elements for h2 in H.elements)
+                 for h in hs for h2 in hs)
         report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{found}]", ok,
                       "all generator commutators", "e", detail=f"a = {a_fam.render(a)}")
         found += 1
@@ -800,7 +817,7 @@ def reference_check_hom(f, H, sample_size=50, seed=0):
     for k in range(sample_size):
         b = tower.sample_B(rng, tower.depth)
         fb = f(b)
-        ok = all(fam.is_identity(commutator(fam, h, fb)) for h in H.elements)
+        ok = all(fam.is_identity(commutator(fam, h, fb)) for h in hs)
         report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", ok,
                       "all generator commutators", "e", detail=f"b = {a_fam.render(b)}")
     return report
@@ -830,9 +847,8 @@ def test_check_hom_matches_reference_loop(name, depth):
         for samples in (1, 50):
             drawn = tower.samples(samples, seed)
             for f in homs:
-                H = GeneratorSet(f.family, f.chain.generators)
-                report = w.check_hom(f, H, drawn)
-                assert report.to_dict() == reference_check_hom(f, H, samples, seed).to_dict()
+                report = w.check_hom(f, drawn)
+                assert report.to_dict() == reference_check_hom(f, samples, seed).to_dict()
                 assert report.passed and len(report.checks) == 3 * samples
 
 
@@ -856,9 +872,7 @@ def test_wreath_tower_battery_draws_once(monkeypatch, samples):
     calls = _counting_samples(monkeypatch)
     suites.run_family("wreath-tower", samples=samples)
     battery = calls.pop("sample")
-    chain = perm_chain()
-    reference_check_hom(w.TowerHom(chain), GeneratorSet(chain.family, chain.generators),
-                        samples, 0)
+    reference_check_hom(w.TowerHom(perm_chain()), samples, 0)
     assert battery == calls["sample"] >= 3 * samples
 
 
@@ -874,7 +888,7 @@ def test_missing_non_members_fail_each_chain(monkeypatch, tmp_path):
                  "lhs": "0", "rhs": str(samples), "detail": ""}
     for chain in CHAINS.values():
         f = w.TowerHom(chain())
-        report = w.check_hom(f, GeneratorSet(f.family, f.chain.generators), drawn)
+        report = w.check_hom(f, drawn)
         assert not report.passed and shortfall in report.checks
         assert len(report.checks) == 2 * samples + 1
     out = tmp_path / "report.json"
@@ -892,20 +906,22 @@ def test_samples_rejects_a_bad_sample_size(bad):
 
 
 def test_check_hom_rejects_an_empty_generator_set():
-    f = w.TowerHom(perm_chain())
+    """check_hom reads H off the chain, and the TowerHom of a chain with no
+    generators is refused when it is built, so check_hom never meets an
+    empty H."""
+    shipped = perm_chain()
+    chain = w.WitnessChain(p.PERM, (), shipped.ts, shipped.orders)
     with pytest.raises(ValueError, match="empty generator set: nothing to check"):
-        w.check_hom(f, GeneratorSet(p.PERM, ()), f.tower.samples(3, 0))
+        w.TowerHom(chain)
 
 
 def test_check_hom_rejects_samples_of_another_tower():
-    chain = perm_chain()
-    f = w.TowerHom(chain)
-    H = GeneratorSet(chain.family, chain.generators)
+    f = w.TowerHom(perm_chain())
     for orders in ((2, 2, 2), (2, 3)):
         with pytest.raises(ValueError, match="orders"):
-            w.check_hom(f, H, w.Tower(orders).samples(2, 0))
+            w.check_hom(f, w.Tower(orders).samples(2, 0))
     with pytest.raises(ValueError, match="TowerSamples"):
-        w.check_hom(f, H, 50)
+        w.check_hom(f, 50)
 
 
 class RecordingPerm(p.PermFamily):
@@ -975,7 +991,7 @@ def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
     monkeypatch.setattr(f.tower.family, "render", counting_render)
     samples = 60
     drawn = f.tower.samples(samples, 5)
-    report = w.check_hom(f, GeneratorSet(fam, plain.generators), drawn)
+    report = w.check_hom(f, drawn)
     assert report.passed
     # f(uv), f(u), f(v) per law sample, in that order
     law = f.images[:3 * samples]
@@ -989,5 +1005,5 @@ def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
     details = [c["detail"] for c in report.checks[samples:]]
     assert len(sample_renders) == len(set(sample_renders)) == len(set(details)) < len(details)
     monkeypatch.undo()
-    expected = w.check_hom(w.TowerHom(plain), GeneratorSet(p.PERM, plain.generators), drawn)
+    expected = w.check_hom(w.TowerHom(plain), drawn)
     assert report.to_dict() == expected.to_dict()
