@@ -3,16 +3,18 @@
 ``ccckit run --family iet --seed 7 --format json`` runs one family battery
 and prints a deterministic report; ``ccckit list`` enumerates the families
 and the parameters each declares in ``suites.FAMILIES``, of which only the
-flags given are passed on.
-Exit codes: 0 all checks pass, 1 verification failure, 2 unknown family or
+flags given are passed on.  ``-h``/``--help`` prints the usage.  A long flag
+may be given as a unique prefix and as ``--flag=value``; the last of a
+repeated flag wins.
+Exit codes: 0 all checks pass, 1 verification failure, 2 unknown family,
 invalid parameters (a flag the family does not take, or a value outside its
-domain), 3 I/O failure.
+domain) or a malformed command line (the usage and one ``ccckit: error:``
+line on stderr, no report), 3 I/O failure.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import getopt
 import json
 import os
 import sys
@@ -23,33 +25,59 @@ from .suites import FAMILIES, run_family
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
-EXIT_UNKNOWN_FAMILY = 2
+EXIT_UNKNOWN_FAMILY = 2  # also invalid parameters and a malformed command line
 EXIT_IO_FAILURE = 3
 
 PARAMETERS = dict.fromkeys(name for battery in FAMILIES.values() for name in battery.params)
 
+# each command's long flags; every one takes a value
+FLAGS = {"run": ("family", *PARAMETERS, "seed", "format", "out"), "list": ()}
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call, which is main's first
-    call and not the import, and shared after it.  parse_args keeps no
-    state between calls: each returns a fresh namespace, and the family
-    flags default to SUPPRESS."""
-    parser = argparse.ArgumentParser(prog="ccckit",
-                                     description="exact commutation witness batteries")
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = f"""usage: ccckit list
+       ccckit run --family FAMILY {' '.join(f'[--{p} N]' for p in PARAMETERS)}
+                  [--seed N] [--format json|text] [--out FILE]
+"""
+HELP = USAGE + """
+`ccckit list` prints the family parameters.  --seed defaults to the CCCKIT_SEED
+env var, else 0; --format to text; --out to stdout.  A long flag may be given
+as a unique prefix, and as --flag=value.
+"""
 
-    run_p = sub.add_parser("run", help="run one family battery")
-    run_p.add_argument("--family", required=True)
-    for name in PARAMETERS:
-        run_p.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS, help="see `ccckit list`")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="default: CCCKIT_SEED env var, else 0")
-    run_p.add_argument("--format", choices=("json", "text"), default="text")
-    run_p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
-    sub.add_parser("list", help="list available families")
-    return parser
+def parse_args(argv: list[str]) -> dict | None:
+    """The command line as {"command": ..., flag: value}, with only the
+    flags given, the last of a repeated one, and the seed and family
+    parameters as ints; None for -h/--help.  A malformed line raises
+    getopt.GetoptError."""
+    opts, rest = getopt.getopt(argv, "h", ["help"])
+    if not opts:
+        if not rest or rest[0] not in FLAGS:
+            raise getopt.GetoptError("expected the command run or list, got "
+                                     + (repr(rest[0]) if rest else "none"))
+        opts, extra = getopt.getopt(rest[1:], "h", ["help", *(f + "=" for f in FLAGS[rest[0]])])
+        if extra:
+            raise getopt.GetoptError(f"unrecognized arguments: {' '.join(extra)}")
+    for opt, value in opts:
+        if value.startswith("-") and value != "-" and not value[1:].isdigit():
+            # a flag in a value's place (`--out --seed 3`): the value is missing
+            raise getopt.GetoptError(f"argument {opt}: expected one argument")
+    args = {opt.lstrip("-"): value for opt, value in opts}
+    if args.keys() & {"h", "help"}:
+        return None
+    args["command"] = rest[0]
+    if rest[0] == "run":
+        if "family" not in args:
+            raise getopt.GetoptError("the following arguments are required: --family")
+        for name in ("seed", *PARAMETERS):
+            if name in args:
+                try:
+                    args[name] = int(args[name])
+                except ValueError:
+                    raise getopt.GetoptError(
+                        f"argument --{name}: invalid int value: {args[name]!r}") from None
+        if args.get("format", "text") not in ("json", "text"):
+            raise getopt.GetoptError(f"argument --format: {args['format']!r} is not json or text")
+    return args
 
 
 # One check record as json.dumps(report, sort_keys=True, indent=2) lays it
@@ -95,47 +123,55 @@ def render_text(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except getopt.GetoptError as exc:
+        sys.stderr.write(f"{USAGE}ccckit: error: {exc.msg}\n")
+        return EXIT_UNKNOWN_FAMILY
+    if args is None:
+        sys.stdout.write(HELP)
+        return EXIT_OK
 
-    if args.command == "list":
+    if args["command"] == "list":
         for name, battery in FAMILIES.items():
             params = "  ".join(f"--{p} {default} ({battery.domain(p)})"
                                for p, (default, _, _) in battery.params.items())
             print(f"{name:13s} {battery.description}\n{'':13s} {params}")
         return EXIT_OK
 
-    if args.family not in FAMILIES:
-        print(f"unknown family {args.family!r}; run `ccckit list`", file=sys.stderr)
+    family = args["family"]
+    if family not in FAMILIES:
+        print(f"unknown family {family!r}; run `ccckit list`", file=sys.stderr)
         return EXIT_UNKNOWN_FAMILY
 
-    seed = args.seed
+    seed = args.get("seed")
     if seed is None:
         env_seed = os.environ.get("CCCKIT_SEED", "0")
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"cannot run family {args.family!r}: CCCKIT_SEED={env_seed!r} is not an integer",
+            print(f"cannot run family {family!r}: CCCKIT_SEED={env_seed!r} is not an integer",
                   file=sys.stderr)
             return EXIT_UNKNOWN_FAMILY
 
     try:
-        report = run_family(args.family, seed=seed,
-                            **{p: v for p, v in vars(args).items() if p in PARAMETERS})
+        report = run_family(family, seed=seed, **{p: v for p, v in args.items() if p in PARAMETERS})
     except (ValueError, KeyError, CcckitError) as exc:
-        print(f"cannot run family {args.family!r}: {exc}", file=sys.stderr)
+        print(f"cannot run family {family!r}: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_FAMILY
 
-    if args.format == "json":
+    if args.get("format") == "json":
         payload = render_json(report)
     else:
         payload = render_text(report)
 
-    if args.out:
+    out = args.get("out")
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
-            print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
+            print(f"cannot write {out!r}: {exc}", file=sys.stderr)
             return EXIT_IO_FAILURE
     else:
         sys.stdout.write(payload)

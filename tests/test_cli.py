@@ -139,7 +139,7 @@ def test_render_json_is_json_dumps(report):
 
 
 def test_flags_do_not_leak_between_calls(capsys, monkeypatch):
-    """main parses every call with one parser; each call sees only its own flags."""
+    """Each main call sees only its own flags."""
     monkeypatch.delenv("CCCKIT_SEED", raising=False)
     _, out, _ = run(capsys, "run", "--family", "pl", "--bound", "16", "--seed", "5",
                     "--format", "json")
@@ -150,14 +150,74 @@ def test_flags_do_not_leak_between_calls(capsys, monkeypatch):
     assert (second["params"]["bound"], second["seed"]) == (8, 0)
 
 
-def test_parser_is_built_on_first_main_call_only():
+def test_cli_runs_without_argparse_shutil_or_locale():
+    """Neither the import of ccckit.cli nor two main calls load argparse or
+    the modules its help formatter and gettext calls pull in, which were
+    most of a cold process's first run."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from ccckit import cli; "
-            "built = [cli.build_parser.cache_info().currsize]; "
-            "[cli.main(['run', '--family', 'perm', '--out', '/dev/null']) for _ in range(2)]; "
-            "print(*built, cli.build_parser.cache_info().misses)")
+            "argv = ['run', '--family', 'perm', '--out', '/dev/null']; "
+            "codes = [cli.main(argv) for _ in range(2)]; "
+            "print(*codes, *(m for m in ('argparse', 'shutil', 'locale', 'bz2', 'lzma') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "1"]
+    assert out.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("run",),                                      # --family is required
+    ("run", "--family", "perm", "--size", "x"),
+    ("run", "--family", "perm", "--seed", "1.5"),
+    ("run", "--family", "perm", "--nope", "1"),
+    ("run", "--family", "perm", "--s", "3"),       # --size, --samples or --seed
+    ("run", "--family", "perm", "--format", "xml"),
+    ("run", "--family"),                           # no value
+    ("run", "--family", "perm", "--out", "--seed"),  # a flag for a value
+    ("run", "--family", "perm", "--out", "-h"),
+    ("run", "--family", "--out", "x"),
+    ("run", "--family", "perm", "extra"),
+    ("run", "--family", "perm", "--help=x"),
+    (),                                            # no command
+    ("bogus",),
+    ("--family", "perm"),
+    ("list", "extra"),
+    ("list", "--size", "3"),
+])
+def test_malformed_command_line_returns_2_with_usage(capsys, argv):
+    """Returned, not raised as SystemExit: the exit-code contract holds for
+    callers of main as well as for the console script."""
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_UNKNOWN_FAMILY
+    assert out == ""
+    lines = err.splitlines()
+    assert err.startswith(cli.USAGE)
+    assert lines[-1].startswith("ccckit: error: ")
+    assert sum("error" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--fam", "perm"), {"family": "perm"}),
+    (("--family", "perm", "--size=3"), {"family": "perm", "size": 3}),
+    (("--family=perm", "--size", "3", "--size", "4"), {"family": "perm", "size": 4}),
+    (("--family", "perm", "--seed", "-3"), {"family": "perm", "seed": -3}),
+    (("--family", "perm", "--se", "2", "--seed=5"), {"family": "perm", "seed": 5}),
+    (("--family", "pl", "--b", "16", "--form", "text"), {"family": "pl", "bound": 16}),
+])
+def test_run_flags_take_prefixes_equals_and_the_last_value(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv("CCCKIT_SEED", raising=False)
+    code, out, err = run(capsys, "run", *argv, "--format", "json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out) == run_family(**expected)
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--he",), ("run", "-h"),
+                                  ("run", "--family", "perm", "--help"), ("list", "--help")])
+def test_help_prints_usage_and_returns_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == cli.HELP
+    for flag in ("--family", *cli.PARAMETERS, "--seed", "--format", "--out"):
+        assert flag in out
 
 
 def test_braid_past_the_old_letter_cap_runs_clean(capsys):

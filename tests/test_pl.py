@@ -155,6 +155,32 @@ def test_escalation_record_fails_for_a_witness_that_does_not_displace():
         assert report.checks[-1]["lhs"] == " ".join(["fail"] * 5)
 
 
+# the pl battery's three instances
+@pytest.mark.parametrize("a, b", [(Fraction(1, 4), Fraction(1, 2)),
+                                  (Fraction(1, 8), Fraction(1, 4)),
+                                  (Fraction(3, 8), Fraction(1, 2))])
+@pytest.mark.parametrize("peak", ["identity", "below b", "at b"])
+def test_a_broken_witness_fails_the_geometric_records(a, b, peak):
+    """Negative control for the pl battery: the identity, or a t with
+    t(a) <= b, so that ^t H's support [t(a), t(b)] meets H's, [a, b], and
+    the geometric record at p = 1 fails.  H is a single bump h.  For the
+    identity, and for t(a) = b, where the two supports share one point,
+    [h, ^(t^p) h] = e holds, so every algebraic record passes and only the
+    geometric records (and the verdicts' disagreement) fail the report.
+    For t(a) < b the overlapping bumps do not commute, and both fail."""
+    t = pl.IDENTITY if peak == "identity" else pl.make_pl(
+        [(0, 0), (a, b if peak == "at b" else (a + b) / 2), (1, 1)])
+    H = GeneratorSet(pl.PL, (pl.bump(a, b),))
+    report = pl.verify_displaced_supports(H, Witness(t, ZMode(8)))
+    status = {c["name"]: c["status"] for c in report.checks}
+    assert status["supp(^(t^1)H) disjoint from supp(H)"] == "fail"
+    assert not report.passed
+    algebraic = verify_czc(H, Witness(t, ZMode(8)))
+    assert algebraic.passed == (peak != "below b")
+    assert status["algebraic and geometric verdicts agree"] == (
+        "pass" if peak == "below b" else "fail")
+
+
 @st.composite
 def displaced_instances(draw):
     """An interval [a, b] on the 1/32 grid, a map t with up to 3 interior

@@ -472,6 +472,19 @@ def test_tower_hom_rejects_broken_chain():
         w.TowerHom(chain)
 
 
+@pytest.mark.parametrize("chain_factory", [iet_chain, perm_chain])
+def test_tower_hom_refuses_an_identity_top_witness(chain_factory):
+    """Negative control for the wreath-tower battery: with t_2 = e, level 2
+    asks Lambda_1 = <H, t_1> to commute with its own copy, and t_1 moves
+    H's support.  (t_1 = e is no control: H is cyclic, so it commutes with
+    ^(t_1) H = H and every record passes.)"""
+    chain = chain_factory()
+    broken = w.WitnessChain(chain.family, chain.generators,
+                            (chain.ts[0], chain.family.identity()), chain.orders)
+    with pytest.raises(w.ChainInvariantError, match="level 2"):
+        w.TowerHom(broken)
+
+
 def test_check_hom_passes():
     chain = iet_chain()
     f = w.TowerHom(chain)
