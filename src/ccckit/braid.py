@@ -56,7 +56,7 @@ def stabilize(w: BraidWord, strands: int) -> BraidWord:
     """Add strands on the right; the word is unchanged."""
     if not (is_int(strands) and strands >= w.strands):
         raise ValueError(f"need an int number of strands >= {w.strands}, got {strands!r}")
-    return BraidWord(strands, w.letters)
+    return trusted(BraidWord, strands, w.letters)
 
 
 # The slow oracle: the faithful Artin action on the free group of rank n.
@@ -144,7 +144,7 @@ def underlying_permutation(w: BraidWord) -> perm.FinPerm:
     result = perm.IDENTITY
     for x in w.letters:
         i = abs(x)
-        result = perm.compose(result, perm.perm_from_cycles([[i, i + 1]]))
+        result = perm.compose(result, trusted(perm.FinPerm, ((i, i + 1), (i + 1, i))))
     return result
 
 
@@ -172,6 +172,7 @@ class BraidFamily(GroupFamily):
     def __init__(self, strands: int):
         self.strands = strands
         self.name = f"braid-{strands}"
+        self._identity = braid(strands, ())
 
     def check_element(self, a):
         if not isinstance(a, BraidWord):
@@ -181,7 +182,7 @@ class BraidFamily(GroupFamily):
                 f"{a.strands}-strand word in {self.strands}-strand family")
 
     def identity(self):
-        return braid(self.strands, ())
+        return self._identity
 
     def mul(self, a, b):
         self.check_element(a)

@@ -9,11 +9,19 @@ Automorphisms compose by substitution, whose cost follows the letters that
 change: the image of a one-letter word is the image object itself (or its
 inverse word), and longer images are freely reduced on one stack as their
 letters stream in.  Images are immutable, so composites share them.
+
+`FreeWord`, `word` and `FreeAutomorphism` validate what they are given.
+The builders (`identity_aut`, `nielsen_aut`, `inversion_aut`,
+`permutation_aut`, `extend_rank` and so `block_swap_aut`) check their
+parameters, then build results that are valid by construction through
+`core.trusted`.  They share one tuple of each rank's one-letter words
+x_1..x_r, built once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import lru_cache
 
 from .core import (FamilyMismatchError, GroupFamily, Record, Witness, Finite, is_int, runs,
                    trusted)
@@ -155,10 +163,17 @@ def _check_rank(rank) -> None:
         raise ValueError(f"need an int rank >= 0, got {rank!r}")
 
 
+@lru_cache(maxsize=None)
+def _generators(rank: int) -> tuple[FreeWord, ...]:
+    """The one-letter words x_1..x_rank, built once per rank and shared by
+    the builders' results."""
+    return tuple(trusted(FreeWord, rank, (i,)) for i in range(1, rank + 1))
+
+
 def identity_aut(rank: int) -> FreeAutomorphism:
     _check_rank(rank)
-    gens = tuple(word(rank, (i,)) for i in range(1, rank + 1))
-    return FreeAutomorphism(rank, gens, gens)
+    gens = _generators(rank)
+    return trusted(FreeAutomorphism, rank, gens, gens)
 
 
 def _check_index(name: str, value, rank: int) -> None:
@@ -173,21 +188,21 @@ def nielsen_aut(rank: int, i: int, j: int) -> FreeAutomorphism:
     _check_index("j", j, rank)
     if i == j:
         raise ValueError("Nielsen move needs distinct indices")
-    images = [word(rank, (k,)) for k in range(1, rank + 1)]
+    images = list(_generators(rank))
     inverse_images = list(images)
-    images[i - 1] = word(rank, (i, j))
-    inverse_images[i - 1] = word(rank, (i, -j))
-    return FreeAutomorphism(rank, tuple(images), tuple(inverse_images))
+    images[i - 1] = trusted(FreeWord, rank, (i, j))
+    inverse_images[i - 1] = trusted(FreeWord, rank, (i, -j))
+    return trusted(FreeAutomorphism, rank, tuple(images), tuple(inverse_images))
 
 
 def inversion_aut(rank: int, i: int) -> FreeAutomorphism:
     """x_i -> x_i^-1, an involution."""
     _check_rank(rank)
     _check_index("i", i, rank)
-    images = [word(rank, (k,)) for k in range(1, rank + 1)]
-    images[i - 1] = word(rank, (-i,))
+    images = list(_generators(rank))
+    images[i - 1] = trusted(FreeWord, rank, (-i,))
     images = tuple(images)
-    return FreeAutomorphism(rank, images, images)
+    return trusted(FreeAutomorphism, rank, images, images)
 
 
 def permutation_aut(rank: int, perm: dict[int, int]) -> FreeAutomorphism:
@@ -202,21 +217,21 @@ def permutation_aut(rank: int, perm: dict[int, int]) -> FreeAutomorphism:
     if sorted(full.values()) != list(range(1, rank + 1)):
         raise ValueError(f"not a permutation of 1..{rank}: {perm}")
     inv = {v: k for k, v in full.items()}
-    images = tuple(word(rank, (full[i],)) for i in range(1, rank + 1))
-    inverse_images = tuple(word(rank, (inv[i],)) for i in range(1, rank + 1))
-    return FreeAutomorphism(rank, images, inverse_images)
+    gens = _generators(rank)
+    images = tuple(gens[full[i] - 1] for i in range(1, rank + 1))
+    inverse_images = tuple(gens[inv[i] - 1] for i in range(1, rank + 1))
+    return trusted(FreeAutomorphism, rank, images, inverse_images)
 
 
 def extend_rank(phi: FreeAutomorphism, rank: int) -> FreeAutomorphism:
     """Extend by the identity on the new generators (stable extension)."""
     if not (is_int(rank) and rank >= phi.rank):
         raise ValueError(f"need an int rank >= {phi.rank}, got {rank!r}")
-    lift = lambda w: word(rank, w.letters)
-    images = tuple(lift(w) for w in phi.images) + tuple(
-        word(rank, (i,)) for i in range(phi.rank + 1, rank + 1))
-    inverse_images = tuple(lift(w) for w in phi.inverse_images) + tuple(
-        word(rank, (i,)) for i in range(phi.rank + 1, rank + 1))
-    return FreeAutomorphism(rank, images, inverse_images)
+    lift = lambda w: trusted(FreeWord, rank, w.letters)
+    new = _generators(rank)[phi.rank:]
+    images = tuple(lift(w) for w in phi.images) + new
+    inverse_images = tuple(lift(w) for w in phi.inverse_images) + new
+    return trusted(FreeAutomorphism, rank, images, inverse_images)
 
 
 def block_swap_aut(n: int) -> FreeAutomorphism:

@@ -19,6 +19,11 @@ det(A_S) and A^-1 = A_S^-1 (+) I.  The pass yields det(A_S) and adj(A_S)
 together, so all intermediate arithmetic stays exact and integral.
 Modular determinants reduce the integer determinant, since reduction mod m
 is a ring homomorphism.
+
+`SquareMatrix` and `matrix` validate what they are given.  The builders
+`identity_matrix`, `elementary`, `perm_to_matrix` and `form_matrix` check
+their parameters, then build results that are valid by construction
+through `core.trusted`, as the operations and embeddings do.
 """
 
 from __future__ import annotations
@@ -111,7 +116,10 @@ def matrix(rows, modulus: int | None = None) -> SquareMatrix:
 
 
 def identity_matrix(n: int, modulus: int | None = None) -> SquareMatrix:
-    return SquareMatrix(n, tuple(((i, 1),) for i in range(n)), modulus)
+    if not (is_int(n) and n >= 0):
+        raise ValueError(f"matrix size must be an int >= 0, got {n!r}")
+    _check_modulus(modulus)
+    return trusted(SquareMatrix, n, tuple(((i, 1),) for i in range(n)), modulus)
 
 
 def _check_compat(a: SquareMatrix, b: SquareMatrix) -> None:
@@ -279,7 +287,7 @@ def form_matrix(tag: FormTag, modulus: int | None = None) -> SquareMatrix:
         rows = [((half + i, 1),) for i in range(half)] + [((i, minus_one),) for i in range(half)]
     else:  # split-orthogonal: I_(n/2) tensor diag(1, -1), +1/-1 down the diagonal
         rows = [((i, minus_one if i % 2 else 1),) for i in range(n)]
-    return SquareMatrix(n, tuple(rows), modulus)
+    return trusted(SquareMatrix, n, tuple(rows), modulus)
 
 
 def preserves_form(a: SquareMatrix, tag: FormTag) -> bool:
@@ -332,12 +340,13 @@ def sp_corner_embed(a: SquareMatrix, n: int) -> SquareMatrix:
 
 def perm_to_matrix(sigma: permmod.FinPerm, n: int, modulus: int | None = None) -> SquareMatrix:
     """Permutation matrix: column i carries e_sigma(i)."""
-    if not (is_int(n) and all(p <= n for p in sigma.support)):
+    if not (is_int(n) and n >= 0 and all(p <= n for p in sigma.support)):
         raise ValueError(f"need an int size covering the support of {sigma}, got {n!r}")
+    _check_modulus(modulus)
     rows = [()] * n
     for i in range(1, n + 1):
         rows[sigma(i) - 1] = ((i - 1, 1),)
-    return SquareMatrix(n, tuple(rows), modulus)
+    return trusted(SquareMatrix, n, tuple(rows), modulus)
 
 
 def sp_perm_embed(sigma: permmod.FinPerm, n: int, modulus: int | None = None) -> SquareMatrix:
@@ -442,7 +451,7 @@ def elementary(n: int, i: int, j: int, r: int = 1, modulus: int | None = None) -
     rows = [((k, 1),) for k in range(n)]
     if v := _reduce(r, modulus):
         rows[i - 1] = tuple(sorted(((i - 1, 1), (j - 1, v))))
-    return SquareMatrix(n, tuple(rows), modulus)
+    return trusted(SquareMatrix, n, tuple(rows), modulus)
 
 
 # ---------------------------------------------------------------------------

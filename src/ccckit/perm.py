@@ -98,11 +98,8 @@ def block_swap(n: int) -> FinPerm:
     """The involution (1, n+1)(2, n+2)...(n, 2n)."""
     if not (is_int(n) and n >= 1):
         raise ValueError(f"block size must be an int >= 1, got {n!r}")
-    mapping = {}
-    for i in range(1, n + 1):
-        mapping[i] = i + n
-        mapping[i + n] = i
-    return perm_from_mapping(mapping)
+    return trusted(FinPerm, tuple((i, i + n) for i in range(1, n + 1))
+                   + tuple((i + n, i) for i in range(1, n + 1)))
 
 
 def render_cycles(a: FinPerm) -> str:

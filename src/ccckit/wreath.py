@@ -341,7 +341,7 @@ class Tower:
         for p in range(1, n):
             if rng.random() < 0.7:
                 pairs.append((p, self.sample_level(rng, level - 1)))
-        return self.families[level - 1].element(pairs, top=n * rng.randint(-2, 2))
+        return self.families[level - 1].normalize(pairs, n * rng.randint(-2, 2))
 
     def sample_level(self, rng: random.Random, level: int):
         """A random element of the level-th group, an entry at each point
@@ -351,7 +351,7 @@ class Tower:
             return rng.randint(-4, 4)
         pairs = [(p, self.sample_level(rng, level - 1))
                  for p in range(self.orders[level - 1]) if rng.random() < 0.7]
-        return self.families[level - 1].element(pairs, top=rng.randint(-3, 3))
+        return self.families[level - 1].normalize(pairs, rng.randint(-3, 3))
 
     def samples(self, sample_size: int, seed: int) -> TowerSamples:
         """The seeded draw that ``check_hom`` checks, from one
@@ -496,8 +496,11 @@ class TowerHom:
         key = (level, u)
         image = self._images.get(key)
         if image is None:
-            # ascending p; factors commute by the chain invariants
-            factors = tuple(self._conjugate(level, p, level_fam.value_at(u, p))
+            # ascending p; factors commute by the chain invariants.  u's
+            # points are canonical, so coordinate p is stored under p
+            coordinates = dict(u.base)
+            e = level_fam.base_family.identity()
+            factors = tuple(self._conjugate(level, p, coordinates.get(p, e))
                             for p in range(self.chain.orders[level - 1]))
             factors += (self._power(level, u.top),)
             image = self._products.get(factors)

@@ -224,8 +224,12 @@ def test_warm_artin_action_validates_no_automorphism(monkeypatch):
 
     monkeypatch.setattr(fg.FreeAutomorphism, "__post_init__", counting)
     assert b.artin_action(b.braid(4, (1, -2, 3, 1))) == expected
-    assert b.artin_action(b.braid(4, ())) == fg.identity_aut(4)
-    assert len(validated) == 1  # the oracle fg.identity_aut(4) itself
+    identity = fg.identity_aut(4)  # a builder: checks its rank, validates nothing
+    assert b.artin_action(b.braid(4, ())) == identity
+    assert validated == []
+    # the public constructor still validates, and is counted
+    assert fg.FreeAutomorphism(4, identity.images, identity.inverse_images) == identity
+    assert len(validated) == 1
 
 
 def test_passing_commutation_records_show_the_identity():

@@ -157,6 +157,10 @@ def test_square_matrix_rejects_broken_rows(size, rows, modulus):
     lambda: m.classical_witness("SL", 2.0),
     lambda: m.classical_witness("Onn", True),
     lambda: m.corner_embed(m.identity_matrix(2), 3.0),
+    lambda: m.identity_matrix(-1),
+    lambda: m.identity_matrix(2.0),
+    lambda: m.identity_matrix(True),
+    lambda: m.perm_to_matrix(p.IDENTITY, -1),
 ])
 def test_malformed_matrix_input_raises_value_error(build):
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Oracle properties for results built without re-validation.
 
-Group operations build their results with ``core.trusted``, which skips
-``__post_init__``.  Each property here re-runs the public validation on
-such results: ``core.replace(x)`` constructs a fresh instance from x's
-fields through the public constructor, so it raises on any broken
-invariant, and it must equal x.
+Group operations, and builders once their parameters check out, build
+their results with ``core.trusted``, which skips ``__post_init__``.  Each
+property here re-runs the public validation on such results:
+``core.replace(x)`` constructs a fresh instance from x's fields through
+the public constructor, so it raises on any broken invariant, and it must
+equal x.
 """
 
 import random
@@ -173,3 +174,73 @@ def test_pl_compose_drops_collinear_vertices():
     h = pl.compose(f, pl.inverse(f))
     assert revalidates(h)
     assert h == pl.IDENTITY
+
+
+# ---------------------------------------------------------------------------
+# Builders: parameters checked, results built through trusted
+
+
+moduli = st.sampled_from([None, 2, 5, 6, 12])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_builders_revalidate(data):
+    n = data.draw(st.integers(min_value=0, max_value=7))
+    modulus = data.draw(moduli)
+    assert revalidates(m.identity_matrix(n, modulus))
+    images = data.draw(st.permutations(range(1, n + 1)))
+    sigma = permmod.perm_from_mapping(dict(zip(range(1, n + 1), images)))
+    assert revalidates(m.perm_to_matrix(sigma, n + data.draw(st.integers(0, 3)), modulus))
+    kind = data.draw(st.sampled_from(["symplectic", "split-orthogonal"]))
+    assert revalidates(m.form_matrix(m.FormTag(kind, 2 * (n // 2)), modulus))
+    if n >= 2:
+        i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+        r = data.draw(st.integers(min_value=-30, max_value=30))
+        assert revalidates(m.elementary(n, i, j, r, modulus))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_free_group_builders_revalidate(data):
+    rank = data.draw(st.integers(min_value=0, max_value=8))
+    assert revalidates(fg.identity_aut(rank))
+    images = data.draw(st.permutations(range(1, rank + 1)))
+    moved = {k: v for k, v in zip(range(1, rank + 1), images)
+             if k != v or data.draw(st.booleans())}  # fixed points named or left out
+    phi = fg.permutation_aut(rank, moved)
+    assert revalidates(phi)
+    if rank >= 1:
+        assert revalidates(fg.inversion_aut(rank, data.draw(st.integers(1, rank))))
+    if rank >= 2:
+        i, j = data.draw(st.permutations(range(1, rank + 1)))[:2]
+        nielsen = fg.nielsen_aut(rank, i, j)
+        assert revalidates(nielsen)
+        phi = fg.aut_compose(fg.aut_compose(nielsen, phi), fg.inversion_aut(rank, j))
+    assert revalidates(fg.extend_rank(phi, rank + data.draw(st.integers(0, 4))))
+    assert revalidates(fg.block_swap_aut(data.draw(st.integers(min_value=1, max_value=8))))
+
+
+def test_free_group_builders_share_each_ranks_one_letter_words():
+    rank = 5
+    gens = fg.identity_aut(rank).images
+    assert all(a is b for a, b in zip(gens, fg.permutation_aut(rank, {}).images))
+    assert all(a is b for a, b in zip(gens, fg.identity_aut(rank).inverse_images))
+    nielsen = fg.nielsen_aut(rank, 2, 4)
+    assert all(nielsen.images[k] is gens[k] for k in (0, 2, 3, 4))
+    assert fg.block_swap_aut(2).images[0] is fg.identity_aut(4).images[2]
+    extended = fg.extend_rank(fg.identity_aut(3), rank)
+    assert all(extended.images[k] is gens[k] for k in (3, 4))
+
+
+@given(st.integers(min_value=1, max_value=64))
+def test_block_swap_revalidates(n):
+    assert perm_revalidates(permmod.block_swap(n))
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=4), st.data())
+def test_braid_builders_revalidate(strands, extra, data):
+    letters = st.integers(min_value=1 - strands, max_value=strands - 1).filter(bool)
+    w = braidmod.braid(strands, data.draw(st.lists(letters, max_size=12)) if strands > 1 else ())
+    assert revalidates(braidmod.stabilize(w, strands + extra))
+    assert perm_revalidates(braidmod.underlying_permutation(w))
