@@ -97,10 +97,14 @@ def trusted(cls, *values):
 
     Element types validate in __post_init__, at the public boundary.  Group
     operations on valid elements keep the invariants by construction and
-    build their results through this helper instead.
+    build their results through this helper instead.  It checks only that
+    it gets one value per field.
     """
+    fields = cls._fields
+    if len(values) != len(fields):
+        raise ValueError(f"{cls.__name__} takes {len(fields)} field values, got {len(values)}")
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls._fields, values, strict=True))
+    obj.__dict__.update(zip(fields, values))
     return obj
 
 

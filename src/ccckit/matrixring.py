@@ -343,9 +343,10 @@ def perm_to_matrix(sigma: permmod.FinPerm, n: int, modulus: int | None = None) -
     if not (is_int(n) and n >= 0 and all(p <= n for p in sigma.support)):
         raise ValueError(f"need an int size covering the support of {sigma}, got {n!r}")
     _check_modulus(modulus)
+    images = dict(sigma.mapping)
     rows = [()] * n
     for i in range(1, n + 1):
-        rows[sigma(i) - 1] = ((i - 1, 1),)
+        rows[images.get(i, i) - 1] = ((i - 1, 1),)
     return trusted(SquareMatrix, n, tuple(rows), modulus)
 
 

@@ -186,14 +186,16 @@ class WreathFamily(GroupFamily):
     def normalize(self, pairs: Sequence[tuple[int, object]], top: object) -> WreathElement:
         """The element with base entries ``pairs`` at canonical points:
         entries at one point multiplied in pair order, identity entries
-        dropped, points ascending."""
+        dropped, points ascending, built through ``core.trusted``."""
         base = self.base_family
+        mul, is_identity = base.mul, base.is_identity
         merged: dict[int, object] = {}
+        get = merged.get
         for x, g in pairs:
-            merged[x] = base.mul(merged[x], g) if x in merged else g
-        return core.trusted(
-            WreathElement,
-            tuple(sorted((x, g) for x, g in merged.items() if not base.is_identity(g))), top)
+            h = get(x)  # no entry is None
+            merged[x] = g if h is None else mul(h, g)
+        return core.trusted(WreathElement, tuple(
+            (x, g) for x, g in sorted(merged.items()) if not is_identity(g)), top)
 
     def element(self, pairs, top=None) -> WreathElement:
         action = self.action
@@ -223,15 +225,21 @@ class WreathFamily(GroupFamily):
     def product(self, word):
         """u_1 ... u_k in one pass: each letter's base points are moved by
         the top a_1 ... a_(i-1) of the letters before it, and the collected
-        entries are merged by one ``normalize``."""
+        entries are merged by one ``normalize``, which builds the result
+        through ``core.trusted``.  Each letter is type-checked once, by
+        class identity, so ``check_element`` runs only for another class;
+        a letter with an empty base, such as a shift, adds no pairs."""
         act, top_mul = self.action.act, self.action.top.mul
         word = iter(word)
         for u in word:
-            self.check_element(u)
+            if u.__class__ is not WreathElement:
+                self.check_element(u)
             pairs, top = list(u.base), u.top
             for v in word:
-                self.check_element(v)
-                pairs += [(act(top, x), g) for x, g in v.base]
+                if v.__class__ is not WreathElement:
+                    self.check_element(v)
+                if v.base:
+                    pairs += [(act(top, x), g) for x, g in v.base]
                 top = top_mul(top, v.top)
             return self.normalize(pairs, top)
         return self.identity()
@@ -382,11 +390,32 @@ class Tower:
 class TowerSamples(Record):
     """One draw of ``Tower.samples`` from the tower of ``orders``: the law
     triples (u, v, uv), the non-members of B found, fewer than the sample
-    size when the attempts ran out, and the members of B, one per sample."""
+    size when the attempts ran out, and the members of B, one per sample.
+    ``text`` keeps its memo in the ``_texts`` slot, outside the fields, as
+    a record keeps its hash: ``==``, ``repr``, copies and pickles see the
+    fields alone."""
+
+    __slots__ = ("__dict__", "_texts")
 
     def __init__(self, orders: tuple[int, ...], law: tuple, outside: tuple, members: tuple):
         self.__dict__.update(orders=orders, law=law, outside=outside, members=members)
         self.__post_init__()
+
+    def text(self, family: GroupFamily, u) -> str:
+        """family.render(u) for an element u of the draw, rendered once per
+        draw and value of u, however many chains are checked on it; family
+        is the top family of any tower of these orders, which all render u
+        alike.  Keyed like ``TowerHom``'s memos."""
+        try:
+            texts = self._texts
+        except AttributeError:
+            texts = {}
+            object.__setattr__(self, "_texts", texts)
+        key = (u.base, u.top) if u.__class__ is WreathElement else u
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = family.render(u)
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +465,24 @@ class TowerHom:
     next witness before appending the shift image.  ``tower`` is the
     ``Tower`` of the chain's orders, built after the chain validates.
 
-    Four per-instance caches hold what the chain fixes: t_level^k per
-    (level, k), the conjugate ^(t_level^p) f(a_p) per (level, p, a_p),
-    f(u) per (level, u), and the product of f(u)'s factors per tuple of
-    factor values.  f is a function of the tower element, and a tower
-    element is one value: ``element`` stores canonical points,
+    Per-instance memos hold what the chain fixes: t_level^k per (level,
+    k); per level, ^(t_level^p) f(a_p) per (p, a_p) and f(u) per u; and
+    the product of f(u)'s factors per tuple of factor values.  A tower
+    element is one value: ``element`` stores canonical points and
     ``normalize`` sorts the base and drops identity entries, so equal
-    elements are ``==`` and hash alike.  The first three caches therefore
-    return the value the definition gives.  Many tower elements share
-    their factors (at depth 2, a 200-sample draw reaches 300 distinct
-    elements with 8 distinct factor tuples), and the last cache
-    multiplies each distinct tuple once; it needs the target's elements
-    to hash, with ``==`` implying group equality, as ``check_hom``'s
-    memos do.  Each memo is read with one ``dict.get``, which no element
-    value can answer with None, and filled only on a miss."""
+    elements have equal fields.  The level memos are keyed by those
+    fields, (u.base, u.top), or by the int for a level-1 element: a tuple
+    key hashes and compares in C, with no record hash for a fresh sample.
+    Level 1 needs neither memo, as f(m) is the power t_1^m.
+    ``check_hom`` reads the top level's ``_images`` entry before it calls
+    ``eval``.  At p = 0 the conjugate is f(a_0) itself, with no product.
+    Many tower elements share their factors (at depth 2, a 200-sample draw
+    reaches 300 distinct elements with 8 distinct factor tuples), and the
+    product memo multiplies each distinct tuple once; it needs the
+    target's elements to hash, with ``==`` implying group equality, as
+    ``check_hom``'s memos do.  Each memo is read with one ``dict.get``,
+    which no element value can answer with None, and filled only on a
+    miss."""
 
     def __init__(self, chain: WitnessChain):
         check = validate_chain(chain)
@@ -458,9 +491,10 @@ class TowerHom:
         self.tower = Tower(chain.orders)
         self.chain = chain
         self.family = chain.family
+        depth = self.tower.depth
         self._powers: dict[tuple[int, int], object] = {}
-        self._conjugates: dict[tuple[int, int, object], object] = {}
-        self._images: dict[tuple[int, object], object] = {}
+        self._conjugates: tuple[dict, ...] = tuple({} for _ in range(depth))
+        self._images: tuple[dict, ...] = tuple({} for _ in range(depth))
         self._products: dict[tuple, object] = {}
 
     def _power(self, level: int, k: int):
@@ -473,41 +507,48 @@ class TowerHom:
 
     def _conjugate(self, level: int, p: int, a_p):
         """^(t_level^p) f(a_p) = t^p f(a_p) t^-p, computed once per
-        (level, p, a_p); equal tower elements have equal images."""
-        key = (level, p, a_p)
-        conj = self._conjugates.get(key)
+        (level, p, a_p); equal tower elements have equal images.  At p = 0
+        it is f(a_p), and no product is taken."""
+        key = (p, a_p) if level == 2 else (p, a_p.base, a_p.top)
+        conjugates = self._conjugates[level - 1]
+        conj = conjugates.get(key)
         if conj is None:
-            fam = self.family
-            conj = self._conjugates[key] = fam.mul(
-                fam.mul(self._power(level, p), self.eval(a_p, level - 1)),
-                self._power(level, -p))
+            conj = self._image(a_p, level - 1)
+            if p:
+                fam = self.family
+                conj = fam.mul(fam.mul(self._power(level, p), conj), self._power(level, -p))
+            conjugates[key] = conj
         return conj
 
-    def eval(self, u, level: int | None = None):
-        """f(u) for u in the level-th tower group, computed once per
-        (level, u), and its factors multiplied once per tuple of their
-        values."""
-        if level is None:
-            level = self.tower.depth
+    def _image(self, u, level: int):
+        """f(u) for u in the level-th tower group, level valid and u one
+        of its elements, computed once per level and value of u, and its
+        factors multiplied once per tuple of their values."""
         if level == 1:
             return self._power(1, u)
-        level_fam = self.tower.families[level - 1]
-        level_fam.check_element(u)
-        key = (level, u)
-        image = self._images.get(key)
+        images = self._images[level - 1]
+        key = (u.base, u.top)
+        image = images.get(key)
         if image is None:
             # ascending p; factors commute by the chain invariants.  u's
             # points are canonical, so coordinate p is stored under p
             coordinates = dict(u.base)
-            e = level_fam.base_family.identity()
+            e = self.tower.families[level - 2].identity()
             factors = tuple(self._conjugate(level, p, coordinates.get(p, e))
                             for p in range(self.chain.orders[level - 1]))
             factors += (self._power(level, u.top),)
             image = self._products.get(factors)
             if image is None:
                 image = self._products[factors] = self.family.product(factors)
-            self._images[key] = image
+            images[key] = image
         return image
+
+    def eval(self, u, level: int | None = None):
+        """f(u) for u in the level-th tower group, 1..depth, by default
+        the top one."""
+        level = self.tower._level(level)
+        self.tower.families[level - 1].check_element(u)
+        return self._image(u, level)
 
     def __call__(self, u):
         return self.eval(u)
@@ -527,15 +568,18 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
     the tower's: a battery that checks several such chains draws once.
     ``samples`` must come from a tower of f's orders.
 
-    Verdicts (b) and (c) depend on the sample only through its image, so
-    each is decided once per distinct f(a), resp. f(b).  In the same way
-    the product f(u)f(v) is taken once per distinct pair (f(u), f(v)).
-    These memos are dicts local to the call keyed by the values, so they
-    need images to hash, with ``==`` implying group equality, as the
-    shipped families' normal forms do.  Each distinct image and sample is
-    rendered once, through report.text.  f(uv) is always evaluated on
-    the tower product uv, never read off f(u)f(v), and every sample still
-    gets its own record."""
+    Each image is read from f's top-level image memo, and ``f.eval`` runs
+    only on a miss.  Verdicts (b) and (c) depend on the sample only
+    through its image, so each is decided once per distinct f(a), resp.
+    f(b).  In the same way the product f(u)f(v) is taken once per distinct
+    pair (f(u), f(v)).  These memos are dicts local to the call keyed by
+    the values, so they need images to hash, with ``==`` implying group
+    equality, as the shipped families' normal forms do.  Each distinct
+    image is rendered once per report, through report.text, and each
+    distinct sample once per draw, through ``samples.text``, however many
+    chains are checked on it.  f(uv) is always evaluated on the tower
+    product uv, never read off f(u)f(v), and every sample still gets its
+    own record."""
     if not isinstance(samples, TowerSamples):
         raise ValueError(f"samples must be a TowerSamples, got {type(samples).__name__}")
     if samples.orders != f.tower.orders:
@@ -546,10 +590,18 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
     a_fam = f.tower.family
     report = VerificationReport("tower-hom", bounded=True)
     products: dict = {}  # (f(u), f(v)) -> f(u)f(v)
+    if f.tower.depth == 1:
+        image = f.eval
+    else:
+        memo = f._images[-1]
+
+        def image(u):
+            value = memo.get((u.base, u.top))
+            return f.eval(u) if value is None else value
 
     for k, (u, v, uv) in enumerate(samples.law):
-        lhs = f(uv)
-        images = (f(u), f(v))
+        lhs = image(uv)
+        images = (image(u), image(v))
         rhs = products.get(images)
         if rhs is None:
             rhs = products[images] = fam.mul(*images)
@@ -558,25 +610,27 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
 
     verdicts_i: dict[object, bool] = {}
     for k, a in enumerate(samples.outside):
-        fa = f(a)
-        if fa not in verdicts_i:
-            verdicts_i[fa] = all(commutes(fam, h, conjugate(fam, fa, h2))
-                                 for h in hs for h2 in hs)
-        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{k}]", verdicts_i[fa],
+        fa = image(a)
+        verdict = verdicts_i.get(fa)
+        if verdict is None:
+            verdict = verdicts_i[fa] = all(commutes(fam, h, conjugate(fam, fa, h2))
+                                           for h in hs for h2 in hs)
+        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{k}]", verdict,
                       "all generator commutators", "e",
-                      detail=f"a = {report.text(a_fam, a)}")
+                      detail=f"a = {samples.text(a_fam, a)}")
     if len(samples.outside) < len(samples.law):
         report.record("(i) enough non-member samples", False,
                       str(len(samples.outside)), str(len(samples.law)))
 
     verdicts_ii: dict[object, bool] = {}
     for k, b in enumerate(samples.members):
-        fb = f(b)
-        if fb not in verdicts_ii:
-            verdicts_ii[fb] = all(commutes(fam, h, fb) for h in hs)
-        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", verdicts_ii[fb],
+        fb = image(b)
+        verdict = verdicts_ii.get(fb)
+        if verdict is None:
+            verdict = verdicts_ii[fb] = all(commutes(fam, h, fb) for h in hs)
+        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", verdict,
                       "all generator commutators", "e",
-                      detail=f"b = {report.text(a_fam, b)}")
+                      detail=f"b = {samples.text(a_fam, b)}")
     return report
 
 

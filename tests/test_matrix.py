@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import random
 import re
 
 import pytest
@@ -10,7 +11,7 @@ from ccckit import matrixring as m
 from ccckit import perm as p
 from ccckit.core import GeneratorSet, verify_ccc
 
-from util import revalidates, sign
+from util import random_perm, revalidates, sign
 
 
 def leibniz_det(a: m.SquareMatrix) -> int:
@@ -251,6 +252,22 @@ def test_perm_matrix_is_a_homomorphism():
     assert m.perm_to_matrix(p.compose(a, b), 4) == m.mat_mul(
         m.perm_to_matrix(a, 4), m.perm_to_matrix(b, 4))
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=300),
+       st.sampled_from([None, 2, 7]), st.integers(min_value=0, max_value=10_000))
+def test_perm_matrix_matches_the_per_column_oracle(support, extra, modulus, seed):
+    """perm_to_matrix reads sigma's images from one dict; the oracle asks
+    sigma(i) for every column, as the definition reads."""
+    sigma = random_perm(random.Random(seed), support)
+    n = support + extra
+    rows = [()] * n
+    for i in range(1, n + 1):
+        rows[sigma(i) - 1] = ((i - 1, 1),)
+    built = m.perm_to_matrix(sigma, n, modulus)
+    assert built.rows == tuple(rows) and built.size == n and built.modulus == modulus
+    assert revalidates(built)
 
 def test_inverse_roundtrip():
     a = m.mat_mul(m.elementary(3, 1, 2, 2), m.elementary(3, 3, 1, -1))

@@ -161,6 +161,14 @@ def test_replace_runs_post_init_again(x, fields, text, monkeypatch):
     assert len(calls) == 1  # trusted skips it
 
 
+
+@pytest.mark.parametrize("x, fields, text", RECORDS, ids=IDS)
+def test_trusted_refuses_a_wrong_value_count(x, fields, text):
+    given = values(x)
+    for wrong in (given[:-1], given + (None,)):
+        with pytest.raises(ValueError, match=f"takes {len(fields)} field values, got {len(wrong)}"):
+            trusted(type(x), *wrong)
+
 def test_replace_changes_fields_and_validates_them():
     assert replace(Finite(2), n=3) == Finite(3)
     assert replace(fg.word(2, (1,)), letters=(2, 1)) == fg.word(2, (2, 1))

@@ -1,5 +1,7 @@
+import copy
 import functools
 import json
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -277,16 +279,17 @@ class LowerEvalCountingHom(w.TowerHom):
     """A TowerHom recording each evaluation below the top level.  Such an
     evaluation happens only to build a conjugate ^(t^p) f(a_p), so an
     element a evaluated at level L more often than there are positions p
-    one level up means some conjugate was computed twice."""
+    one level up means some conjugate was computed twice.  Evaluations
+    below the top go through ``_image``, with the level given."""
 
     def __init__(self, chain):
         super().__init__(chain)
         self.lower = Counter()
 
-    def eval(self, u, level=None):
-        if level is not None and level < self.tower.depth:
+    def _image(self, u, level):
+        if level < self.tower.depth:
             self.lower[(level, u)] += 1
-        return super().eval(u, level)
+        return super()._image(u, level)
 
 
 def test_tower_hom_computes_each_power_once():
@@ -368,16 +371,17 @@ class ProductRecordingPerm(p.PermFamily):
 
 class ImageRecordingHom(w.TowerHom):
     """A TowerHom recording each (level, element) it evaluates, at any
-    level, and each top-level image it returns."""
+    level, and each top-level image its ``__call__`` returns; ``check_hom``
+    reads the image memo and does not call it."""
 
     def __init__(self, chain):
         super().__init__(chain)
         self.evaluated = []
         self.images = []
 
-    def eval(self, u, level=None):
-        self.evaluated.append((level or self.tower.depth, u))
-        return super().eval(u, level)
+    def _image(self, u, level):
+        self.evaluated.append((level, u))
+        return super()._image(u, level)
 
     def __call__(self, u):
         image = super().__call__(u)
@@ -438,10 +442,13 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     drawn = f.tower.samples(samples, 7)
     report = w.check_hom(f, drawn)
     assert report.passed
-    # three images per law sample, then one per (i) and one per (ii) sample
-    assert len(f.images) == 5 * samples
-    images_i = f.images[3 * samples:4 * samples]
-    images_ii = f.images[4 * samples:]
+    # each distinct sample is evaluated once
+    top = [u for level, u in f.evaluated if level == 2]
+    elements = {x for triple in drawn.law for x in triple} | set(drawn.outside + drawn.members)
+    assert len(top) == len(set(top)) and set(top) == elements
+    oracle = w.TowerHom(plain)
+    images_i = [oracle(a) for a in drawn.outside]
+    images_ii = [oracle(b) for b in drawn.members]
     distinct_i, distinct_ii = len(set(images_i)), len(set(images_ii))
     assert distinct_i < samples and distinct_ii < samples
     h = len(plain.generators)
@@ -449,6 +456,86 @@ def test_check_hom_commutes_once_per_distinct_image(monkeypatch):
     assert len(report.checks) == 3 * samples
     expected = w.check_hom(w.TowerHom(plain), drawn)
     assert report.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("level", [0, 3, 2.0, True, -1, "2"])
+def test_tower_hom_eval_rejects_a_level_outside_its_depth(level):
+    f = _hom("perm")
+    u = f.tower.generators[-1][0]
+    with pytest.raises(ValueError, match=r"level .* outside 1\.\.2"):
+        f.eval(u, level)
+    assert f.eval(1, 1) == f.chain.ts[0] and f.eval(u) == f.eval(u, 2) == f(u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["iet", "perm"]), st.integers(2, 4), st.integers(0, 10_000))
+def test_equal_elements_share_one_memo_entry(chain_name, depth, seed):
+    """An element rebuilt as another object, down to its entries, hits the
+    entry of the first; every entry of every level's image memo is the
+    image the definition gives for the element of its fields."""
+    f = w.TowerHom(CHAINS[chain_name](depth))
+    fam = f.tower.family
+    n = f.tower.orders[-1]
+    u = f.tower.sample_level(random.Random(seed), depth)
+    again = fam.element([(x + n, copy.deepcopy(g)) for x, g in reversed(u.base)], top=u.top)
+    assert again == u and again is not u
+    memo = f._images[depth - 1]
+    image = f(u)
+    entries = len(memo)
+    assert f(again) is image and len(memo) == entries and memo[(u.base, u.top)] is image
+    for level in range(2, depth + 1):
+        for (base, top), value in f._images[level - 1].items():
+            element = trusted(w.WreathElement, base, top)
+            assert f.family.eq(value, image_by_definition(f.chain, f.tower, element, level))
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (50, 1), (200, 7)])
+def test_battery_renders_each_distinct_sample_once(monkeypatch, samples, seed):
+    """Both chains are checked on one draw, and the draw renders each
+    distinct non-member and member once for both."""
+    rendered = []
+    render = w.WreathFamily.render
+
+    def counting(self, u):
+        rendered.append(u)
+        return render(self, u)
+
+    monkeypatch.setattr(w.WreathFamily, "render", counting)
+    suites.run_family("wreath-tower", samples=samples, seed=seed)
+    drawn = w.Tower((2, 2)).samples(samples, seed)
+    distinct = set(drawn.outside) | set(drawn.members)
+    assert len(rendered) == len(distinct) and set(rendered) == distinct
+
+
+def test_a_draw_keeps_its_texts_outside_its_fields():
+    """The render memo of a draw is no field: a rendered draw still equals,
+    prints and copies as its fields, and a copy renders afresh to the same
+    report."""
+    f = _hom("perm")
+    drawn = f.tower.samples(20, 3)
+    fresh = w.Tower((2, 2)).samples(20, 3)
+    report = w.check_hom(f, drawn).to_dict()
+    assert drawn._texts and drawn == fresh and repr(drawn) == repr(fresh)
+    assert vars(drawn) == vars(fresh) and hash(drawn) == hash(fresh)
+    for again in (copy.copy(drawn), copy.deepcopy(drawn), pickle.loads(pickle.dumps(drawn))):
+        assert again == drawn and not hasattr(again, "_texts")
+        assert w.check_hom(f, again).to_dict() == report
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_identity_conjugate_takes_no_product(depth):
+    """^(t^0) f(a) is f(a): the conjugate memo keeps the lower image itself,
+    and no target product is taken for it."""
+    plain = perm_chain(depth)
+    fam = RecordingPerm()
+    f = w.TowerHom(w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
+    rng = random.Random(depth)
+    for _ in range(10):
+        a = f.tower.sample_level(rng, depth - 1)
+        lower = f.eval(a, depth - 1)
+        fam.products.clear()
+        assert f._conjugate(depth, 0, a) is lower and f._conjugate(depth, 0, a) is lower
+        assert fam.products == []
 
 
 def test_tower_hom_builds_the_tower_of_the_chain_orders():
@@ -848,7 +935,7 @@ def test_chains_of_depth_2_are_the_shipped_chains():
         assert CHAINS[name]() == CHAINS[name](2)
 
 
-@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_check_hom_matches_reference_loop(name, depth):
     """One draw from the tower of the named chain serves both chains: each
@@ -957,12 +1044,8 @@ class RecordingPerm(p.PermFamily):
 
 
 class QuietHom(w.TowerHom):
-    """A TowerHom whose evaluations leave no products on the record, and
-    which lists the top-level images it returns."""
-
-    def __init__(self, chain):
-        super().__init__(chain)
-        self.images = []
+    """A TowerHom whose evaluations leave no products on the record.
+    ``check_hom`` evaluates only through ``eval``, on a memo miss."""
 
     def eval(self, u, level=None):
         self.family.quiet += 1
@@ -970,11 +1053,6 @@ class QuietHom(w.TowerHom):
             return super().eval(u, level)
         finally:
             self.family.quiet -= 1
-
-    def __call__(self, u):
-        image = super().__call__(u)
-        self.images.append(image)
-        return image
 
 
 def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
@@ -1006,8 +1084,9 @@ def test_check_hom_multiplies_and_renders_each_distinct_value_once(monkeypatch):
     drawn = f.tower.samples(samples, 5)
     report = w.check_hom(f, drawn)
     assert report.passed
-    # f(uv), f(u), f(v) per law sample, in that order
-    law = f.images[:3 * samples]
+    # f(uv), f(u), f(v) per law sample, in that order, from another hom
+    oracle = w.TowerHom(plain)
+    law = [oracle(x) for u, v, uv in drawn.law for x in (uv, u, v)]
     pairs = list(zip(law[1::3], law[2::3]))
     assert len(set(pairs)) < samples  # the sample repeats pairs
     assert fam.products == list(dict.fromkeys(pairs))
