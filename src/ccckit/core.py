@@ -384,19 +384,24 @@ def _conjugate_support(fam: GroupFamily, conj: object, h: object, h_support, p: 
     return fam.support(conj)
 
 
-def _neighbour_conjugates(fam: GroupFamily, hs: Sequence, t: object, t_inv: object,
+def _neighbour_conjugates(fam: GroupFamily, hs: Sequence, s: object, s_inv: object,
                           top: int):
-    """Yield (p, [^(t^p) h for h in hs]) for p = 1..top, then p = -1..-top,
-    each conjugate built from its neighbour with two products against t
-    or t^-1: ^(t^p) h = t ^(t^(p-1)) h t^-1 and ^(t^-p) h =
-    t^-1 ^(t^-(p-1)) h t, from ^(t^0) h = h.  t^p h t^-p costs two
-    products as well, but against t^p, which can grow with p: the pl
-    battery's witness has 3 vertices and its p-th power p + 2."""
-    for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
-        conjs = list(hs)
-        for q in range(1, top + 1):
-            conjs = [fam.mul(fam.mul(s, c), s_inv) for c in conjs]
-            yield sign * q, conjs
+    """Yield [^(s^q) h for h in hs] for q = 1..top, each conjugate built
+    from its neighbour with two products against s and s^-1:
+    ^(s^q) h = s ^(s^(q-1)) h s^-1, from ^(s^0) h = h.  s^q h s^-q costs
+    two products as well, but against s^q, which can grow with q: the pl
+    battery's witness has 3 vertices and its q-th power q + 2."""
+    conjs = list(hs)
+    for _ in range(top):
+        conjs = [fam.mul(fam.mul(s, c), s_inv) for c in conjs]
+        yield conjs
+
+
+def _involution(t: object, t_inv: object) -> bool:
+    """Whether t == t^-1 as values, so that ^(t^-q) h = ^(t^q) h is the
+    same value, built by the same calls.  Value equality, not fam.eq: a
+    braid word equal to its inverse only in the group is not one."""
+    return t == t_inv
 
 
 def _conjugate_commutators(fam: GroupFamily, hs: Sequence, t: object, t_inv: object,
@@ -412,17 +417,33 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, t: object, t_inv: obj
     _conjugate_support).  Each pair is then certified by disjoint supports
     or costs two products (see record_commutation), always on the real
     conjugate, so a failing record renders the real commutator.
+
+    When t is an involution (see _involution), the sweep over p < 0 would
+    build the values of the sweep over p > 0 again with the same calls, so
+    it is not built: each record at p = -q repeats the verdict, lhs and
+    detail of the record at p = q with the same (i, j).
     """
     if not hs:
         raise ValueError("empty generator set: nothing to check")
     h_supports = [fam.support(h) for h in hs]
-    for p, conjs in _neighbour_conjugates(fam, hs, t, t_inv, top):
-        conj_supports = [_conjugate_support(fam, c, hj, sj, p, shift)
-                         for c, hj, sj in zip(conjs, hs, h_supports)]
-        for i, (hi, si) in enumerate(zip(hs, h_supports)):
-            for j, (conj, sc) in enumerate(zip(conjs, conj_supports)):
-                record_commutation(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi, conj,
-                                   detail, supports=(si, sc))
+    involution = _involution(t, t_inv)
+    sweeps = ((1, t, t_inv),) if involution else ((1, t, t_inv), (-1, t_inv, t))
+    start = len(report.checks)
+    for sign, s, s_inv in sweeps:
+        for q, conjs in enumerate(_neighbour_conjugates(fam, hs, s, s_inv, top), 1):
+            p = sign * q
+            conj_supports = [_conjugate_support(fam, c, hj, sj, p, shift)
+                             for c, hj, sj in zip(conjs, hs, h_supports)]
+            for i, (hi, si) in enumerate(zip(hs, h_supports)):
+                for j, (conj, sc) in enumerate(zip(conjs, conj_supports)):
+                    record_commutation(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi, conj,
+                                       detail, supports=(si, sc))
+    if involution:
+        k = len(hs)
+        names = (f"[h{i + 1}, ^(t^{-q}) h{j + 1}]"
+                 for q in range(1, top + 1) for i in range(k) for j in range(k))
+        for name, c in zip(names, report.checks[start:]):
+            report.record(name, c["status"] == "pass", c["lhs"], c["rhs"], c["detail"])
     return h_supports
 
 
@@ -443,7 +464,10 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
 
     Of the powers of t it builds t^-1, one inversion, and t^n by
     GroupFamily.power, bitlen(n) + popcount(n) - 2 products; each conjugate
-    is built from its neighbour (see _neighbour_conjugates).
+    is built from its neighbour (see _neighbour_conjugates).  For an
+    involution t, t == t^-1 as values, the negative powers' records repeat
+    the positive ones' outcomes, and their conjugates are not built again
+    (see _conjugate_commutators).
     """
     if not isinstance(w.mode, Finite):
         raise WitnessModeError("verify_ccc requires a Finite(n) witness")

@@ -227,5 +227,9 @@ class IetFamily(GroupFamily):
     def render(self, a):
         return render_iet(a)
 
+    def __reduce__(self):
+        # the one instance: a copy or pickle of IET is IET itself
+        return "IET"
+
 
 IET = IetFamily()

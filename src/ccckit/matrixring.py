@@ -12,10 +12,15 @@ Products, transposes and embeddings work on these rows and touch only
 nonzeros.  The read-only `entries` property builds the dense rows for the
 code that reads every entry, such as rendering.
 
-Determinants and inverses share one fraction-free (Bareiss) Gauss-Jordan
-pass over Z on the integer lift of the active block: the indices S where
-the matrix differs from the identity, since A = A_S (+) I gives det(A) =
-det(A_S) and A^-1 = A_S^-1 (+) I.  The pass yields det(A_S) and adj(A_S)
+A monomial matrix, with one nonzero entry in each row and each column,
+is inverted and has its determinant taken in O(n): the determinant is the
+sign of its permutation times the product of its entries, and the inverse
+transposes the pattern and inverts each entry.  The batteries' witnesses,
+the forms J and the permutation matrices are all monomial.  Every other
+matrix goes through one fraction-free (Bareiss) Gauss-Jordan pass over Z
+on the integer lift of the active block: the indices S where the matrix
+differs from the identity, since A = A_S (+) I gives det(A) = det(A_S)
+and A^-1 = A_S^-1 (+) I.  The pass yields det(A_S) and adj(A_S)
 together, so all intermediate arithmetic stays exact and integral.
 Modular determinants reduce the integer determinant, since reduction mod m
 is a ring homomorphism.
@@ -188,9 +193,44 @@ def _active_block(a: SquareMatrix) -> tuple[list[int], list[list[int]]]:
     return indices, block
 
 
+def _monomial(a: SquareMatrix) -> list[tuple[int, int]] | None:
+    """The (column, value) pair of each row when a is monomial, one nonzero
+    entry in each row and each column, else None."""
+    rows = a.rows
+    if any(len(row) != 1 for row in rows):
+        return None
+    pairs = [row[0] for row in rows]
+    if len({c for c, _ in pairs}) != len(pairs):
+        return None
+    return pairs
+
+
+def _monomial_det(pairs: list[tuple[int, int]], modulus: int | None) -> int:
+    """det of the monomial matrix whose row i holds pairs[i]: the sign of
+    the permutation i -> column, (-1) per cycle of even length, times the
+    product of the entries, reduced for Z/m."""
+    d = 1
+    seen = [False] * len(pairs)
+    for i, (_, value) in enumerate(pairs):
+        d *= value
+        if not seen[i]:
+            length, j = 0, i
+            while not seen[j]:
+                seen[j] = True
+                j = pairs[j][0]
+                length += 1
+            if not length & 1:
+                d = -d
+    return _reduce(d, modulus)
+
+
 def det(a: SquareMatrix) -> int:
-    """Determinant: the integer determinant of the active block from the
-    elimination mat_inv runs, reduced for Z/m."""
+    """Determinant, reduced for Z/m: in O(n) for a monomial matrix (see
+    _monomial_det), else the integer determinant of the active block from
+    the elimination mat_inv runs."""
+    pairs = _monomial(a)
+    if pairs is not None:
+        return _monomial_det(pairs, a.modulus)
     return _reduce(_det_and_adjugate(_active_block(a)[1])[0], a.modulus)
 
 
@@ -235,30 +275,46 @@ def _det_and_adjugate(entries) -> tuple[int, list[list[int]]]:
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
+def _unit_inverse(d: int, modulus: int | None) -> int:
+    """1/d for the reduced determinant d, or NotInvertibleError when d is
+    not a unit in the ring."""
+    if modulus is None:
+        if d not in (1, -1):
+            raise NotInvertibleError(f"determinant {d} is not a unit in Z")
+        return d  # 1/d = d for d = +-1
+    if math.gcd(d, modulus) != 1:
+        raise NotInvertibleError(f"determinant {d} is not a unit mod {modulus}")
+    return pow(d, -1, modulus)
+
+
 def mat_inv(a: SquareMatrix) -> SquareMatrix:
     """Adjugate divided by the determinant; det must be a unit in the ring.
 
-    det and adjugate come from one O(k^3) fraction-free pass over the
-    integer lift of the k x k active block; the rows outside it stay unit
-    rows.  No pivot is chosen mod m: over a composite modulus an invertible
-    matrix can have no unit in a column ([[2, 3], [3, 2]] mod 6).
+    A monomial matrix (see _monomial) is a unit exactly when each of its
+    entries is one, and its inverse puts 1/v at (j, i) for the entry v at
+    (i, j): O(n), no elimination.  Otherwise det and adjugate come from one
+    O(k^3) fraction-free pass over the integer lift of the k x k active
+    block; the rows outside it stay unit rows.  No pivot is chosen mod m:
+    over a composite modulus an invertible matrix can have no unit in a
+    column ([[2, 3], [3, 2]] mod 6).
     """
+    modulus = a.modulus
+    pairs = _monomial(a)
+    if pairs is not None:
+        _unit_inverse(_monomial_det(pairs, modulus), modulus)
+        rows = [()] * a.size
+        for i, (c, v) in enumerate(pairs):
+            # over Z, v = +-1 is its own inverse
+            rows[c] = ((i, v if modulus is None else pow(v, -1, modulus)),)
+        return trusted(SquareMatrix, a.size, tuple(rows), modulus)
     indices, block = _active_block(a)
     d_int, adj = _det_and_adjugate(block)
-    d = _reduce(d_int, a.modulus)
-    if a.modulus is None:
-        if d not in (1, -1):
-            raise NotInvertibleError(f"determinant {d} is not a unit in Z")
-        unit = d  # 1/d = d for d = +-1
-    else:
-        if math.gcd(d, a.modulus) != 1:
-            raise NotInvertibleError(f"determinant {d} is not a unit mod {a.modulus}")
-        unit = pow(d, -1, a.modulus)
+    unit = _unit_inverse(_reduce(d_int, modulus), modulus)
     rows = list(a.rows)  # the unit rows outside the block
     for i, row in zip(indices, adj):
         rows[i] = tuple((c, v) for c, e in zip(indices, row)
-                        if (v := _reduce(unit * e, a.modulus)))
-    return trusted(SquareMatrix, a.size, tuple(rows), a.modulus)
+                        if (v := _reduce(unit * e, modulus)))
+    return trusted(SquareMatrix, a.size, tuple(rows), modulus)
 
 
 # ---------------------------------------------------------------------------

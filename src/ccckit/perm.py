@@ -141,5 +141,9 @@ class PermFamily(GroupFamily):
     def render(self, a):
         return render_cycles(a)
 
+    def __reduce__(self):
+        # the one instance: a copy or pickle of PERM is PERM itself
+        return "PERM"
+
 
 PERM = PermFamily()

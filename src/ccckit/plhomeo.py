@@ -263,6 +263,10 @@ class PlFamily(GroupFamily):
     def render(self, a):
         return render_pl(a)
 
+    def __reduce__(self):
+        # the one instance: a copy or pickle of PL is PL itself
+        return "PL"
+
 
 PL = PlFamily()
 

@@ -67,6 +67,10 @@ class IntAdditiveFamily(GroupFamily):
     def render(self, a):
         return str(a)
 
+    def __reduce__(self):
+        # the one instance: a copy or pickle of INT_Z is INT_Z itself
+        return "INT_Z"
+
 
 INT_Z = IntAdditiveFamily()
 
@@ -323,7 +327,10 @@ class Tower:
         """u lies in B: multiples of n_1 at the bottom, and at level i + 1
         the elements with coordinate-0 entry in the lower subgroup and top
         a multiple of n_(i+1)."""
-        level = self._level(level)
+        return self._in_B(u, self._level(level))
+
+    def _in_B(self, u, level: int) -> bool:
+        """in_B at a level already checked."""
         if level == 1:
             INT_Z.check_element(u)
             return u % self.orders[0] == 0
@@ -331,7 +338,7 @@ class Tower:
         fam.check_element(u)
         if u.top % self.orders[level - 1] != 0:
             return False
-        return self.in_B(fam.value_at(u, 0), level - 1)
+        return self._in_B(fam.value_at(u, 0), level - 1)
 
     def sample(self, rng: random.Random):
         """A random word of length at most 8 in the top-level generators."""
@@ -341,23 +348,29 @@ class Tower:
         """A random element of B at the given level: a B element at
         coordinate 0, an arbitrary one at each other point with
         probability 0.7, and a top that is a multiple of the order."""
-        level = self._level(level)
+        return self._sample_B(rng, self._level(level))
+
+    def _sample_B(self, rng: random.Random, level: int):
+        """sample_B at a level already checked."""
         n = self.orders[level - 1]
         if level == 1:
             return n * rng.randint(-3, 3)
-        pairs = [(0, self.sample_B(rng, level - 1))]
+        pairs = [(0, self._sample_B(rng, level - 1))]
         for p in range(1, n):
             if rng.random() < 0.7:
-                pairs.append((p, self.sample_level(rng, level - 1)))
+                pairs.append((p, self._sample_level(rng, level - 1)))
         return self.families[level - 1].normalize(pairs, n * rng.randint(-2, 2))
 
     def sample_level(self, rng: random.Random, level: int):
         """A random element of the level-th group, an entry at each point
         with probability 0.7."""
-        level = self._level(level)
+        return self._sample_level(rng, self._level(level))
+
+    def _sample_level(self, rng: random.Random, level: int):
+        """sample_level at a level already checked."""
         if level == 1:
             return rng.randint(-4, 4)
-        pairs = [(p, self.sample_level(rng, level - 1))
+        pairs = [(p, self._sample_level(rng, level - 1))
                  for p in range(self.orders[level - 1]) if rng.random() < 0.7]
         return self.families[level - 1].normalize(pairs, rng.randint(-3, 3))
 

@@ -13,6 +13,7 @@ from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, 
 import ccckit
 from ccckit import braid as braidmod
 from ccckit import cli
+from ccckit import core
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import matrixring as mat
@@ -141,18 +142,20 @@ NEIGHBOUR_CASES = {
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_neighbour_conjugates_match_conjugation_by_the_power(name, data):
-    """^(t^p) h built from its neighbour ^(t^(p-1)) h is t^p h t^-p for
-    1 <= |p| <= 8: equal normal forms, and for braids equal in B_4."""
+    """^(s^q) h built from its neighbour ^(s^(q-1)) h is s^q h s^-q for
+    q = 1..8, with s = t and with s = t^-1, so for 1 <= |p| <= 8 it is
+    t^p h t^-p: equal normal forms, and for braids equal in B_4."""
     fam, elements = NEIGHBOUR_CASES[name]
     t = data.draw(elements, label="t")
     hs = data.draw(st.lists(elements, min_size=1, max_size=2), label="hs")
     equal = braidmod.braids_equal if name == "braid" else operator.eq
-    powers = []
-    for p, conjs in _neighbour_conjugates(fam, hs, t, fam.inv(t), 8):
-        powers.append(p)
-        for h, c in zip(hs, conjs, strict=True):
-            assert equal(c, conjugate(fam, fam.power(t, p), h))
-    assert powers == list(range(1, 9)) + list(range(-1, -9, -1))
+    t_inv = fam.inv(t)
+    for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
+        sweep = list(_neighbour_conjugates(fam, hs, s, s_inv, 8))
+        assert len(sweep) == 8
+        for q, conjs in enumerate(sweep, 1):
+            for h, c in zip(hs, conjs, strict=True):
+                assert equal(c, conjugate(fam, fam.power(t, sign * q), h))
 
 
 def test_verify_ccc_passes_on_disjoint_blocks():
@@ -386,16 +389,17 @@ class CountingFamily(GroupFamily):
 
 
 def engine_pairs(fam, gens, w, shift=None):
-    """The (name, a, b, sb) of every commutation record the engine makes, in
-    report order, and the number of claims the engine checks.  sb is the
+    """The (name, a, b, sb) of every commutation record the engine decides,
+    in report order, and the number of claims the engine checks.  For an
+    involution t, t == t^-1 as values, the engine decides no record at a
+    negative power: it repeats the outcome at the positive one.  sb is the
     support the engine reads for b: for a conjugate ^(t^p) h_j with a claim
     shift(h_j, p) that it checks (h_j's and the claim's supports known)
     and that holds, the claim's support, else b's own."""
-    if isinstance(w.mode, Finite):
-        n = w.mode.n
-        powers = [p for p in range(1, n)] + [-p for p in range(1, n)]
-    else:
-        powers = [q for q in range(1, w.mode.bound + 1)] + [-q for q in range(1, w.mode.bound + 1)]
+    top = w.mode.n - 1 if isinstance(w.mode, Finite) else w.mode.bound
+    powers = list(range(1, top + 1))
+    if w.t != fam.inv(w.t):
+        powers += [-q for q in range(1, top + 1)]
     pairs, checked = [], 0
     for p in powers:
         conjs = []
@@ -412,6 +416,7 @@ def engine_pairs(fam, gens, w, shift=None):
         pairs += [(f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi, b, sb)
                   for i, hi in enumerate(gens) for j, (b, sb) in enumerate(conjs)]
     if isinstance(w.mode, Finite):
+        n = w.mode.n
         tn = fam.power(w.t, n)
         pairs += [(f"[h{i + 1}, t^{n}]", hi, tn, fam.support(tn)) for i, hi in enumerate(gens)]
     return pairs, checked
@@ -489,6 +494,33 @@ CZC_CASES = {
 }
 
 
+# the cases whose witness t equals t^-1 as a value: the engine builds only
+# the p > 0 sweep of conjugates and repeats its outcomes at p < 0
+INVOLUTIONS = {"perm", "matrix-Z", "matrix-Z/5", "aut-free", "iet", "block-cycle-2",
+               "block-cycle-2-failing"}
+
+
+@pytest.mark.parametrize("label", sorted(CCC_CASES) + sorted(CZC_CASES))
+def test_only_value_involutions_skip_the_negative_sweep(label, monkeypatch):
+    """The engine builds the sweep against t^-1 unless t == t^-1 as a
+    value: block cycles of order 3 and up, the braid block pass (equal to
+    its inverse in B_2n, not as a word) and the pl witnesses build both."""
+    sweeps = []
+    build = core._neighbour_conjugates
+
+    def recording(fam, hs, s, s_inv, top):
+        sweeps.append((s, s_inv))
+        return build(fam, hs, s, s_inv, top)
+
+    monkeypatch.setattr(core, "_neighbour_conjugates", recording)
+    fam, gens, w = {**CCC_CASES, **CZC_CASES}[label]()
+    t_inv = fam.inv(w.t)
+    (verify_ccc if isinstance(w.mode, Finite) else verify_czc)(GeneratorSet(fam, gens), w)
+    both = [(w.t, t_inv), (t_inv, w.t)]
+    assert sweeps == (both[:1] if label in INVOLUTIONS else both)
+    assert (w.t == t_inv) == (label in INVOLUTIONS)
+
+
 def _assert_engine_matches_reference(engine, reference, case, shift=None):
     """engine, given shift as its claims when it is not None, writes the
     reference's report with an exact count of its operations."""
@@ -501,31 +533,36 @@ def _assert_engine_matches_reference(engine, reference, case, shift=None):
     assert got == expected
     # the engine inverts t once and builds each conjugate ^(t^p) h_j once
     # per (p, j) from its neighbour, with two products against t or t^-1;
-    # the finite battery also builds t^n by binary powering, and the
-    # Z-mode battery no power of t at all
+    # for an involution t it builds only the p > 0 sweep.  The finite
+    # battery also builds t^n by binary powering, and the Z-mode battery
+    # no power of t at all
     h = len(gens)
+    sweeps = 1 if w.t == fam.inv(w.t) else 2
     if isinstance(w.mode, Finite):
         table = binary_power_products(w.mode.n)
-        n_powers = 2 * (w.mode.n - 1)
-        records = n_powers * h * h + h  # and [h_i, t^n] for each i
+        top = w.mode.n - 1
+        records = 2 * top * h * h + h  # and [h_i, t^n] for each i
     else:
         table = 0
-        n_powers = 2 * w.mode.bound
-        records = n_powers * h * h
+        top = w.mode.bound
+        records = 2 * top * h * h
     # a record whose supports are disjoint is certified with no product and
-    # no eq; every other one decides ab = ba with two products and one eq,
-    # and a failing one then builds the commutator [a, b] = (ab)(ba)^-1, one
-    # product and one inversion.  Each checked claim costs one eq, and one
-    # that holds lends its support to the conjugate's records
+    # no eq; every other decided one checks ab = ba with two products and
+    # one eq, and a failing one then builds the commutator
+    # [a, b] = (ab)(ba)^-1, one product and one inversion.  A record the
+    # engine repeats costs nothing.  Each checked claim costs one eq, and
+    # one that holds lends its support to the conjugate's records
     pairs, checked = engine_pairs(fam, gens, w, shift)
-    assert len(pairs) == records
+    assert len(got["checks"]) == records
+    assert len(pairs) == records - (2 - sweeps) * top * h * h
     certified = sum(not supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
-    failing = sum(c["status"] == "fail" for c in got["checks"])
-    assert counted.counts["mul"] == (table + 2 * n_powers * h + 2 * (records - certified)
+    decided = {name for name, _, _, _ in pairs}
+    failing = sum(c["status"] == "fail" for c in got["checks"] if c["name"] in decided)
+    assert counted.counts["mul"] == (table + 2 * sweeps * top * h + 2 * (len(pairs) - certified)
                                      + 1 * failing)
     assert counted.counts["inv"] == 1 + 1 * failing
-    assert counted.counts["eq"] == (records - certified) + checked
-    assert checked == (0 if shift is None else n_powers * h)
+    assert counted.counts["eq"] == (len(pairs) - certified) + checked
+    assert checked == (0 if shift is None else sweeps * top * h)
     # the reference renders every failing check's value; the engine each
     # distinct one once, and no passing check's
     assert Counter(counted.rendered) == Counter(set(counted_ref.rendered))
@@ -558,8 +595,9 @@ def test_passing_battery_certifies_every_record(label):
     """On a passing perm or matrix battery the witness moves each h_j off
     block 1, and t^n = e moves nothing, so every record, each
     [h_i, ^(t^p) h_j] among them, is certified by disjoint supports: the
-    engine's only products are the conjugates' and those binary powering
-    makes for t^n."""
+    engine's only products are the conjugates', one sweep of them for an
+    involution and two otherwise, and those binary powering makes for
+    t^n."""
     fam, gens, w = CCC_CASES[label]()
     counted = CountingFamily(fam)
     report = verify_ccc(GeneratorSet(counted, gens), w)
@@ -567,8 +605,9 @@ def test_passing_battery_certifies_every_record(label):
     pairs, _ = engine_pairs(fam, gens, w)
     assert not any(supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
     n = w.mode.n
-    assert counted.counts == Counter(mul=binary_power_products(n) + 2 * 2 * (n - 1) * len(gens),
-                                     inv=1)
+    sweeps = 1 if label in INVOLUTIONS else 2
+    assert counted.counts == Counter(
+        mul=binary_power_products(n) + 2 * sweeps * (n - 1) * len(gens), inv=1)
 
 
 @pytest.mark.parametrize("label", ["braid-2", "braid-3"])

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +270,84 @@ def test_perm_matrix_matches_the_per_column_oracle(support, extra, modulus, seed
     assert built.rows == tuple(rows) and built.size == n and built.modulus == modulus
     assert revalidates(built)
 
+def bareiss(operation, a):
+    """operation(a) with the monomial path switched off, so det and
+    mat_inv run the elimination on the active block: the oracle for the
+    monomial path."""
+    with mock.patch.object(m, "_monomial", lambda a: None):
+        return operation(a)
+
+
+def outcome(operation, a):
+    """operation(a), or the type and text of the NotInvertibleError it
+    raises."""
+    try:
+        return operation(a)
+    except m.NotInvertibleError as exc:
+        return type(exc), str(exc)
+
+
+# nonzero entries per ring, units and non-units: over Z only +-1 are units,
+# mod 5 every nonzero residue is, mod 6 only 1 and 5
+MONOMIAL_ENTRIES = {None: [-3, -2, -1, 1, 2, 3], 5: [1, 2, 3, 4], 6: [1, 2, 3, 4, 5]}
+
+
+@st.composite
+def monomial_matrices(draw):
+    """A matrix with one nonzero entry in each row and each column: row i
+    holds v_i at column sigma(i), for a random permutation sigma of a few
+    points inside a larger identity."""
+    modulus = draw(st.sampled_from(sorted(MONOMIAL_ENTRIES, key=str)))
+    n = draw(st.integers(min_value=0, max_value=7))
+    columns = draw(st.permutations(range(n)))
+    values = draw(st.lists(st.sampled_from(MONOMIAL_ENTRIES[modulus]), min_size=n, max_size=n))
+    rows = tuple(((c, v),) for c, v in zip(columns, values))
+    size = n + draw(st.integers(min_value=0, max_value=3))
+    return m.corner_embed(m.SquareMatrix(n, rows, modulus), size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_matrices())
+def test_monomial_det_and_inverse_match_the_elimination(a):
+    """det and mat_inv of a monomial matrix, without elimination, equal
+    the Bareiss pass's: the same value, or the same NotInvertibleError
+    and text."""
+    assert m._monomial(a) is not None
+    d = m.det(a)
+    assert d == bareiss(m.det, a)
+    if a.size <= 5:
+        assert d == leibniz_det(a)
+    inverse = outcome(m.mat_inv, a)
+    assert inverse == outcome(lambda x: bareiss(m.mat_inv, x), a)
+    if isinstance(inverse, m.SquareMatrix):
+        assert revalidates(inverse)
+        assert m.mat_mul(a, inverse) == m.identity_matrix(a.size, a.modulus)
+
+
+def test_non_monomial_matrices_take_the_elimination():
+    for a in (m.matrix([[1, 1], [0, 1]]), m.matrix([[1, 0], [1, 0]]),
+              m.matrix([[0, 2], [0, 3]], 5), m.elementary(3, 1, 3, 2, 6)):
+        assert m._monomial(a) is None
+    # one entry per row, two in one column: singular, and left to the pass
+    with pytest.raises(m.NotInvertibleError, match=r"^determinant 0 is not a unit in Z$"):
+        m.mat_inv(m.matrix([[1, 0], [1, 0]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([None, 5, 6]))
+def test_permutation_matrices_carry_sign_inverse_and_product(n, seed, modulus):
+    """perm_to_matrix: S_n -> GL_n is a homomorphism: det is the sign by
+    perm.parity, mat_inv is the matrix of the inverse permutation, and
+    mat_mul the matrix of the composite."""
+    rng = random.Random(seed)
+    a, b = random_perm(rng, n), random_perm(rng, n)
+    ma, mb = m.perm_to_matrix(a, n, modulus), m.perm_to_matrix(b, n, modulus)
+    assert m.det(ma) == (sign(a) if modulus is None else sign(a) % modulus)
+    assert m.mat_inv(ma) == m.perm_to_matrix(p.inverse(a), n, modulus)
+    assert m.mat_mul(ma, mb) == m.perm_to_matrix(p.compose(a, b), n, modulus)
+
+
 def test_inverse_roundtrip():
     a = m.mat_mul(m.elementary(3, 1, 2, 2), m.elementary(3, 3, 1, -1))
     assert m.mat_mul(a, m.mat_inv(a)) == m.identity_matrix(3)
@@ -358,11 +437,16 @@ def test_inversion_eliminates_only_the_active_block(monkeypatch):
     monkeypatch.setattr(m, "_det_and_adjugate", recording)
     a = m.corner_embed(m.elementary(2, 1, 2), 64)
     swap = m.perm_to_matrix(p.block_swap(32), 64)  # an involution
-    for x, k in ((a, 2), (m.mat_mul(m.mat_mul(swap, a), swap), 2),
-                 (m.identity_matrix(64), 0)):
+    for x, k in ((a, 2), (m.mat_mul(m.mat_mul(swap, a), swap), 2)):
         shapes.clear()
         m.mat_inv(x)
         assert shapes == [[k] * k]
+    # monomial matrices, the identity among them, eliminate nothing
+    for x in (m.identity_matrix(64), swap, m.form_matrix(m.FormTag("symplectic", 64))):
+        shapes.clear()
+        m.mat_inv(x)
+        m.det(x)
+        assert shapes == []
 
 
 @pytest.mark.parametrize("g", [

@@ -23,7 +23,7 @@ from ccckit import matrixring as mat
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit import wreath as w
-from ccckit.core import GroupFamily, replace, trusted
+from ccckit.core import GeneratorSet, GroupFamily, replace, trusted
 from ccckit.perm import PERM, perm_from_cycles
 
 from test_records import IDS, RECORDS
@@ -117,9 +117,26 @@ COPIES = [("copy", copy.copy), ("deepcopy", copy.deepcopy)] + [
     (f"pickle {p}", lambda x, p=p: _pickled(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
 
 
-# the last record, a Battery, is unhashable
+# the families of one instance; a copy or pickle of one is the instance
+SINGLETONS = (PERM, pl.PL, ietmod.IET, w.INT_Z)
+
+
+def _parametrized(v) -> bool:
+    return isinstance(v, GroupFamily) and not any(v is f for f in SINGLETONS)
+
+
+@pytest.mark.parametrize("family", SINGLETONS, ids=[f.name for f in SINGLETONS])
+def test_singleton_families_copy_and_pickle_to_themselves(family):
+    for label, make in COPIES:
+        assert make(family) is family, label
+
+
+# the last record, a Battery, is unhashable; the added GeneratorSet holds a
+# parametrized family
 @pytest.mark.parametrize("hashed", [False, True], ids=["unhashed", "hashed"])
-@pytest.mark.parametrize("x, fields, text", RECORDS[:-1], ids=IDS[:-1])
+@pytest.mark.parametrize("x, fields, text", RECORDS[:-1] + [
+    (GeneratorSet(_MAT_Z5, (mat.elementary(3, 1, 2, 1, 5),)), None, None)],
+    ids=IDS[:-1] + ["GeneratorSet-matrix"])
 def test_copies_and_pickles_carry_the_fields_alone(x, fields, text, hashed):
     x = trusted(type(x), *x.__dict__.values())  # a fresh object, not hashed yet
     if hashed:
@@ -127,12 +144,13 @@ def test_copies_and_pickles_carry_the_fields_alone(x, fields, text, hashed):
     for label, make in COPIES:
         y = make(x)
         assert type(y) is type(x) and "_hash" not in vars(y), label
-        if label != "copy" and any(isinstance(v, GroupFamily) for v in vars(x).values()):
-            # a family is equal only to itself, so a deep copy of a record
-            # that holds one holds another family: equal in every other field
+        if label != "copy" and any(map(_parametrized, vars(x).values())):
+            # a parametrized family is equal only to itself, so a deep copy
+            # of a record that holds one holds another family: equal in
+            # every other field
             assert [type(v) for v in vars(y).values()] == [type(v) for v in vars(x).values()]
-            assert {k: v for k, v in vars(y).items() if not isinstance(v, GroupFamily)} == {
-                k: v for k, v in vars(x).items() if not isinstance(v, GroupFamily)}, label
+            assert {k: v for k, v in vars(y).items() if not _parametrized(v)} == {
+                k: v for k, v in vars(x).items() if not _parametrized(v)}, label
             continue
         assert y == x and x == y and vars(y) == vars(x), label
         assert hash(y) == hash(x) == field_tuple_hash(y), label

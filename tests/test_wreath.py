@@ -737,6 +737,30 @@ def test_sample_B_elements_are_members():
                 assert tower.in_B(tower.sample_B(rng, level), level)
 
 
+def test_tower_checks_a_level_once_per_public_call(monkeypatch):
+    """in_B, sample_B and sample_level check their level once and recurse
+    below it unchecked; a draw checks one level per public call it makes."""
+    calls = Counter()
+    for name in ("_level", "in_B", "sample_B", "sample_level"):
+        method = getattr(w.Tower, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(w.Tower, name, counted)
+    tower = w.Tower((2, 3, 2))
+    rng = random.Random(0)
+    for level in (1, 2, 3):
+        tower.sample_B(rng, level)
+        tower.sample_level(rng, level)
+        tower.in_B(tower.sample_level(rng, level), level)
+    assert calls == Counter(_level=12, in_B=3, sample_B=3, sample_level=6)
+    calls.clear()
+    tower.samples(50, 0)
+    assert calls["_level"] == calls["in_B"] + calls["sample_B"] and calls["sample_B"] == 50
+
+
 # ---------------------------------------------------------------------------
 # The point_eq-scan normal form, kept as an oracle for the keyed one
 
