@@ -62,12 +62,6 @@ def word(rank: int, letters) -> FreeWord:
     return FreeWord(rank, reduce_letters(letters))
 
 
-def word_mul(u: FreeWord, v: FreeWord) -> FreeWord:
-    if u.rank != v.rank:
-        raise FamilyMismatchError(f"rank mismatch: {u.rank} vs {v.rank}")
-    return trusted(FreeWord, u.rank, reduce_letters(u.letters + v.letters))
-
-
 def word_inv(u: FreeWord) -> FreeWord:
     return trusted(FreeWord, u.rank, tuple(-x for x in reversed(u.letters)))
 
@@ -132,12 +126,6 @@ def _substitute_images(images: tuple[FreeWord, ...], w: FreeWord) -> FreeWord:
                 else:
                     stack.append(-y)
     return trusted(FreeWord, w.rank, tuple(stack))
-
-
-def substitute(phi: FreeAutomorphism, w: FreeWord) -> FreeWord:
-    if phi.rank != w.rank:
-        raise FamilyMismatchError(f"rank mismatch: {phi.rank} vs {w.rank}")
-    return _substitute_images(phi.images, w)
 
 
 def aut_compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:

@@ -1,6 +1,6 @@
-"""Permutational wreath products with finitely supported base maps, and
-the homomorphism machinery that turns a chain of commutation witnesses
-into a map from the iterated tower into the target family.
+"""Wreath products over Z acting on Z/n with finitely supported base
+maps, and the homomorphism machinery that turns a chain of commutation
+witnesses into a map from the iterated tower into the target family.
 
 The chain's orders (n_1, ..., n_k) fix the tower: ``Tower(orders)`` builds
 A_1 = Z and A_(i+1) = A_i wr_(Z/n_(i+1)) Z once, with their generators,
@@ -12,16 +12,14 @@ reads the tower alone, so one draw serves every chain of the same orders.
 Conventions: (f, a)(g, b) = (x -> f(x) * g(a^-1 x), ab); the evaluation
 product over base coordinates is taken in ascending point order, which is
 sound because the factors commute whenever the chain invariants hold.
-Points are stored as canonical ints (residues mod n for Z/n, transversal
-indices for a coset space), so a base is a tuple of (point, entry) pairs
-sorted by point, and equal elements are equal values.
+Points are stored as their residues mod n, so a base is a tuple of
+(point, entry) pairs sorted by point, and equal elements are equal values.
 """
 
 from __future__ import annotations
 
-import abc
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from . import core
 from .core import (CcckitError, FamilyMismatchError, Finite, GeneratorSet, GroupFamily, Record,
@@ -33,7 +31,7 @@ class ChainInvariantError(CcckitError):
 
 
 # ---------------------------------------------------------------------------
-# The acting group Z and action spaces
+# The acting group Z
 
 
 class IntAdditiveFamily(GroupFamily):
@@ -75,73 +73,6 @@ class IntAdditiveFamily(GroupFamily):
 INT_Z = IntAdditiveFamily()
 
 
-class ActionSpace(abc.ABC):
-    """An A-set: the acting family plus the action on points.  Each point
-    has one stored form, a canonical int, so points compare with ``==`` and
-    sort as ints."""
-
-    top: GroupFamily
-
-    @abc.abstractmethod
-    def act(self, a: object, x: int) -> int: ...
-
-    @abc.abstractmethod
-    def canonical(self, x: object) -> int:
-        """The stored form of the point x; raises FamilyMismatchError if x
-        is no point."""
-
-    def render_point(self, x: int) -> str:
-        return str(x)
-
-
-class ZModAction(ActionSpace):
-    """Z acting on Z/n by left translation; points are residues 0..n-1."""
-
-    def __init__(self, n: int):
-        if not (is_int(n) and n >= 1):
-            raise ValueError(f"need an int n >= 1, got {n!r}")
-        self.n = n
-        self.top = INT_Z
-
-    def act(self, a, x):
-        return (x + a) % self.n
-
-    def canonical(self, x):
-        """x reduced mod n, as ``act`` returns points."""
-        self.top.check_element(x)
-        return x % self.n
-
-
-class CosetAction(ActionSpace):
-    """A acting on A/B by left translation.  Point i is the coset of
-    transversal[i]; ``canonical`` finds it for any representative through
-    the membership predicate for B."""
-
-    def __init__(self, a_family: GroupFamily, in_B: Callable[[object], bool],
-                 transversal: Sequence):
-        self.top = a_family
-        self.in_B = in_B
-        self.transversal = tuple(transversal)
-        for i, rep in enumerate(self.transversal):
-            if self.canonical(rep) != i:
-                raise ValueError("transversal contains repeated cosets")
-
-    def act(self, a, x):
-        return self.canonical(self.top.mul(a, self.transversal[x]))
-
-    def canonical(self, x):
-        """The index of the transversal element in the coset xB."""
-        top = self.top
-        top.check_element(x)
-        for i, rep in enumerate(self.transversal):
-            if self.in_B(top.mul(top.inv(rep), x)):
-                return i
-        raise FamilyMismatchError(f"the transversal misses the coset of {top.render(x)}")
-
-    def render_point(self, x):
-        return self.top.render(self.transversal[x]) + "B"
-
-
 # ---------------------------------------------------------------------------
 # Wreath elements
 
@@ -149,11 +80,12 @@ class CosetAction(ActionSpace):
 class WreathElement(Record):
     """The base map and top element of a wreath product element.  The
     record checks the shape it can see alone: base is a tuple of (point,
-    entry) pairs whose points are ints in strictly ascending order.  That
-    the points are canonical for an action and no entry is an identity is
-    the family's to know; ``WreathFamily.element`` normalises to it."""
+    entry) pairs whose points are ints in strictly ascending order, and
+    top is an int, as the family's operations add them.  That the points
+    are residues mod n and no entry is an identity is the family's to
+    know; ``WreathFamily.element`` normalises to it."""
 
-    def __init__(self, base: tuple[tuple[int, object], ...], top: object):
+    def __init__(self, base: tuple[tuple[int, object], ...], top: int):
         self.__dict__.update(base=base, top=top)
         self.__post_init__()
 
@@ -168,27 +100,33 @@ class WreathElement(Record):
             if last is not None and pair[0] <= last:
                 raise ValueError(f"base points must ascend strictly, got {base!r}")
             last = pair[0]
+        if not is_int(self.top):
+            raise ValueError(f"top must be an int, got {self.top!r}")
 
 
 class WreathFamily(GroupFamily):
-    """Gamma wr_X A with finitely supported base maps.
+    """Gamma wr_(Z/n) Z with finitely supported base maps: the top is an
+    int a, and it moves the point x of Z/n to x + a mod n.
 
     ``element`` is the public constructor and validates the points, base
-    entries and top it is given; ``product``/``mul``/``inv`` build their
+    entries and top it is given, as ``value_at`` validates its point; both
+    reduce a point x to x % n.  ``product``/``mul``/``inv`` build their
     results from valid elements, so ``check_element`` only checks the
-    type."""
+    type, and the tops and points are added and compared as ints."""
 
-    def __init__(self, base_family: GroupFamily, action: ActionSpace):
+    def __init__(self, base_family: GroupFamily, n: int):
+        if not (is_int(n) and n >= 1):
+            raise ValueError(f"need an int n >= 1, got {n!r}")
         self.base_family = base_family
-        self.action = action
-        self.name = f"({base_family.name})wr({action.top.name})"
+        self.n = n
+        self.name = f"({base_family.name})wr(Z)"
 
     def check_element(self, a):
         if not isinstance(a, WreathElement):
             raise FamilyMismatchError(f"not a WreathElement: {a!r}")
 
-    def normalize(self, pairs: Sequence[tuple[int, object]], top: object) -> WreathElement:
-        """The element with base entries ``pairs`` at canonical points:
+    def normalize(self, pairs: Sequence[tuple[int, object]], top: int) -> WreathElement:
+        """The element with base entries ``pairs`` at residues mod n:
         entries at one point multiplied in pair order, identity entries
         dropped, points ascending, built through ``core.trusted``."""
         base = self.base_family
@@ -201,30 +139,30 @@ class WreathFamily(GroupFamily):
         return core.trusted(WreathElement, tuple(
             (x, g) for x, g in sorted(merged.items()) if not is_identity(g)), top)
 
-    def element(self, pairs, top=None) -> WreathElement:
-        action = self.action
-        if top is None:
-            top = action.top.identity()
-        action.top.check_element(top)
+    def element(self, pairs, top=0) -> WreathElement:
+        INT_Z.check_element(top)
+        n, check = self.n, self.base_family.check_element
         checked = []
         for x, g in pairs:
-            self.base_family.check_element(g)
-            checked.append((action.canonical(x), g))
+            check(g)
+            INT_Z.check_element(x)
+            checked.append((x % n, g))
         return self.normalize(checked, top)
 
     def value_at(self, u: WreathElement, x) -> object:
-        x = self.action.canonical(x)
+        INT_Z.check_element(x)
+        x %= self.n
         for y, g in u.base:
             if y == x:
                 return g
         return self.base_family.identity()
 
     def identity(self):
-        return core.trusted(WreathElement, (), self.action.top.identity())
+        return core.trusted(WreathElement, (), 0)
 
     def is_identity(self, u):
         self.check_element(u)
-        return not u.base and self.action.top.is_identity(u.top)
+        return not u.base and u.top == 0
 
     def product(self, word):
         """u_1 ... u_k in one pass: each letter's base points are moved by
@@ -233,7 +171,7 @@ class WreathFamily(GroupFamily):
         through ``core.trusted``.  Each letter is type-checked once, by
         class identity, so ``check_element`` runs only for another class;
         a letter with an empty base, such as a shift, adds no pairs."""
-        act, top_mul = self.action.act, self.action.top.mul
+        n = self.n
         word = iter(word)
         for u in word:
             if u.__class__ is not WreathElement:
@@ -243,8 +181,8 @@ class WreathFamily(GroupFamily):
                 if v.__class__ is not WreathElement:
                     self.check_element(v)
                 if v.base:
-                    pairs += [(act(top, x), g) for x, g in v.base]
-                top = top_mul(top, v.top)
+                    pairs += [((top + x) % n, g) for x, g in v.base]
+                top += v.top
             return self.normalize(pairs, top)
         return self.identity()
 
@@ -253,40 +191,25 @@ class WreathFamily(GroupFamily):
 
     def inv(self, u):
         self.check_element(u)
-        a_inv = self.action.top.inv(u.top)
-        pairs = [(self.action.act(a_inv, x), self.base_family.inv(g)) for x, g in u.base]
-        return self.normalize(pairs, a_inv)
+        a, n, inv = u.top, self.n, self.base_family.inv
+        return self.normalize([((x - a) % n, inv(g)) for x, g in u.base], -a)
 
     def eq(self, u, v):
         self.check_element(u)
         self.check_element(v)
-        if not self.action.top.eq(u.top, v.top) or len(u.base) != len(v.base):
+        if u.top != v.top or len(u.base) != len(v.base):
             return False
         base_eq = self.base_family.eq
         return all(x == y and base_eq(g, h) for (x, g), (y, h) in zip(u.base, v.base))
 
     def render(self, u):
-        body = ", ".join(
-            f"{self.action.render_point(x)}: {self.base_family.render(g)}" for x, g in u.base)
-        return "{" + body + " | " + self.action.top.render(u.top) + "}"
+        render = self.base_family.render
+        body = ", ".join(f"{x}: {render(g)}" for x, g in u.base)
+        return "{" + body + " | " + str(u.top) + "}"
 
 
 # ---------------------------------------------------------------------------
 # The tower A_1 = Z, A_(i+1) = A_i wr_(Z/n_(i+1)) Z
-
-
-def _letters(fam: GroupFamily, gens: Sequence) -> tuple:
-    return tuple((g, fam.inv(g)) for g in gens)
-
-
-def _random_word(fam: GroupFamily, letters: Sequence, rng: random.Random, max_len: int = 8):
-    """A product of at most max_len letters, each a generator or, with
-    probability 1/2, its inverse; ``letters`` holds the (g, g^-1) pairs."""
-    word = []
-    for _ in range(rng.randint(0, max_len)):
-        g, g_inv = rng.choice(letters)
-        word.append(g_inv if rng.random() < 0.5 else g)
-    return fam.product(word)
 
 
 class Tower:
@@ -307,14 +230,14 @@ class Tower:
         gens: tuple = (1,)
         families, generators = [fam], [gens]
         for n in orders[1:]:
-            fam = WreathFamily(fam, ZModAction(n))
+            fam = WreathFamily(fam, n)
             gens = tuple(fam.element([(0, g)]) for g in gens) + (fam.element([], top=1),)
             families.append(fam)
             generators.append(gens)
         self.families = tuple(families)
         self.generators = tuple(generators)
         self.family = fam
-        self.letters = _letters(fam, gens)  # (g, g^-1) per top-level generator
+        self.letters = tuple((g, fam.inv(g)) for g in gens)  # (g, g^-1) per generator
 
     def _level(self, level: int | None) -> int:
         if level is None:
@@ -341,8 +264,13 @@ class Tower:
         return self._in_B(fam.value_at(u, 0), level - 1)
 
     def sample(self, rng: random.Random):
-        """A random word of length at most 8 in the top-level generators."""
-        return _random_word(self.family, self.letters, rng)
+        """A random word of length at most 8 in the top-level generators,
+        each letter a generator or, with probability 1/2, its inverse."""
+        word = []
+        for _ in range(rng.randint(0, 8)):
+            g, g_inv = rng.choice(self.letters)
+            word.append(g_inv if rng.random() < 0.5 else g)
+        return self.family.product(word)
 
     def sample_B(self, rng: random.Random, level: int):
         """A random element of B at the given level: a B element at
@@ -648,77 +576,6 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Extension to H wr_(A/B) A
-
-
-class ExtendedHom:
-    """Evaluator for the extension of f to the wreath product of H over the
-    coset space A/B, whose point i is the coset of transversal[i]: the
-    entry at point i is conjugated by f(transversal[i]), in ascending point
-    order, and the product is multiplied by the image of the top element.
-    Commutation of f(B) with H makes the value independent of the chosen
-    transversal."""
-
-    def __init__(self, H: GeneratorSet, f: Callable, a_family: GroupFamily,
-                 in_B: Callable[[object], bool], transversal: Sequence):
-        self.H = H
-        self.f = f
-        self.a_family = a_family
-        self.action = CosetAction(a_family, in_B, transversal)
-        self.wreath = WreathFamily(H.family, self.action)
-        self.transversal = self.action.transversal
-
-    def eval(self, u: WreathElement):
-        fam = self.H.family
-        self.wreath.check_element(u)
-        result = fam.identity()
-        for i, h in u.base:
-            result = fam.mul(result, conjugate(fam, self.f(self.transversal[i]), h))
-        return fam.mul(result, self.f(u.top))
-
-    def __call__(self, u):
-        return self.eval(u)
-
-    def factor_element(self, h, rep=None) -> WreathElement:
-        """h placed at a single coset (default: the identity coset 1B)."""
-        if rep is None:
-            rep = self.a_family.identity()
-        return self.wreath.element([(rep, h)])
-
-
-def kernel_base_commutes(ext: ExtendedHom, sample_size: int = 50,
-                         seed: int = 0) -> VerificationReport:
-    """Search sample_size seeded base-only elements, an int >= 1, for those
-    mapping to the identity and check that every pair of the distinct
-    non-identity ones found, kept in draw order, commutes in the wreath
-    product.  Fewer than two such elements leave no pair to check, and the
-    "kernel samples found" record fails: the identity commutes with
-    everything, so a pair with it shows nothing."""
-    if not (is_int(sample_size) and sample_size >= 1):
-        raise ValueError(f"sample_size must be an int >= 1, got {sample_size!r}")
-    rng = random.Random(seed)
-    fam, wr = ext.H.family, ext.wreath
-    report = VerificationReport("kernel-base")
-    kernel: list[WreathElement] = []
-    letters = _letters(fam, ext.H.elements or (fam.identity(),))
-    for _ in range(sample_size):
-        pairs = []
-        for rep in ext.transversal:
-            if rng.random() < 0.8:
-                pairs.append((rep, _random_word(fam, letters, rng, max_len=3)))
-        u = wr.element(pairs)
-        if (fam.is_identity(ext(u)) and not wr.is_identity(u)
-                and not any(wr.eq(u, k) for k in kernel)):
-            kernel.append(u)
-    for i, g in enumerate(kernel):
-        for j, h in enumerate(kernel[:i]):
-            core.record_commutation(wr, report, f"kernel pair ({j}, {i}) commutes", g, h)
-    report.record("kernel samples found", len(kernel) >= 2, str(len(kernel)), ">= 2",
-                  detail="distinct non-identity base-only kernel elements")
-    return report
-
-
-# ---------------------------------------------------------------------------
 # The equation-system witness in Gamma wr_(Z/2) Z
 
 
@@ -727,7 +584,7 @@ def closure_system_witness(H: GeneratorSet) -> VerificationReport:
     verify the system [g_i, ^x g_j] = e, [g_i, x^2] = e with x the top
     shift, exactly."""
     fam = H.family
-    w = WreathFamily(fam, ZModAction(2))
+    w = WreathFamily(fam, 2)
     x = w.element([], top=1)
     x2 = w.mul(x, x)
     embedded = [w.element([(0, g)]) for g in H.elements]

@@ -16,7 +16,8 @@ from ccckit import wreath as w
 from ccckit.core import Finite, GeneratorSet, Witness, commutator, verify_ccc
 from ccckit.suites import FAMILIES, iet_chain, perm_chain, run_family
 
-from util import bounded_products, displacement_escalates, random_iet
+from util import (bounded_products, coset_index, displacement_escalates, extended_image,
+                  random_iet)
 
 
 def _verdict(k: int, label: str, ok: bool) -> None:
@@ -69,27 +70,28 @@ def test_acceptance_4_depth2_tower_machinery():
     ok = True
     for chain in (iet_chain(), perm_chain()):
         f = w.TowerHom(chain)
-        H = GeneratorSet(chain.family, chain.generators)
         report = w.check_hom(f, f.tower.samples(50, 4))
         ok = ok and report.passed
 
         fam = f.tower.family
         transversal = [fam.element([], top=0), fam.element([(0, 1)]),
                        fam.element([], top=1), fam.element([(1, 1)], top=1)]
-        ext = w.ExtendedHom(H, f, fam, f.tower.in_B, transversal)
         # exact inclusion of the 1B factor: h at the identity coset maps to h
+        one = coset_index(f.tower, transversal, fam.identity())
         for h in chain.generators:
-            ok = ok and chain.family.eq(ext(ext.factor_element(h)), h)
+            ok = ok and chain.family.eq(
+                extended_image(f, chain.family, transversal, [(one, h)], fam.identity()), h)
 
-    # engineered kernel instance: constant homomorphism, abelian H
-    H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),))
-    ext = w.ExtendedHom(H, lambda a: p.IDENTITY, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
-    g = H.elements[0]
-    u = ext.wreath.element([(0, g), (1, p.inverse(g))])
-    v = ext.wreath.element([(0, p.inverse(g)), (1, g)])
-    ok = ok and p.PERM.is_identity(ext(u)) and p.PERM.is_identity(ext(v))
-    ok = ok and ext.wreath.is_identity(commutator(ext.wreath, u, v))
-    ok = ok and w.kernel_base_commutes(ext, sample_size=40, seed=4).passed
+    # engineered kernel instance: constant homomorphism Z -> Sym, abelian H and
+    # B = 2Z, so H wr_(Z/B) Z is the wreath over Z/2 and point i is the coset of i
+    wr = w.WreathFamily(p.PERM, 2)
+    g = p.perm_from_cycles([[1, 2, 3]])
+    u = wr.element([(0, g), (1, p.inverse(g))])
+    v = wr.element([(0, p.inverse(g)), (1, g)])
+    for x in (u, v):
+        ok = ok and p.PERM.is_identity(
+            extended_image(lambda a: p.IDENTITY, p.PERM, (0, 1), x.base, x.top))
+    ok = ok and not wr.is_identity(u) and wr.is_identity(commutator(wr, u, v))
     _verdict(4, "depth-2 tower hom checks, 1B inclusion, engineered kernel pair", ok)
 
 

@@ -650,7 +650,7 @@ def _engine_inputs(family):
         return H.family, H.elements + (w.t,)
 
     def closure_inputs(H):
-        wr = wreathmod.WreathFamily(H.family, wreathmod.ZModAction(2))
+        wr = wreathmod.WreathFamily(H.family, 2)
         return wr, tuple(wr.element([(0, g)]) for g in H.elements) + (wr.element([], top=1),)
 
     with pytest.MonkeyPatch.context() as mp:

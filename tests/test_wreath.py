@@ -18,11 +18,11 @@ from ccckit.core import (FamilyMismatchError, GeneratorSet, VerificationReport, 
                          commutes, conjugate, trusted)
 from ccckit.suites import iet_chain, perm_chain
 
-from util import revalidates
+from util import coset_index, extended_image, revalidates
 
 
 def lamp() -> w.WreathFamily:
-    return w.WreathFamily(w.INT_Z, w.ZModAction(2))
+    return w.WreathFamily(w.INT_Z, 2)
 
 
 def test_wreath_multiplication_oracle():
@@ -73,6 +73,9 @@ def test_points_stored_reduced():
     ([(0, True)], 0),      # a bool is no integer
     ([(True, 1)], 0),
     ([(0, 1)], True),
+    ([("0", 1)], 0),       # a str is no point
+    ([(0, 1)], 1.0),       # a top must be an int
+    ([(0, 1)], None),
 ])
 def test_element_validates_its_input(pairs, top):
     with pytest.raises(FamilyMismatchError):
@@ -93,6 +96,13 @@ def test_element_validates_its_input(pairs, top):
 def test_wreath_element_checks_its_shape(base):
     with pytest.raises(ValueError):
         w.WreathElement(base, 0)
+
+
+@pytest.mark.parametrize("top", [1.5, True, "1", None])
+def test_wreath_element_needs_an_int_top(top):
+    """The family adds tops as ints and checks no top itself."""
+    with pytest.raises(ValueError, match="top must be an int"):
+        w.WreathElement(((0, 1),), top)
 
 
 def test_wreath_element_leaves_the_normal_form_to_its_family():
@@ -167,10 +177,17 @@ def test_tower_rejects_levels_outside_its_depth():
             tower.sample_B(rng, level)
 
 
-@pytest.mark.parametrize("n", [2.5, 2.0, True])
-def test_zmod_action_rejects_non_int_orders(n):
-    with pytest.raises(ValueError):
-        w.ZModAction(n)
+@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True])
+def test_wreath_family_rejects_bad_orders(n):
+    with pytest.raises(ValueError, match="need an int n >= 1"):
+        w.WreathFamily(w.INT_Z, n)
+
+
+@pytest.mark.parametrize("point", [True, "1", 1.0])
+def test_value_at_rejects_non_int_points(point):
+    fam = lamp()
+    with pytest.raises(FamilyMismatchError):
+        fam.value_at(fam.element([(1, 1)]), point)
 
 
 def test_membership_B_level1():
@@ -549,7 +566,7 @@ def test_tower_hom_builds_the_tower_of_the_chain_orders():
         for i in range(1, tower.depth):
             fam = tower.families[i]
             assert fam.base_family is tower.families[i - 1]
-            assert fam.action.n == chain.orders[i]
+            assert fam.n == chain.orders[i]
 
 
 def test_tower_hom_rejects_broken_chain():
@@ -597,108 +614,54 @@ def _tower_transversal(tower):
 def test_extended_hom_factor_inclusion():
     chain = perm_chain()
     f = w.TowerHom(chain)
-    H = GeneratorSet(chain.family, chain.generators)
-    ext = w.ExtendedHom(H, f, f.tower.family, f.tower.in_B, _tower_transversal(f.tower))
+    transversal = _tower_transversal(f.tower)
+    one = coset_index(f.tower, transversal, f.tower.family.identity())
+    assert one == 0
     for h in chain.generators:
-        assert p.PERM.eq(ext(ext.factor_element(h)), h)
-
-
-def test_extended_hom_representative_independent():
-    chain = perm_chain()
-    f = w.TowerHom(chain)
-    fam = f.tower.family
-    H = GeneratorSet(chain.family, chain.generators)
-    ext = w.ExtendedHom(H, f, fam, f.tower.in_B, _tower_transversal(f.tower))
-    rep = fam.element([(0, 1)], top=1)  # not itself a transversal element
-    b = fam.element([(0, 2), (1, 5)], top=4)  # an element of B
-    assert f.tower.in_B(b)
-    shifted = fam.mul(rep, b)
-    stored = ext.transversal[ext.action.canonical(rep)]
-    assert stored != rep and ext.action.canonical(shifted) == ext.action.canonical(rep)
-    for h in chain.generators:
-        assert ext.factor_element(h, rep) == ext.factor_element(h, shifted)
-        expected = conjugate(p.PERM, f(rep), h)
-        assert p.PERM.eq(conjugate(p.PERM, f(shifted), h), expected)
-        assert p.PERM.eq(conjugate(p.PERM, f(stored), h), expected)
-        assert p.PERM.eq(ext(ext.factor_element(h, rep)), expected)
+        image = extended_image(f, p.PERM, transversal, [(one, h)], f.tower.family.identity())
+        assert p.PERM.eq(image, h)
 
 
 @pytest.mark.parametrize("chain_factory", [iet_chain, perm_chain])
 def test_extended_hom_is_multiplicative(chain_factory):
+    """The extension is a homomorphism on H wr_(A/B) A, whose elements are
+    here (base, top) with base a dict from coset index to an element of H,
+    and whose action on the cosets is read through ``coset_index``."""
     chain = chain_factory()
     f = w.TowerHom(chain)
-    fam = f.tower.family
-    ext = w.ExtendedHom(GeneratorSet(chain.family, chain.generators), f, fam, f.tower.in_B,
-                        _tower_transversal(f.tower))
-    letters = f.tower.letters
+    tower, G = f.tower, chain.family
+    A = tower.family
+    transversal = _tower_transversal(tower)
     rng = random.Random(1)
 
-    def sample():
-        pairs = [(rng.choice(ext.transversal), rng.choice(chain.generators))
-                 for _ in range(rng.randint(0, 3))]
-        return ext.wreath.element(pairs, top=w._random_word(fam, letters, rng, max_len=4))
+    def moved(a, i):  # the index of the coset of a transversal[i]
+        return coset_index(tower, transversal, A.mul(a, transversal[i]))
 
-    G = chain.family
+    def mul(u, v):  # (b, a)(c, a') = (x -> b(x) c(a^-1 x), aa')
+        (b, a), (c, a2) = u, v
+        base = dict(b)
+        for j, h in c.items():
+            i = moved(a, j)
+            base[i] = G.mul(base[i], h) if i in base else h
+        return base, A.mul(a, a2)
+
+    def inv(u):
+        b, a = u
+        a_inv = A.inv(a)
+        return {moved(a_inv, i): G.inv(h) for i, h in b.items()}, a_inv
+
+    def ext(u):
+        return extended_image(f, G, transversal, sorted(u[0].items()), u[1])
+
+    def sample():
+        base = {rng.randrange(len(transversal)): rng.choice(chain.generators)
+                for _ in range(rng.randint(0, 3))}
+        return base, tower.sample(rng)
+
     for _ in range(20):
         u, v = sample(), sample()
-        assert G.eq(ext(ext.wreath.mul(u, v)), G.mul(ext(u), ext(v)))
-        assert G.eq(ext(ext.wreath.inv(u)), G.inv(ext(u)))
-
-
-def test_extended_hom_rejects_repeated_cosets():
-    chain = perm_chain()
-    f = w.TowerHom(chain)
-    fam = f.tower.family
-    H = GeneratorSet(chain.family, chain.generators)
-    bad = [fam.element([], top=0), fam.element([], top=2)]  # same coset mod B
-    with pytest.raises(ValueError):
-        w.ExtendedHom(H, f, fam, f.tower.in_B, bad)
-
-
-def test_kernel_base_commutes_engineered_instance():
-    """Constant homomorphism Z -> Sym with B = 2Z and abelian H: base-only
-    kernel elements are plentiful and all commute."""
-    H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),))
-    f = lambda a: p.IDENTITY
-    ext = w.ExtendedHom(H, f, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
-    g = H.elements[0]
-    u = ext.wreath.element([(0, g), (1, p.inverse(g))])
-    v = ext.wreath.element([(0, p.compose(g, g)), (1, p.inverse(p.compose(g, g)))])
-    assert p.PERM.is_identity(ext(u)) and p.PERM.is_identity(ext(v))
-    assert ext.wreath.is_identity(commutator(ext.wreath, u, v))
-    report = w.kernel_base_commutes(ext, sample_size=40, seed=5)
-    assert report.passed
-    # 7 kernel hits, all non-identity, of which 2 are distinct
-    assert [c["name"] for c in report.checks] == ["kernel pair (0, 1) commutes",
-                                                 "kernel samples found"]
-    assert report.checks[-1]["lhs"] == "2"
-
-
-@pytest.mark.parametrize("chain_factory", [iet_chain, perm_chain])
-def test_kernel_base_commutes_keeps_distinct_non_identity_elements(chain_factory):
-    """On the shipped chains' extensions the seeded search meets only the
-    identity in the kernel, so no pair is checked and the record fails
-    instead of comparing e with e."""
-    chain = chain_factory()
-    f = w.TowerHom(chain)
-    ext = w.ExtendedHom(GeneratorSet(chain.family, chain.generators), f, f.tower.family,
-                        f.tower.in_B, _tower_transversal(f.tower))
-    for seed in range(5):
-        report = w.kernel_base_commutes(ext, sample_size=50, seed=seed)
-        assert not report.passed
-        assert report.checks == [{"name": "kernel samples found", "status": "fail", "lhs": "0",
-                                  "rhs": ">= 2",
-                                  "detail": "distinct non-identity base-only kernel elements"}]
-
-
-@pytest.mark.parametrize("sample_size", [0, -3, 2.5, "4", True])
-def test_kernel_base_commutes_rejects_a_sample_size_below_one(sample_size):
-    """No samples would find no kernel element; Tower.samples refuses the
-    same sizes."""
-    H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),))
-    ext = w.ExtendedHom(H, lambda a: p.IDENTITY, w.INT_Z, lambda a: a % 2 == 0, (0, 1))
-    with pytest.raises(ValueError, match="sample_size must be an int >= 1"):
-        w.kernel_base_commutes(ext, sample_size=sample_size)
+        assert G.eq(ext(mul(u, v)), G.mul(ext(u), ext(v)))
+        assert G.eq(ext(inv(u)), G.inv(ext(u)))
 
 
 def test_closure_system_witness():
@@ -708,24 +671,6 @@ def test_closure_system_witness():
     assert report.passed
     # one [g_i, ^x g_j] per ordered pair plus one [g_i, x^2] per generator
     assert len(report.checks) == 4 + 2
-
-
-def test_coset_action_points():
-    act = w.CosetAction(w.INT_Z, lambda a: a % 3 == 0, (0, 1, 5))
-    # point i is the coset of transversal[i], whatever representative names it
-    assert [act.canonical(x) for x in (0, 3, 1, 4, -2, 2, 5)] == [0, 0, 1, 1, 1, 2, 2]
-    assert act.act(2, 1) == 0 and act.act(-1, 0) == 2
-    assert act.render_point(2) == "5B"
-    with pytest.raises(FamilyMismatchError):
-        act.canonical("1")
-    short = w.CosetAction(w.INT_Z, lambda a: a % 3 == 0, (0, 1))
-    with pytest.raises(FamilyMismatchError):
-        short.canonical(2)  # a coset the transversal misses
-    lamps = w.WreathFamily(w.INT_Z, short)
-    with pytest.raises(FamilyMismatchError):
-        lamps.mul(lamps.element([], top=1), lamps.element([(1, 7)]))  # 1 + 1 = 2
-    with pytest.raises(ValueError):
-        w.CosetAction(w.INT_Z, lambda a: a % 3 == 0, (0, 1, 3))
 
 
 def test_sample_B_elements_are_members():
@@ -777,7 +722,7 @@ class ScanWreath(w.WreathFamily):
     skips that check."""
 
     def point_eq(self, x, y):
-        return x % self.action.n == y % self.action.n
+        return x % self.n == y % self.n
 
     def normalize(self, pairs, top):
         merged = []
@@ -789,7 +734,7 @@ class ScanWreath(w.WreathFamily):
             else:
                 merged.append((x, g))
         cleaned = [(x, g) for x, g in merged if not self.base_family.is_identity(g)]
-        cleaned.sort(key=lambda item: item[0] % self.action.n)
+        cleaned.sort(key=lambda item: item[0] % self.n)
         return trusted(w.WreathElement, tuple(cleaned), top)
 
     def element(self, pairs, top=0):
@@ -842,7 +787,7 @@ def test_keyed_normal_form_matches_scan_oracle(data):
     fams = list(tower.families)
     oracles = [w.INT_Z]
     for n in branching:
-        oracles.append(ScanWreath(oracles[-1], w.ZModAction(n)))
+        oracles.append(ScanWreath(oracles[-1], n))
     raw = _raw_tower_element(tower.depth)
     ru, rv = data.draw(raw), data.draw(raw)
     fam, oracle = fams[-1], oracles[-1]
@@ -873,13 +818,13 @@ def oracle_mul(fam, u, v):
     if not isinstance(fam, w.WreathFamily):
         return fam.mul(u, v)
     base = fam.base_family
-    pairs = list(u.base) + [(fam.action.act(u.top, x), g) for x, g in v.base]
+    pairs = list(u.base) + [((u.top + x) % fam.n, g) for x, g in v.base]
     merged = {}
     for x, g in pairs:
         merged[x] = oracle_mul(base, merged[x], g) if x in merged else g
     return w.WreathElement(
         tuple(sorted((x, g) for x, g in merged.items() if not base.eq(g, base.identity()))),
-        fam.action.top.mul(u.top, v.top))
+        u.top + v.top)
 
 
 def _revalidates_at_every_level(fam, u):

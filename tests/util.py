@@ -11,7 +11,7 @@ from ccckit import braid as braidmod
 from ccckit import iet as ietmod
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
-from ccckit.core import replace
+from ccckit.core import conjugate, replace
 from ccckit.rational import exact
 
 
@@ -83,6 +83,27 @@ def wrong_braid_shift(g, p):
     sigma_(j+n-1) in B_2n, where the block pass conjugates sigma_j to
     sigma_(j+n).  The negative control for Stable.shift."""
     return braidmod.shift(g, g.strands // 2 - 1)
+
+
+def coset_index(tower, transversal, a) -> int:
+    """The index i with a in transversal[i] B, B the tower's distinguished
+    subgroup, found through ``tower.in_B``; the transversal must meet the
+    coset exactly once."""
+    A = tower.family
+    hits = [i for i, r in enumerate(transversal) if tower.in_B(A.mul(A.inv(r), a))]
+    assert len(hits) == 1, f"{len(hits)} transversal elements in the coset"
+    return hits[0]
+
+
+def extended_image(f, G, transversal, base, top):
+    """The extension of a homomorphism f: A -> G to H wr_(A/B) A, the
+    paper's extension step, at the element with entry h_i at the coset of
+    transversal[i] for each (i, h_i) in base and with top element top: the
+    product of ^f(transversal[i]) h_i in base order, times f(top)."""
+    value = G.identity()
+    for i, h in base:
+        value = G.mul(value, conjugate(G, f(transversal[i]), h))
+    return G.mul(value, f(top))
 
 
 def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
