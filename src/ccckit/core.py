@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
 from collections.abc import Callable, Iterable, Sequence
 
 
@@ -397,11 +398,10 @@ def _neighbour_conjugates(fam: GroupFamily, hs: Sequence, s: object, s_inv: obje
         yield conjs
 
 
-def _involution(t: object, t_inv: object) -> bool:
-    """Whether t == t^-1 as values, so that ^(t^-q) h = ^(t^q) h is the
-    same value, built by the same calls.  Value equality, not fam.eq: a
-    braid word equal to its inverse only in the group is not one."""
-    return t == t_inv
+def _mirrors(report: VerificationReport) -> bool:
+    """Whether the records at p < 0 may copy their mirrors at p > 0 (see
+    _conjugate_commutators): no record of report failed, read in O(1)."""
+    return report.counterexample is None
 
 
 def _conjugate_commutators(fam: GroupFamily, hs: Sequence, t: object, t_inv: object,
@@ -418,18 +418,24 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, t: object, t_inv: obj
     or costs two products (see record_commutation), always on the real
     conjugate, so a failing record renders the real commutator.
 
-    When t is an involution (see _involution), the sweep over p < 0 would
-    build the values of the sweep over p > 0 again with the same calls, so
-    it is not built: each record at p = -q repeats the verdict, lhs and
-    detail of the record at p = q with the same (i, j).
+    By the mirror identity [h_i, ^(t^-q) h_j] = ^(t^-q) [h_j, ^(t^q) h_i]^-1,
+    in any group, the record at p = -q with (i, j) passes exactly when the
+    one at q with (j, i) does.  So when none at p > 0 failed (see _mirrors),
+    the sweep over p < 0 is not built: each of its records copies the
+    verdict, lhs, rhs and detail of its mirror.  Otherwise it is built.
     """
     if not hs:
         raise ValueError("empty generator set: nothing to check")
     h_supports = [fam.support(h) for h in hs]
-    involution = _involution(t, t_inv)
-    sweeps = ((1, t, t_inv),) if involution else ((1, t, t_inv), (-1, t_inv, t))
     start = len(report.checks)
-    for sign, s, s_inv in sweeps:
+    for sign, s, s_inv in ((1, t, t_inv), (-1, t_inv, t)):
+        if sign < 0 and _mirrors(report):
+            k = len(hs)
+            for q, i, j in itertools.product(range(top), range(k), range(k)):
+                c = report.checks[start + (q * k + j) * k + i]
+                report.record(f"[h{i + 1}, ^(t^{-q - 1}) h{j + 1}]", c["status"] == "pass",
+                              c["lhs"], c["rhs"], c["detail"])
+            break
         for q, conjs in enumerate(_neighbour_conjugates(fam, hs, s, s_inv, top), 1):
             p = sign * q
             conj_supports = [_conjugate_support(fam, c, hj, sj, p, shift)
@@ -438,12 +444,6 @@ def _conjugate_commutators(fam: GroupFamily, hs: Sequence, t: object, t_inv: obj
                 for j, (conj, sc) in enumerate(zip(conjs, conj_supports)):
                     record_commutation(fam, report, f"[h{i + 1}, ^(t^{p}) h{j + 1}]", hi, conj,
                                        detail, supports=(si, sc))
-    if involution:
-        k = len(hs)
-        names = (f"[h{i + 1}, ^(t^{-q}) h{j + 1}]"
-                 for q in range(1, top + 1) for i in range(k) for j in range(k))
-        for name, c in zip(names, report.checks[start:]):
-            report.record(name, c["status"] == "pass", c["lhs"], c["rhs"], c["detail"])
     return h_supports
 
 
@@ -451,10 +451,10 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
                shift: Callable | None = None) -> VerificationReport:
     """Check the finite-order commutation battery on generators.
 
-    For t of order mode n:  [h_i, ^(t^p) h_j] = e for 1 <= p < n (and the
-    redundant negative powers -p, asserted as a consistency check), and
+    For t of order mode n:  [h_i, ^(t^p) h_j] = e for 1 <= |p| < n, and
     [h_i, t^n] = e.  Passing on generators is equivalent to the
-    subgroup-level statement.
+    subgroup-level statement.  By the mirror identity, [h_i, ^(t^-q) h_j]
+    = e exactly when [h_j, ^(t^q) h_i] = e (see _conjugate_commutators).
 
     shift(h_j, p), when given, is the element that ^(t^p) h_j is claimed to
     equal, for a witness that displaces H: a claim that holds lends its
@@ -464,10 +464,8 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
 
     Of the powers of t it builds t^-1, one inversion, and t^n by
     GroupFamily.power, bitlen(n) + popcount(n) - 2 products; each conjugate
-    is built from its neighbour (see _neighbour_conjugates).  For an
-    involution t, t == t^-1 as values, the negative powers' records repeat
-    the positive ones' outcomes, and their conjugates are not built again
-    (see _conjugate_commutators).
+    is built from its neighbour (see _neighbour_conjugates), and those at
+    p < 0 only when some record at p > 0 failed.
     """
     if not isinstance(w.mode, Finite):
         raise WitnessModeError("verify_ccc requires a Finite(n) witness")
@@ -490,10 +488,12 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
 def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationReport:
     """Bounded check of the n = infinity battery: [h_i, ^(t^p) h_j] = e for
     1 <= |p| <= P.  This is a bounded check of a universally quantified
-    condition, and the report says so.
+    condition, and the report says so.  [h_i, ^(t^-q) h_j] = e exactly
+    when [h_j, ^(t^q) h_i] = e, by the mirror identity.
 
     Of the powers of t it builds t^-1 alone; each conjugate is built from
-    its neighbour (see _neighbour_conjugates).
+    its neighbour (see _neighbour_conjugates), and those at p < 0 only when
+    some record at p > 0 failed.
     """
     if not isinstance(w.mode, ZMode):
         raise WitnessModeError("verify_czc requires a ZMode witness")

@@ -76,7 +76,7 @@ def _square(rhs: str, report, n, label, H, t):
 
 
 def _parity(report, n, label, H, t):
-    report.record("witness parity even", permmod.parity(t) == "even", permmod.parity(t), "even")
+    report.record("witness parity even", (parity := permmod.parity(t)) == "even", parity, "even")
 
 
 def _gl_generators(n: int, ring):

@@ -3,9 +3,10 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
                          WitnessModeError, ZMode, _neighbour_conjugates, commutator, commutes,
@@ -388,18 +389,23 @@ class CountingFamily(GroupFamily):
         return self.inner.render(a)
 
 
-def engine_pairs(fam, gens, w, shift=None):
+def fails_at_a_positive_power(checks) -> bool:
+    """Whether a [h_i, ^(t^p) h_j] record with p > 0 failed: exactly then
+    the engine builds the sweep at p < 0 (see core._mirrors)."""
+    return any(c["status"] == "fail" and re.match(r"\[h\d+, \^\(t\^\d", c["name"])
+               for c in checks)
+
+
+def engine_pairs(fam, gens, w, shift=None, sweeps=1):
     """The (name, a, b, sb) of every commutation record the engine decides,
-    in report order, and the number of claims the engine checks.  For an
-    involution t, t == t^-1 as values, the engine decides no record at a
-    negative power: it repeats the outcome at the positive one.  sb is the
-    support the engine reads for b: for a conjugate ^(t^p) h_j with a claim
-    shift(h_j, p) that it checks (h_j's and the claim's supports known)
-    and that holds, the claim's support, else b's own."""
+    in report order, and the number of claims the engine checks.  With one
+    sweep, when no record at a positive power fails, the engine decides no
+    record at a negative power: it copies the outcome of its mirror.  sb is
+    the support the engine reads for b: for a conjugate ^(t^p) h_j with a
+    claim shift(h_j, p) that it checks (h_j's and the claim's supports
+    known) and that holds, the claim's support, else b's own."""
     top = w.mode.n - 1 if isinstance(w.mode, Finite) else w.mode.bound
-    powers = list(range(1, top + 1))
-    if w.t != fam.inv(w.t):
-        powers += [-q for q in range(1, top + 1)]
+    powers = [sign * q for sign in (1, -1)[:sweeps] for q in range(1, top + 1)]
     pairs, checked = [], 0
     for p in powers:
         conjs = []
@@ -494,17 +500,12 @@ CZC_CASES = {
 }
 
 
-# the cases whose witness t equals t^-1 as a value: the engine builds only
-# the p > 0 sweep of conjugates and repeats its outcomes at p < 0
-INVOLUTIONS = {"perm", "matrix-Z", "matrix-Z/5", "aut-free", "iet", "block-cycle-2",
-               "block-cycle-2-failing"}
-
-
 @pytest.mark.parametrize("label", sorted(CCC_CASES) + sorted(CZC_CASES))
-def test_only_value_involutions_skip_the_negative_sweep(label, monkeypatch):
-    """The engine builds the sweep against t^-1 unless t == t^-1 as a
-    value: block cycles of order 3 and up, the braid block pass (equal to
-    its inverse in B_2n, not as a word) and the pl witnesses build both."""
+def test_the_negative_sweep_is_built_exactly_after_a_failing_positive_record(label,
+                                                                             monkeypatch):
+    """The engine builds the sweep against t^-1 exactly when a record at
+    p > 0 fails, as the reference loop decides it: whatever t is, an
+    involution or not.  Otherwise it copies each record's mirror."""
     sweeps = []
     build = core._neighbour_conjugates
 
@@ -515,10 +516,12 @@ def test_only_value_involutions_skip_the_negative_sweep(label, monkeypatch):
     monkeypatch.setattr(core, "_neighbour_conjugates", recording)
     fam, gens, w = {**CCC_CASES, **CZC_CASES}[label]()
     t_inv = fam.inv(w.t)
-    (verify_ccc if isinstance(w.mode, Finite) else verify_czc)(GeneratorSet(fam, gens), w)
-    both = [(w.t, t_inv), (t_inv, w.t)]
-    assert sweeps == (both[:1] if label in INVOLUTIONS else both)
-    assert (w.t == t_inv) == (label in INVOLUTIONS)
+    engine, reference = ((verify_ccc, reference_ccc) if isinstance(w.mode, Finite)
+                         else (verify_czc, reference_czc))
+    engine(GeneratorSet(fam, gens), w)
+    failed = fails_at_a_positive_power(reference(GeneratorSet(fam, gens), w).checks)
+    assert sweeps == [(w.t, t_inv), (t_inv, w.t)][:1 + failed]
+    assert failed == label.endswith("failing")
 
 
 def _assert_engine_matches_reference(engine, reference, case, shift=None):
@@ -533,11 +536,11 @@ def _assert_engine_matches_reference(engine, reference, case, shift=None):
     assert got == expected
     # the engine inverts t once and builds each conjugate ^(t^p) h_j once
     # per (p, j) from its neighbour, with two products against t or t^-1;
-    # for an involution t it builds only the p > 0 sweep.  The finite
-    # battery also builds t^n by binary powering, and the Z-mode battery
-    # no power of t at all
+    # it builds the p < 0 sweep only when a record at p > 0 fails.  The
+    # finite battery also builds t^n by binary powering, and the Z-mode
+    # battery no power of t at all
     h = len(gens)
-    sweeps = 1 if w.t == fam.inv(w.t) else 2
+    sweeps = 1 + fails_at_a_positive_power(expected["checks"])
     if isinstance(w.mode, Finite):
         table = binary_power_products(w.mode.n)
         top = w.mode.n - 1
@@ -550,9 +553,9 @@ def _assert_engine_matches_reference(engine, reference, case, shift=None):
     # no eq; every other decided one checks ab = ba with two products and
     # one eq, and a failing one then builds the commutator
     # [a, b] = (ab)(ba)^-1, one product and one inversion.  A record the
-    # engine repeats costs nothing.  Each checked claim costs one eq, and
-    # one that holds lends its support to the conjugate's records
-    pairs, checked = engine_pairs(fam, gens, w, shift)
+    # engine copies from its mirror costs nothing.  Each checked claim costs
+    # one eq, and one that holds lends its support to the conjugate's records
+    pairs, checked = engine_pairs(fam, gens, w, shift, sweeps)
     assert len(got["checks"]) == records
     assert len(pairs) == records - (2 - sweeps) * top * h * h
     certified = sum(not supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
@@ -595,9 +598,8 @@ def test_passing_battery_certifies_every_record(label):
     """On a passing perm or matrix battery the witness moves each h_j off
     block 1, and t^n = e moves nothing, so every record, each
     [h_i, ^(t^p) h_j] among them, is certified by disjoint supports: the
-    engine's only products are the conjugates', one sweep of them for an
-    involution and two otherwise, and those binary powering makes for
-    t^n."""
+    engine's only products are the conjugates', of the p > 0 sweep alone,
+    and those binary powering makes for t^n."""
     fam, gens, w = CCC_CASES[label]()
     counted = CountingFamily(fam)
     report = verify_ccc(GeneratorSet(counted, gens), w)
@@ -605,23 +607,22 @@ def test_passing_battery_certifies_every_record(label):
     pairs, _ = engine_pairs(fam, gens, w)
     assert not any(supports_overlap(fam.support(a), sb) for _, a, _, sb in pairs)
     n = w.mode.n
-    sweeps = 1 if label in INVOLUTIONS else 2
     assert counted.counts == Counter(
-        mul=binary_power_products(n) + 2 * sweeps * (n - 1) * len(gens), inv=1)
+        mul=binary_power_products(n) + 2 * (n - 1) * len(gens), inv=1)
 
 
 @pytest.mark.parametrize("label", ["braid-2", "braid-3"])
 def test_braid_claims_certify_every_conjugate_record(label):
-    """The block pass t carries sigma_j to sigma_(j+n), and so does t^-1.
-    With those claims every [h_i, ^(t^p) h_j] record is certified, after
-    one eq per (p, j) checks the claim; only the [h_i, t^2] records are
-    decided, with two products and one eq each."""
+    """The block pass t carries sigma_j to sigma_(j+n).  With those claims
+    every [h_i, ^t h_j] record is certified, after one eq per j checks
+    the claim, and those at t^-1 copy their mirrors; only the [h_i, t^2]
+    records are decided, with two products and one eq each."""
     fam, gens, w = CCC_CASES[label]()
     counted = CountingFamily(fam)
     report = verify_ccc(GeneratorSet(counted, gens), w, shift=CLAIMS[label])
     assert report.passed
     h = len(gens)
-    assert counted.counts == Counter(mul=1 + 2 * 2 * h + 2 * h, inv=1, eq=2 * h + h)
+    assert counted.counts == Counter(mul=1 + 2 * h + 2 * h, inv=1, eq=h + h)
 
 
 @pytest.mark.parametrize("label", sorted(CZC_CASES))
@@ -629,6 +630,107 @@ def test_verify_czc_matches_reference_loop(label):
     expected = _assert_engine_matches_reference(verify_czc, reference_czc, CZC_CASES[label])
     assert expected["checks"]
     assert (expected["counterexample"] is not None) == label.endswith("failing")
+
+
+# ---------------------------------------------------------------------------
+# The mirror replay against the two-sweep path
+
+
+def _block_cycle(n, k):
+    """The permutation that moves block b of k points to block b + 1 mod n."""
+    return perm_from_cycles([[i + k * b for b in range(n)] for i in range(1, k + 1)])
+
+
+@st.composite
+def _perm_runs(draw):
+    """verify_ccc on perms: H inside block 1 of 3 points, or reaching into
+    block 2, and a block cycle t of order 2..6 claimed at order 2..6."""
+    letters = [perm_from_cycles([[1, 2, 3]]), perm_from_cycles([[1, 2]]),
+               perm_from_cycles([[3, 4]])][:draw(st.sampled_from([2, 3]))]
+    gens = draw(st.lists(products_of(PERM, letters, 3), min_size=1, max_size=3))
+    t = _block_cycle(draw(st.integers(2, 6)), 3)
+    return partial(verify_ccc, GeneratorSet(PERM, tuple(gens)),
+                   Witness(t, Finite(draw(st.integers(2, 6)))))
+
+
+@st.composite
+def _matrix_runs(draw):
+    """verify_ccc on matrices over Z/3: H inside block 1 of 2 coordinates,
+    or reaching into block 2, and the block cycle's permutation matrix t
+    of order 2..6 claimed at order 2..6."""
+    n = draw(st.integers(2, 6))
+    fam = mat.MatrixFamily(2 * n, 3)
+    letters = [mat.corner_embed(mat.elementary(2, 1, 2, 1, 3), 2 * n),
+               mat.corner_embed(mat.elementary(2, 2, 1, 1, 3), 2 * n),
+               mat.elementary(2 * n, 2, 3, 1, 3)][:draw(st.sampled_from([2, 3]))]
+    gens = draw(st.lists(products_of(fam, letters, 3), min_size=1, max_size=3))
+    t = mat.perm_to_matrix(_block_cycle(n, 2), 2 * n, 3)
+    return partial(verify_ccc, GeneratorSet(fam, tuple(gens)),
+                   Witness(t, Finite(draw(st.integers(2, 6)))))
+
+
+@st.composite
+def _braid_runs(draw):
+    """verify_ccc on braids: H inside the first block of k = 2, 3 strands,
+    or crossing it with sigma_k when there are no claims, and the block
+    pass t claimed at order 2 or 3, with the braid battery's claims, which
+    hold on the first block, or none."""
+    k = draw(st.integers(2, 3))
+    fam = braidmod.BraidFamily(2 * k)
+    claims = draw(st.sampled_from([None, suites.STABLE["braid"].shift]))
+    reach = k - 1 if claims else draw(st.sampled_from([k - 1, k]))
+    letters = [braidmod.braid(2 * k, (x,)) for x in range(-reach, reach + 1) if x]
+    gens = draw(st.lists(products_of(fam, letters, 2), min_size=1, max_size=2))
+    return partial(verify_ccc, GeneratorSet(fam, tuple(gens)),
+                   Witness(braidmod.block_pass_word(k), Finite(draw(st.integers(2, 3)))),
+                   shift=claims)
+
+
+@st.composite
+def _pl_runs(draw):
+    """verify_czc on pl: bumps inside [1/4, 1/2] or past it, with the
+    witness that displaces [1/4, 1/2] or a bump across all of them, at
+    Z-mode bounds 1..8."""
+    bumps = [pl.bump("1/4", "1/2"), pl.bump("3/8", "1/2"), pl.bump("1/4", "3/8"),
+             pl.bump("3/8", "3/4")]
+    gens = draw(st.lists(st.sampled_from(bumps), min_size=1, max_size=2))
+    bound = draw(st.integers(1, 8))
+    w = draw(st.sampled_from([pl.displacement_witness("1/4", "1/2", bound=bound),
+                              Witness(pl.bump("1/8", "7/8"), ZMode(bound))]))
+    return partial(verify_czc, GeneratorSet(pl.PL, tuple(gens)), w)
+
+
+MIRROR_RUNS = {"perm": _perm_runs(), "matrix-Z/3": _matrix_runs(), "braid": _braid_runs(),
+               "pl": _pl_runs()}
+
+
+def _agrees_with_two_sweeps(run, mirrors) -> bool:
+    """Whether run() writes, with mirrors as core._mirrors, the report it
+    writes with a predicate that never replays: the two-sweep path, which
+    builds and decides every record at p < 0."""
+    with mock.patch.object(core, "_mirrors", mirrors):
+        replayed = run().to_dict()
+    with mock.patch.object(core, "_mirrors", lambda report: False):
+        return replayed == run().to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_RUNS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mirror_replay_writes_the_two_sweep_report(name, data):
+    assert _agrees_with_two_sweeps(data.draw(MIRROR_RUNS[name], label="run"), core._mirrors)
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_RUNS))
+def test_the_mirror_property_sees_replays_and_refuses_replay_after_a_failure(name):
+    """The runs above include ones that replay, and the property fails for
+    a predicate that also replays after a failing p > 0 record: its copies
+    of failing records show their mirrors' commutators, not their own."""
+    quick = settings(deadline=None, database=None)
+    find(MIRROR_RUNS[name], lambda run: not fails_at_a_positive_power(run().checks),
+         settings=quick)
+    find(MIRROR_RUNS[name], lambda run: not _agrees_with_two_sweeps(run, lambda report: True),
+         settings=quick)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_a_wrong_braid_claim_changes_no_byte_and_only_loses_certificates(n, monk
     wrong_bytes, wrong = _braid_run(monkeypatch, counts, n, wrong_braid_shift)
     unclaimed, none = _braid_run(monkeypatch, counts, n, None)
     assert claimed == wrong_bytes == unclaimed
-    assert wrong == none + Counter(eq=2 * (n - 1))  # one failing check per (p, j)
+    assert wrong == none + Counter(eq=n - 1)  # one failing check per j, at p = 1 alone
     assert right["mul"] < wrong["mul"] and right["eq"] < wrong["eq"]
 
 
