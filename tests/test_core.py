@@ -524,6 +524,34 @@ def test_the_negative_sweep_is_built_exactly_after_a_failing_positive_record(lab
     assert failed == label.endswith("failing")
 
 
+@pytest.mark.parametrize("label", sorted(label for label in CCC_CASES
+                                         if label.startswith("block-cycle-")))
+def test_only_value_involutions_skip_the_negative_sweep(label, monkeypatch):
+    """Among the block cycles only order 2 is a value involution, t == t^-1,
+    and being one no longer decides whether the sweep against t^-1 is built:
+    a passing run of any order skips it (the mirror replay), a failing run
+    of any order builds it.  Built for the involution, that sweep repeats
+    the sweep against t conjugate for conjugate; for order 3 and up it
+    does not."""
+    sweeps = []
+    build = core._neighbour_conjugates
+
+    def recording(fam, hs, s, s_inv, top):
+        sweep = list(build(fam, hs, s, s_inv, top))
+        sweeps.append(sweep)
+        return iter(sweep)
+
+    monkeypatch.setattr(core, "_neighbour_conjugates", recording)
+    fam, gens, w = CCC_CASES[label]()
+    involution = w.t == fam.inv(w.t)
+    assert involution == label.startswith("block-cycle-2")
+    failing = label.endswith("failing")
+    assert verify_ccc(GeneratorSet(fam, gens), w).passed != failing
+    assert len(sweeps) == 1 + failing
+    if failing:
+        assert (sweeps[1] == sweeps[0]) == involution
+
+
 def _assert_engine_matches_reference(engine, reference, case, shift=None):
     """engine, given shift as its claims when it is not None, writes the
     reference's report with an exact count of its operations."""
