@@ -150,6 +150,7 @@ class WreathFamily(GroupFamily):
         return self.normalize(checked, top)
 
     def value_at(self, u: WreathElement, x) -> object:
+        self.check_element(u)
         INT_Z.check_element(x)
         x %= self.n
         for y, g in u.base:

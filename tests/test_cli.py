@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -23,6 +24,12 @@ def test_list(capsys):
     assert code == cli.EXIT_OK
     for family in ("perm", "sp", "iet", "wreath-tower", "closure"):
         assert family in out
+
+
+def test_list_keeps_its_bytes(capsys):
+    _, out, _ = run(capsys, "list")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "62962192380beacc8856425b3d70fb892391ef5dc63771487a1d1745f0347ac9")
 
 
 def test_list_parameters_match_readme_table(capsys):

@@ -6,7 +6,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
                          WitnessModeError, ZMode, _neighbour_conjugates, commutator, commutes,
@@ -824,3 +824,98 @@ def test_commutes_agrees_with_the_commutator(family):
 
         check()
         assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# verify_ccc's verdict against a brute-force oracle that calls no family
+
+
+def _oracle_ops(kind):
+    """(mul, inv) on raw data: a permutation of 1..k as its tuple of images,
+    composed point by point, or a 2 x 2 matrix over Z/kind as its dense
+    rows, multiplied mod kind."""
+    if kind == "perm":
+        def mul(a, b):
+            return tuple(a[y - 1] for y in b)
+
+        def inv(a):
+            out = [0] * len(a)
+            for x, y in enumerate(a, 1):
+                out[y - 1] = x
+            return tuple(out)
+        return mul, inv
+
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) % kind for j in range(2))
+                     for i in range(2))
+
+    def inv(a):
+        (w, x), (y, z) = a
+        d = pow(w * z - x * y, -1, kind)
+        return ((z * d % kind, -x * d % kind), (-y * d % kind, w * d % kind))
+    return mul, inv
+
+
+def oracle_ccc(kind, hs, t, n) -> bool:
+    """[h_i, ^(t^p) h_j] = e for 1 <= |p| < n and every i, j, and
+    [h_i, t^n] = e for every i, each decided as ab = ba."""
+    mul, inv = _oracle_ops(kind)
+    identity = mul(t, inv(t))
+
+    def power(a, k):
+        out, step = identity, a if k >= 0 else inv(a)
+        for _ in range(abs(k)):
+            out = mul(out, step)
+        return out
+
+    def commute(a, b):
+        return mul(a, b) == mul(b, a)
+
+    return (all(commute(hi, mul(mul(power(t, p), hj), power(t, -p)))
+                for p in range(1 - n, n) if p for hi in hs for hj in hs)
+            and all(commute(h, power(t, n)) for h in hs))
+
+
+@st.composite
+def ccc_cases(draw):
+    """(kind, hs, t, n, order): 1-3 generators and any witness among the
+    permutations of k <= 6 points or the invertible 2 x 2 matrices over Z/2
+    or Z/3, n = 2..4, and an order of the generators."""
+    kind = draw(st.sampled_from(["perm", 2, 3]))
+    if kind == "perm":
+        element = st.permutations(range(1, draw(st.integers(1, 6)) + 1)).map(tuple)
+    else:
+        element = st.tuples(*[st.integers(0, kind - 1)] * 4).filter(
+            lambda e: (e[0] * e[3] - e[1] * e[2]) % kind).map(lambda e: (e[:2], e[2:]))
+    hs = tuple(draw(st.lists(element, min_size=1, max_size=3)))
+    return kind, hs, draw(element), draw(st.integers(2, 4)), draw(st.permutations(range(len(hs))))
+
+
+@example(("perm", ((2, 1, 3, 4),), (3, 4, 1, 2), 2, [0]))  # [(1 2), (3 4)] = e: passes
+# over Z/3, every conjugate of h = [[1, 1], [0, 1]] by t = diag(2, 1) is
+# upper unitriangular, so only [h, t^3] = [h, t] fails
+@example((3, (((1, 1), (0, 1)),), ((2, 0), (0, 1)), 3, [0]))
+@settings(max_examples=300, deadline=None)
+@given(ccc_cases())
+def test_verify_ccc_verdict_matches_brute_force(case):
+    kind, hs, t, n, order = case
+    if kind == "perm":
+        fam = PERM
+
+        def element(a):
+            return permmod.perm_from_mapping(dict(enumerate(a, 1)))
+    else:
+        fam = mat.MatrixFamily(2, kind)
+
+        def element(a):
+            return mat.matrix(a, kind)
+    w = Witness(element(t), Finite(n))
+    expected = oracle_ccc(kind, hs, t, n)
+    for gens in (hs, tuple(hs[i] for i in order)):
+        assert verify_ccc(GeneratorSet(fam, tuple(map(element, gens))), w).passed == expected
+
+
+def test_the_pinned_verdicts():
+    assert oracle_ccc("perm", ((2, 1, 3, 4),), (3, 4, 1, 2), 2)
+    assert not oracle_ccc(3, (((1, 1), (0, 1)),), ((2, 0), (0, 1)), 3)
+    assert oracle_ccc(3, (((1, 1), (0, 1)),), ((2, 0), (0, 1)), 2)

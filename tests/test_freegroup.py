@@ -1,9 +1,15 @@
 import functools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccckit import freegroup as fg
+from ccckit import matrixring as mat
+from ccckit import perm as permmod
+from ccckit import suites
+from ccckit.core import Finite, GeneratorSet, Witness, verify_ccc
+
+from util import abelianize
 
 letters_st = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20)
 
@@ -206,3 +212,49 @@ def test_bad_aut_raises_before_any_substitution(monkeypatch):
     with pytest.raises(ValueError):
         fg.FreeAutomorphism(1, (fg.FreeWord(5, (1,)),), (fg.FreeWord(5, (1,)),))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Abelianization Aut(F_n) -> GL_n(Z) as an oracle for aut_compose
+
+
+F4_LETTERS = ([fg.nielsen_aut(4, i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+              + [fg.inversion_aut(4, i) for i in range(1, 5)]
+              + [fg.permutation_aut(4, {1: 2, 2: 1}),
+                 fg.permutation_aut(4, {1: 2, 2: 3, 3: 4, 4: 1})])
+f4_auts = st.lists(st.sampled_from(F4_LETTERS), min_size=1, max_size=6).map(
+    lambda letters: functools.reduce(fg.aut_compose, letters))
+
+
+def multiplicative(f, phi, psi) -> bool:
+    return f(fg.aut_compose(phi, psi)) == mat.mat_mul(f(phi), f(psi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f4_auts, f4_auts)
+def test_abelianization_is_multiplicative(phi, psi):
+    assert multiplicative(abelianize, phi, psi)
+
+
+def test_transposed_abelianization_is_not_multiplicative():
+    """The negative control: transpose without inverse reverses products."""
+    def transposed(phi):
+        return mat.transpose(abelianize(phi))
+    assert not all(multiplicative(transposed, phi, psi)
+                   for phi in F4_LETTERS for psi in F4_LETTERS)
+
+
+def test_block_swap_abelianizes_to_the_block_swap_matrix():
+    assert abelianize(fg.block_swap_aut(2)) == mat.perm_to_matrix(permmod.block_swap(2), 4)
+    assert abelianize(fg.block_swap_aut(2)).entries == (
+        (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_the_aut_free_battery_abelianizes_to_a_passing_gl_run(k):
+    stable = suites.STABLE["aut-free"]
+    ambient, t = stable.level(k, None)
+    H = tuple(abelianize(stable.embed(g, ambient)) for g in stable.generators(k, None))
+    report = verify_ccc(GeneratorSet(mat.MatrixFamily(2 * k), H),
+                        Witness(abelianize(t), Finite(2)))
+    assert report.passed, report.counterexample

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit import braid as braidmod
-from ccckit import cli
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import matrixring as mat
 from ccckit import perm as permmod
 from ccckit import suites
-from ccckit.core import GroupFamily, _disjoint, conjugate, runs
+from ccckit.core import _disjoint, conjugate, runs
 
+from test_reference_paths import GRIDS, report, turn_off
 from util import supports_overlap
 
 SUPPORT_FAMILIES = ("perm", "gl", "sl", "e", "sp", "onn", "braid", "aut-free", "iet")
@@ -172,46 +172,17 @@ def test_runs_cover_exactly_the_indices(indices):
 
 
 # ---------------------------------------------------------------------------
-# Reports do not depend on supports
-
-
-def _runs(family):
-    """(size, seed) of each run_family call: sizes from the lowest to 6, pl
-    at sizes 1-3, and wreath-tower and closure at their defaults with seeds
-    0, 1 and 7."""
-    if family in ("wreath-tower", "closure"):
-        return [(None, seed) for seed in (0, 1, 7)]
-    low = suites.FAMILIES[family].params["size"][1]
-    return [(size, 0) for size in range(low, 4 if family == "pl" else 7)]
-
-
-def _family_classes():
-    out, todo = [GroupFamily], [GroupFamily]
-    while todo:
-        for sub in todo.pop().__subclasses__():
-            out.append(sub)
-            todo.append(sub)
-    return out
-
-
-def _report_bytes(family):
-    return [cli.render_json(suites.run_family(family, seed=seed,
-                                              **({} if size is None else {"size": size})))
-            for size, seed in _runs(family)]
+# Reports do not depend on supports: the "supports" mode of the switchboard
+# in test_reference_paths.py, on one family's runs of its "supports" grid
 
 
 @pytest.mark.parametrize("family", sorted(suites.FAMILIES))
 def test_reports_do_not_depend_on_supports(family, monkeypatch):
     """With every family's support unknown, every pass is decided as
     ab = ba; the report bytes are those of the run with certificates."""
-    certified = _report_bytes(family)
-    consulted = []
-
-    def unknown(self, a):
-        consulted.append(a)
-        return None
-
-    for cls in _family_classes():
-        monkeypatch.setattr(cls, "support", unknown)
-    assert _report_bytes(family) == certified
-    assert consulted
+    family_runs = [(f, tuple(params.items()), seed)
+                   for f, params, seed in GRIDS["supports"] if f == family]
+    certified = [report(run) for run in family_runs]
+    probes = turn_off(["supports"], monkeypatch.setattr)
+    assert [report(run) for run in family_runs] == certified
+    assert probes["supports"]

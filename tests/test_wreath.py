@@ -18,7 +18,8 @@ from ccckit.core import (FamilyMismatchError, GeneratorSet, VerificationReport, 
                          commutes, conjugate, trusted)
 from ccckit.suites import iet_chain, perm_chain
 
-from util import coset_index, extended_image, revalidates
+from util import (coset_index, extended_image, factors_by_definition, image_by_definition,
+                  revalidates)
 
 
 def lamp() -> w.WreathFamily:
@@ -190,6 +191,13 @@ def test_value_at_rejects_non_int_points(point):
         fam.value_at(fam.element([(1, 1)]), point)
 
 
+@pytest.mark.parametrize("u", ["x", 0, None, ((0, 1),)])
+def test_value_at_rejects_non_elements(u):
+    fam = w.WreathFamily(p.PERM, 2)
+    with pytest.raises(FamilyMismatchError):
+        fam.value_at(u, 0)
+
+
 def test_membership_B_level1():
     assert w.Tower((2,)).in_B(4, level=1)
     assert w.Tower((2,)).in_B(0, level=1)
@@ -328,33 +336,6 @@ def _hom(chain_name):
     caches fill up across them."""
     chain = {"iet": iet_chain, "perm": perm_chain}[chain_name]()
     return w.TowerHom(chain)
-
-
-def factors_by_definition(chain, tower, u, level):
-    """The factors of f(u) for u in the level-th tower group, level >= 2,
-    from the definition with no memo: t^p f(u_p) t^-p for ascending p, then
-    t^top, for t the level's witness."""
-    fam = chain.family
-    t = chain.ts[level - 1]
-    level_fam = tower.families[level - 1]
-    factors = []
-    for q in range(chain.orders[level - 1]):
-        inner = image_by_definition(chain, tower, level_fam.value_at(u, q), level - 1)
-        factors.append(fam.mul(fam.mul(fam.power(t, q), inner), fam.power(t, -q)))
-    return tuple(factors) + (fam.power(t, u.top),)
-
-
-def image_by_definition(chain, tower, u, level):
-    """f(u) for u in the level-th tower group, with no memo: t_1^u at level
-    1, and above it the product of its factors in order, multiplied out
-    from the identity."""
-    fam = chain.family
-    if level == 1:
-        return fam.power(chain.ts[0], u)
-    out = fam.identity()
-    for factor in factors_by_definition(chain, tower, u, level):
-        out = fam.mul(out, factor)
-    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -595,6 +576,21 @@ def test_check_hom_passes():
     report = w.check_hom(f, f.tower.samples(15, 3))
     assert report.passed, report.counterexample
     assert report.bounded
+
+
+@pytest.mark.parametrize("depth, samples", [(3, 200), (4, 200), (5, 50), (6, 50)])
+def test_deep_towers_pass(depth, samples):
+    """t_i = block_exchange(2^(i-1)) for iet and block_swap(4 * 2^(i-1))
+    for perm, all of order 2; depth 2 gives the shipped chains.  Both chains
+    have orders (2,) * depth, so one draw per seed, from the first chain's
+    tower, serves both, and each chain writes 3 records per sample."""
+    homs = [w.TowerHom(chain(depth)) for chain in (iet_chain, perm_chain)]
+    for seed in (0, 1, 7):
+        drawn = homs[0].tower.samples(samples, seed)
+        for f in homs:
+            report = w.check_hom(f, drawn)
+            assert report.passed, (depth, seed, report.counterexample)
+            assert len(report.checks) == 3 * samples
 
 
 def test_check_hom_is_deterministic():

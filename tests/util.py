@@ -8,7 +8,9 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from ccckit import braid as braidmod
+from ccckit import freegroup as fg
 from ccckit import iet as ietmod
+from ccckit import matrixring as mat
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 from ccckit.core import conjugate, replace
@@ -78,6 +80,17 @@ def displacement_escalates(t: pl.PlMap, a, b, P: int) -> list[bool]:
     return out
 
 
+def abelianize(phi: fg.FreeAutomorphism) -> mat.SquareMatrix:
+    """The image of phi under abelianization Aut(F_n) -> GL_n(Z): column j
+    is the exponent-sum vector of phi(x_j)."""
+    n = phi.rank
+    rows = [[0] * n for _ in range(n)]
+    for j, w in enumerate(phi.images):
+        for x in w.letters:
+            rows[abs(x) - 1][j] += 1 if x > 0 else -1
+    return mat.matrix(rows)
+
+
 def wrong_braid_shift(g, p):
     """A wrong claimed conjugate for the braid battery: sigma_j to
     sigma_(j+n-1) in B_2n, where the block pass conjugates sigma_j to
@@ -104,6 +117,33 @@ def extended_image(f, G, transversal, base, top):
     for i, h in base:
         value = G.mul(value, conjugate(G, f(transversal[i]), h))
     return G.mul(value, f(top))
+
+
+def factors_by_definition(chain, tower, u, level):
+    """The factors of f(u) for u in the level-th tower group, level >= 2,
+    from the definition with no memo: t^p f(u_p) t^-p for ascending p, then
+    t^top, for t the level's witness."""
+    fam = chain.family
+    t = chain.ts[level - 1]
+    level_fam = tower.families[level - 1]
+    factors = []
+    for q in range(chain.orders[level - 1]):
+        inner = image_by_definition(chain, tower, level_fam.value_at(u, q), level - 1)
+        factors.append(fam.mul(fam.mul(fam.power(t, q), inner), fam.power(t, -q)))
+    return tuple(factors) + (fam.power(t, u.top),)
+
+
+def image_by_definition(chain, tower, u, level):
+    """f(u) for u in the level-th tower group, with no memo: t_1^u at level
+    1, and above it the product of its factors in order, multiplied out
+    from the identity."""
+    fam = chain.family
+    if level == 1:
+        return fam.power(chain.ts[0], u)
+    out = fam.identity()
+    for factor in factors_by_definition(chain, tower, u, level):
+        out = fam.mul(out, factor)
+    return out
 
 
 def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
