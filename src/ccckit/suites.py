@@ -250,6 +250,9 @@ def wreath_tower_battery(depth: int, samples: int, seed: int) -> VerificationRep
 
 
 def closure_battery(size: int, seed: int) -> VerificationReport:
+    """Each H embedded at coordinate 0 of Gamma wr_(Z/size) Z, checked by
+    the engine against the top shift x at order size: the system
+    [g_i, ^(x^p) g_j] = e for 0 < |p| < size and [g_i, x^size] = e."""
     report = VerificationReport("closure")
     batteries = [
         ("perm", GeneratorSet(permmod.PERM, (permmod.perm_from_cycles([[1, 2, 3]]),
@@ -259,7 +262,10 @@ def closure_battery(size: int, seed: int) -> VerificationReport:
         ("iet", GeneratorSet(ietmod.IET, (ietmod.rotation(1, Fraction(1, 3)),))),
     ]
     for label, H in batteries:
-        report.extend(wreathmod.closure_system_witness(H), prefix=f"{label}: ")
+        wr = wreathmod.WreathFamily(H.family, size)
+        embedded = GeneratorSet(wr, tuple(wr.element([(0, g)]) for g in H.elements))
+        report.extend(verify_ccc(embedded, Witness(wr.element([], top=1), Finite(size))),
+                      prefix=f"{label}: ")
     return report
 
 

@@ -112,7 +112,8 @@ class WreathFamily(GroupFamily):
     entries and top it is given, as ``value_at`` validates its point; both
     reduce a point x to x % n.  ``product``/``mul``/``inv`` build their
     results from valid elements, so ``check_element`` only checks the
-    type, and the tops and points are added and compared as ints."""
+    type, and the tops and points are added and compared as ints; every
+    method that takes an element calls it, ``render`` included."""
 
     def __init__(self, base_family: GroupFamily, n: int):
         if not (is_int(n) and n >= 1):
@@ -204,6 +205,7 @@ class WreathFamily(GroupFamily):
         return all(x == y and base_eq(g, h) for (x, g), (y, h) in zip(u.base, v.base))
 
     def render(self, u):
+        self.check_element(u)
         render = self.base_family.render
         body = ", ".join(f"{x}: {render(g)}" for x, g in u.base)
         return "{" + body + " | " + str(u.top) + "}"
@@ -573,26 +575,4 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
         report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", verdict,
                       "all generator commutators", "e",
                       detail=f"b = {samples.text(a_fam, b)}")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# The equation-system witness in Gamma wr_(Z/2) Z
-
-
-def closure_system_witness(H: GeneratorSet) -> VerificationReport:
-    """Embed the generators in the 0-coordinate of Gamma wr_(Z/2) Z and
-    verify the system [g_i, ^x g_j] = e, [g_i, x^2] = e with x the top
-    shift, exactly."""
-    fam = H.family
-    w = WreathFamily(fam, 2)
-    x = w.element([], top=1)
-    x2 = w.mul(x, x)
-    embedded = [w.element([(0, g)]) for g in H.elements]
-    report = VerificationReport("closure-system")
-    for i, gi in enumerate(embedded):
-        for j, gj in enumerate(embedded):
-            core.record_commutation(w, report, f"[g{i + 1}, ^x g{j + 1}]", gi,
-                                    conjugate(w, x, gj))
-        core.record_commutation(w, report, f"[g{i + 1}, x^2]", gi, x2)
     return report

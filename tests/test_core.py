@@ -779,17 +779,11 @@ def _engine_inputs(family):
     def battery_inputs(H, w):
         return H.family, H.elements + (w.t,)
 
-    def closure_inputs(H):
-        wr = wreathmod.WreathFamily(H.family, 2)
-        return wr, tuple(wr.element([(0, g)]) for g in H.elements) + (wr.element([], top=1),)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(suites, "verify_ccc", capture(suites.verify_ccc, battery_inputs))
         mp.setattr(pl, "verify_czc", capture(pl.verify_czc, battery_inputs))
         mp.setattr(wreathmod, "check_hom", capture(
             wreathmod.check_hom, lambda f, samples: (f.family, f.chain.generators + f.chain.ts)))
-        mp.setattr(wreathmod, "closure_system_witness",
-                   capture(wreathmod.closure_system_witness, closure_inputs))
         suites.run_family(family)
     return inputs
 

@@ -43,6 +43,12 @@ wreath-tower makes no commutation record, so their pins were not re-taken.
 writing the identity for each pass again.  The ``pl`` size-4 pin was
 dropped then, because pl's size domain became 1..3.
 
+The closure pins, in ``SMALL_DIGESTS`` and ``RESTORED_DIGESTS``, were
+re-taken when the closure battery began to run the engine on each H
+embedded in the wreath product: the report grew from 14 to 23 checks with
+the p = -1 records, and its records took the engine's names
+``[h1, ^(t^1) h2]`` and ``[h1, t^2]``.
+
 ``NEIGHBOUR_DIGESTS`` and ``IN_PROCESS_DIGESTS`` were taken from the code
 before the engine built each conjugate ^(t^p) h_j from its neighbour
 ^(t^(p-1)) h_j and ``TowerHom`` multiplied each distinct tuple of factors
@@ -86,7 +92,7 @@ SMALL_DIGESTS = {
     ("braid", 3): "a947762431aff5cbc3b706feb628ff2157ffe7dfb8d00e96c42752a2bcd14db3",
     ("braid", 4): "2598c4ff0942aeba750e4e4eedfebdbf5bf7592b7d720378ef0845230c85296d",
     ("braid", 5): "2f6182646d879f32144f28a70e47669e59495fc49de8ee7317811d702c6fe959",
-    ("closure", 2): "dab83ce9c46d484d62d10d87eb2b4cd135c4b69598c915f010a956bb5e6a61ef",
+    ("closure", 2): "7d5b44c2a2ecf87f0bc129b3b02dbb48fd83fe9c5ece6f3fafb667979b76c772",
     ("e", 2): "4dd03a97cf080390b401c510165b493e31d85786ece934cc3789bc86f23c6048",
     ("e", 4): "5b3f29a3cc98432742f4c7c3609d1f60133d46304ce958c23a2064b740798047",
     ("gl", 2): "f070a4c3f85b7158aa4c7016d8a459a9b5acc9583f1fd4a7e5dca80aedb7316b",
@@ -240,7 +246,7 @@ RESTORED_DIGESTS = {
     ("aut-free", 4, (), 0, "json"):
         "304c615a30ede902b30eb6c9072511f2d8f4420857d806b582aecedc022296bd",
     ("closure", 2, (), 0, "json"):
-        "a4a4c65a9245a39bbf5eb91f2f076d0ecece0deee2c63ba11c4cace70be7ecad",
+        "4a8aa7a08010adf8cb92d418fdce47a0eb57f1a69e1f6b2c66e6923a7c74053c",
     ("e", 2, (), 0, "json"):
         "1452d70be83d7bcfd625c9d711f50baa705cb6887228d92ac5c484ecd42ca6ec",
     ("e", 4, (), 0, "json"):

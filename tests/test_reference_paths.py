@@ -21,7 +21,7 @@ import ccckit
 from ccckit import cli, core, matrixring, suites, wreath
 from ccckit.core import Finite, GeneratorSet, Witness, verify_ccc
 
-from util import image_by_definition
+from util import CLOSURE_LABELS, closure_engine_inputs, image_by_definition
 
 
 def _family_classes(cls=core.GroupFamily):
@@ -102,10 +102,12 @@ GRIDS = {
                  for r in _sized(f, range(LOW[f], 4 if f == "pl" else 7))]
     + [(f, {}, seed) for f in ("wreath-tower", "closure") for seed in (0, 1, 7)],
 }
-# seed None: the stable record's H at that size and ring against its shipped
-# t at Finite(3); t has order 2, so [h, t^3] = [h, t] fails
+# seed None: an engine input at Finite(3), where [h, t^3] = [h, t] fails: the
+# stable record's H at that size and ring against its shipped t, of order 2,
+# or closure's embedded H against the top shift x of the index-2 wreath
 FAILING = [(f, (("size", s), ("ring", ring)), None)
            for f, stable in suites.STABLE.items() for s in (3, 6) for ring in stable.rings]
+FAILING += [("closure", (("H", label),), None) for label in CLOSURE_LABELS]
 CORPUS = list(dict.fromkeys((f, tuple(params.items()), seed)
                             for grid in GRIDS.values() for f, params, seed in grid)) + FAILING
 
@@ -114,11 +116,16 @@ def report(run) -> str:
     family, params, seed = run
     if seed is not None:
         return cli.render_json(suites.run_family(family, seed=seed, **dict(params)))
-    stable, (size, ring) = suites.STABLE[family], dict(params).values()
-    ambient, t = stable.level(size, ring)
-    H = GeneratorSet(ambient, tuple(stable.embed(g, ambient)
-                                    for g in stable.generators(size, ring)))
-    checked = verify_ccc(H, Witness(t, Finite(3)), suite=stable.name, shift=stable.shift)
+    if family == "closure":
+        H, x = closure_engine_inputs()[dict(params)["H"]]
+        t, suite, shift = x.t, family, None
+    else:
+        stable, (size, ring) = suites.STABLE[family], dict(params).values()
+        ambient, t = stable.level(size, ring)
+        H = GeneratorSet(ambient, tuple(stable.embed(g, ambient)
+                                        for g in stable.generators(size, ring)))
+        suite, shift = stable.name, stable.shift
+    checked = verify_ccc(H, Witness(t, Finite(3)), suite=suite, shift=shift)
     return json.dumps(checked.to_dict(), sort_keys=True, indent=2)
 
 

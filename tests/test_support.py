@@ -21,7 +21,6 @@ from ccckit import perm as permmod
 from ccckit import suites
 from ccckit.core import _disjoint, conjugate, runs
 
-from test_reference_paths import GRIDS, report, turn_off
 from util import supports_overlap
 
 SUPPORT_FAMILIES = ("perm", "gl", "sl", "e", "sp", "onn", "braid", "aut-free", "iet")
@@ -169,20 +168,3 @@ def test_runs_cover_exactly_the_indices(indices):
     assert {i for lo, hi in intervals for i in range(lo, hi)} == indices
     # maximal: consecutive runs do not touch
     assert all(hi < lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Reports do not depend on supports: the "supports" mode of the switchboard
-# in test_reference_paths.py, on one family's runs of its "supports" grid
-
-
-@pytest.mark.parametrize("family", sorted(suites.FAMILIES))
-def test_reports_do_not_depend_on_supports(family, monkeypatch):
-    """With every family's support unknown, every pass is decided as
-    ab = ba; the report bytes are those of the run with certificates."""
-    family_runs = [(f, tuple(params.items()), seed)
-                   for f, params, seed in GRIDS["supports"] if f == family]
-    certified = [report(run) for run in family_runs]
-    probes = turn_off(["supports"], monkeypatch.setattr)
-    assert [report(run) for run in family_runs] == certified
-    assert probes["supports"]

@@ -14,12 +14,12 @@ from ccckit import iet as ietmod
 from ccckit import perm as p
 from ccckit import wreath as w
 from ccckit import core
-from ccckit.core import (FamilyMismatchError, GeneratorSet, VerificationReport, commutator,
-                         commutes, conjugate, trusted)
+from ccckit.core import (FamilyMismatchError, Finite, VerificationReport, Witness, commutator,
+                         commutes, conjugate, trusted, verify_ccc)
 from ccckit.suites import iet_chain, perm_chain
 
-from util import (coset_index, extended_image, factors_by_definition, image_by_definition,
-                  revalidates)
+from util import (CLOSURE_LABELS, closure_engine_inputs, coset_index, extended_image,
+                  factors_by_definition, image_by_definition, revalidates)
 
 
 def lamp() -> w.WreathFamily:
@@ -191,11 +191,16 @@ def test_value_at_rejects_non_int_points(point):
         fam.value_at(fam.element([(1, 1)]), point)
 
 
-@pytest.mark.parametrize("u", ["x", 0, None, ((0, 1),)])
-def test_value_at_rejects_non_elements(u):
-    fam = w.WreathFamily(p.PERM, 2)
+NON_ELEMENTS = {"x": "x", "0": 0, "None": None, "u3": ((0, 1),)}
+READS = {"value_at": lambda fam, u: fam.value_at(u, 0), "render": w.WreathFamily.render}
+
+
+@pytest.mark.parametrize("read, u", [
+    pytest.param(READS[read], u, id=key if read == "value_at" else f"{read}-{key}")
+    for read in READS for key, u in NON_ELEMENTS.items()])
+def test_value_at_rejects_non_elements(read, u):
     with pytest.raises(FamilyMismatchError):
-        fam.value_at(u, 0)
+        read(w.WreathFamily(p.PERM, 2), u)
 
 
 def test_membership_B_level1():
@@ -660,13 +665,31 @@ def test_extended_hom_is_multiplicative(chain_factory):
         assert G.eq(ext(inv(u)), G.inv(ext(u)))
 
 
-def test_closure_system_witness():
-    H = GeneratorSet(p.PERM, (p.perm_from_cycles([[1, 2, 3]]),
-                              p.perm_from_cycles([[1, 2]])))
-    report = w.closure_system_witness(H)
-    assert report.passed
-    # one [g_i, ^x g_j] per ordered pair plus one [g_i, x^2] per generator
-    assert len(report.checks) == 4 + 2
+def test_closure_runs_the_engine_at_order_size():
+    """Per H of k generators, the engine's 2k^2 records at p = 1 and -1 and
+    k records [h_i, t^2]: perm 10, sl2 10, iet 3."""
+    checks = suites.run_family("closure")["checks"]
+    assert all(c["status"] == "pass" for c in checks)
+    names = [c["name"] for c in checks]
+    assert len(names) == 23
+    assert names[:10] == [f"perm: [h{i}, ^(t^{q}) h{j}]" for q in (1, -1)
+                          for i in (1, 2) for j in (1, 2)] + ["perm: [h1, t^2]", "perm: [h2, t^2]"]
+    assert names[20:] == ["iet: [h1, ^(t^1) h1]", "iet: [h1, ^(t^-1) h1]", "iet: [h1, t^2]"]
+
+
+@pytest.mark.parametrize("label", CLOSURE_LABELS)
+def test_closure_negative_control(label):
+    """The top shift x solves the system of the battery's H at order 2 and
+    not at order 3, where [g_1, x^3] = [g_1, x] moves g_1 off coordinate
+    0.  The identity witness fails perm's and sl2's H, whose generators do
+    not commute.  iet's H is one rotation, so the identity passes it; a
+    second generator that does not commute with it would make it a control
+    (ROADMAP items 2 and 18)."""
+    H, x = closure_engine_inputs()[label]
+    assert x.mode == Finite(2)
+    assert verify_ccc(H, x).passed
+    assert not verify_ccc(H, Witness(x.t, Finite(3))).passed
+    assert verify_ccc(H, Witness(H.family.identity(), Finite(2))).passed == (label == "iet")
 
 
 def test_sample_B_elements_are_members():

@@ -4,6 +4,7 @@ that only tests call."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from ccckit import iet as ietmod
 from ccckit import matrixring as mat
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
-from ccckit.core import conjugate, replace
+from ccckit import suites
+from ccckit.core import conjugate, replace, verify_ccc
 from ccckit.rational import exact
 
 
@@ -175,3 +177,15 @@ def random_iet(rng: random.Random, max_pieces: int = 5, denom: int = 12) -> ietm
         ts.append(starts[idx] - pos)
         pos += lengths[idx]
     return ietmod.make_iet(bps, ts)
+
+
+CLOSURE_LABELS = ("perm", "sl2", "iet")  # the closure battery's H, in its order
+
+
+def closure_engine_inputs() -> dict:
+    """label -> (H, witness) of each engine call the closure battery makes
+    at its defaults: H embedded at coordinate 0 of the wreath product, and
+    the top shift x at Finite(2)."""
+    with mock.patch.object(suites, "verify_ccc", wraps=verify_ccc) as engine:
+        suites.run_family("closure")
+    return dict(zip(CLOSURE_LABELS, (call.args for call in engine.call_args_list), strict=True))
