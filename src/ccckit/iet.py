@@ -9,13 +9,18 @@ equality.
 An ``IetMap`` stores one positive denominator ``den`` and integer
 numerators: a_j = cuts[j] / den and the translations shifts[j] / den, in
 lowest terms (``gcd(den, *cuts, *shifts) == 1``), so normal form plus
-lowest terms makes equality field equality.  ``compose``, ``inverse`` and
-the normal form do only ``int`` arithmetic; ``Fraction`` appears only at
-the boundary: ``make_iet``, ``apply``, the read-only
-``breakpoints``/``translations``/``bound`` properties, and rendering,
-which prints exactly what ``str(Fraction)`` prints.  A caller's numbers
-become ``Fraction`` through ``rational.exact``, so a binary float is
-refused, not taken at its power-of-two value.
+lowest terms makes equality field equality.  Everything here does only
+``int`` arithmetic.  Each builder (``make_iet``, ``block_exchange``,
+``rotation``) and ``apply`` is a thin public wrapper over a private core
+on int numerators over one denominator, and the batteries call the
+cores.  A wrapper takes a caller's numbers through ``rational.num_den``
+(an int as it is, a str or a ``Fraction`` through ``rational.exact``,
+which refuses a binary float rather than take its power-of-two value).
+``Fraction`` appears only in what ``apply`` and the read-only
+``breakpoints``/``translations``/``bound`` properties return, built by
+``rational.as_fraction``, which imports ``fractions`` on first use, so no
+battery loads it.  Rendering prints exactly what ``str(Fraction)``
+prints, from ints.
 
 The public constructors (``IetMap(...)`` and ``make_iet``) validate: the
 raw breakpoints start at 0 and ascend strictly, the translated intervals
@@ -29,11 +34,10 @@ no inverse.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 
 from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, trusted
-from .rational import (common_den, exact, fmt, in_lowest_terms, is_int_data, lowest_terms,
-                       over_common_den, rescaled)
+from .rational import (as_fraction, common_den, fmt, in_lowest_terms, is_int_data,
+                       lowest_terms, num_den, over_common_den, ratio, rescaled)
 
 
 class InvalidIetError(CcckitError):
@@ -69,16 +73,16 @@ class IetMap(Record):
             raise InvalidIetError(f"not in lowest terms: denominator {den}")
 
     @property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.cuts)
+    def breakpoints(self) -> tuple:
+        return tuple(as_fraction(c, self.den) for c in self.cuts)
 
     @property
-    def translations(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(t, self.den) for t in self.shifts)
+    def translations(self) -> tuple:
+        return tuple(as_fraction(t, self.den) for t in self.shifts)
 
     @property
-    def bound(self) -> Fraction:
-        return Fraction(self.cuts[-1], self.den)
+    def bound(self):
+        return as_fraction(self.cuts[-1], self.den)
 
     def __str__(self) -> str:
         return render_iet(self)
@@ -116,12 +120,15 @@ def _reduced(den: int, cuts, shifts) -> tuple:
 
 
 def make_iet(breakpoints, translations) -> IetMap:
-    """Normalize raw rational interval data into an IetMap; the raw
-    breakpoints are checked first, so normalising cannot hide malformed
-    input."""
+    """Normalize raw rational interval data into an IetMap."""
     bps, ts = list(breakpoints), list(translations)
     den, nums = over_common_den(bps + ts)
-    cuts, shifts = nums[:len(bps)], nums[len(bps):]
+    return _make_iet(den, nums[:len(bps)], nums[len(bps):])
+
+
+def _make_iet(den: int, cuts, shifts) -> IetMap:
+    """make_iet on int numerators over den > 0; the raw breakpoints are
+    checked first, so normalising cannot hide malformed input."""
     _check_intervals(den, cuts, shifts)
     return IetMap(*_reduced(den, cuts, shifts))
 
@@ -129,12 +136,18 @@ def make_iet(breakpoints, translations) -> IetMap:
 IDENTITY = IetMap(1, (0,), ())
 
 
-def apply(f: IetMap, x) -> Fraction:
-    x = exact(x)
-    if x < 0:
-        raise ValueError(f"point must be >= 0, got {x}")
-    j = bisect_right(f.cuts, x * f.den)  # x lies in interval j - 1, or in the tail
-    return x + Fraction(f.shifts[j - 1], f.den) if j < len(f.cuts) else x
+def apply(f: IetMap, x):
+    """f(x) for x >= 0 given as in rational.num_den, as a Fraction."""
+    return as_fraction(*_apply(f, *num_den(x)))
+
+
+def _apply(f: IetMap, n: int, d: int) -> tuple[int, int]:
+    """f(n/d) for d > 0 as a reduced pair.  The cuts are ints, so
+    c <= n * den / d exactly when c <= floor(n * den / d)."""
+    if n < 0:
+        raise ValueError(f"point must be >= 0, got {fmt(n, d)}")
+    j = bisect_right(f.cuts, n * f.den // d)  # n/d lies in interval j - 1, or in the tail
+    return ratio(n * f.den + f.shifts[j - 1] * d, d * f.den) if j < len(f.cuts) else (n, d)
 
 
 def inverse(f: IetMap) -> IetMap:
@@ -170,21 +183,31 @@ def compose(f: IetMap, g: IetMap) -> IetMap:
 
 def block_exchange(n) -> IetMap:
     """Exchange [0, n) with [n, 2n); an involution."""
-    n = exact(n)
+    n, den = num_den(n)
+    return _block_exchange(den, n)
+
+
+def _block_exchange(den: int, n: int) -> IetMap:
+    """block_exchange(n / den), den > 0."""
     if n <= 0:
-        raise ValueError(f"block length must be > 0, got {n}")
-    return make_iet([0, n, 2 * n], [n, -n])
+        raise ValueError(f"block length must be > 0, got {fmt(n, den)}")
+    return _make_iet(den, [0, n, 2 * n], [n, -n])
 
 
 def rotation(length, amount) -> IetMap:
     """Rotation of [0, length) by amount (mod length), identity beyond."""
-    length = exact(length)
+    den, (length, amount) = over_common_den([length, amount])
+    return _rotation(den, length, amount)
+
+
+def _rotation(den: int, length: int, amount: int) -> IetMap:
+    """rotation(length / den, amount / den), den > 0."""
     if length <= 0:
-        raise ValueError(f"block length must be > 0, got {length}")
-    amount = exact(amount) % length
+        raise ValueError(f"block length must be > 0, got {fmt(length, den)}")
+    amount %= length
     if amount == 0:
         return IDENTITY
-    return make_iet([0, length - amount, length], [amount, amount - length])
+    return _make_iet(den, [0, length - amount, length], [amount, amount - length])
 
 
 def render_iet(f: IetMap) -> str:

@@ -8,26 +8,32 @@ checks that the displacement escalates, from the same orbit walk.
 A ``PlMap`` stores one positive denominator ``den`` and integer vertex
 numerators: vertex i is (xs[i] / den, ys[i] / den), in lowest terms
 (``gcd(den, *xs, *ys) == 1``) and with no interior vertex collinear with
-its neighbours, so equality is field equality.  ``compose``, ``inverse``
-and ``_drop_collinear`` do only ``int`` arithmetic, and so does ``apply``
-on the numerator and denominator of its point, returning one ``Fraction``
-built at the end.  Otherwise ``Fraction`` appears only at the boundary:
-``make_pl``, the read-only ``vertices`` property, and rendering, which
-prints exactly what ``str(Fraction)`` prints.  A caller's numbers become
-``Fraction`` through ``rational.exact``, so a binary float is refused,
-not taken at its power-of-two value.
+its neighbours, so equality is field equality.  Everything here does
+only ``int`` arithmetic.  Each builder (``make_pl``, ``bump``,
+``displacement_witness``), ``apply``, ``support_closure`` and
+``support_interval`` is a thin public wrapper over a private core on int
+numerators or (num, den) pairs.  The batteries call the cores, and the
+orbit walk of ``verify_displaced_supports`` steps on pairs with
+``_apply``, compares them by cross-multiplying and prints them through
+``rational.fmt``, which prints exactly what ``str(Fraction)`` prints, as
+rendering does.  A wrapper takes a caller's numbers through
+``rational.num_den`` (an int as it is, a str or a ``Fraction`` through
+``rational.exact``, which refuses a binary float rather than take its
+power-of-two value).  ``Fraction`` appears only in what the public
+wrappers and the read-only ``vertices`` property return, built by
+``rational.as_fraction``, which imports ``fractions`` on first use, so
+no battery loads it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 
 from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily, Record,
                    Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
-from .rational import (common_den, exact, fmt, in_lowest_terms, is_int_data, lowest_terms,
-                       over_common_den, over_one_den, ratio, rescaled)
+from .rational import (as_fraction, common_den, fmt, in_lowest_terms, is_int_data, less,
+                       lowest_terms, num_den, over_common_den, over_one_den, ratio, rescaled)
 
 
 class InvalidPlMapError(CcckitError):
@@ -56,8 +62,8 @@ class PlMap(Record):
             raise InvalidPlMapError(f"not in lowest terms: denominator {den}")
 
     @property
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((Fraction(x, self.den), Fraction(y, self.den))
+    def vertices(self) -> tuple:
+        return tuple((as_fraction(x, self.den), as_fraction(y, self.den))
                      for x, y in zip(self.xs, self.ys))
 
     def __str__(self) -> str:
@@ -89,33 +95,39 @@ def _drop_collinear(xs, ys) -> tuple[tuple, tuple]:
 
 
 def make_pl(vertices) -> PlMap:
-    """Normalize a rational vertex list: raw vertices checked over their
-    common denominator, collinear vertices dropped, lowest terms."""
+    """Normalize a rational vertex list into a PlMap."""
     den, nums = over_common_den([c for x, y in vertices for c in (x, y)])
-    xs, ys = nums[0::2], nums[1::2]
+    return _make_pl(den, nums[0::2], nums[1::2])
+
+
+def _make_pl(den: int, xs, ys) -> PlMap:
+    """make_pl on int vertex numerators over den > 0: raw vertices
+    checked, collinear vertices dropped, lowest terms."""
     _check_vertices(den, xs, ys)
     return PlMap(*lowest_terms(den, *_drop_collinear(xs, ys)))
 
 
-IDENTITY = make_pl([(0, 0), (1, 1)])
+IDENTITY = PlMap(1, (0, 1), (0, 1))
 
 
-def apply(f: PlMap, x) -> Fraction:
-    """f(x) for x in [0, 1] given as in rational.exact.  With x = n/d, the
-    point x * den = n * den / d lies on the segment that starts at the last
-    vertex numerator below ceil(n * den / d), and the interpolation is put
-    over d * den * (segment width): int arithmetic throughout, and the
-    result is the one Fraction built."""
-    x = exact(x)
-    n, d = x.numerator, x.denominator
+def apply(f: PlMap, x):
+    """f(x) for x in [0, 1] given as in rational.num_den, as a Fraction."""
+    return as_fraction(*_apply(f, *num_den(x)))
+
+
+def _apply(f: PlMap, n: int, d: int) -> tuple[int, int]:
+    """f(n/d) for d > 0 as a reduced pair.  The point n/d * den = n * den / d
+    lies on the segment that starts at the last vertex numerator below
+    ceil(n * den / d), and the interpolation is put over d * den * (segment
+    width): int arithmetic throughout."""
     if not 0 <= n <= d:
-        raise ValueError(f"point {x} outside [0, 1]")
+        raise ValueError(f"point {fmt(n, d)} outside [0, 1]")
     xs, ys, den = f.xs, f.ys, f.den
     u = n * den  # x * den = u / d
     i = max(bisect_left(xs, -(-u // d)), 1)  # xs[i - 1] <= u / d <= xs[i]
     x0, y0 = xs[i - 1], ys[i - 1]
     width = xs[i] - x0
-    return Fraction(y0 * width * d + (ys[i] - y0) * (u - x0 * d), width * d * den)
+    return ratio(y0 * width * d + (ys[i] - y0) * (u - x0 * d), width * d * den)
 
 
 def inverse(f: PlMap) -> PlMap:
@@ -151,31 +163,46 @@ def compose(f: PlMap, g: PlMap) -> PlMap:
     return trusted(PlMap, *lowest_terms(den, *_drop_collinear(xs, ys)))
 
 
-def support_closure(f: PlMap) -> tuple[Fraction, Fraction] | None:
-    """Closure of {x : f(x) != x}, or None for the identity."""
+def support_closure(f: PlMap) -> tuple | None:
+    """Closure of {x : f(x) != x} as a pair of Fractions, or None for the
+    identity."""
+    s = _support_closure(f)
+    return None if s is None else (as_fraction(*s[0]), as_fraction(*s[1]))
+
+
+def _support_closure(f: PlMap) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """support_closure(f) as (num, den) pairs."""
     moved = [i for i in range(len(f.xs) - 1)
              if not (f.xs[i] == f.ys[i] and f.xs[i + 1] == f.ys[i + 1])]
     if not moved:
         return None
-    return Fraction(f.xs[moved[0]], f.den), Fraction(f.xs[moved[-1] + 1], f.den)
+    return (f.xs[moved[0]], f.den), (f.xs[moved[-1] + 1], f.den)
 
 
-def support_interval(H: GeneratorSet) -> tuple[Fraction, Fraction] | None:
-    """Smallest closed interval containing all generator supports.
+def support_interval(H: GeneratorSet) -> tuple | None:
+    """Smallest closed interval containing all generator supports, as a
+    pair of Fractions, or None when every generator is the identity.
 
     Raises NotCompactlySupportedError when a generator moves points
     arbitrarily close to 0 or 1.
     """
+    s = _support_interval(H)
+    return None if s is None else (as_fraction(*s[0]), as_fraction(*s[1]))
+
+
+def _support_interval(H: GeneratorSet) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """support_interval(H) as (num, den) pairs."""
     lo, hi = None, None
     for h in H.elements:
-        s = support_closure(h)
+        s = _support_closure(h)
         if s is None:
             continue
-        if s[0] == 0 or s[1] == 1:
+        a, b = s
+        if a[0] == 0 or b[0] == h.den:
             raise NotCompactlySupportedError(
-                f"generator support {s} touches the endpoints: {render_pl(h)}")
-        lo = s[0] if lo is None else min(lo, s[0])
-        hi = s[1] if hi is None else max(hi, s[1])
+                f"generator support [{fmt(*a)}, {fmt(*b)}] touches the endpoints: {render_pl(h)}")
+        lo = a if lo is None or less(a, lo) else lo
+        hi = b if hi is None or less(hi, b) else hi
     if lo is None:
         return None
     return lo, hi
@@ -184,11 +211,17 @@ def support_interval(H: GeneratorSet) -> tuple[Fraction, Fraction] | None:
 def displacement_witness(a, b, bound: int = 8) -> Witness:
     """An increasing PL bijection t with t(a) > b, as a bounded Z-mode
     witness.  Vertices are dyadic whenever a and b are."""
-    a, b = exact(a), exact(b)
-    if not 0 < a <= b < 1:
-        raise ValueError(f"need 0 < a <= b < 1, got a={a}, b={b}")
-    peak = (1 + b) / 2  # strictly between b and 1
-    return Witness(make_pl([(0, 0), (a, peak), (1, 1)]), ZMode(bound))
+    den, (a, b) = over_common_den([a, b])
+    return _displacement_witness(den, a, b, bound)
+
+
+def _displacement_witness(den: int, a: int, b: int, bound: int) -> Witness:
+    """displacement_witness(a / den, b / den, bound), den > 0: t has the
+    vertex (a, peak) with peak = (1 + b) / 2, strictly between b and 1,
+    all over 2 * den."""
+    if not 0 < a <= b < den:
+        raise ValueError(f"need 0 < a <= b < 1, got a={fmt(a, den)}, b={fmt(b, den)}")
+    return Witness(_make_pl(2 * den, [0, 2 * a, 2 * den], [0, den + b, 2 * den]), ZMode(bound))
 
 
 def verify_displaced_supports(H: GeneratorSet, w: Witness) -> VerificationReport:
@@ -206,28 +239,28 @@ def verify_displaced_supports(H: GeneratorSet, w: Witness) -> VerificationReport
     report.extend(algebraic)
     t, P = w.t, w.mode.bound
 
-    supp = support_interval(H)
+    supp = _support_interval(H)  # (num, den) pairs, as every point of the walk
     geometric_ok = True
     escalates = []
     if supp is not None:
         lo, hi = supp
         x, y = lo, hi
         for p in range(1, P + 1):
-            x = apply(t, x)
-            escalates.append(x > y)  # t^p(lo) > t^(p-1)(hi)
-            y = apply(t, y)  # [x, y] is now the t^p image of the support interval
-            disjoint = x > hi or y < lo
+            x = _apply(t, *x)
+            escalates.append(less(y, x))  # t^p(lo) > t^(p-1)(hi)
+            y = _apply(t, *y)  # [x, y] is now the t^p image of the support interval
+            disjoint = less(hi, x) or less(y, lo)
             geometric_ok = geometric_ok and disjoint
             report.record(
                 f"supp(^(t^{p})H) disjoint from supp(H)", disjoint,
-                f"[{x}, {y}]", f"outside [{lo}, {hi}]",
+                f"[{fmt(*x)}, {fmt(*y)}]", f"outside [{fmt(*lo)}, {fmt(*hi)}]",
                 detail=f"bounded check, p <= {P}")
     report.record("algebraic and geometric verdicts agree",
                   algebraic.passed == geometric_ok,
                   "algebraic " + ("pass" if algebraic.passed else "fail"),
                   "geometric " + ("pass" if geometric_ok else "fail"))
     if supp is not None:
-        report.record(f"[{lo},{hi}]: displacement escalation", all(escalates),
+        report.record(f"[{fmt(*lo)},{fmt(*hi)}]: displacement escalation", all(escalates),
                       " ".join("ok" if e else "fail" for e in escalates), "all ok")
     return report
 
@@ -274,8 +307,14 @@ PL = PlFamily()
 def bump(a, b) -> PlMap:
     """A map supported exactly on [a, b]: sends the midpoint m to
     (m + b) / 2, identity outside."""
-    a, b = exact(a), exact(b)
-    if not 0 < a < b < 1:
-        raise ValueError(f"need 0 < a < b < 1, got {a}, {b}")
-    mid = (a + b) / 2
-    return make_pl([(0, 0), (a, a), (mid, (mid + b) / 2), (b, b), (1, 1)])
+    den, (a, b) = over_common_den([a, b])
+    return _bump(den, a, b)
+
+
+def _bump(den: int, a: int, b: int) -> PlMap:
+    """bump(a / den, b / den), den > 0: the vertex (m, (m + b) / 2) with
+    m = (a + b) / 2 is (2(a + b), a + 3b) over 4 * den."""
+    if not 0 < a < b < den:
+        raise ValueError(f"need 0 < a < b < 1, got {fmt(a, den)}, {fmt(b, den)}")
+    return _make_pl(4 * den, [0, 4 * a, 2 * (a + b), 4 * b, 4 * den],
+                    [0, 4 * a, a + 3 * b, 4 * b, 4 * den])

@@ -3,23 +3,30 @@
 ``IetMap`` and ``PlMap`` store one positive denominator and integer
 numerators, in lowest terms (the gcd of the denominator and all numerators
 is 1), so their kernels do only ``int`` arithmetic.  These helpers are the
-boundary between that representation and ``Fraction``, plus the rescale
-and reduce steps the kernels share.  ``exact`` is the one way a caller's
-number becomes a ``Fraction``, and it refuses binary floats.
+boundary between that representation and a caller's numbers, plus the
+rescale, reduce, compare and format steps the kernels share.  ``num_den``
+is the one way a caller's number becomes a (num, den) pair: an int is
+``(x, 1)`` at once, and anything else goes through ``exact``, which
+refuses binary floats.  This is the only module that names ``fractions``,
+and it imports it on first use: in ``exact`` (a str or a ``Fraction``
+argument) and in ``as_fraction`` (a public return value), so a process
+that runs only the batteries, which build their maps from int numerators,
+never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
-def exact(x) -> Fraction:
+def exact(x):
     """x as a Fraction, for an int, a Fraction or a str such as "1/3" or
     "0.1".  A float or bool raises ValueError: a binary float is not the
     decimal it prints (0.1 is 3602879701896397 / 2^55), so it would build a
     map over a power-of-two denominator the caller never meant.  A
     Fraction comes back as it is, with no copy."""
+    from fractions import Fraction
+
     if type(x) is Fraction:
         return x
     if isinstance(x, (float, bool)):
@@ -27,12 +34,28 @@ def exact(x) -> Fraction:
     return Fraction(x)
 
 
+def num_den(x) -> tuple[int, int]:
+    """x as a reduced pair (num, den), den > 0, taken as in ``exact``; an
+    int is (x, 1), with no Fraction built."""
+    if type(x) is int:
+        return x, 1
+    q = exact(x)
+    return q.numerator, q.denominator
+
+
+def as_fraction(num: int, den: int):
+    """num/den (den != 0) as a Fraction, for the public return values."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 def over_common_den(values) -> tuple[int, list[int]]:
     """Rationals as (den, numerators), den the lcm of their denominators;
-    each value goes through ``exact``."""
-    qs = [exact(v) for v in values]
-    den = lcm(*(q.denominator for q in qs))
-    return den, [q.numerator * (den // q.denominator) for q in qs]
+    each value goes through ``num_den``."""
+    pairs = [num_den(v) for v in values]
+    den = lcm(*(d for _, d in pairs))
+    return den, [n * (den // d) for n, d in pairs]
 
 
 def common_den(den_a: int, den_b: int) -> tuple[int, int, int]:
@@ -64,6 +87,11 @@ def lowest_terms(den: int, xs, ys) -> tuple[int, tuple, tuple]:
     if g == 1:
         return den, tuple(xs), tuple(ys)
     return den // g, tuple([x // g for x in xs]), tuple([y // g for y in ys])
+
+
+def less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a < b for (num, den) pairs with den > 0, by cross-multiplying."""
+    return a[0] * b[1] < b[0] * a[1]
 
 
 def is_int_data(den, xs, ys) -> bool:

@@ -12,7 +12,6 @@ given the seed.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 
@@ -25,6 +24,7 @@ from . import plhomeo as plmod
 from . import wreath as wreathmod
 from .core import (Finite, GeneratorSet, Record, VerificationReport, Witness, is_int,
                    verify_ccc)
+from .rational import fmt
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +40,9 @@ class Stable(Record):
     the ambient level and t in it; generators(n, ring) gives H at level n;
     embed(g, ambient) stabilizes a generator into the ambient level.  The
     battery makes one pass per ring (the matrix moduli, None for Z; the iet
-    block scales) and records checks in order: each entry is called as
-    check(report, n, label(n, ring), H, t), and ENGINE places the engine's
-    records.  shift(g, p), when given, is the element that ^(t^p) g is
+    block scales, as (num, den) pairs) and records checks in order: each
+    entry is called as check(report, n, label(n, ring), H, t), and ENGINE
+    places the engine's records.  shift(g, p), when given, is the element that ^(t^p) g is
     claimed to equal for an embedded generator g: the engine checks the
     claim once per (p, g) and certifies that conjugate's records by the
     claimed element's support (verify_ccc), which the report never shows."""
@@ -163,9 +163,11 @@ def _aut_free_generators(n: int, ring):
     return fg.nielsen_aut(n, 1, 2), fg.permutation_aut(n, {i: i % n + 1 for i in range(1, n + 1)})
 
 
-def _rotations(n: int, scale):
-    block = n * scale
-    return (ietmod.rotation(block, block / 3), ietmod.rotation(block, block / 2))
+def _rotations(n: int, scale: tuple[int, int]):
+    """The rotations of the block L = n * scale by L/3 and by L/2."""
+    s, d = scale
+    block = n * s  # L = block / d
+    return (ietmod._rotation(3 * d, 3 * block, block), ietmod._rotation(2 * d, 2 * block, block))
 
 
 MATRIX_MODULI = (None, 5)  # Z and Z/5; reports write Z as 0
@@ -192,10 +194,11 @@ STABLE: dict[str, Stable] = {
     "aut-free": Stable("aut-free", lambda n, ring: (fg.FreeAutFamily(2 * n), fg.block_swap_aut(n)),
                        _aut_free_generators, lambda g, ambient: fg.extend_rank(g, ambient.rank),
                        (ENGINE, partial(_square, "identity assignment"))),
-    "iet": Stable("iet", lambda n, scale: (ietmod.IET, ietmod.block_exchange(n * scale)),
+    "iet": Stable("iet", lambda n, scale: (ietmod.IET,
+                                           ietmod._block_exchange(scale[1], n * scale[0])),
                   _rotations, lambda g, ambient: g, (ENGINE, partial(_square, "id")),
-                  rings=(Fraction(1), Fraction(1, 2), Fraction(2)),
-                  label=lambda n, scale: f"block {n * scale}: "),
+                  rings=((1, 1), (1, 2), (2, 1)),
+                  label=lambda n, scale: f"block {fmt(n * scale[0], scale[1])}: "),
 }
 
 
@@ -205,11 +208,12 @@ STABLE: dict[str, Stable] = {
 
 def pl_battery(size: int, bound: int, seed: int) -> VerificationReport:
     report = VerificationReport("pl", bounded=True)
-    instances = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 8), Fraction(1, 4)),
-                 (Fraction(3, 8), Fraction(1, 2))][:size]
+    # [a, b] in eighths: [1/4, 1/2], [1/8, 1/4] and [3/8, 1/2]
+    instances = [(2, 4), (1, 2), (3, 4)][:size]
     for a, b in instances:
-        H = GeneratorSet(plmod.PL, (plmod.bump(a, b),))
-        report.extend(plmod.verify_displaced_supports(H, plmod.displacement_witness(a, b, bound)))
+        H = GeneratorSet(plmod.PL, (plmod._bump(8, a, b),))
+        report.extend(plmod.verify_displaced_supports(
+            H, plmod._displacement_witness(8, a, b, bound)))
     return report
 
 
@@ -220,8 +224,8 @@ def pl_battery(size: int, bound: int, seed: int) -> VerificationReport:
 def iet_chain(depth: int = 2) -> wreathmod.WitnessChain:
     """H = <rotation of [0, 1) by 1/3> and t_i = block_exchange(2^(i-1)),
     all of order 2, for i = 1..depth."""
-    H = (ietmod.rotation(1, Fraction(1, 3)),)
-    ts = tuple(ietmod.block_exchange(2 ** i) for i in range(depth))
+    H = (ietmod._rotation(3, 3, 1),)
+    ts = tuple(ietmod._block_exchange(1, 2 ** i) for i in range(depth))
     return wreathmod.WitnessChain(ietmod.IET, H, ts, (2,) * depth)
 
 
@@ -259,7 +263,7 @@ def closure_battery(size: int, seed: int) -> VerificationReport:
                                              permmod.perm_from_cycles([[1, 2]])))),
         ("sl2", GeneratorSet(mat.MatrixFamily(2),
                              (mat.matrix([[1, 1], [0, 1]]), mat.matrix([[0, -1], [1, 0]])))),
-        ("iet", GeneratorSet(ietmod.IET, (ietmod.rotation(1, Fraction(1, 3)),))),
+        ("iet", GeneratorSet(ietmod.IET, (ietmod._rotation(3, 3, 1),))),
     ]
     for label, H in batteries:
         wr = wreathmod.WreathFamily(H.family, size)

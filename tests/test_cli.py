@@ -157,18 +157,54 @@ def test_flags_do_not_leak_between_calls(capsys, monkeypatch):
     assert (second["params"]["bound"], second["seed"]) == (8, 0)
 
 
-def test_cli_runs_without_argparse_shutil_or_locale():
-    """Neither the import of ccckit.cli nor two main calls load argparse or
-    the modules its help formatter and gettext calls pull in, which were
-    most of a cold process's first run."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); from ccckit import cli; "
-            "argv = ['run', '--family', 'perm', '--out', '/dev/null']; "
-            "codes = [cli.main(argv) for _ in range(2)]; "
-            "print(*codes, *(m for m in ('argparse', 'shutil', 'locale', 'bz2', 'lzma') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "0"]
+# modules a cold CLI run must not load: fractions pulls in decimal and
+# numbers, and argparse's help formatter and gettext pull in shutil, locale,
+# bz2 and lzma
+COLD_START_UNLOADED = ("fractions", "decimal", "numbers", "argparse", "shutil", "locale",
+                       "bz2", "lzma")
+
+# every battery at its defaults, plus the larger pl and wreath-tower runs
+BATTERY_PROBE = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from ccckit import cli, iet, plhomeo, rational
+from ccckit.suites import FAMILIES
+exec(sys.argv[2])
+runs = [["--family", f] for f in FAMILIES]
+runs += [["--family", "pl", "--bound", "16"], ["--family", "wreath-tower", "--samples", "200"]]
+codes = {cli.main(["run", *argv, "--out", os.devnull]) for argv in runs}
+print(*codes, *(m for m in sys.argv[3:] if m in sys.modules))
+"""
+
+
+def _probe(prelude: str) -> list[str]:
+    """The exit codes and the loaded COLD_START_UNLOADED modules of a fresh
+    -I -S process that imports ccckit.cli, runs prelude and then every
+    battery through cli.main."""
+    return subprocess.run([sys.executable, "-I", "-S", "-c", BATTERY_PROBE, SRC, prelude,
+                           *COLD_START_UNLOADED],
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_cli_runs_every_battery_without_fractions_argparse_shutil_or_locale():
+    """Neither the import of ccckit.cli nor a run of any battery loads
+    fractions (the batteries build their maps from int numerators) or
+    argparse and the modules its help formatter pulls in.  The benchmark
+    cannot see a battery that loads fractions: its pass imports it for its
+    reference timing right after the timed import."""
+    assert _probe("") == ["0"]
+
+
+@pytest.mark.parametrize("prelude", [
+    "rational.exact('1/3')",
+    "iet.rotation(1, '1/3')",                       # a str argument
+    "plhomeo.apply(plhomeo.IDENTITY, 0)",           # a Fraction result
+    "iet.block_exchange(1).bound",
+])
+def test_the_public_boundary_loads_fractions_on_first_use(prelude):
+    """The negative control of the probe above: a str argument or a
+    Fraction return value loads fractions, and the probe sees it."""
+    assert _probe(prelude) == ["0", "fractions", "decimal", "numbers"]
 
 
 @pytest.mark.parametrize("argv", [

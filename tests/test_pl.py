@@ -91,7 +91,8 @@ def test_support_interval():
 
 def test_not_compactly_supported():
     f = pl.make_pl([(0, 0), (Fraction(1, 2), Fraction(3, 4)), (1, 1)])
-    with pytest.raises(pl.NotCompactlySupportedError):
+    with pytest.raises(pl.NotCompactlySupportedError,
+                       match=r"^generator support \[0, 1\] touches the endpoints: \(0,0\) "):
         pl.support_interval(GeneratorSet(pl.PL, (f,)))
 
 
@@ -207,7 +208,7 @@ def test_escalation_record_matches_the_separate_orbit_walks(instance):
 
 def test_trivial_generators_have_no_walk_and_no_escalation_record(monkeypatch):
     calls = []
-    monkeypatch.setattr(pl, "apply", lambda *args: calls.append(args))
+    monkeypatch.setattr(pl, "_apply", lambda *args: calls.append(args))
     report = pl.verify_displaced_supports(GeneratorSet(pl.PL, (pl.IDENTITY,)),
                                           pl.displacement_witness("1/4", "1/2", bound=4))
     assert not calls
@@ -219,15 +220,15 @@ def test_trivial_generators_have_no_walk_and_no_escalation_record(monkeypatch):
 def test_pl_battery_walks_each_orbit_once(bound, monkeypatch):
     """Each of the 3 instances walks the t-orbits of its two support ends
     once, to p = bound, for its geometric and escalation records alike:
-    6 * bound apply calls in all."""
+    6 * bound calls of the walk's int step, pl._apply, in all."""
     calls = []
-    apply = pl.apply
+    step = pl._apply
 
-    def counting(f, x):
-        calls.append(x)
-        return apply(f, x)
+    def counting(f, n, d):
+        calls.append((n, d))
+        return step(f, n, d)
 
-    monkeypatch.setattr(pl, "apply", counting)
+    monkeypatch.setattr(pl, "_apply", counting)
     report = suites.pl_battery(3, bound, 0)
     assert len(calls) == 6 * bound
     assert report.passed

@@ -11,6 +11,7 @@ the real ones, and a wrong claim must change no report byte.
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -24,7 +25,7 @@ from ccckit import perm as permmod
 from ccckit.core import conjugate, replace
 from ccckit.suites import ENGINE, FAMILIES, STABLE, run_family, stable_battery
 
-from util import wrong_braid_shift
+from util import ring_id, wrong_braid_shift
 
 # the group of a generator at level n, where the record's generators live
 LEVEL_FAMILY = {
@@ -42,7 +43,7 @@ CASES = [(family, ring, n) for family, stable in STABLE.items() for ring in stab
 
 def _ids(case):
     family, ring, n = case
-    return f"{family}-{ring}-{n}"
+    return f"{family}-{ring_id(ring)}-{n}"
 
 
 def test_nine_families_run_the_stable_battery_on_their_record():
@@ -107,7 +108,8 @@ def test_a_broken_witness_fails_the_engine(family):
     def broken(n, ring):
         ambient, _ = stable.level(n, ring)
         if family == "iet":
-            return ambient, ietmod.block_exchange(n * ring / 3)
+            s, d = ring  # the block is n * s / d
+            return ambient, ietmod.block_exchange(Fraction(n * s, 3 * d))
         return ambient, ambient.identity()
 
     for ring in stable.rings:

@@ -21,7 +21,7 @@ from ccckit import perm as permmod
 from ccckit import suites
 from ccckit.core import _disjoint, conjugate, runs
 
-from util import supports_overlap
+from util import ring_id, supports_overlap
 
 SUPPORT_FAMILIES = ("perm", "gl", "sl", "e", "sp", "onn", "braid", "aut-free", "iet")
 
@@ -31,7 +31,7 @@ def _cases():
         stable = suites.STABLE[family]
         for size in (2, 3):
             for ring in stable.rings:
-                yield pytest.param(family, size, ring, id=f"{family}-{size}-{ring}")
+                yield pytest.param(family, size, ring, id=f"{family}-{size}-{ring_id(ring)}")
 
 
 def _battery(family, size, ring):

@@ -16,7 +16,13 @@ from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit.core import conjugate, replace, verify_ccc
-from ccckit.rational import exact
+from ccckit.rational import exact, fmt
+
+
+def ring_id(ring) -> str:
+    """A Stable ring as test ids print it: a matrix modulus (None for Z) as
+    it is, an iet block scale (num, den) as the rational it names."""
+    return fmt(*ring) if isinstance(ring, tuple) else str(ring)
 
 
 def revalidates(x) -> bool:
