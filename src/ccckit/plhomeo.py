@@ -28,12 +28,13 @@ no battery loads it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import gcd, lcm
 
 from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily, Record,
                    Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
-from .rational import (as_fraction, common_den, fmt, in_lowest_terms, is_int_data, less,
-                       lowest_terms, num_den, over_common_den, over_one_den, ratio, rescaled)
+from .rational import (as_fraction, fmt, in_lowest_terms, is_int_data, less, lowest_terms,
+                       num_den, over_common_den, ratio)
 
 
 class InvalidPlMapError(CcckitError):
@@ -140,26 +141,48 @@ def compose(f: PlMap, g: PlMap) -> PlMap:
     are g's plus the g-preimages of f's, merged in the order of g's values,
     and each new vertex is one linear interpolation on the current segment
     of the other map.  Both maps are rescaled to the lcm of their
-    denominators; an interpolated coordinate is a reduced (num, d) pair
-    over it, and the pairs are put over one final lcm."""
-    den, mf, mg = common_den(f.den, g.den)
-    fx, fy = rescaled(f.xs, mf), rescaled(f.ys, mf)
-    gx, gy = rescaled(g.xs, mg), rescaled(g.ys, mg)
-    xs, ys = [(0, 1)], [(0, 1)]
+    denominators, with no rescaling when the two are equal.  A vertex
+    numerator is kept over that denominator times d, with d = 1 for a
+    vertex of either map, and an interpolated one is divided by one gcd
+    with its d where it is made; at the end every coordinate is put over
+    den times the lcm of the d's."""
+    den = f.den
+    fx, fy, gx, gy = f.xs, f.ys, g.xs, g.ys
+    if g.den != den:
+        den = lcm(den, g.den)
+        mf, mg = den // f.den, den // g.den
+        if mf != 1:
+            fx, fy = [x * mf for x in fx], [y * mf for y in fy]
+        if mg != 1:
+            gx, gy = [x * mg for x in gx], [y * mg for y in gy]
+    xs, xd, ys, yd = [0], [1], [0], [1]  # numerators over den * d, and the d's
     j = 1  # fx[j - 1] <= y0 < fx[j] on g's segment from (x0, y0)
     for x0, y0, x1, y1 in zip(gx, gy, gx[1:], gy[1:]):
         while fx[j] < y1:  # f's vertices strictly inside g's image segment
-            xs.append(ratio(x0 * (y1 - y0) + (x1 - x0) * (fx[j] - y0), y1 - y0))
-            ys.append((fy[j], 1))
+            n, d = x0 * (y1 - y0) + (x1 - x0) * (fx[j] - y0), y1 - y0
+            c = gcd(n, d)
+            xs.append(n // c)
+            xd.append(d // c)
+            ys.append(fy[j])
+            yd.append(1)
             j += 1
+        xs.append(x1)
+        xd.append(1)
         u0, v0, u1, v1 = fx[j - 1], fy[j - 1], fx[j], fy[j]
-        xs.append((x1, 1))
         if u1 == y1:
-            ys.append((v1, 1))
+            ys.append(v1)
+            yd.append(1)
             j += 1
         else:
-            ys.append(ratio(v0 * (u1 - u0) + (v1 - v0) * (y1 - u0), u1 - u0))
-    den, xs, ys = over_one_den(den, xs, ys)
+            n, d = v0 * (u1 - u0) + (v1 - v0) * (y1 - u0), u1 - u0
+            c = gcd(n, d)
+            ys.append(n // c)
+            yd.append(d // c)
+    d_all = lcm(*xd, *yd)
+    if d_all != 1:
+        den *= d_all
+        xs = [n * (d_all // d) for n, d in zip(xs, xd)]
+        ys = [n * (d_all // d) for n, d in zip(ys, yd)]
     return trusted(PlMap, *lowest_terms(den, *_drop_collinear(xs, ys)))
 
 

@@ -74,13 +74,6 @@ def ratio(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def over_one_den(den: int, xs, ys) -> tuple[int, list[int], list[int]]:
-    """Two sequences of reduced (num, d) pairs, each meaning num / (d * den),
-    put over the one denominator den * lcm(d): (den', x nums, y nums)."""
-    d_all = lcm(*(d for _, d in xs), *(d for _, d in ys))
-    return den * d_all, [n * (d_all // d) for n, d in xs], [n * (d_all // d) for n, d in ys]
-
-
 def lowest_terms(den: int, xs, ys) -> tuple[int, tuple, tuple]:
     """(den, xs, ys) divided through by their gcd, as tuples."""
     g = gcd(den, *xs, *ys) if den != 1 else 1

@@ -18,6 +18,7 @@ Points are stored as their residues mod n, so a base is a tuple of
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Sequence
 
@@ -35,7 +36,9 @@ class ChainInvariantError(CcckitError):
 
 
 class IntAdditiveFamily(GroupFamily):
-    """Z under addition."""
+    """Z under addition.  Every method that takes an element checks it;
+    ``mul``, ``eq`` and ``is_identity`` run ``check_element`` only for a
+    class other than int, so a plain int costs one class test."""
 
     name = "Z"
 
@@ -57,12 +60,18 @@ class IntAdditiveFamily(GroupFamily):
         return -a
 
     def eq(self, a, b):
+        if a.__class__ is not int or b.__class__ is not int:
+            self.check_element(a)
+            self.check_element(b)
         return a == b
 
     def is_identity(self, a):
+        if a.__class__ is not int:
+            self.check_element(a)
         return a == 0
 
     def render(self, a):
+        self.check_element(a)
         return str(a)
 
     def __reduce__(self):
@@ -167,26 +176,30 @@ class WreathFamily(GroupFamily):
         return not u.base and u.top == 0
 
     def product(self, word):
-        """u_1 ... u_k in one pass: each letter's base points are moved by
-        the top a_1 ... a_(i-1) of the letters before it, and the collected
-        entries are merged by one ``normalize``, which builds the result
-        through ``core.trusted``.  Each letter is type-checked once, by
-        class identity, so ``check_element`` runs only for another class;
-        a letter with an empty base, such as a shift, adds no pairs."""
-        n = self.n
-        word = iter(word)
+        """u_1 ... u_k in one pass: each letter's entries are merged
+        straight into one dict at their points moved by the top a_1 ...
+        a_(i-1) of the letters before it, entries at one point multiplied
+        in word order, and the result is built as ``normalize`` builds
+        its own, through ``core.trusted``.  Each letter is type-checked
+        once, by class identity, so ``check_element`` runs only for
+        another class; a letter with an empty base, such as a shift, only
+        moves the top."""
+        n, base = self.n, self.base_family
+        mul = base.mul
+        merged: dict[int, object] = {}
+        get = merged.get
+        top = 0
         for u in word:
             if u.__class__ is not WreathElement:
                 self.check_element(u)
-            pairs, top = list(u.base), u.top
-            for v in word:
-                if v.__class__ is not WreathElement:
-                    self.check_element(v)
-                if v.base:
-                    pairs += [((top + x) % n, g) for x, g in v.base]
-                top += v.top
-            return self.normalize(pairs, top)
-        return self.identity()
+            for x, g in u.base:
+                x = (top + x) % n
+                h = get(x)  # no entry is None
+                merged[x] = g if h is None else mul(h, g)
+            top += u.top
+        is_identity = base.is_identity
+        return core.trusted(WreathElement, tuple(
+            (x, g) for x, g in sorted(merged.items()) if not is_identity(g)), top)
 
     def mul(self, u, v):
         return self.product((u, v))
@@ -213,6 +226,30 @@ class WreathFamily(GroupFamily):
 
 # ---------------------------------------------------------------------------
 # The tower A_1 = Z, A_(i+1) = A_i wr_(Z/n_(i+1)) Z
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """rng.randint(a, b) for a <= b, drawn from ``rng.getrandbits`` as
+    ``random.Random`` draws it on Python 3.10 to 3.13: k = n.bit_length()
+    bits for the n = b - a + 1 outcomes, drawn again while r >= n.  The
+    bits, the result and the generator's state after it are those of
+    ``rng.randint``, with one Python frame where it takes three."""
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def _choice(rng: random.Random, seq: Sequence):
+    """rng.choice(seq) for a non-empty seq, drawn as in ``_randint``."""
+    n = len(seq)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
 
 
 class Tower:
@@ -268,11 +305,15 @@ class Tower:
 
     def sample(self, rng: random.Random):
         """A random word of length at most 8 in the top-level generators,
-        each letter a generator or, with probability 1/2, its inverse."""
+        each letter a generator or, with probability 1/2, its inverse.
+        The length and the letters are drawn by ``_randint`` and
+        ``_choice``, which take the bits ``rng.randint`` and ``rng.choice``
+        take and return what they return, with fewer Python frames."""
+        letters, random_ = self.letters, rng.random
         word = []
-        for _ in range(rng.randint(0, 8)):
-            g, g_inv = rng.choice(self.letters)
-            word.append(g_inv if rng.random() < 0.5 else g)
+        for _ in range(_randint(rng, 0, 8)):
+            g, g_inv = _choice(rng, letters)
+            word.append(g_inv if random_() < 0.5 else g)
         return self.family.product(word)
 
     def sample_B(self, rng: random.Random, level: int):
@@ -285,12 +326,12 @@ class Tower:
         """sample_B at a level already checked."""
         n = self.orders[level - 1]
         if level == 1:
-            return n * rng.randint(-3, 3)
+            return n * _randint(rng, -3, 3)
         pairs = [(0, self._sample_B(rng, level - 1))]
         for p in range(1, n):
             if rng.random() < 0.7:
                 pairs.append((p, self._sample_level(rng, level - 1)))
-        return self.families[level - 1].normalize(pairs, n * rng.randint(-2, 2))
+        return self.families[level - 1].normalize(pairs, n * _randint(rng, -2, 2))
 
     def sample_level(self, rng: random.Random, level: int):
         """A random element of the level-th group, an entry at each point
@@ -300,10 +341,10 @@ class Tower:
     def _sample_level(self, rng: random.Random, level: int):
         """sample_level at a level already checked."""
         if level == 1:
-            return rng.randint(-4, 4)
+            return _randint(rng, -4, 4)
         pairs = [(p, self._sample_level(rng, level - 1))
                  for p in range(self.orders[level - 1]) if rng.random() < 0.7]
-        return self.families[level - 1].normalize(pairs, rng.randint(-3, 3))
+        return self.families[level - 1].normalize(pairs, _randint(rng, -3, 3))
 
     def samples(self, sample_size: int, seed: int) -> TowerSamples:
         """The seeded draw that ``check_hom`` checks, from one
@@ -402,6 +443,13 @@ def validate_chain(chain: WitnessChain) -> VerificationReport:
     return report
 
 
+# TowerHom and check_hom key their memos of interned target values by
+# their ids, and each such memo keeps the objects it keys alive, so that no
+# id is reused for another value; a law passes at once on one object.
+_key = id
+_identical = operator.is_
+
+
 class TowerHom:
     """Evaluator for the inductively defined homomorphism from the tower
     into the target family: the bottom level sends m to t_1^m, and each
@@ -411,22 +459,28 @@ class TowerHom:
 
     Per-instance memos hold what the chain fixes: t_level^k per (level,
     k); per level, ^(t_level^p) f(a_p) per (p, a_p) and f(u) per u; and
-    the product of f(u)'s factors per tuple of factor values.  A tower
+    the product of f(u)'s factors per tuple of factor identities.  A tower
     element is one value: ``element`` stores canonical points and
     ``normalize`` sorts the base and drops identity entries, so equal
     elements have equal fields.  The level memos are keyed by those
     fields, (u.base, u.top), or by the int for a level-1 element: a tuple
     key hashes and compares in C, with no record hash for a fresh sample.
     Level 1 needs neither memo, as f(m) is the power t_1^m.
-    ``check_hom`` reads the top level's ``_images`` entry before it calls
-    ``eval``.  At p = 0 the conjugate is f(a_0) itself, with no product.
-    Many tower elements share their factors (at depth 2, a 200-sample draw
-    reaches 300 distinct elements with 8 distinct factor tuples), and the
-    product memo multiplies each distinct tuple once; it needs the
-    target's elements to hash, with ``==`` implying group equality, as
-    ``check_hom``'s memos do.  Each memo is read with one ``dict.get``,
-    which no element value can answer with None, and filled only on a
-    miss."""
+
+    t_level^k for |k| >= 2 is one product from t^(k - 1) or t^(k + 1)
+    when either neighbour is memoized, and ``GroupFamily.power``
+    otherwise, so an element with top 10**6 still costs O(log) products.
+    At p = 0 the conjugate is f(a_0) itself, with no product.  Each power,
+    conjugate and image is interned by value in ``_canon`` when it is
+    built, so equal values are one object.  Many tower elements share
+    their factors (at depth 2, a 200-sample draw reaches 300 distinct
+    elements with 8 distinct factor tuples), and the product memo, keyed
+    by the factors' ``_key``, multiplies each distinct tuple once.
+    Interning needs the target's elements to hash, with ``==`` implying
+    group equality, as ``check_hom`` does.  ``check_hom`` reads the top
+    level's ``_images`` entry before it calls ``eval``.  Each memo is read
+    with one ``dict.get``, which no element value can answer with None,
+    and filled only on a miss."""
 
     def __init__(self, chain: WitnessChain):
         check = validate_chain(chain)
@@ -436,23 +490,38 @@ class TowerHom:
         self.chain = chain
         self.family = chain.family
         depth = self.tower.depth
+        self._canon: dict = {}  # value -> the one object of that value
         self._powers: dict[tuple[int, int], object] = {}
         self._conjugates: tuple[dict, ...] = tuple({} for _ in range(depth))
         self._images: tuple[dict, ...] = tuple({} for _ in range(depth))
         self._products: dict[tuple, object] = {}
 
     def _power(self, level: int, k: int):
-        """t_level^k, computed once per (level, k)."""
-        key = (level, k)
-        power = self._powers.get(key)
+        """t_level^k, built once per (level, k) and interned: t^0, t and
+        t^-1 with no product, and any other power with one product,
+        t^(k - 1) t or t^(k + 1) t^-1, when either neighbour is memoized,
+        else by ``GroupFamily.power``."""
+        powers, key = self._powers, (level, k)
+        power = powers.get(key)
         if power is None:
-            power = self._powers[key] = self.family.power(self.chain.ts[level - 1], k)
+            fam, t = self.family, self.chain.ts[level - 1]
+            if -1 <= k <= 1:
+                power = t if k == 1 else fam.inv(t) if k else fam.identity()
+            else:
+                below = powers.get((level, k - 1))
+                if below is not None:
+                    power = fam.mul(below, t)
+                else:
+                    above = powers.get((level, k + 1))
+                    power = (fam.power(t, k) if above is None
+                             else fam.mul(above, self._power(level, -1)))
+            power = powers[key] = self._canon.setdefault(power, power)
         return power
 
     def _conjugate(self, level: int, p: int, a_p):
         """^(t_level^p) f(a_p) = t^p f(a_p) t^-p, computed once per
-        (level, p, a_p); equal tower elements have equal images.  At p = 0
-        it is f(a_p), and no product is taken."""
+        (level, p, a_p) and interned; equal tower elements have equal
+        images.  At p = 0 it is f(a_p), and no product is taken."""
         key = (p, a_p) if level == 2 else (p, a_p.base, a_p.top)
         conjugates = self._conjugates[level - 1]
         conj = conjugates.get(key)
@@ -461,18 +530,19 @@ class TowerHom:
             if p:
                 fam = self.family
                 conj = fam.mul(fam.mul(self._power(level, p), conj), self._power(level, -p))
+                conj = self._canon.setdefault(conj, conj)
             conjugates[key] = conj
         return conj
 
     def _image(self, u, level: int):
         """f(u) for u in the level-th tower group, level valid and u one
         of its elements, computed once per level and value of u, and its
-        factors multiplied once per tuple of their values."""
+        factors multiplied once per tuple of their identities."""
         if level == 1:
             return self._power(1, u)
         images = self._images[level - 1]
-        key = (u.base, u.top)
-        image = images.get(key)
+        fields = (u.base, u.top)
+        image = images.get(fields)
         if image is None:
             # ascending p; factors commute by the chain invariants.  u's
             # points are canonical, so coordinate p is stored under p
@@ -481,10 +551,12 @@ class TowerHom:
             factors = tuple(self._conjugate(level, p, coordinates.get(p, e))
                             for p in range(self.chain.orders[level - 1]))
             factors += (self._power(level, u.top),)
-            image = self._products.get(factors)
+            key = tuple(map(_key, factors))  # factors live on in _canon
+            image = self._products.get(key)
             if image is None:
-                image = self._products[factors] = self.family.product(factors)
-            images[key] = image
+                image = self.family.product(factors)
+                image = self._products[key] = self._canon.setdefault(image, image)
+            images[fields] = image
         return image
 
     def eval(self, u, level: int | None = None):
@@ -516,14 +588,15 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
     only on a miss.  Verdicts (b) and (c) depend on the sample only
     through its image, so each is decided once per distinct f(a), resp.
     f(b).  In the same way the product f(u)f(v) is taken once per distinct
-    pair (f(u), f(v)).  These memos are dicts local to the call keyed by
-    the values, so they need images to hash, with ``==`` implying group
-    equality, as the shipped families' normal forms do.  Each distinct
-    image is rendered once per report, through report.text, and each
-    distinct sample once per draw, through ``samples.text``, however many
-    chains are checked on it.  f(uv) is always evaluated on the tower
-    product uv, never read off f(u)f(v), and every sample still gets its
-    own record."""
+    pair (f(u), f(v)) and interned in f's ``_canon``, so a law that holds
+    finds f(uv) and f(u)f(v) to be one object and passes with no ``eq``.
+    These memos and the law texts are dicts local to the call keyed by
+    ``_key`` of f's interned images, their identities, and each entry
+    keeps its keyed image alive.  Each distinct image is rendered once per
+    report, through report.text, and each distinct sample once per draw,
+    through ``samples.text``, however many chains are checked on it.
+    f(uv) is always evaluated on the tower product uv, never read off
+    f(u)f(v), and every sample still gets its own record."""
     if not isinstance(samples, TowerSamples):
         raise ValueError(f"samples must be a TowerSamples, got {type(samples).__name__}")
     if samples.orders != f.tower.orders:
@@ -532,8 +605,10 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
     fam = f.family
     hs = f.chain.generators
     a_fam = f.tower.family
+    key, identical, canon = _key, _identical, f._canon
     report = VerificationReport("tower-hom", bounded=True)
-    products: dict = {}  # (f(u), f(v)) -> f(u)f(v)
+    products: dict = {}  # (key f(u), key f(v)) -> (f(u)f(v), its text, f(u), f(v))
+    texts: dict = {}  # key f(uv) -> (its text, f(uv))
     if f.tower.depth == 1:
         image = f.eval
     else:
@@ -544,35 +619,41 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
             return f.eval(u) if value is None else value
 
     for k, (u, v, uv) in enumerate(samples.law):
-        lhs = image(uv)
-        images = (image(u), image(v))
-        rhs = products.get(images)
-        if rhs is None:
-            rhs = products[images] = fam.mul(*images)
-        report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
-                      report.text(fam, lhs), report.text(fam, rhs))
+        lhs, fu, fv = image(uv), image(u), image(v)
+        pair = (key(fu), key(fv))
+        entry = products.get(pair)
+        if entry is None:
+            rhs = fam.mul(fu, fv)
+            rhs = canon.setdefault(rhs, rhs)
+            entry = products[pair] = (rhs, report.text(fam, rhs), fu, fv)
+        rhs, rhs_text = entry[0], entry[1]
+        shown = texts.get(key(lhs))
+        if shown is None:
+            shown = texts[key(lhs)] = (report.text(fam, lhs), lhs)
+        report.record(f"f(uv) = f(u)f(v) [{k}]", identical(lhs, rhs) or fam.eq(lhs, rhs),
+                      shown[0], rhs_text)
 
-    verdicts_i: dict[object, bool] = {}
+    verdicts_i: dict = {}  # key f(a) -> (verdict, f(a))
     for k, a in enumerate(samples.outside):
         fa = image(a)
-        verdict = verdicts_i.get(fa)
-        if verdict is None:
-            verdict = verdicts_i[fa] = all(commutes(fam, h, conjugate(fam, fa, h2))
-                                           for h in hs for h2 in hs)
-        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{k}]", verdict,
+        entry = verdicts_i.get(key(fa))
+        if entry is None:
+            entry = verdicts_i[key(fa)] = (all(commutes(fam, h, conjugate(fam, fa, h2))
+                                               for h in hs for h2 in hs), fa)
+        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{k}]", entry[0],
                       "all generator commutators", "e",
                       detail=f"a = {samples.text(a_fam, a)}")
     if len(samples.outside) < len(samples.law):
         report.record("(i) enough non-member samples", False,
                       str(len(samples.outside)), str(len(samples.law)))
 
-    verdicts_ii: dict[object, bool] = {}
+    verdicts_ii: dict = {}  # key f(b) -> (verdict, f(b))
     for k, b in enumerate(samples.members):
         fb = image(b)
-        verdict = verdicts_ii.get(fb)
-        if verdict is None:
-            verdict = verdicts_ii[fb] = all(commutes(fam, h, fb) for h in hs)
-        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", verdict,
+        entry = verdicts_ii.get(key(fb))
+        if entry is None:
+            entry = verdicts_ii[key(fb)] = (all(commutes(fam, h, fb) for h in hs), fb)
+        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", entry[0],
                       "all generator commutators", "e",
                       detail=f"b = {samples.text(a_fam, b)}")
     return report

@@ -32,6 +32,7 @@ from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
+from ccckit import suites
 from ccckit.core import trusted
 
 from util import revalidates
@@ -292,6 +293,38 @@ def test_pl_compose_across_denominators():
     for a, b in ((f, g), (g, f), (f, t), (t, g), (g, pl.inverse(f))):
         check_pl(a, b)
     assert pl.compose(f, pl.inverse(f)) == pl.IDENTITY
+
+
+@functools.cache
+def _pl_battery_composes(bound):
+    """The distinct (f, g) of every ``compose`` call the pl battery makes at
+    this bound, through ``PlFamily.mul``, in call order."""
+    calls = []
+
+    def recording(f, g):
+        calls.append((f, g))
+        return compose(f, g)
+
+    compose = pl.compose
+    pl.compose = recording
+    try:
+        suites.run_family("pl", bound=bound)
+    finally:
+        pl.compose = compose
+    return list(dict.fromkeys(calls))
+
+
+@pytest.mark.parametrize("bound", [8, 16, 64])
+def test_pl_compose_matches_oracle_on_the_battery_products(bound):
+    """The battery's own products: their denominators run past the 2..32
+    grid of ``pl_map``, and each side is the one rescaled in some call, as
+    the other side's denominator is a multiple of its own."""
+    calls = _pl_battery_composes(bound)
+    assert max(max(f.den, g.den) for f, g in calls) > 10 ** 6
+    assert {(g.den % f.den == 0, f.den % g.den == 0) for f, g in calls} == {(True, False),
+                                                                            (False, True)}
+    for f, g in calls:
+        check_pl(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ FAST_PATHS = {
     # each tower image comes from the definition, with no memo
     "tower-memos": lambda: [(wreath.TowerHom, "_image", lambda self, u, level:
                              image_by_definition(self.chain, self.tower, u, level))],
+    # the tower draw takes rng.randint and rng.choice themselves
+    "draws": lambda: [(wreath, "_randint", lambda rng, a, b: rng.randint(a, b)),
+                      (wreath, "_choice", lambda rng, seq: rng.choice(seq))],
+    # the tower memos are keyed by value, and fam.eq decides every law record
+    "tower-identity": lambda: [(wreath, "_key", lambda x: x),
+                               (wreath, "_identical", lambda a, b: False)],
     # every construction through a module's trusted validates
     "trusted": lambda: [(module, "trusted", _checked) for module in _trusted_bindings()],
 }

@@ -129,12 +129,25 @@ def test_int_mul_rejects_non_integers(a, b):
         w.INT_Z.mul(a, b)
 
 
+@pytest.mark.parametrize("method, args", [
+    ("eq", ("a", "a")), ("eq", (True, 1)), ("eq", (1, True)), ("eq", (1.0, 1)),
+    ("eq", (1, None)), ("render", (1.5,)), ("render", ("1",)), ("render", (False,)),
+    ("is_identity", (0.0,)), ("is_identity", (False,)), ("is_identity", ("0",)),
+], ids=lambda value: repr(value) if isinstance(value, tuple) else value)
+def test_int_family_reads_integers_only(method, args):
+    """eq, render and is_identity refuse a non-integer as mul and inv do,
+    and as every other family refuses a value outside it."""
+    with pytest.raises(FamilyMismatchError):
+        getattr(w.INT_Z, method)(*args)
+
+
 def test_int_family_accepts_int_subclasses_other_than_bool():
     class Int(int):
         pass
 
     assert w.INT_Z.mul(Int(2), 3) == w.INT_Z.mul(3, Int(2)) == 5
     assert w.INT_Z.is_identity(0) and not w.INT_Z.is_identity(Int(1))
+    assert w.INT_Z.eq(Int(2), 2) and w.INT_Z.is_identity(Int(0)) and w.INT_Z.render(Int(7)) == "7"
 
 
 def test_empty_product_is_the_identity():
@@ -288,51 +301,87 @@ def test_tower_hom_oracles():
     assert p.PERM.eq(f(u), expected)
 
 
-class PowerCountingPerm(p.PermFamily):
-    """The permutation family, recording each top-level power call."""
-
-    def __init__(self):
-        self.calls = []
-        self._depth = 0
-
-    def power(self, a, k):
-        if not self._depth:
-            self.calls.append((a, k))
-        self._depth += 1
-        try:
-            return super().power(a, k)
-        finally:
-            self._depth -= 1
-
-
 class LowerEvalCountingHom(w.TowerHom):
-    """A TowerHom recording each evaluation below the top level.  Such an
-    evaluation happens only to build a conjugate ^(t^p) f(a_p), so an
-    element a evaluated at level L more often than there are positions p
-    one level up means some conjugate was computed twice.  Evaluations
-    below the top go through ``_image``, with the level given."""
+    """A TowerHom recording each evaluation below the top level and each
+    power t_level^k it builds.  A lower evaluation happens only to build a
+    conjugate ^(t^p) f(a_p), so an element a evaluated at level L more
+    often than there are positions p one level up means some conjugate was
+    computed twice.  Evaluations below the top go through ``_image``, with
+    the level given.  A build is (level, k, the products the family made
+    meanwhile), listed when it ends; the family must be a ``RecordingPerm``."""
 
     def __init__(self, chain):
         super().__init__(chain)
         self.lower = Counter()
+        self.builds = []
 
     def _image(self, u, level):
         if level < self.tower.depth:
             self.lower[(level, u)] += 1
         return super()._image(u, level)
 
+    def _power(self, level, k):
+        if (level, k) in self._powers:
+            return super()._power(level, k)
+        before = len(self.family.products)
+        power = super()._power(level, k)
+        self.builds.append((level, k, len(self.family.products) - before))
+        return power
+
+
+def binary_powering_products(k: int) -> int:
+    """The products ``GroupFamily.power`` takes for t^k."""
+    k = abs(k)
+    return k.bit_length() + bin(k).count("1") - 2 if k else 0
+
+
+def _recording_power_hom(depth=2):
+    plain = perm_chain(depth)
+    fam = RecordingPerm()
+    f = LowerEvalCountingHom(w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
+    fam.products.clear()  # the chain validation's own
+    return f, plain
+
 
 def test_tower_hom_computes_each_power_once():
-    plain = perm_chain()
-    fam = PowerCountingPerm()
-    f = LowerEvalCountingHom(w.WitnessChain(fam, plain.generators, plain.ts, plain.orders))
-    fam.calls.clear()  # the chain validation powers t_i itself
+    """Each t_level^k is built once: t^0, t and t^-1 with no product, any
+    other by one product from a neighbour t^(k - 1) or t^(k + 1) built
+    before it, else by binary powering, and some are built from a
+    neighbour for fewer products than powering would take."""
+    f, plain = _recording_power_hom()
     drawn = f.tower.samples(20, 4)
     report = w.check_hom(f, drawn)
-    assert fam.calls and len(fam.calls) == len(set(fam.calls))
+    built = [(level, k) for level, k, _ in f.builds]
+    assert built and len(built) == len(set(built))
+    saved = 0
+    for i, (level, k, products) in enumerate(f.builds):
+        if abs(k) <= 1:
+            assert products == 0
+        elif {(level, k - 1), (level, k + 1)} & set(built[:i]):
+            assert products == 1
+            saved += binary_powering_products(k) > 1
+        else:
+            assert products <= binary_powering_products(k)
+    assert saved
     assert f.lower and all(count <= plain.orders[level] for (level, _), count in f.lower.items())
     expected = w.check_hom(w.TowerHom(plain), drawn)
     assert report.to_dict() == expected.to_dict()
+
+
+def test_a_large_top_costs_no_more_products_than_binary_powering():
+    """f of the shift to the 10**6 builds t_2^(10**6) by binary powering,
+    not through its neighbours, and the next top up takes one product."""
+    f, plain = _recording_power_hom()
+    shift = f.tower.family.element([], top=10 ** 6)
+    image = f(shift)
+    assert plain.family.eq(image, plain.family.power(plain.ts[1], 10 ** 6))
+    [(k, products)] = [(k, products) for level, k, products in f.builds if abs(k) > 1]
+    assert k == 10 ** 6 and products <= binary_powering_products(k) == 25
+    # two products for the conjugate at p = 1, two for the three factors
+    assert len(f.family.products) <= binary_powering_products(k) + 4
+    f.builds.clear()
+    f(f.tower.family.element([], top=10 ** 6 + 1))
+    assert [(level, k, products) for level, k, products in f.builds] == [(2, 10 ** 6 + 1, 1)]
 
 
 @functools.cache
@@ -692,6 +741,41 @@ def test_closure_negative_control(label):
     assert verify_ccc(H, Witness(H.family.identity(), Finite(2))).passed == (label == "iet")
 
 
+def oracle_sample(tower, rng):
+    """Tower.sample as it drew before ``_randint``/``_choice``: the length
+    and the letters from ``rng.randint`` and ``rng.choice`` themselves."""
+    word = []
+    for _ in range(rng.randint(0, 8)):
+        g, g_inv = rng.choice(tower.letters)
+        word.append(g_inv if rng.random() < 0.5 else g)
+    return tower.family.product(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 64), st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                                                    st.integers(0, 2 ** 70)), max_size=5),
+       st.lists(st.integers(), min_size=1, max_size=40))
+def test_draw_helpers_take_the_bits_of_random(seed, ranges, letters):
+    """_randint(rng, a, b) and _choice(rng, seq) return what rng.randint(a, b)
+    and rng.choice(seq) return on a twin generator, and leave both in one
+    state, over widths of one outcome to past 2**64."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    for a, width in ranges + [(0, 0), (-4, 8)]:
+        assert w._randint(rng, a, a + width) == twin.randint(a, a + width)
+        assert w._choice(rng, letters) == twin.choice(letters)
+    assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([(2,), (2, 2), (2, 3), (3, 2, 2)]), st.integers(0, 2 ** 32))
+def test_sample_draws_what_randint_and_choice_draw(orders, seed):
+    tower = w.Tower(orders)
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert tower.sample(rng) == oracle_sample(tower, twin)
+    assert rng.getstate() == twin.getstate()
+
+
 def test_sample_B_elements_are_members():
     rng = random.Random(9)
     for orders in ((2, 2), (2, 2, 2), (2, 3, 2)):
@@ -731,9 +815,10 @@ def test_tower_checks_a_level_once_per_public_call(monkeypatch):
 
 class ScanWreath(w.WreathFamily):
     """A wreath product over Z/n as it was before points were canonical:
-    ``element`` keeps the points it is given, ``normalize`` merges entries
-    by a quadratic scan with a point equality predicate and sorts by point
-    mod n, and ``value_at``/``eq`` look points up through that predicate.
+    ``element`` keeps the points it is given, ``mul`` appends v's points
+    moved by u's top and unreduced, ``normalize`` merges entries by a
+    quadratic scan with a point equality predicate and sorts by point mod
+    n, and ``value_at``/``eq`` look points up through that predicate.
 
     Raw points may be negative or repeat mod n, so a base sorted by point
     mod n need not ascend as ints; ``WreathElement`` refuses such a base,
@@ -758,6 +843,9 @@ class ScanWreath(w.WreathFamily):
 
     def element(self, pairs, top=0):
         return self.normalize(list(pairs), top)
+
+    def mul(self, u, v):
+        return self.normalize(list(u.base) + [(u.top + x, g) for x, g in v.base], u.top + v.top)
 
     def value_at(self, u, x):
         for y, g in u.base:
