@@ -199,6 +199,7 @@ class BraidFamily(GroupFamily):
         return braids_equal(a, b)
 
     def render(self, a):
+        self.check_element(a)
         return str(a)
 
     def support(self, a):

@@ -158,7 +158,9 @@ class GroupFamily(abc.ABC):
         A support must be sound, not tight, and equal elements may have
         different ones, so verify_ccc may certify a conjugate's records by
         the support of an element it is claimed, and checked, to equal.
-        An override raises FamilyMismatchError as check_element does."""
+        Like every method that takes an element, it calls check_element
+        first, so an element of another family raises FamilyMismatchError."""
+        self.check_element(a)
         return None
 
     def product(self, elements: Iterable) -> object:
@@ -333,7 +335,8 @@ class VerificationReport:
     def text(self, family: GroupFamily, value: object) -> str:
         """family.render(value), rendered once per report and (family,
         value): values hash, and equal values render alike, as GroupFamily
-        requires."""
+        requires.  The memo pays for itself in check_hom: a law that holds
+        has its lhs and rhs as one interned value, which is rendered once."""
         key = (family, value)
         text = self._texts.get(key)
         if text is None:

@@ -279,4 +279,5 @@ class FreeAutFamily(GroupFamily):
         return 1, runs(sorted(letters))
 
     def render(self, a):
+        self.check_element(a)
         return "; ".join(f"x{i} -> {render_word(w)}" for i, w in enumerate(a.images, start=1))

@@ -248,6 +248,7 @@ class IetFamily(GroupFamily):
         return a.den, tuple((lo, hi) for lo, hi, t in zip(a.cuts, a.cuts[1:], a.shifts) if t)
 
     def render(self, a):
+        self.check_element(a)
         return render_iet(a)
 
     def __reduce__(self):

@@ -460,6 +460,7 @@ class MatrixFamily(GroupFamily):
         return 1, runs(_active_indices(a))
 
     def render(self, a):
+        self.check_element(a)
         return render_matrix(a)
 
 

@@ -139,6 +139,7 @@ class PermFamily(GroupFamily):
         return 1, runs(p for p, _ in a.mapping)
 
     def render(self, a):
+        self.check_element(a)
         return render_cycles(a)
 
     def __reduce__(self):

@@ -317,6 +317,7 @@ class PlFamily(GroupFamily):
         return a == b
 
     def render(self, a):
+        self.check_element(a)
         return render_pl(a)
 
     def __reduce__(self):

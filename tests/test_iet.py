@@ -125,12 +125,3 @@ def test_render():
 def test_apply_rejects_negative():
     with pytest.raises(ValueError):
         iet.apply(iet.IDENTITY, -1)
-
-
-def test_family_laws():
-    rng = random.Random(0)
-    a, b, c = (random_iet(rng) for _ in range(3))
-    fam = iet.IET
-    assert fam.eq(fam.mul(fam.mul(a, b), c), fam.mul(a, fam.mul(b, c)))
-    assert fam.is_identity(fam.mul(a, fam.inv(a)))
-    assert fam.eq(fam.power(a, 3), fam.mul(a, fam.mul(a, a)))

@@ -11,12 +11,10 @@ nothing.
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccckit import braid as braidmod
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import matrixring as mat
@@ -24,45 +22,20 @@ from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit import wreath as w
 from ccckit.core import GeneratorSet, GroupFamily, replace, trusted
-from ccckit.perm import PERM, perm_from_cycles
+from ccckit.perm import PERM
 
+from families import FAMILIES
 from test_records import IDS, RECORDS
-from util import products_of
 
 
-def _tower_elements(depth: int):
-    tower = w.Tower((2,) * depth)
-    fam = tower.family
-    gens = tower.generators[-1]
-    return products_of(fam, list(gens) + [fam.inv(g) for g in gens], max_size=6)
+_MAT_Z5 = mat.MatrixFamily(3, 5)
 
-
-_MAT_Z, _MAT_Z5 = mat.MatrixFamily(3), mat.MatrixFamily(3, 5)
-_BRAID_4 = braidmod.BraidFamily(4)
-_AUT_3 = fg.FreeAutFamily(3)
-
-# element type -> strategy for its elements
+# element type -> strategy for its elements: the registered families whose
+# elements are records, and free words
 ELEMENTS = {
-    "perm": products_of(PERM, [perm_from_cycles([[1, 2, 3]]), perm_from_cycles([[1, 2]]),
-                               perm_from_cycles([[3, 4, 5, 6]])]),
-    "matrix over Z": products_of(_MAT_Z, [mat.elementary(3, i, j, r) for i in range(1, 4)
-                                          for j in range(1, 4) for r in (1, -2) if i != j]),
-    "matrix over Z/5": products_of(_MAT_Z5, [mat.elementary(3, i, j, r, 5)
-                                             for i in range(1, 4) for j in range(1, 4)
-                                             for r in (1, 3) if i != j]),
-    "braid word": products_of(_BRAID_4, [braidmod.braid(4, (x,))
-                                         for x in (1, 2, 3, -1, -2, -3)]),
+    **{name: f.elements for name, f in FAMILIES.items() if name != "Z"},
     "free word": st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=8).map(
         lambda letters: fg.word(3, letters)),
-    "free automorphism": products_of(_AUT_3, [fg.nielsen_aut(3, 1, 2), fg.inversion_aut(3, 2),
-                                              fg.permutation_aut(3, {1: 2, 2: 3, 3: 1})]),
-    "iet": products_of(ietmod.IET, [ietmod.rotation(Fraction(3, 2), Fraction(1, 2)),
-                                    ietmod.rotation(2, Fraction(1, 3)),
-                                    ietmod.block_exchange(Fraction(3, 4))]),
-    "pl": products_of(pl.PL, [pl.bump(Fraction(a, 16), Fraction(b, 16))
-                              for a, b in ((1, 5), (2, 9), (7, 15))]
-                      + [pl.displacement_witness("1/4", "1/2").t]),
-    **{f"wreath depth {d}": _tower_elements(d) for d in (2, 3, 4)},
 }
 
 

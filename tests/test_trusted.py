@@ -5,10 +5,11 @@ their results with ``core.trusted``, which skips ``__post_init__``.  Each
 property here re-runs the public validation on such results:
 ``core.replace(x)`` constructs a fresh instance from x's fields through
 the public constructor, so it raises on any broken invariant, and it must
-equal x.
+equal x.  The results of every registered family's operations are checked
+by the law suite (test_laws.py); here are the builders, free words,
+inverses of elementary products and the kernels' merging cases.
 """
 
-import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -20,36 +21,11 @@ from ccckit import matrixring as m
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 
-from util import random_iet, random_perm, revalidates
-
-
-seeds = st.integers(min_value=0, max_value=10_000)
+from util import revalidates
 
 
 # ---------------------------------------------------------------------------
 # Matrices over Z and Z/m
-
-
-@st.composite
-def matrix_pair(draw):
-    n = draw(st.integers(min_value=0, max_value=4))
-    modulus = draw(st.sampled_from([None, 2, 5, 6, 12]))
-    entries = st.integers(min_value=-20, max_value=20)
-    a, b = ([[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(2))
-    return m.matrix(a, modulus), m.matrix(b, modulus)
-
-
-@settings(max_examples=150, deadline=None)
-@given(matrix_pair())
-def test_matrix_mul_and_inv_revalidate(pair):
-    a, b = pair
-    product = m.mat_mul(a, b)
-    assert revalidates(product)
-    try:
-        inverse = m.mat_inv(product)
-    except m.NotInvertibleError:
-        return
-    assert revalidates(inverse)
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,7 +43,7 @@ def test_elementary_products_invert_to_valid_matrices(n, modulus, steps):
 
 
 # ---------------------------------------------------------------------------
-# Free words, automorphisms and braids
+# Free words
 
 
 letters_st = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20)
@@ -84,67 +60,8 @@ def test_word_mul_and_inv_revalidate(a, b):
         assert revalidates(fg._substitute_images((u, v, u), fg.word(3, letters)))
 
 
-def _random_aut(rng: random.Random, rank: int, length: int) -> fg.FreeAutomorphism:
-    phi = fg.identity_aut(rank)
-    for _ in range(length):
-        i, j = rng.sample(range(1, rank + 1), 2)
-        move = rng.choice([fg.nielsen_aut(rank, i, j), fg.inversion_aut(rank, i),
-                           fg.permutation_aut(rank, {i: j, j: i})])
-        phi = fg.aut_compose(phi, move if rng.random() < 0.5 else fg.aut_inverse(move))
-    return phi
-
-
-@settings(max_examples=60, deadline=None)
-@given(seeds, st.integers(min_value=2, max_value=4))
-def test_aut_compose_and_inverse_revalidate(seed, rank):
-    rng = random.Random(seed)
-    phi, psi = _random_aut(rng, rank, 6), _random_aut(rng, rank, 6)
-    fam = fg.FreeAutFamily(rank)
-    for x in (phi, psi, fam.mul(phi, psi), fam.inv(phi), fam.power(psi, 3)):
-        assert revalidates(x)
-    w = fg.word(rank, [rng.choice([1, -1, 2, -2]) for _ in range(6)])
-    assert revalidates(fg._substitute_images(phi.images, w))
-
-
-@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12),
-       st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12))
-def test_braid_mul_and_inv_revalidate(a, b):
-    fam = braidmod.BraidFamily(4)
-    u, v = braidmod.braid(4, a), braidmod.braid(4, b)
-    assert revalidates(fam.mul(u, v))
-    assert revalidates(fam.inv(u))
-    assert revalidates(fam.power(u, 5))
-
-
 # ---------------------------------------------------------------------------
-# Permutations
-
-
-def perm_revalidates(x: permmod.FinPerm) -> bool:
-    return permmod.perm_from_mapping(dict(x.mapping)) == x and revalidates(x)
-
-
-@given(seeds, st.integers(min_value=1, max_value=8))
-def test_perm_compose_and_inverse_revalidate(seed, n):
-    rng = random.Random(seed)
-    a, b = random_perm(rng, n), random_perm(rng, n)
-    for x in (permmod.compose(a, b), permmod.inverse(a), permmod.compose(a, permmod.inverse(a)),
-              permmod.PERM.power(b, 4)):
-        assert perm_revalidates(x)
-
-
-# ---------------------------------------------------------------------------
-# Interval exchanges and PL maps
-
-
-@settings(max_examples=80, deadline=None)
-@given(seeds, seeds)
-def test_iet_compose_and_inverse_revalidate(s1, s2):
-    rng = random.Random(s1 * 100003 + s2)
-    f, g = random_iet(rng), random_iet(rng)
-    for x in (ietmod.compose(f, g), ietmod.inverse(f), ietmod.compose(f, ietmod.inverse(f)),
-              ietmod.IET.power(g, 3)):
-        assert revalidates(x)
+# Interval exchanges and PL maps: merging in compose
 
 
 def test_iet_compose_merges_equal_translations():
@@ -154,22 +71,6 @@ def test_iet_compose_merges_equal_translations():
     h = ietmod.compose(f, g)
     assert revalidates(h)
     assert h == ietmod.rotation(3, 1) and h.breakpoints == (0, 2, 3)
-
-
-@st.composite
-def pl_map(draw):
-    k = draw(st.integers(min_value=0, max_value=4))
-    xs = sorted(draw(st.sets(st.integers(1, 31), min_size=k, max_size=k)))
-    ys = sorted(draw(st.sets(st.integers(1, 31), min_size=k, max_size=k)))
-    return pl.make_pl([(0, 0)] + [(Fraction(x, 32), Fraction(y, 32)) for x, y in zip(xs, ys)]
-                      + [(1, 1)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(pl_map(), pl_map())
-def test_pl_compose_and_inverse_revalidate(f, g):
-    for x in (pl.compose(f, g), pl.inverse(f), pl.compose(f, pl.inverse(f)), pl.PL.power(g, 3)):
-        assert revalidates(x)
 
 
 def test_pl_compose_drops_collinear_vertices():
@@ -184,6 +85,10 @@ def test_pl_compose_drops_collinear_vertices():
 
 
 moduli = st.sampled_from([None, 2, 5, 6, 12])
+
+
+def perm_revalidates(x: permmod.FinPerm) -> bool:
+    return permmod.perm_from_mapping(dict(x.mapping)) == x and revalidates(x)
 
 
 @settings(max_examples=100, deadline=None)

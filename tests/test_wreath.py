@@ -4,13 +4,11 @@ import json
 import pickle
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit import cli, suites
-from ccckit import iet as ietmod
 from ccckit import perm as p
 from ccckit import wreath as w
 from ccckit import core
@@ -18,8 +16,9 @@ from ccckit.core import (FamilyMismatchError, Finite, VerificationReport, Witnes
                          commutes, conjugate, trusted, verify_ccc)
 from ccckit.suites import iet_chain, perm_chain
 
+from families import revalidates, wreath_oracle_mul
 from util import (CLOSURE_LABELS, closure_engine_inputs, coset_index, extended_image,
-                  factors_by_definition, image_by_definition, revalidates)
+                  factors_by_definition, image_by_definition)
 
 
 def lamp() -> w.WreathFamily:
@@ -35,13 +34,6 @@ def test_wreath_multiplication_oracle():
     assert uv.top == 2
     assert fam.value_at(uv, 0) == 1
     assert fam.value_at(uv, 1) == 5
-
-
-def test_wreath_inverse_law():
-    fam = lamp()
-    u = fam.element([(0, 3), (1, -2)], top=5)
-    assert fam.is_identity(fam.mul(u, fam.inv(u)))
-    assert fam.is_identity(fam.mul(fam.inv(u), u))
 
 
 def test_normalization():
@@ -914,31 +906,7 @@ def test_keyed_normal_form_matches_scan_oracle(data):
 
 
 # ---------------------------------------------------------------------------
-# The pairwise product, kept as an oracle for the one-merge product
-
-
-def oracle_mul(fam, u, v):
-    """u v as WreathFamily.mul took it before ``product``: v's points moved
-    by u's top, appended to u's base and merged pairwise, with the entries
-    of nested levels multiplied by this oracle too and the result built
-    through the validating constructor."""
-    if not isinstance(fam, w.WreathFamily):
-        return fam.mul(u, v)
-    base = fam.base_family
-    pairs = list(u.base) + [((u.top + x) % fam.n, g) for x, g in v.base]
-    merged = {}
-    for x, g in pairs:
-        merged[x] = oracle_mul(base, merged[x], g) if x in merged else g
-    return w.WreathElement(
-        tuple(sorted((x, g) for x, g in merged.items() if not base.eq(g, base.identity()))),
-        u.top + v.top)
-
-
-def _revalidates_at_every_level(fam, u):
-    if not isinstance(fam, w.WreathFamily):
-        return True
-    return revalidates(u) and all(_revalidates_at_every_level(fam.base_family, g)
-                                  for _, g in u.base)
+# The one-merge product against the pairwise product (families.wreath_oracle_mul)
 
 
 @settings(max_examples=150, deadline=None)
@@ -950,11 +918,11 @@ def test_product_matches_pairwise_oracle(data):
     fam = fams[-1]
     raws = data.draw(st.lists(_raw_tower_element(tower.depth), max_size=8))
     word = [_build(fams, raw) for raw in raws]
-    expected = functools.reduce(functools.partial(oracle_mul, fam), word, fam.identity())
+    expected = functools.reduce(functools.partial(wreath_oracle_mul, fam), word, fam.identity())
     got = fam.product(word)
-    assert got == expected and _revalidates_at_every_level(fam, got)
+    assert got == expected and revalidates(fam, got)
     if len(word) >= 2:
-        assert fam.mul(word[0], word[1]) == oracle_mul(fam, word[0], word[1])
+        assert fam.mul(word[0], word[1]) == wreath_oracle_mul(fam, word[0], word[1])
 
 
 # ---------------------------------------------------------------------------
