@@ -34,6 +34,13 @@ def _perm_of(images):
 perm_st = st.permutations(list(range(1, 6))).map(_perm_of)
 
 
+@given(perm_st, perm_st, perm_st)
+def test_group_laws(a, b, c):
+    assert PERM.eq(PERM.mul(PERM.mul(a, b), c), PERM.mul(a, PERM.mul(b, c)))
+    assert PERM.eq(PERM.mul(a, PERM.identity()), a)
+    assert PERM.is_identity(PERM.mul(a, PERM.inv(a)))
+
+
 def test_commutator_convention():
     # [a, b] = a b a^-1 b^-1 with right-to-left composition
     a = perm_from_cycles([[1, 2]])

@@ -50,6 +50,12 @@ def test_direct_construction_validates(mapping):
 
 
 @given(perm_st, perm_st)
+def test_inverse_and_composition(a, b):
+    assert p.compose(a, p.inverse(a)) == p.IDENTITY
+    assert p.inverse(p.compose(a, b)) == p.compose(p.inverse(b), p.inverse(a))
+
+
+@given(perm_st, perm_st)
 def test_sign_is_multiplicative(a, b):
     assert sign(p.compose(a, b)) == sign(a) * sign(b)
 
