@@ -4,13 +4,16 @@ A braid on n strands is a word in the Artin generators sigma_1..sigma_(n-1),
 stored as signed indices.  Equality is decided by the action of the braid
 group on the Dynnikov coordinates of an integral lamination (Dynnikov, Russ.
 Math. Surveys 57, 2002; Dehornoy-Dynnikov-Rolfsen-Wiest, *Ordering Braids*,
-ch. XII): each letter updates at most two coordinate pairs with a few
-max/min operations, the bit length of the coordinates grows at most
+ch. XII): each letter updates at most two coordinate pairs in a few
+integer operations, the bit length of the coordinates grows at most
 linearly with word length, and only the trivial braid fixes the starting
-coordinates, so equality is exact at any length.  The induced automorphism of a free group
-(``artin_action``) is kept as a slow, independent oracle; its images grow
-exponentially with word length.  A word's support is the strands its
-letters cross, read off the word (``BraidFamily.support``).
+coordinates, so equality is exact at any length.  ``_dynnikov`` writes
+each of the four update rules (sigma_1, sigma_1^-1, sigma_i, sigma_i^-1)
+as one straight-line branch; tests/test_braid.py keeps the rules as
+published, with max and min, as its oracle.  The induced automorphism of
+a free group (``artin_action``) is kept as a slow, independent oracle; its
+images grow exponentially with word length.  A word's support is the
+strands its letters cross, read off the word (``BraidFamily.support``).
 """
 
 from __future__ import annotations
@@ -101,33 +104,64 @@ def _dynnikov(strands: int, letters) -> tuple[tuple[int, ...], tuple[int, ...]]:
     With m = n + 1 punctures there are m - 2 = n - 1 pairs (a_k, b_k),
     starting from (0, ..., 0; -1, ..., -1).  The extra puncture keeps the
     full twist, which generates the center of B_n, from fixing the start.
-    Two words are equal in B_n iff their coordinates agree.  Letter +-1
-    acts on pair 1 and letter +-i (1 < i < n) on pairs (p, q) = i - 1 and
-    (P, Q) = i, with the update rules of Dehornoy-Dynnikov-Rolfsen-Wiest,
-    ch. XII, and Hall-Yurttas, Topology Appl. 156 (2009); q+ = max(q, 0)
-    and q- = min(q, 0).
+    Two words are equal in B_n iff their coordinates agree.
+
+    Each letter is straight-line integer code, one branch per rule of
+    Dehornoy-Dynnikov-Rolfsen-Wiest, ch. XII, and Hall-Yurttas, Topology
+    Appl. 156 (2009): letter 1 (sigma_1) and letter -1 (sigma_1^-1) act on
+    pair 1; letter i > 1 (sigma_i) and letter -i (sigma_i^-1) act on pairs
+    (p, q) = i - 1 and (P, Q) = i.  q+ = max(q, 0) and q- = min(q, 0) come
+    from one sign test of q, and every other max(v, 0) or min(v, 0) of the
+    rules is written ``v if v > 0`` or ``v if v < 0``.  The rules as
+    published, with max and min, are the oracle of this function in
+    tests/test_braid.py.
     """
     a = [0] * (strands - 1)
     b = [-1] * (strands - 1)
     for x in letters:
-        i = abs(x)
-        if i == 1:
+        if x == 1 or x == -1:
             p, q = a[0], b[0]
-            if x > 0:
-                a[0], b[0] = q - max(max(q, 0) - p, 0), max(q, 0) - p
-            else:
-                a[0], b[0] = -q + max(p + max(q, 0), 0), p + max(q, 0)
+            qp = q if q > 0 else 0
+            if x > 0:  # sigma_1: b' = q+ - p, a' = q - max(b', 0)
+                t = qp - p
+                a[0] = q - t if t > 0 else q
+            else:  # sigma_1^-1: b' = p + q+, a' = -q + max(b', 0)
+                t = p + qp
+                a[0] = t - q if t > 0 else -q
+            b[0] = t
             continue
-        p, q, P, Q = a[i - 2], b[i - 2], a[i - 1], b[i - 1]
-        qp, qm, Qp, Qm = max(q, 0), min(q, 0), max(Q, 0), min(Q, 0)
-        if x > 0:
-            c = p - P + Qp - qm
-            a[i - 2], b[i - 2] = p + qp + max(Qp - c, 0), Q - max(c, 0)
-            a[i - 1], b[i - 1] = P + Qm + min(qm + c, 0), q + max(c, 0)
+        j = (x if x > 0 else -x) - 2
+        k = j + 1
+        p, q = a[j], b[j]
+        P, Q = a[k], b[k]
+        if q > 0:
+            qp, qm = q, 0
         else:
+            qp, qm = 0, q
+        if Q > 0:
+            Qp, Qm = Q, 0
+        else:
+            Qp, Qm = 0, Q
+        if x > 0:  # sigma_i, with c = p - P + Q+ - q-
+            c = p - P + Qp - qm
+            t = Qp - c  # a' = p + q+ + max(Q+ - c, 0)
+            a[j] = p + qp + t if t > 0 else p + qp
+            t = qm + c  # A' = P + Q- + min(q- + c, 0)
+            a[k] = P + Qm + t if t < 0 else P + Qm
+            if c > 0:  # b' = Q - max(c, 0), B' = q + max(c, 0)
+                b[j], b[k] = Q - c, q + c
+            else:
+                b[j], b[k] = Q, q
+        else:  # sigma_i^-1, with d = p - P - Q+ + q-
             d = p - P - Qp + qm
-            a[i - 2], b[i - 2] = p - qp - max(Qp + d, 0), Q + min(d, 0)
-            a[i - 1], b[i - 1] = P - Qm - min(qm - d, 0), q - min(d, 0)
+            t = Qp + d  # a' = p - q+ - max(Q+ + d, 0)
+            a[j] = p - qp - t if t > 0 else p - qp
+            t = qm - d  # A' = P - Q- - min(q- - d, 0)
+            a[k] = P - Qm - t if t < 0 else P - Qm
+            if d < 0:  # b' = Q + min(d, 0), B' = q - min(d, 0)
+                b[j], b[k] = Q + d, q - d
+            else:
+                b[j], b[k] = Q, q
     return tuple(a), tuple(b)
 
 

@@ -166,9 +166,12 @@ class GroupFamily(abc.ABC):
     def product(self, elements: Iterable) -> object:
         """a_1 a_2 ... a_k, and the identity for no elements: the left fold
         of ``mul`` from ``identity()``, which starts at a_1 = e a_1 and so
-        makes k - 1 products."""
+        makes k - 1 products.  a_1 is checked here, as ``mul`` checks every
+        later factor, so a one-element product refuses a foreign element
+        too."""
         elements = iter(elements)
         for first in elements:
+            self.check_element(first)
             return functools.reduce(self.mul, elements, first)
         return self.identity()
 

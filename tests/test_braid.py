@@ -127,6 +127,83 @@ def test_dynnikov_start_and_identity():
             assert b._dynnikov(n, (-i, i)) == b._dynnikov(n, ())
 
 
+def oracle_dynnikov(strands, letters):
+    """The update rules of Dehornoy-Dynnikov-Rolfsen-Wiest, ch. XII, as
+    published, with max and min: the former ``braid._dynnikov``."""
+    a = [0] * (strands - 1)
+    b = [-1] * (strands - 1)
+    for x in letters:
+        i = abs(x)
+        if i == 1:
+            p, q = a[0], b[0]
+            if x > 0:
+                a[0], b[0] = q - max(max(q, 0) - p, 0), max(q, 0) - p
+            else:
+                a[0], b[0] = -q + max(p + max(q, 0), 0), p + max(q, 0)
+            continue
+        p, q, P, Q = a[i - 2], b[i - 2], a[i - 1], b[i - 1]
+        qp, qm, Qp, Qm = max(q, 0), min(q, 0), max(Q, 0), min(Q, 0)
+        if x > 0:
+            c = p - P + Qp - qm
+            a[i - 2], b[i - 2] = p + qp + max(Qp - c, 0), Q - max(c, 0)
+            a[i - 1], b[i - 1] = P + Qm + min(qm + c, 0), q + max(c, 0)
+        else:
+            d = p - P - Qp + qm
+            a[i - 2], b[i - 2] = p - qp - max(Qp + d, 0), Q + min(d, 0)
+            a[i - 1], b[i - 1] = P - Qm - min(qm - d, 0), q - min(d, 0)
+    return tuple(a), tuple(b)
+
+
+def _dynnikov_agrees(n, letters):
+    coordinates = b._dynnikov(n, letters)
+    assert coordinates == oracle_dynnikov(n, letters), (n, letters)
+    return coordinates
+
+
+@st.composite
+def _strands_and_words(draw):
+    """A strand count in 1..10 and a word of up to 250 letters on it."""
+    n = draw(st.integers(1, 10))
+    if n == 1:
+        return n, ()
+    length = draw(st.integers(0, 250))
+    letter = st.sampled_from([s * i for i in range(1, n) for s in (1, -1)])
+    return n, tuple(draw(st.lists(letter, min_size=length, max_size=length)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strands_and_words())
+def test_dynnikov_matches_the_published_rules(case):
+    _dynnikov_agrees(*case)
+
+
+def test_dynnikov_kernel_cases():
+    assert _dynnikov_agrees(1, ()) == ((), ())
+    # sigma_1^+-k on 2 and 3 strands
+    for k in (1, 2, 250):
+        assert _dynnikov_agrees(2, (1,) * k) == ((-1,), (k - 1,))
+        assert _dynnikov_agrees(2, (-1,) * k) == ((1,), (k - 1,))
+        assert _dynnikov_agrees(3, (1,) * k) == ((-1, 0), (k - 1, -1))
+        assert _dynnikov_agrees(3, (-1,) * k) == ((1, 0), (k - 1, -1))
+    # Delta^16 on 6 strands, 240 letters: central, so its coordinates grow
+    # only linearly
+    twist = _half_twist(6) * 16
+    assert _dynnikov_agrees(6, twist) == ((-1, -2, -3, -4, -5), (0, 0, 0, 0, 75))
+    # the pseudo-Anosov (sigma_1 sigma_2^-1)^k: coordinates of hundreds of bits
+    for n in (3, 6):
+        a, c = _dynnikov_agrees(n, (1, -2) * 250)
+        assert max(abs(v) for v in a + c).bit_length() > 300
+    # words that start with a negative letter
+    rng = random.Random(3)
+    for n in range(2, 8):
+        for first in range(1, n):
+            w = (-first,) + tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                  for _ in range(40))
+            _dynnikov_agrees(n, w)
+            assert _dynnikov_agrees(n, w + _inverse(w)) == b._dynnikov(n, ())
+        _dynnikov_agrees(n, tuple(range(-1, -n, -1)) * 30)
+
+
 def test_letter_range_validation():
     with pytest.raises(ValueError):
         b.braid(3, (3,))

@@ -15,6 +15,10 @@ The integer ``plhomeo.apply`` is checked the same way against
 ``_pl_apply``, the linear scan over the ``Fraction`` vertices that the
 former ``apply`` computed.
 
+``perm.compose``, one merge of two ascending mappings, is checked against
+two oracles: a point-by-point scan of the union of the supports, and the
+dict-and-sort compose that the merge replaced.
+
 Free-group substitution is checked the same way against the former
 ``_substitute_images``, which concatenates the images, builds an inverse
 word per negative letter and freely reduces the whole list at the end;
@@ -85,6 +89,14 @@ def oracle_pl_compose(f: pl.PlMap, g: pl.PlMap) -> pl.PlMap:
 def oracle_perm_compose(a: permmod.FinPerm, b: permmod.FinPerm) -> permmod.FinPerm:
     images = ((x, a(b(x))) for x in set(a.support) | set(b.support))
     return trusted(permmod.FinPerm, tuple(sorted((x, y) for x, y in images if x != y)))
+
+
+def oracle_perm_compose_dict_sort(a: permmod.FinPerm, b: permmod.FinPerm) -> permmod.FinPerm:
+    """The former ``perm.compose``: a dict of every image, then a sort of
+    every moved point."""
+    a_images = dict(a.mapping)
+    images = a_images | {x: a_images.get(y, y) for x, y in b.mapping}
+    return trusted(permmod.FinPerm, tuple(sorted((x, y) for x, y in images.items() if x != y)))
 
 
 def oracle_substitute_images(images, w: fg.FreeWord) -> fg.FreeWord:
@@ -349,12 +361,58 @@ def test_perm_compose_matches_oracle(a, b):
     assert permmod.perm_from_mapping(dict(c.mapping)) == c and revalidates(c)
 
 
+def check_perm(a, b):
+    c = permmod.compose(a, b)
+    assert c == oracle_perm_compose(a, b) == oracle_perm_compose_dict_sort(a, b)
+    assert revalidates(c)
+    return c
+
+
+@st.composite
+def windowed_perm(draw):
+    """A permutation of up to 24 points in a window of 40 that starts
+    anywhere in 1..60, so that two draws' supports may interleave, overlap,
+    or lie wholly before or after each other."""
+    start = draw(st.integers(1, 60))
+    points = draw(st.lists(st.integers(start, start + 39), unique=True, max_size=24))
+    return permmod.perm_from_mapping(dict(zip(points, draw(st.permutations(points)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(permmod.IDENTITY), windowed_perm()), windowed_perm())
+def test_perm_merge_matches_both_oracles(a, b):
+    check_perm(a, b)
+    check_perm(b, a)
+
+
+def test_perm_merge_cases():
+    cyc = permmod.perm_from_cycles
+    # points 1 and 2 are moved by both and fixed by the composite
+    assert check_perm(cyc([[1, 2], [3, 4]]), cyc([[1, 2], [5, 6]])) == cyc([[3, 4], [5, 6]])
+    assert check_perm(cyc([[1, 2, 3]]), cyc([[1, 3, 2]])) == permmod.IDENTITY
+    # a's points lie after b's last point, and before b's first
+    assert (check_perm(cyc([[10, 11], [12, 13]]), cyc([[1, 2]]))
+            == cyc([[1, 2], [10, 11], [12, 13]]))
+    assert check_perm(cyc([[1, 2]]), cyc([[10, 11]])) == cyc([[1, 2], [10, 11]])
+    # interleaved supports
+    assert check_perm(cyc([[1, 3, 5]]), cyc([[2, 4, 6]])) == cyc([[1, 3, 5], [2, 4, 6]])
+    assert check_perm(cyc([[1, 3]]), cyc([[2, 3, 4]])) == cyc([[1, 3, 4, 2]])
+    for a in (cyc([[1, 2, 3]]), permmod.IDENTITY):
+        assert check_perm(permmod.IDENTITY, a) == a
+        assert check_perm(a, permmod.IDENTITY) == a
+    # the perm 256 battery's witness and 256-cycle: t c t is the cycle moved by 256
+    t, c = permmod.block_swap(256), cyc([list(range(1, 257))])
+    tc, ct = check_perm(t, c), check_perm(c, t)
+    assert len(tc.mapping) == len(ct.mapping) == 512
+    assert check_perm(tc, t) == check_perm(t, ct) == cyc([list(range(257, 513))])
+
+
 def test_perm_compose_on_seeded_large_supports():
     rng = random.Random(0)
     for _ in range(20):
         a, b = (permmod.perm_from_mapping(dict(zip(pts, rng.sample(pts, len(pts)))))
                 for pts in (rng.sample(range(1, 400), 120), rng.sample(range(1, 400), 120)))
-        assert permmod.compose(a, b) == oracle_perm_compose(a, b)
+        check_perm(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,15 @@ once: ``pl`` at size 3 and bound 64, the failing Z-mode pl battery of
 ``tests/test_core.py`` at bound 12, whose failing records render
 commutators built from those conjugates, and ``check_hom`` at depth 3 on
 both shipped chains, which the CLI does not reach.  Their passing records
-wrote "e" already, so they are not in ``PINS``.  A kernel or engine change
-that alters any check, rendering or verdict shows up here.
+wrote "e" already, so they are not in ``PINS``.
+
+``KERNEL_DIGESTS`` (``braid`` at sizes 8, 12 and 16, ``perm`` at sizes 64
+and 256) were taken from the code before ``braid._dynnikov`` became
+straight-line code and ``perm.compose`` a merge with no sort.  They pin
+the long braid words and the 512-point permutation supports that the
+smaller pins never reach; their passing records wrote "e" already, so
+they are not in ``PINS``.  A kernel or engine change that alters any
+check, rendering or verdict shows up here.
 """
 
 import hashlib
@@ -174,6 +181,17 @@ WREATH_TOWER_DIGESTS = {
 NEIGHBOUR_DIGESTS = {
     ("pl", ("--size", "3", "--bound", "64"), 0):
         "692895dc3f66301d7797ae1db5b93d3e5474105d21a6b3a93083e5c6a745b641",
+}
+
+
+# (family, size) -> digest at the sizes where the words and kernels are
+# largest.
+KERNEL_DIGESTS = {
+    ("braid", 8): "ff2ab33ea33588ba7963e66c8da51fa907395eefeced877c1ee477496688170e",
+    ("braid", 12): "b30103ea8503ed96b78f7d8c02abad49add96e8cf848a3dc032dd365cbb74ef8",
+    ("braid", 16): "37d9dfe9319e826d7659879b218431a6dfdb7467bd591d4fdab79027190f6af4",
+    ("perm", 64): "938cd59ace3297f73dcf0abd2904d9cac11f70eb4404b6f2f32221da3dbefb2b",
+    ("perm", 256): "a1df46b598eace3aa3c1bfae7a9c81353f27fb183f872703d4072c7462b0cc0d",
 }
 
 
@@ -380,6 +398,11 @@ def test_wreath_tower_report_is_golden(samples, seed, fmt, tmp_path):
 def test_neighbour_report_is_golden(family, extra, seed, tmp_path):
     assert (_report_digest(tmp_path, family, None, extra, seed)
             == NEIGHBOUR_DIGESTS[(family, extra, seed)])
+
+
+@pytest.mark.parametrize("family,size", sorted(KERNEL_DIGESTS, key=str))
+def test_kernel_report_is_golden(family, size, tmp_path):
+    assert _report_digest(tmp_path, family, size) == KERNEL_DIGESTS[(family, size)]
 
 
 @pytest.mark.parametrize("name", sorted(IN_PROCESS_DIGESTS))

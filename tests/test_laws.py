@@ -155,7 +155,7 @@ def foreign_element_law(f, draw):
         for call, *args in ((fam.check_element, x), (fam.mul, a, x), (fam.mul, x, a),
                             (fam.inv, x), (fam.eq, a, x), (fam.eq, x, a), (fam.render, x),
                             (fam.support, x), (fam.power, x, 2), (fam.is_identity, x),
-                            (fam.product, [a, x])):
+                            (fam.product, [a, x]), (fam.product, [x])):
             assert _refuses(call, *args), (call.__name__, x)
 
 
