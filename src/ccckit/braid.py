@@ -174,12 +174,14 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
 
 
 def underlying_permutation(w: BraidWord) -> perm.FinPerm:
-    """Image under the projection to the symmetric group, sigma_i -> (i, i+1)."""
-    result = perm.IDENTITY
+    """Image under the projection to the symmetric group, sigma_i -> (i, i+1):
+    the product of the letters' transpositions, composed as ``perm.compose``
+    composes, so each letter swaps two entries of one image list."""
+    image = list(range(w.strands + 1))  # image[x] for the points 1..strands
     for x in w.letters:
         i = abs(x)
-        result = perm.compose(result, trusted(perm.FinPerm, ((i, i + 1), (i + 1, i))))
-    return result
+        image[i], image[i + 1] = image[i + 1], image[i]
+    return trusted(perm.FinPerm, tuple((x, y) for x, y in enumerate(image) if x != y))
 
 
 def block_pass_word(n: int) -> BraidWord:

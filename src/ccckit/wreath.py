@@ -120,9 +120,10 @@ class WreathFamily(GroupFamily):
     ``element`` is the public constructor and validates the points, base
     entries and top it is given, as ``value_at`` validates its point; both
     reduce a point x to x % n.  ``product``/``mul``/``inv`` build their
-    results from valid elements, so ``check_element`` only checks the
-    type, and the tops and points are added and compared as ints; every
-    method that takes an element calls it, ``render`` included."""
+    results from valid elements, so ``check_element`` checks the type and
+    that the points lie in 0..n-1 (they ascend: it reads the first and the
+    last), not the entries; the tops and points are added and compared as
+    ints.  Every method that takes an element calls it, ``render`` too."""
 
     def __init__(self, base_family: GroupFamily, n: int):
         if not (is_int(n) and n >= 1):
@@ -134,6 +135,9 @@ class WreathFamily(GroupFamily):
     def check_element(self, a):
         if not isinstance(a, WreathElement):
             raise FamilyMismatchError(f"not a WreathElement: {a!r}")
+        base = a.base
+        if base and (base[0][0] < 0 or base[-1][0] >= self.n):
+            raise FamilyMismatchError(f"base point outside 0..{self.n - 1}: {a!r}")
 
     def normalize(self, pairs: Sequence[tuple[int, object]], top: int) -> WreathElement:
         """The element with base entries ``pairs`` at residues mod n:
@@ -180,10 +184,10 @@ class WreathFamily(GroupFamily):
         straight into one dict at their points moved by the top a_1 ...
         a_(i-1) of the letters before it, entries at one point multiplied
         in word order, and the result is built as ``normalize`` builds
-        its own, through ``core.trusted``.  Each letter is type-checked
-        once, by class identity, so ``check_element`` runs only for
-        another class; a letter with an empty base, such as a shift, only
-        moves the top."""
+        its own, through ``core.trusted``.  Each letter is checked by
+        class identity, and each point as it is read, so ``check_element``
+        runs only for another class or a point outside 0..n-1; a letter
+        with an empty base, such as a shift, only moves the top."""
         n, base = self.n, self.base_family
         mul = base.mul
         merged: dict[int, object] = {}
@@ -193,6 +197,8 @@ class WreathFamily(GroupFamily):
             if u.__class__ is not WreathElement:
                 self.check_element(u)
             for x, g in u.base:
+                if not 0 <= x < n:
+                    self.check_element(u)
                 x = (top + x) % n
                 h = get(x)  # no entry is None
                 merged[x] = g if h is None else mul(h, g)
@@ -290,18 +296,13 @@ class Tower:
         """u lies in B: multiples of n_1 at the bottom, and at level i + 1
         the elements with coordinate-0 entry in the lower subgroup and top
         a multiple of n_(i+1)."""
-        return self._in_B(u, self._level(level))
-
-    def _in_B(self, u, level: int) -> bool:
-        """in_B at a level already checked."""
+        level = self._level(level)
         if level == 1:
             INT_Z.check_element(u)
             return u % self.orders[0] == 0
         fam = self.families[level - 1]
         fam.check_element(u)
-        if u.top % self.orders[level - 1] != 0:
-            return False
-        return self._in_B(fam.value_at(u, 0), level - 1)
+        return u.top % self.orders[level - 1] == 0 and self.in_B(fam.value_at(u, 0), level - 1)
 
     def sample(self, rng: random.Random):
         """A random word of length at most 8 in the top-level generators,
@@ -320,29 +321,23 @@ class Tower:
         """A random element of B at the given level: a B element at
         coordinate 0, an arbitrary one at each other point with
         probability 0.7, and a top that is a multiple of the order."""
-        return self._sample_B(rng, self._level(level))
-
-    def _sample_B(self, rng: random.Random, level: int):
-        """sample_B at a level already checked."""
+        level = self._level(level)
         n = self.orders[level - 1]
         if level == 1:
             return n * _randint(rng, -3, 3)
-        pairs = [(0, self._sample_B(rng, level - 1))]
+        pairs = [(0, self.sample_B(rng, level - 1))]
         for p in range(1, n):
             if rng.random() < 0.7:
-                pairs.append((p, self._sample_level(rng, level - 1)))
+                pairs.append((p, self.sample_level(rng, level - 1)))
         return self.families[level - 1].normalize(pairs, n * _randint(rng, -2, 2))
 
     def sample_level(self, rng: random.Random, level: int):
         """A random element of the level-th group, an entry at each point
         with probability 0.7."""
-        return self._sample_level(rng, self._level(level))
-
-    def _sample_level(self, rng: random.Random, level: int):
-        """sample_level at a level already checked."""
+        level = self._level(level)
         if level == 1:
             return _randint(rng, -4, 4)
-        pairs = [(p, self._sample_level(rng, level - 1))
+        pairs = [(p, self.sample_level(rng, level - 1))
                  for p in range(self.orders[level - 1]) if rng.random() < 0.7]
         return self.families[level - 1].normalize(pairs, _randint(rng, -3, 3))
 
@@ -443,10 +438,7 @@ def validate_chain(chain: WitnessChain) -> VerificationReport:
     return report
 
 
-# TowerHom and check_hom key their memos of interned target values by
-# their ids, and each such memo keeps the objects it keys alive, so that no
-# id is reused for another value; a law passes at once on one object.
-_key = id
+# TowerHom interns its values, so a law that holds is one object: no eq
 _identical = operator.is_
 
 
@@ -459,7 +451,7 @@ class TowerHom:
 
     Per-instance memos hold what the chain fixes: t_level^k per (level,
     k); per level, ^(t_level^p) f(a_p) per (p, a_p) and f(u) per u; and
-    the product of f(u)'s factors per tuple of factor identities.  A tower
+    the product of f(u)'s factors per tuple of factors.  A tower
     element is one value: ``element`` stores canonical points and
     ``normalize`` sorts the base and drops identity entries, so equal
     elements have equal fields.  The level memos are keyed by those
@@ -475,12 +467,11 @@ class TowerHom:
     built, so equal values are one object.  Many tower elements share
     their factors (at depth 2, a 200-sample draw reaches 300 distinct
     elements with 8 distinct factor tuples), and the product memo, keyed
-    by the factors' ``_key``, multiplies each distinct tuple once.
+    by the tuple of interned factors, multiplies each distinct tuple once.
     Interning needs the target's elements to hash, with ``==`` implying
-    group equality, as ``check_hom`` does.  ``check_hom`` reads the top
-    level's ``_images`` entry before it calls ``eval``.  Each memo is read
-    with one ``dict.get``, which no element value can answer with None,
-    and filled only on a miss."""
+    group equality, as ``check_hom`` does.  Each memo is read with one
+    ``dict.get``, which no element value can answer with None, and filled
+    only on a miss."""
 
     def __init__(self, chain: WitnessChain):
         check = validate_chain(chain)
@@ -537,7 +528,7 @@ class TowerHom:
     def _image(self, u, level: int):
         """f(u) for u in the level-th tower group, level valid and u one
         of its elements, computed once per level and value of u, and its
-        factors multiplied once per tuple of their identities."""
+        factors multiplied once per tuple of their values."""
         if level == 1:
             return self._power(1, u)
         images = self._images[level - 1]
@@ -551,11 +542,10 @@ class TowerHom:
             factors = tuple(self._conjugate(level, p, coordinates.get(p, e))
                             for p in range(self.chain.orders[level - 1]))
             factors += (self._power(level, u.top),)
-            key = tuple(map(_key, factors))  # factors live on in _canon
-            image = self._products.get(key)
+            image = self._products.get(factors)
             if image is None:
                 image = self.family.product(factors)
-                image = self._products[key] = self._canon.setdefault(image, image)
+                image = self._products[factors] = self._canon.setdefault(image, image)
             images[fields] = image
         return image
 
@@ -575,85 +565,60 @@ class TowerHom:
 
 
 def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
-    """Checks on one seeded draw of ``Tower.samples`` of (a) the
-    homomorphism law, (b) commutation of H with images of non-members of
-    the distinguished subgroup, and (c) commutation of H with images of
-    members, where H is generated by f's chain's generators, the subgroup
-    the chain's invariants are about.  The draw holds tower elements only,
-    and f is applied here, so one draw serves every chain whose orders are
-    the tower's: a battery that checks several such chains draws once.
-    ``samples`` must come from a tower of f's orders.
+    """Checks on one seeded draw of ``Tower.samples`` of the homomorphism
+    law, (i) commutation of H with its conjugates by images of
+    non-members of the distinguished subgroup, and (ii) commutation of H
+    with images of members, where H is generated by f's chain's
+    generators, the subgroup the chain's invariants are about.  The draw
+    holds tower elements only, and f is applied here, so one draw, which
+    must come from a tower of f's orders, serves every chain of them.
 
-    Each image is read from f's top-level image memo, and ``f.eval`` runs
-    only on a miss.  Verdicts (b) and (c) depend on the sample only
-    through its image, so each is decided once per distinct f(a), resp.
-    f(b).  In the same way the product f(u)f(v) is taken once per distinct
-    pair (f(u), f(v)) and interned in f's ``_canon``, so a law that holds
-    finds f(uv) and f(u)f(v) to be one object and passes with no ``eq``.
-    These memos and the law texts are dicts local to the call keyed by
-    ``_key`` of f's interned images, their identities, and each entry
-    keeps its keyed image alive.  Each distinct image is rendered once per
-    report, through report.text, and each distinct sample once per draw,
-    through ``samples.text``, however many chains are checked on it.
-    f(uv) is always evaluated on the tower product uv, never read off
-    f(u)f(v), and every sample still gets its own record."""
+    Every image is read through ``f.eval``, whose memo holds it after the
+    first read.  Verdicts (i) and (ii) depend on the sample only through
+    its image, so each is decided once per distinct f(a), resp. f(b).  In
+    the same way the product f(u)f(v) is taken once per distinct pair
+    (f(u), f(v)) and interned in f's ``_canon``, so a law that holds finds
+    f(uv) and f(u)f(v) to be one object and passes with no ``eq``.  These
+    memos are dicts local to the call, keyed by f's interned images.  Each
+    distinct image is rendered once per report, through ``report.text``,
+    and each distinct sample once per draw, through ``samples.text``,
+    however many chains are checked on it.  f(uv) is always evaluated on
+    the tower product uv, never read off f(u)f(v), and every sample still
+    gets its own record."""
     if not isinstance(samples, TowerSamples):
         raise ValueError(f"samples must be a TowerSamples, got {type(samples).__name__}")
     if samples.orders != f.tower.orders:
         raise ValueError(f"samples come from the tower of orders {samples.orders}, "
                          f"f maps the tower of orders {f.tower.orders}")
-    fam = f.family
-    hs = f.chain.generators
-    a_fam = f.tower.family
-    key, identical, canon = _key, _identical, f._canon
+    fam, hs = f.family, f.chain.generators
     report = VerificationReport("tower-hom", bounded=True)
-    products: dict = {}  # (key f(u), key f(v)) -> (f(u)f(v), its text, f(u), f(v))
-    texts: dict = {}  # key f(uv) -> (its text, f(uv))
-    if f.tower.depth == 1:
-        image = f.eval
-    else:
-        memo = f._images[-1]
-
-        def image(u):
-            value = memo.get((u.base, u.top))
-            return f.eval(u) if value is None else value
-
+    products: dict = {}  # (f(u), f(v)) -> (f(u)f(v), interned; its text)
     for k, (u, v, uv) in enumerate(samples.law):
-        lhs, fu, fv = image(uv), image(u), image(v)
-        pair = (key(fu), key(fv))
-        entry = products.get(pair)
+        lhs, fu, fv = f.eval(uv), f.eval(u), f.eval(v)
+        entry = products.get((fu, fv))
         if entry is None:
             rhs = fam.mul(fu, fv)
-            rhs = canon.setdefault(rhs, rhs)
-            entry = products[pair] = (rhs, report.text(fam, rhs), fu, fv)
-        rhs, rhs_text = entry[0], entry[1]
-        shown = texts.get(key(lhs))
-        if shown is None:
-            shown = texts[key(lhs)] = (report.text(fam, lhs), lhs)
-        report.record(f"f(uv) = f(u)f(v) [{k}]", identical(lhs, rhs) or fam.eq(lhs, rhs),
-                      shown[0], rhs_text)
+            rhs = f._canon.setdefault(rhs, rhs)
+            entry = products[fu, fv] = (rhs, report.text(fam, rhs))
+        rhs, rhs_text = entry
+        report.record(f"f(uv) = f(u)f(v) [{k}]", _identical(lhs, rhs) or fam.eq(lhs, rhs),
+                      report.text(fam, lhs), rhs_text)
 
-    verdicts_i: dict = {}  # key f(a) -> (verdict, f(a))
-    for k, a in enumerate(samples.outside):
-        fa = image(a)
-        entry = verdicts_i.get(key(fa))
-        if entry is None:
-            entry = verdicts_i[key(fa)] = (all(commutes(fam, h, conjugate(fam, fa, h2))
-                                               for h in hs for h2 in hs), fa)
-        report.record(f"(i) [H, ^f(a) H] = 1, a outside B [{k}]", entry[0],
-                      "all generator commutators", "e",
-                      detail=f"a = {samples.text(a_fam, a)}")
-    if len(samples.outside) < len(samples.law):
-        report.record("(i) enough non-member samples", False,
-                      str(len(samples.outside)), str(len(samples.law)))
-
-    verdicts_ii: dict = {}  # key f(b) -> (verdict, f(b))
-    for k, b in enumerate(samples.members):
-        fb = image(b)
-        entry = verdicts_ii.get(key(fb))
-        if entry is None:
-            entry = verdicts_ii[key(fb)] = (all(commutes(fam, h, fb) for h in hs), fb)
-        report.record(f"(ii) [H, f(b)] = 1, b in B [{k}]", entry[0],
-                      "all generator commutators", "e",
-                      detail=f"b = {samples.text(a_fam, b)}")
+    # (part, law, sample name, kind, the draw's samples, what H must commute with)
+    for part, law, name, kind, drawn, moved in (
+            ("(i)", "[H, ^f(a) H] = 1, a outside B", "a", "non-member", samples.outside,
+             lambda fa: [conjugate(fam, fa, h) for h in hs]),
+            ("(ii)", "[H, f(b)] = 1, b in B", "b", "member", samples.members,
+             lambda fb: [fb])):
+        verdicts: dict = {}  # f(x) -> its verdict
+        for k, x in enumerate(drawn):
+            fx = f.eval(x)
+            verdict = verdicts.get(fx)
+            if verdict is None:
+                verdict = verdicts[fx] = all(commutes(fam, h, y) for y in moved(fx) for h in hs)
+            report.record(f"{part} {law} [{k}]", verdict, "all generator commutators", "e",
+                          detail=f"{name} = {samples.text(f.tower.family, x)}")
+        if len(drawn) < len(samples.law):
+            report.record(f"{part} enough {kind} samples", False,
+                          str(len(drawn)), str(len(samples.law)))
     return report

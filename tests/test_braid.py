@@ -9,6 +9,8 @@ from ccckit import perm as p
 from ccckit.core import Finite, GeneratorSet, Witness, verify_ccc
 from ccckit.suites import run_family
 
+from util import revalidates
+
 
 def test_braid_relation_small():
     lhs = b.braid(3, (1, 2, 1))
@@ -175,6 +177,25 @@ def _strands_and_words(draw):
 @given(_strands_and_words())
 def test_dynnikov_matches_the_published_rules(case):
     _dynnikov_agrees(*case)
+
+
+def oracle_underlying_permutation(w: b.BraidWord) -> p.FinPerm:
+    """The projection as a fold of ``perm.compose`` over the letters, one
+    validated transposition (i, i+1) per letter: the former
+    ``braid.underlying_permutation``."""
+    result = p.IDENTITY
+    for x in w.letters:
+        i = abs(x)
+        result = p.compose(result, p.FinPerm(((i, i + 1), (i + 1, i))))
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strands_and_words())
+def test_underlying_permutation_matches_the_compose_fold(case):
+    w = b.braid(*case)
+    image = b.underlying_permutation(w)
+    assert image == oracle_underlying_permutation(w) and revalidates(image)
 
 
 def test_dynnikov_kernel_cases():

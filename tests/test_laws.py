@@ -9,6 +9,7 @@ import functools
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+from ccckit import wreath as w
 from ccckit.core import (CcckitError, FamilyMismatchError, GroupFamily, Record, _disjoint,
                          trusted)
 from ccckit.perm import FinPerm
@@ -144,14 +145,27 @@ def _refuses(call, *args) -> bool:
     return False
 
 
+def wider_wreath_element(f: Family) -> tuple:
+    """For a wreath product over Z/n, an element of the wreath product of
+    the same base family over Z/(n + 1) with an entry at point n, as a
+    1-tuple; for any other family, no element."""
+    fam = f.fam
+    if not isinstance(fam, w.WreathFamily):
+        return ()
+    entry = next(g for u in f.own + f.moved + (f.t,) for _, g in u.base)
+    return (w.WreathFamily(fam.base_family, fam.n + 1).element([(fam.n, entry)]),)
+
+
 def foreign_element_law(f, draw):
     """Each method that takes an element raises FamilyMismatchError for a
-    non-element and for the identity of every registered family whose
-    identity differs from this one's."""
+    non-element, for the identity of every registered family whose
+    identity differs from this one's and, for a wreath product over Z/n,
+    for an element of a wider one with a point outside 0..n-1."""
     fam = f.fam
     a = draw(f.elements)
-    for x in ("x", None, 1.5, True) + tuple(g.fam.identity() for g in FAMILIES.values()
-                                           if g.fam.identity() != fam.identity()):
+    identities = tuple(g.fam.identity() for g in FAMILIES.values()
+                       if g.fam.identity() != fam.identity())
+    for x in ("x", None, 1.5, True) + identities + wider_wreath_element(f):
         for call, *args in ((fam.check_element, x), (fam.mul, a, x), (fam.mul, x, a),
                             (fam.inv, x), (fam.eq, a, x), (fam.eq, x, a), (fam.render, x),
                             (fam.support, x), (fam.power, x, 2), (fam.is_identity, x),

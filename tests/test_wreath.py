@@ -414,9 +414,10 @@ class ProductRecordingPerm(p.PermFamily):
 
 
 class ImageRecordingHom(w.TowerHom):
-    """A TowerHom recording each (level, element) it evaluates, at any
-    level, and each top-level image its ``__call__`` returns; ``check_hom``
-    reads the image memo and does not call it."""
+    """A TowerHom recording each (level, element) whose image it computes,
+    at any level: each miss of the level's image memo, or of the power
+    memo at level 1.  It records each top-level image its ``__call__``
+    returns too; ``check_hom`` reads images through ``eval``, not it."""
 
     def __init__(self, chain):
         super().__init__(chain)
@@ -424,7 +425,10 @@ class ImageRecordingHom(w.TowerHom):
         self.images = []
 
     def _image(self, u, level):
-        self.evaluated.append((level, u))
+        memo, key = ((self._powers, (1, u)) if level == 1
+                     else (self._images[level - 1], (u.base, u.top)))
+        if key not in memo:
+            self.evaluated.append((level, u))
         return super()._image(u, level)
 
     def __call__(self, u):
@@ -777,30 +781,6 @@ def test_sample_B_elements_are_members():
                 assert tower.in_B(tower.sample_B(rng, level), level)
 
 
-def test_tower_checks_a_level_once_per_public_call(monkeypatch):
-    """in_B, sample_B and sample_level check their level once and recurse
-    below it unchecked; a draw checks one level per public call it makes."""
-    calls = Counter()
-    for name in ("_level", "in_B", "sample_B", "sample_level"):
-        method = getattr(w.Tower, name)
-
-        def counted(self, *args, _method=method, _name=name, **kwargs):
-            calls[_name] += 1
-            return _method(self, *args, **kwargs)
-
-        monkeypatch.setattr(w.Tower, name, counted)
-    tower = w.Tower((2, 3, 2))
-    rng = random.Random(0)
-    for level in (1, 2, 3):
-        tower.sample_B(rng, level)
-        tower.sample_level(rng, level)
-        tower.in_B(tower.sample_level(rng, level), level)
-    assert calls == Counter(_level=12, in_B=3, sample_B=3, sample_level=6)
-    calls.clear()
-    tower.samples(50, 0)
-    assert calls["_level"] == calls["in_B"] + calls["sample_B"] and calls["sample_B"] == 50
-
-
 # ---------------------------------------------------------------------------
 # The point_eq-scan normal form, kept as an oracle for the keyed one
 
@@ -815,7 +795,12 @@ class ScanWreath(w.WreathFamily):
     Raw points may be negative or repeat mod n, so a base sorted by point
     mod n need not ascend as ints; ``WreathElement`` refuses such a base,
     and ``normalize`` builds its results with ``core.trusted``, which
-    skips that check."""
+    skips that check.  For the same reason ``check_element`` checks the
+    type alone, not that the points lie in 0..n-1."""
+
+    def check_element(self, a):
+        if not isinstance(a, w.WreathElement):
+            raise FamilyMismatchError(f"not a WreathElement: {a!r}")
 
     def point_eq(self, x, y):
         return x % self.n == y % self.n
