@@ -28,7 +28,6 @@ from .core import FamilyMismatchError, GroupFamily, Record, is_int, runs, truste
 class BraidWord(Record):
     def __init__(self, strands: int, letters: tuple[int, ...]):
         self.__dict__.update(strands=strands, letters=letters)
-        self.__post_init__()
 
     def __post_init__(self):
         if not (is_int(self.strands) and self.strands >= 1):

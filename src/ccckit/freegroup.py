@@ -41,7 +41,6 @@ def reduce_letters(letters) -> tuple[int, ...]:
 class FreeWord(Record):
     def __init__(self, rank: int, letters: tuple[int, ...]):
         self.__dict__.update(rank=rank, letters=letters)
-        self.__post_init__()
 
     def __post_init__(self):
         rank, letters = self.rank, self.letters
@@ -81,7 +80,6 @@ class FreeAutomorphism(Record):
     def __init__(self, rank: int, images: tuple[FreeWord, ...],
                  inverse_images: tuple[FreeWord, ...]):
         self.__dict__.update(rank=rank, images=images, inverse_images=inverse_images)
-        self.__post_init__()
 
     def __post_init__(self):
         rank = self.rank

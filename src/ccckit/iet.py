@@ -50,7 +50,6 @@ class IetMap(Record):
         # 0 = a_0 < a_1 < ... < a_k; shifts: numerators of the translations,
         # one per finite interval
         self.__dict__.update(den=den, cuts=cuts, shifts=shifts)
-        self.__post_init__()
 
     def __post_init__(self):
         den, cuts, shifts = self.den, self.cuts, self.shifts

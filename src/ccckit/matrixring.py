@@ -64,7 +64,6 @@ class SquareMatrix(Record):
 
     def __init__(self, size: int, rows: tuple[Row, ...], modulus: int | None = None):
         self.__dict__.update(size=size, rows=rows, modulus=modulus)
-        self.__post_init__()
 
     def __post_init__(self):
         _check_modulus(self.modulus)
@@ -325,7 +324,6 @@ class FormTag(Record):
     def __init__(self, kind: str, size: int):
         # kind is "symplectic" or "split-orthogonal"
         self.__dict__.update(kind=kind, size=size)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("symplectic", "split-orthogonal"):

@@ -15,7 +15,6 @@ class FinPerm(Record):
     def __init__(self, mapping: tuple[tuple[int, int], ...]):
         # sorted tuple of (point, image) pairs, fixed points omitted
         self.__dict__.update(mapping=mapping)
-        self.__post_init__()
 
     def __post_init__(self):
         points = [p for p, _ in self.mapping]

@@ -50,7 +50,6 @@ class PlMap(Record):
         # den: the positive common denominator; xs and ys: the vertex
         # numerators, 0 = xs[0] < ... < xs[-1] = den and likewise for ys
         self.__dict__.update(den=den, xs=xs, ys=ys)
-        self.__post_init__()
 
     def __post_init__(self):
         den, xs, ys = self.den, self.xs, self.ys

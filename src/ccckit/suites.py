@@ -52,7 +52,6 @@ class Stable(Record):
                  shift: Callable | None = None):
         self.__dict__.update(name=name, level=level, generators=generators, embed=embed,
                              checks=checks, rings=rings, label=label, shift=shift)
-        self.__post_init__()
 
 
 def stable_battery(stable: Stable, size: int, seed: int) -> VerificationReport:
@@ -285,7 +284,6 @@ class Battery(Record):
                  params: dict[str, tuple[int, int, int | None]], description: str,
                  fixed: Mapping = MappingProxyType({})):
         self.__dict__.update(run=run, params=params, description=description, fixed=fixed)
-        self.__post_init__()
 
     def domain(self, name: str) -> str:
         _, low, high = self.params[name]

@@ -96,7 +96,6 @@ class WreathElement(Record):
 
     def __init__(self, base: tuple[tuple[int, object], ...], top: int):
         self.__dict__.update(base=base, top=top)
-        self.__post_init__()
 
     def __post_init__(self):
         base = self.base
@@ -151,7 +150,7 @@ class WreathFamily(GroupFamily):
             h = get(x)  # no entry is None
             merged[x] = g if h is None else mul(h, g)
         return core.trusted(WreathElement, tuple(
-            (x, g) for x, g in sorted(merged.items()) if not is_identity(g)), top)
+            [pair for pair in sorted(merged.items()) if not is_identity(pair[1])]), top)
 
     def element(self, pairs, top=0) -> WreathElement:
         INT_Z.check_element(top)
@@ -205,7 +204,7 @@ class WreathFamily(GroupFamily):
             top += u.top
         is_identity = base.is_identity
         return core.trusted(WreathElement, tuple(
-            (x, g) for x, g in sorted(merged.items()) if not is_identity(g)), top)
+            [pair for pair in sorted(merged.items()) if not is_identity(pair[1])]), top)
 
     def mul(self, u, v):
         return self.product((u, v))
@@ -248,23 +247,13 @@ def _randint(rng: random.Random, a: int, b: int) -> int:
     return a + r
 
 
-def _choice(rng: random.Random, seq: Sequence):
-    """rng.choice(seq) for a non-empty seq, drawn as in ``_randint``."""
-    n = len(seq)
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return seq[r]
-
-
 class Tower:
     """The tower fixed by the orders (n_1, ..., n_k) of a witness chain:
     A_1 = Z and A_(i+1) = A_i wr_(Z/n_(i+1)) Z, with its distinguished
-    subgroup B.  Levels are numbered 1..k; ``families[i]`` and
-    ``generators[i]`` belong to level i + 1, each built once.  The
-    canonical generators are the shift at each level and the lower
-    generators embedded at coordinate 0."""
+    subgroup B.  Levels are numbered 1..k; ``families[i]``,
+    ``identities[i]`` and ``generators[i]`` belong to level i + 1, each
+    built once.  The canonical generators are the shift at each level and
+    the lower generators embedded at coordinate 0."""
 
     def __init__(self, orders: tuple[int, ...]):
         if not (isinstance(orders, tuple) and orders
@@ -281,6 +270,7 @@ class Tower:
             families.append(fam)
             generators.append(gens)
         self.families = tuple(families)
+        self.identities = tuple(fam.identity() for fam in families)
         self.generators = tuple(generators)
         self.family = fam
         self.letters = tuple((g, fam.inv(g)) for g in gens)  # (g, g^-1) per generator
@@ -295,25 +285,36 @@ class Tower:
     def in_B(self, u, level: int | None = None) -> bool:
         """u lies in B: multiples of n_1 at the bottom, and at level i + 1
         the elements with coordinate-0 entry in the lower subgroup and top
-        a multiple of n_(i+1)."""
+        a multiple of n_(i+1).  Each level checks its element once; the
+        coordinate-0 entry is read off the base, whose points ascend from
+        0, so it is the first entry when its point is 0 and the lower
+        identity otherwise."""
         level = self._level(level)
         if level == 1:
             INT_Z.check_element(u)
             return u % self.orders[0] == 0
-        fam = self.families[level - 1]
-        fam.check_element(u)
-        return u.top % self.orders[level - 1] == 0 and self.in_B(fam.value_at(u, 0), level - 1)
+        self.families[level - 1].check_element(u)
+        if u.top % self.orders[level - 1]:
+            return False
+        base = u.base
+        entry = base[0][1] if base and base[0][0] == 0 else self.identities[level - 2]
+        return self.in_B(entry, level - 1)
 
     def sample(self, rng: random.Random):
         """A random word of length at most 8 in the top-level generators,
         each letter a generator or, with probability 1/2, its inverse.
-        The length and the letters are drawn by ``_randint`` and
-        ``_choice``, which take the bits ``rng.randint`` and ``rng.choice``
-        take and return what they return, with fewer Python frames."""
-        letters, random_ = self.letters, rng.random
+        The length is drawn by ``_randint``, and each letter inline as
+        ``rng.choice(self.letters)`` draws it: the same bits and the same
+        letter, with no Python frame per letter."""
+        letters, random_, getrandbits = self.letters, rng.random, rng.getrandbits
+        n = len(letters)
+        k = n.bit_length()
         word = []
         for _ in range(_randint(rng, 0, 8)):
-            g, g_inv = _choice(rng, letters)
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            g, g_inv = letters[r]
             word.append(g_inv if random_() < 0.5 else g)
         return self.family.product(word)
 
@@ -379,7 +380,6 @@ class TowerSamples(Record):
 
     def __init__(self, orders: tuple[int, ...], law: tuple, outside: tuple, members: tuple):
         self.__dict__.update(orders=orders, law=law, outside=outside, members=members)
-        self.__post_init__()
 
     def text(self, family: GroupFamily, u) -> str:
         """family.render(u) for an element u of the draw, rendered once per
@@ -410,7 +410,6 @@ class WitnessChain(Record):
                  orders: tuple[int, ...]):
         # generators of H; ts = (t_1, ..., t_k); orders = (n_1, ..., n_k)
         self.__dict__.update(family=family, generators=generators, ts=ts, orders=orders)
-        self.__post_init__()
 
     def __post_init__(self):
         # tuples, so that the chain hashes as its fields, as every record does
@@ -537,11 +536,10 @@ class TowerHom:
         if image is None:
             # ascending p; factors commute by the chain invariants.  u's
             # points are canonical, so coordinate p is stored under p
-            coordinates = dict(u.base)
-            e = self.tower.families[level - 2].identity()
-            factors = tuple(self._conjugate(level, p, coordinates.get(p, e))
-                            for p in range(self.chain.orders[level - 1]))
-            factors += (self._power(level, u.top),)
+            get, e, conjugate = dict(u.base).get, self.tower.identities[level - 2], self._conjugate
+            factors = [conjugate(level, p, get(p, e)) for p in range(self.chain.orders[level - 1])]
+            factors.append(self._power(level, u.top))
+            factors = tuple(factors)
             image = self._products.get(factors)
             if image is None:
                 image = self.family.product(factors)
@@ -552,8 +550,9 @@ class TowerHom:
     def eval(self, u, level: int | None = None):
         """f(u) for u in the level-th tower group, 1..depth, by default
         the top one."""
-        level = self.tower._level(level)
-        self.tower.families[level - 1].check_element(u)
+        tower = self.tower
+        level = tower.depth if level is None else tower._level(level)
+        tower.families[level - 1].check_element(u)
         return self._image(u, level)
 
     def __call__(self, u):

@@ -10,6 +10,7 @@ constructor.  A report's checks are plain dicts, not records (see
 test_core).
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import ccckit
 from ccckit import braid as braidmod
 from ccckit import freegroup as fg
 from ccckit import iet as ietmod
@@ -27,6 +29,8 @@ from ccckit import wreath as w
 from ccckit.core import (Finite, GeneratorSet, Record, Witness, ZMode,
                          WitnessModeError, replace, trusted)
 from ccckit.perm import IDENTITY, PERM, FinPerm, block_swap
+
+from families import FAMILIES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -76,9 +80,7 @@ def values(x) -> tuple:
     return tuple(getattr(x, name) for name in type(x)._fields)
 
 
-def test_every_record_type_is_covered():
-    """The table above holds one instance of each record type in the package."""
-    covered = {type(x) for x, _, _ in RECORDS}
+def declared_record_types() -> set:
     declared = set()
     todo = [Record]
     while todo:
@@ -86,7 +88,13 @@ def test_every_record_type_is_covered():
             if sub.__module__.startswith("ccckit."):
                 declared.add(sub)
             todo.append(sub)
-    assert covered == declared
+    return declared
+
+
+def test_every_record_type_is_covered():
+    """The table above holds one instance of each record type in the package."""
+    covered = {type(x) for x, _, _ in RECORDS}
+    assert covered == declared_record_types()
     assert len(covered) == 17  # and VerificationReport, a plain mutable class
 
 
@@ -168,6 +176,68 @@ def test_trusted_refuses_a_wrong_value_count(x, fields, text):
     for wrong in (given[:-1], given + (None,)):
         with pytest.raises(ValueError, match=f"takes {len(fields)} field values, got {len(wrong)}"):
             trusted(type(x), *wrong)
+
+
+# a mul result of each family in the law registry but Z, whose elements are ints
+PRODUCTS = {label: entry.fam.mul(entry.t, entry.own[0]) for label, entry in FAMILIES.items()
+            if label != "Z"}
+
+
+@pytest.mark.parametrize("x", [x for x, _, _ in RECORDS] + list(PRODUCTS.values()),
+                         ids=IDS + list(PRODUCTS))
+def test_trusted_stores_the_fields_as_the_constructor_does(x):
+    """trusted runs the class's own field store, so its instance dict is the
+    one the public constructor leaves: the same fields in the same order."""
+    cls, given = type(x), values(x)
+    assert tuple(vars(x)) == cls._fields
+    assert list(vars(trusted(cls, *given)).items()) == list(vars(cls(*given)).items())
+
+
+class Counted(Record):
+    """Counts its __post_init__ calls."""
+
+    calls = 0
+
+    def __init__(self, a, b=2):
+        self.__dict__.update(a=a, b=b)
+
+    def __post_init__(self):
+        type(self).calls += 1
+
+
+class CountedChild(Counted):
+    """Inherits Counted's fields, store and __init__."""
+
+
+def test_public_construction_runs_post_init_once():
+    for cls in (Counted, CountedChild):
+        cls.calls = 0
+        x = cls(1)
+        assert cls.calls == 1 and vars(x) == {"a": 1, "b": 2}
+        assert cls(a=1, b=3).b == 3 and cls.calls == 2
+        assert trusted(cls, 1, 2) == x and cls.calls == 2
+        assert replace(x, a=5).a == 5 and cls.calls == 3
+    assert CountedChild._fields == Counted._fields == ("a", "b")
+    assert str(inspect.signature(Counted)) == "(a, b=2)"
+
+
+def test_record_methods_come_from_the_package_source():
+    """Importing the package runs no generated code: every function on every
+    record type, the field store that trusted runs included, was compiled
+    from a file of the package, not built by exec or compile."""
+    package = os.path.dirname(ccckit.__file__) + os.sep
+    for cls in {Record} | declared_record_types():
+        functions = [cls._store] if cls is not Record else []
+        for attr in vars(cls).values():
+            attr = getattr(attr, "__func__", attr)  # classmethod, staticmethod
+            if isinstance(attr, property):
+                functions += [f for f in (attr.fget, attr.fset, attr.fdel) if f is not None]
+            elif inspect.isfunction(attr):
+                functions.append(attr)
+        assert functions
+        for f in functions:
+            assert f.__code__.co_filename.startswith(package), (cls, f)
+
 
 def test_replace_changes_fields_and_validates_them():
     assert replace(Finite(2), n=3) == Finite(3)

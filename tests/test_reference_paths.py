@@ -21,7 +21,7 @@ import ccckit
 from ccckit import cli, core, matrixring, suites, wreath
 from ccckit.core import Finite, GeneratorSet, Witness, verify_ccc
 
-from util import CLOSURE_LABELS, closure_engine_inputs, image_by_definition
+from util import CLOSURE_LABELS, closure_engine_inputs, image_by_definition, oracle_sample
 
 
 def _family_classes(cls=core.GroupFamily):
@@ -57,7 +57,7 @@ FAST_PATHS = {
                              image_by_definition(self.chain, self.tower, u, level))],
     # the tower draw takes rng.randint and rng.choice themselves
     "draws": lambda: [(wreath, "_randint", lambda rng, a, b: rng.randint(a, b)),
-                      (wreath, "_choice", lambda rng, seq: rng.choice(seq))],
+                      (wreath.Tower, "sample", oracle_sample)],
     # fam.eq decides every law record, whether or not its sides are one object
     "tower-identity": lambda: [(wreath, "_identical", lambda a, b: False)],
     # every construction through a module's trusted validates

@@ -18,7 +18,7 @@ from ccckit.suites import iet_chain, perm_chain
 
 from families import revalidates, wreath_oracle_mul
 from util import (CLOSURE_LABELS, closure_engine_inputs, coset_index, extended_image,
-                  factors_by_definition, image_by_definition)
+                  factors_by_definition, image_by_definition, oracle_in_B, oracle_sample)
 
 
 def lamp() -> w.WreathFamily:
@@ -737,28 +737,16 @@ def test_closure_negative_control(label):
     assert verify_ccc(H, Witness(H.family.identity(), Finite(2))).passed == (label == "iet")
 
 
-def oracle_sample(tower, rng):
-    """Tower.sample as it drew before ``_randint``/``_choice``: the length
-    and the letters from ``rng.randint`` and ``rng.choice`` themselves."""
-    word = []
-    for _ in range(rng.randint(0, 8)):
-        g, g_inv = rng.choice(tower.letters)
-        word.append(g_inv if rng.random() < 0.5 else g)
-    return tower.family.product(word)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 64), st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
-                                                    st.integers(0, 2 ** 70)), max_size=5),
-       st.lists(st.integers(), min_size=1, max_size=40))
-def test_draw_helpers_take_the_bits_of_random(seed, ranges, letters):
-    """_randint(rng, a, b) and _choice(rng, seq) return what rng.randint(a, b)
-    and rng.choice(seq) return on a twin generator, and leave both in one
-    state, over widths of one outcome to past 2**64."""
+                                                    st.integers(0, 2 ** 70)), max_size=5))
+def test_draw_helpers_take_the_bits_of_random(seed, ranges):
+    """_randint(rng, a, b) returns what rng.randint(a, b) returns on a twin
+    generator, and leaves both in one state, over widths of one outcome to
+    past 2**64."""
     rng, twin = random.Random(seed), random.Random(seed)
     for a, width in ranges + [(0, 0), (-4, 8)]:
         assert w._randint(rng, a, a + width) == twin.randint(a, a + width)
-        assert w._choice(rng, letters) == twin.choice(letters)
     assert rng.getstate() == twin.getstate()
 
 
@@ -779,6 +767,20 @@ def test_sample_B_elements_are_members():
         for level in range(1, tower.depth + 1):
             for _ in range(20):
                 assert tower.in_B(tower.sample_B(rng, level), level)
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (2, 2, 2), (2, 3, 2)])
+def test_in_B_agrees_with_value_at(orders):
+    """in_B reads coordinate 0 off the base; the oracle reads it through
+    value_at.  Top-level draws of Tower.sample and draws of sample_level
+    at each level hold members and non-members alike."""
+    tower, rng = w.Tower(orders), random.Random(5)
+    drawn = [(tower.sample(rng), tower.depth) for _ in range(300)]
+    drawn += [(tower.sample_level(rng, level), level)
+              for level in range(1, tower.depth + 1) for _ in range(100)]
+    verdicts = [tower.in_B(u, level) for u, level in drawn]
+    assert verdicts == [oracle_in_B(tower, u, level) for u, level in drawn]
+    assert set(verdicts[:300]) == {True, False}
 
 
 # ---------------------------------------------------------------------------

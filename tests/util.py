@@ -154,6 +154,27 @@ def image_by_definition(chain, tower, u, level):
     return out
 
 
+def oracle_sample(tower, rng):
+    """Tower.sample as ``random.Random`` draws it: the length and the
+    letters from ``rng.randint`` and ``rng.choice`` themselves."""
+    word = []
+    for _ in range(rng.randint(0, 8)):
+        g, g_inv = rng.choice(tower.letters)
+        word.append(g_inv if rng.random() < 0.5 else g)
+    return tower.family.product(word)
+
+
+def oracle_in_B(tower, u, level):
+    """Tower.in_B by its definition: at each level the top is a multiple of
+    the order, and the entry at coordinate 0, read by ``value_at``, lies in
+    the lower subgroup B."""
+    if level == 1:
+        return u % tower.orders[0] == 0
+    if u.top % tower.orders[level - 1]:
+        return False
+    return oracle_in_B(tower, tower.families[level - 1].value_at(u, 0), level - 1)
+
+
 def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
     points = list(range(1, n + 1))
     images = points[:]
