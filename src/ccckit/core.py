@@ -240,7 +240,7 @@ def _disjoint(sa, sb) -> bool:
     """Whether the supports sa and sb (see GroupFamily.support) are known
     to be disjoint; None is unknown and never disjoint.  One merge walk
     over both interval lists, comparing lo/den and hi/den across the two
-    denominators by cross-multiplying, with no Fraction."""
+    denominators by cross-multiplying, in ints."""
     if sa is None or sb is None:
         return False
     da, xs = sa

@@ -10,17 +10,12 @@ An ``IetMap`` stores one positive denominator ``den`` and integer
 numerators: a_j = cuts[j] / den and the translations shifts[j] / den, in
 lowest terms (``gcd(den, *cuts, *shifts) == 1``), so normal form plus
 lowest terms makes equality field equality.  Everything here does only
-``int`` arithmetic.  Each builder (``make_iet``, ``block_exchange``,
-``rotation``) and ``apply`` is a thin public wrapper over a private core
-on int numerators over one denominator, and the batteries call the
-cores.  A wrapper takes a caller's numbers through ``rational.num_den``
-(an int as it is, a str or a ``Fraction`` through ``rational.exact``,
-which refuses a binary float rather than take its power-of-two value).
-``Fraction`` appears only in what ``apply`` and the read-only
-``breakpoints``/``translations``/``bound`` properties return, built by
-``rational.as_fraction``, which imports ``fractions`` on first use, so no
-battery loads it.  Rendering prints exactly what ``str(Fraction)``
-prints, from ints.
+``int`` arithmetic, and the builders take their data the same way:
+``make_iet(den, cuts, shifts)``, ``block_exchange(den, n)`` and
+``rotation(den, length, amount)`` read every length as a numerator over
+``den``, and refuse anything but a positive int ``den`` and int
+numerators with ValueError before any arithmetic.  Rendering prints each
+rational as "n/d" in lowest terms, through ``rational.fmt``.
 
 The public constructors (``IetMap(...)`` and ``make_iet``) validate: the
 raw breakpoints start at 0 and ascend strictly, the translated intervals
@@ -36,8 +31,8 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, trusted
-from .rational import (as_fraction, common_den, fmt, in_lowest_terms, is_int_data,
-                       lowest_terms, num_den, over_common_den, ratio, rescaled)
+from .rational import (check_int_data, common_den, fmt, in_lowest_terms, is_int_data,
+                       lowest_terms, rescaled)
 
 
 class InvalidIetError(CcckitError):
@@ -70,18 +65,6 @@ class IetMap(Record):
                                   "or a trailing identity interval")
         if not in_lowest_terms(den, cuts, shifts):
             raise InvalidIetError(f"not in lowest terms: denominator {den}")
-
-    @property
-    def breakpoints(self) -> tuple:
-        return tuple(as_fraction(c, self.den) for c in self.cuts)
-
-    @property
-    def translations(self) -> tuple:
-        return tuple(as_fraction(t, self.den) for t in self.shifts)
-
-    @property
-    def bound(self):
-        return as_fraction(self.cuts[-1], self.den)
 
     def __str__(self) -> str:
         return render_iet(self)
@@ -118,35 +101,16 @@ def _reduced(den: int, cuts, shifts) -> tuple:
     return lowest_terms(den, *_normal_form(cuts, shifts))
 
 
-def make_iet(breakpoints, translations) -> IetMap:
-    """Normalize raw rational interval data into an IetMap."""
-    bps, ts = list(breakpoints), list(translations)
-    den, nums = over_common_den(bps + ts)
-    return _make_iet(den, nums[:len(bps)], nums[len(bps):])
-
-
-def _make_iet(den: int, cuts, shifts) -> IetMap:
-    """make_iet on int numerators over den > 0; the raw breakpoints are
-    checked first, so normalising cannot hide malformed input."""
+def make_iet(den: int, cuts, shifts) -> IetMap:
+    """The IetMap with breakpoints cuts[j] / den and translations
+    shifts[j] / den, normalised; the raw breakpoints are checked first, so
+    normalising cannot hide malformed input."""
+    check_int_data(den, cuts, shifts)
     _check_intervals(den, cuts, shifts)
     return IetMap(*_reduced(den, cuts, shifts))
 
 
 IDENTITY = IetMap(1, (0,), ())
-
-
-def apply(f: IetMap, x):
-    """f(x) for x >= 0 given as in rational.num_den, as a Fraction."""
-    return as_fraction(*_apply(f, *num_den(x)))
-
-
-def _apply(f: IetMap, n: int, d: int) -> tuple[int, int]:
-    """f(n/d) for d > 0 as a reduced pair.  The cuts are ints, so
-    c <= n * den / d exactly when c <= floor(n * den / d)."""
-    if n < 0:
-        raise ValueError(f"point must be >= 0, got {fmt(n, d)}")
-    j = bisect_right(f.cuts, n * f.den // d)  # n/d lies in interval j - 1, or in the tail
-    return ratio(n * f.den + f.shifts[j - 1] * d, d * f.den) if j < len(f.cuts) else (n, d)
 
 
 def inverse(f: IetMap) -> IetMap:
@@ -157,11 +121,12 @@ def inverse(f: IetMap) -> IetMap:
 
 def compose(f: IetMap, g: IetMap) -> IetMap:
     """Pointwise f o g, exact, in one sweep over g's intervals in domain
-    order (and [g.bound, f.bound) with translation 0 when f reaches
-    further), with both maps rescaled to the lcm of their denominators.
-    Each interval [a, b) with translation s is cut at the preimages c - s of
-    f's breakpoints c inside its image, found from one bisect; f.bound is
-    one of them, since f's tail has translation 0."""
+    order (and the interval from g's last breakpoint to f's, with
+    translation 0, when f reaches further), with both maps rescaled to the
+    lcm of their denominators.  Each interval [a, b) with translation s is
+    cut at the preimages c - s of f's breakpoints c inside its image, found
+    from one bisect; f's last breakpoint is one of them, since f's tail has
+    translation 0."""
     den, mf, mg = common_den(f.den, g.den)
     fb, ft = rescaled(f.cuts, mf), rescaled(f.shifts, mf)
     gb, gt = rescaled(g.cuts, mg), rescaled(g.shifts, mg)
@@ -180,33 +145,24 @@ def compose(f: IetMap, g: IetMap) -> IetMap:
     return trusted(IetMap, *_reduced(den, bps, ts))
 
 
-def block_exchange(n) -> IetMap:
-    """Exchange [0, n) with [n, 2n); an involution."""
-    n, den = num_den(n)
-    return _block_exchange(den, n)
-
-
-def _block_exchange(den: int, n: int) -> IetMap:
-    """block_exchange(n / den), den > 0."""
+def block_exchange(den: int, n: int) -> IetMap:
+    """Exchange [0, L) with [L, 2L), L = n / den; an involution."""
+    check_int_data(den, (n,))
     if n <= 0:
         raise ValueError(f"block length must be > 0, got {fmt(n, den)}")
-    return _make_iet(den, [0, n, 2 * n], [n, -n])
+    return make_iet(den, [0, n, 2 * n], [n, -n])
 
 
-def rotation(length, amount) -> IetMap:
-    """Rotation of [0, length) by amount (mod length), identity beyond."""
-    den, (length, amount) = over_common_den([length, amount])
-    return _rotation(den, length, amount)
-
-
-def _rotation(den: int, length: int, amount: int) -> IetMap:
-    """rotation(length / den, amount / den), den > 0."""
+def rotation(den: int, length: int, amount: int) -> IetMap:
+    """Rotation of [0, length / den) by amount / den (mod the length),
+    identity beyond."""
+    check_int_data(den, (length, amount))
     if length <= 0:
         raise ValueError(f"block length must be > 0, got {fmt(length, den)}")
     amount %= length
     if amount == 0:
         return IDENTITY
-    return _make_iet(den, [0, length - amount, length], [amount, amount - length])
+    return make_iet(den, [0, length - amount, length], [amount, amount - length])
 
 
 def render_iet(f: IetMap) -> str:

@@ -9,20 +9,17 @@ A ``PlMap`` stores one positive denominator ``den`` and integer vertex
 numerators: vertex i is (xs[i] / den, ys[i] / den), in lowest terms
 (``gcd(den, *xs, *ys) == 1``) and with no interior vertex collinear with
 its neighbours, so equality is field equality.  Everything here does
-only ``int`` arithmetic.  Each builder (``make_pl``, ``bump``,
-``displacement_witness``), ``apply``, ``support_closure`` and
-``support_interval`` is a thin public wrapper over a private core on int
-numerators or (num, den) pairs.  The batteries call the cores, and the
-orbit walk of ``verify_displaced_supports`` steps on pairs with
-``_apply``, compares them by cross-multiplying and prints them through
-``rational.fmt``, which prints exactly what ``str(Fraction)`` prints, as
-rendering does.  A wrapper takes a caller's numbers through
-``rational.num_den`` (an int as it is, a str or a ``Fraction`` through
-``rational.exact``, which refuses a binary float rather than take its
-power-of-two value).  ``Fraction`` appears only in what the public
-wrappers and the read-only ``vertices`` property return, built by
-``rational.as_fraction``, which imports ``fractions`` on first use, so
-no battery loads it.
+only ``int`` arithmetic, on numerators over one denominator or on
+(num, den) pairs.  The builders ``make_pl(den, xs, ys)``,
+``bump(den, a, b)`` and ``displacement_witness(den, a, b, bound)`` read
+each coordinate as a numerator over ``den``, and ``apply(f, n, d)`` takes
+the point n/d; each refuses anything but a positive int denominator and
+int numerators with ValueError before any arithmetic.  ``apply`` returns
+a reduced (num, den) pair, and ``support_closure`` and
+``support_interval`` a pair of (num, den) pairs.  The orbit walk of
+``verify_displaced_supports`` steps on pairs with ``apply``, compares
+them by cross-multiplying and prints them through ``rational.fmt``, as
+rendering does.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from math import gcd, lcm
 from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily, Record,
                    Witness, ZMode, trusted, verify_czc,
                    VerificationReport)
-from .rational import (as_fraction, fmt, in_lowest_terms, is_int_data, less, lowest_terms,
-                       num_den, over_common_den, ratio)
+from .rational import (check_int_data, fmt, in_lowest_terms, is_int_data, less,
+                       lowest_terms, ratio)
 
 
 class InvalidPlMapError(CcckitError):
@@ -60,11 +57,6 @@ class PlMap(Record):
             raise InvalidPlMapError(f"collinear interior vertex in {render_pl(self)}")
         if not in_lowest_terms(den, xs, ys):
             raise InvalidPlMapError(f"not in lowest terms: denominator {den}")
-
-    @property
-    def vertices(self) -> tuple:
-        return tuple((as_fraction(x, self.den), as_fraction(y, self.den))
-                     for x, y in zip(self.xs, self.ys))
 
     def __str__(self) -> str:
         return render_pl(self)
@@ -94,15 +86,10 @@ def _drop_collinear(xs, ys) -> tuple[tuple, tuple]:
     return tuple(ox), tuple(oy)
 
 
-def make_pl(vertices) -> PlMap:
-    """Normalize a rational vertex list into a PlMap."""
-    den, nums = over_common_den([c for x, y in vertices for c in (x, y)])
-    return _make_pl(den, nums[0::2], nums[1::2])
-
-
-def _make_pl(den: int, xs, ys) -> PlMap:
-    """make_pl on int vertex numerators over den > 0: raw vertices
+def make_pl(den: int, xs, ys) -> PlMap:
+    """The PlMap with vertices (xs[i] / den, ys[i] / den): raw vertices
     checked, collinear vertices dropped, lowest terms."""
+    check_int_data(den, xs, ys)
     _check_vertices(den, xs, ys)
     return PlMap(*lowest_terms(den, *_drop_collinear(xs, ys)))
 
@@ -110,16 +97,12 @@ def _make_pl(den: int, xs, ys) -> PlMap:
 IDENTITY = PlMap(1, (0, 1), (0, 1))
 
 
-def apply(f: PlMap, x):
-    """f(x) for x in [0, 1] given as in rational.num_den, as a Fraction."""
-    return as_fraction(*_apply(f, *num_den(x)))
-
-
-def _apply(f: PlMap, n: int, d: int) -> tuple[int, int]:
-    """f(n/d) for d > 0 as a reduced pair.  The point n/d * den = n * den / d
-    lies on the segment that starts at the last vertex numerator below
-    ceil(n * den / d), and the interpolation is put over d * den * (segment
-    width): int arithmetic throughout."""
+def apply(f: PlMap, n: int, d: int) -> tuple[int, int]:
+    """f(n/d) for ints n and d > 0 as a reduced pair.  The point
+    n/d * den = n * den / d lies on the segment that starts at the last
+    vertex numerator below ceil(n * den / d), and the interpolation is put
+    over d * den * (segment width): int arithmetic throughout."""
+    check_int_data(d, (n,))
     if not 0 <= n <= d:
         raise ValueError(f"point {fmt(n, d)} outside [0, 1]")
     xs, ys, den = f.xs, f.ys, f.den
@@ -185,15 +168,9 @@ def compose(f: PlMap, g: PlMap) -> PlMap:
     return trusted(PlMap, *lowest_terms(den, *_drop_collinear(xs, ys)))
 
 
-def support_closure(f: PlMap) -> tuple | None:
-    """Closure of {x : f(x) != x} as a pair of Fractions, or None for the
-    identity."""
-    s = _support_closure(f)
-    return None if s is None else (as_fraction(*s[0]), as_fraction(*s[1]))
-
-
-def _support_closure(f: PlMap) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """support_closure(f) as (num, den) pairs."""
+def support_closure(f: PlMap) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Closure of {x : f(x) != x} as a pair of (num, den) pairs over f's
+    den, or None for the identity."""
     moved = [i for i in range(len(f.xs) - 1)
              if not (f.xs[i] == f.ys[i] and f.xs[i + 1] == f.ys[i + 1])]
     if not moved:
@@ -201,22 +178,16 @@ def _support_closure(f: PlMap) -> tuple[tuple[int, int], tuple[int, int]] | None
     return (f.xs[moved[0]], f.den), (f.xs[moved[-1] + 1], f.den)
 
 
-def support_interval(H: GeneratorSet) -> tuple | None:
+def support_interval(H: GeneratorSet) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Smallest closed interval containing all generator supports, as a
-    pair of Fractions, or None when every generator is the identity.
+    pair of (num, den) pairs, or None when every generator is the identity.
 
     Raises NotCompactlySupportedError when a generator moves points
     arbitrarily close to 0 or 1.
     """
-    s = _support_interval(H)
-    return None if s is None else (as_fraction(*s[0]), as_fraction(*s[1]))
-
-
-def _support_interval(H: GeneratorSet) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """support_interval(H) as (num, den) pairs."""
     lo, hi = None, None
     for h in H.elements:
-        s = _support_closure(h)
+        s = support_closure(h)
         if s is None:
             continue
         a, b = s
@@ -230,20 +201,15 @@ def _support_interval(H: GeneratorSet) -> tuple[tuple[int, int], tuple[int, int]
     return lo, hi
 
 
-def displacement_witness(a, b, bound: int = 8) -> Witness:
-    """An increasing PL bijection t with t(a) > b, as a bounded Z-mode
-    witness.  Vertices are dyadic whenever a and b are."""
-    den, (a, b) = over_common_den([a, b])
-    return _displacement_witness(den, a, b, bound)
-
-
-def _displacement_witness(den: int, a: int, b: int, bound: int) -> Witness:
-    """displacement_witness(a / den, b / den, bound), den > 0: t has the
-    vertex (a, peak) with peak = (1 + b) / 2, strictly between b and 1,
-    all over 2 * den."""
+def displacement_witness(den: int, a: int, b: int, bound: int) -> Witness:
+    """An increasing PL bijection t with t(a / den) > b / den, as a bounded
+    Z-mode witness: t has the vertex (a, peak) with peak = (1 + b) / 2,
+    strictly between b and 1, all over 2 * den.  Vertices are dyadic
+    whenever a / den and b / den are."""
+    check_int_data(den, (a, b))
     if not 0 < a <= b < den:
         raise ValueError(f"need 0 < a <= b < 1, got a={fmt(a, den)}, b={fmt(b, den)}")
-    return Witness(_make_pl(2 * den, [0, 2 * a, 2 * den], [0, den + b, 2 * den]), ZMode(bound))
+    return Witness(make_pl(2 * den, [0, 2 * a, 2 * den], [0, den + b, 2 * den]), ZMode(bound))
 
 
 def verify_displaced_supports(H: GeneratorSet, w: Witness) -> VerificationReport:
@@ -261,16 +227,16 @@ def verify_displaced_supports(H: GeneratorSet, w: Witness) -> VerificationReport
     report.extend(algebraic)
     t, P = w.t, w.mode.bound
 
-    supp = _support_interval(H)  # (num, den) pairs, as every point of the walk
+    supp = support_interval(H)  # (num, den) pairs, as every point of the walk
     geometric_ok = True
     escalates = []
     if supp is not None:
         lo, hi = supp
         x, y = lo, hi
         for p in range(1, P + 1):
-            x = _apply(t, *x)
+            x = apply(t, *x)
             escalates.append(less(y, x))  # t^p(lo) > t^(p-1)(hi)
-            y = _apply(t, *y)  # [x, y] is now the t^p image of the support interval
+            y = apply(t, *y)  # [x, y] is now the t^p image of the support interval
             disjoint = less(hi, x) or less(y, lo)
             geometric_ok = geometric_ok and disjoint
             report.record(
@@ -327,17 +293,12 @@ class PlFamily(GroupFamily):
 PL = PlFamily()
 
 
-def bump(a, b) -> PlMap:
-    """A map supported exactly on [a, b]: sends the midpoint m to
-    (m + b) / 2, identity outside."""
-    den, (a, b) = over_common_den([a, b])
-    return _bump(den, a, b)
-
-
-def _bump(den: int, a: int, b: int) -> PlMap:
-    """bump(a / den, b / den), den > 0: the vertex (m, (m + b) / 2) with
+def bump(den: int, a: int, b: int) -> PlMap:
+    """A map supported exactly on [a / den, b / den]: sends the midpoint m
+    to (m + b) / 2, identity outside.  The vertex (m, (m + b) / 2) with
     m = (a + b) / 2 is (2(a + b), a + 3b) over 4 * den."""
+    check_int_data(den, (a, b))
     if not 0 < a < b < den:
         raise ValueError(f"need 0 < a < b < 1, got {fmt(a, den)}, {fmt(b, den)}")
-    return _make_pl(4 * den, [0, 4 * a, 2 * (a + b), 4 * b, 4 * den],
+    return make_pl(4 * den, [0, 4 * a, 2 * (a + b), 4 * b, 4 * den],
                     [0, 4 * a, a + 3 * b, 4 * b, 4 * den])

@@ -166,7 +166,7 @@ def _rotations(n: int, scale: tuple[int, int]):
     """The rotations of the block L = n * scale by L/3 and by L/2."""
     s, d = scale
     block = n * s  # L = block / d
-    return (ietmod._rotation(3 * d, 3 * block, block), ietmod._rotation(2 * d, 2 * block, block))
+    return (ietmod.rotation(3 * d, 3 * block, block), ietmod.rotation(2 * d, 2 * block, block))
 
 
 MATRIX_MODULI = (None, 5)  # Z and Z/5; reports write Z as 0
@@ -194,7 +194,7 @@ STABLE: dict[str, Stable] = {
                        _aut_free_generators, lambda g, ambient: fg.extend_rank(g, ambient.rank),
                        (ENGINE, partial(_square, "identity assignment"))),
     "iet": Stable("iet", lambda n, scale: (ietmod.IET,
-                                           ietmod._block_exchange(scale[1], n * scale[0])),
+                                           ietmod.block_exchange(scale[1], n * scale[0])),
                   _rotations, lambda g, ambient: g, (ENGINE, partial(_square, "id")),
                   rings=((1, 1), (1, 2), (2, 1)),
                   label=lambda n, scale: f"block {fmt(n * scale[0], scale[1])}: "),
@@ -210,9 +210,9 @@ def pl_battery(size: int, bound: int, seed: int) -> VerificationReport:
     # [a, b] in eighths: [1/4, 1/2], [1/8, 1/4] and [3/8, 1/2]
     instances = [(2, 4), (1, 2), (3, 4)][:size]
     for a, b in instances:
-        H = GeneratorSet(plmod.PL, (plmod._bump(8, a, b),))
+        H = GeneratorSet(plmod.PL, (plmod.bump(8, a, b),))
         report.extend(plmod.verify_displaced_supports(
-            H, plmod._displacement_witness(8, a, b, bound)))
+            H, plmod.displacement_witness(8, a, b, bound)))
     return report
 
 
@@ -223,8 +223,8 @@ def pl_battery(size: int, bound: int, seed: int) -> VerificationReport:
 def iet_chain(depth: int = 2) -> wreathmod.WitnessChain:
     """H = <rotation of [0, 1) by 1/3> and t_i = block_exchange(2^(i-1)),
     all of order 2, for i = 1..depth."""
-    H = (ietmod._rotation(3, 3, 1),)
-    ts = tuple(ietmod._block_exchange(1, 2 ** i) for i in range(depth))
+    H = (ietmod.rotation(3, 3, 1),)
+    ts = tuple(ietmod.block_exchange(1, 2 ** i) for i in range(depth))
     return wreathmod.WitnessChain(ietmod.IET, H, ts, (2,) * depth)
 
 
@@ -262,7 +262,7 @@ def closure_battery(size: int, seed: int) -> VerificationReport:
                                              permmod.perm_from_cycles([[1, 2]])))),
         ("sl2", GeneratorSet(mat.MatrixFamily(2),
                              (mat.matrix([[1, 1], [0, 1]]), mat.matrix([[0, -1], [1, 0]])))),
-        ("iet", GeneratorSet(ietmod.IET, (ietmod._rotation(3, 3, 1),))),
+        ("iet", GeneratorSet(ietmod.IET, (ietmod.rotation(3, 3, 1),))),
     ]
     for label, H in batteries:
         wr = wreathmod.WreathFamily(H.family, size)

@@ -18,7 +18,6 @@ Points are stored as their residues mod n, so a base is a tuple of
 
 from __future__ import annotations
 
-import operator
 import random
 from collections.abc import Sequence
 
@@ -117,12 +116,12 @@ class WreathFamily(GroupFamily):
     int a, and it moves the point x of Z/n to x + a mod n.
 
     ``element`` is the public constructor and validates the points, base
-    entries and top it is given, as ``value_at`` validates its point; both
-    reduce a point x to x % n.  ``product``/``mul``/``inv`` build their
-    results from valid elements, so ``check_element`` checks the type and
-    that the points lie in 0..n-1 (they ascend: it reads the first and the
-    last), not the entries; the tops and points are added and compared as
-    ints.  Every method that takes an element calls it, ``render`` too."""
+    entries and top it is given; it reduces a point x to x % n.
+    ``product``/``mul``/``inv`` build their results from valid elements,
+    so ``check_element`` checks the type and that the points lie in
+    0..n-1 (they ascend: it reads the first and the last), not the
+    entries; the tops and points are added and compared as ints.  Every
+    method that takes an element calls it, ``render`` too."""
 
     def __init__(self, base_family: GroupFamily, n: int):
         if not (is_int(n) and n >= 1):
@@ -161,15 +160,6 @@ class WreathFamily(GroupFamily):
             INT_Z.check_element(x)
             checked.append((x % n, g))
         return self.normalize(checked, top)
-
-    def value_at(self, u: WreathElement, x) -> object:
-        self.check_element(u)
-        INT_Z.check_element(x)
-        x %= self.n
-        for y, g in u.base:
-            if y == x:
-                return g
-        return self.base_family.identity()
 
     def identity(self):
         return core.trusted(WreathElement, (), 0)
@@ -437,10 +427,6 @@ def validate_chain(chain: WitnessChain) -> VerificationReport:
     return report
 
 
-# TowerHom interns its values, so a law that holds is one object: no eq
-_identical = operator.is_
-
-
 class TowerHom:
     """Evaluator for the inductively defined homomorphism from the tower
     into the target family: the bottom level sends m to t_1^m, and each
@@ -577,8 +563,9 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
     its image, so each is decided once per distinct f(a), resp. f(b).  In
     the same way the product f(u)f(v) is taken once per distinct pair
     (f(u), f(v)) and interned in f's ``_canon``, so a law that holds finds
-    f(uv) and f(u)f(v) to be one object and passes with no ``eq``.  These
-    memos are dicts local to the call, keyed by f's interned images.  Each
+    f(uv) and f(u)f(v) to be one object, which ``fam.eq`` compares and
+    ``report.text`` renders once.  These memos are dicts local to the
+    call, keyed by f's interned images.  Each
     distinct image is rendered once per report, through ``report.text``,
     and each distinct sample once per draw, through ``samples.text``,
     however many chains are checked on it.  f(uv) is always evaluated on
@@ -600,7 +587,7 @@ def check_hom(f: TowerHom, samples: TowerSamples) -> VerificationReport:
             rhs = f._canon.setdefault(rhs, rhs)
             entry = products[fu, fv] = (rhs, report.text(fam, rhs))
         rhs, rhs_text = entry
-        report.record(f"f(uv) = f(u)f(v) [{k}]", _identical(lhs, rhs) or fam.eq(lhs, rhs),
+        report.record(f"f(uv) = f(u)f(v) [{k}]", fam.eq(lhs, rhs),
                       report.text(fam, lhs), rhs_text)
 
     # (part, law, sample name, kind, the draw's samples, what H must commute with)

@@ -13,7 +13,6 @@ from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
-from ccckit import iet as ietmod
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit import wreath as w
@@ -69,7 +68,7 @@ def aut_fixed_off(a, inside) -> bool:
 def iet_fixed_off(a, inside) -> bool:
     points = (Fraction(k, 4 * a.den) for k in range(4 * a.cuts[-1] + 8))
     return all(inside(y) if inside(x) else y == x
-               for x, y in ((x, ietmod.apply(a, x)) for x in points))
+               for x, y in ((x, util.iet_at(a, x)) for x in points))
 
 
 def wreath_oracle_mul(fam, u, v):
@@ -145,9 +144,8 @@ FAMILIES = {
     "braid word": battery("braid", 3),
     "free automorphism": battery("aut-free", 2),
     "iet": battery("iet", 2, (1, 2)),
-    "pl": Family(pl.PL, tuple(pl.bump(Fraction(a, 8), Fraction(b, 8))
-                              for a, b in ((2, 4), (1, 2), (3, 4))),
-                 (), pl.displacement_witness("1/4", "1/2").t, oracle_pl_compose),
+    "pl": Family(pl.PL, tuple(pl.bump(8, a, b) for a, b in ((2, 4), (1, 2), (3, 4))),
+                 (), pl.displacement_witness(4, 1, 2, 8).t, oracle_pl_compose),
     "Z": Family(w.INT_Z, (1,), (), 2),
     **{f"wreath depth {d}": _tower(d) for d in (2, 3, 4)},
     **{f"closure {label}": _closure(H, witness)

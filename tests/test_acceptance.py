@@ -5,6 +5,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 from ccckit import braid as braidmod
 from ccckit import cli
@@ -17,7 +18,7 @@ from ccckit.core import Finite, GeneratorSet, Witness, commutator, verify_ccc
 from ccckit.suites import FAMILIES, iet_chain, perm_chain, run_family
 
 from util import (bounded_products, coset_index, displacement_escalates, extended_image,
-                  random_iet)
+                  iet_at, random_iet)
 
 
 def _verdict(k: int, label: str, ok: bool) -> None:
@@ -118,10 +119,10 @@ def test_acceptance_6_iet_composition_invariants():
     for _ in range(500):
         f, g = random_iet(rng), random_iet(rng)
         h = ietmod.compose(f, g)  # construction re-validates the partition
-        top = max(h.bound, f.bound, g.bound) + 1
+        top = max(Fraction(m.cuts[-1], m.den) for m in (h, f, g)) + 1
         for k in (0, 1, 2):
             x = Fraction(k * top, 3)
-            ok = ok and ietmod.apply(h, x) == ietmod.apply(f, ietmod.apply(g, x))
+            ok = ok and iet_at(h, x) == iet_at(f, iet_at(g, x))
         ok = ok and ietmod.compose(f, ietmod.inverse(f)) == ietmod.IDENTITY
     _verdict(6, "500 seeded IET compositions preserve invariants, f o f^-1 = id", ok)
 
@@ -134,8 +135,9 @@ def test_acceptance_7_pl_dual_verification():
                  (Fraction(5, 16), Fraction(3, 8)), (Fraction(1, 2), Fraction(5, 8))]
     ok = len(instances) == 10
     for a, b in instances:
-        H = GeneratorSet(pl.PL, (pl.bump(a, b),))
-        witness = pl.displacement_witness(a, b, bound=6)
+        den = lcm(a.denominator, b.denominator)
+        H = GeneratorSet(pl.PL, (pl.bump(den, int(a * den), int(b * den)),))
+        witness = pl.displacement_witness(den, int(a * den), int(b * den), bound=6)
         report = pl.verify_displaced_supports(H, witness)
         ok = ok and report.passed
         agree = [c for c in report.checks if "agree" in c["name"]]

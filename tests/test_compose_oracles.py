@@ -3,17 +3,17 @@ integer inverses of IETs and PL maps, against the point-by-point
 ``Fraction`` code they replaced.
 
 Each oracle below is the former ``compose`` or ``inverse``: it works on
-the ``Fraction`` values of the public ``breakpoints``/``translations``/
-``vertices`` properties, evaluates maps with its own linear scans, sorts a
-set of points and builds its result through the public ``make_iet``/
-``make_pl``, so it shares no rescaling, cutting, interpolation or merging
-logic with the integer kernels.  Normal forms in lowest terms are unique,
-so each kernel must return exactly the oracle's value, and the value must
-survive re-validation.
+the ``Fraction`` values of a map's breakpoints and translations or
+vertices, evaluates maps with its own linear scans, sorts a set of points
+and builds its result from those ``Fraction``s through ``util.iet_of``/
+``util.pl_of`` and the public ``make_iet``/``make_pl``, so it shares no
+rescaling, cutting, interpolation or merging logic with the integer
+kernels.  Normal forms in lowest terms are unique, so each kernel must
+return exactly the oracle's value, and the value must survive
+re-validation.
 
 The integer ``plhomeo.apply`` is checked the same way against
-``_pl_apply``, the linear scan over the ``Fraction`` vertices that the
-former ``apply`` computed.
+``util.pl_at``, the linear scan over the ``Fraction`` vertices.
 
 ``perm.compose``, one merge of two ascending mappings, is checked against
 two oracles: a point-by-point scan of the union of the supports, and the
@@ -38,13 +38,22 @@ from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit.core import trusted
+from ccckit.rational import ratio
 
-from util import revalidates
+from util import iet_of, pl_at, pl_of, revalidates, vertices
+
+
+def _breakpoints(f: ietmod.IetMap) -> list[Fraction]:
+    return [Fraction(c, f.den) for c in f.cuts]
+
+
+def _translations(f: ietmod.IetMap) -> list[Fraction]:
+    return [Fraction(t, f.den) for t in f.shifts]
 
 
 def _translation_at(f: ietmod.IetMap, x: Fraction) -> Fraction:
-    bps = f.breakpoints
-    for a, b, t in zip(bps, bps[1:], f.translations):
+    bps = _breakpoints(f)
+    for a, b, t in zip(bps, bps[1:], _translations(f)):
         if a <= x < b:
             return t
     return Fraction(0)
@@ -55,35 +64,26 @@ def _iet_apply(f: ietmod.IetMap, x: Fraction) -> Fraction:
 
 
 def oracle_iet_inverse(f: ietmod.IetMap) -> ietmod.IetMap:
-    bps = f.breakpoints
-    pieces = sorted((a + t, b + t, -t) for a, b, t in zip(bps, bps[1:], f.translations))
-    return ietmod.make_iet([Fraction(0)] + [hi for _, hi, _ in pieces],
-                           [t for _, _, t in pieces])
+    bps = _breakpoints(f)
+    pieces = sorted((a + t, b + t, -t) for a, b, t in zip(bps, bps[1:], _translations(f)))
+    return iet_of([Fraction(0)] + [hi for _, hi, _ in pieces], [t for _, _, t in pieces])
 
 
 def oracle_iet_compose(f: ietmod.IetMap, g: ietmod.IetMap) -> ietmod.IetMap:
     ginv = oracle_iet_inverse(g)
-    ordered = sorted(set(g.breakpoints) | {_iet_apply(ginv, c) for c in f.breakpoints})
+    ordered = sorted(set(_breakpoints(g)) | {_iet_apply(ginv, c) for c in _breakpoints(f)})
     ts = [_translation_at(g, x) + _translation_at(f, _iet_apply(g, x)) for x in ordered[:-1]]
-    return ietmod.make_iet(ordered, ts)
-
-
-def _pl_apply(f: pl.PlMap, x: Fraction) -> Fraction:
-    v = f.vertices
-    for (x0, y0), (x1, y1) in zip(v, v[1:]):
-        if x0 <= x <= x1:
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    raise AssertionError(f"{x} outside [0, 1]")
+    return iet_of(ordered, ts)
 
 
 def oracle_pl_inverse(f: pl.PlMap) -> pl.PlMap:
-    return pl.make_pl([(y, x) for x, y in f.vertices])
+    return pl_of([(y, x) for x, y in vertices(f)])
 
 
 def oracle_pl_compose(f: pl.PlMap, g: pl.PlMap) -> pl.PlMap:
     ginv = oracle_pl_inverse(g)
-    xs = sorted({x for x, _ in g.vertices} | {_pl_apply(ginv, x) for x, _ in f.vertices})
-    return pl.make_pl([(x, _pl_apply(f, _pl_apply(g, x))) for x in xs])
+    xs = sorted({x for x, _ in vertices(g)} | {pl_at(ginv, x) for x, _ in vertices(f)})
+    return pl_of([(x, pl_at(f, pl_at(g, x))) for x in xs])
 
 
 def oracle_perm_compose(a: permmod.FinPerm, b: permmod.FinPerm) -> permmod.FinPerm:
@@ -149,7 +149,7 @@ def iet_map(draw):
         ts.append(starts[idx] - (pos - length))
     if offset == 0:
         bps, ts = bps[1:], ts[1:]
-    return ietmod.make_iet(bps, ts)
+    return iet_of(bps, ts)
 
 
 iet_maps = st.one_of(st.just(ietmod.IDENTITY), iet_map())
@@ -178,15 +178,15 @@ def test_iet_inverse_matches_oracle(f):
 def test_iet_compose_cuts_at_the_bound_of_f():
     # g's interval [0, 2) maps onto [1, 3), which contains f.bound = 2: the
     # part landing beyond 2 is fixed by f, the rest is moved by it
-    f = ietmod.make_iet([0, 1, 2], [1, -1])
-    g = ietmod.rotation(3, 1)
+    f = ietmod.make_iet(1, [0, 1, 2], [1, -1])
+    g = ietmod.rotation(1, 3, 1)
     check_iet(f, g)
-    assert ietmod.compose(f, g) == ietmod.make_iet([0, 1, 2, 3], [0, 1, -1])
+    assert ietmod.compose(f, g) == ietmod.make_iet(1, [0, 1, 2, 3], [0, 1, -1])
 
 
 def test_iet_compose_with_identity_and_disjoint_supports():
-    f = ietmod.block_exchange(1)
-    g = ietmod.make_iet([0, 4, 5, 6], [0, 1, -1])
+    f = ietmod.block_exchange(1, 1)
+    g = ietmod.make_iet(1, [0, 4, 5, 6], [0, 1, -1])
     for a, b in ((f, g), (g, f), (f, ietmod.IDENTITY), (ietmod.IDENTITY, g),
                  (ietmod.IDENTITY, ietmod.IDENTITY)):
         check_iet(a, b)
@@ -194,7 +194,7 @@ def test_iet_compose_with_identity_and_disjoint_supports():
 
 
 def test_iet_compose_across_denominators():
-    halves, thirds, sevenths = (ietmod.rotation(1, Fraction(1, d)) for d in (2, 3, 7))
+    halves, thirds, sevenths = (ietmod.rotation(d, d, 1) for d in (2, 3, 7))
     for a, b in ((halves, thirds), (thirds, sevenths), (sevenths, halves),
                  (halves, ietmod.inverse(halves)), (thirds, halves)):
         check_iet(a, b)
@@ -217,8 +217,8 @@ def pl_map(draw):
     k = draw(st.integers(min_value=0, max_value=min(5, dx - 1, dy - 1)))
     xs = sorted(draw(st.sets(st.integers(1, dx - 1), min_size=k, max_size=k)))
     ys = sorted(draw(st.sets(st.integers(1, dy - 1), min_size=k, max_size=k)))
-    return pl.make_pl([(0, 0)] + [(Fraction(x, dx), Fraction(y, dy))
-                                  for x, y in zip(xs, ys)] + [(1, 1)])
+    return pl_of([(0, 0)] + [(Fraction(x, dx), Fraction(y, dy))
+                             for x, y in zip(xs, ys)] + [(1, 1)])
 
 
 pl_maps = st.one_of(st.just(pl.IDENTITY), pl_map())
@@ -245,9 +245,9 @@ def test_pl_inverse_matches_oracle(f):
 
 
 def test_pl_compose_shared_and_disjoint_supports():
-    b1 = pl.bump(Fraction(1, 4), Fraction(1, 2))
-    b2 = pl.bump(Fraction(1, 2), Fraction(3, 4))
-    t = pl.displacement_witness(Fraction(1, 4), Fraction(1, 2)).t
+    b1 = pl.bump(4, 1, 2)
+    b2 = pl.bump(4, 2, 3)
+    t = pl.displacement_witness(4, 1, 2, 8).t
     for f, g in ((b1, b2), (b2, b1), (b1, b1), (t, b1), (b1, t), (t, pl.inverse(t)),
                  (b1, pl.IDENTITY), (pl.IDENTITY, t)):
         check_pl(f, g)
@@ -262,10 +262,11 @@ points = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
 def check_pl_apply(f, extra=()):
     """The integer apply against the Fraction scan at every vertex, both
     ends, every vertex value taken as a point, and the extra points."""
-    v = f.vertices
+    v = vertices(f)
     for x in [x for x, _ in v] + [y for _, y in v] + [Fraction(0), Fraction(1)] + list(extra):
-        y = pl.apply(f, x)
-        assert type(y) is Fraction and y == _pl_apply(f, x)
+        n, d = pl.apply(f, x.numerator, x.denominator)
+        assert type(n) is int and type(d) is int and Fraction(n, d) == pl_at(f, x)
+        assert ratio(n, d) == (n, d) and d > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,33 +276,27 @@ def test_pl_apply_matches_oracle(f, extra):
 
 
 def test_pl_apply_matches_oracle_over_large_denominators():
-    t = pl.displacement_witness("1/3", "5/7").t
-    f = functools.reduce(pl.compose, [t, pl.bump("1/11", "6/13"), pl.inverse(t),
-                                      pl.bump("2/9", "17/19")])
+    t = pl.displacement_witness(21, 7, 15, 8).t  # a = 1/3, b = 5/7
+    f = functools.reduce(pl.compose, [t, pl.bump(143, 13, 66), pl.inverse(t),
+                                      pl.bump(171, 38, 153)])
     tp = functools.reduce(pl.compose, [t] * 12)
     for g in (f, tp, pl.compose(f, tp)):
         assert g.den > 10 ** 6
         check_pl_apply(g, [Fraction(k, 997) for k in range(0, 998, 37)])
 
 
-def test_pl_apply_takes_ints_and_strs_and_refuses_floats():
-    f = pl.make_pl([(0, 0), (Fraction(1, 3), Fraction(4, 7)), (1, 1)])
-    assert pl.apply(f, 0) == 0 and pl.apply(f, 1) == 1
-    for text in ("1/3", "0.25", "5/6"):
-        assert pl.apply(f, text) == _pl_apply(f, Fraction(text))
-    for bad in (0.5, True):
-        with pytest.raises(ValueError, match="exact rational"):
-            pl.apply(f, bad)
-    for outside in (-1, 2, "-1/5", "6/5"):
+def test_pl_apply_refuses_a_point_outside_the_unit_interval():
+    f = pl.make_pl(21, [0, 7, 21], [0, 12, 21])
+    for n, d in ((-1, 1), (2, 1), (-1, 5), (6, 5)):
         with pytest.raises(ValueError, match="outside"):
-            pl.apply(f, outside)
+            pl.apply(f, n, d)
 
 
 def test_pl_compose_across_denominators():
     # slopes 2/3, 4/3, 3/7, ...: interpolated vertices get new denominators
-    f = pl.make_pl([(0, 0), (Fraction(1, 2), Fraction(1, 3)), (1, 1)])
-    g = pl.make_pl([(0, 0), (Fraction(1, 3), Fraction(4, 7)), (1, 1)])
-    t = pl.bump(Fraction(1, 7), Fraction(2, 3))
+    f = pl.make_pl(6, [0, 3, 6], [0, 2, 6])  # the vertex (1/2, 1/3)
+    g = pl.make_pl(21, [0, 7, 21], [0, 12, 21])  # the vertex (1/3, 4/7)
+    t = pl.bump(21, 3, 14)  # [1/7, 2/3]
     for a, b in ((f, g), (g, f), (f, t), (t, g), (g, pl.inverse(f))):
         check_pl(a, b)
     assert pl.compose(f, pl.inverse(f)) == pl.IDENTITY

@@ -1,7 +1,6 @@
 import operator
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -124,16 +123,17 @@ _BRAID_4 = braidmod.BraidFamily(4)
 # family -> (group family, strategy for its elements)
 NEIGHBOUR_CASES = {
     "perm": (PERM, perm_st),
-    "pl": (pl.PL, products_of(pl.PL, [pl.bump(Fraction(a, 16), Fraction(b, 16))
+    "pl": (pl.PL, products_of(pl.PL, [pl.bump(16, a, b)
                                       for a, b in ((1, 5), (2, 9), (4, 12), (7, 15), (3, 4))]
-                              + [pl.inverse(pl.bump(Fraction(3, 16), Fraction(13, 16)))])),
+                              + [pl.inverse(pl.bump(16, 3, 13))])),
     "matrix-Z/3": (_MAT_Z3, products_of(_MAT_Z3, [mat.elementary(3, i, j, r, 3)
                                                  for i in range(1, 4) for j in range(1, 4)
                                                  for r in (1, 2) if i != j])),
-    "iet": (ietmod.IET, products_of(ietmod.IET, [ietmod.rotation(Fraction(3, 2), Fraction(1, 2)),
-                                                ietmod.rotation(2, Fraction(1, 3)),
-                                                ietmod.block_exchange(Fraction(3, 4)),
-                                                ietmod.block_exchange(1)])),
+    # rotations of [0, 3/2) by 1/2 and of [0, 2) by 1/3, and blocks 3/4 and 1
+    "iet": (ietmod.IET, products_of(ietmod.IET, [ietmod.rotation(2, 3, 1),
+                                                ietmod.rotation(3, 6, 1),
+                                                ietmod.block_exchange(4, 3),
+                                                ietmod.block_exchange(1, 1)])),
     "braid": (_BRAID_4, products_of(_BRAID_4, [braidmod.braid(4, (x,))
                                                for x in (1, 2, 3, -1, -2, -3)])),
 }
@@ -188,7 +188,7 @@ def test_verify_ccc_rejects_empty_generator_set():
 
 
 def test_verify_czc_rejects_empty_generator_set():
-    t = pl.displacement_witness("1/4", "1/2", bound=4)
+    t = pl.displacement_witness(4, 1, 2, bound=4)
     with pytest.raises(ValueError, match="empty generator set"):
         verify_czc(GeneratorSet(pl.PL, ()), t)
     with pytest.raises(WitnessModeError):  # the mode is checked first
@@ -196,8 +196,8 @@ def test_verify_czc_rejects_empty_generator_set():
 
 
 def test_verify_czc_is_labeled_bounded():
-    t = pl.displacement_witness("1/4", "1/2", bound=4)
-    H = GeneratorSet(pl.PL, (pl.bump("1/4", "1/2"),))
+    t = pl.displacement_witness(4, 1, 2, bound=4)
+    H = GeneratorSet(pl.PL, (pl.bump(4, 1, 2),))
     report = verify_czc(H, t)
     assert report.passed
     assert report.bounded
@@ -450,9 +450,9 @@ def _aut_free_case():
 
 
 def _iet_case():
-    block = Fraction(3, 2)
-    return (ietmod.IET, (ietmod.rotation(block, block / 3), ietmod.rotation(block, block / 2)),
-            Witness(ietmod.block_exchange(block), Finite(2)))
+    # the block 3/2, rotated by a third and by a half of it
+    return (ietmod.IET, (ietmod.rotation(2, 3, 1), ietmod.rotation(4, 6, 3)),
+            Witness(ietmod.block_exchange(2, 3), Finite(2)))
 
 
 def _block_cycle_case(n, order):
@@ -493,10 +493,10 @@ CLAIMS = {"braid-2": suites.STABLE["braid"].shift, "braid-3": suites.STABLE["bra
           "braid-3-wrong-claim": wrong_braid_shift}
 
 CZC_CASES = {
-    "pl": lambda: (pl.PL, (pl.bump("1/4", "1/2"), pl.bump("3/8", "1/2")),
-                   pl.displacement_witness("1/4", "1/2", bound=4)),
-    "pl-failing": lambda: (pl.PL, (pl.bump("1/4", "1/2"), pl.bump("3/8", "3/4")),
-                           Witness(pl.bump("1/8", "7/8"), ZMode(3))),
+    "pl": lambda: (pl.PL, (pl.bump(4, 1, 2), pl.bump(8, 3, 4)),
+                   pl.displacement_witness(4, 1, 2, bound=4)),
+    "pl-failing": lambda: (pl.PL, (pl.bump(4, 1, 2), pl.bump(8, 3, 6)),
+                           Witness(pl.bump(8, 1, 7), ZMode(3))),
 }
 
 
@@ -719,12 +719,11 @@ def _pl_runs(draw):
     """verify_czc on pl: bumps inside [1/4, 1/2] or past it, with the
     witness that displaces [1/4, 1/2] or a bump across all of them, at
     Z-mode bounds 1..8."""
-    bumps = [pl.bump("1/4", "1/2"), pl.bump("3/8", "1/2"), pl.bump("1/4", "3/8"),
-             pl.bump("3/8", "3/4")]
+    bumps = [pl.bump(4, 1, 2), pl.bump(8, 3, 4), pl.bump(8, 2, 3), pl.bump(8, 3, 6)]
     gens = draw(st.lists(st.sampled_from(bumps), min_size=1, max_size=2))
     bound = draw(st.integers(1, 8))
-    w = draw(st.sampled_from([pl.displacement_witness("1/4", "1/2", bound=bound),
-                              Witness(pl.bump("1/8", "7/8"), ZMode(bound))]))
+    w = draw(st.sampled_from([pl.displacement_witness(4, 1, 2, bound=bound),
+                              Witness(pl.bump(8, 1, 7), ZMode(bound))]))
     return partial(verify_czc, GeneratorSet(pl.PL, tuple(gens)), w)
 
 

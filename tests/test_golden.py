@@ -198,8 +198,8 @@ KERNEL_DIGESTS = {
 def _pl_failing_czc():
     """The failing Z-mode pl battery: the witness bump on [1/8, 7/8] moves
     h2's support onto h1's for some p."""
-    H = core.GeneratorSet(pl.PL, (pl.bump("1/4", "1/2"), pl.bump("3/8", "3/4")))
-    return core.verify_czc(H, core.Witness(pl.bump("1/8", "7/8"), core.ZMode(12)))
+    H = core.GeneratorSet(pl.PL, (pl.bump(4, 1, 2), pl.bump(8, 3, 6)))
+    return core.verify_czc(H, core.Witness(pl.bump(8, 1, 7), core.ZMode(12)))
 
 
 def _tower_hom_depth_3(chain):

@@ -14,7 +14,6 @@ import inspect
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -47,9 +46,9 @@ RECORDS = [
      "FreeAutomorphism(rank=1, images=(FreeWord(rank=1, letters=(1,)),), "
      "inverse_images=(FreeWord(rank=1, letters=(1,)),))"),
     (braidmod.braid(3, (1, -2)), ("strands", "letters"), "BraidWord(strands=3, letters=(1, -2))"),
-    (ietmod.rotation(1, Fraction(1, 3)), ("den", "cuts", "shifts"),
+    (ietmod.rotation(3, 3, 1), ("den", "cuts", "shifts"),
      "IetMap(den=3, cuts=(0, 2, 3), shifts=(1, -2))"),
-    (pl.bump(Fraction(1, 4), Fraction(1, 2)), ("den", "xs", "ys"),
+    (pl.bump(4, 1, 2), ("den", "xs", "ys"),
      "PlMap(den=16, xs=(0, 4, 6, 8, 16), ys=(0, 4, 7, 8, 16))"),
     (block_swap(1), ("mapping",), "FinPerm(mapping=((1, 2), (2, 1)))"),
     (mat.matrix([[1, 2], [0, 1]], 5), ("size", "rows", "modulus"),

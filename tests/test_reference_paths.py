@@ -58,8 +58,6 @@ FAST_PATHS = {
     # the tower draw takes rng.randint and rng.choice themselves
     "draws": lambda: [(wreath, "_randint", lambda rng, a, b: rng.randint(a, b)),
                       (wreath.Tower, "sample", oracle_sample)],
-    # fam.eq decides every law record, whether or not its sides are one object
-    "tower-identity": lambda: [(wreath, "_identical", lambda a, b: False)],
     # every construction through a module's trusted validates
     "trusted": lambda: [(module, "trusted", _checked) for module in _trusted_bindings()],
 }

@@ -11,7 +11,6 @@ the real ones, and a wrong claim must change no report byte.
 
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -109,7 +108,7 @@ def test_a_broken_witness_fails_the_engine(family):
         ambient, _ = stable.level(n, ring)
         if family == "iet":
             s, d = ring  # the block is n * s / d
-            return ambient, ietmod.block_exchange(Fraction(n * s, 3 * d))
+            return ambient, ietmod.block_exchange(3 * d, n * s)
         return ambient, ambient.identity()
 
     for ring in stable.rings:

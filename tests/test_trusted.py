@@ -10,7 +10,6 @@ by the law suite (test_laws.py); here are the builders, free words,
 inverses of elementary products and the kernels' merging cases.
 """
 
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -66,15 +65,15 @@ def test_word_mul_and_inv_revalidate(a, b):
 
 def test_iet_compose_merges_equal_translations():
     # f o g translates [0, 1) and [1, 2) both by +1: the rotation of [0, 3)
-    f = ietmod.make_iet([0, 1, 2, 3], [2, 0, -2])
-    g = ietmod.make_iet([0, 1, 2], [1, -1])
+    f = ietmod.make_iet(1, [0, 1, 2, 3], [2, 0, -2])
+    g = ietmod.make_iet(1, [0, 1, 2], [1, -1])
     h = ietmod.compose(f, g)
     assert revalidates(h)
-    assert h == ietmod.rotation(3, 1) and h.breakpoints == (0, 2, 3)
+    assert h == ietmod.rotation(1, 3, 1) and h.cuts == (0, 2, 3)
 
 
 def test_pl_compose_drops_collinear_vertices():
-    f = pl.bump(Fraction(1, 4), Fraction(1, 2))
+    f = pl.bump(4, 1, 2)
     h = pl.compose(f, pl.inverse(f))
     assert revalidates(h)
     assert h == pl.IDENTITY

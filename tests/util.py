@@ -3,7 +3,9 @@ a Hypothesis strategy for products of letters, and brute-force oracles
 that only tests call."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -16,7 +18,8 @@ from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit.core import conjugate, replace, verify_ccc
-from ccckit.rational import exact, fmt
+from ccckit.rational import fmt
+from ccckit.wreath import INT_Z
 
 
 def ring_id(ring) -> str:
@@ -73,18 +76,65 @@ def supports_overlap(sa, sb) -> bool:
                for a, b in xs for c, d in ys)
 
 
+def over_den(values) -> tuple[int, list[int]]:
+    """Rationals as (den, numerators), den the lcm of their denominators:
+    the int data of a map an oracle or a strategy builds from Fractions."""
+    qs = [Fraction(v) for v in values]
+    den = lcm(*(q.denominator for q in qs))
+    return den, [q.numerator * (den // q.denominator) for q in qs]
+
+
+def iet_of(breakpoints, translations) -> ietmod.IetMap:
+    """iet.make_iet on rational breakpoints and translations."""
+    bps, ts = list(breakpoints), list(translations)
+    den, nums = over_den(bps + ts)
+    return ietmod.make_iet(den, nums[:len(bps)], nums[len(bps):])
+
+
+def pl_of(vertices) -> pl.PlMap:
+    """plhomeo.make_pl on rational vertices."""
+    den, nums = over_den([c for x, y in vertices for c in (x, y)])
+    return pl.make_pl(den, nums[0::2], nums[1::2])
+
+
+def vertices(f: pl.PlMap) -> list[tuple[Fraction, Fraction]]:
+    """f's vertices as Fractions."""
+    return [(Fraction(x, f.den), Fraction(y, f.den)) for x, y in zip(f.xs, f.ys)]
+
+
+def pl_at(f: pl.PlMap, x) -> Fraction:
+    """f(x) for a rational x in [0, 1], as a Fraction, by a linear scan over
+    f's Fraction vertices: the oracle of plhomeo.apply."""
+    x = Fraction(x)
+    v = vertices(f)
+    for (x0, y0), (x1, y1) in zip(v, v[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise ValueError(f"{x} outside [0, 1]")
+
+
+def iet_at(f: ietmod.IetMap, x) -> Fraction:
+    """f(x) for a rational x >= 0, as a Fraction: the pointwise oracle of
+    iet.compose.  The cuts are ints, so c <= x * den exactly when
+    c <= floor(x * den)."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError(f"point must be >= 0, got {x}")
+    j = bisect_right(f.cuts, x * f.den // 1)  # x lies in interval j - 1, or in the tail
+    return x + Fraction(f.shifts[j - 1], f.den) if j < len(f.cuts) else x
+
+
 def displacement_escalates(t: pl.PlMap, a, b, P: int) -> list[bool]:
-    """Exact check of t^p(a) > t^(p-1)(b) for 1 <= p <= P, with a and b
-    taken through rational.exact and their t-orbits walked here.  The
-    oracle for the escalation record of pl.verify_displaced_supports."""
-    a, b = exact(a), exact(b)
+    """Exact check of t^p(a) > t^(p-1)(b) for 1 <= p <= P, for rationals a
+    and b, with their t-orbits walked here by ``pl_at``.  The oracle for
+    the escalation record of pl.verify_displaced_supports."""
     out = []
-    ta = a
-    prev_b = b
+    ta = Fraction(a)
+    prev_b = Fraction(b)
     for _ in range(P):
-        ta = pl.apply(t, ta)
+        ta = pl_at(t, ta)
         out.append(ta > prev_b)
-        prev_b = pl.apply(t, prev_b)
+        prev_b = pl_at(t, prev_b)
     return out
 
 
@@ -136,7 +186,7 @@ def factors_by_definition(chain, tower, u, level):
     level_fam = tower.families[level - 1]
     factors = []
     for q in range(chain.orders[level - 1]):
-        inner = image_by_definition(chain, tower, level_fam.value_at(u, q), level - 1)
+        inner = image_by_definition(chain, tower, value_at(level_fam, u, q), level - 1)
         factors.append(fam.mul(fam.mul(fam.power(t, q), inner), fam.power(t, -q)))
     return tuple(factors) + (fam.power(t, u.top),)
 
@@ -164,6 +214,18 @@ def oracle_sample(tower, rng):
     return tower.family.product(word)
 
 
+def value_at(fam, u, x):
+    """The entry of the wreath element u of fam at the point x mod n, or the
+    base family's identity where u has none."""
+    fam.check_element(u)
+    INT_Z.check_element(x)
+    x %= fam.n
+    for y, g in u.base:
+        if y == x:
+            return g
+    return fam.base_family.identity()
+
+
 def oracle_in_B(tower, u, level):
     """Tower.in_B by its definition: at each level the top is a multiple of
     the order, and the entry at coordinate 0, read by ``value_at``, lies in
@@ -172,7 +234,7 @@ def oracle_in_B(tower, u, level):
         return u % tower.orders[0] == 0
     if u.top % tower.orders[level - 1]:
         return False
-    return oracle_in_B(tower, tower.families[level - 1].value_at(u, 0), level - 1)
+    return oracle_in_B(tower, value_at(tower.families[level - 1], u, 0), level - 1)
 
 
 def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
@@ -183,27 +245,25 @@ def random_perm(rng: random.Random, n: int = 5) -> permmod.FinPerm:
 
 
 def random_iet(rng: random.Random, max_pieces: int = 5, denom: int = 12) -> ietmod.IetMap:
-    """A random interval exchange: random rational partition of [0, N),
-    intervals rearranged by a random permutation."""
+    """A random interval exchange: random partition of [0, N) into
+    intervals with lengths in (1/denom)Z, rearranged by a random
+    permutation."""
     k = rng.randint(1, max_pieces)
     cuts = sorted(rng.sample(range(1, denom * (k + 2)), k))
-    lengths = [Fraction(c, denom) for c in
-               [cuts[0]] + [b - a for a, b in zip(cuts, cuts[1:])]]
+    lengths = [cuts[0]] + [b - a for a, b in zip(cuts, cuts[1:])]
     order = list(range(k))
     rng.shuffle(order)
     starts = {}
-    cursor = Fraction(0)
+    cursor = 0
     for idx in order:
         starts[idx] = cursor
         cursor += lengths[idx]
-    bps = [Fraction(0)]
+    bps = [0]
     ts = []
-    pos = Fraction(0)
     for idx in range(k):
+        ts.append(starts[idx] - bps[-1])
         bps.append(bps[-1] + lengths[idx])
-        ts.append(starts[idx] - pos)
-        pos += lengths[idx]
-    return ietmod.make_iet(bps, ts)
+    return ietmod.make_iet(denom, bps, ts)
 
 
 CLOSURE_LABELS = ("perm", "sl2", "iet")  # the closure battery's H, in its order
