@@ -16,15 +16,11 @@ from collections.abc import Callable, Iterable, Sequence
 
 
 class CcckitError(Exception):
-    pass
+    """Base of ccckit's errors other than ValueError, which is for bad input."""
 
 
 class FamilyMismatchError(CcckitError):
     """An element was handed to a family it does not belong to."""
-
-
-class WitnessModeError(CcckitError):
-    """Witness mode incompatible with the requested check."""
 
 
 def is_int(x: object) -> bool:
@@ -49,8 +45,8 @@ class Record:
 
     The fields never change, so the hash is computed once per object, on
     its first call, and kept in the ``_hash`` slot, outside ``__dict__``:
-    ``==``, ``repr``, ``replace``, ``trusted``, copies and pickles see the
-    fields alone.  A record with an unhashable field raises TypeError on
+    ``==``, ``repr``, ``trusted``, copies and pickles see the fields
+    alone.  A record with an unhashable field raises TypeError on
     every call and keeps nothing.
     """
 
@@ -122,12 +118,6 @@ def trusted(cls, *values):
     obj = object.__new__(cls)
     cls._store(obj, *values)
     return obj
-
-
-def replace(record, **changes):
-    """A copy of record with the given fields changed, built through its
-    public constructor, so __post_init__ validates it again."""
-    return type(record)(**{**record.__dict__, **changes})
 
 
 class GroupFamily(abc.ABC):
@@ -282,7 +272,7 @@ class Finite(Record):
 
     def __post_init__(self):
         if not (is_int(self.n) and self.n >= 2):
-            raise WitnessModeError(f"finite witness order must be an int >= 2, got {self.n!r}")
+            raise ValueError(f"finite witness order must be an int >= 2, got {self.n!r}")
 
 
 class ZMode(Record):
@@ -291,7 +281,7 @@ class ZMode(Record):
 
     def __post_init__(self):
         if not (is_int(self.bound) and self.bound >= 1):
-            raise WitnessModeError(f"Z-mode bound must be an int >= 1, got {self.bound!r}")
+            raise ValueError(f"Z-mode bound must be an int >= 1, got {self.bound!r}")
 
 
 class Witness(Record):
@@ -339,9 +329,12 @@ class VerificationReport:
             self.counterexample = f"{name}: {lhs} != {rhs}"
 
     def extend(self, other: "VerificationReport", prefix: str = "") -> None:
-        """Append copies of other's checks with prefix added to each name
-        and to the counterexample; other's checks stay as they are."""
-        self.checks.extend({**c, "name": prefix + c["name"]} for c in other.checks)
+        """Append other's check dicts themselves, each renamed in place with
+        prefix, and prefix other's counterexample; other is consumed."""
+        if prefix:
+            for c in other.checks:
+                c["name"] = prefix + c["name"]
+        self.checks.extend(other.checks)
         self.bounded = self.bounded or other.bounded
         if self.counterexample is None and other.counterexample is not None:
             self.counterexample = prefix + other.counterexample
@@ -485,7 +478,7 @@ def verify_ccc(H: GeneratorSet, w: Witness, suite: str = "ccc",
     p < 0 only when some record at p > 0 failed.
     """
     if not isinstance(w.mode, Finite):
-        raise WitnessModeError("verify_ccc requires a Finite(n) witness")
+        raise ValueError("verify_ccc requires a Finite(n) witness")
     fam = H.family
     fam.check_element(w.t)
     for h in H.elements:
@@ -513,7 +506,7 @@ def verify_czc(H: GeneratorSet, w: Witness, suite: str = "czc") -> VerificationR
     some record at p > 0 failed.
     """
     if not isinstance(w.mode, ZMode):
-        raise WitnessModeError("verify_czc requires a ZMode witness")
+        raise ValueError("verify_czc requires a ZMode witness")
     fam = H.family
     fam.check_element(w.t)
     for h in H.elements:

@@ -17,11 +17,12 @@ lowest terms makes equality field equality.  Everything here does only
 numerators with ValueError before any arithmetic.  Rendering prints each
 rational as "n/d" in lowest terms, through ``rational.fmt``.
 
-The public constructors (``IetMap(...)`` and ``make_iet``) validate: the
-raw breakpoints start at 0 and ascend strictly, the translated intervals
-partition [0, a_k) exactly, and an ``IetMap`` is in normal form and lowest
-terms.  ``compose`` and ``inverse`` take valid maps
-to valid maps, so they build their results without re-validation.
+The public constructors (``IetMap(...)`` and ``make_iet``) validate, and
+raise ValueError with one message per fault: the raw breakpoints start at
+0 and ascend strictly, the translated intervals partition [0, a_k)
+exactly, and an ``IetMap`` has tuple fields in normal form and lowest
+terms.  ``compose`` and ``inverse`` take valid maps to valid maps, so
+they build their results without re-validation.
 ``compose`` is one sweep over the intervals of its right factor and builds
 no inverse.
 """
@@ -30,13 +31,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .core import CcckitError, FamilyMismatchError, GroupFamily, Record, trusted
+from .core import FamilyMismatchError, GroupFamily, Record, trusted
 from .rational import (check_int_data, common_den, fmt, in_lowest_terms, is_int_data,
                        lowest_terms, rescaled)
-
-
-class InvalidIetError(CcckitError):
-    pass
 
 
 class IetMap(Record):
@@ -48,23 +45,25 @@ class IetMap(Record):
 
     def __post_init__(self):
         den, cuts, shifts = self.den, self.cuts, self.shifts
+        if not (isinstance(cuts, tuple) and isinstance(shifts, tuple)):
+            raise ValueError(f"cuts and shifts must be tuples, got {cuts!r} and {shifts!r}")
         if not is_int_data(den, cuts, shifts):
-            raise InvalidIetError("need a positive int denominator and int numerators")
+            raise ValueError("need a positive int denominator and int numerators")
         _check_intervals(den, cuts, shifts)
         cursor = 0
         for lo, hi in sorted((a + t, b + t) for a, b, t in zip(cuts, cuts[1:], shifts)):
             if lo != cursor:
-                raise InvalidIetError(f"translated intervals do not partition "
-                                      f"[0, {fmt(cuts[-1], den)}): gap/overlap at {fmt(lo, den)}")
+                raise ValueError(f"translated intervals do not partition "
+                                 f"[0, {fmt(cuts[-1], den)}): gap/overlap at {fmt(lo, den)}")
             cursor = hi
         if cursor != cuts[-1]:
-            raise InvalidIetError(f"translated intervals cover up to {fmt(cursor, den)}, "
-                                  f"expected {fmt(cuts[-1], den)}")
+            raise ValueError(f"translated intervals cover up to {fmt(cursor, den)}, "
+                             f"expected {fmt(cuts[-1], den)}")
         if _normal_form(cuts, shifts) != (cuts, shifts):
-            raise InvalidIetError("not in normal form: equal adjacent translations "
-                                  "or a trailing identity interval")
+            raise ValueError("not in normal form: equal adjacent translations "
+                             "or a trailing identity interval")
         if not in_lowest_terms(den, cuts, shifts):
-            raise InvalidIetError(f"not in lowest terms: denominator {den}")
+            raise ValueError(f"not in lowest terms: denominator {den}")
 
     def __str__(self) -> str:
         return render_iet(self)
@@ -72,12 +71,12 @@ class IetMap(Record):
 
 def _check_intervals(den, cuts, shifts) -> None:
     if not cuts or cuts[0] != 0:
-        raise InvalidIetError("breakpoints must start at 0")
+        raise ValueError("breakpoints must start at 0")
     if len(shifts) != len(cuts) - 1:
-        raise InvalidIetError("need one translation per finite interval")
+        raise ValueError("need one translation per finite interval")
     if any(b >= c for b, c in zip(cuts, cuts[1:])):
-        raise InvalidIetError("breakpoints not strictly ascending: "
-                              + ", ".join(fmt(c, den) for c in cuts))
+        raise ValueError("breakpoints not strictly ascending: "
+                         + ", ".join(fmt(c, den) for c in cuts))
 
 
 def _normal_form(cuts, shifts) -> tuple[tuple, tuple]:

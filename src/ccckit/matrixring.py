@@ -28,7 +28,10 @@ is a ring homomorphism.
 `SquareMatrix` and `matrix` validate what they are given.  The builders
 `identity_matrix`, `elementary`, `perm_to_matrix` and `form_matrix` check
 their parameters, then build results that are valid by construction
-through `core.trusted`, as the operations and embeddings do.
+through `core.trusted`, as the operations and embeddings do.  Bad input
+raises ValueError.  A form is named by its kind, "symplectic" or
+"split-orthogonal", and has the size of the matrix it is checked on; a
+`MatrixFamily` is named by its size and modulus.
 """
 
 from __future__ import annotations
@@ -320,35 +323,25 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
 # Forms
 
 
-class FormTag(Record):
-    def __init__(self, kind: str, size: int):
-        # kind is "symplectic" or "split-orthogonal"
-        self.__dict__.update(kind=kind, size=size)
-
-    def __post_init__(self):
-        if self.kind not in ("symplectic", "split-orthogonal"):
-            raise ValueError(f"unknown form kind {self.kind!r}")
-        if not (is_int(self.size) and self.size >= 0):
-            raise ValueError(f"form size must be an int >= 0, got {self.size!r}")
-        if self.size % 2 != 0:
-            raise ValueError(f"{self.kind} form needs even size, got {self.size}")
-
-
-def form_matrix(tag: FormTag, modulus: int | None = None) -> SquareMatrix:
+def form_matrix(kind: str, n: int, modulus: int | None = None) -> SquareMatrix:
+    if kind not in ("symplectic", "split-orthogonal"):
+        raise ValueError(f"unknown form kind {kind!r}")
+    if not (is_int(n) and n >= 0):
+        raise ValueError(f"form size must be an int >= 0, got {n!r}")
+    if n % 2 != 0:
+        raise ValueError(f"{kind} form needs even size, got {n}")
     _check_modulus(modulus)
-    n, half, minus_one = tag.size, tag.size // 2, _reduce(-1, modulus)
-    if tag.kind == "symplectic":  # [[0, I], [-I, 0]]
+    half, minus_one = n // 2, _reduce(-1, modulus)
+    if kind == "symplectic":  # [[0, I], [-I, 0]]
         rows = [((half + i, 1),) for i in range(half)] + [((i, minus_one),) for i in range(half)]
     else:  # split-orthogonal: I_(n/2) tensor diag(1, -1), +1/-1 down the diagonal
         rows = [((i, minus_one if i % 2 else 1),) for i in range(n)]
     return trusted(SquareMatrix, n, tuple(rows), modulus)
 
 
-def preserves_form(a: SquareMatrix, tag: FormTag) -> bool:
-    """Exact check of M^T J M = J."""
-    if a.size != tag.size:
-        raise FamilyMismatchError(f"matrix size {a.size} vs form size {tag.size}")
-    j = form_matrix(tag, a.modulus)
+def preserves_form(a: SquareMatrix, kind: str) -> bool:
+    """Exact check of M^T J M = J for the form kind of a's size."""
+    j = form_matrix(kind, a.size, a.modulus)
     return mat_mul(mat_mul(transpose(a), j), a) == j
 
 
@@ -377,7 +370,7 @@ def sp_corner_embed(a: SquareMatrix, n: int) -> SquareMatrix:
         raise ValueError(f"target size {n} smaller than matrix size {a.size}")
     if a.size % 2 != 0:
         raise ValueError("symplectic matrix must have even size")
-    if not preserves_form(a, FormTag("symplectic", a.size)):
+    if not preserves_form(a, "symplectic"):
         raise ValueError("input does not preserve the symplectic form")
     half, shift = a.size // 2, (n - a.size) // 2
 
@@ -420,11 +413,10 @@ CLASSICAL_FAMILIES = ("GL", "SL", "E", "Sp", "Onn")
 class MatrixFamily(GroupFamily):
     """GL_n over Z or Z/m; subgroups are carried by their generator sets."""
 
-    def __init__(self, size: int, modulus: int | None = None, name: str | None = None):
+    def __init__(self, size: int, modulus: int | None = None):
         self.size = size
         self.modulus = modulus
-        suffix = f"Z/{modulus}" if modulus else "Z"
-        self.name = name or f"mat-{size}({suffix})"
+        self.name = f"mat-{size}(Z/{modulus})" if modulus else f"mat-{size}(Z)"
         self._identity = identity_matrix(size, modulus)
 
     def check_element(self, a):
@@ -481,17 +473,12 @@ def classical_witness(family: str, n: int, modulus: int | None = None
     if not is_int(n):
         raise ValueError(f"block size n must be an int, got {n!r}")
     if family == "Onn":
-        ambient = MatrixFamily(4 * n, modulus, name=f"Onn-{n}-stab")
         t = perm_to_matrix(permmod.block_swap(2 * n), 4 * n, modulus)
-        return ambient, Witness(t, Finite(2))
-    n += n % 2
-    if family == "Sp":
-        ambient = MatrixFamily(4 * n, modulus, name=f"Sp-{n}-stab")
-        t = sp_perm_embed(permmod.block_swap(n), 2 * n, modulus)
-        return ambient, Witness(t, Finite(2))
-    ambient = MatrixFamily(2 * n, modulus, name=f"{family}-{n}-stab")
-    t = perm_to_matrix(permmod.block_swap(n), 2 * n, modulus)
-    return ambient, Witness(t, Finite(2))
+    else:
+        n += n % 2
+        embed = sp_perm_embed if family == "Sp" else perm_to_matrix
+        t = embed(permmod.block_swap(n), 2 * n, modulus)
+    return MatrixFamily(t.size, modulus), Witness(t, Finite(2))
 
 
 def elementary(n: int, i: int, j: int, r: int = 1, modulus: int | None = None) -> SquareMatrix:

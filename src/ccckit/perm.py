@@ -17,6 +17,9 @@ class FinPerm(Record):
         self.__dict__.update(mapping=mapping)
 
     def __post_init__(self):
+        if not (isinstance(self.mapping, tuple)
+                and all(isinstance(pair, tuple) and len(pair) == 2 for pair in self.mapping)):
+            raise ValueError(f"mapping must be a tuple of (point, image) pairs: {self.mapping!r}")
         points = [p for p, _ in self.mapping]
         if any(not (is_int(p) and is_int(q)) or p < 1 or q < 1 for p, q in self.mapping):
             raise ValueError("points must be positive integers")

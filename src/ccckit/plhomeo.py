@@ -14,12 +14,14 @@ only ``int`` arithmetic, on numerators over one denominator or on
 ``bump(den, a, b)`` and ``displacement_witness(den, a, b, bound)`` read
 each coordinate as a numerator over ``den``, and ``apply(f, n, d)`` takes
 the point n/d; each refuses anything but a positive int denominator and
-int numerators with ValueError before any arithmetic.  ``apply`` returns
-a reduced (num, den) pair, and ``support_closure`` and
-``support_interval`` a pair of (num, den) pairs.  The orbit walk of
-``verify_displaced_supports`` steps on pairs with ``apply``, compares
-them by cross-multiplying and prints them through ``rational.fmt``, as
-rendering does.
+int numerators with ValueError before any arithmetic.  ``PlMap`` (whose
+fields are tuples) and ``make_pl`` raise ValueError for malformed
+vertices, one message per fault, as ``support_interval`` does for a
+generator that is not compactly supported.  ``apply`` returns a reduced
+(num, den) pair, and ``support_closure`` and ``support_interval`` a pair
+of (num, den) pairs.  The orbit walk of ``verify_displaced_supports``
+steps on pairs with ``apply``, compares them by cross-multiplying and
+prints them through ``rational.fmt``, as rendering does.
 """
 
 from __future__ import annotations
@@ -27,19 +29,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import gcd, lcm
 
-from .core import (CcckitError, FamilyMismatchError, GeneratorSet, GroupFamily, Record,
-                   Witness, ZMode, trusted, verify_czc,
-                   VerificationReport)
+from .core import (FamilyMismatchError, GeneratorSet, GroupFamily, Record, Witness, ZMode,
+                   trusted, verify_czc, VerificationReport)
 from .rational import (check_int_data, fmt, in_lowest_terms, is_int_data, less,
                        lowest_terms, ratio)
-
-
-class InvalidPlMapError(CcckitError):
-    pass
-
-
-class NotCompactlySupportedError(CcckitError):
-    pass
 
 
 class PlMap(Record):
@@ -50,13 +43,15 @@ class PlMap(Record):
 
     def __post_init__(self):
         den, xs, ys = self.den, self.xs, self.ys
+        if not (isinstance(xs, tuple) and isinstance(ys, tuple)):
+            raise ValueError(f"xs and ys must be tuples, got {xs!r} and {ys!r}")
         if not is_int_data(den, xs, ys):
-            raise InvalidPlMapError("need a positive int denominator and int numerators")
+            raise ValueError("need a positive int denominator and int numerators")
         _check_vertices(den, xs, ys)
         if _drop_collinear(xs, ys) != (xs, ys):
-            raise InvalidPlMapError(f"collinear interior vertex in {render_pl(self)}")
+            raise ValueError(f"collinear interior vertex in {render_pl(self)}")
         if not in_lowest_terms(den, xs, ys):
-            raise InvalidPlMapError(f"not in lowest terms: denominator {den}")
+            raise ValueError(f"not in lowest terms: denominator {den}")
 
     def __str__(self) -> str:
         return render_pl(self)
@@ -65,11 +60,11 @@ class PlMap(Record):
 def _check_vertices(den, xs, ys) -> None:
     if (len(xs) < 2 or len(xs) != len(ys) or (xs[0], ys[0]) != (0, 0)
             or (xs[-1], ys[-1]) != (den, den)):
-        raise InvalidPlMapError("vertices must run from (0,0) to (1,1)")
+        raise ValueError("vertices must run from (0,0) to (1,1)")
     for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
         if x0 >= x1 or y0 >= y1:
-            raise InvalidPlMapError(f"vertices not strictly increasing near "
-                                    f"({fmt(x0, den)},{fmt(y0, den)})")
+            raise ValueError(f"vertices not strictly increasing near "
+                             f"({fmt(x0, den)},{fmt(y0, den)})")
 
 
 def _drop_collinear(xs, ys) -> tuple[tuple, tuple]:
@@ -182,8 +177,8 @@ def support_interval(H: GeneratorSet) -> tuple[tuple[int, int], tuple[int, int]]
     """Smallest closed interval containing all generator supports, as a
     pair of (num, den) pairs, or None when every generator is the identity.
 
-    Raises NotCompactlySupportedError when a generator moves points
-    arbitrarily close to 0 or 1.
+    Raises ValueError when a generator moves points arbitrarily close to 0
+    or 1.
     """
     lo, hi = None, None
     for h in H.elements:
@@ -192,7 +187,7 @@ def support_interval(H: GeneratorSet) -> tuple[tuple[int, int], tuple[int, int]]
             continue
         a, b = s
         if a[0] == 0 or b[0] == h.den:
-            raise NotCompactlySupportedError(
+            raise ValueError(
                 f"generator support [{fmt(*a)}, {fmt(*b)}] touches the endpoints: {render_pl(h)}")
         lo = a if lo is None or less(a, lo) else lo
         hi = b if hi is None or less(hi, b) else hi

@@ -95,7 +95,7 @@ def _sp_generators(n: int, ring):
     diag_u = (mat.mat_mul(mat.elementary(2 * n, 1, 2, 1, ring),
                           mat.elementary(2 * n, n + 2, n + 1, -1, ring))
               if n >= 2 else mat.identity_matrix(2, ring))
-    return [mat.form_matrix(mat.FormTag("symplectic", 2 * n), ring),
+    return [mat.form_matrix("symplectic", 2 * n, ring),
             mat.elementary(2 * n, 1, n + 1, 1, ring), diag_u]
 
 
@@ -123,11 +123,10 @@ def _matrix_checks(form, report, n, label, H, t):
     report.record(f"{label}det(witness) = 1", det_t == 1, str(det_t), "1")
     if form:
         kind, witness_label, generator_label = form
-        tag = mat.FormTag(kind, ambient.size)
-        report.record(f"{label}{witness_label}", mat.preserves_form(t, tag), "t^T J t", "J")
+        report.record(f"{label}{witness_label}", mat.preserves_form(t, kind), "t^T J t", "J")
         for i, g in enumerate(H.elements):
             report.record(f"{label}embedded generator {i + 1} {generator_label}",
-                          mat.preserves_form(g, tag), "g^T J g", "J")
+                          mat.preserves_form(g, kind), "g^T J g", "J")
 
 
 def _matrix_stable(kind: str, generators: Callable, form: tuple | None = None) -> Stable:

@@ -106,10 +106,9 @@ def test_acceptance_5_matrix_form_parity_det():
         fam, witness = mat.classical_witness(family, n)
         ok = ok and mat.det(witness.t) == 1
         ok = ok and fam.is_identity(fam.mul(witness.t, witness.t))
-    ok = ok and mat.preserves_form(mat.classical_witness("Sp", 2)[1].t,
-                                   mat.FormTag("symplectic", 8))
-    ok = ok and mat.preserves_form(mat.classical_witness("Onn", 2)[1].t,
-                                   mat.FormTag("split-orthogonal", 8))
+    for family, kind in (("Sp", "symplectic"), ("Onn", "split-orthogonal")):
+        t = mat.classical_witness(family, 2)[1].t
+        ok = ok and t.size == 8 and mat.preserves_form(t, kind)
     _verdict(5, "matrix batteries: form preservation, parity, determinant", ok)
 
 

@@ -1,6 +1,7 @@
 """scripts/check_callers.py: every name defined under src/ has a caller in
-src/, scripts/ or perfbench/, where docstrings and comments do not count
-and a string that is exactly an identifier does."""
+src/, scripts/ or perfbench/, where docstrings and comments do not count,
+a string that is exactly an identifier does, and a top-level name counts
+only where the code reaches it through its own module."""
 
 import importlib.util
 import subprocess
@@ -97,3 +98,44 @@ def test_a_name_in_an_identifier_string_has_a_caller(tmp_path):
             ''',
     })
     assert check_callers.uncalled(root) == []
+
+
+def test_a_top_level_name_is_resolved_by_its_module(tmp_path):
+    """Two modules define apply and only pl's is called, as an attribute of
+    pl imported: iet's is flagged.  A method keeps the bare-name rule, so
+    the same call keeps the method Map.apply alive."""
+    root = _tree(tmp_path, {
+        "src/pkg/iet.py": '''
+            def apply():
+                pass
+
+
+            class Map:
+                def apply(self):
+                    pass
+            ''',
+        "src/pkg/pl.py": '''
+            def apply():
+                pass
+
+
+            def compose():
+                pass
+
+
+            def inverse():
+                return compose()
+            ''',
+        "src/pkg/core.py": '''
+            from .pl import inverse
+
+            inverse()
+            ''',
+        "scripts/run.py": '''
+            import pkg.iet as ietmod
+            from pkg import pl as plmod
+
+            plmod.apply(ietmod.Map())
+            ''',
+    })
+    assert check_callers.uncalled(root) == ["iet.apply"]

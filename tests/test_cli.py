@@ -265,8 +265,8 @@ def test_braid_past_the_old_letter_cap_runs_clean(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--family", "pl", "--bound", "0"),     # WitnessModeError
-    ("--family", "iet", "--size", "-1"),    # InvalidIetError
+    ("--family", "pl", "--bound", "0"),     # below the declared domain
+    ("--family", "iet", "--size", "-1"),
     ("--family", "iet", "--size", "0"),     # below the declared domain
     ("--family", "sl", "--size", "1"),      # H would be empty
     ("--family", "e", "--size", "1"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, find, given, settings, strategies as st
 
 from ccckit.core import (Finite, GeneratorSet, GroupFamily, VerificationReport, Witness,
-                         WitnessModeError, ZMode, _neighbour_conjugates, commutator, commutes,
+                         ZMode, _neighbour_conjugates, commutator, commutes,
                          conjugate, record_commutation, verify_ccc, verify_czc)
 import ccckit
 from ccckit import braid as braidmod
@@ -177,7 +177,7 @@ def test_verify_ccc_detects_failure():
 
 def test_verify_ccc_rejects_zmode():
     H = GeneratorSet(PERM, ())
-    with pytest.raises(WitnessModeError):
+    with pytest.raises(ValueError, match=r"verify_ccc requires a Finite\(n\) witness"):
         verify_ccc(H, Witness(PERM.identity(), ZMode(4)))
 
 
@@ -191,7 +191,7 @@ def test_verify_czc_rejects_empty_generator_set():
     t = pl.displacement_witness(4, 1, 2, bound=4)
     with pytest.raises(ValueError, match="empty generator set"):
         verify_czc(GeneratorSet(pl.PL, ()), t)
-    with pytest.raises(WitnessModeError):  # the mode is checked first
+    with pytest.raises(ValueError, match="requires a ZMode witness"):  # the mode is checked first
         verify_czc(GeneratorSet(pl.PL, ()), Witness(t.t, Finite(2)))
 
 
@@ -205,17 +205,46 @@ def test_verify_czc_is_labeled_bounded():
 
 
 def test_mode_validation():
-    with pytest.raises(WitnessModeError):
+    with pytest.raises(ValueError, match="finite witness order must be an int >= 2, got 1"):
         Finite(1)
-    with pytest.raises(WitnessModeError):
+    with pytest.raises(ValueError, match="Z-mode bound must be an int >= 1, got 0"):
         ZMode(0)
 
 
 @pytest.mark.parametrize("mode, value", [(Finite, 2.5), (Finite, 2.0), (ZMode, 1.5),
                                          (ZMode, True)])
 def test_mode_rejects_non_int_orders(mode, value):
-    with pytest.raises(WitnessModeError):
+    with pytest.raises(ValueError, match=f"must be an int >= ., got {value!r}$"):
         mode(value)
+
+
+_BUMP_TOUCHING_0 = pl.make_pl(8, [0, 2, 4, 8], [0, 3, 4, 8])  # supported on [0, 1/2]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ietmod.IetMap(1.5, (0, 1), (0,)), "need a positive int denominator"),
+    (lambda: ietmod.make_iet(1.5, [0, 1], [0]), "need a positive int denominator"),
+    (lambda: ietmod.IetMap(1, (1, 2), (0,)), "breakpoints must start at 0$"),
+    (lambda: ietmod.make_iet(1, [1, 2], [0]), "breakpoints must start at 0$"),
+    (lambda: pl.PlMap(4, (0, 2, 1, 4), (0, 1, 2, 4)),
+     r"vertices not strictly increasing near \(1/2,1/4\)$"),
+    (lambda: pl.make_pl(4, [0, 2, 1, 4], [0, 1, 2, 4]),
+     r"vertices not strictly increasing near \(1/2,1/4\)$"),
+    (lambda: Finite(1), "finite witness order must be an int >= 2, got 1$"),
+    (lambda: ZMode(0), "Z-mode bound must be an int >= 1, got 0$"),
+    (lambda: verify_ccc(GeneratorSet(PERM, (block_swap(1),)), Witness(block_swap(2), ZMode(4))),
+     r"verify_ccc requires a Finite\(n\) witness$"),
+    (lambda: pl.support_interval(GeneratorSet(pl.PL, (_BUMP_TOUCHING_0,))),
+     r"^generator support \[0, 1/2\] touches the endpoints: \(0,0\) \(1/4,3/8\) \(1/2,1/2\) "
+     r"\(1,1\)$"),
+], ids=["IetMap", "make_iet", "IetMap-start", "make_iet-start", "PlMap", "make_pl", "Finite",
+        "ZMode", "verify_ccc-ZMode", "support_interval"])
+def test_bad_input_raises_value_error_itself(build, message):
+    """One error for bad input, whatever the entry point: ValueError itself,
+    no subclass of it and no CcckitError, with the message it always had."""
+    with pytest.raises(ValueError, match=message) as caught:
+        build()
+    assert caught.type is ValueError
 
 
 def test_bounded_products_sym3():
@@ -230,22 +259,24 @@ def test_extend_prefixes_names_and_counterexample():
     part = VerificationReport("part", bounded=True)
     part.record("a", True, "e", "e")
     part.record("b", False, "x", "e", "why")
+    taken = list(part.checks)
     report.extend(part, prefix="lvl: ")
     assert [c["name"] for c in report.checks] == ["own", "lvl: a", "lvl: b"]
     assert report.checks[2]["status"] == "fail" and report.checks[2]["detail"] == "why"
     assert report.counterexample == "lvl: b: x != e"
     assert report.bounded
-    assert [c["name"] for c in part.checks] == ["a", "b"]
-    # the first counterexample wins; an unprefixed extend copies as is
-    report.extend(part)
+    # the first counterexample wins; an unprefixed extend appends as is
+    more = VerificationReport("more")
+    more.record("b", False, "y", "e")
+    report.extend(more)
     assert report.checks[-1]["name"] == "b"
     assert report.counterexample == "lvl: b: x != e"
-    # the checks are mutable dicts: extend copies them, with or without a prefix
-    for c in report.checks:
-        c["name"] = c["lhs"] = "changed"
+    # extend consumes other: it appends other's check dicts themselves, with
+    # or without a prefix, and a prefix renames them in place
+    assert all(x is y for x, y in zip(report.checks[1:], taken + more.checks, strict=True))
     assert part.checks == [
-        {"name": "a", "status": "pass", "lhs": "e", "rhs": "e", "detail": ""},
-        {"name": "b", "status": "fail", "lhs": "x", "rhs": "e", "detail": "why"},
+        {"name": "lvl: a", "status": "pass", "lhs": "e", "rhs": "e", "detail": ""},
+        {"name": "lvl: b", "status": "fail", "lhs": "x", "rhs": "e", "detail": "why"},
     ]
 
 

@@ -46,37 +46,37 @@ def test_normal_form_merges_and_absorbs():
 
 
 def test_invalid_partitions_rejected():
-    with pytest.raises(iet.InvalidIetError):
+    with pytest.raises(ValueError, match=r"do not partition \[0, 1\): gap/overlap at 1$"):
         iet.make_iet(1, [0, 1], [1])  # image [1,2) leaves a gap at [0,1)... overlap
-    with pytest.raises(iet.InvalidIetError):
+    with pytest.raises(ValueError, match=r"do not partition \[0, 2\): gap/overlap at 1$"):
         iet.make_iet(1, [0, 1, 2], [1, 1])  # overlap
-    with pytest.raises(iet.InvalidIetError):
+    with pytest.raises(ValueError, match="breakpoints must start at 0"):
         iet.make_iet(1, [1, 2], [1])  # must start at 0
-    with pytest.raises(iet.InvalidIetError):
+    with pytest.raises(ValueError, match=r"do not partition \[0, 2\): gap/overlap at 1$"):
         iet.IetMap(1, (0, 1, 2), (1, 1))  # not normal form and not a partition
-    with pytest.raises(iet.InvalidIetError, match="lowest terms"):
+    with pytest.raises(ValueError, match="lowest terms"):
         iet.IetMap(2, (0, 2, 4), (2, -2))  # block_exchange(1) over denominator 2
 
 
-@pytest.mark.parametrize("bps, ts", [
-    ([1, 2], [0]),        # does not start at 0; an identity interval hid it
-    ([0, 2, 1], [0, 0]),  # not ascending; both intervals are identity
-    ([1, 2], [1]),
-    ([0, 1, 1, 2], [1, 0, -1]),  # empty interval
-    ([], []),
-    ([0, 1], []),
-])
-def test_malformed_raw_intervals_rejected(bps, ts):
-    with pytest.raises(iet.InvalidIetError):
+@pytest.mark.parametrize("bps, ts, why", [
+    ([1, 2], [0], "must start at 0"),  # an identity interval hid it
+    ([0, 2, 1], [0, 0], "not strictly ascending: 0, 2, 1"),  # both intervals are identity
+    ([1, 2], [1], "must start at 0"),
+    ([0, 1, 1, 2], [1, 0, -1], "not strictly ascending: 0, 1, 1, 2"),  # empty interval
+    ([], [], "must start at 0"),
+    ([0, 1], [], "one translation per finite interval"),
+], ids=[f"bps{i}-ts{i}" for i in range(6)])
+def test_malformed_raw_intervals_rejected(bps, ts, why):
+    with pytest.raises(ValueError, match=why):
         iet.make_iet(1, bps, ts)
 
 
 def test_unnormalized_constructor_rejected():
-    with pytest.raises(iet.InvalidIetError, match="normal form"):
+    with pytest.raises(ValueError, match="normal form"):
         iet.IetMap(1, (0, 1, 2), (0, 0))
-    with pytest.raises(iet.InvalidIetError, match="lowest terms"):
+    with pytest.raises(ValueError, match="lowest terms"):
         iet.IetMap(3, (0, 3, 6), (3, -3))
-    with pytest.raises(iet.InvalidIetError, match="int"):
+    with pytest.raises(ValueError, match="int"):
         iet.IetMap(1, (Fraction(0), Fraction(1), Fraction(2)), (Fraction(1), Fraction(-1)))
     assert iet.IetMap(2, (0, 1, 2), (1, -1)) == iet.block_exchange(2, 1)
 

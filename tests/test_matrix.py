@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccckit import matrixring as m
 from ccckit import perm as p
-from ccckit.core import GeneratorSet, verify_ccc
+from ccckit.core import FamilyMismatchError, GeneratorSet, verify_ccc
 
 from util import random_perm, revalidates, sign
 
@@ -140,7 +140,7 @@ def test_square_matrix_rejects_broken_rows(size, rows, modulus):
     lambda: m.matrix([[1]], 0),
     lambda: m.matrix([[1]], 1),
     lambda: m.matrix([[1]], -3),
-    lambda: m.form_matrix(m.FormTag("symplectic", 2), 0),
+    lambda: m.form_matrix("symplectic", 2, 0),
     lambda: m.classical_witness("SL", 2, 1),
     lambda: m.identity_matrix(2, 0),
     lambda: m.elementary(2, 1, 2, 1, 0),
@@ -442,7 +442,7 @@ def test_inversion_eliminates_only_the_active_block(monkeypatch):
         m.mat_inv(x)
         assert shapes == [[k] * k]
     # monomial matrices, the identity among them, eliminate nothing
-    for x in (m.identity_matrix(64), swap, m.form_matrix(m.FormTag("symplectic", 64))):
+    for x in (m.identity_matrix(64), swap, m.form_matrix("symplectic", 64)):
         shapes.clear()
         m.mat_inv(x)
         m.det(x)
@@ -469,25 +469,31 @@ def test_inverse_composite_modulus_without_unit_pivot():
 
 
 def test_form_matrices():
-    assert m.form_matrix(m.FormTag("symplectic", 4)).entries == (
+    assert m.form_matrix("symplectic", 4).entries == (
         (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
-    assert m.form_matrix(m.FormTag("split-orthogonal", 4)).entries == (
+    assert m.form_matrix("split-orthogonal", 4).entries == (
         (1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
-    with pytest.raises(ValueError):
-        m.FormTag("symplectic", 3)
-    for kind, size in (("split-orthogonal", 2.5), ("symplectic", 4.0), ("symplectic", -2),
-                       ("split-orthogonal", True), ("split-orthogonal", "2"), ("none", 2)):
-        with pytest.raises(ValueError):
-            m.FormTag(kind, size)
+    with pytest.raises(ValueError, match="symplectic form needs even size, got 3"):
+        m.form_matrix("symplectic", 3)
+    for kind, size, why in (("split-orthogonal", 2.5, "form size must be an int >= 0"),
+                            ("symplectic", 4.0, "form size must be an int >= 0"),
+                            ("symplectic", -2, "form size must be an int >= 0"),
+                            ("split-orthogonal", True, "form size must be an int >= 0"),
+                            ("split-orthogonal", "2", "form size must be an int >= 0"),
+                            ("none", 2, "unknown form kind 'none'")):
+        with pytest.raises(ValueError, match=why):
+            m.form_matrix(kind, size)
 
 
 def test_preserves_form():
-    j = m.form_matrix(m.FormTag("symplectic", 2))
-    assert m.preserves_form(j, m.FormTag("symplectic", 2))
-    assert m.preserves_form(m.elementary(2, 1, 2, 7), m.FormTag("symplectic", 2))
-    assert not m.preserves_form(m.matrix([[2, 0], [0, 1]]), m.FormTag("symplectic", 2))
+    j = m.form_matrix("symplectic", 2)
+    assert m.preserves_form(j, "symplectic")
+    assert m.preserves_form(m.elementary(2, 1, 2, 7), "symplectic")
+    assert not m.preserves_form(m.matrix([[2, 0], [0, 1]]), "symplectic")
     flip = m.matrix([[-1, 0], [0, 1]])
-    assert m.preserves_form(flip, m.FormTag("split-orthogonal", 2))
+    assert m.preserves_form(flip, "split-orthogonal")
+    with pytest.raises(ValueError, match="symplectic form needs even size, got 3"):
+        m.preserves_form(m.identity_matrix(3), "symplectic")
 
 
 def test_corner_embed_is_homomorphism():
@@ -507,7 +513,7 @@ def sp_embed(a: m.SquareMatrix) -> m.SquareMatrix:
     """
     if a.size % 2 != 0:
         raise ValueError("symplectic matrix must have even size")
-    if not m.preserves_form(a, m.FormTag("symplectic", a.size)):
+    if not m.preserves_form(a, "symplectic"):
         raise ValueError("input does not preserve the symplectic form")
     half = a.size // 2
     n = a.size + 2
@@ -530,7 +536,7 @@ def test_sp_embed_twisted_law():
     a = m.elementary(2, 1, 2, 3)
     b = m.matrix([[0, -1], [1, 0]])
     ea, eb = sp_embed(a), sp_embed(b)
-    assert m.preserves_form(ea, m.FormTag("symplectic", 4))
+    assert m.preserves_form(ea, "symplectic")
     assert sp_embed(m.identity_matrix(2)) != m.identity_matrix(4)
     assert sp_embed(m.mat_mul(a, b)) != m.mat_mul(ea, eb)
     corrector = m.mat_inv(sp_embed(m.identity_matrix(2)))
@@ -543,14 +549,14 @@ def test_sp_corner_embed_is_homomorphism():
     assert m.sp_corner_embed(m.mat_mul(a, b), 4) == m.mat_mul(
         m.sp_corner_embed(a, 4), m.sp_corner_embed(b, 4))
     assert m.sp_corner_embed(m.identity_matrix(2), 4) == m.identity_matrix(4)
-    assert m.preserves_form(m.sp_corner_embed(a, 4), m.FormTag("symplectic", 4))
+    assert m.preserves_form(m.sp_corner_embed(a, 4), "symplectic")
     assert m.sp_corner_embed(a, 4) == m.mat_mul(sp_embed(a),
                                                 m.mat_inv(sp_embed(m.identity_matrix(2))))
 
 
 @pytest.mark.parametrize("modulus", [None, 5, 6])
 def test_sp_corner_embed_matches_corrected_sp_embed(modulus):
-    j = m.form_matrix(m.FormTag("symplectic", 4), modulus)
+    j = m.form_matrix("symplectic", 4, modulus)
     t = m.sp_perm_embed(p.block_swap(1), 2, modulus)
     for g in (j, t, m.mat_mul(j, t)):
         corner = m.sp_corner_embed(g, 6)
@@ -561,7 +567,7 @@ def test_sp_corner_embed_matches_corrected_sp_embed(modulus):
 def _sp4_samples(modulus):
     """Symplectic matrices of size 4: J, a paired swap, I + e_13, and a
     product of the three."""
-    j = m.form_matrix(m.FormTag("symplectic", 4), modulus)
+    j = m.form_matrix("symplectic", 4, modulus)
     t = m.sp_perm_embed(p.block_swap(1), 2, modulus)
     u = m.elementary(4, 1, 3, 2, modulus)
     return j, t, u, m.mat_mul(m.mat_mul(j, u), t)
@@ -585,7 +591,7 @@ def test_sp_corner_embed_multi_step_is_homomorphism(modulus):
     for a, b in itertools.product(samples, repeat=2):
         assert m.sp_corner_embed(m.mat_mul(a, b), 10) == m.mat_mul(
             m.sp_corner_embed(a, 10), m.sp_corner_embed(b, 10))
-        assert m.preserves_form(m.sp_corner_embed(a, 10), m.FormTag("symplectic", 10))
+        assert m.preserves_form(m.sp_corner_embed(a, 10), "symplectic")
     assert m.sp_corner_embed(m.identity_matrix(4, modulus), 10) == m.identity_matrix(10, modulus)
 
 
@@ -607,7 +613,7 @@ def test_sp_embed_rejects_non_symplectic():
 
 def test_sp_perm_embed_is_symplectic():
     t = m.sp_perm_embed(p.block_swap(2), 4)
-    assert m.preserves_form(t, m.FormTag("symplectic", 8))
+    assert t.size == 8 and m.preserves_form(t, "symplectic")
     assert m.det(t) == 1
 
 
@@ -616,11 +622,11 @@ def test_classical_witness_shapes():
     assert fam.size == 4 and w.mode.n == 2
     assert fam.is_identity(fam.mul(w.t, w.t))
     fam, w = m.classical_witness("Sp", 2)
-    assert fam.size == 8
-    assert m.preserves_form(w.t, m.FormTag("symplectic", 8))
+    assert fam.size == w.t.size == 8
+    assert m.preserves_form(w.t, "symplectic")
     fam, w = m.classical_witness("Onn", 3)
-    assert fam.size == 12
-    assert m.preserves_form(w.t, m.FormTag("split-orthogonal", 12))
+    assert fam.size == w.t.size == 12
+    assert m.preserves_form(w.t, "split-orthogonal")
 
 
 @pytest.mark.parametrize("family,n,size", [
@@ -644,10 +650,13 @@ def test_witness_battery_sl2():
 
 def test_matrix_family_checks():
     fam = m.MatrixFamily(2)
-    with pytest.raises(Exception):
+    with pytest.raises(FamilyMismatchError, match=r"size 3 mod None matrix in mat-2\(Z\)$"):
         fam.check_element(m.identity_matrix(3))
-    with pytest.raises(Exception):
+    with pytest.raises(FamilyMismatchError, match=r"size 2 mod 5 matrix in mat-2\(Z\)$"):
         fam.check_element(m.identity_matrix(2, 5))
+    ambient, w = m.classical_witness("Sp", 1, 5)
+    with pytest.raises(FamilyMismatchError, match=r"size 2 mod 5 matrix in mat-8\(Z/5\)$"):
+        ambient.check_element(m.identity_matrix(2, 5))
 
 
 def test_family_identity_built_once():

@@ -21,11 +21,12 @@ from ccckit import matrixring as mat
 from ccckit import plhomeo as pl
 from ccckit import suites
 from ccckit import wreath as w
-from ccckit.core import GeneratorSet, GroupFamily, replace, trusted
+from ccckit.core import GeneratorSet, GroupFamily, trusted
 from ccckit.perm import PERM
 
 from families import FAMILIES
 from test_records import IDS, RECORDS
+from util import replace
 
 
 _MAT_Z5 = mat.MatrixFamily(3, 5)

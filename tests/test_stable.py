@@ -21,10 +21,10 @@ from ccckit import freegroup as fg
 from ccckit import iet as ietmod
 from ccckit import matrixring as mat
 from ccckit import perm as permmod
-from ccckit.core import conjugate, replace
+from ccckit.core import conjugate
 from ccckit.suites import ENGINE, FAMILIES, STABLE, run_family, stable_battery
 
-from util import ring_id, wrong_braid_shift
+from util import replace, ring_id, wrong_braid_shift
 
 # the group of a generator at level n, where the record's generators live
 LEVEL_FAMILY = {

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccckit import cli
-from ccckit.core import replace
 from ccckit.suites import FAMILIES, run_family
+
+from util import replace
 
 # The domains, written out apart from the registry: family -> parameter ->
 # (low, high), high None for no upper limit.  H is empty below size 2 for

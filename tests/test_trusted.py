@@ -3,7 +3,7 @@
 Group operations, and builders once their parameters check out, build
 their results with ``core.trusted``, which skips ``__post_init__``.  Each
 property here re-runs the public validation on such results:
-``core.replace(x)`` constructs a fresh instance from x's fields through
+``util.replace(x)`` constructs a fresh instance from x's fields through
 the public constructor, so it raises on any broken invariant, and it must
 equal x.  The results of every registered family's operations are checked
 by the law suite (test_laws.py); here are the builders, free words,
@@ -100,7 +100,7 @@ def test_matrix_builders_revalidate(data):
     sigma = permmod.perm_from_mapping(dict(zip(range(1, n + 1), images)))
     assert revalidates(m.perm_to_matrix(sigma, n + data.draw(st.integers(0, 3)), modulus))
     kind = data.draw(st.sampled_from(["symplectic", "split-orthogonal"]))
-    assert revalidates(m.form_matrix(m.FormTag(kind, 2 * (n // 2)), modulus))
+    assert revalidates(m.form_matrix(kind, 2 * (n // 2), modulus))
     if n >= 2:
         i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
         r = data.draw(st.integers(min_value=-30, max_value=30))

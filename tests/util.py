@@ -17,7 +17,7 @@ from ccckit import matrixring as mat
 from ccckit import perm as permmod
 from ccckit import plhomeo as pl
 from ccckit import suites
-from ccckit.core import conjugate, replace, verify_ccc
+from ccckit.core import conjugate, verify_ccc
 from ccckit.rational import fmt
 from ccckit.wreath import INT_Z
 
@@ -26,6 +26,12 @@ def ring_id(ring) -> str:
     """A Stable ring as test ids print it: a matrix modulus (None for Z) as
     it is, an iet block scale (num, den) as the rational it names."""
     return fmt(*ring) if isinstance(ring, tuple) else str(ring)
+
+
+def replace(record, **changes):
+    """A copy of record with the given fields changed, built through its
+    public constructor, so __post_init__ validates it again."""
+    return type(record)(**{**record.__dict__, **changes})
 
 
 def revalidates(x) -> bool:
